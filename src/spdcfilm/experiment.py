@@ -48,9 +48,9 @@ from .spectral import (
     apply_detector_response,
     default_grid,
     gaussian_response,
-    hom_curve,
     hom_fwhm,
     intensity_fwhm,
+    interference_contrast,
     joint_spectrum,
     longpass_pair_response,
     lorentzian_response,
@@ -244,8 +244,8 @@ def _spectral_section(cfg):
     delays = np.linspace(
         cfg.hom.delay_start_fs, cfg.hom.delay_stop_fs, cfg.hom.delay_points
     )
-    dip = np.array([r for _, r in hom_curve(spec, delays, "dip")])
-    peak = np.array([r for _, r in hom_curve(spec, delays, "peak")])
+    g = interference_contrast(spec, delays)  # the dip and peak curves share one kernel
+    dip, peak = (1.0 - g) / 2.0, (1.0 + g) / 2.0
     return spec, delays, dip, peak, intensity_fwhm(spec), hom_fwhm(spec)
 
 

@@ -214,16 +214,46 @@ def _check_symmetric(spectrum: SpectralAmplitude, tol: float = 1e-9) -> np.ndarr
     return s
 
 
+#: matrix elements in one block of the HOM kernel: 2**19 float64 is 4 MB, so
+#: a block holds fewer delays on a finer grid and memory stays O(N + block)
+_BLOCK_ELEMENTS = 2**19
+
+
+def _contrast_blocks(s: np.ndarray, omega: np.ndarray, taus: np.ndarray):
+    """Yield (start, g(taus[start:stop])) for consecutive blocks of delays.
+
+    Each block evaluates the exact sum cos(2 pi 1e-3 tau W) @ s / sum(s) on
+    at most _BLOCK_ELEMENTS phase elements (one delay row when the grid alone
+    is larger), so a caller may stop as soon as it has what it needs.
+    """
+    norm = s.sum()
+    rows = max(1, _BLOCK_ELEMENTS // omega.size)
+    for start in range(0, taus.size, rows):
+        phases = np.outer(taus[start:start + rows], omega)
+        phases *= 2.0e-3 * np.pi
+        yield start, (np.cos(phases, out=phases) @ s) / norm
+
+
 def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
     """g(tau): normalized cosine transform of the spectral intensity.
 
     g(tau) = sum I(W) cos(2 pi W tau * 1e-3) / sum I(W); the 1e-3 converts
     THz * fs into cycles. Real and even for symmetric spectra, g(0) = 1.
+    The sum is exact (no FFT, no interpolation) and is evaluated in blocks
+    of delays, so memory is bounded by the grid plus one fixed-size block
+    however many delays or grid points there are. Delays are flattened.
     """
     s = _check_symmetric(spectrum)
-    taus = np.atleast_1d(np.asarray(delays_fs, dtype=float))
-    phases = 2.0e-3 * np.pi * np.outer(taus, spectrum.omega_thz)
-    return (np.cos(phases) @ s) / s.sum()
+    taus = np.asarray(delays_fs, dtype=float).ravel()
+    g = np.empty(taus.size)
+    for start, block in _contrast_blocks(s, spectrum.omega_thz, taus):
+        g[start:start + block.size] = block
+    return g
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("dip", "peak"):
+        raise ValueError(f"mode must be 'dip' or 'peak', got {mode!r}")
 
 
 def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str = "dip"):
@@ -233,8 +263,7 @@ def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str = "dip"):
     mode 'peak' the parallel (D-D) curve with R(0) = 1. Both approach 1/2
     at delays far beyond the coherence time, and dip + peak = 1 exactly.
     """
-    if mode not in ("dip", "peak"):
-        raise ValueError(f"mode must be 'dip' or 'peak', got {mode!r}")
+    _check_mode(mode)
     taus = np.atleast_1d(np.asarray(delays_fs, dtype=float))
     g = interference_contrast(spectrum, taus)
     r = (1.0 - g) / 2.0 if mode == "dip" else (1.0 + g) / 2.0
@@ -246,19 +275,31 @@ def hom_fwhm(spectrum: SpectralAmplitude, mode: str = "dip", tau_max_fs: float =
 
     The dip R(tau) runs from 0 at tau = 0 to 1/2 at large delay; the
     half-depth points are where g crosses 1/2, and the width is twice the
-    first crossing (the curve is even in tau).
+    first crossing (the curve is even in tau). Since dip + peak = 1, both
+    modes have the same width; any other mode raises ValueError.
+
+    g is scanned on 4001 delays over [0, tau_max_fs] block by block, and the
+    scan stops at the first block where g < 1/2. The crossing is then
+    refined by brentq (xtol 1e-9) on the exact sum between the last coarse
+    delay with g >= 1/2 and the first with g < 1/2.
     """
+    _check_mode(mode)
+    s = _check_symmetric(spectrum)
+    omega = spectrum.omega_thz
     coarse = np.linspace(0.0, tau_max_fs, 4001)
-    g = interference_contrast(spectrum, coarse)
-    below = np.where(g < 0.5)[0]
-    if len(below) == 0:
+    for start, g in _contrast_blocks(s, omega, coarse):
+        below = np.flatnonzero(g < 0.5)
+        if below.size:
+            k = start + int(below[0])
+            break
+    else:
         raise InvalidState(f"g(tau) never falls below 1/2 out to {tau_max_fs} fs")
-    k = below[0]
     if k == 0:
         raise InvalidState("g(0) < 1/2; spectrum is not normalizable as a HOM kernel")
 
     def g_minus_half(tau):
-        return float(interference_contrast(spectrum, [tau])[0]) - 0.5
+        (_, g_tau), = _contrast_blocks(s, omega, np.array([tau]))
+        return float(g_tau[0]) - 0.5
 
     crossing = brentq(g_minus_half, coarse[k - 1], coarse[k], xtol=1e-9)
     return 2.0 * float(crossing)

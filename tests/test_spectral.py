@@ -7,8 +7,12 @@ wide and the interference dip 11.75 fs; the unfiltered spectrum keeps its
 far double-resonance lobes and dips at 3.73 fs.
 """
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spdcfilm import (
     FilmStack,
@@ -21,8 +25,14 @@ from spdcfilm import (
     longpass_pair_response,
     lorentzian_response,
 )
+from spdcfilm.config import load_config
 from spdcfilm.errors import AsymmetricSpectrum, GridTooNarrow
-from spdcfilm.spectral import SpectralAmplitude, default_grid, interference_contrast
+from spdcfilm.spectral import (
+    _BLOCK_ELEMENTS,
+    SpectralAmplitude,
+    default_grid,
+    interference_contrast,
+)
 
 SEED = 20260819
 
@@ -94,6 +104,88 @@ def test_dip_peak_complementarity():
     assert peak[40] == pytest.approx(1.0, abs=1e-12)
     # both sides approach 1/2 beyond the coherence time
     assert abs(dip[0] - 0.5) < 0.1 and abs(dip[-1] - 0.5) < 0.1
+
+
+def _dense_contrast(spec, taus):
+    # the kernel as one len(taus) x len(grid) cosine matrix
+    s = spec.intensity
+    return (np.cos(2.0e-3 * np.pi * np.outer(taus, spec.omega_thz)) @ s) / s.sum()
+
+
+def test_blockwise_contrast_matches_dense_formula():
+    spec = _banded_default()
+    rows = _BLOCK_ELEMENTS // spec.omega_thz.size  # delays in one block
+    assert spec.omega_thz.size == 4096 and rows > 1
+    for n in (0, 1, rows - 1, rows, rows + 1):
+        taus = np.linspace(-200.0, 200.0, n)
+        g = interference_contrast(spec, taus)
+        assert g.shape == (n,)
+        np.testing.assert_allclose(g, _dense_contrast(spec, taus), rtol=0.0, atol=1e-14)
+
+
+def _gaussian_spectrum(fwhm_thz):
+    grid = default_grid()
+    phi = np.exp(-2.0 * np.log(2.0) * (grid / fwhm_thz) ** 2).astype(complex)
+    return SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0)
+
+
+@pytest.mark.parametrize(
+    "make_spec, first_block",
+    # the banded dip crosses 1/2 inside the first block of delays; a 20 THz
+    # Gaussian (~44 fs dip) only in the second
+    [(_banded_default, True), (lambda: _gaussian_spectrum(20.0), False)],
+)
+def test_early_exit_fwhm_matches_dense_scan(make_spec, first_block):
+    spec = make_spec()
+    # the first 1001 delays (0-100 fs) of hom_fwhm's 4001-point coarse grid
+    coarse = np.linspace(0.0, 400.0, 4001)[:1001]
+    k = np.flatnonzero(_dense_contrast(spec, coarse) < 0.5)[0]
+    assert (k < _BLOCK_ELEMENTS // spec.omega_thz.size) == first_block
+    crossing = brentq(
+        lambda tau: _dense_contrast(spec, [tau])[0] - 0.5,
+        coarse[k - 1], coarse[k], xtol=1e-9,
+    )
+    assert hom_fwhm(spec) == pytest.approx(2.0 * crossing, rel=0.0, abs=1e-12)
+
+
+def test_fwhm_mode_validated_and_shared():
+    spec = _banded_default()
+    assert hom_fwhm(spec, mode="peak") == hom_fwhm(spec, mode="dip")
+    with pytest.raises(ValueError):
+        hom_fwhm(spec, mode="bump")
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def test_fwhm_memory_at_default_grid():
+    spec = _banded_default()
+    _, peak_mb = _traced_peak_mb(lambda: hom_fwhm(spec))
+    assert peak_mb < 20.0
+
+
+def test_hom_kernel_memory_bounded_on_fine_grid():
+    # 16x the default grid: a dense 4001-delay kernel would need 4 GB
+    spec = joint_spectrum(FilmStack(), default_grid(points=65536))
+    spec = apply_detector_response(spec, longpass_pair_response(spec))
+    fwhm_thz = load_config().detector_response.fwhm_thz
+    spec = apply_detector_response(spec, lorentzian_response(spec, fwhm_thz))
+    start = time.perf_counter()
+    (width, curve), peak_mb = _traced_peak_mb(
+        lambda: (hom_fwhm(spec), hom_curve(spec, np.linspace(-300.0, 300.0, 601)))
+    )
+    elapsed = time.perf_counter() - start
+    assert len(curve) == 601
+    assert width == pytest.approx(15.37, abs=0.02)
+    assert peak_mb < 32.0
+    assert elapsed <= 30.0
 
 
 def test_responses_compose_multiplicatively():
