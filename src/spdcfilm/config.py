@@ -238,6 +238,8 @@ class RunConfig:
     def __post_init__(self):
         _require(self.seed >= 0, "run seed must be nonnegative")
         _require(self.bootstrap_samples >= 0, "bootstrap_samples must be nonnegative")
+        # one replicate has no sample spread: its sigmas would all be NaN
+        _require(self.bootstrap_samples != 1, "bootstrap_samples must be 0 or at least 2")
 
 
 @dataclass(frozen=True)

@@ -160,23 +160,48 @@ def _pump_angle(key) -> float:
     return float(key)
 
 
+def _residual_grid(chi, tilt_deg, azimuth_deg, targets: dict) -> np.ndarray:
+    """``weight_residual`` at every point of a broadcast (tilt, azimuth) grid.
+
+    The H and V columns of R = Rz(azimuth) Ry(tilt) are written in closed
+    form, and one einsum contracts the tensor with them and with every
+    target pump at all grid points at once. Each step repeats the
+    arithmetic of ``_raw_amplitudes`` for one orientation in the same dtype
+    and order (complex128 products chi a b c, summed over i, j, k in C
+    order), so each value is bit-identical to its orientation evaluated
+    alone, and a grid scan breaks exact ties as a point-by-point scan does.
+    """
+    tilt, az = np.broadcast_arrays(np.radians(tilt_deg), np.radians(azimuth_deg))
+    ct, st, cz, sz = np.cos(tilt), np.sin(tilt), np.cos(az), np.sin(az)
+    # lab H and V unit vectors in crystal components; grid axes last
+    hv = np.array([[cz * ct, sz * ct, -st], [-sz, cz, np.zeros_like(az)]], dtype=complex)
+    pumps = np.array([pump_ket(_pump_angle(key)) for key in targets], dtype=complex)
+    pumps = pumps.reshape((-1, 2) + (1,) * (hv.ndim - 1))
+    e_p = pumps[:, 0] * hv[0] + pumps[:, 1] * hv[1]
+    # the vanishing tensor elements add only signed zeros: sum the others, in C order
+    i, j, k = np.nonzero(chi)
+    chi_nz = np.asarray(chi, dtype=complex)[i, j, k]
+    amp = np.einsum("n,an...,bn...,pn...->pab...", chi_nz, hv[:, i], hv[:, j], e_p[:, k])
+    c = np.stack([amp[:, 0, 0], (amp[:, 0, 1] + amp[:, 1, 0]) / _SQRT2, amp[:, 1, 1]], axis=-1)
+    power = np.abs(c) ** 2
+    rate = np.sum(power, axis=-1, keepdims=True)
+    w = power / np.where(rate == 0.0, 1.0, rate)  # a vanishing rate gives zero weights
+    tgt = np.asarray(list(targets.values()), dtype=float)
+    tgt = tgt.reshape((len(targets),) + (1,) * tilt.ndim + (3,))
+    per_pump = np.sum((w - tgt) ** 2, axis=-1)
+    total = np.zeros(tilt.shape)
+    for res in per_pump:  # pump by pump, in target order
+        total = total + res
+    return total
+
+
 def weight_residual(chi, orientation: CrystalOrientation, targets: dict) -> float:
     """Summed squared deviation of predicted weights from target weights.
 
     ``targets`` maps a pump setting ('H', 'V', or an angle in degrees) to
     its (|C1|^2, |C2|^2, |C3|^2) triple.
     """
-    rot = rotation_matrix(orientation)
-    total = 0.0
-    for key, tgt in targets.items():
-        c = _raw_amplitudes(chi, rot, pump_ket(_pump_angle(key)))
-        rate = float(np.sum(np.abs(c) ** 2))
-        if rate == 0.0:
-            w = np.zeros(3)
-        else:
-            w = np.abs(c) ** 2 / rate
-        total += float(np.sum((w - np.asarray(tgt, dtype=float)) ** 2))
-    return total
+    return float(_residual_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, targets))
 
 
 def calibrate_azimuth(
@@ -199,11 +224,10 @@ def calibrate_azimuth(
     """
     if not targets:
         raise ValueError("calibration requires at least one pump-setting target")
-    best_az, best_res = 0.0, np.inf
-    for az in np.arange(0.0, 180.0, grid_step_deg):
-        res = weight_residual(chi, CrystalOrientation(tilt_deg, az), targets)
-        if res < best_res:
-            best_az, best_res = float(az), res
+    azimuths = np.arange(0.0, 180.0, grid_step_deg)
+    residuals = _residual_grid(chi, tilt_deg, azimuths, targets)
+    best = int(np.argmin(residuals))  # the first of tied minima, as a strict "<" scan
+    best_az, best_res = float(azimuths[best]), float(residuals[best])
     if best_res > threshold:
         raise PoorFit(
             f"azimuth scan at tilt {tilt_deg} deg bottoms out at residual "
@@ -228,17 +252,16 @@ def calibrate_orientation(
     """
     if not targets:
         raise ValueError("calibration requires at least one pump-setting target")
-    best = (0.0, 0.0, np.inf)
-    for tilt in np.arange(tilt_range[0], tilt_range[1] + 1e-9, coarse_step_deg):
-        for az in np.arange(0.0, 180.0, coarse_step_deg):
-            res = weight_residual(chi, CrystalOrientation(tilt, az), targets)
-            if res < best[2]:
-                best = (float(tilt), float(az), res)
+    tilts = np.arange(tilt_range[0], tilt_range[1] + 1e-9, coarse_step_deg)
+    azimuths = np.arange(0.0, 180.0, coarse_step_deg)
+    residuals = _residual_grid(chi, tilts[:, None], azimuths[None, :], targets)
+    # the first of tied minima in (tilt, azimuth) scan order, as a strict "<" scan
+    i, j = np.unravel_index(np.argmin(residuals), residuals.shape)
 
     def objective(x):
         return weight_residual(chi, CrystalOrientation(x[0], x[1]), targets)
 
-    opt = minimize(objective, x0=[best[0], best[1]], method="Nelder-Mead",
+    opt = minimize(objective, x0=[float(tilts[i]), float(azimuths[j])], method="Nelder-Mead",
                    options={"xatol": 1e-4, "fatol": 1e-12})
     tilt, az = float(opt.x[0]), float(opt.x[1]) % 180.0
     residual = float(opt.fun)

@@ -7,6 +7,7 @@ reconstruction with a physicality projection, and polarization fringes.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -76,15 +77,6 @@ class CoincidenceRecord:
         return self.raw - self.accidental
 
 
-def projector_vector(ket_a, ket_b) -> np.ndarray:
-    """Qutrit projector vector for an analyzer pair; rate = <w|rho|w>."""
-    return two_photon_projector(ket_a, ket_b)
-
-
-def _protocol_vectors(protocol) -> list[np.ndarray]:
-    return [projector_vector(a.ket(), b.ket()) for a, b in protocol]
-
-
 def _hermitian_basis() -> list[np.ndarray]:
     """Nine-dimensional real parametrization of 3x3 Hermitian matrices."""
     basis = []
@@ -112,12 +104,30 @@ def _design_row(w: np.ndarray) -> np.ndarray:
     return np.array([np.real(np.vdot(w, t @ w)) for t in _BASIS])
 
 
+@functools.lru_cache(maxsize=64)
+def _protocol_constants(pairs: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """Projector vectors w_m (rate = <w_m|rho|w_m>), the design matrix
+    (row m holds <w_m|T|w_m> for each T of ``_BASIS``) and its rank.
+
+    Memoized on the protocol's (frozen, hashable) analyzer pairs; the arrays
+    are shared between calls and therefore read-only.
+    """
+    vectors = np.array([two_photon_projector(a.ket(), b.ket()) for a, b in pairs])
+    design = np.array([_design_row(w) for w in vectors])
+    rank = int(np.linalg.matrix_rank(design, tol=1e-10))
+    vectors.flags.writeable = design.flags.writeable = False
+    return vectors, design, rank
+
+
+def _constants(protocol) -> tuple[np.ndarray, np.ndarray, int]:
+    return _protocol_constants(tuple(tuple(pair) for pair in protocol))
+
+
 def completeness_check(protocol) -> tuple[bool, int]:
     """Rank of the projector set in the 9-dimensional Hermitian space."""
     if not protocol:
         raise ValueError("protocol is empty")
-    rows = np.array([_design_row(w) for w in _protocol_vectors(protocol)])
-    rank = int(np.linalg.matrix_rank(rows, tol=1e-10))
+    rank = _constants(protocol)[2]
     return rank == 9, rank
 
 
@@ -127,15 +137,19 @@ def forward_rates(rho, protocol, scale: float = 1.0) -> np.ndarray:
     if scale < 0:
         raise InvalidDensityMatrix("scale must be nonnegative")
     rates = np.array(
-        [scale * np.real(np.vdot(w, rho @ w)) for w in _protocol_vectors(protocol)]
+        [scale * np.real(np.vdot(w, rho @ w)) for w in _constants(protocol)[0]]
     )
     # tiny negative values are numerical dust on a PSD matrix
     return np.where(np.abs(rates) < 1e-15, 0.0, rates)
 
 
 def project_psd(m) -> np.ndarray:
-    """Nearest (Frobenius) unit-trace PSD matrix: clip negative eigenvalues,
-    renormalize the trace. Idempotent."""
+    """Unit-trace PSD matrix from a Hermitian one: clip the negative
+    eigenvalues to zero, then renormalize the trace. Idempotent.
+
+    This is not the Frobenius-nearest state (that projects the eigenvalues
+    onto the probability simplex): for diag(1.2, 0.1, -0.3) clipping lands
+    at distance 0.409, the simplex projection at 0.374."""
     m = np.asarray(m, dtype=complex)
     m = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(m)
@@ -162,8 +176,9 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     sum_m (duration_m <w_m|S|w_m> - net_m)^2 / max(net_m, 1); the
     (unit-trace matrix, scale) pair of the rate model is recovered as
     M = S / tr(S), scale = tr(S) — equivalent to fitting both jointly.
-    M is then projected to the nearest PSD unit-trace matrix; the report
-    records how much negative-eigenvalue mass the projection removed.
+    M is then made physical by ``project_psd`` (negative eigenvalues clipped
+    to zero, trace renormalized); the report records how much
+    negative-eigenvalue mass the clipping removed.
     """
     if len(records) != len(protocol):
         raise IncompleteProtocol(
@@ -173,14 +188,9 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     if not complete:
         raise IncompleteProtocol(f"protocol spans only rank {rank} of 9")
 
-    rows, counts, weights = [], [], []
-    for rec, w in zip(records, _protocol_vectors(protocol)):
-        rows.append(rec.duration_s * _design_row(w))
-        counts.append(rec.net)
-        weights.append(1.0 / max(rec.net, 1.0))
-    design = np.asarray(rows)
-    counts = np.asarray(counts)
-    sqrt_w = np.sqrt(np.asarray(weights))
+    design = np.array([rec.duration_s for rec in records])[:, None] * _constants(protocol)[1]
+    counts = np.array([rec.net for rec in records])
+    sqrt_w = np.sqrt(np.array([1.0 / max(rec.net, 1.0) for rec in records]))
 
     a = design * sqrt_w[:, None]
     b = counts * sqrt_w
@@ -217,6 +227,20 @@ def fringe_model(theta_deg, a, b, c, theta0_deg):
     return a + b * np.cos(2 * th) + c * np.cos(4 * th)
 
 
+@functools.lru_cache(maxsize=64)
+def _fringe_projectors(fixed_b: str, theta_grid_deg: tuple) -> np.ndarray:
+    """Read-only projector vectors of the fringe scan, one row per theta."""
+    eta = setting(fixed_b).ket()
+    vectors = np.array(
+        [
+            two_photon_projector(AnalyzerSetting(*linear_analyzer(th)).ket(), eta)
+            for th in theta_grid_deg
+        ]
+    )
+    vectors.flags.writeable = False
+    return vectors
+
+
 def fringe_scan(rho, fixed_b: str, theta_grid_deg, scale: float = 1.0):
     """Coincidence fringe: arm A scans linear polarization, arm B is fixed.
 
@@ -229,14 +253,8 @@ def fringe_scan(rho, fixed_b: str, theta_grid_deg, scale: float = 1.0):
     if np.ptp(theta_grid_deg) < 180.0:
         raise ValueError("theta grid must span at least 180 degrees")
     rho = check_density_matrix(rho)
-    eta = setting(fixed_b).ket()
-
-    rates = []
-    for th in theta_grid_deg:
-        xi = AnalyzerSetting(*linear_analyzer(th)).ket()
-        w = projector_vector(xi, eta)
-        rates.append(scale * float(np.real(np.vdot(w, rho @ w))))
-    rates = np.asarray(rates)
+    projectors = _fringe_projectors(fixed_b, tuple(theta_grid_deg.tolist()))
+    rates = np.array([scale * float(np.real(np.vdot(w, rho @ w))) for w in projectors])
 
     # linear 5-harmonic fit seeds the tied-phase nonlinear form
     th = np.radians(theta_grid_deg)

@@ -107,6 +107,15 @@ def test_invalid_config_value_exit_code(capsys, tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_single_bootstrap_replicate_exit_code(capsys, tmp_path):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("[run]\nbootstrap_samples = 1\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "must be 0 or at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_incomplete_records_exit_code(capsys, tmp_path):
     csv_path = tmp_path / "short.csv"
     csv_path.write_text(

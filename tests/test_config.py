@@ -82,3 +82,14 @@ def test_calibration_weights_must_sum_to_one(tmp_path):
     path.write_text("[calibration]\nh_weights = 0.5, 0.1, 0.1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_single_bootstrap_replicate_rejected(tmp_path):
+    # one replicate has no spread: every sigma would be NaN in report.json
+    path = tmp_path / "user.cfg"
+    path.write_text("[run]\nbootstrap_samples = 1\n")
+    with pytest.raises(ConfigError, match="must be 0 or at least 2"):
+        load_config(path)
+    for n in (0, 2):
+        path.write_text(f"[run]\nbootstrap_samples = {n}\n")
+        assert load_config(path).run.bootstrap_samples == n

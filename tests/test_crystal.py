@@ -9,6 +9,7 @@ azimuth at the nominal 15 deg wafer tilt comes close (best residual
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from spdcfilm import (
     CrystalOrientation,
@@ -23,6 +24,7 @@ from spdcfilm import (
     spdc_amplitudes,
     weight_residual,
 )
+from spdcfilm.config import load_config
 from spdcfilm.crystal import normal_axis_angles
 
 SEED = 20260819
@@ -156,3 +158,89 @@ def test_pair_rate_curve_preserves_zeros():
 def test_calibration_needs_targets():
     with pytest.raises(ValueError):
         calibrate_azimuth(chi2_zincblende(), 35.75, {})
+
+
+def _scalar_weight_residual(chi, orientation, targets):
+    """Point-by-point residual through ``_raw_amplitudes``: the reference the
+    grid kernel must reproduce bit for bit."""
+    from spdcfilm.crystal import _pump_angle, _raw_amplitudes
+
+    rot = rotation_matrix(orientation)
+    total = 0.0
+    for key, tgt in targets.items():
+        c = _raw_amplitudes(chi, rot, pump_ket(_pump_angle(key)))
+        rate = float(np.sum(np.abs(c) ** 2))
+        if rate == 0.0:
+            w = np.zeros(3)
+        else:
+            w = np.abs(c) ** 2 / rate
+        total += float(np.sum((w - np.asarray(tgt, dtype=float)) ** 2))
+    return total
+
+
+def _shipped_targets():
+    cal = load_config().calibration
+    return {"H": cal.h_pump_weights, "V": cal.v_pump_weights}
+
+
+def test_residual_grid_equals_scalar_loop_exactly():
+    from spdcfilm.crystal import _residual_grid
+
+    chi = chi2_zincblende()
+    targets = _shipped_targets()
+    # calibrate_orientation's 1 deg coarse grid
+    tilts = np.arange(0.0, 55.0 + 1e-9, 1.0)
+    azimuths = np.arange(0.0, 180.0, 1.0)
+    grid = _residual_grid(chi, tilts[:, None], azimuths[None, :], targets)
+    reference = np.array(
+        [[_scalar_weight_residual(chi, CrystalOrientation(t, a), targets) for a in azimuths]
+         for t in tilts]
+    )
+    assert grid.shape == reference.shape
+    assert np.all(grid == reference)
+    # calibrate_azimuth's 0.1 deg grid at the fitted tilt
+    azimuths = np.arange(0.0, 180.0, 0.1)
+    line = _residual_grid(chi, 35.75, azimuths, targets)
+    reference = [_scalar_weight_residual(chi, CrystalOrientation(35.75, a), targets)
+                 for a in azimuths]
+    assert np.all(line == reference)
+    # the vanishing-rate branch: zero weights at normal incidence
+    assert weight_residual(chi, CrystalOrientation(0.0, 0.0), targets) == (
+        _scalar_weight_residual(chi, CrystalOrientation(0.0, 0.0), targets)
+    )
+
+
+def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
+    import spdcfilm.crystal as crystal
+
+    chi = chi2_zincblende()
+    targets = _shipped_targets()
+    tied = [crystal.weight_residual(chi, CrystalOrientation(36.0, az), targets)
+            for az in (41.0, 49.0, 139.0)]
+    assert tied[0] == tied[1] == tied[2]
+
+    starts = []
+
+    def recording_minimize(fun, x0, **kwargs):
+        starts.append(list(x0))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(crystal, "minimize", recording_minimize)
+    calibrate_orientation(chi, targets, coarse_step_deg=1.0)
+    assert starts == [[36.0, 41.0]]
+
+
+def test_calibration_call_count(monkeypatch):
+    import spdcfilm.crystal as crystal
+
+    calls = []
+    original = crystal.weight_residual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(crystal, "weight_residual", counting)
+    calibrate_orientation(chi2_zincblende(), _shipped_targets())
+    # the grid is one kernel call; only the Nelder-Mead refinement remains
+    assert 0 < len(calls) <= 200

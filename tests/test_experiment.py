@@ -111,3 +111,25 @@ def test_bootstrap_sigmas_positive(report):
     assert all(s > 0.0 for s in t["weights_sigma"])
     assert t["purity_sigma"] > 0.0
     assert t["visibility_sigma"] > 0.0
+
+
+def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
+    import spdcfilm.polarization as polarization
+    import spdcfilm.tomography as tomography
+
+    # count from a cold memo: what one run in a fresh process builds
+    tomography._protocol_constants.cache_clear()
+    tomography._fringe_projectors.cache_clear()
+    calls = []
+    original = polarization.analyzer_ket
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (polarization, tomography):
+        monkeypatch.setattr(module, "analyzer_ket", counting)
+    run_experiment(seed=SEED)
+    # 18 protocol kets plus one ket per fringe angle and fixed analyzer on
+    # the report's and the bootstrap's theta grids, however many replicates
+    assert 0 < len(calls) <= 200

@@ -90,6 +90,30 @@ def test_incomplete_protocol_raises():
         reconstruct(_noiseless_records(rho, protocol), protocol)
 
 
+def test_rank_deficient_protocol_raises_with_warm_memo():
+    from spdcfilm.tomography import _protocol_constants
+
+    linear = [(setting(a), setting(b)) for a in ("H", "V", "D", "A") for b in ("H", "V", "D")]
+    records = _noiseless_records(np.eye(3) / 3, linear)
+    with pytest.raises(IncompleteProtocol):
+        reconstruct(records, linear)
+    hits = _protocol_constants.cache_info().hits
+    with pytest.raises(IncompleteProtocol, match="rank"):
+        reconstruct(records, linear)
+    assert _protocol_constants.cache_info().hits > hits
+
+
+def test_memoized_projectors_are_read_only():
+    from spdcfilm.tomography import _constants, _fringe_projectors
+
+    vectors, design, rank = _constants(default_protocol())
+    assert vectors.shape == (9, 3) and design.shape == (9, 9) and rank == 9
+    fringe = _fringe_projectors("H", (0.0, 90.0, 180.0))
+    for shared in (vectors, design, fringe):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 0.0
+
+
 def test_record_count_mismatch_raises():
     protocol = default_protocol()
     records = _noiseless_records(np.eye(3) / 3, protocol)[:-1]
