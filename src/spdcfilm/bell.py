@@ -67,12 +67,8 @@ def split_postselect(state) -> TwoQubitState:
     of the two photons picks an output independently, so "both split"
     carries probability 1/2 regardless of polarization.
     """
-    c1, c2, c3 = check_state(state)
-    amp = np.array([c1, c2 / _SQRT2, c2 / _SQRT2, c3])
-    norm = np.linalg.norm(amp)
-    if norm == 0.0:
-        raise InvalidState("zero two-qubit amplitude after post-selection")
-    return TwoQubitState(amplitudes=amp / norm, postselection_probability=0.5)
+    amp = _SPLIT_ISOMETRY @ check_state(state)
+    return TwoQubitState(amplitudes=amp / np.linalg.norm(amp), postselection_probability=0.5)
 
 
 def split_postselect_rho(rho) -> np.ndarray:
@@ -107,20 +103,13 @@ def default_chsh_settings() -> ChshSettings:
 
 
 def _as_rho4(state_or_rho) -> np.ndarray:
+    """Validated 4x4 density matrix of a two-qubit state or density matrix."""
     if isinstance(state_or_rho, TwoQubitState):
         state_or_rho = state_or_rho.amplitudes
     m = np.asarray(state_or_rho, dtype=complex)
-    if m.ndim == 1:
-        if m.shape != (4,):
-            raise InvalidState(f"expected 4 amplitudes, got shape {m.shape}")
-        if abs(np.linalg.norm(m) - 1.0) > 1e-9:
-            raise InvalidState("two-qubit state is not normalized")
-        return np.outer(m, m.conj())
-    if m.shape != (4, 4):
-        raise InvalidState(f"expected a 4x4 density matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-9 or abs(np.trace(m).real - 1.0) > 1e-9:
-        raise InvalidState("4x4 input is not a unit-trace Hermitian matrix")
-    return m
+    if m.ndim == 1:  # a ket
+        m = np.outer(m, m.conj())
+    return check_density_matrix(m, dim=4)
 
 
 def expectation(state_or_rho, obs_a, obs_b) -> float:
@@ -133,21 +122,26 @@ def correlator_table(state_or_rho, i: int, j: int) -> float:
     return expectation(state_or_rho, STOKES[i], STOKES[j])
 
 
+def _chsh_terms(settings: ChshSettings | None) -> list:
+    """(obs_a, obs_b, sign) of the four correlators in F, in the order
+    <ab>, <a'b>, <ab'>, <a'b'>; the default settings when None."""
+    s = default_chsh_settings() if settings is None else settings
+    return [
+        (s.a, s.b, +1),
+        (s.a_prime, s.b, +1),
+        (s.a, s.b_prime, +1),
+        (s.a_prime, s.b_prime, -1),
+    ]
+
+
 def chsh_value(state_or_rho, settings: ChshSettings | None = None) -> float:
     """F = |<ab> + <a'b> + <ab'> - <a'b'>| / 2.
 
     Local realism gives F <= 1; the default settings reach F = sqrt(2)
     on the post-selected state of the orthogonal pair.
     """
-    if settings is None:
-        settings = default_chsh_settings()
-    e = expectation
-    f = (
-        e(state_or_rho, settings.a, settings.b)
-        + e(state_or_rho, settings.a_prime, settings.b)
-        + e(state_or_rho, settings.a, settings.b_prime)
-        - e(state_or_rho, settings.a_prime, settings.b_prime)
-    )
+    rho = _as_rho4(state_or_rho)
+    f = sum(sign * expectation(rho, a, b) for a, b, sign in _chsh_terms(settings))
     return abs(f) / 2.0
 
 
@@ -193,18 +187,10 @@ def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings=None):
     number of standard deviations by which the local-realism bound F <= 1
     is exceeded. Counts are Poissonian per outcome, per setting.
     """
-    if settings is None:
-        settings = default_chsh_settings()
     rho = _as_rho4(state_or_rho)
     rng = np.random.default_rng(seed)
-    pairs = [
-        (settings.a, settings.b, +1),
-        (settings.a_prime, settings.b, +1),
-        (settings.a, settings.b_prime, +1),
-        (settings.a_prime, settings.b_prime, -1),
-    ]
     total, var = 0.0, 0.0
-    for obs_a, obs_b, sign in pairs:
+    for obs_a, obs_b, sign in _chsh_terms(settings):
         e, sig = _correlator_from_counts(
             _setting_counts(rho, obs_a, obs_b, n_per_setting, rng)
         )

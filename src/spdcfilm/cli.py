@@ -20,14 +20,21 @@ from .config import load_config
 from .crystal import chi2_zincblende, spdc_amplitudes
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
-    _resolve_orientation,
-    _spectral_section,
+    amplitudes_json,
+    complex_json,
+    hom_curve_json,
+    orientation_json,
+    resolve_orientation,
     run_experiment,
+    setting_histogram,
+    simulate_tomography,
+    source_state,
+    spectral_section,
     write_report,
 )
-from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
+from .histogram import subtract_accidentals
 from .polarization import pump_ket
-from .qutrit import concurrence, depolarize, purity, schmidt_number
+from .qutrit import purity
 from .tomography import load_records_csv, reconstruct
 
 EXIT_OK = 0
@@ -36,41 +43,43 @@ EXIT_NUMERICAL = 3
 EXIT_INCOMPLETE = 4
 
 
-def _emit(args, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _cmd_amplitudes(args) -> int:
-    cfg = load_config(args.config)
+def _emit(args, payload: dict):
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _seed(cfg, args) -> int:
+    return cfg.run.seed if args.seed is None else args.seed
+
+
+def _cmd_amplitudes(args, cfg):
     chi = chi2_zincblende(cfg.crystal.d_coefficient)
-    orientation, residual = _resolve_orientation(cfg, chi)
+    orientation, residual = resolve_orientation(cfg, chi)
     angle = cfg.pump.angle_deg if args.pump is None else args.pump
     payload = {
-        "orientation": {
-            "tilt_deg": orientation.tilt_deg,
-            "azimuth_deg": orientation.azimuth_deg,
-            "calibration_residual": residual,
-        },
+        "orientation": orientation_json(orientation, residual),
         "pump_angle_deg": angle,
     }
     for label, theta in [("requested", angle), ("h_pump", 0.0), ("v_pump", 90.0)]:
-        res = spdc_amplitudes(chi, orientation, pump_ket(theta))
-        payload[label] = {
-            "state": [[float(z.real), float(z.imag)] for z in res.state],
-            "weights": res.weights.tolist(),
-            "relative_rate": res.relative_rate,
-        }
+        payload[label] = amplitudes_json(spdc_amplitudes(chi, orientation, pump_ket(theta)))
     _emit(args, payload)
-    return EXIT_OK
 
 
-def _cmd_tomography(args) -> int:
-    cfg = load_config(args.config)
+def _model_state(cfg):
+    """The configured depolarized qutrit, at the configured or fitted orientation."""
+    chi = chi2_zincblende(cfg.crystal.d_coefficient)
+    orientation, _ = resolve_orientation(cfg, chi)
+    return source_state(cfg, chi, orientation)[1]
+
+
+def _cmd_tomography(args, cfg):
     if args.records:
         try:
             protocol, records = load_records_csv(args.records)
@@ -79,7 +88,7 @@ def _cmd_tomography(args) -> int:
         rho, fit = reconstruct(records, protocol)
         payload = {
             "source": args.records,
-            "rho": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
+            "rho": complex_json(rho),
             "weights": np.real(np.diag(rho)).tolist(),
             "purity": purity(rho),
             "scale_hz": fit.scale,
@@ -87,21 +96,15 @@ def _cmd_tomography(args) -> int:
             "negative_mass_clipped": fit.negative_mass_clipped,
         }
         _emit(args, payload)
-        return EXIT_OK
-    report = run_experiment(cfg, seed=args.seed)
-    _emit(args, report.summary["tomography"])
-    return EXIT_OK
+    else:
+        # the seeds run_experiment gives this stage: the first children of the master seed
+        seed_seq = np.random.SeedSequence(_seed(cfg, args))
+        _emit(args, simulate_tomography(cfg, _model_state(cfg), seed_seq)[0])
 
 
-def _cmd_bell(args) -> int:
-    cfg = load_config(args.config)
-    chi = chi2_zincblende(cfg.crystal.d_coefficient)
-    orientation, _ = _resolve_orientation(cfg, chi)
-    res = spdc_amplitudes(chi, orientation, pump_ket(cfg.pump.angle_deg))
-    rho4 = bell_mod.split_postselect_rho(
-        depolarize(res.state, cfg.noise.depolarization)
-    )
-    seed = cfg.run.seed if args.seed is None else args.seed
+def _cmd_bell(args, cfg):
+    rho4 = bell_mod.split_postselect_rho(_model_state(cfg))
+    seed = _seed(cfg, args)
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
         rho4, cfg.bell.counts_per_setting, seed
     )
@@ -116,64 +119,33 @@ def _cmd_bell(args) -> int:
             "seed": seed,
         },
     )
-    return EXIT_OK
 
 
-def _cmd_hom(args) -> int:
-    cfg = load_config(args.config)
-    spec, delays, dip, peak, fwhm_thz, dip_fwhm = _spectral_section(cfg)
+def _cmd_hom(args, cfg):
+    spec, delays, dip, peak, fwhm_thz, dip_fwhm = spectral_section(cfg)
     if args.format == "csv":
-        writer = open(args.out, "w") if args.out else sys.stdout
-        try:
-            writer.write("tau_fs,r_dip,r_peak\n")
-            for t, d, p in zip(delays, dip, peak):
-                writer.write(f"{t:.6f},{d:.9f},{p:.9f}\n")
-        finally:
-            if args.out:
-                writer.close()
-        return EXIT_OK
+        rows = (f"{t:.6f},{d:.9f},{p:.9f}\n" for t, d, p in zip(delays, dip, peak))
+        _write(args, "tau_fs,r_dip,r_peak\n" + "".join(rows))
+        return
     _emit(
         args,
         {
             "intensity_fwhm_thz": fwhm_thz,
             "hom_dip_fwhm_fs": dip_fwhm,
             "detector_response": cfg.detector_response.shape,
-            "curve": [
-                {"tau_fs": float(t), "r_dip": float(d), "r_peak": float(p)}
-                for t, d, p in zip(delays, dip, peak)
-            ],
+            "curve": hom_curve_json(delays, dip, peak),
         },
     )
-    return EXIT_OK
 
 
-def _cmd_histogram(args) -> int:
-    cfg = load_config(args.config)
-    noise = NoiseModel(
-        pair_rate_hz=cfg.noise.pair_rate_hz,
-        efficiency=cfg.noise.efficiency,
-        singles_a_hz=cfg.noise.singles_a_hz,
-        singles_b_hz=cfg.noise.singles_b_hz,
-    )
-    seed = cfg.run.seed if args.seed is None else args.seed
-    hist = simulate_histogram(
-        noise,
-        duration_s=cfg.tomography.duration_per_setting_s,
-        n_bins=cfg.histogram.n_bins,
-        bin_width_ns=cfg.histogram.bin_width_ns,
-        seed=seed,
-    )
+def _cmd_histogram(args, cfg):
+    seed = _seed(cfg, args)
+    hist = setting_histogram(cfg, seed)
     net, sigma = subtract_accidentals(hist, cfg.histogram.exclusion_bins)
     if args.format == "csv":
-        writer = open(args.out, "w") if args.out else sys.stdout
-        try:
-            writer.write("delta_t_ns,counts\n")
-            for t, c in zip(hist.centers_ns, hist.counts):
-                writer.write(f"{t:.3f},{int(c)}\n")
-        finally:
-            if args.out:
-                writer.close()
-        return EXIT_OK
+        rows = (f"{t:.3f},{int(c)}\n" for t, c in zip(hist.centers_ns, hist.counts))
+        _write(args, "delta_t_ns,counts\n" + "".join(rows))
+        return
     _emit(
         args,
         {
@@ -184,17 +156,14 @@ def _cmd_histogram(args) -> int:
             "seed": seed,
         },
     )
-    return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_run(args, cfg):
     report = run_experiment(cfg, seed=args.seed)
     out_dir = args.out or "spdcfilm_run"
     paths = write_report(report, out_dir)
     for p in paths:
         print(p)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args, load_config(args.config))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -261,6 +230,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

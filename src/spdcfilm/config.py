@@ -1,49 +1,21 @@
 """Typed experiment configuration loaded from INI files.
 
-Defaults ship in ``data/default.cfg``; a user file overlays them. Unknown
-sections or keys, unparsable values, and out-of-range parameters all
-raise :class:`ConfigError`.
+Defaults ship in ``data/default.cfg``; a user file overlays them. The
+schema is the dataclasses below: each section is a field of
+``ExperimentConfig``, each key a field of its section's dataclass, parsed
+by that field's annotation. Malformed files, unknown sections or keys,
+unparsable or non-finite values, unknown materials and out-of-range
+parameters all raise :class:`ConfigError`.
 """
 
-from __future__ import annotations
-
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import ConfigError
+from .materials import load_material
 from .polarization import ANALYZER_ANGLES
-
-_SCHEMA = {
-    "crystal": {"tilt_deg", "azimuth_deg", "d_coefficient"},
-    "calibration": {"h_pump_weights", "v_pump_weights", "fit_threshold"},
-    "pump": {"wavelength_nm", "angle_deg"},
-    "film": {"thickness_nm", "film_index", "substrate_index", "ambient_index"},
-    "spectrum": {"span_thz", "points"},
-    "filters": {"longpass_cuton_nm", "edge_width_thz"},
-    "detector_response": {"shape", "fwhm_thz"},
-    "noise": {
-        "pair_rate_hz",
-        "efficiency",
-        "singles_a_hz",
-        "singles_b_hz",
-        "depolarization",
-    },
-    "tomography": {"duration_per_setting_s"},
-    "histogram": {"n_bins", "bin_width_ns", "exclusion_bins"},
-    "bell": {"counts_per_setting"},
-    "delay_line": {
-        "plate_thickness_mm",
-        "base_tilt_deg",
-        "wavelength_um",
-        "scan_start_deg",
-        "scan_stop_deg",
-        "scan_points",
-    },
-    "hom": {"delay_start_fs", "delay_stop_fs", "delay_points"},
-    "fringe": {"theta_start_deg", "theta_stop_deg", "theta_points", "fixed_analyzer"},
-    "run": {"seed", "bootstrap_samples"},
-}
 
 
 def _require(condition: bool, message: str):
@@ -95,6 +67,13 @@ class FilmConfig:
 
     def __post_init__(self):
         _require(self.thickness_nm > 0, "film thickness_nm must be positive")
+        for key in ("film_index", "substrate_index", "ambient_index"):
+            model = getattr(self, key)
+            if isinstance(model, str):
+                try:
+                    load_material(model)
+                except KeyError as exc:  # its message names the known materials
+                    raise ConfigError(f"film {key}: {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -124,6 +103,7 @@ class DetectorResponseConfig:
     fwhm_thz: float
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", self.shape.lower())
         _require(
             self.shape in ("none", "gaussian", "lorentzian"),
             "detector_response shape must be none, gaussian, or lorentzian",
@@ -219,6 +199,7 @@ class FringeConfig:
     fixed_analyzer: str
 
     def __post_init__(self):
+        object.__setattr__(self, "fixed_analyzer", self.fixed_analyzer.upper())
         _require(self.theta_points >= 8, "fringe grid needs at least 8 points")
         _require(
             self.theta_stop_deg - self.theta_start_deg >= 180.0,
@@ -262,133 +243,84 @@ class ExperimentConfig:
 
 
 def _read_parser(path=None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are plain literals: a "%" in one is no interpolation syntax
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     with resources.files("spdcfilm.data").joinpath("default.cfg").open() as f:
         parser.read_file(f)
     if path is not None:
-        loaded = parser.read(str(path))
-        if not loaded:
-            raise ConfigError(f"config file not found or unreadable: {path}")
+        try:
+            loaded = parser.read(str(path))
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
+        _require(bool(loaded), f"config file not found or unreadable: {path}")
+    sections = {f.name: f.type for f in fields(ExperimentConfig)}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+        _require(section in sections, f"unknown config section [{section}]")
+        known = {f.name for f in fields(sections[section])}
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            _require(key in known, f"unknown key '{key}' in section [{section}]")
     return parser
 
 
-def _floats(raw: str) -> tuple:
+def _number(raw: str, section: str, key: str) -> float:
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"expected a list of numbers, got {raw!r}") from exc
-
-
-def _float(parser, section, key) -> float:
-    try:
-        return parser.getfloat(section, key)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} must be a number") from exc
+    _require(math.isfinite(value), f"[{section}] {key} must be a finite number")
+    return value
 
 
-def _int(parser, section, key) -> int:
+def _number_or_auto(raw: str, section: str, key: str):
+    return None if raw.strip().lower() == "auto" else _number(raw, section, key)
+
+
+def _integer(raw: str, section: str, key: str) -> int:
     try:
-        return parser.getint(section, key)
+        return int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} must be an integer") from exc
 
 
-def _angle_or_auto(parser, section, key):
-    raw = parser.get(section, key).strip().lower()
-    if raw == "auto":
-        return None
-    return _float(parser, section, key)
-
-
-def _index_model(raw: str):
-    raw = raw.strip()
+def _numbers(raw: str, section: str, key: str) -> tuple:
     try:
-        return float(raw)
+        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"expected a list of numbers, got {raw!r}") from exc
+    _require(all(map(math.isfinite, values)), f"[{section}] {key} must be a finite number")
+    return values
+
+
+def _index_model(raw: str, section: str, key: str):
+    try:  # a material name, or a number for a constant index
+        float(raw)
     except ValueError:
-        return raw
+        return raw.strip()
+    return _number(raw, section, key)
+
+
+#: parser of each field annotation used in the section dataclasses
+_PARSERS = {
+    float: _number,
+    float | None: _number_or_auto,
+    int: _integer,
+    tuple: _numbers,
+    object: _index_model,
+    str: lambda raw, *where: raw.strip(),
+}
 
 
 def load_config(path=None) -> ExperimentConfig:
-    """Load the packaged defaults, overlaid by ``path`` if given."""
+    """Load the packaged defaults, overlaid by ``path`` if given.
+
+    Every section is the dataclass of the same-named ``ExperimentConfig``
+    field, and each key is parsed by the annotation of its field.
+    """
     parser = _read_parser(path)
-    return ExperimentConfig(
-        crystal=CrystalConfig(
-            tilt_deg=_angle_or_auto(parser, "crystal", "tilt_deg"),
-            azimuth_deg=_angle_or_auto(parser, "crystal", "azimuth_deg"),
-            d_coefficient=_float(parser, "crystal", "d_coefficient"),
-        ),
-        calibration=CalibrationConfig(
-            h_pump_weights=_floats(parser.get("calibration", "h_pump_weights")),
-            v_pump_weights=_floats(parser.get("calibration", "v_pump_weights")),
-            fit_threshold=_float(parser, "calibration", "fit_threshold"),
-        ),
-        pump=PumpConfig(
-            wavelength_nm=_float(parser, "pump", "wavelength_nm"),
-            angle_deg=_float(parser, "pump", "angle_deg"),
-        ),
-        film=FilmConfig(
-            thickness_nm=_float(parser, "film", "thickness_nm"),
-            film_index=_index_model(parser.get("film", "film_index")),
-            substrate_index=_index_model(parser.get("film", "substrate_index")),
-            ambient_index=_index_model(parser.get("film", "ambient_index")),
-        ),
-        spectrum=SpectrumConfig(
-            span_thz=_float(parser, "spectrum", "span_thz"),
-            points=_int(parser, "spectrum", "points"),
-        ),
-        filters=FiltersConfig(
-            longpass_cuton_nm=_floats(parser.get("filters", "longpass_cuton_nm")),
-            edge_width_thz=_float(parser, "filters", "edge_width_thz"),
-        ),
-        detector_response=DetectorResponseConfig(
-            shape=parser.get("detector_response", "shape").strip().lower(),
-            fwhm_thz=_float(parser, "detector_response", "fwhm_thz"),
-        ),
-        noise=NoiseConfig(
-            pair_rate_hz=_float(parser, "noise", "pair_rate_hz"),
-            efficiency=_float(parser, "noise", "efficiency"),
-            singles_a_hz=_float(parser, "noise", "singles_a_hz"),
-            singles_b_hz=_float(parser, "noise", "singles_b_hz"),
-            depolarization=_float(parser, "noise", "depolarization"),
-        ),
-        tomography=TomographyConfig(
-            duration_per_setting_s=_float(parser, "tomography", "duration_per_setting_s"),
-        ),
-        histogram=HistogramConfig(
-            n_bins=_int(parser, "histogram", "n_bins"),
-            bin_width_ns=_float(parser, "histogram", "bin_width_ns"),
-            exclusion_bins=_int(parser, "histogram", "exclusion_bins"),
-        ),
-        bell=BellConfig(
-            counts_per_setting=_int(parser, "bell", "counts_per_setting"),
-        ),
-        delay_line=DelayLineConfig(
-            plate_thickness_mm=_float(parser, "delay_line", "plate_thickness_mm"),
-            base_tilt_deg=_float(parser, "delay_line", "base_tilt_deg"),
-            wavelength_um=_float(parser, "delay_line", "wavelength_um"),
-            scan_start_deg=_float(parser, "delay_line", "scan_start_deg"),
-            scan_stop_deg=_float(parser, "delay_line", "scan_stop_deg"),
-            scan_points=_int(parser, "delay_line", "scan_points"),
-        ),
-        hom=HomConfig(
-            delay_start_fs=_float(parser, "hom", "delay_start_fs"),
-            delay_stop_fs=_float(parser, "hom", "delay_stop_fs"),
-            delay_points=_int(parser, "hom", "delay_points"),
-        ),
-        fringe=FringeConfig(
-            theta_start_deg=_float(parser, "fringe", "theta_start_deg"),
-            theta_stop_deg=_float(parser, "fringe", "theta_stop_deg"),
-            theta_points=_int(parser, "fringe", "theta_points"),
-            fixed_analyzer=parser.get("fringe", "fixed_analyzer").strip().upper(),
-        ),
-        run=RunConfig(
-            seed=_int(parser, "run", "seed"),
-            bootstrap_samples=_int(parser, "run", "bootstrap_samples"),
-        ),
-    )
+    return ExperimentConfig(**{
+        section.name: section.type(**{
+            f.name: _PARSERS[f.type](parser.get(section.name, f.name), section.name, f.name)
+            for f in fields(section.type)
+        })
+        for section in fields(ExperimentConfig)
+    })

@@ -98,13 +98,15 @@ def _raw_amplitudes(chi: np.ndarray, rot: np.ndarray, pump) -> np.ndarray:
 
 
 def _zero_threshold(chi: np.ndarray, rot: np.ndarray) -> float:
-    """Epsilon below which a rate counts as zero: 1e-12 of the best rate
-    over a reference pump-angle scan at the same orientation."""
-    best = 0.0
-    for ang in np.arange(0.0, 180.0, 5.0):
-        c = _raw_amplitudes(chi, rot, pump_ket(ang))
-        best = max(best, float(np.sum(np.abs(c) ** 2)))
-    return 1e-12 * best
+    """Epsilon below which a rate counts as zero: 1e-12 of the best rate over
+    all linear pumps at the same orientation.
+
+    Amplitudes are linear in the pump, so the rate of the pump (cos t, sin t)
+    is a real quadratic form in it; its best value is the top eigenvalue of
+    the Gram matrix Re<c_i, c_j> of the H- and V-pump amplitudes.
+    """
+    c = np.array([_raw_amplitudes(chi, rot, pump) for pump in np.eye(2)])
+    return 1e-12 * float(np.linalg.eigvalsh(np.real(c.conj() @ c.T))[-1])
 
 
 def spdc_amplitudes(chi: np.ndarray, orientation: CrystalOrientation, pump) -> SpdcResult:

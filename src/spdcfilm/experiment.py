@@ -9,13 +9,17 @@ reconstructed state, and evaluate the pair spectrum, HOM curves, and the
 calcite delay-line scan. All randomness derives from one master seed via
 numpy SeedSequence spawning, in a fixed order, so a given (config, seed)
 pair always produces byte-identical canonical output.
+
+The stages the CLI runs on their own are public: ``resolve_orientation``,
+``source_state``, ``setting_histogram``, ``simulate_tomography`` and
+``spectral_section``, with the JSON helpers the report shares with it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +69,17 @@ from .tomography import (
 
 SCHEMA_VERSION = 1
 
+#: [detector_response] shape -> response multiplier; "none" adds none
+_DETECTOR_RESPONSES = {"gaussian": gaussian_response, "lorentzian": lorentzian_response}
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
     """Everything one simulated run produced.
 
-    ``summary`` is the JSON-safe dictionary (scalars and short curves);
-    the bulky arrays (histograms, spectrum) ride along for CSV sidecars.
+    ``summary`` is the JSON-safe dictionary (scalars and short curves, the
+    HOM and delay-scan curves among them); the bulky arrays (histograms,
+    spectrum) and the fringe curve ride along for CSV sidecars.
     """
 
     summary: dict
@@ -79,17 +87,15 @@ class ExperimentReport:
     spectrum_omega_thz: np.ndarray
     spectrum_intensity: np.ndarray
     fringe_curve: list
-    hom_delays_fs: np.ndarray
-    hom_dip: np.ndarray
-    hom_peak: np.ndarray
-    delay_curve: list
 
     def canonical_json(self) -> str:
         """Stable serialization used for reproducibility comparisons."""
         return json.dumps(self.summary, sort_keys=True, separators=(",", ":"))
 
 
-def _resolve_orientation(cfg: ExperimentConfig, chi):
+def resolve_orientation(cfg: ExperimentConfig, chi):
+    """(orientation, calibration residual): the configured angles, or a fit
+    of the ``auto`` ones to the calibration weights."""
     targets = {
         "H": cfg.calibration.h_pump_weights,
         "V": cfg.calibration.v_pump_weights,
@@ -110,35 +116,58 @@ def _resolve_orientation(cfg: ExperimentConfig, chi):
     return orientation, residual
 
 
-def _pair_list(z) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+def complex_json(a) -> list:
+    """A complex array as nested lists with one [re, im] pair per element."""
+    a = np.asarray(a)
+    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
 
 
-def _rho_json(rho) -> list:
-    return [[_pair_list(z) for z in row] for row in np.asarray(rho)]
+def orientation_json(orientation: CrystalOrientation, residual: float) -> dict:
+    """The orientation entries shared by the report and ``spdcfilm amplitudes``."""
+    return {
+        "tilt_deg": orientation.tilt_deg,
+        "azimuth_deg": orientation.azimuth_deg,
+        "calibration_residual": residual,
+    }
 
 
-def _state_json(state) -> list:
-    return [_pair_list(z) for z in np.asarray(state)]
+def amplitudes_json(res) -> dict:
+    """JSON form of one pump's ``SpdcResult``."""
+    return {
+        "state": complex_json(res.state),
+        "weights": res.weights.tolist(),
+        "relative_rate": res.relative_rate,
+    }
 
 
-def _simulate_records(cfg, rel_rates, rng_streams):
+def source_state(cfg: ExperimentConfig, chi, orientation):
+    """The generated qutrit at the configured pump, and its depolarized density matrix."""
+    res = spdc_amplitudes(chi, orientation, pump_ket(cfg.pump.angle_deg))
+    return res, depolarize(res.state, cfg.noise.depolarization)
+
+
+def setting_histogram(cfg: ExperimentConfig, seed, relative_rate: float = 1.0):
+    """One configured coincidence histogram, pair rate scaled by ``relative_rate``."""
+    noise = NoiseModel(
+        pair_rate_hz=cfg.noise.pair_rate_hz * float(relative_rate),
+        efficiency=cfg.noise.efficiency,
+        singles_a_hz=cfg.noise.singles_a_hz,
+        singles_b_hz=cfg.noise.singles_b_hz,
+    )
+    return simulate_histogram(
+        noise,
+        duration_s=cfg.tomography.duration_per_setting_s,
+        n_bins=cfg.histogram.n_bins,
+        bin_width_ns=cfg.histogram.bin_width_ns,
+        seed=seed,
+    )
+
+
+def _simulate_records(cfg, rel_rates, seeds):
     histograms, records = [], []
     excl = cfg.histogram.exclusion_bins
-    for m, rel in enumerate(rel_rates):
-        noise = NoiseModel(
-            pair_rate_hz=cfg.noise.pair_rate_hz * float(rel),
-            efficiency=cfg.noise.efficiency,
-            singles_a_hz=cfg.noise.singles_a_hz,
-            singles_b_hz=cfg.noise.singles_b_hz,
-        )
-        hist = simulate_histogram(
-            noise,
-            duration_s=cfg.tomography.duration_per_setting_s,
-            n_bins=cfg.histogram.n_bins,
-            bin_width_ns=cfg.histogram.bin_width_ns,
-            seed=rng_streams[m],
-        )
+    for m, (rel, seed) in enumerate(zip(rel_rates, seeds)):
+        hist = setting_histogram(cfg, seed, rel)
         net, sigma = subtract_accidentals(hist, exclusion_bins=excl)
         in_peak = np.abs(np.arange(len(hist.counts)) - hist.peak_index) <= excl
         raw = float(hist.counts[in_peak].sum())
@@ -156,8 +185,9 @@ def _simulate_records(cfg, rel_rates, rng_streams):
 
 
 def _measures_from_rho(rho, fixed_analyzer, theta_grid):
-    """Weights, purity, dominant-branch entanglement, fringe visibility."""
-    out = {"weights": np.real(np.diag(rho)), "purity": purity(rho)}
+    """Report entries of one state (weights, purity, dominant-branch
+    entanglement, fringe visibility), and its fringe curve."""
+    out = {"weights": np.real(np.diag(rho)).tolist(), "purity": purity(rho)}
     try:
         top, top_weight = dominant_eigenstate(rho)
         c = concurrence(top)
@@ -169,54 +199,46 @@ def _measures_from_rho(rho, fixed_analyzer, theta_grid):
     except DegenerateTop:
         out.update(concurrence=np.nan, schmidt_number=np.nan, dominant_weight=np.nan)
     try:
-        curve, vis = fringe_scan(rho, fixed_analyzer, theta_grid)
-        out.update(visibility=vis, fringe_curve=curve)
+        curve, out["visibility"] = fringe_scan(rho, fixed_analyzer, theta_grid)
     except FitFailure:
-        out.update(visibility=np.nan, fringe_curve=[])
-    return out
+        curve, out["visibility"] = [], np.nan
+    return out, curve
 
 
 def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
-    """Parametric bootstrap: redraw net counts from the fitted model."""
+    """Parametric bootstrap: redraw net counts from the fitted model.
+
+    Returns the report's ``<measure>_sigma`` entries, all None without replicates.
+    """
     n_boot = cfg.run.bootstrap_samples
+    measures = ("weights", "purity", "concurrence", "visibility")
     if n_boot == 0:
-        return None
+        return {f"{key}_sigma": None for key in measures}
     duration = cfg.tomography.duration_per_setting_s
     model_net = duration * forward_rates(rho_hat, protocol, scale_hat)
     sigmas = np.array([r.net_sigma for r in records])
-    accidentals = np.array([r.accidental for r in records])
     theta_grid = np.linspace(0.0, 360.0, 37)
 
-    samples = {"weights": [], "purity": [], "concurrence": [], "visibility": []}
+    samples = {key: [] for key in measures}
     for child in seed_seq.spawn(n_boot):
         rng = np.random.default_rng(child)
         net_draw = rng.normal(model_net, sigmas)
+        # each replicate keeps its record's accidentals, duration and sigma
         boot_records = [
-            CoincidenceRecord(
-                index=m,
-                raw=max(net_draw[m] + accidentals[m], 0.0),
-                accidental=float(accidentals[m]),
-                duration_s=duration,
-                net_sigma=float(sigmas[m]),
-            )
-            for m in range(len(records))
+            replace(r, raw=max(draw + r.accidental, 0.0)) for r, draw in zip(records, net_draw)
         ]
         rho_b, _ = reconstruct(boot_records, protocol)
-        meas = _measures_from_rho(rho_b, cfg.fringe.fixed_analyzer, theta_grid)
-        samples["weights"].append(meas["weights"])
-        samples["purity"].append(meas["purity"])
-        samples["concurrence"].append(meas["concurrence"])
-        samples["visibility"].append(meas["visibility"])
-
+        meas, _ = _measures_from_rho(rho_b, cfg.fringe.fixed_analyzer, theta_grid)
+        for key in measures:
+            samples[key].append(meas[key])
     return {
-        "weights": np.nanstd(np.asarray(samples["weights"]), axis=0, ddof=1),
-        "purity": float(np.nanstd(samples["purity"], ddof=1)),
-        "concurrence": float(np.nanstd(samples["concurrence"], ddof=1)),
-        "visibility": float(np.nanstd(samples["visibility"], ddof=1)),
+        f"{key}_sigma": np.nanstd(np.asarray(samples[key]), axis=0, ddof=1).tolist()
+        for key in measures
     }
 
 
-def _spectral_section(cfg):
+def spectral_section(cfg: ExperimentConfig):
+    """(spectrum, delays, dip, peak, intensity FWHM, HOM dip FWHM) of the configured film."""
     stack = FilmStack(
         thickness_nm=cfg.film.thickness_nm,
         film=cfg.film.film_index,
@@ -232,14 +254,9 @@ def _spectral_section(cfg):
             spec, cfg.filters.longpass_cuton_nm, cfg.filters.edge_width_thz
         ),
     )
-    if cfg.detector_response.shape == "gaussian":
-        spec = apply_detector_response(
-            spec, gaussian_response(spec, cfg.detector_response.fwhm_thz)
-        )
-    elif cfg.detector_response.shape == "lorentzian":
-        spec = apply_detector_response(
-            spec, lorentzian_response(spec, cfg.detector_response.fwhm_thz)
-        )
+    response = _DETECTOR_RESPONSES.get(cfg.detector_response.shape)
+    if response is not None:
+        spec = apply_detector_response(spec, response(spec, cfg.detector_response.fwhm_thz))
 
     delays = np.linspace(
         cfg.hom.delay_start_fs, cfg.hom.delay_stop_fs, cfg.hom.delay_points
@@ -247,6 +264,46 @@ def _spectral_section(cfg):
     g = interference_contrast(spec, delays)  # the dip and peak curves share one kernel
     dip, peak = (1.0 - g) / 2.0, (1.0 + g) / 2.0
     return spec, delays, dip, peak, intensity_fwhm(spec), hom_fwhm(spec)
+
+
+def hom_curve_json(delays, dip, peak) -> list:
+    """The HOM curves as one {tau_fs, r_dip, r_peak} entry per delay."""
+    return [
+        {"tau_fs": float(t), "r_dip": float(d), "r_peak": float(p)}
+        for t, d, p in zip(delays, dip, peak)
+    ]
+
+
+def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq):
+    """Simulated tomography of ``rho_true``: the report's "tomography" section.
+
+    Spawns one child of ``seed_seq`` per protocol setting, then one for the
+    bootstrap. Also returns the reconstructed state, the per-setting
+    histograms and the fringe curve of the reconstructed state.
+    """
+    protocol = default_protocol()
+    rel_rates = forward_rates(rho_true, protocol)
+    histograms, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
+    rho_hat, fit = reconstruct(records, protocol)
+
+    theta_grid = np.linspace(
+        cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
+    )
+    measures, fringe_curve = _measures_from_rho(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
+    boot_seq = seed_seq.spawn(1)[0]
+    sigmas = _bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq)
+    fit_json = asdict(fit)
+    del fit_json["scale"]  # reported as scale_hz, beside the fit
+    section = {
+        "records": [{**asdict(r), "net": r.net} for r in records],
+        "rho": complex_json(rho_hat),
+        "scale_hz": fit.scale,
+        "fit": fit_json,
+        **measures,
+        **sigmas,
+        "fringe_fixed_analyzer": cfg.fringe.fixed_analyzer,
+    }
+    return section, rho_hat, histograms, fringe_curve
 
 
 def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> ExperimentReport:
@@ -257,27 +314,15 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
     seed_seq = np.random.SeedSequence(master_seed)
 
     chi = chi2_zincblende(cfg.crystal.d_coefficient)
-    orientation, residual = _resolve_orientation(cfg, chi)
+    orientation, residual = resolve_orientation(cfg, chi)
 
     res_h = spdc_amplitudes(chi, orientation, pump_ket(0.0))
     res_v = spdc_amplitudes(chi, orientation, pump_ket(90.0))
-    res_pump = spdc_amplitudes(chi, orientation, pump_ket(cfg.pump.angle_deg))
-    rho_true = depolarize(res_pump.state, cfg.noise.depolarization)
+    res_pump, rho_true = source_state(cfg, chi, orientation)
 
-    protocol = default_protocol()
-    rel_rates = forward_rates(rho_true, protocol)
-    setting_seeds = [
-        np.random.default_rng(s) for s in seed_seq.spawn(len(protocol))
-    ]
-    histograms, records = _simulate_records(cfg, rel_rates, setting_seeds)
-    rho_hat, fit = reconstruct(records, protocol)
-
-    theta_grid = np.linspace(
-        cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
+    tomography, rho_hat, histograms, fringe_curve = simulate_tomography(
+        cfg, rho_true, seed_seq
     )
-    measures = _measures_from_rho(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
-    boot_seq = seed_seq.spawn(1)[0]
-    sigmas = _bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq)
 
     rho4_model = bell_mod.split_postselect_rho(rho_true)
     rho4_hat = bell_mod.split_postselect_rho(rho_hat)
@@ -286,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         rho4_hat, cfg.bell.counts_per_setting, bell_rng
     )
 
-    spec, delays, dip, peak, fwhm_thz, dip_fwhm = _spectral_section(cfg)
+    spec, delays, dip, peak, fwhm_thz, dip_fwhm = spectral_section(cfg)
 
     line = default_delay_line(
         base_tilt_deg=cfg.delay_line.base_tilt_deg,
@@ -304,22 +349,12 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         "schema_version": SCHEMA_VERSION,
         "seed": master_seed,
         "orientation": {
-            "tilt_deg": orientation.tilt_deg,
-            "azimuth_deg": orientation.azimuth_deg,
-            "calibration_residual": residual,
+            **orientation_json(orientation, residual),
             "normal_axis_angles_deg": normal_axis_angles(orientation).tolist(),
         },
         "amplitudes": {
-            "h_pump": {
-                "state": _state_json(res_h.state),
-                "weights": res_h.weights.tolist(),
-                "relative_rate": res_h.relative_rate,
-            },
-            "v_pump": {
-                "state": _state_json(res_v.state),
-                "weights": res_v.weights.tolist(),
-                "relative_rate": res_v.relative_rate,
-            },
+            "h_pump": amplitudes_json(res_h),
+            "v_pump": amplitudes_json(res_v),
             "rate_ratio_h_over_v": res_h.relative_rate / res_v.relative_rate,
         },
         "pump": {
@@ -334,38 +369,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
             "purity": purity(rho_true),
             "concurrence_bounds": list(concurrence_bounds(res_pump.weights)),
         },
-        "tomography": {
-            "records": [
-                {
-                    "index": r.index,
-                    "raw": r.raw,
-                    "accidental": r.accidental,
-                    "net": r.net,
-                    "net_sigma": r.net_sigma,
-                    "duration_s": r.duration_s,
-                }
-                for r in records
-            ],
-            "rho": _rho_json(rho_hat),
-            "scale_hz": fit.scale,
-            "fit": {
-                "weighted_rms_residual": fit.weighted_rms_residual,
-                "negative_mass_clipped": fit.negative_mass_clipped,
-                "design_rank": fit.design_rank,
-                "condition_number": fit.condition_number,
-            },
-            "weights": measures["weights"].tolist(),
-            "weights_sigma": None if sigmas is None else sigmas["weights"].tolist(),
-            "purity": measures["purity"],
-            "purity_sigma": None if sigmas is None else sigmas["purity"],
-            "concurrence": measures["concurrence"],
-            "concurrence_sigma": None if sigmas is None else sigmas["concurrence"],
-            "schmidt_number": measures["schmidt_number"],
-            "dominant_weight": measures["dominant_weight"],
-            "visibility": measures["visibility"],
-            "visibility_sigma": None if sigmas is None else sigmas["visibility"],
-            "fringe_fixed_analyzer": cfg.fringe.fixed_analyzer,
-        },
+        "tomography": tomography,
         "bell": {
             "f_model": bell_mod.chsh_value(rho4_model),
             "f_reconstructed": bell_mod.chsh_value(rho4_hat),
@@ -378,10 +382,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
             "intensity_fwhm_thz": fwhm_thz,
             "hom_dip_fwhm_fs": dip_fwhm,
             "detector_response": cfg.detector_response.shape,
-            "hom_curve": [
-                {"tau_fs": float(t), "r_dip": float(d), "r_peak": float(p)}
-                for t, d, p in zip(delays, dip, peak)
-            ],
+            "hom_curve": hom_curve_json(delays, dip, peak),
         },
         "delay_line": {
             "base_tilt_deg": cfg.delay_line.base_tilt_deg,
@@ -395,11 +396,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         histograms=histograms,
         spectrum_omega_thz=spec.omega_thz,
         spectrum_intensity=spec.intensity,
-        fringe_curve=measures["fringe_curve"],
-        hom_delays_fs=delays,
-        hom_dip=dip,
-        hom_peak=peak,
-        delay_curve=delay_curve,
+        fringe_curve=fringe_curve,
     )
 
 
@@ -438,10 +435,7 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     write_csv(
         "hom.csv",
         ["tau_fs", "r_dip", "r_peak"],
-        [
-            (float(t), float(d), float(p))
-            for t, d, p in zip(report.hom_delays_fs, report.hom_dip, report.hom_peak)
-        ],
+        [(p["tau_fs"], p["r_dip"], p["r_peak"]) for p in report.summary["spectral"]["hom_curve"]],
     )
     write_csv(
         "spectrum.csv",
@@ -454,6 +448,6 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     write_csv(
         "delay_scan.csv",
         ["tilt_deg", "delay_fs"],
-        [(float(t), float(d)) for t, d in report.delay_curve],
+        [(p["tilt_deg"], p["delay_fs"]) for p in report.summary["delay_line"]["scan"]],
     )
     return paths

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotNormalized
+from .qutrit import check_state
 
 H = np.array([1.0, 0.0], dtype=complex)
 V = np.array([0.0, 1.0], dtype=complex)
@@ -81,13 +81,8 @@ def pump_ket(angle_deg: float) -> np.ndarray:
 
 
 def check_normalized(ket, tol: float = 1e-9) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex)
-    if ket.shape != (2,):
-        raise NotNormalized(f"expected a 2-component Jones vector, got shape {ket.shape}")
-    norm = np.linalg.norm(ket)
-    if abs(norm - 1.0) > tol:
-        raise NotNormalized(f"Jones vector norm {norm:.3e} is not 1")
-    return ket
+    """Validate a Jones vector: two components, unit norm."""
+    return check_state(ket, tol, dim=2)
 
 
 def two_photon_projector(xi, eta) -> np.ndarray:

@@ -15,21 +15,22 @@ from .errors import (
 )
 
 
-def check_state(state, tol: float = 1e-9) -> np.ndarray:
+def check_state(state, tol: float = 1e-9, dim: int = 3) -> np.ndarray:
+    """Validate shape (dim,) and unit norm (to ``tol``) of a ket."""
     state = np.asarray(state, dtype=complex)
-    if state.shape != (3,):
-        raise NotNormalized(f"expected a 3-component qutrit state, got shape {state.shape}")
+    if state.shape != (dim,):
+        raise NotNormalized(f"expected a {dim}-component state, got shape {state.shape}")
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > tol:
         raise NotNormalized(f"state norm {norm:.6e} differs from 1 beyond {tol:g}")
     return state
 
 
-def check_density_matrix(rho, eig_tol: float = 1e-9) -> np.ndarray:
-    """Validate shape, hermiticity (1e-10), unit trace (1e-10), PSD (-1e-9)."""
+def check_density_matrix(rho, eig_tol: float = 1e-9, dim: int = 3) -> np.ndarray:
+    """Validate shape (dim x dim), hermiticity (1e-10), unit trace (1e-10), PSD (-1e-9)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise InvalidDensityMatrix(f"expected 3x3, got {rho.shape}")
+    if rho.shape != (dim, dim):
+        raise InvalidDensityMatrix(f"expected {dim}x{dim}, got {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")
     if abs(np.trace(rho).real - 1.0) > 1e-10:

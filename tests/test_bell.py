@@ -13,7 +13,7 @@ from spdcfilm import (
     werner_state,
 )
 from spdcfilm.bell import S1, S2, S3
-from spdcfilm.errors import InvalidState
+from spdcfilm.errors import InvalidDensityMatrix, InvalidState, NotNormalized
 from spdcfilm.qutrit import depolarize
 
 SEED = 20260819
@@ -82,6 +82,23 @@ def test_chsh_oracle_from_raw_kron_algebra():
     ]:
         f += sign * np.real(psi.conj() @ np.kron(obs_a, obs_b) @ psi)
     assert abs(f) / 2.0 == pytest.approx(chsh_value(psi), abs=1e-12)
+
+
+def test_two_qubit_inputs_validated_as_density_matrices():
+    psi = split_postselect(np.array([0.0, 1.0, 0.0])).amplitudes
+    bad = [
+        2.0 * psi,  # unnormalized ket: its dyad has trace 4
+        np.diag([1.0, 0.5, 0.0, -0.5]),  # unit trace, not PSD
+        np.triu(np.ones((4, 4))) / 4.0,  # not Hermitian
+        np.eye(3) / 3.0,  # wrong shape
+    ]
+    for m in bad:
+        with pytest.raises(InvalidDensityMatrix):
+            chsh_value(m)
+        with pytest.raises(InvalidDensityMatrix):
+            simulate_chsh(m, 100, seed=SEED)
+    with pytest.raises(NotNormalized):
+        split_postselect(np.array([0.0, 2.0, 0.0]))
 
 
 def test_werner_line():

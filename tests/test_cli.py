@@ -95,6 +95,24 @@ def test_tomography_from_records(capsys, tmp_path):
     assert doc["weights"][1] == pytest.approx(0.96, abs=0.05)
 
 
+def test_tomography_runs_only_its_stage(capsys, monkeypatch):
+    import spdcfilm.experiment as experiment
+
+    expected = experiment.run_experiment(seed=4).summary["tomography"]
+
+    def not_needed(*args, **kwargs):
+        raise AssertionError("the tomography command ran another stage")
+
+    for name in ("spectral_section", "delay_scan", "run_experiment"):
+        monkeypatch.setattr(experiment, name, not_needed)
+    monkeypatch.setattr("spdcfilm.bell.simulate_chsh", not_needed)
+    monkeypatch.setattr("spdcfilm.cli.spectral_section", not_needed)
+    monkeypatch.setattr("spdcfilm.cli.run_experiment", not_needed)
+    code, out = run_cli(capsys, "tomography", "--seed", "4")
+    assert code == EXIT_OK
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_bad_config_path_exit_code(capsys, tmp_path):
     code, _ = run_cli(capsys, "amplitudes", "--config", str(tmp_path / "no.cfg"))
     assert code == EXIT_CONFIG
@@ -105,6 +123,27 @@ def test_invalid_config_value_exit_code(capsys, tmp_path):
     cfg.write_text("[crystal]\ntilt_deg = 120.0\n")
     code, _ = run_cli(capsys, "amplitudes", "--config", str(cfg))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "angle_deg = 5\n",  # no section header
+        "[pump]\nangle_deg = 5\nangle_deg = 6\n",  # duplicated key
+        "[pump]\nangle_deg = 5%\n",
+        "[pump]\nangle_deg = nan\n",
+        "[hom]\ndelay_start_fs = nan\n",
+        "[film]\nfilm_index = unobtainium\n",
+    ],
+    ids=["no_header", "duplicate_key", "percent", "nan_angle", "nan_delay", "unknown_material"],
+)
+def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_single_bootstrap_replicate_exit_code(capsys, tmp_path):

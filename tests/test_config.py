@@ -1,8 +1,11 @@
 """Configuration loading and validation tests."""
 
+import re
+from dataclasses import fields
+
 import pytest
 
-from spdcfilm.config import load_config
+from spdcfilm.config import ExperimentConfig, load_config
 from spdcfilm.errors import ConfigError
 
 
@@ -79,8 +82,8 @@ def test_missing_file_rejected(tmp_path):
 
 def test_calibration_weights_must_sum_to_one(tmp_path):
     path = tmp_path / "user.cfg"
-    path.write_text("[calibration]\nh_weights = 0.5, 0.1, 0.1\n")
-    with pytest.raises(ConfigError):
+    path.write_text("[calibration]\nh_pump_weights = 0.5, 0.1, 0.1\n")
+    with pytest.raises(ConfigError, match="should sum to ~1"):
         load_config(path)
 
 
@@ -93,3 +96,60 @@ def test_single_bootstrap_replicate_rejected(tmp_path):
     for n in (0, 2):
         path.write_text(f"[run]\nbootstrap_samples = {n}\n")
         assert load_config(path).run.bootstrap_samples == n
+
+
+MALFORMED = {
+    "no_section_header": b"angle_deg = 5\n",
+    "duplicate_key": b"[pump]\nangle_deg = 5\nangle_deg = 6\n",
+    "percent_sign": b"[pump]\nangle_deg = 5%\n",
+    "undecodable_byte": b"[pump]\nangle_deg = \xff\n",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_ini_rejected(tmp_path, body):
+    path = tmp_path / "user.cfg"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def _non_integer_fields():
+    """(section, key) of every field parsed as a number, list or index model."""
+    return [
+        (section.name, f.name)
+        for section in fields(ExperimentConfig)
+        for f in fields(section.type)
+        if f.type not in (int, str)
+    ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_rejected(tmp_path, value):
+    path = tmp_path / "user.cfg"
+    checked = _non_integer_fields()
+    assert ("pump", "angle_deg") in checked and ("hom", "delay_start_fs") in checked
+    for section, key in checked:
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        message = re.escape(f"[{section}] {key} must be a finite number")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+
+def test_unknown_material_rejected(tmp_path):
+    path = tmp_path / "user.cfg"
+    path.write_text("[film]\nfilm_index = unobtainium\n")
+    with pytest.raises(ConfigError, match="unobtainium.*known.*'gap'"):
+        load_config(path)
+    path.write_text("[film]\nsubstrate_index = calcite_o\nambient_index = 1.33\n")
+    cfg = load_config(path)
+    assert cfg.film.substrate_index == "calcite_o"
+    assert cfg.film.ambient_index == 1.33
+
+
+def test_case_of_named_choices_is_normalized(tmp_path):
+    path = tmp_path / "user.cfg"
+    path.write_text("[detector_response]\nshape = Gaussian \n[fringe]\nfixed_analyzer = v\n")
+    cfg = load_config(path)
+    assert cfg.detector_response.shape == "gaussian"
+    assert cfg.fringe.fixed_analyzer == "V"

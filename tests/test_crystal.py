@@ -155,6 +155,24 @@ def test_pair_rate_curve_preserves_zeros():
         pair_rate_curve(chi, CrystalOrientation(0.0, 0.0), [0.0, 45.0, 90.0])
 
 
+def test_zero_threshold_is_best_linear_pump_rate():
+    from spdcfilm.crystal import _raw_amplitudes, _zero_threshold
+
+    chi = chi2_zincblende()
+    rng = np.random.default_rng(SEED)
+    orientations = [CALIBRATED, CrystalOrientation(10.0, 30.0)] + [
+        CrystalOrientation(*rng.uniform(0.0, 90.0, 2)) for _ in range(5)
+    ]
+    angles = np.arange(0.0, 180.0, 0.01)
+    for orientation in orientations:
+        rot = rotation_matrix(orientation)
+        rates = [np.sum(np.abs(_raw_amplitudes(chi, rot, pump_ket(a))) ** 2) for a in angles]
+        # the closed form bounds every scanned pump and the fine scan nearly reaches it
+        assert max(rates) * 1e-12 <= _zero_threshold(chi, rot) * (1.0 + 1e-12)
+        assert _zero_threshold(chi, rot) == pytest.approx(1e-12 * max(rates), rel=1e-8)
+    assert _zero_threshold(chi, rotation_matrix(CrystalOrientation(0.0, 0.0))) == 0.0
+
+
 def test_calibration_needs_targets():
     with pytest.raises(ValueError):
         calibrate_azimuth(chi2_zincblende(), 35.75, {})

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ import pytest
 from spdcfilm import load_config, run_experiment, write_report
 
 SEED = 20260819
+GOLDEN = Path(__file__).parent / "data" / "golden_default.json"
+# the float tolerances of the benchmark's reference check (perfbench/check.py)
+GOLDEN_RTOL = 1e-9
+GOLDEN_ATOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +24,44 @@ def report():
 def test_same_seed_same_report(report):
     again = run_experiment(seed=SEED)
     assert again.canonical_json() == report.canonical_json()
+
+
+def _golden_differences(expected, actual, path=""):
+    """Field-by-field differences: floats to tolerance, everything else exact."""
+    if isinstance(expected, dict):
+        if not isinstance(actual, dict) or expected.keys() != actual.keys():
+            return [f"{path}: keys differ"]
+        return [d for k in expected for d in _golden_differences(expected[k], actual[k], f"{path}.{k}")]
+    if isinstance(expected, list):
+        if not isinstance(actual, list) or len(expected) != len(actual):
+            return [f"{path}: length differs"]
+        return [d for i, (e, a) in enumerate(zip(expected, actual))
+                for d in _golden_differences(e, a, f"{path}[{i}]")]
+    if type(expected) is not type(actual):
+        return [f"{path}: {actual!r} has another type than {expected!r}"]
+    if isinstance(expected, float):
+        if abs(actual - expected) > GOLDEN_ATOL + GOLDEN_RTOL * abs(expected):
+            return [f"{path}: {actual!r} != golden {expected!r}"]
+        return []
+    return [] if expected == actual else [f"{path}: {actual!r} != golden {expected!r}"]
+
+
+def test_default_report_matches_golden(report):
+    # tests/data/golden_default.json is the default-config summary at SEED
+    golden = json.loads(GOLDEN.read_text())
+    fresh = json.loads(json.dumps(report.summary, allow_nan=False))
+    assert _golden_differences(golden, fresh) == []
+
+
+def test_golden_comparison_catches_drift():
+    golden = json.loads(GOLDEN.read_text())
+    drifted = json.loads(GOLDEN.read_text())
+    drifted["bell"]["f_simulated"] *= 1.0 + 1e-8
+    drifted["tomography"]["fit"]["design_rank"] = 8
+    drifted["seed"] = float(drifted["seed"])
+    problems = _golden_differences(golden, drifted)
+    assert len(problems) == 3
+    assert _golden_differences(golden, golden) == []
 
 
 def test_different_seed_differs(report):
