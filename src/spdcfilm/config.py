@@ -74,6 +74,11 @@ class FilmConfig:
                     load_material(model)
                 except KeyError as exc:  # its message names the known materials
                     raise ConfigError(f"film {key}: {exc.args[0]}") from None
+            else:
+                _require(
+                    math.isfinite(model) and model > 0,
+                    f"film {key} must be a finite positive refractive index",
+                )
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ class SingularFit(SpdcFilmError):
 
 
 class FitFailure(SpdcFilmError):
-    """Nonlinear curve fit failed to converge."""
+    """A fitted quantity is undefined, e.g. the visibility of a fringe
+    that has no counts at any angle."""
 
 
 class GridTooNarrow(SpdcFilmError):

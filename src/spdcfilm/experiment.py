@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +36,14 @@ from .crystal import (
     weight_residual,
 )
 from .delayline import calcite_delay, default_delay_line, delay_scan
-from .errors import DegenerateTop, FitFailure
+from .errors import FitFailure
 from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
 from .polarization import pump_ket
 from .qutrit import (
+    _state_measures,
     concurrence,
     concurrence_bounds,
     depolarize,
-    dominant_eigenstate,
     purity,
     schmidt_number,
 )
@@ -61,6 +61,8 @@ from .spectral import (
 )
 from .tomography import (
     CoincidenceRecord,
+    _fit_stack,
+    _fringe_visibility,
     default_protocol,
     forward_rates,
     fringe_scan,
@@ -90,7 +92,7 @@ class ExperimentReport:
 
     def canonical_json(self) -> str:
         """Stable serialization used for reproducibility comparisons."""
-        return json.dumps(self.summary, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def resolve_orientation(cfg: ExperimentConfig, chi):
@@ -184,25 +186,50 @@ def _simulate_records(cfg, rel_rates, seeds):
     return histograms, records
 
 
-def _measures_from_rho(rho, fixed_analyzer, theta_grid):
-    """Report entries of one state (weights, purity, dominant-branch
-    entanglement, fringe visibility), and its fringe curve."""
-    out = {"weights": np.real(np.diag(rho)).tolist(), "purity": purity(rho)}
-    try:
-        top, top_weight = dominant_eigenstate(rho)
-        c = concurrence(top)
-        out.update(
-            concurrence=c,
-            schmidt_number=schmidt_number(c),
-            dominant_weight=top_weight,
-        )
-    except DegenerateTop:
-        out.update(concurrence=np.nan, schmidt_number=np.nan, dominant_weight=np.nan)
-    try:
-        curve, out["visibility"] = fringe_scan(rho, fixed_analyzer, theta_grid)
-    except FitFailure:
-        curve, out["visibility"] = [], np.nan
-    return out, curve
+def _measures(rhos, fixed_analyzer) -> dict:
+    """Report measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
+    ``_state_measures`` plus the fringe visibility (NaN where the fringe has
+    no counts)."""
+    return {**_state_measures(rhos), "visibility": _fringe_visibility(rhos, fixed_analyzer)}
+
+
+def _defined(values):
+    """JSON form of a measure: floats, with None where it is undefined (NaN)."""
+    if np.ndim(values):
+        return [_defined(v) for v in values]
+    return None if np.isnan(values) else float(values)
+
+
+def _point_measures(rho, fixed_analyzer) -> dict:
+    """The report entries of one state: the one-state case of ``_measures``."""
+    return {key: _defined(value[0]) for key, value in _measures(rho[None], fixed_analyzer).items()}
+
+
+def _spread(samples):
+    """Bootstrap sigma: nanstd(ddof=1) over the replicates (axis 0), None
+    where fewer than two replicates are finite."""
+    enough = np.count_nonzero(np.isfinite(samples), axis=0) >= 2
+    sigma = np.nanstd(np.where(enough, samples, 0.0), axis=0, ddof=1)
+    return _defined(np.where(enough, sigma, np.nan))
+
+
+def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
+    """The (n_boot, 3, 3) states of a parametric bootstrap: net counts redrawn
+    from the fitted model, then reconstructed all at once.
+
+    Replicate k draws from the k-th spawned child of ``seed_seq`` and keeps its
+    records' accidentals, durations and sigmas, as ``reconstruct`` would see
+    ``replace(record, raw=max(draw + accidental, 0))``.
+    """
+    durations = np.array([r.duration_s for r in records])
+    accidental = np.array([r.accidental for r in records])
+    sigmas = np.array([r.net_sigma for r in records])
+    model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
+    draws = np.array(
+        [np.random.default_rng(child).normal(model_net, sigmas) for child in seed_seq.spawn(n_boot)]
+    )
+    nets = np.maximum(draws + accidental, 0.0) - accidental
+    return _fit_stack(nets, durations, protocol)[0]
 
 
 def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
@@ -214,27 +241,9 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
     measures = ("weights", "purity", "concurrence", "visibility")
     if n_boot == 0:
         return {f"{key}_sigma": None for key in measures}
-    duration = cfg.tomography.duration_per_setting_s
-    model_net = duration * forward_rates(rho_hat, protocol, scale_hat)
-    sigmas = np.array([r.net_sigma for r in records])
-    theta_grid = np.linspace(0.0, 360.0, 37)
-
-    samples = {key: [] for key in measures}
-    for child in seed_seq.spawn(n_boot):
-        rng = np.random.default_rng(child)
-        net_draw = rng.normal(model_net, sigmas)
-        # each replicate keeps its record's accidentals, duration and sigma
-        boot_records = [
-            replace(r, raw=max(draw + r.accidental, 0.0)) for r, draw in zip(records, net_draw)
-        ]
-        rho_b, _ = reconstruct(boot_records, protocol)
-        meas, _ = _measures_from_rho(rho_b, cfg.fringe.fixed_analyzer, theta_grid)
-        for key in measures:
-            samples[key].append(meas[key])
-    return {
-        f"{key}_sigma": np.nanstd(np.asarray(samples[key]), axis=0, ddof=1).tolist()
-        for key in measures
-    }
+    rhos = _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq)
+    samples = _measures(rhos, cfg.fringe.fixed_analyzer)
+    return {f"{key}_sigma": _spread(samples[key]) for key in measures}
 
 
 def spectral_section(cfg: ExperimentConfig):
@@ -289,7 +298,11 @@ def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq):
     theta_grid = np.linspace(
         cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
     )
-    measures, fringe_curve = _measures_from_rho(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
+    measures = _point_measures(rho_hat, cfg.fringe.fixed_analyzer)
+    try:
+        fringe_curve, _ = fringe_scan(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
+    except FitFailure:  # no counts at any angle: the visibility is reported as null
+        fringe_curve = []
     boot_seq = seed_seq.spawn(1)[0]
     sigmas = _bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq)
     fit_json = asdict(fit)
@@ -407,7 +420,7 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     paths = []
 
     json_path = out / "report.json"
-    json_path.write_text(json.dumps(report.summary, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     paths.append(json_path)
 
     def write_csv(name, header, rows):

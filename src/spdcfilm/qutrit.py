@@ -31,13 +31,23 @@ def check_density_matrix(rho, eig_tol: float = 1e-9, dim: int = 3) -> np.ndarray
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise InvalidDensityMatrix(f"expected {dim}x{dim}, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise InvalidDensityMatrix(f"trace {np.trace(rho).real!r} is not 1 to 1e-10")
-    if np.min(np.linalg.eigvalsh(rho)) < -eig_tol:
-        raise InvalidDensityMatrix("matrix has an eigenvalue below -1e-9")
+    _density_eigh(rho[None], eig_tol)
     return rho
+
+
+def _density_eigh(rhos: np.ndarray, eig_tol: float = 1e-9):
+    """``check_density_matrix``'s checks on every matrix of a (B, d, d) stack,
+    then its stacked ``eigh``. The first failing matrix raises."""
+    if np.max(np.abs(rhos - np.swapaxes(rhos.conj(), -1, -2))) > 1e-10:
+        raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")
+    traces = np.real(np.trace(rhos, axis1=-2, axis2=-1))
+    off = np.abs(traces - 1.0) > 1e-10
+    if np.any(off):
+        raise InvalidDensityMatrix(f"trace {traces[off][0]!r} is not 1 to 1e-10")
+    vals, vecs = np.linalg.eigh(rhos)
+    if np.min(vals[:, 0]) < -eig_tol:
+        raise InvalidDensityMatrix("matrix has an eigenvalue below -1e-9")
+    return vals, vecs
 
 
 def pure_density_matrix(state) -> np.ndarray:
@@ -57,8 +67,12 @@ def concurrence(state) -> float:
 
     0 for co-polarized pairs (1,0,0); 1 for the orthogonal pair (0,1,0).
     """
-    c1, c2, c3 = check_state(state)
-    return float(np.abs(2.0 * c1 * c3 - c2**2))
+    return float(_concurrence(check_state(state)))
+
+
+def _concurrence(c: np.ndarray) -> np.ndarray:
+    """Concurrence of each normalized ket along the last axis."""
+    return np.abs(2.0 * c[..., 0] * c[..., 2] - c[..., 1] ** 2)
 
 
 def schmidt_number(concurrence_value: float) -> float:
@@ -66,13 +80,22 @@ def schmidt_number(concurrence_value: float) -> float:
     c = float(concurrence_value)
     if not 0.0 <= c <= 1.0 + 1e-12:
         raise OutOfRange(f"concurrence {c} outside [0, 1]")
-    return 2.0 / (2.0 - min(c, 1.0) ** 2)
+    return float(_schmidt_number(c))
+
+
+def _schmidt_number(c):
+    """K(C) elementwise, without the range check; NaN stays NaN."""
+    return 2.0 / (2.0 - np.minimum(c, 1.0) ** 2)
 
 
 def purity(rho) -> float:
     """Tr(rho^2); 1 for pure states, 1/3 for the maximally mixed qutrit."""
-    rho = check_density_matrix(rho)
-    return float(np.real(np.trace(rho @ rho)))
+    return float(_purity(check_density_matrix(rho)))
+
+
+def _purity(rhos: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of each matrix of a stack (or of one matrix)."""
+    return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
 
 
 def dominant_eigenstate(rho, gap_tol: float = 1e-9) -> tuple[np.ndarray, float]:
@@ -83,19 +106,42 @@ def dominant_eigenstate(rho, gap_tol: float = 1e-9) -> tuple[np.ndarray, float]:
     ``gap_tol``; the dominant direction is then undefined and pure-state
     measures must not be quoted for it.
     """
-    rho = check_density_matrix(rho)
-    vals, vecs = np.linalg.eigh(rho)
-    if vals[-1] - vals[-2] < gap_tol:
+    vals, vecs = np.linalg.eigh(check_density_matrix(rho))
+    (vec,), (top,), (degenerate,) = _dominant(vals[None], vecs[None], gap_tol)
+    if degenerate:
         raise DegenerateTop(
             f"top eigenvalues {vals[-1]:.6g} and {vals[-2]:.6g} are degenerate"
         )
-    vec = vecs[:, -1]
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / np.abs(vec[k])
-    vec = vec * phase.conj()
+    return vec, float(top)
+
+
+def _dominant(vals: np.ndarray, vecs: np.ndarray, gap_tol: float = 1e-9):
+    """(phase-fixed top eigenvectors, top eigenvalues, degenerate mask) of a
+    stacked ``eigh``; ``dominant_eigenstate`` is its one-matrix case."""
+    vec = vecs[..., -1]
+    k = np.argmax(np.abs(vec), axis=-1)[..., None]
+    lead = np.take_along_axis(vec, k, axis=-1)
+    vec = vec * (lead / np.abs(lead)).conj()
     # keep exact normalization after the phase rotation
-    vec = vec / np.linalg.norm(vec)
-    return vec, float(vals[-1])
+    vec = vec / np.linalg.norm(vec, axis=-1, keepdims=True)
+    return vec, vals[..., -1], vals[..., -1] - vals[..., -2] < gap_tol
+
+
+def _state_measures(rhos: np.ndarray) -> dict:
+    """Measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
+    weights, purity, and the dominant branch's concurrence, Schmidt number
+    and weight, NaN where the top eigenvalue is degenerate. Validates the
+    stack as ``check_density_matrix`` would each state."""
+    vals, vecs = _density_eigh(rhos)
+    top, top_weight, degenerate = _dominant(vals, vecs)
+    c = np.where(degenerate, np.nan, _concurrence(top))
+    return {
+        "weights": np.real(np.diagonal(rhos, axis1=-2, axis2=-1)),
+        "purity": _purity(rhos),
+        "concurrence": c,
+        "schmidt_number": _schmidt_number(c),
+        "dominant_weight": np.where(degenerate, np.nan, top_weight),
+    }
 
 
 def concurrence_phase_curve(weights, deltas_rad) -> np.ndarray:

@@ -134,8 +134,13 @@ def test_invalid_config_value_exit_code(capsys, tmp_path):
         "[pump]\nangle_deg = nan\n",
         "[hom]\ndelay_start_fs = nan\n",
         "[film]\nfilm_index = unobtainium\n",
+        "[film]\nfilm_index = -1.0\n",
+        "[film]\nambient_index = -3.2\n",
     ],
-    ids=["no_header", "duplicate_key", "percent", "nan_angle", "nan_delay", "unknown_material"],
+    ids=[
+        "no_header", "duplicate_key", "percent", "nan_angle", "nan_delay", "unknown_material",
+        "negative_film_index", "negative_ambient_index",
+    ],
 )
 def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body):
     cfg = tmp_path / "bad.cfg"

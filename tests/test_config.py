@@ -153,3 +153,21 @@ def test_case_of_named_choices_is_normalized(tmp_path):
     cfg = load_config(path)
     assert cfg.detector_response.shape == "gaussian"
     assert cfg.fringe.fixed_analyzer == "V"
+
+
+@pytest.mark.parametrize("key", ["film_index", "substrate_index", "ambient_index"])
+@pytest.mark.parametrize("value", ["-1.0", "0", "-3.2"])
+def test_numeric_film_indices_must_be_positive(tmp_path, key, value):
+    path = tmp_path / "user.cfg"
+    path.write_text(f"[film]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"film {key} must be a finite positive"):
+        load_config(path)
+
+
+def test_film_index_range_check_applies_to_direct_construction():
+    from spdcfilm.config import FilmConfig
+
+    with pytest.raises(ConfigError, match="finite positive"):
+        FilmConfig(thickness_nm=400.0, film_index="gap", substrate_index=float("nan"),
+                   ambient_index=1.0)
+    assert FilmConfig(400.0, 3.5, 1.45, 1.0).film_index == 3.5

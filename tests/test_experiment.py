@@ -163,6 +163,7 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
     # count from a cold memo: what one run in a fresh process builds
     tomography._protocol_constants.cache_clear()
     tomography._fringe_projectors.cache_clear()
+    tomography._fringe_basis.cache_clear()
     calls = []
     original = polarization.analyzer_ket
 
@@ -173,6 +174,84 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
     for module in (polarization, tomography):
         monkeypatch.setattr(module, "analyzer_ket", counting)
     run_experiment(seed=SEED)
-    # 18 protocol kets plus one ket per fringe angle and fixed analyzer on
-    # the report's and the bootstrap's theta grids, however many replicates
+    # 18 protocol kets, one ket per angle of the report's fringe grid and the
+    # fixed analyzer's; the bootstrap's closed-form visibility needs no grid
     assert 0 < len(calls) <= 200
+
+
+def test_batched_bootstrap_equals_scalar_replicates(report):
+    from dataclasses import replace
+
+    from spdcfilm.experiment import _bootstrap_states, _measures
+    from spdcfilm.qutrit import concurrence, dominant_eigenstate, purity
+    from spdcfilm.tomography import (
+        CoincidenceRecord,
+        default_protocol,
+        forward_rates,
+        fringe_scan,
+        reconstruct,
+    )
+
+    tomo = report.summary["tomography"]
+    records = [
+        CoincidenceRecord(**{k: v for k, v in r.items() if k != "net"}) for r in tomo["records"]
+    ]
+    protocol = default_protocol()
+    rho_hat, fit = reconstruct(records, protocol)
+    # the bootstrap's seeds in run_experiment: the child after the nine setting seeds
+    seq = np.random.SeedSequence(SEED)
+    seq.spawn(9)
+    boot_seq = seq.spawn(1)[0]
+    n_boot = 5
+    rhos = _bootstrap_states(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
+    batched = _measures(rhos, "H")
+
+    # the replicate loop the batch replaces: one reconstruct per spawned child
+    model_net = np.array([r.duration_s for r in records]) * forward_rates(
+        rho_hat, protocol, fit.scale
+    )
+    sigmas = np.array([r.net_sigma for r in records])
+    seq = np.random.SeedSequence(SEED)
+    seq.spawn(9)
+    for k, child in enumerate(seq.spawn(1)[0].spawn(n_boot)):
+        draw = np.random.default_rng(child).normal(model_net, sigmas)
+        boot = [replace(r, raw=max(d + r.accidental, 0.0)) for r, d in zip(records, draw)]
+        rho_k, _ = reconstruct(boot, protocol)
+        assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
+        assert np.allclose(batched["weights"][k], np.real(np.diag(rho_k)), rtol=0, atol=1e-12)
+        assert batched["purity"][k] == pytest.approx(purity(rho_k), abs=1e-12)
+        top, weight = dominant_eigenstate(rho_k)
+        assert batched["concurrence"][k] == pytest.approx(concurrence(top), abs=1e-12)
+        assert batched["dominant_weight"][k] == pytest.approx(weight, abs=1e-12)
+        _, vis = fringe_scan(rho_k, "H", np.linspace(0.0, 360.0, 37))
+        assert batched["visibility"][k] == pytest.approx(vis, abs=1e-12)
+
+
+def test_undefined_measures_are_null_in_strict_json():
+    from spdcfilm.experiment import _point_measures, _spread
+
+    # the maximally mixed state has no dominant branch; its fringe is defined
+    mixed = _point_measures(np.eye(3, dtype=complex) / 3.0, "H")
+    assert mixed["concurrence"] is None
+    assert mixed["schmidt_number"] is None
+    assert mixed["dominant_weight"] is None
+    assert mixed["visibility"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert mixed["purity"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    json.dumps(mixed, allow_nan=False)
+    # |2V> gives an H-fixed fringe no counts at all
+    dark = _point_measures(np.diag([0.0, 0.0, 1.0]).astype(complex), "H")
+    assert dark["visibility"] is None and dark["concurrence"] == pytest.approx(0.0)
+    # a sigma needs two finite replicates
+    assert _spread(np.array([np.nan, 0.4, np.nan])) is None
+    assert _spread(np.array([0.1, np.nan, 0.3])) == pytest.approx(np.std([0.1, 0.3], ddof=1))
+    assert _spread(np.array([[0.1, np.nan], [0.3, 0.2]])) == [pytest.approx(0.1414213562), None]
+
+
+def test_report_serialization_is_strict_json(tmp_path, report):
+    from dataclasses import replace
+
+    broken = replace(report, summary={**report.summary, "seed": float("nan")})
+    with pytest.raises(ValueError):
+        broken.canonical_json()
+    with pytest.raises(ValueError):
+        write_report(broken, tmp_path)

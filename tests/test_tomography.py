@@ -178,3 +178,101 @@ def test_records_csv_roundtrip(tmp_path):
     loaded_protocol, loaded_records = load_records_csv(path)
     rho_hat, _ = reconstruct(loaded_records, loaded_protocol)
     assert np.linalg.norm(rho_hat - rho) < 1e-9
+
+
+# spacing of the dense reference grid; the rate is a second harmonic in
+# theta, so a grid extreme lies within this phase of the true one and the
+# grid visibility is biased low by at most 1 - cos(spacing)
+DENSE_POINTS = 10**6
+DENSE_BIAS = 1.0 - np.cos(np.radians(360.0 / DENSE_POINTS))
+
+
+@pytest.mark.parametrize("fixed", ["H", "D", "R"])
+def test_closed_form_visibility_matches_dense_fringe(fixed):
+    from spdcfilm.polarization import two_photon_projector
+
+    rng = np.random.default_rng(SEED + 4)
+    eta = setting(fixed).ket()
+    basis = [two_photon_projector(e, eta) for e in np.eye(2)]
+    theta = np.radians(np.linspace(0.0, 360.0, DENSE_POINTS, endpoint=False))
+    cos, sin = np.cos(theta), np.sin(theta)
+    coarse = np.linspace(0.0, 360.0, 37)
+    for _ in range(15):
+        rho = _random_rho(rng)
+        m = np.real([[np.vdot(wi, rho @ wj) for wj in basis] for wi in basis])
+        curve, vis = fringe_scan(rho, fixed, coarse)
+        # the quadratic form is the fringe: it reproduces the projector rates
+        th = np.radians(coarse)
+        form = m[0, 0] * np.cos(th) ** 2 + (m[0, 1] + m[1, 0]) * np.cos(th) * np.sin(th) \
+            + m[1, 1] * np.sin(th) ** 2
+        assert np.allclose(form, [r for _, r in curve], rtol=0.0, atol=1e-14)
+        rates = m[0, 0] * cos**2 + (m[0, 1] + m[1, 0]) * cos * sin + m[1, 1] * sin**2
+        hi, lo = rates.max(), rates.min()
+        dense = (hi - lo) / (hi + lo)
+        assert dense <= vis + 1e-12
+        assert vis - dense <= DENSE_BIAS + 1e-12
+
+
+def test_fringe_without_counts_has_no_visibility():
+    from spdcfilm.errors import FitFailure
+
+    # |2V> never fires an H analyzer in arm B, whatever arm A passes
+    two_v = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    with pytest.raises(FitFailure):
+        fringe_scan(two_v, "H", np.linspace(0.0, 360.0, 37))
+
+
+def test_batched_fit_matches_scalar_reconstruct_per_replicate():
+    from spdcfilm.tomography import _fit_stack
+
+    rng = np.random.default_rng(SEED + 5)
+    protocol = default_protocol()
+    rho = depolarize(np.array([0.1, 0.99, 0.1]) / np.linalg.norm([0.1, 0.99, 0.1]), 0.05)
+    rates = forward_rates(rho, protocol, scale=300.0)
+    draws = 2.0 * rates + rng.normal(0.0, 4.0, size=(6, len(protocol)))
+    replicates = [
+        [
+            CoincidenceRecord(index=m, raw=max(n, 0.0) + 10.0, accidental=max(n, 0.0) + 10.0 - n,
+                              duration_s=2.0)
+            for m, n in enumerate(draw)
+        ]
+        for draw in draws
+    ]
+    nets = np.array([[rec.net for rec in records] for records in replicates])
+    rhos, fits = _fit_stack(nets, np.full(len(protocol), 2.0), protocol)
+    for k, records in enumerate(replicates):
+        rho_k, report = reconstruct(records, protocol)
+        assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
+        assert fits.scale[k] == pytest.approx(report.scale, rel=1e-12)
+        assert fits.negative_mass_clipped[k] == pytest.approx(report.negative_mass_clipped,
+                                                              abs=1e-12)
+        assert fits.design_rank[k] == report.design_rank == 9
+
+
+def test_replicate_with_nonpositive_trace_raises():
+    from spdcfilm.tomography import _fit_stack
+
+    protocol = default_protocol()
+    good = 2.0 * forward_rates(depolarize(np.array([0.0, 1.0, 0.0]), 0.03), protocol, 300.0)
+    durations = np.full(len(protocol), 2.0)
+    nets = np.array([good, good, -good])
+    with pytest.raises(SingularFit, match="fitted total rate .* is not positive"):
+        _fit_stack(nets, durations, protocol)
+    _fit_stack(nets[:2], durations, protocol)
+    # the one-replicate case is reconstruct's own check
+    records = [
+        CoincidenceRecord(index=m, raw=0.0, accidental=n, duration_s=2.0)
+        for m, n in enumerate(good)
+    ]
+    with pytest.raises(SingularFit, match="not positive"):
+        reconstruct(records, protocol)
+
+
+def test_overcomplete_protocol_roundtrip():
+    # more settings than parameters: the weighted least-squares fit is
+    # overdetermined and must still recover a noiseless state exactly
+    protocol = default_protocol() + [(setting(a), setting(b)) for a, b in ("AH", "AD", "VR")]
+    rho = _random_rho(np.random.default_rng(SEED + 6))
+    rho_hat, report = reconstruct(_noiseless_records(rho, protocol), protocol)
+    assert np.linalg.norm(rho_hat - rho) < 1e-9
+    assert report.design_rank == 9 and report.scale == pytest.approx(1000.0, rel=1e-9)
