@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import PoorFit, ZeroAmplitude
 from .polarization import check_normalized, pump_ket
@@ -251,7 +250,12 @@ def calibrate_orientation(
     Coarse grid scan over the tilt range and the [0, 180) azimuth range,
     followed by a Nelder-Mead refinement of the best grid point. Use this
     when ``calibrate_azimuth`` at the nominal tilt raises PoorFit.
+
+    ``scipy.optimize`` is imported here, on the first joint fit, so that
+    runs with a fixed orientation never load scipy.
     """
+    from scipy.optimize import minimize
+
     if not targets:
         raise ValueError("calibration requires at least one pump-setting target")
     tilts = np.arange(tilt_range[0], tilt_range[1] + 1e-9, coarse_step_deg)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AsymmetricSpectrum, GridTooNarrow, InvalidState
 from .materials import resolve_index_model
@@ -270,6 +269,43 @@ def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str = "dip"):
     return list(zip(taus.tolist(), r.tolist()))
 
 
+#: cap on the root refinement's steps; bisection alone needs about 60 from
+#: any bracket of doubles
+_ROOT_MAX_STEPS = 100
+
+
+def _half_crossing(s: np.ndarray, omega: np.ndarray, lo: float, hi: float, tau: float) -> float:
+    """The delay in [lo, hi] where g crosses 1/2, given g(lo) >= 1/2 > g(hi).
+
+    Newton steps from ``tau`` on the exact sum, with the closed-form slope
+    g'(tau) = -sum w sin(w tau) I / sum I and w = 2 pi 1e-3 W, shrink the
+    bracket; a step that leaves the bracket, or a slope g' >= 0, is replaced
+    by bisection. It stops when a Newton step is at most 1e-13 tau or the
+    bracket is that narrow, and raises InvalidState after _ROOT_MAX_STEPS.
+    """
+    norm = s.sum()
+    w = omega * (2.0e-3 * np.pi)
+    ws = w * s
+    for _ in range(_ROOT_MAX_STEPS):
+        phases = w * tau
+        f = (np.cos(phases) @ s) / norm - 0.5
+        if f >= 0.0:
+            lo = tau
+        else:
+            hi = tau
+        slope = -(np.sin(phases) @ ws) / norm
+        step = -f / slope if slope < 0.0 else np.nan
+        if lo <= tau + step <= hi:
+            if abs(step) <= 1e-13 * tau:
+                return float(tau + step)
+            tau += step
+        else:
+            tau = 0.5 * (lo + hi)
+            if hi - lo <= 1e-13 * tau:
+                return float(tau)
+    raise InvalidState(f"half-depth crossing not resolved in {_ROOT_MAX_STEPS} steps")
+
+
 def hom_fwhm(spectrum: SpectralAmplitude, mode: str = "dip", tau_max_fs: float = 400.0) -> float:
     """Full width of the HOM dip (peak) at half its asymptotic depth.
 
@@ -280,26 +316,28 @@ def hom_fwhm(spectrum: SpectralAmplitude, mode: str = "dip", tau_max_fs: float =
 
     g is scanned on 4001 delays over [0, tau_max_fs] block by block, and the
     scan stops at the first block where g < 1/2. The crossing is then
-    refined by brentq (xtol 1e-9) on the exact sum between the last coarse
-    delay with g >= 1/2 and the first with g < 1/2.
+    refined on the exact sum between the last coarse delay with g >= 1/2
+    and the first with g < 1/2: Newton steps on the closed-form slope
+    g'(tau), started from the secant point of that bracket, fall back to
+    bisection whenever a step would leave the shrinking bracket, and stop
+    once a step is at most 1e-13 tau.
     """
     _check_mode(mode)
     s = _check_symmetric(spectrum)
     omega = spectrum.omega_thz
     coarse = np.linspace(0.0, tau_max_fs, 4001)
+    g_last = np.nan  # g at the last delay of the previous block
     for start, g in _contrast_blocks(s, omega, coarse):
         below = np.flatnonzero(g < 0.5)
         if below.size:
-            k = start + int(below[0])
             break
+        g_last = g[-1]
     else:
         raise InvalidState(f"g(tau) never falls below 1/2 out to {tau_max_fs} fs")
-    if k == 0:
+    j = int(below[0])
+    if start + j == 0:
         raise InvalidState("g(0) < 1/2; spectrum is not normalizable as a HOM kernel")
-
-    def g_minus_half(tau):
-        (_, g_tau), = _contrast_blocks(s, omega, np.array([tau]))
-        return float(g_tau[0]) - 0.5
-
-    crossing = brentq(g_minus_half, coarse[k - 1], coarse[k], xtol=1e-9)
-    return 2.0 * float(crossing)
+    lo, hi = float(coarse[start + j - 1]), float(coarse[start + j])
+    g_lo, g_hi = (g[j - 1] if j else g_last), g[j]
+    tau = lo + (hi - lo) * float((g_lo - 0.5) / (g_lo - g_hi))
+    return 2.0 * _half_crossing(s, omega, lo, hi, tau)

@@ -75,6 +75,9 @@ class CoincidenceRecord:
     net_sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("raw", "accidental", "duration_s", "net_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"record {self.index}: {name} must be finite")
         if self.raw < 0:
             raise ValueError("raw coincidences must be nonnegative")
         if self.duration_s <= 0:
@@ -322,17 +325,18 @@ def fringe_scan(rho, fixed_b: str, theta_grid_deg, scale: float = 1.0):
 
 def load_records_csv(path):
     """Read (protocol, records) from CSV with columns
-    qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration."""
+    qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
+
+    A non-finite angle or count raises ValueError.
+    """
     protocol, records = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for idx, row in enumerate(reader):
-            protocol.append(
-                (
-                    AnalyzerSetting(float(row["qwp_a"]), float(row["hwp_a"])),
-                    AnalyzerSetting(float(row["qwp_b"]), float(row["hwp_b"])),
-                )
-            )
+            angles = [float(row[key]) for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b")]
+            if not np.all(np.isfinite(angles)):
+                raise ValueError(f"row {idx}: waveplate angles must be finite")
+            protocol.append((AnalyzerSetting(*angles[:2]), AnalyzerSetting(*angles[2:])))
             records.append(
                 CoincidenceRecord(
                     index=idx,

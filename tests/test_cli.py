@@ -171,6 +171,19 @@ def test_incomplete_records_exit_code(capsys, tmp_path):
     assert code == EXIT_INCOMPLETE
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["0,0,0,0,nan,2.0,1.0\n", "inf,0,0,0,100.0,2.0,1.0\n"],
+    ids=["nan_raw", "inf_qwp_a"],
+)
+def test_non_finite_records_exit_code(capsys, tmp_path, row):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n" + row)
+    code = main(["tomography", "--records", str(csv_path)])
+    assert code == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_degenerate_orientation_exit_code(capsys, tmp_path):
     # normal incidence drives every pair amplitude to zero
     cfg = tmp_path / "flat.cfg"

@@ -243,7 +243,8 @@ def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
         starts.append(list(x0))
         return minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(crystal, "minimize", recording_minimize)
+    # calibrate_orientation imports minimize from scipy.optimize on each call
+    monkeypatch.setattr("scipy.optimize.minimize", recording_minimize)
     calibrate_orientation(chi, targets, coarse_step_deg=1.0)
     assert starts == [[36.0, 41.0]]
 

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from spdcfilm import load_config, run_experiment, write_report
 
 SEED = 20260819
 GOLDEN = Path(__file__).parent / "data" / "golden_default.json"
+ROOT = Path(__file__).resolve().parents[1]
 # the float tolerances of the benchmark's reference check (perfbench/check.py)
 GOLDEN_RTOL = 1e-9
 GOLDEN_ATOL = 1e-12
@@ -255,3 +259,41 @@ def test_report_serialization_is_strict_json(tmp_path, report):
         broken.canonical_json()
     with pytest.raises(ValueError):
         write_report(broken, tmp_path)
+
+
+# runs the default and fine-spectrum configs, then a joint orientation fit, and
+# prints the scipy modules loaded before and after the fit
+SCIPY_PROBE = """
+import json, sys
+from spdcfilm import load_config, run_experiment, write_report
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+out, fine, auto = sys.argv[1:]
+for name, cfg in (("default", None), ("fine", load_config(fine))):
+    write_report(run_experiment(cfg), f"{out}/{name}")
+before = scipy_modules()
+fitted = run_experiment(load_config(auto)).summary
+print(json.dumps({"before": before, "after": scipy_modules(), "residual":
+                  fitted["orientation"]["calibration_residual"],
+                  "h_weights": fitted["amplitudes"]["h_pump"]["weights"]}))
+"""
+
+
+def test_default_runs_never_import_scipy(tmp_path):
+    auto = tmp_path / "auto.cfg"
+    auto.write_text("[crystal]\ntilt_deg = auto\n\n[run]\nbootstrap_samples = 0\n")
+    fine = ROOT / "perfbench" / "workloads" / "fine_spectrum.cfg"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), str(fine), str(auto)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["before"] == []
+    # tilt_deg = auto still fits with Nelder-Mead, which loads scipy.optimize
+    assert "scipy.optimize" in probe["after"]
+    assert probe["residual"] < 0.005
+    assert probe["h_weights"] == pytest.approx([0.7827, 0.0169, 0.2005], abs=5e-3)

@@ -9,6 +9,7 @@ far double-resonance lobes and dips at 3.73 fs.
 
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from spdcfilm import (
     lorentzian_response,
 )
 from spdcfilm.config import load_config
-from spdcfilm.errors import AsymmetricSpectrum, GridTooNarrow
+from spdcfilm.errors import AsymmetricSpectrum, GridTooNarrow, InvalidState
 from spdcfilm.spectral import (
     _BLOCK_ELEMENTS,
     SpectralAmplitude,
@@ -129,6 +130,28 @@ def _gaussian_spectrum(fwhm_thz):
     return SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0)
 
 
+def _fine_lorentzian():
+    # the 16,384-point banded spectrum with the 90 THz Lorentzian detector
+    spec = joint_spectrum(FilmStack(), default_grid(points=16384))
+    spec = apply_detector_response(spec, longpass_pair_response(spec))
+    return apply_detector_response(spec, lorentzian_response(spec, 90.0))
+
+
+def _dense_crossing(spec, tau_max_fs=400.0):
+    # (k, root): the first delay k of hom_fwhm's 4001-point coarse grid where
+    # the dense kernel falls below 1/2 (scanned 64 delays at a time), and the
+    # crossing in [coarse[k - 1], coarse[k]] refined to xtol 1e-14
+    coarse = np.linspace(0.0, tau_max_fs, 4001)
+    for start in range(0, coarse.size, 64):
+        below = np.flatnonzero(_dense_contrast(spec, coarse[start:start + 64]) < 0.5)
+        if below.size:
+            break
+    k = start + int(below[0])
+    root = brentq(lambda tau: _dense_contrast(spec, [tau])[0] - 0.5,
+                  coarse[k - 1], coarse[k], xtol=1e-14)
+    return k, root
+
+
 @pytest.mark.parametrize(
     "make_spec, first_block",
     # the banded dip crosses 1/2 inside the first block of delays; a 20 THz
@@ -143,9 +166,45 @@ def test_early_exit_fwhm_matches_dense_scan(make_spec, first_block):
     assert (k < _BLOCK_ELEMENTS // spec.omega_thz.size) == first_block
     crossing = brentq(
         lambda tau: _dense_contrast(spec, [tau])[0] - 0.5,
-        coarse[k - 1], coarse[k], xtol=1e-9,
+        coarse[k - 1], coarse[k], xtol=1e-14,
     )
     assert hom_fwhm(spec) == pytest.approx(2.0 * crossing, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    # the banded default and the 20 THz Gaussian are in the test above
+    [_fine_lorentzian, partial(_gaussian_spectrum, 5.0), partial(_gaussian_spectrum, 50.0)],
+    ids=["lorentzian_16384", "gaussian_5", "gaussian_50"],
+)
+def test_fwhm_matches_tight_dense_root(make_spec):
+    spec = make_spec()
+    _, crossing = _dense_crossing(spec)
+    assert hom_fwhm(spec) == pytest.approx(2.0 * crossing, rel=0.0, abs=1e-12)
+
+
+def test_fwhm_bisects_where_newton_leaves_the_bracket():
+    # 100 fs coarse steps put the 20 THz Gaussian's crossing (~22 fs) in the
+    # bracket [0, 100] fs, where g is nearly flat at the far end: a Newton
+    # step from the secant point (g(0) = 1, g(100) ~ 0) overshoots the bracket
+    spec = _gaussian_spectrum(20.0)
+    tau_max_fs = 4.0e5
+    k, crossing = _dense_crossing(spec, tau_max_fs)
+    assert k == 1
+    lo, hi = 0.0, 100.0
+    s, w = spec.intensity, 2.0e-3 * np.pi * spec.omega_thz
+    g_lo, g_hi = _dense_contrast(spec, [lo, hi])
+    secant = lo + (hi - lo) * (g_lo - 0.5) / (g_lo - g_hi)
+    slope = -(np.sin(w * secant) @ (w * s)) / s.sum()
+    newton = secant - (_dense_contrast(spec, [secant])[0] - 0.5) / slope
+    assert not lo <= newton <= hi
+    assert hom_fwhm(spec, tau_max_fs=tau_max_fs) == pytest.approx(2.0 * crossing, rel=0.0, abs=1e-12)
+
+
+def test_fwhm_step_cap_raises(monkeypatch):
+    monkeypatch.setattr("spdcfilm.spectral._ROOT_MAX_STEPS", 2)
+    with pytest.raises(InvalidState, match="not resolved in 2 steps"):
+        hom_fwhm(_gaussian_spectrum(20.0), tau_max_fs=4.0e5)
 
 
 def test_fwhm_mode_validated_and_shared():

@@ -180,6 +180,17 @@ def test_records_csv_roundtrip(tmp_path):
     assert np.linalg.norm(rho_hat - rho) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("raw", np.nan), ("accidental", np.inf), ("duration_s", np.nan), ("net_sigma", -np.inf)],
+)
+def test_record_rejects_non_finite_counts(field, value):
+    fields = {"index": 0, "raw": 100.0, "accidental": 2.0, "duration_s": 1.0, "net_sigma": 10.0}
+    CoincidenceRecord(**fields)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CoincidenceRecord(**{**fields, field: value})
+
+
 # spacing of the dense reference grid; the rate is a second harmonic in
 # theta, so a grid extreme lies within this phase of the true one and the
 # grid visibility is biased low by at most 1 - cos(spacing)
