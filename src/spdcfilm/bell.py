@@ -185,7 +185,8 @@ def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings=None):
 
     Returns (F, sigma_F, std_devs) where std_devs = (F - 1)/sigma_F is the
     number of standard deviations by which the local-realism bound F <= 1
-    is exceeded. Counts are Poissonian per outcome, per setting.
+    is exceeded; it is None when sigma_F = 0 (every correlator's counts fell
+    in one outcome class). Counts are Poissonian per outcome, per setting.
     """
     rho = _as_rho4(state_or_rho)
     rng = np.random.default_rng(seed)
@@ -198,4 +199,4 @@ def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings=None):
         var += sig**2
     f = abs(total) / 2.0
     sigma_f = np.sqrt(var) / 2.0
-    return f, float(sigma_f), float((f - 1.0) / sigma_f)
+    return f, float(sigma_f), float((f - 1.0) / sigma_f) if sigma_f > 0.0 else None

@@ -52,7 +52,7 @@ def _write(args, text: str):
 
 
 def _emit(args, payload: dict):
-    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _seed(cfg, args) -> int:

@@ -13,14 +13,26 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .errors import ConfigError
+from .delayline import default_delay_line, delay_scan
+from .errors import ConfigError, SpdcFilmError
+from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
 from .materials import load_material
 from .polarization import ANALYZER_ANGLES
+from .qutrit import depolarize
+from .spectral import DETECTOR_RESPONSES, check_grid, default_grid
 
 
 def _require(condition: bool, message: str):
     if not condition:
         raise ConfigError(message)
+
+
+def _built(section: str, build, *args, **kwargs):
+    """``build(...)``; its ValueError or SpdcFilmError becomes a ConfigError naming ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, SpdcFilmError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -43,9 +55,9 @@ class CalibrationConfig:
 
     def __post_init__(self):
         for name, w in (("h_pump", self.h_pump_weights), ("v_pump", self.v_pump_weights)):
-            _require(len(w) == 3, f"{name}_weights needs 3 entries")
-            _require(all(x >= 0 for x in w), f"{name}_weights must be nonnegative")
-            _require(abs(sum(w) - 1.0) < 0.05, f"{name}_weights should sum to ~1")
+            _require(len(w) == 3, f"calibration {name}_weights needs 3 entries")
+            _require(all(x >= 0 for x in w), f"calibration {name}_weights must be nonnegative")
+            _require(abs(sum(w) - 1.0) < 0.05, f"calibration {name}_weights should sum to ~1")
         _require(self.fit_threshold > 0, "calibration fit_threshold must be positive")
 
 
@@ -89,6 +101,7 @@ class SpectrumConfig:
     def __post_init__(self):
         _require(self.span_thz > 0, "spectrum span_thz must be positive")
         _require(self.points >= 16, "spectrum points must be at least 16")
+        _built("spectrum", check_grid, default_grid(self.span_thz, self.points))
 
 
 @dataclass(frozen=True)
@@ -97,8 +110,8 @@ class FiltersConfig:
     edge_width_thz: float
 
     def __post_init__(self):
-        _require(len(self.longpass_cuton_nm) >= 1, "need at least one long-pass cut-on")
-        _require(all(c > 0 for c in self.longpass_cuton_nm), "cut-ons must be positive")
+        _require(len(self.longpass_cuton_nm) >= 1, "filters need at least one long-pass cut-on")
+        _require(all(c > 0 for c in self.longpass_cuton_nm), "filters cut-ons must be positive")
         _require(self.edge_width_thz > 0, "filter edge_width_thz must be positive")
 
 
@@ -110,8 +123,8 @@ class DetectorResponseConfig:
     def __post_init__(self):
         object.__setattr__(self, "shape", self.shape.lower())
         _require(
-            self.shape in ("none", "gaussian", "lorentzian"),
-            "detector_response shape must be none, gaussian, or lorentzian",
+            self.shape in DETECTOR_RESPONSES,
+            f"detector_response shape must be one of {sorted(DETECTOR_RESPONSES)}",
         )
         _require(self.fwhm_thz > 0, "detector_response fwhm_thz must be positive")
 
@@ -125,13 +138,9 @@ class NoiseConfig:
     depolarization: float
 
     def __post_init__(self):
-        _require(self.pair_rate_hz >= 0, "noise pair_rate_hz must be nonnegative")
-        _require(0 < self.efficiency <= 1, "noise efficiency must be in (0, 1]")
-        _require(
-            self.singles_a_hz >= 0 and self.singles_b_hz >= 0,
-            "singles rates must be nonnegative",
-        )
-        _require(0 <= self.depolarization <= 1, "depolarization must be in [0, 1]")
+        _built("noise", NoiseModel, self.pair_rate_hz, self.efficiency, self.singles_a_hz,
+               self.singles_b_hz)
+        _built("noise", depolarize, [1.0, 0.0, 0.0], self.depolarization)
 
 
 @dataclass(frozen=True)
@@ -149,13 +158,9 @@ class HistogramConfig:
     exclusion_bins: int
 
     def __post_init__(self):
-        _require(self.n_bins >= 3 and self.n_bins % 2 == 1, "histogram n_bins must be odd >= 3")
-        _require(self.bin_width_ns > 0, "histogram bin_width_ns must be positive")
-        _require(self.exclusion_bins >= 0, "histogram exclusion_bins must be nonnegative")
-        _require(
-            self.n_bins - (2 * self.exclusion_bins + 1) >= 20,
-            "histogram leaves fewer than 20 off-peak bins",
-        )
+        empty = _built("histogram", simulate_histogram, NoiseModel(0.0, 1.0, 0.0, 0.0),
+                       n_bins=self.n_bins, bin_width_ns=self.bin_width_ns, seed=0)
+        _built("histogram", subtract_accidentals, empty, self.exclusion_bins)
 
 
 @dataclass(frozen=True)
@@ -176,14 +181,10 @@ class DelayLineConfig:
     scan_points: int
 
     def __post_init__(self):
-        _require(self.plate_thickness_mm > 0, "plate thickness must be positive")
-        _require(abs(self.base_tilt_deg) < 60, "base tilt must be inside +-60 deg")
-        _require(self.wavelength_um > 0, "delay-line wavelength must be positive")
-        _require(self.scan_points >= 2, "delay scan needs at least 2 points")
-        _require(
-            abs(self.scan_start_deg) < 60 and abs(self.scan_stop_deg) < 60,
-            "delay scan tilts must stay inside +-60 deg",
-        )
+        _require(self.scan_points >= 2, "delay_line scan needs at least 2 points")
+        line = _built("delay_line", default_delay_line, self.base_tilt_deg,
+                      self.plate_thickness_mm, self.wavelength_um)
+        _built("delay_line", delay_scan, line, (self.scan_start_deg, self.scan_stop_deg))
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ class FringeConfig:
         )
         _require(
             self.fixed_analyzer in ANALYZER_ANGLES,
-            f"fixed_analyzer must be one of {sorted(ANALYZER_ANGLES)}",
+            f"fringe fixed_analyzer must be one of {sorted(ANALYZER_ANGLES)}",
         )
 
 
@@ -223,9 +224,9 @@ class RunConfig:
 
     def __post_init__(self):
         _require(self.seed >= 0, "run seed must be nonnegative")
-        _require(self.bootstrap_samples >= 0, "bootstrap_samples must be nonnegative")
+        _require(self.bootstrap_samples >= 0, "run bootstrap_samples must be nonnegative")
         # one replicate has no sample spread: its sigmas would all be NaN
-        _require(self.bootstrap_samples != 1, "bootstrap_samples must be 0 or at least 2")
+        _require(self.bootstrap_samples != 1, "run bootstrap_samples must be 0 or at least 2")
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def _numbers(raw: str, section: str, key: str) -> tuple:
     try:
         values = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError as exc:
-        raise ConfigError(f"expected a list of numbers, got {raw!r}") from exc
+        raise ConfigError(f"[{section}] {key} must be a list of numbers, got {raw!r}") from exc
     _require(all(map(math.isfinite, values)), f"[{section}] {key} must be a finite number")
     return values
 

@@ -48,16 +48,15 @@ from .qutrit import (
     schmidt_number,
 )
 from .spectral import (
+    DETECTOR_RESPONSES,
     FilmStack,
     apply_detector_response,
     default_grid,
-    gaussian_response,
     hom_fwhm,
     intensity_fwhm,
     interference_contrast,
     joint_spectrum,
     longpass_pair_response,
-    lorentzian_response,
 )
 from .tomography import (
     CoincidenceRecord,
@@ -70,9 +69,6 @@ from .tomography import (
 )
 
 SCHEMA_VERSION = 1
-
-#: [detector_response] shape -> response multiplier; "none" adds none
-_DETECTOR_RESPONSES = {"gaussian": gaussian_response, "lorentzian": lorentzian_response}
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ def spectral_section(cfg: ExperimentConfig):
             spec, cfg.filters.longpass_cuton_nm, cfg.filters.edge_width_thz
         ),
     )
-    response = _DETECTOR_RESPONSES.get(cfg.detector_response.shape)
+    response = DETECTOR_RESPONSES[cfg.detector_response.shape]
     if response is not None:
         spec = apply_detector_response(spec, response(spec, cfg.detector_response.fwhm_thz))
 

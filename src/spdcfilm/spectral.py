@@ -101,17 +101,23 @@ def _wavevector(stack: FilmStack, nu_thz):
     return 2.0 * np.pi * n_f * np.asarray(nu_thz) / C_NM_THZ
 
 
+def check_grid(grid) -> np.ndarray:
+    """The detuning grid (THz) as floats; GridTooNarrow unless it covers +-100 THz."""
+    omega = np.asarray(grid, dtype=float)
+    if omega.max() < 100.0 or omega.min() > -100.0:
+        raise GridTooNarrow(
+            f"grid [{omega.min():g}, {omega.max():g}] THz must cover +-100 THz"
+        )
+    return omega
+
+
 def joint_spectrum(stack: FilmStack, grid=None) -> SpectralAmplitude:
     """Degenerate-pair spectral amplitude on the detuning grid (THz).
 
     The grid must cover at least +-100 THz; the default +-150 THz / 4096
     points resolves the ~10 fs interference features with margin.
     """
-    omega = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if omega.max() < 100.0 or omega.min() > -100.0:
-        raise GridTooNarrow(
-            f"grid [{omega.min():g}, {omega.max():g}] THz must cover +-100 THz"
-        )
+    omega = check_grid(default_grid() if grid is None else grid)
     nu_p = C_NM_THZ / stack.pump_nm
     nu0 = nu_p / 2.0
     nu_s, nu_i = nu0 + omega, nu0 - omega
@@ -156,6 +162,10 @@ def gaussian_response(spectrum: SpectralAmplitude, fwhm_thz: float) -> np.ndarra
 def lorentzian_response(spectrum: SpectralAmplitude, fwhm_thz: float) -> np.ndarray:
     """Lorentzian pair-response multiplier centered on degeneracy."""
     return 1.0 / (1.0 + (2.0 * spectrum.omega_thz / fwhm_thz) ** 2)
+
+
+#: [detector_response] shape -> pair-response multiplier; "none" adds none
+DETECTOR_RESPONSES = {"none": None, "gaussian": gaussian_response, "lorentzian": lorentzian_response}
 
 
 def apply_detector_response(

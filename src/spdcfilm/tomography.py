@@ -27,7 +27,6 @@ from .polarization import (
     H,
     V,
     analyzer_ket,
-    linear_analyzer,
     two_photon_projector,
 )
 from .qutrit import check_density_matrix
@@ -260,20 +259,6 @@ def _fit_stack(nets: np.ndarray, durations: np.ndarray, protocol):
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _fringe_projectors(fixed_b: str, theta_grid_deg: tuple) -> np.ndarray:
-    """Read-only projector vectors of the fringe scan, one row per theta."""
-    eta = setting(fixed_b).ket()
-    vectors = np.array(
-        [
-            two_photon_projector(AnalyzerSetting(*linear_analyzer(th)).ket(), eta)
-            for th in theta_grid_deg
-        ]
-    )
-    vectors.flags.writeable = False
-    return vectors
-
-
 @functools.lru_cache(maxsize=8)
 def _fringe_basis(fixed_b: str) -> np.ndarray:
     """Read-only W = [w(H, eta), w(V, eta)], shape (3, 2): arm A's linear
@@ -284,6 +269,12 @@ def _fringe_basis(fixed_b: str) -> np.ndarray:
     return w
 
 
+def _fringe_form(rhos: np.ndarray, fixed_b: str) -> np.ndarray:
+    """The (B, 2, 2) matrices M = Re(W^dag rho W) of a (B, 3, 3) stack."""
+    w = _fringe_basis(fixed_b)
+    return np.real(w.conj().T @ rhos @ w)
+
+
 def _fringe_visibility(rhos: np.ndarray, fixed_b: str) -> np.ndarray:
     """Closed-form fringe visibility of each state of a (B, 3, 3) stack.
 
@@ -292,8 +283,7 @@ def _fringe_visibility(rhos: np.ndarray, fixed_b: str) -> np.ndarray:
     (l+ - l-)/(l+ + l-) = sqrt((m00 - m11)^2 + (m01 + m10)^2) / tr M.
     NaN where tr M <= 0: no counts at any angle, so no visibility.
     """
-    w = _fringe_basis(fixed_b)
-    m = np.real(w.conj().T @ rhos @ w)
+    m = _fringe_form(rhos, fixed_b)
     total = m[:, 0, 0] + m[:, 1, 1]
     spread = np.hypot(m[:, 0, 0] - m[:, 1, 1], m[:, 0, 1] + m[:, 1, 0])
     return np.divide(spread, total, out=np.full_like(total, np.nan), where=total > 0.0)
@@ -303,9 +293,9 @@ def fringe_scan(rho, fixed_b: str, theta_grid_deg, scale: float = 1.0):
     """Coincidence fringe: arm A scans linear polarization, arm B is fixed.
 
     Returns (curve, visibility) where curve is a list of (theta, rate) on the
-    grid. Arm A's ket (cos theta, sin theta) enters the two-photon projector
-    linearly, so the rate is a quadratic form in it: a pure second harmonic
-    a + b cos 2(theta - theta0), with harmonics 0 and 2 only. The visibility
+    grid. Arm A's ket xi = (cos theta, sin theta) enters the two-photon projector
+    linearly, so the rate is the quadratic form xi^T M xi (``_fringe_form``):
+    a pure second harmonic a + b cos 2(theta - theta0). The visibility
     (max - min)/(max + min) over all angles follows in closed form from the
     form's 2x2 matrix (``_fringe_visibility``); it does not depend on the
     grid. Raises FitFailure when the rate vanishes at every angle.
@@ -314,8 +304,8 @@ def fringe_scan(rho, fixed_b: str, theta_grid_deg, scale: float = 1.0):
     if np.ptp(theta_grid_deg) < 180.0:
         raise ValueError("theta grid must span at least 180 degrees")
     rho = check_density_matrix(rho)
-    projectors = _fringe_projectors(fixed_b, tuple(theta_grid_deg.tolist()))
-    rates = np.array([scale * float(np.real(np.vdot(w, rho @ w))) for w in projectors])
+    xi = np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
+    rates = scale * np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
     visibility = float(_fringe_visibility(rho[None], fixed_b)[0])
     if np.isnan(visibility):
         raise FitFailure("fringe rate vanishes at every angle; visibility undefined")

@@ -136,10 +136,12 @@ def test_invalid_config_value_exit_code(capsys, tmp_path):
         "[film]\nfilm_index = unobtainium\n",
         "[film]\nfilm_index = -1.0\n",
         "[film]\nambient_index = -3.2\n",
+        "[delay_line]\nwavelength_um = 10\n",  # outside the calcite data
+        "[spectrum]\nspan_thz = 50\n",  # the spectrum grid must cover +-100 THz
     ],
     ids=[
         "no_header", "duplicate_key", "percent", "nan_angle", "nan_delay", "unknown_material",
-        "negative_film_index", "negative_ambient_index",
+        "negative_film_index", "negative_ambient_index", "calcite_wavelength", "narrow_span",
     ],
 )
 def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body):
@@ -190,3 +192,40 @@ def test_degenerate_orientation_exit_code(capsys, tmp_path):
     cfg.write_text("[crystal]\ntilt_deg = 0.0\nazimuth_deg = 0.0\n")
     code, _ = run_cli(capsys, "amplitudes", "--config", str(cfg))
     assert code == EXIT_NUMERICAL
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_bell_without_spread_prints_null(capsys, tmp_path):
+    # two pairs per setting: at this seed every correlator's counts fall in
+    # one outcome class, so sigma_f is 0 and (F - 1)/sigma_f is undefined
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text("[bell]\ncounts_per_setting = 2\n")
+    code, out = run_cli(capsys, "bell", "--seed", "12", "--config", str(cfg))
+    assert code == EXIT_OK
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["sigma_f"] == 0.0
+    assert doc["std_devs_above_classical"] is None
+
+
+def test_run_without_bell_spread_writes_null(capsys, tmp_path):
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text("[bell]\ncounts_per_setting = 2\n")
+    code = main(["run", "--seed", "22", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["bell"]["sigma_f"] == 0.0
+    assert report["bell"]["std_devs_above_classical"] is None
+
+
+def test_json_output_is_strict(capsys):
+    import argparse
+
+    from spdcfilm.cli import _emit
+
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit(argparse.Namespace(out=None), {"value": float("inf")})
+    assert capsys.readouterr().out == ""

@@ -67,6 +67,10 @@ def test_value_range_checks(tmp_path):
         "[fringe]\nfixed_analyzer = Q\n",
         "[noise]\ndepolarization = 1.5\n",
         "[tomography]\nduration_per_setting_s = 0.0\n",
+        "[noise]\nefficiency = 1.5\n",
+        "[histogram]\nexclusion_bins = 300\n",  # no off-peak bins left
+        "[delay_line]\nscan_stop_deg = 70\n",  # past the +-60 deg plate range
+        "[detector_response]\nshape = boxcar\n",
     ]
     for body in cases:
         path = tmp_path / "user.cfg"

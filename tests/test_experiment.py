@@ -166,7 +166,6 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
 
     # count from a cold memo: what one run in a fresh process builds
     tomography._protocol_constants.cache_clear()
-    tomography._fringe_projectors.cache_clear()
     tomography._fringe_basis.cache_clear()
     calls = []
     original = polarization.analyzer_ket
@@ -178,8 +177,8 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
     for module in (polarization, tomography):
         monkeypatch.setattr(module, "analyzer_ket", counting)
     run_experiment(seed=SEED)
-    # 18 protocol kets, one ket per angle of the report's fringe grid and the
-    # fixed analyzer's; the bootstrap's closed-form visibility needs no grid
+    # 18 protocol kets and the fixed analyzer's: the fringe curve and the
+    # visibility both come from the closed-form 2x2 matrix, with no ket per angle
     assert 0 < len(calls) <= 200
 
 

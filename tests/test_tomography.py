@@ -104,11 +104,12 @@ def test_rank_deficient_protocol_raises_with_warm_memo():
 
 
 def test_memoized_projectors_are_read_only():
-    from spdcfilm.tomography import _constants, _fringe_projectors
+    from spdcfilm.tomography import _constants, _fringe_basis
 
     vectors, design, rank = _constants(default_protocol())
     assert vectors.shape == (9, 3) and design.shape == (9, 9) and rank == 9
-    fringe = _fringe_projectors("H", (0.0, 90.0, 180.0))
+    fringe = _fringe_basis("H")
+    assert fringe.shape == (3, 2)
     for shared in (vectors, design, fringe):
         with pytest.raises(ValueError):
             shared[0, 0] = 0.0
@@ -222,6 +223,26 @@ def test_closed_form_visibility_matches_dense_fringe(fixed):
         dense = (hi - lo) / (hi + lo)
         assert dense <= vis + 1e-12
         assert vis - dense <= DENSE_BIAS + 1e-12
+
+
+@pytest.mark.parametrize("fixed", ["H", "V", "D", "A", "R"])
+def test_fringe_curve_matches_per_angle_projector_rates(fixed):
+    from spdcfilm.polarization import linear_analyzer, two_photon_projector
+
+    # reference: arm A's ket built through the waveplates at every angle
+    rng = np.random.default_rng(SEED + 6)
+    eta = setting(fixed).ket()
+    grid = np.linspace(-30.0, 330.0, 73)
+    for _ in range(5):
+        rho = _random_rho(rng)
+        curve, _ = fringe_scan(rho, fixed, grid, scale=2.5)
+        expected = [
+            2.5 * np.real(np.vdot(w, rho @ w))
+            for w in (two_photon_projector(AnalyzerSetting(*linear_analyzer(t)).ket(), eta)
+                      for t in grid)
+        ]
+        assert [t for t, _ in curve] == grid.tolist()
+        assert np.allclose([r for _, r in curve], expected, rtol=0.0, atol=1e-12)
 
 
 def test_fringe_without_counts_has_no_visibility():
