@@ -19,7 +19,7 @@ from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
 from .materials import load_material
 from .polarization import ANALYZER_ANGLES
 from .qutrit import depolarize
-from .spectral import DETECTOR_RESPONSES, check_grid, default_grid
+from .spectral import C_NM_THZ, DETECTOR_RESPONSES, FilmStack, check_grid, default_grid
 
 
 def _require(condition: bool, message: str):
@@ -246,6 +246,25 @@ class ExperimentConfig:
     hom: HomConfig
     fringe: FringeConfig
     run: RunConfig
+
+    def __post_init__(self):
+        # the grid's extreme detunings put the signal and idler at v0 +- span
+        # (v0 = v_p / 2): every [film] index model must hold there and at the
+        # pump before any stage runs, not only when the spectrum is built
+        nu0 = C_NM_THZ / self.pump.wavelength_nm / 2.0
+        span = self.spectrum.span_thz
+        _require(span < nu0, f"spectrum span_thz must stay below the degenerate {nu0:.6g} THz")
+        _built("spectrum", self.film_stack().indices, [2.0 * nu0, nu0 + span, nu0 - span])
+
+    def film_stack(self) -> FilmStack:
+        """The film etalon of the [film] section, pumped at the [pump] wavelength."""
+        return FilmStack(
+            thickness_nm=self.film.thickness_nm,
+            film=self.film.film_index,
+            substrate=self.film.substrate_index,
+            ambient=self.film.ambient_index,
+            pump_nm=self.pump.wavelength_nm,
+        )
 
 
 def _read_parser(path=None) -> configparser.ConfigParser:

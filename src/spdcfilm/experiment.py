@@ -49,7 +49,6 @@ from .qutrit import (
 )
 from .spectral import (
     DETECTOR_RESPONSES,
-    FilmStack,
     apply_detector_response,
     default_grid,
     hom_fwhm,
@@ -244,15 +243,8 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
 
 def spectral_section(cfg: ExperimentConfig):
     """(spectrum, delays, dip, peak, intensity FWHM, HOM dip FWHM) of the configured film."""
-    stack = FilmStack(
-        thickness_nm=cfg.film.thickness_nm,
-        film=cfg.film.film_index,
-        substrate=cfg.film.substrate_index,
-        ambient=cfg.film.ambient_index,
-        pump_nm=cfg.pump.wavelength_nm,
-    )
     grid = default_grid(cfg.spectrum.span_thz, cfg.spectrum.points)
-    spec = joint_spectrum(stack, grid)
+    spec = joint_spectrum(cfg.film_stack(), grid)
     spec = apply_detector_response(
         spec,
         longpass_pair_response(
@@ -274,8 +266,8 @@ def spectral_section(cfg: ExperimentConfig):
 def hom_curve_json(delays, dip, peak) -> list:
     """The HOM curves as one {tau_fs, r_dip, r_peak} entry per delay."""
     return [
-        {"tau_fs": float(t), "r_dip": float(d), "r_peak": float(p)}
-        for t, d, p in zip(delays, dip, peak)
+        {"tau_fs": t, "r_dip": d, "r_peak": p}
+        for t, d, p in zip(delays.tolist(), dip.tolist(), peak.tolist())
     ]
 
 
@@ -431,16 +423,12 @@ def write_report(report: ExperimentReport, out_dir) -> list:
         "histogram.csv",
         ["setting_index", "delta_t_ns", "counts"],
         [
-            (m, float(t), int(c))
+            (m, t, c)
             for m, h in enumerate(report.histograms)
-            for t, c in zip(h.centers_ns, h.counts)
+            for t, c in zip(h.centers_ns.tolist(), h.counts.tolist())
         ],
     )
-    write_csv(
-        "fringe.csv",
-        ["theta_deg", "rate"],
-        [(float(t), float(r)) for t, r in report.fringe_curve],
-    )
+    write_csv("fringe.csv", ["theta_deg", "rate"], report.fringe_curve)
     write_csv(
         "hom.csv",
         ["tau_fs", "r_dip", "r_peak"],
@@ -449,10 +437,7 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     write_csv(
         "spectrum.csv",
         ["omega_thz", "intensity"],
-        [
-            (float(w), float(s))
-            for w, s in zip(report.spectrum_omega_thz, report.spectrum_intensity)
-        ],
+        zip(report.spectrum_omega_thz.tolist(), report.spectrum_intensity.tolist()),
     )
     write_csv(
         "delay_scan.csv",

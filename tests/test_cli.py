@@ -11,6 +11,8 @@ from spdcfilm.cli import (
     EXIT_OK,
     main,
 )
+from spdcfilm.config import load_config
+from spdcfilm.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +153,20 @@ def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("span, expected", [(154, EXIT_OK), (155, EXIT_CONFIG)])
+def test_spectrum_span_checked_against_index_data_at_load(capsys, tmp_path, span, expected):
+    # with the 638 nm pump, a span past about 154.14 THz puts the grid's
+    # extreme idler beyond the fused-silica substrate data (3.71 um)
+    cfg = tmp_path / "span.cfg"
+    cfg.write_text(f"[spectrum]\nspan_thz = {span}\n")
+    if expected == EXIT_CONFIG:
+        with pytest.raises(ConfigError, match=r"^\[spectrum\] wavelength outside validity window"):
+            load_config(cfg)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == expected
+    assert (tmp_path / "out" / "report.json").exists() == (expected == EXIT_OK)
 
 
 def test_single_bootstrap_replicate_exit_code(capsys, tmp_path):

@@ -146,6 +146,12 @@ def test_unknown_material_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unobtainium.*known.*'gap'"):
         load_config(path)
     path.write_text("[film]\nsubstrate_index = calcite_o\nambient_index = 1.33\n")
+    # the calcite o-ray data end at 2.172 um: the default 638 nm pump and
+    # +-150 THz grid put the idler at 3.53 um, a 600 nm pump and +-100 THz at 2.0 um
+    with pytest.raises(ConfigError, match=r"^\[spectrum\] wavelength outside .* 2\.172\]"):
+        load_config(path)
+    path.write_text("[film]\nsubstrate_index = calcite_o\nambient_index = 1.33\n"
+                    "[pump]\nwavelength_nm = 600\n[spectrum]\nspan_thz = 100\n")
     cfg = load_config(path)
     assert cfg.film.substrate_index == "calcite_o"
     assert cfg.film.ambient_index == 1.33

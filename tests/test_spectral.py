@@ -31,6 +31,7 @@ from spdcfilm.errors import AsymmetricSpectrum, GridTooNarrow, InvalidState
 from spdcfilm.spectral import (
     _BLOCK_ELEMENTS,
     SpectralAmplitude,
+    _progression_step,
     default_grid,
     interference_contrast,
 )
@@ -115,13 +116,42 @@ def _dense_contrast(spec, taus):
 
 def test_blockwise_contrast_matches_dense_formula():
     spec = _banded_default()
-    rows = _BLOCK_ELEMENTS // spec.omega_thz.size  # delays in one block
+    rows = _BLOCK_ELEMENTS // spec.omega_thz.size  # delays in one direct block
     assert spec.omega_thz.size == 4096 and rows > 1
-    for n in (0, 1, rows - 1, rows, rows + 1):
-        taus = np.linspace(-200.0, 200.0, n)
-        g = interference_contrast(spec, taus)
-        assert g.shape == (n,)
-        np.testing.assert_allclose(g, _dense_contrast(spec, taus), rtol=0.0, atol=1e-14)
+    # ascending and descending grids; 97 and 601 delays leave a ragged last
+    # row of the angle-addition split
+    for n in (0, 1, 2, 3, 97, rows - 1, rows, rows + 1, 601):
+        for taus in (np.linspace(-200.0, 200.0, n), np.linspace(200.0, -200.0, n)):
+            assert (_progression_step(taus) is not None) == (n >= 2)
+            g = interference_contrast(spec, taus)
+            assert g.shape == (n,)
+            np.testing.assert_allclose(g, _dense_contrast(spec, taus), rtol=0.0, atol=1e-14)
+    # a sorted random delay set is no progression: it takes the direct sum
+    taus = np.sort(np.random.default_rng(SEED).uniform(-200.0, 200.0, 601))
+    assert _progression_step(taus) is None
+    np.testing.assert_allclose(
+        interference_contrast(spec, taus), _dense_contrast(spec, taus), rtol=0.0, atol=1e-14
+    )
+    # the unfiltered spectrum's steep far lobes: without the first-order term
+    # for the grid's ulp-level unevenness, g here is off by 1.6e-14
+    raw = joint_spectrum(FilmStack())
+    taus = np.linspace(-400.0, 400.0, 601)
+    np.testing.assert_allclose(
+        interference_contrast(raw, taus), _dense_contrast(raw, taus), rtol=0.0, atol=1e-14
+    )
+    # the fine_spectrum benchmark case: 601 delays over +-60 fs on 16,384 points
+    fine = _fine_lorentzian()
+    taus = np.linspace(-60.0, 60.0, 601)
+    dense = np.concatenate([_dense_contrast(fine, part) for part in np.array_split(taus, 16)])
+    np.testing.assert_allclose(interference_contrast(fine, taus), dense, rtol=0.0, atol=1e-14)
+
+
+def test_contrast_memory_on_fine_grid():
+    # the split's tables and one block of head rows stay within 8 MB
+    spec = _fine_lorentzian()
+    taus = np.linspace(-60.0, 60.0, 601)
+    _, peak_mb = _traced_peak_mb(lambda: interference_contrast(spec, taus))
+    assert peak_mb < 12.0
 
 
 def _gaussian_spectrum(fwhm_thz):
