@@ -103,7 +103,7 @@ def plate_delay_fs(plate: Plate, n_o: float, n_e: float) -> float:
 
 def calcite_delay(line: DelayLine) -> float:
     """Total H-minus-V delay of the line, in fs."""
-    return sum(plate_delay_fs(p, line.n_o, line.n_e) for p in line.plates)
+    return float(sum(plate_delay_fs(p, line.n_o, line.n_e) for p in line.plates))
 
 
 def default_delay_line(

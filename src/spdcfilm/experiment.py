@@ -10,6 +10,17 @@ calcite delay-line scan. All randomness derives from one master seed via
 numpy SeedSequence spawning, in a fixed order, so a given (config, seed)
 pair always produces byte-identical canonical output.
 
+The seed-free stages are computed once per configuration: the orientation
+(fit or fixed, keyed on ``[crystal]`` and ``[calibration]``), the source
+model (H/V and configured-pump amplitudes, the depolarized qutrit and its
+CHSH value; also keyed on ``[pump]`` and the ``[noise]`` depolarization),
+the spectral section (keyed on ``[spectrum]``, the film etalon at the pump
+wavelength, ``[filters]``, ``[detector_response]`` and ``[hom]``) and the
+delay scan (keyed on ``[delay_line]``). Each memo holds the last
+``_MEMO_CONFIGS`` configurations; a seed sweep pays for these stages once.
+Their arrays, the report's spectrum arrays among them, are shared between
+runs and read-only; the summary's dicts and lists are built fresh per run.
+
 The stages the CLI runs on their own are public: ``resolve_orientation``,
 ``source_state``, ``setting_histogram``, ``simulate_tomography`` and
 ``spectral_section``, with the JSON helpers the report shares with it.
@@ -17,7 +28,7 @@ The stages the CLI runs on their own are public: ``resolve_orientation``,
 
 from __future__ import annotations
 
-import csv
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -76,7 +87,9 @@ class ExperimentReport:
 
     ``summary`` is the JSON-safe dictionary (scalars and short curves, the
     HOM and delay-scan curves among them); the bulky arrays (histograms,
-    spectrum) and the fringe curve ride along for CSV sidecars.
+    spectrum) and the fringe curve ride along for CSV sidecars. The two
+    spectrum arrays are shared by every run of the configuration, and
+    read-only.
     """
 
     summary: dict
@@ -93,24 +106,59 @@ class ExperimentReport:
 def resolve_orientation(cfg: ExperimentConfig, chi):
     """(orientation, calibration residual): the configured angles, or a fit
     of the ``auto`` ones to the calibration weights."""
-    targets = {
-        "H": cfg.calibration.h_pump_weights,
-        "V": cfg.calibration.v_pump_weights,
-    }
-    tilt, az = cfg.crystal.tilt_deg, cfg.crystal.azimuth_deg
+    return _fit_orientation(cfg.crystal, cfg.calibration, chi)
+
+
+def _fit_orientation(crystal, calibration, chi):
+    targets = {"H": calibration.h_pump_weights, "V": calibration.v_pump_weights}
+    tilt, az = crystal.tilt_deg, crystal.azimuth_deg
     if tilt is None:
         orientation, residual = calibrate_orientation(
-            chi, targets, threshold=cfg.calibration.fit_threshold
+            chi, targets, threshold=calibration.fit_threshold
         )
     elif az is None:
         fitted_az, residual = calibrate_azimuth(
-            chi, tilt, targets, threshold=cfg.calibration.fit_threshold
+            chi, tilt, targets, threshold=calibration.fit_threshold
         )
         orientation = CrystalOrientation(tilt, fitted_az)
     else:
         orientation = CrystalOrientation(tilt, az)
         residual = weight_residual(chi, orientation, targets)
     return orientation, residual
+
+
+#: configurations each memo of a seed-free stage holds
+_MEMO_CONFIGS = 4
+
+
+def _memoized(stage):
+    """``stage`` memoized on its (frozen, hashable) config-section arguments,
+    for the last ``_MEMO_CONFIGS`` distinct ones.
+
+    The key holds the arguments' repr beside them: sections compare equal
+    when they differ only in the sign of a zero, which a stage may print.
+    """
+    cached = functools.lru_cache(maxsize=_MEMO_CONFIGS)(lambda _repr, *args: stage(*args))
+
+    @functools.wraps(stage)
+    def memo(*args):
+        return cached(repr(args), *args)
+
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@_memoized
+def _orientation(crystal, calibration):
+    """(chi, orientation, calibration residual) of the crystal sections."""
+    chi = chi2_zincblende(crystal.d_coefficient)
+    _read_only(chi)
+    return (chi, *_fit_orientation(crystal, calibration, chi))
 
 
 def complex_json(a) -> list:
@@ -139,8 +187,26 @@ def amplitudes_json(res) -> dict:
 
 def source_state(cfg: ExperimentConfig, chi, orientation):
     """The generated qutrit at the configured pump, and its depolarized density matrix."""
-    res = spdc_amplitudes(chi, orientation, pump_ket(cfg.pump.angle_deg))
-    return res, depolarize(res.state, cfg.noise.depolarization)
+    return _pumped_state(chi, orientation, cfg.pump.angle_deg, cfg.noise.depolarization)
+
+
+def _pumped_state(chi, orientation, angle_deg, depolarization):
+    res = spdc_amplitudes(chi, orientation, pump_ket(angle_deg))
+    return res, depolarize(res.state, depolarization)
+
+
+@_memoized
+def _source_model(crystal, calibration, pump, depolarization):
+    """The seed-free source: (orientation, calibration residual, H-pump,
+    V-pump and configured-pump amplitudes, the depolarized model qutrit, its
+    CHSH value)."""
+    chi, orientation, residual = _orientation(crystal, calibration)
+    res_h = spdc_amplitudes(chi, orientation, pump_ket(0.0))
+    res_v = spdc_amplitudes(chi, orientation, pump_ket(90.0))
+    res_pump, rho_true = _pumped_state(chi, orientation, pump.angle_deg, depolarization)
+    _read_only(res_h.state, res_v.state, res_pump.state, rho_true)
+    f_model = bell_mod.chsh_value(bell_mod.split_postselect_rho(rho_true))
+    return orientation, residual, res_h, res_v, res_pump, rho_true, f_model
 
 
 def setting_histogram(cfg: ExperimentConfig, seed, relative_rate: float = 1.0):
@@ -242,25 +308,48 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
 
 
 def spectral_section(cfg: ExperimentConfig):
-    """(spectrum, delays, dip, peak, intensity FWHM, HOM dip FWHM) of the configured film."""
-    grid = default_grid(cfg.spectrum.span_thz, cfg.spectrum.points)
-    spec = joint_spectrum(cfg.film_stack(), grid)
+    """(spectrum, delays, dip, peak, intensity FWHM, HOM dip FWHM) of the configured film.
+
+    Computed once per configuration (see the module docstring): the arrays
+    are shared with later calls and runs, and read-only.
+    """
+    return _spectral(cfg.spectrum, cfg.film_stack(), cfg.filters, cfg.detector_response,
+                     cfg.hom)[:6]
+
+
+@_memoized
+def _spectral(spectrum, film_stack, filters, detector_response, hom):
+    """``spectral_section``'s tuple, then the spectrum's intensity."""
+    grid = default_grid(spectrum.span_thz, spectrum.points)
+    spec = joint_spectrum(film_stack, grid)
     spec = apply_detector_response(
         spec,
-        longpass_pair_response(
-            spec, cfg.filters.longpass_cuton_nm, cfg.filters.edge_width_thz
-        ),
+        longpass_pair_response(spec, filters.longpass_cuton_nm, filters.edge_width_thz),
     )
-    response = DETECTOR_RESPONSES[cfg.detector_response.shape]
+    response = DETECTOR_RESPONSES[detector_response.shape]
     if response is not None:
-        spec = apply_detector_response(spec, response(spec, cfg.detector_response.fwhm_thz))
+        spec = apply_detector_response(spec, response(spec, detector_response.fwhm_thz))
 
-    delays = np.linspace(
-        cfg.hom.delay_start_fs, cfg.hom.delay_stop_fs, cfg.hom.delay_points
-    )
+    delays = np.linspace(hom.delay_start_fs, hom.delay_stop_fs, hom.delay_points)
     g = interference_contrast(spec, delays)  # the dip and peak curves share one kernel
     dip, peak = (1.0 - g) / 2.0, (1.0 + g) / 2.0
-    return spec, delays, dip, peak, intensity_fwhm(spec), hom_fwhm(spec)
+    intensity = spec.intensity
+    _read_only(spec.omega_thz, spec.phi, spec.response, delays, dip, peak, intensity)
+    return spec, delays, dip, peak, intensity_fwhm(spec), hom_fwhm(spec), intensity
+
+
+@_memoized
+def _delay_line_scan(delay_line):
+    """(delay at the base tilt, ((tilt, delay), ...) over the inner-pair scan)."""
+    line = default_delay_line(
+        base_tilt_deg=delay_line.base_tilt_deg,
+        thickness_mm=delay_line.plate_thickness_mm,
+        wavelength_um=delay_line.wavelength_um,
+    )
+    tilt_grid = np.linspace(
+        delay_line.scan_start_deg, delay_line.scan_stop_deg, delay_line.scan_points
+    )
+    return calcite_delay(line), tuple(delay_scan(line, tilt_grid, which="inner"))
 
 
 def hom_curve_json(delays, dip, peak) -> list:
@@ -314,37 +403,23 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
     master_seed = cfg.run.seed if seed is None else int(seed)
     seed_seq = np.random.SeedSequence(master_seed)
 
-    chi = chi2_zincblende(cfg.crystal.d_coefficient)
-    orientation, residual = resolve_orientation(cfg, chi)
-
-    res_h = spdc_amplitudes(chi, orientation, pump_ket(0.0))
-    res_v = spdc_amplitudes(chi, orientation, pump_ket(90.0))
-    res_pump, rho_true = source_state(cfg, chi, orientation)
-
+    orientation, residual, res_h, res_v, res_pump, rho_true, f_model = _source_model(
+        cfg.crystal, cfg.calibration, cfg.pump, cfg.noise.depolarization
+    )
     tomography, rho_hat, histograms, fringe_curve = simulate_tomography(
         cfg, rho_true, seed_seq
     )
 
-    rho4_model = bell_mod.split_postselect_rho(rho_true)
     rho4_hat = bell_mod.split_postselect_rho(rho_hat)
     bell_rng = np.random.default_rng(seed_seq.spawn(1)[0])
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
         rho4_hat, cfg.bell.counts_per_setting, bell_rng
     )
 
-    spec, delays, dip, peak, fwhm_thz, dip_fwhm = spectral_section(cfg)
-
-    line = default_delay_line(
-        base_tilt_deg=cfg.delay_line.base_tilt_deg,
-        thickness_mm=cfg.delay_line.plate_thickness_mm,
-        wavelength_um=cfg.delay_line.wavelength_um,
+    spec, delays, dip, peak, fwhm_thz, dip_fwhm, intensity = _spectral(
+        cfg.spectrum, cfg.film_stack(), cfg.filters, cfg.detector_response, cfg.hom
     )
-    tilt_grid = np.linspace(
-        cfg.delay_line.scan_start_deg,
-        cfg.delay_line.scan_stop_deg,
-        cfg.delay_line.scan_points,
-    )
-    delay_curve = delay_scan(line, tilt_grid, which="inner")
+    delay_at_base, delay_curve = _delay_line_scan(cfg.delay_line)
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -372,7 +447,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         },
         "tomography": tomography,
         "bell": {
-            "f_model": bell_mod.chsh_value(rho4_model),
+            "f_model": f_model,
             "f_reconstructed": bell_mod.chsh_value(rho4_hat),
             "f_simulated": f_sim,
             "sigma_f": sigma_f,
@@ -387,7 +462,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         },
         "delay_line": {
             "base_tilt_deg": cfg.delay_line.base_tilt_deg,
-            "delay_at_base_fs": calcite_delay(line),
+            "delay_at_base_fs": delay_at_base,
             "scan": [{"tilt_deg": t, "delay_fs": d} for t, d in delay_curve],
         },
     }
@@ -396,7 +471,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         summary=summary,
         histograms=histograms,
         spectrum_omega_thz=spec.omega_thz,
-        spectrum_intensity=spec.intensity,
+        spectrum_intensity=intensity,
         fringe_curve=fringe_curve,
     )
 
@@ -412,11 +487,12 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     paths.append(json_path)
 
     def write_csv(name, header, rows):
+        # the bytes csv.writer gives rows of numbers: str() of each cell, CRLF
+        # line ends; streamed, so no file's text is held whole
         path = out / name
         with path.open("w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(rows)
+            f.write(",".join(header) + "\r\n")
+            f.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
         paths.append(path)
 
     write_csv(

@@ -168,5 +168,5 @@ def concurrence_phase_curve(weights, deltas_rad) -> np.ndarray:
 def concurrence_bounds(weights) -> tuple[float, float]:
     """(min, max) of concurrence over all phases compatible with the weights."""
     w1, w2, w3 = (float(w) for w in weights)
-    a = 2.0 * np.sqrt(w1 * w3)
+    a = 2.0 * float(np.sqrt(w1 * w3))
     return abs(a - w2), a + w2

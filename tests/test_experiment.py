@@ -1,15 +1,21 @@
-"""End-to-end pipeline tests: determinism, report schema, file output."""
+"""End-to-end pipeline tests: determinism, report schema, file output, memos."""
 
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdcfilm.experiment as experiment
+import spdcfilm.tomography as tomography
 from spdcfilm import load_config, run_experiment, write_report
 
 SEED = 20260819
@@ -160,13 +166,25 @@ def test_bootstrap_sigmas_positive(report):
     assert t["visibility_sigma"] > 0.0
 
 
+def _clear_memos():
+    """Forget every memoized stage: the next run computes all of them, as in a
+    fresh process."""
+    for memo in (
+        tomography._protocol_constants,
+        tomography._fringe_basis,
+        experiment._orientation,
+        experiment._source_model,
+        experiment._spectral,
+        experiment._delay_line_scan,
+    ):
+        memo.cache_clear()
+
+
 def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
     import spdcfilm.polarization as polarization
-    import spdcfilm.tomography as tomography
 
     # count from a cold memo: what one run in a fresh process builds
-    tomography._protocol_constants.cache_clear()
-    tomography._fringe_basis.cache_clear()
+    _clear_memos()
     calls = []
     original = polarization.analyzer_ket
 
@@ -296,3 +314,172 @@ def test_default_runs_never_import_scipy(tmp_path):
     assert "scipy.optimize" in probe["after"]
     assert probe["residual"] < 0.005
     assert probe["h_weights"] == pytest.approx([0.7827, 0.0169, 0.2005], abs=5e-3)
+
+
+def _quick():
+    """The packaged defaults without bootstrap replicates."""
+    cfg = load_config()
+    return replace(cfg, run=replace(cfg.run, bootstrap_samples=0))
+
+
+#: the seed-free stage functions whose calls ``stage_calls`` counts
+COUNTED_STAGES = (
+    "calibrate_orientation",
+    "weight_residual",
+    "spdc_amplitudes",
+    "joint_spectrum",
+    "delay_scan",
+)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Cold memos, and a count of the calls each of COUNTED_STAGES gets from runs."""
+    _clear_memos()
+    calls = Counter()
+    for name in COUNTED_STAGES:
+        def counting(*args, _name=name, _original=getattr(experiment, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counting)
+    yield calls
+    _clear_memos()
+
+
+def test_seed_sweep_computes_seed_free_stages_once(stage_calls):
+    base = _quick()
+    fitted = replace(base, crystal=replace(base.crystal, tilt_deg=None, azimuth_deg=None))
+    first, second = (run_experiment(fitted, seed) for seed in (1, 2))
+    assert first.canonical_json() != second.canonical_json()
+    assert stage_calls["calibrate_orientation"] == 1
+    assert stage_calls["joint_spectrum"] == 1
+    assert stage_calls["delay_scan"] == 1
+    assert stage_calls["spdc_amplitudes"] == 3  # H, V and the configured pump
+
+
+def test_memo_keys_follow_the_sections_each_stage_reads(stage_calls):
+    base = _quick()
+    seed_side = [
+        replace(base, run=replace(base.run, seed=5, bootstrap_samples=2)),
+        replace(base, noise=replace(base.noise, pair_rate_hz=900.0, singles_a_hz=1e4)),
+        replace(base, tomography=replace(base.tomography, duration_per_setting_s=3.0)),
+        replace(base, bell=replace(base.bell, counts_per_setting=50)),
+        replace(base, fringe=replace(base.fringe, fixed_analyzer="V")),
+    ]
+    for cfg in [base, *seed_side]:
+        run_experiment(cfg, seed=3)
+    assert dict(stage_calls) == {
+        "weight_residual": 1, "spdc_amplitudes": 3, "joint_spectrum": 1, "delay_scan": 1,
+    }
+
+    # the spectrum is recomputed for a new grid, and only the spectrum
+    run_experiment(replace(base, spectrum=replace(base.spectrum, points=2048)), seed=3)
+    assert (stage_calls["joint_spectrum"], stage_calls["weight_residual"]) == (2, 1)
+    # a new depolarization rebuilds the source model on the memoized orientation
+    run_experiment(replace(base, noise=replace(base.noise, depolarization=0.1)), seed=3)
+    assert (stage_calls["spdc_amplitudes"], stage_calls["weight_residual"]) == (6, 1)
+    # a new crystal refits the orientation but keeps the spectrum
+    run_experiment(replace(base, crystal=replace(base.crystal, tilt_deg=35.0)), seed=3)
+    assert (stage_calls["weight_residual"], stage_calls["joint_spectrum"]) == (2, 2)
+    # a new delay line rescans it
+    run_experiment(replace(base, delay_line=replace(base.delay_line, scan_points=11)), seed=3)
+    assert stage_calls["delay_scan"] == 2
+
+
+def test_memo_tells_negative_zero_from_zero():
+    # two equal [delay_line] sections: one scan ends at 0.0, the other at -0.0
+    base = _quick()
+    line = replace(base.delay_line, scan_start_deg=-20.0, scan_stop_deg=0.0)
+    configs = [replace(base, delay_line=line),
+               replace(base, delay_line=replace(line, scan_stop_deg=-0.0))]
+    assert configs[0] == configs[1]
+    cold = []
+    for cfg in configs:
+        _clear_memos()
+        cold.append(run_experiment(cfg, seed=3).canonical_json())
+    assert cold[0] != cold[1]
+    warm = [run_experiment(cfg, seed=3).canonical_json() for cfg in configs]
+    assert warm == cold
+
+
+def _written(report, out_dir) -> dict:
+    return {p.name: p.read_bytes() for p in write_report(report, out_dir)}
+
+
+def test_cold_and_warm_runs_write_identical_bytes(tmp_path):
+    cfg = load_config()
+    _clear_memos()
+    cold = run_experiment(cfg, SEED)
+    cold_files = _written(cold, tmp_path / "cold")
+    run_experiment(cfg, SEED + 1)
+    warm = run_experiment(cfg, SEED)
+    assert warm.canonical_json() == cold.canonical_json()
+    assert _written(warm, tmp_path / "warm") == cold_files
+
+
+def test_shared_arrays_are_read_only_and_summaries_fresh():
+    cfg = _quick()
+    first = run_experiment(cfg, SEED)
+    expected = first.canonical_json()
+    for shared in (first.spectrum_intensity, first.spectrum_omega_thz):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+    spectral, _, _, _, _, _ = experiment.spectral_section(cfg)
+    with pytest.raises(ValueError):
+        spectral.phi[0] = 0.0
+    s = first.summary
+    s["spectral"]["hom_curve"][0]["r_dip"] = 5.0
+    s["spectral"]["hom_curve"].pop()
+    s["model_state"]["concurrence_bounds"].append(1.0)
+    s["amplitudes"]["h_pump"]["weights"][0] = 9.0
+    s["orientation"]["normal_axis_angles_deg"].clear()
+    s["delay_line"]["scan"][0]["delay_fs"] = 1.0
+    assert run_experiment(cfg, SEED).canonical_json() == expected
+
+
+def _builtin_type_errors(value, path="") -> list:
+    """Paths in a summary that hold anything but dict, list, str, int, float, bool or None."""
+    if type(value) is dict:
+        return [e for k, v in value.items()
+                for e in ([f"{path}: key {k!r}"] if type(k) is not str else [])
+                + _builtin_type_errors(v, f"{path}.{k}")]
+    if type(value) is list:
+        return [e for i, v in enumerate(value) for e in _builtin_type_errors(v, f"{path}[{i}]")]
+    if type(value) in (str, int, float, bool, type(None)):
+        return []
+    return [f"{path}: {type(value).__name__}"]
+
+
+def test_summary_holds_only_builtin_types(report):
+    assert _builtin_type_errors(report.summary) == []
+    base = _quick()
+    for crystal in (replace(base.crystal, tilt_deg=None, azimuth_deg=None),
+                    replace(base.crystal, azimuth_deg=None)):
+        fitted = run_experiment(replace(base, crystal=crystal), seed=3)
+        assert _builtin_type_errors(fitted.summary) == []
+    assert _builtin_type_errors({"x": [np.float64(1.0)]}) == [".x[0]: float64"]
+
+
+def test_sidecars_are_what_csv_writer_renders(tmp_path, report):
+    s = report.summary
+    tables = {
+        "histogram.csv": (["setting_index", "delta_t_ns", "counts"], [
+            (m, t, c) for m, h in enumerate(report.histograms)
+            for t, c in zip(h.centers_ns, h.counts)
+        ]),
+        "fringe.csv": (["theta_deg", "rate"], report.fringe_curve),
+        "hom.csv": (["tau_fs", "r_dip", "r_peak"],
+                    [(p["tau_fs"], p["r_dip"], p["r_peak"]) for p in s["spectral"]["hom_curve"]]),
+        "spectrum.csv": (["omega_thz", "intensity"],
+                         zip(report.spectrum_omega_thz, report.spectrum_intensity)),
+        "delay_scan.csv": (["tilt_deg", "delay_fs"],
+                           [(p["tilt_deg"], p["delay_fs"]) for p in s["delay_line"]["scan"]]),
+    }
+    written = _written(report, tmp_path)
+    for name, (header, rows) in tables.items():
+        rendered = io.StringIO(newline="")
+        writer = csv.writer(rendered)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert written[name] == rendered.getvalue().encode(), name
