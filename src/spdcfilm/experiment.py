@@ -21,6 +21,14 @@ delay scan (keyed on ``[delay_line]``). Each memo holds the last
 Their arrays, the report's spectrum arrays among them, are shared between
 runs and read-only; the summary's dicts and lists are built fresh per run.
 
+``write_report`` encodes the seed-free sidecar bytes once per configuration
+too: ``spectrum.csv`` once per pair of the read-only spectrum arrays that
+``run_experiment`` returns (matched by identity, not by equal values), and
+the ``setting_index,delta_t_ns,`` prefix of each ``histogram.csv`` row once
+per bin grid, each for the last ``_MEMO_CONFIGS`` of them. The histogram
+counts, ``fringe.csv``, ``hom.csv``, ``delay_scan.csv`` and ``report.json``
+are encoded per run.
+
 The stages the CLI runs on their own are public: ``resolve_orientation``,
 ``source_state``, ``setting_histogram``, ``simulate_tomography`` and
 ``spectral_section``, with the JSON helpers the report shares with it.
@@ -29,6 +37,7 @@ The stages the CLI runs on their own are public: ``resolve_orientation``,
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -89,7 +98,9 @@ class ExperimentReport:
     HOM and delay-scan curves among them); the bulky arrays (histograms,
     spectrum) and the fringe curve ride along for CSV sidecars. The two
     spectrum arrays are shared by every run of the configuration, and
-    read-only.
+    read-only, so ``write_report`` encodes their ``spectrum.csv`` once for
+    all those runs; a report given other arrays, writable ones included,
+    gets those arrays' own bytes.
     """
 
     summary: dict
@@ -149,8 +160,22 @@ def _memoized(stage):
 
 
 def _read_only(*arrays):
+    """Make each array read-only, and every array its memory is a view of."""
     for a in arrays:
-        a.flags.writeable = False
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
+
+
+def _frozen(a) -> bool:
+    """Whether ``a`` is an array whose values stay as they are: it and every
+    array up its view chain to the memory's owner are read-only, so only
+    setting a writeable flag back would allow a write."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 @_memoized
@@ -476,8 +501,102 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
     )
 
 
+#: rows a sidecar encodes at a time: bounds the text held while encoding
+_CSV_BLOCK_ROWS = 1024
+
+
+def _csv_bytes(header, rows) -> bytes:
+    """The bytes ``csv.writer`` writes for a header and rows of numbers: str()
+    of each cell, CRLF line ends. Encoded ``_CSV_BLOCK_ROWS`` rows at a time
+    into one bytes object, so no list of every row's text is held."""
+    rows = iter(rows)
+    encoded = bytearray((",".join(header) + "\r\n").encode())
+    while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+        encoded += "".join([",".join(map(str, row)) + "\r\n" for row in block]).encode()
+    return bytes(encoded)
+
+
+class _Same:
+    """An object held as a cache key that compares and hashes by identity."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
+def _spectrum_csv(omega, intensity) -> bytes:
+    return _csv_bytes(["omega_thz", "intensity"], zip(omega.tolist(), intensity.tolist()))
+
+
+@functools.lru_cache(maxsize=_MEMO_CONFIGS)
+def _frozen_spectrum_csv(omega: _Same, intensity: _Same) -> bytes:
+    """``spectrum.csv`` of two frozen arrays, encoded once while they are cached.
+
+    Keyed by identity, not value: the key holds the arrays, so no other array
+    can take their ids, and frozen arrays cannot change.
+    """
+    return _spectrum_csv(omega.obj, intensity.obj)
+
+
+class _RowTemplates(dict):
+    """setting index -> the ``histogram.csv`` rows of one bin grid, with a
+    ``%s`` for each count: ``setting_index,delta_t_ns,%s`` lines joined
+    ``_CSV_BLOCK_ROWS`` to a template. Made on first use."""
+
+    def __init__(self, delta_t):
+        super().__init__()
+        self.delta_t = delta_t
+
+    def __missing__(self, m):
+        self[m] = templates = [
+            "".join([f"{m},{t},%s\r\n" for t in self.delta_t[start:start + _CSV_BLOCK_ROWS]])
+            for start in range(0, len(self.delta_t), _CSV_BLOCK_ROWS)
+        ]
+        return templates
+
+
+@functools.lru_cache(maxsize=_MEMO_CONFIGS)
+def _histogram_row_templates(dtype: str, centers: bytes) -> _RowTemplates:
+    """The row templates of the bin grid with these centers: keyed on their
+    dtype and bytes, so -0.0 and 0.0 are different grids."""
+    return _RowTemplates(np.frombuffer(centers, dtype=dtype).tolist())
+
+
+def _histogram_csv(histograms) -> bytes:
+    """``histogram.csv``: the cached row templates filled with str() of each count."""
+    encoded = bytearray(b"setting_index,delta_t_ns,counts\r\n")
+    for m, h in enumerate(histograms):
+        counts = h.counts.tolist()
+        templates = _histogram_row_templates(h.centers_ns.dtype.str, h.centers_ns.tobytes())[m]
+        for start, template in zip(range(0, len(counts), _CSV_BLOCK_ROWS), templates):
+            encoded += (template % tuple(counts[start:start + _CSV_BLOCK_ROWS])).encode()
+    return bytes(encoded)
+
+
 def write_report(report: ExperimentReport, out_dir) -> list:
-    """Write report.json plus CSV sidecars; returns the written paths."""
+    """Write report.json plus CSV sidecars; returns the written paths.
+
+    Each sidecar holds the bytes ``csv.writer`` writes for its rows: str() of
+    each number, CRLF line ends. Encoded once per configuration, for the
+    last ``_MEMO_CONFIGS`` of them:
+
+    * ``spectrum.csv``, per pair of spectrum arrays that no write can change
+      (``_frozen``, as ``run_experiment`` returns them), matched by identity;
+      any other arrays are encoded per call;
+    * in ``histogram.csv``, each row's ``setting_index,delta_t_ns,`` prefix,
+      per bin grid (matched by its dtype and bytes) and setting index, as
+      templates the counts fill.
+
+    Encoded per call: the histogram counts, ``fringe.csv``, and ``hom.csv``
+    and ``delay_scan.csv`` from the summary's curves.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -486,38 +605,25 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     json_path.write_text(json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     paths.append(json_path)
 
-    def write_csv(name, header, rows):
-        # the bytes csv.writer gives rows of numbers: str() of each cell, CRLF
-        # line ends; streamed, so no file's text is held whole
+    def write_csv(name, data: bytes):
         path = out / name
-        with path.open("w", newline="") as f:
-            f.write(",".join(header) + "\r\n")
-            f.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+        path.write_bytes(data)
         paths.append(path)
 
-    write_csv(
-        "histogram.csv",
-        ["setting_index", "delta_t_ns", "counts"],
-        [
-            (m, t, c)
-            for m, h in enumerate(report.histograms)
-            for t, c in zip(h.centers_ns.tolist(), h.counts.tolist())
-        ],
-    )
-    write_csv("fringe.csv", ["theta_deg", "rate"], report.fringe_curve)
-    write_csv(
-        "hom.csv",
+    s = report.summary
+    write_csv("histogram.csv", _histogram_csv(report.histograms))
+    write_csv("fringe.csv", _csv_bytes(["theta_deg", "rate"], report.fringe_curve))
+    write_csv("hom.csv", _csv_bytes(
         ["tau_fs", "r_dip", "r_peak"],
-        [(p["tau_fs"], p["r_dip"], p["r_peak"]) for p in report.summary["spectral"]["hom_curve"]],
-    )
-    write_csv(
-        "spectrum.csv",
-        ["omega_thz", "intensity"],
-        zip(report.spectrum_omega_thz.tolist(), report.spectrum_intensity.tolist()),
-    )
-    write_csv(
-        "delay_scan.csv",
+        [(p["tau_fs"], p["r_dip"], p["r_peak"]) for p in s["spectral"]["hom_curve"]],
+    ))
+    omega, intensity = report.spectrum_omega_thz, report.spectrum_intensity
+    if _frozen(omega) and _frozen(intensity):
+        write_csv("spectrum.csv", _frozen_spectrum_csv(_Same(omega), _Same(intensity)))
+    else:
+        write_csv("spectrum.csv", _spectrum_csv(omega, intensity))
+    write_csv("delay_scan.csv", _csv_bytes(
         ["tilt_deg", "delay_fs"],
-        [(p["tilt_deg"], p["delay_fs"]) for p in report.summary["delay_line"]["scan"]],
-    )
+        [(p["tilt_deg"], p["delay_fs"]) for p in s["delay_line"]["scan"]],
+    ))
     return paths

@@ -167,8 +167,8 @@ def test_bootstrap_sigmas_positive(report):
 
 
 def _clear_memos():
-    """Forget every memoized stage: the next run computes all of them, as in a
-    fresh process."""
+    """Forget every memoized stage and encoded sidecar: the next run computes
+    and writes all of them, as in a fresh process."""
     for memo in (
         tomography._protocol_constants,
         tomography._fringe_basis,
@@ -176,6 +176,8 @@ def _clear_memos():
         experiment._source_model,
         experiment._spectral,
         experiment._delay_line_scan,
+        experiment._frozen_spectrum_csv,
+        experiment._histogram_row_templates,
     ):
         memo.cache_clear()
 
@@ -461,7 +463,16 @@ def test_summary_holds_only_builtin_types(report):
     assert _builtin_type_errors({"x": [np.float64(1.0)]}) == [".x[0]: float64"]
 
 
-def test_sidecars_are_what_csv_writer_renders(tmp_path, report):
+def _csv_writer_bytes(header, rows) -> bytes:
+    rendered = io.StringIO(newline="")
+    writer = csv.writer(rendered)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return rendered.getvalue().encode()
+
+
+def _rendered_sidecars(report) -> dict:
+    """What csv.writer writes for each CSV sidecar of ``report``."""
     s = report.summary
     tables = {
         "histogram.csv": (["setting_index", "delta_t_ns", "counts"], [
@@ -476,10 +487,111 @@ def test_sidecars_are_what_csv_writer_renders(tmp_path, report):
         "delay_scan.csv": (["tilt_deg", "delay_fs"],
                            [(p["tilt_deg"], p["delay_fs"]) for p in s["delay_line"]["scan"]]),
     }
-    written = _written(report, tmp_path)
-    for name, (header, rows) in tables.items():
-        rendered = io.StringIO(newline="")
-        writer = csv.writer(rendered)
-        writer.writerow(header)
-        writer.writerows(rows)
-        assert written[name] == rendered.getvalue().encode(), name
+    return {name: _csv_writer_bytes(*table) for name, table in tables.items()}
+
+
+def _sidecar_configs() -> dict:
+    """The packaged defaults, the fine-spectrum overlay (16,384 points, the
+    Lorentzian detector) and a fitted orientation."""
+    base = load_config()
+    return {
+        "default": base,
+        "fine_spectrum": load_config(ROOT / "perfbench" / "workloads" / "fine_spectrum.cfg"),
+        "auto": replace(_quick(), crystal=replace(base.crystal, tilt_deg=None, azimuth_deg=None)),
+    }
+
+
+def test_sidecars_are_what_csv_writer_renders(tmp_path):
+    # each configuration from cold memos and caches, then warm: a second seed
+    # and the first again, which writes every cached encoding
+    for name, cfg in _sidecar_configs().items():
+        _clear_memos()
+        for phase, seed in (("cold", SEED), ("warm", SEED + 1), ("warm", SEED)):
+            report = run_experiment(cfg, seed)
+            written = _written(report, tmp_path / f"{name}-{phase}-{seed}")
+            for file, expected in _rendered_sidecars(report).items():
+                assert written[file] == expected, (name, phase, seed, file)
+
+
+def _spectrum_rendered(omega, intensity) -> bytes:
+    return _csv_writer_bytes(["omega_thz", "intensity"], zip(omega, intensity))
+
+
+def test_spectrum_csv_follows_the_arrays_a_report_carries(tmp_path):
+    cfg = _quick()
+    report = run_experiment(cfg, SEED)
+    _written(report, tmp_path / "cached")  # the configuration's encoding is cached
+    omega, intensity = report.spectrum_omega_thz, report.spectrum_intensity
+
+    # writable copies, changed before the first write and between writes
+    copies = replace(report, spectrum_omega_thz=omega.copy(), spectrum_intensity=intensity.copy())
+    copies.spectrum_intensity[0] = 0.5
+    assert _written(copies, tmp_path / "copy")["spectrum.csv"] == _spectrum_rendered(
+        copies.spectrum_omega_thz, copies.spectrum_intensity)
+    copies.spectrum_omega_thz[-1] = -0.0
+    assert _written(copies, tmp_path / "copy")["spectrum.csv"] == _spectrum_rendered(
+        copies.spectrum_omega_thz, copies.spectrum_intensity)
+
+    # a read-only view of a writable array changes with it
+    owner = intensity.copy()
+    view = owner.view()
+    view.flags.writeable = False
+    viewed = replace(report, spectrum_intensity=view)
+    _written(viewed, tmp_path / "view")
+    owner[1] = 2.0
+    assert _written(viewed, tmp_path / "view")["spectrum.csv"] == _spectrum_rendered(omega, owner)
+
+    # another configuration's arrays on the same number of points, whole and mixed
+    other = run_experiment(replace(cfg, spectrum=replace(cfg.spectrum, span_thz=140.0)), SEED)
+    for o, i in ((other.spectrum_omega_thz, other.spectrum_intensity),
+                 (omega, other.spectrum_intensity),
+                 (other.spectrum_omega_thz, intensity)):
+        swapped = replace(report, spectrum_omega_thz=o, spectrum_intensity=i)
+        assert _written(swapped, tmp_path / "swapped")["spectrum.csv"] == _spectrum_rendered(o, i)
+    # frozen arrays of equal floats: one holds 0.0 where the other holds -0.0
+    zeros = []
+    for zero in (0.0, -0.0):
+        frozen = omega.copy()
+        frozen[0] = zero
+        frozen.flags.writeable = False
+        zeros.append(replace(report, spectrum_omega_thz=frozen))
+        assert _written(zeros[-1], tmp_path / "zero")["spectrum.csv"] == _spectrum_rendered(
+            frozen, intensity)
+    assert np.array_equal(zeros[0].spectrum_omega_thz, zeros[1].spectrum_omega_thz)
+    assert _written(report, tmp_path / "again")["spectrum.csv"] == _spectrum_rendered(
+        omega, intensity)
+
+
+def test_histogram_rows_follow_the_bin_grid_bytes(tmp_path):
+    # grids equal as numbers to the simulated one: 0.0 made -0.0, and integers
+    report = run_experiment(_quick(), SEED)
+
+    def regridded(centers):
+        return replace(report, histograms=[replace(h, centers_ns=centers(h.centers_ns))
+                                           for h in report.histograms])
+
+    signed = regridded(lambda c: np.where(c == 0.0, -0.0, c))
+    integer = regridded(lambda c: c.astype(np.int64))
+    for r in (report, signed, integer, report):
+        assert r.histograms[0].centers_ns.tolist() == report.histograms[0].centers_ns.tolist()
+        assert _written(r, tmp_path)["histogram.csv"] == _rendered_sidecars(r)["histogram.csv"]
+    assert b"\r\n0,-0.0," in _written(signed, tmp_path)["histogram.csv"]
+    assert b"\r\n0,0," in _written(integer, tmp_path)["histogram.csv"]
+
+
+def test_sidecar_caches_hold_at_most_memo_configs(tmp_path):
+    _clear_memos()
+    base = _quick()
+    caches = (experiment._frozen_spectrum_csv, experiment._histogram_row_templates)
+    block = experiment._CSV_BLOCK_ROWS
+    for k in range(experiment._MEMO_CONFIGS + 2):
+        # grids on both sides of an encoding block's edge
+        cfg = replace(base, spectrum=replace(base.spectrum, points=block - 1 + k),
+                      histogram=replace(base.histogram, n_bins=block - 1 + 2 * k))
+        report = run_experiment(cfg, SEED)
+        written = _written(report, tmp_path / str(k))
+        assert written.items() >= _rendered_sidecars(report).items(), k
+        sizes = [cache.cache_info().currsize for cache in caches]
+        assert sizes == [min(k + 1, experiment._MEMO_CONFIGS)] * 2, k
+    _clear_memos()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
