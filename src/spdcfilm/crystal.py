@@ -238,6 +238,88 @@ def calibrate_azimuth(
     return best_az, best_res
 
 
+class _EvaluationCap(Exception):
+    """The Nelder-Mead search has spent its evaluation budget."""
+
+
+def _nelder_mead(fun, x0):
+    """(x, fun(x)) at the best vertex of a Nelder-Mead search from ``x0``.
+
+    A port of ``_minimize_neldermead`` in SciPy's
+    ``scipy/optimize/_optimize.py`` (BSD-3-Clause; Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers), kept to what the orientation
+    fit uses: the non-adaptive coefficients, the default initial simplex,
+    no bounds, SciPy's default cap of 200 evaluations and iterations per
+    variable, and ``xatol=1e-4``, ``fatol=1e-12``. The float operations and
+    their order are SciPy's, so x and fun equal those of
+    ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
+    options={"xatol": 1e-4, "fatol": 1e-12})`` bit for bit.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    xatol, fatol = 1e-4, 1e-12
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    maxiter = maxfev = 200 * n
+    nfev = 0
+
+    def func(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationCap
+        nfev += 1
+        return fun(x)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(vertex) for vertex in sim], dtype=float)
+    for _ in range(2):  # SciPy sorts twice before the first iteration
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:  # expand
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = func(xc)
+                    shrink = not fxc <= fxr  # so a NaN shrinks, as in SciPy
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # contract inside
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = func(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:  # a vertex moved before the cap keeps its old value
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def calibrate_orientation(
     chi,
     targets: dict,
@@ -247,15 +329,20 @@ def calibrate_orientation(
 ) -> tuple[CrystalOrientation, float]:
     """Joint (tilt, azimuth) fit to measured pump-resolved weights.
 
-    Coarse grid scan over the tilt range and the [0, 180) azimuth range,
-    followed by a Nelder-Mead refinement of the best grid point. Use this
-    when ``calibrate_azimuth`` at the nominal tilt raises PoorFit.
-
-    ``scipy.optimize`` is imported here, on the first joint fit, so that
-    runs with a fixed orientation never load scipy.
+    Scans a ``coarse_step_deg`` grid over the tilt range and the [0, 180)
+    azimuth range and starts from its best point (the first of tied minima
+    in scan order). A Nelder-Mead simplex search (Nelder & Mead, Comput. J.
+    7, 308, 1965) then refines it: reflection 1, expansion 2, contraction
+    and shrink 1/2, an initial simplex stepping each nonzero coordinate by
+    5% (a zero one to 0.00025), stopping once every vertex lies within
+    1e-4 deg of the best in each angle and every value within 1e-12 of the
+    best residual, or after 400 evaluations. Its arithmetic is SciPy's
+    (``_nelder_mead``), so the fit equals ``scipy.optimize.minimize`` with
+    those tolerances without importing scipy. A search stopped by the cap
+    keeps its best vertex, which is judged like any other only by
+    ``threshold``. Use this when ``calibrate_azimuth`` at the nominal tilt
+    raises PoorFit.
     """
-    from scipy.optimize import minimize
-
     if not targets:
         raise ValueError("calibration requires at least one pump-setting target")
     tilts = np.arange(tilt_range[0], tilt_range[1] + 1e-9, coarse_step_deg)
@@ -267,10 +354,9 @@ def calibrate_orientation(
     def objective(x):
         return weight_residual(chi, CrystalOrientation(x[0], x[1]), targets)
 
-    opt = minimize(objective, x0=[float(tilts[i]), float(azimuths[j])], method="Nelder-Mead",
-                   options={"xatol": 1e-4, "fatol": 1e-12})
-    tilt, az = float(opt.x[0]), float(opt.x[1]) % 180.0
-    residual = float(opt.fun)
+    x, fun = _nelder_mead(objective, [float(tilts[i]), float(azimuths[j])])
+    tilt, az = float(x[0]), float(x[1]) % 180.0
+    residual = float(fun)
     if residual > threshold:
         raise PoorFit(
             f"joint orientation fit bottoms out at residual {residual:.4g} "

@@ -156,17 +156,22 @@ def test_pair_rate_curve_preserves_zeros():
 
 
 def test_zero_threshold_is_best_linear_pump_rate():
-    from spdcfilm.crystal import _raw_amplitudes, _zero_threshold
+    from spdcfilm.crystal import _zero_threshold
 
     chi = chi2_zincblende()
     rng = np.random.default_rng(SEED)
     orientations = [CALIBRATED, CrystalOrientation(10.0, 30.0)] + [
         CrystalOrientation(*rng.uniform(0.0, 90.0, 2)) for _ in range(5)
     ]
-    angles = np.arange(0.0, 180.0, 0.01)
+    angles = np.radians(np.arange(0.0, 180.0, 0.01))
     for orientation in orientations:
         rot = rotation_matrix(orientation)
-        rates = [np.sum(np.abs(_raw_amplitudes(chi, rot, pump_ket(a))) ** 2) for a in angles]
+        e_h, e_v = rot[:, 0], rot[:, 1]
+        # every scanned linear pump in crystal components, one row per angle
+        e_p = np.cos(angles)[:, None] * e_h + np.sin(angles)[:, None] * e_v
+        a_hh, a_hv, a_vh, a_vv = (np.einsum("ijk,i,j,ak->a", chi, a, b, e_p)
+                                  for a, b in ((e_h, e_h), (e_h, e_v), (e_v, e_h), (e_v, e_v)))
+        rates = a_hh ** 2 + (a_hv + a_vh) ** 2 / 2.0 + a_vv ** 2
         # the closed form bounds every scanned pump and the fine scan nearly reaches it
         assert max(rates) * 1e-12 <= _zero_threshold(chi, rot) * (1.0 + 1e-12)
         assert _zero_threshold(chi, rot) == pytest.approx(1e-12 * max(rates), rel=1e-8)
@@ -238,13 +243,13 @@ def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
     assert tied[0] == tied[1] == tied[2]
 
     starts = []
+    search = crystal._nelder_mead
 
-    def recording_minimize(fun, x0, **kwargs):
+    def recording_search(fun, x0):
         starts.append(list(x0))
-        return minimize(fun, x0, **kwargs)
+        return search(fun, x0)
 
-    # calibrate_orientation imports minimize from scipy.optimize on each call
-    monkeypatch.setattr("scipy.optimize.minimize", recording_minimize)
+    monkeypatch.setattr(crystal, "_nelder_mead", recording_search)
     calibrate_orientation(chi, targets, coarse_step_deg=1.0)
     assert starts == [[36.0, 41.0]]
 
@@ -263,3 +268,69 @@ def test_calibration_call_count(monkeypatch):
     calibrate_orientation(chi2_zincblende(), _shipped_targets())
     # the grid is one kernel call; only the Nelder-Mead refinement remains
     assert 0 < len(calls) <= 200
+
+
+def _assert_same_search(targets, x0):
+    """The in-package Nelder-Mead ends where SciPy's does from x0, after as
+    many evaluations, on one target set; returns SciPy's result."""
+    from spdcfilm.crystal import _nelder_mead
+
+    chi = chi2_zincblende()
+    memo = {}
+    calls = {"port": 0, "scipy": 0}
+
+    def objective(who):
+        def residual(x):
+            calls[who] += 1
+            key = np.asarray(x).tobytes()
+            if key not in memo:  # the same point costs one evaluation for both
+                memo[key] = weight_residual(chi, CrystalOrientation(x[0], x[1]), targets)
+            return memo[key]
+        return residual
+
+    ref = minimize(objective("scipy"), x0, method="Nelder-Mead",
+                   options={"xatol": 1e-4, "fatol": 1e-12})
+    x, fun = _nelder_mead(objective("port"), x0)
+    assert x.tobytes() == ref.x.tobytes()
+    assert fun == ref.fun and np.signbit(fun) == np.signbit(ref.fun)
+    assert calls["port"] == calls["scipy"] == ref.nfev
+    return ref
+
+
+def test_nelder_mead_is_scipys_on_shipped_targets():
+    ref = _assert_same_search(_shipped_targets(), [36.0, 41.0])
+    assert ref.nfev < 400
+    chi = chi2_zincblende()
+    orientation, residual = calibrate_orientation(chi, _shipped_targets())
+    assert (orientation.tilt_deg, orientation.azimuth_deg) == (ref.x[0], ref.x[1] % 180.0)
+    assert residual == ref.fun
+
+
+def test_nelder_mead_is_scipys_on_random_targets():
+    rng = np.random.default_rng(SEED)
+    for _ in range(100):
+        targets = {key: tuple(rng.dirichlet(np.ones(3))) for key in ("H", "V")}
+        third = rng.integers(3)  # none, the diagonal pump, or a pump at any angle
+        if third == 1:
+            targets["D"] = tuple(rng.dirichlet(np.ones(3)))
+        elif third == 2:
+            targets[float(rng.uniform(0.0, 180.0))] = tuple(rng.dirichlet(np.ones(3)))
+        _assert_same_search(targets, [float(rng.integers(56)), float(rng.integers(180))])
+
+
+# searches that the 400-evaluation cap stops part-way through an iteration
+CAPPED = [
+    # stuck on the tilt-0 plane, where every rate vanishes and the residual is
+    # flat in azimuth: tied values, and the cap cuts a shrink after one vertex
+    ({"H": (0.02918207377552893, 0.8890613542648487, 0.08175657195962252),
+      "V": (0.10222933412540339, 0.5219221586557791, 0.37584850721881763)}, [0.0, 43.0]),
+    # the cap falls between a reflection and the expansion or contraction after it
+    ({"H": (0.017016331058531824, 0.0980732124392775, 0.8849104565021907),
+      "V": (0.05278348737135649, 0.3033993820468104, 0.6438171305818332)}, [23.0, 117.0]),
+]
+
+
+@pytest.mark.parametrize("targets, x0", CAPPED, ids=["flat_shrink", "after_reflection"])
+def test_nelder_mead_stops_at_scipys_evaluation_cap(targets, x0):
+    ref = _assert_same_search(targets, x0)
+    assert ref.nfev == 400 and ref.status == 1

@@ -280,40 +280,38 @@ def test_report_serialization_is_strict_json(tmp_path, report):
         write_report(broken, tmp_path)
 
 
-# runs the default and fine-spectrum configs, then a joint orientation fit, and
-# prints the scipy modules loaded before and after the fit
+# runs the default, fine-spectrum and azimuth-fit configs, then a joint
+# orientation fit, and prints the scipy modules loaded by then
 SCIPY_PROBE = """
 import json, sys
 from spdcfilm import load_config, run_experiment, write_report
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-
-out, fine, auto = sys.argv[1:]
-for name, cfg in (("default", None), ("fine", load_config(fine))):
+out, fine, azimuth, auto = sys.argv[1:]
+for name, cfg in (("default", None), ("fine", load_config(fine)),
+                  ("azimuth", load_config(azimuth))):
     write_report(run_experiment(cfg), f"{out}/{name}")
-before = scipy_modules()
 fitted = run_experiment(load_config(auto)).summary
-print(json.dumps({"before": before, "after": scipy_modules(), "residual":
-                  fitted["orientation"]["calibration_residual"],
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "residual": fitted["orientation"]["calibration_residual"],
                   "h_weights": fitted["amplitudes"]["h_pump"]["weights"]}))
 """
 
 
-def test_default_runs_never_import_scipy(tmp_path):
+def test_no_run_imports_scipy(tmp_path):
+    azimuth = tmp_path / "azimuth.cfg"
+    azimuth.write_text("[crystal]\nazimuth_deg = auto\n\n[run]\nbootstrap_samples = 0\n")
     auto = tmp_path / "auto.cfg"
     auto.write_text("[crystal]\ntilt_deg = auto\n\n[run]\nbootstrap_samples = 0\n")
     fine = ROOT / "perfbench" / "workloads" / "fine_spectrum.cfg"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), str(fine), str(auto)],
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), str(fine), str(azimuth), str(auto)],
         capture_output=True, text=True, env=env, check=True,
     )
     probe = json.loads(done.stdout.splitlines()[-1])
-    assert probe["before"] == []
-    # tilt_deg = auto still fits with Nelder-Mead, which loads scipy.optimize
-    assert "scipy.optimize" in probe["after"]
+    # fixed, azimuth-only and joint (Nelder-Mead) orientations all run on numpy alone
+    assert probe["scipy"] == []
     assert probe["residual"] < 0.005
     assert probe["h_weights"] == pytest.approx([0.7827, 0.0169, 0.2005], abs=5e-3)
 
