@@ -59,7 +59,17 @@ from .errors import (
     TotalInternalReflection,
     ZeroAmplitude,
 )
-from .experiment import ExperimentReport, run_experiment, write_report
+from .experiment import (
+    DelayScan,
+    ExperimentReport,
+    SourceModel,
+    SpectralSection,
+    delay_line_scan,
+    run_experiment,
+    source_model,
+    spectral_section,
+    write_report,
+)
 from .histogram import (
     NoiseModel,
     TimeTagHistogram,

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands cover the individual stages (amplitudes, tomography, bell,
-hom, histogram) and the full pipeline (run). Exit codes: 0 success,
+Subcommands cover the full pipeline (run) and its stages (amplitudes,
+tomography, bell, hom, histogram); the stages call the memoized
+``source_model`` and ``spectral_section`` that ``run_experiment`` calls,
+so they agree with a run's report. Exit codes: 0 success,
 2 configuration or input-file problems, 3 numerical failures (poor fits,
 singular reconstructions, vanishing amplitudes), 4 incomplete tomography
 protocols.
@@ -12,28 +14,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import bell as bell_mod
 from .config import load_config
-from .crystal import chi2_zincblende, spdc_amplitudes
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
     amplitudes_json,
     complex_json,
-    hom_curve_json,
-    orientation_json,
-    resolve_orientation,
     run_experiment,
     setting_histogram,
     simulate_tomography,
-    source_state,
+    source_model,
     spectral_section,
     write_report,
 )
 from .histogram import subtract_accidentals
-from .polarization import pump_ket
 from .qutrit import purity
 from .tomography import load_records_csv, reconstruct
 
@@ -60,23 +58,18 @@ def _seed(cfg, args) -> int:
 
 
 def _cmd_amplitudes(args, cfg):
-    chi = chi2_zincblende(cfg.crystal.d_coefficient)
-    orientation, residual = resolve_orientation(cfg, chi)
-    angle = cfg.pump.angle_deg if args.pump is None else args.pump
-    payload = {
-        "orientation": orientation_json(orientation, residual),
-        "pump_angle_deg": angle,
-    }
-    for label, theta in [("requested", angle), ("h_pump", 0.0), ("v_pump", 90.0)]:
-        payload[label] = amplitudes_json(spdc_amplitudes(chi, orientation, pump_ket(theta)))
-    _emit(args, payload)
-
-
-def _model_state(cfg):
-    """The configured depolarized qutrit, at the configured or fitted orientation."""
-    chi = chi2_zincblende(cfg.crystal.d_coefficient)
-    orientation, _ = resolve_orientation(cfg, chi)
-    return source_state(cfg, chi, orientation)[1]
+    if args.pump is not None:
+        cfg = replace(cfg, pump=replace(cfg.pump, angle_deg=args.pump))
+    model = source_model(cfg)
+    orientation = model.to_json()["orientation"]
+    del orientation["normal_axis_angles_deg"]  # the report's alone
+    _emit(args, {
+        "orientation": orientation,
+        "pump_angle_deg": cfg.pump.angle_deg,
+        "requested": amplitudes_json(model.pumped),
+        "h_pump": amplitudes_json(model.h_pump),
+        "v_pump": amplitudes_json(model.v_pump),
+    })
 
 
 def _cmd_tomography(args, cfg):
@@ -99,11 +92,12 @@ def _cmd_tomography(args, cfg):
     else:
         # the seeds run_experiment gives this stage: the first children of the master seed
         seed_seq = np.random.SeedSequence(_seed(cfg, args))
-        _emit(args, simulate_tomography(cfg, _model_state(cfg), seed_seq)[0])
+        _emit(args, simulate_tomography(cfg, source_model(cfg).rho, seed_seq)[0])
 
 
 def _cmd_bell(args, cfg):
-    rho4 = bell_mod.split_postselect_rho(_model_state(cfg))
+    model = source_model(cfg)
+    rho4 = bell_mod.split_postselect_rho(model.rho)
     seed = _seed(cfg, args)
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
         rho4, cfg.bell.counts_per_setting, seed
@@ -111,7 +105,7 @@ def _cmd_bell(args, cfg):
     _emit(
         args,
         {
-            "f_exact": bell_mod.chsh_value(rho4),
+            "f_exact": model.f_model,
             "f_simulated": f_sim,
             "sigma_f": sigma_f,
             "std_devs_above_classical": std_devs,
@@ -122,20 +116,15 @@ def _cmd_bell(args, cfg):
 
 
 def _cmd_hom(args, cfg):
-    spec, delays, dip, peak, fwhm_thz, dip_fwhm = spectral_section(cfg)
+    section = spectral_section(cfg)
     if args.format == "csv":
-        rows = (f"{t:.6f},{d:.9f},{p:.9f}\n" for t, d, p in zip(delays, dip, peak))
+        rows = (f"{t:.6f},{d:.9f},{p:.9f}\n"
+                for t, d, p in zip(section.delays_fs, section.r_dip, section.r_peak))
         _write(args, "tau_fs,r_dip,r_peak\n" + "".join(rows))
         return
-    _emit(
-        args,
-        {
-            "intensity_fwhm_thz": fwhm_thz,
-            "hom_dip_fwhm_fs": dip_fwhm,
-            "detector_response": cfg.detector_response.shape,
-            "curve": hom_curve_json(delays, dip, peak),
-        },
-    )
+    payload = section.to_json()["spectral"]
+    payload["curve"] = payload.pop("hom_curve")
+    _emit(args, payload)
 
 
 def _cmd_histogram(args, cfg):

@@ -10,28 +10,24 @@ calcite delay-line scan. All randomness derives from one master seed via
 numpy SeedSequence spawning, in a fixed order, so a given (config, seed)
 pair always produces byte-identical canonical output.
 
-The seed-free stages are computed once per configuration: the orientation
-(fit or fixed, keyed on ``[crystal]`` and ``[calibration]``), the source
-model (H/V and configured-pump amplitudes, the depolarized qutrit and its
-CHSH value; also keyed on ``[pump]`` and the ``[noise]`` depolarization),
-the spectral section (keyed on ``[spectrum]``, the film etalon at the pump
-wavelength, ``[filters]``, ``[detector_response]`` and ``[hom]``) and the
-delay scan (keyed on ``[delay_line]``). Each memo holds the last
-``_MEMO_CONFIGS`` configurations; a seed sweep pays for these stages once.
-Their arrays, the report's spectrum arrays among them, are shared between
-runs and read-only; the summary's dicts and lists are built fresh per run.
+Three stages do not depend on the seed. Each takes the ``ExperimentConfig``,
+returns a frozen result whose ``to_json()`` builds its report sections, and
+is memoized on the sections it reads for the last ``_MEMO_CONFIGS``
+configurations, so a seed sweep or a CLI command after a run pays for it once:
 
-``write_report`` encodes the seed-free sidecar bytes once per configuration
-too: ``spectrum.csv`` once per pair of the read-only spectrum arrays that
-``run_experiment`` returns (matched by identity, not by equal values), and
-the ``setting_index,delta_t_ns,`` prefix of each ``histogram.csv`` row once
-per bin grid, each for the last ``_MEMO_CONFIGS`` of them. The histogram
-counts, ``fringe.csv``, ``hom.csv``, ``delay_scan.csv`` and ``report.json``
-are encoded per run.
+* ``source_model`` -> ``SourceModel`` (orientation, H/V and configured-pump
+  amplitudes, depolarized qutrit, its CHSH value): ``[crystal]``,
+  ``[calibration]``, ``[pump]``, the ``[noise]`` depolarization. The
+  orientation alone is memoized on the first two.
+* ``spectral_section`` -> ``SpectralSection`` (pair spectrum, HOM curves and
+  widths): ``[spectrum]``, the film etalon at the pump wavelength,
+  ``[filters]``, ``[detector_response]``, ``[hom]``.
+* ``delay_line_scan`` -> ``DelayScan`` (calcite delay scan): ``[delay_line]``.
 
-The stages the CLI runs on their own are public: ``resolve_orientation``,
-``source_state``, ``setting_histogram``, ``simulate_tomography`` and
-``spectral_section``, with the JSON helpers the report shares with it.
+A result's arrays are read-only copies, shared by every run of its
+configuration; ``to_json()`` builds fresh dicts and lists on each call.
+``sidecars()`` encodes a section's CSV files once, for the last
+``_MEMO_CONFIGS`` sections (keyed by identity), however many reports hold them.
 """
 
 from __future__ import annotations
@@ -39,15 +35,16 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bell as bell_mod
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, PumpConfig, load_config
 from .crystal import (
     CrystalOrientation,
+    SpdcResult,
     calibrate_azimuth,
     calibrate_orientation,
     chi2_zincblende,
@@ -89,38 +86,115 @@ from .tomography import (
 
 SCHEMA_VERSION = 1
 
+#: configurations each seed-free stage's memo, and each sidecar cache, holds
+_MEMO_CONFIGS = 4
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Everything one simulated run produced.
 
-    ``summary`` is the JSON-safe dictionary (scalars and short curves, the
-    HOM and delay-scan curves among them); the bulky arrays (histograms,
-    spectrum) and the fringe curve ride along for CSV sidecars. The two
-    spectrum arrays are shared by every run of the configuration, and
-    read-only, so ``write_report`` encodes their ``spectrum.csv`` once for
-    all those runs; a report given other arrays, writable ones included,
-    gets those arrays' own bytes.
+def _memoized(sections):
+    """Decorator: the stage computed from, and memoized on, ``sections(*args)``
+    (frozen, hashable config sections) for the last ``_MEMO_CONFIGS`` distinct
+    ones. The body takes the sections alone, so it cannot read one its key
+    misses. The key holds their repr beside them: sections compare equal when
+    they differ only in the sign of a zero, which a stage may print.
     """
 
-    summary: dict
-    histograms: list
-    spectrum_omega_thz: np.ndarray
-    spectrum_intensity: np.ndarray
-    fringe_curve: list
+    def decorate(stage):
+        cached = functools.lru_cache(maxsize=_MEMO_CONFIGS)(lambda _repr, *key: stage(*key))
 
-    def canonical_json(self) -> str:
-        """Stable serialization used for reproducibility comparisons."""
-        return json.dumps(self.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        def memo(*args):
+            key = sections(*args)
+            return cached(repr(key), *key)
 
+        memo.__name__, memo.__qualname__, memo.__doc__ = (
+            stage.__name__, stage.__qualname__, stage.__doc__)
+        memo.cache_clear = cached.cache_clear
+        return memo
 
-def resolve_orientation(cfg: ExperimentConfig, chi):
-    """(orientation, calibration residual): the configured angles, or a fit
-    of the ``auto`` ones to the calibration weights."""
-    return _fit_orientation(cfg.crystal, cfg.calibration, chi)
+    return decorate
 
 
-def _fit_orientation(crystal, calibration, chi):
+def _read_only_copy(a) -> np.ndarray:
+    """A read-only copy of ``a``, whose memory no other array shares."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def _set_read_only_copies(result, *names):
+    """Make each named field of a frozen result a read-only copy of its array."""
+    for name in names:
+        object.__setattr__(result, name, _read_only_copy(getattr(result, name)))
+
+
+def complex_json(a) -> list:
+    """A complex array as nested lists with one [re, im] pair per element."""
+    a = np.asarray(a)
+    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
+def amplitudes_json(res) -> dict:
+    """JSON form of one pump's ``SpdcResult``."""
+    return {
+        "state": complex_json(res.state),
+        "weights": res.weights.tolist(),
+        "relative_rate": res.relative_rate,
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class SourceModel:
+    """``source_model``'s result: the amplitudes under an H, a V and the
+    configured pump, ``rho`` the last one's qutrit after the depolarization,
+    and ``f_model`` its CHSH value. The arrays are read-only copies."""
+
+    orientation: CrystalOrientation
+    calibration_residual: float
+    pump: PumpConfig
+    depolarization: float
+    h_pump: SpdcResult
+    v_pump: SpdcResult
+    pumped: SpdcResult
+    rho: np.ndarray
+    f_model: float
+
+    def __post_init__(self):
+        for name in ("h_pump", "v_pump", "pumped"):
+            res = getattr(self, name)
+            object.__setattr__(self, name, replace(res, state=_read_only_copy(res.state)))
+        _set_read_only_copies(self, "rho")
+
+    def to_json(self) -> dict:
+        """The report's orientation, amplitudes, pump and model_state sections, and bell.f_model."""
+        pumped = self.pumped
+        return {
+            "orientation": {
+                **asdict(self.orientation),
+                "calibration_residual": self.calibration_residual,
+                "normal_axis_angles_deg": normal_axis_angles(self.orientation).tolist(),
+            },
+            "amplitudes": {
+                "h_pump": amplitudes_json(self.h_pump),
+                "v_pump": amplitudes_json(self.v_pump),
+                "rate_ratio_h_over_v": self.h_pump.relative_rate / self.v_pump.relative_rate,
+            },
+            "pump": asdict(self.pump),
+            "model_state": {
+                "weights": pumped.weights.tolist(),
+                "concurrence": concurrence(pumped.state),
+                "schmidt_number": schmidt_number(concurrence(pumped.state)),
+                "depolarization": self.depolarization,
+                "purity": purity(self.rho),
+                "concurrence_bounds": list(concurrence_bounds(pumped.weights)),
+            },
+            "bell": {"f_model": self.f_model},
+        }
+
+
+@_memoized(lambda crystal, calibration: (crystal, calibration))
+def _orientation(crystal, calibration):
+    """(chi, orientation, calibration residual) of the crystal sections: the
+    configured angles, or a fit of the ``auto`` ones to the calibration weights."""
+    chi = _read_only_copy(chi2_zincblende(crystal.d_coefficient))
     targets = {"H": calibration.h_pump_weights, "V": calibration.v_pump_weights}
     tilt, az = crystal.tilt_deg, crystal.azimuth_deg
     if tilt is None:
@@ -135,103 +209,169 @@ def _fit_orientation(crystal, calibration, chi):
     else:
         orientation = CrystalOrientation(tilt, az)
         residual = weight_residual(chi, orientation, targets)
-    return orientation, residual
+    return chi, orientation, residual
 
 
-#: configurations each memo of a seed-free stage holds
-_MEMO_CONFIGS = 4
-
-
-def _memoized(stage):
-    """``stage`` memoized on its (frozen, hashable) config-section arguments,
-    for the last ``_MEMO_CONFIGS`` distinct ones.
-
-    The key holds the arguments' repr beside them: sections compare equal
-    when they differ only in the sign of a zero, which a stage may print.
-    """
-    cached = functools.lru_cache(maxsize=_MEMO_CONFIGS)(lambda _repr, *args: stage(*args))
-
-    @functools.wraps(stage)
-    def memo(*args):
-        return cached(repr(args), *args)
-
-    memo.cache_clear = cached.cache_clear
-    return memo
-
-
-def _read_only(*arrays):
-    """Make each array read-only, and every array its memory is a view of."""
-    for a in arrays:
-        while isinstance(a, np.ndarray):
-            a.flags.writeable = False
-            a = a.base
-
-
-def _frozen(a) -> bool:
-    """Whether ``a`` is an array whose values stay as they are: it and every
-    array up its view chain to the memory's owner are read-only, so only
-    setting a writeable flag back would allow a write."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
-
-
-@_memoized
-def _orientation(crystal, calibration):
-    """(chi, orientation, calibration residual) of the crystal sections."""
-    chi = chi2_zincblende(crystal.d_coefficient)
-    _read_only(chi)
-    return (chi, *_fit_orientation(crystal, calibration, chi))
-
-
-def complex_json(a) -> list:
-    """A complex array as nested lists with one [re, im] pair per element."""
-    a = np.asarray(a)
-    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
-
-
-def orientation_json(orientation: CrystalOrientation, residual: float) -> dict:
-    """The orientation entries shared by the report and ``spdcfilm amplitudes``."""
-    return {
-        "tilt_deg": orientation.tilt_deg,
-        "azimuth_deg": orientation.azimuth_deg,
-        "calibration_residual": residual,
-    }
-
-
-def amplitudes_json(res) -> dict:
-    """JSON form of one pump's ``SpdcResult``."""
-    return {
-        "state": complex_json(res.state),
-        "weights": res.weights.tolist(),
-        "relative_rate": res.relative_rate,
-    }
-
-
-def source_state(cfg: ExperimentConfig, chi, orientation):
-    """The generated qutrit at the configured pump, and its depolarized density matrix."""
-    return _pumped_state(chi, orientation, cfg.pump.angle_deg, cfg.noise.depolarization)
-
-
-def _pumped_state(chi, orientation, angle_deg, depolarization):
-    res = spdc_amplitudes(chi, orientation, pump_ket(angle_deg))
-    return res, depolarize(res.state, depolarization)
-
-
-@_memoized
-def _source_model(crystal, calibration, pump, depolarization):
-    """The seed-free source: (orientation, calibration residual, H-pump,
-    V-pump and configured-pump amplitudes, the depolarized model qutrit, its
-    CHSH value)."""
+@_memoized(lambda cfg: (cfg.crystal, cfg.calibration, cfg.pump, cfg.noise.depolarization))
+def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
+    """``source_model(cfg)``: the configuration's ``SourceModel``."""
     chi, orientation, residual = _orientation(crystal, calibration)
-    res_h = spdc_amplitudes(chi, orientation, pump_ket(0.0))
-    res_v = spdc_amplitudes(chi, orientation, pump_ket(90.0))
-    res_pump, rho_true = _pumped_state(chi, orientation, pump.angle_deg, depolarization)
-    _read_only(res_h.state, res_v.state, res_pump.state, rho_true)
-    f_model = bell_mod.chsh_value(bell_mod.split_postselect_rho(rho_true))
-    return orientation, residual, res_h, res_v, res_pump, rho_true, f_model
+    h_pump = spdc_amplitudes(chi, orientation, pump_ket(0.0))
+    v_pump = spdc_amplitudes(chi, orientation, pump_ket(90.0))
+    pumped = spdc_amplitudes(chi, orientation, pump_ket(pump.angle_deg))
+    rho = depolarize(pumped.state, depolarization)
+    return SourceModel(
+        orientation=orientation,
+        calibration_residual=residual,
+        pump=pump,
+        depolarization=depolarization,
+        h_pump=h_pump,
+        v_pump=v_pump,
+        pumped=pumped,
+        rho=rho,
+        f_model=bell_mod.chsh_value(bell_mod.split_postselect_rho(rho)),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralSection:
+    """``spectral_section``'s result: the filtered pair spectrum ``intensity``
+    at the detunings ``omega_thz``, and the HOM dip and peak at ``delays_fs``.
+    The arrays are read-only copies, so the bytes ``sidecars()`` encodes once
+    stay theirs."""
+
+    omega_thz: np.ndarray
+    intensity: np.ndarray
+    delays_fs: np.ndarray
+    r_dip: np.ndarray
+    r_peak: np.ndarray
+    intensity_fwhm_thz: float
+    hom_dip_fwhm_fs: float
+    detector_response: str
+
+    def __post_init__(self):
+        _set_read_only_copies(self, "omega_thz", "intensity", "delays_fs", "r_dip", "r_peak")
+
+    def _curve_rows(self):
+        return zip(self.delays_fs.tolist(), self.r_dip.tolist(), self.r_peak.tolist())
+
+    def to_json(self) -> dict:
+        """The report's ``spectral`` section."""
+        return {
+            "spectral": {
+                "intensity_fwhm_thz": self.intensity_fwhm_thz,
+                "hom_dip_fwhm_fs": self.hom_dip_fwhm_fs,
+                "detector_response": self.detector_response,
+                "hom_curve": [
+                    {"tau_fs": t, "r_dip": d, "r_peak": p} for t, d, p in self._curve_rows()
+                ],
+            }
+        }
+
+    @functools.lru_cache(maxsize=_MEMO_CONFIGS)
+    def sidecars(self) -> tuple:
+        """(name, bytes) of ``hom.csv`` and ``spectrum.csv``, cached by identity."""
+        spectrum_rows = zip(self.omega_thz.tolist(), self.intensity.tolist())
+        return (
+            ("hom.csv", _csv_bytes(["tau_fs", "r_dip", "r_peak"], self._curve_rows())),
+            ("spectrum.csv", _csv_bytes(["omega_thz", "intensity"], spectrum_rows)),
+        )
+
+
+@_memoized(lambda cfg: (cfg.spectrum, cfg.film_stack(), cfg.filters, cfg.detector_response,
+                        cfg.hom))
+def spectral_section(spectrum, film_stack, filters, detector_response, hom) -> SpectralSection:
+    """``spectral_section(cfg)``: the configured film's ``SpectralSection``."""
+    grid = default_grid(spectrum.span_thz, spectrum.points)
+    spec = joint_spectrum(film_stack, grid)
+    spec = apply_detector_response(
+        spec,
+        longpass_pair_response(spec, filters.longpass_cuton_nm, filters.edge_width_thz),
+    )
+    response = DETECTOR_RESPONSES[detector_response.shape]
+    if response is not None:
+        spec = apply_detector_response(spec, response(spec, detector_response.fwhm_thz))
+
+    delays = np.linspace(hom.delay_start_fs, hom.delay_stop_fs, hom.delay_points)
+    g = interference_contrast(spec, delays)  # the dip and peak curves share one kernel
+    return SpectralSection(
+        omega_thz=spec.omega_thz,
+        intensity=spec.intensity,
+        delays_fs=delays,
+        r_dip=(1.0 - g) / 2.0,
+        r_peak=(1.0 + g) / 2.0,
+        intensity_fwhm_thz=intensity_fwhm(spec),
+        hom_dip_fwhm_fs=hom_fwhm(spec),
+        detector_response=detector_response.shape,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class DelayScan:
+    """``delay_line_scan``'s result: ``scan`` holds a (tilt_deg, delay_fs)
+    float pair per tilt of the inner plate pair, as a tuple whatever sequence
+    it is given; ``delay_at_base_fs`` is the delay with every plate at
+    ``base_tilt_deg``."""
+
+    base_tilt_deg: float
+    delay_at_base_fs: float
+    scan: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "scan", tuple((float(t), float(d)) for t, d in self.scan))
+
+    def to_json(self) -> dict:
+        """The report's ``delay_line`` section."""
+        return {
+            "delay_line": {
+                "base_tilt_deg": self.base_tilt_deg,
+                "delay_at_base_fs": self.delay_at_base_fs,
+                "scan": [{"tilt_deg": t, "delay_fs": d} for t, d in self.scan],
+            }
+        }
+
+    @functools.lru_cache(maxsize=_MEMO_CONFIGS)
+    def sidecars(self) -> tuple:
+        """(name, bytes) of ``delay_scan.csv``, cached by identity."""
+        return (("delay_scan.csv", _csv_bytes(["tilt_deg", "delay_fs"], self.scan)),)
+
+
+@_memoized(lambda cfg: (cfg.delay_line,))
+def delay_line_scan(delay_line) -> DelayScan:
+    """``delay_line_scan(cfg)``: the inner plate pair's ``DelayScan``."""
+    line = default_delay_line(
+        base_tilt_deg=delay_line.base_tilt_deg,
+        thickness_mm=delay_line.plate_thickness_mm,
+        wavelength_um=delay_line.wavelength_um,
+    )
+    tilt_grid = np.linspace(
+        delay_line.scan_start_deg, delay_line.scan_stop_deg, delay_line.scan_points
+    )
+    return DelayScan(
+        base_tilt_deg=delay_line.base_tilt_deg,
+        delay_at_base_fs=calcite_delay(line),
+        scan=delay_scan(line, tilt_grid, which="inner"),
+    )
+
+
+@dataclass(frozen=True)
+class ExperimentReport:
+    """Everything one simulated run produced.
+
+    ``summary`` is the JSON-safe dictionary, built fresh for each run. The
+    histograms, the fringe curve and the seed-free sections (shared by every
+    run of the configuration) ride along for the CSV sidecars.
+    """
+
+    summary: dict
+    histograms: list
+    spectral: SpectralSection
+    delay_scan: DelayScan
+    fringe_curve: list
+
+    def canonical_json(self) -> str:
+        """Stable serialization used for reproducibility comparisons."""
+        return json.dumps(self.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def setting_histogram(cfg: ExperimentConfig, seed, relative_rate: float = 1.0):
@@ -332,59 +472,6 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
     return {f"{key}_sigma": _spread(samples[key]) for key in measures}
 
 
-def spectral_section(cfg: ExperimentConfig):
-    """(spectrum, delays, dip, peak, intensity FWHM, HOM dip FWHM) of the configured film.
-
-    Computed once per configuration (see the module docstring): the arrays
-    are shared with later calls and runs, and read-only.
-    """
-    return _spectral(cfg.spectrum, cfg.film_stack(), cfg.filters, cfg.detector_response,
-                     cfg.hom)[:6]
-
-
-@_memoized
-def _spectral(spectrum, film_stack, filters, detector_response, hom):
-    """``spectral_section``'s tuple, then the spectrum's intensity."""
-    grid = default_grid(spectrum.span_thz, spectrum.points)
-    spec = joint_spectrum(film_stack, grid)
-    spec = apply_detector_response(
-        spec,
-        longpass_pair_response(spec, filters.longpass_cuton_nm, filters.edge_width_thz),
-    )
-    response = DETECTOR_RESPONSES[detector_response.shape]
-    if response is not None:
-        spec = apply_detector_response(spec, response(spec, detector_response.fwhm_thz))
-
-    delays = np.linspace(hom.delay_start_fs, hom.delay_stop_fs, hom.delay_points)
-    g = interference_contrast(spec, delays)  # the dip and peak curves share one kernel
-    dip, peak = (1.0 - g) / 2.0, (1.0 + g) / 2.0
-    intensity = spec.intensity
-    _read_only(spec.omega_thz, spec.phi, spec.response, delays, dip, peak, intensity)
-    return spec, delays, dip, peak, intensity_fwhm(spec), hom_fwhm(spec), intensity
-
-
-@_memoized
-def _delay_line_scan(delay_line):
-    """(delay at the base tilt, ((tilt, delay), ...) over the inner-pair scan)."""
-    line = default_delay_line(
-        base_tilt_deg=delay_line.base_tilt_deg,
-        thickness_mm=delay_line.plate_thickness_mm,
-        wavelength_um=delay_line.wavelength_um,
-    )
-    tilt_grid = np.linspace(
-        delay_line.scan_start_deg, delay_line.scan_stop_deg, delay_line.scan_points
-    )
-    return calcite_delay(line), tuple(delay_scan(line, tilt_grid, which="inner"))
-
-
-def hom_curve_json(delays, dip, peak) -> list:
-    """The HOM curves as one {tau_fs, r_dip, r_peak} entry per delay."""
-    return [
-        {"tau_fs": t, "r_dip": d, "r_peak": p}
-        for t, d, p in zip(delays.tolist(), dip.tolist(), peak.tolist())
-    ]
-
-
 def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq):
     """Simulated tomography of ``rho_true``: the report's "tomography" section.
 
@@ -428,12 +515,8 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
     master_seed = cfg.run.seed if seed is None else int(seed)
     seed_seq = np.random.SeedSequence(master_seed)
 
-    orientation, residual, res_h, res_v, res_pump, rho_true, f_model = _source_model(
-        cfg.crystal, cfg.calibration, cfg.pump, cfg.noise.depolarization
-    )
-    tomography, rho_hat, histograms, fringe_curve = simulate_tomography(
-        cfg, rho_true, seed_seq
-    )
+    source = source_model(cfg)
+    tomography, rho_hat, histograms, fringe_curve = simulate_tomography(cfg, source.rho, seed_seq)
 
     rho4_hat = bell_mod.split_postselect_rho(rho_hat)
     bell_rng = np.random.default_rng(seed_seq.spawn(1)[0])
@@ -441,62 +524,30 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         rho4_hat, cfg.bell.counts_per_setting, bell_rng
     )
 
-    spec, delays, dip, peak, fwhm_thz, dip_fwhm, intensity = _spectral(
-        cfg.spectrum, cfg.film_stack(), cfg.filters, cfg.detector_response, cfg.hom
-    )
-    delay_at_base, delay_curve = _delay_line_scan(cfg.delay_line)
+    spectral = spectral_section(cfg)
+    delay = delay_line_scan(cfg)
 
     summary = {
         "schema_version": SCHEMA_VERSION,
         "seed": master_seed,
-        "orientation": {
-            **orientation_json(orientation, residual),
-            "normal_axis_angles_deg": normal_axis_angles(orientation).tolist(),
-        },
-        "amplitudes": {
-            "h_pump": amplitudes_json(res_h),
-            "v_pump": amplitudes_json(res_v),
-            "rate_ratio_h_over_v": res_h.relative_rate / res_v.relative_rate,
-        },
-        "pump": {
-            "angle_deg": cfg.pump.angle_deg,
-            "wavelength_nm": cfg.pump.wavelength_nm,
-        },
-        "model_state": {
-            "weights": res_pump.weights.tolist(),
-            "concurrence": concurrence(res_pump.state),
-            "schmidt_number": schmidt_number(concurrence(res_pump.state)),
-            "depolarization": cfg.noise.depolarization,
-            "purity": purity(rho_true),
-            "concurrence_bounds": list(concurrence_bounds(res_pump.weights)),
-        },
+        **source.to_json(),
         "tomography": tomography,
-        "bell": {
-            "f_model": f_model,
-            "f_reconstructed": bell_mod.chsh_value(rho4_hat),
-            "f_simulated": f_sim,
-            "sigma_f": sigma_f,
-            "std_devs_above_classical": std_devs,
-            "counts_per_setting": cfg.bell.counts_per_setting,
-        },
-        "spectral": {
-            "intensity_fwhm_thz": fwhm_thz,
-            "hom_dip_fwhm_fs": dip_fwhm,
-            "detector_response": cfg.detector_response.shape,
-            "hom_curve": hom_curve_json(delays, dip, peak),
-        },
-        "delay_line": {
-            "base_tilt_deg": cfg.delay_line.base_tilt_deg,
-            "delay_at_base_fs": delay_at_base,
-            "scan": [{"tilt_deg": t, "delay_fs": d} for t, d in delay_curve],
-        },
+        **spectral.to_json(),
+        **delay.to_json(),
     }
+    summary["bell"].update(
+        f_reconstructed=bell_mod.chsh_value(rho4_hat),
+        f_simulated=f_sim,
+        sigma_f=sigma_f,
+        std_devs_above_classical=std_devs,
+        counts_per_setting=cfg.bell.counts_per_setting,
+    )
 
     return ExperimentReport(
         summary=summary,
         histograms=histograms,
-        spectrum_omega_thz=spec.omega_thz,
-        spectrum_intensity=intensity,
+        spectral=spectral,
+        delay_scan=delay,
         fringe_curve=fringe_curve,
     )
 
@@ -514,35 +565,6 @@ def _csv_bytes(header, rows) -> bytes:
     while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
         encoded += "".join([",".join(map(str, row)) + "\r\n" for row in block]).encode()
     return bytes(encoded)
-
-
-class _Same:
-    """An object held as a cache key that compares and hashes by identity."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return self.obj is other.obj
-
-
-def _spectrum_csv(omega, intensity) -> bytes:
-    return _csv_bytes(["omega_thz", "intensity"], zip(omega.tolist(), intensity.tolist()))
-
-
-@functools.lru_cache(maxsize=_MEMO_CONFIGS)
-def _frozen_spectrum_csv(omega: _Same, intensity: _Same) -> bytes:
-    """``spectrum.csv`` of two frozen arrays, encoded once while they are cached.
-
-    Keyed by identity, not value: the key holds the arrays, so no other array
-    can take their ids, and frozen arrays cannot change.
-    """
-    return _spectrum_csv(omega.obj, intensity.obj)
 
 
 class _RowTemplates(dict):
@@ -584,46 +606,21 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     """Write report.json plus CSV sidecars; returns the written paths.
 
     Each sidecar holds the bytes ``csv.writer`` writes for its rows: str() of
-    each number, CRLF line ends. Encoded once per configuration, for the
-    last ``_MEMO_CONFIGS`` of them:
-
-    * ``spectrum.csv``, per pair of spectrum arrays that no write can change
-      (``_frozen``, as ``run_experiment`` returns them), matched by identity;
-      any other arrays are encoded per call;
-    * in ``histogram.csv``, each row's ``setting_index,delta_t_ns,`` prefix,
-      per bin grid (matched by its dtype and bytes) and setting index, as
-      templates the counts fill.
-
-    Encoded per call: the histogram counts, ``fringe.csv``, and ``hom.csv``
-    and ``delay_scan.csv`` from the summary's curves.
+    each number, CRLF line ends. The seed-free sections encode theirs once
+    (``sidecars()``). ``histogram.csv`` fills row templates made once per bin
+    grid (matched by its dtype and bytes) with the counts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    json_path = out / "report.json"
-    json_path.write_text(json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    paths.append(json_path)
-
-    def write_csv(name, data: bytes):
-        path = out / name
-        path.write_bytes(data)
-        paths.append(path)
-
-    s = report.summary
-    write_csv("histogram.csv", _histogram_csv(report.histograms))
-    write_csv("fringe.csv", _csv_bytes(["theta_deg", "rate"], report.fringe_curve))
-    write_csv("hom.csv", _csv_bytes(
-        ["tau_fs", "r_dip", "r_peak"],
-        [(p["tau_fs"], p["r_dip"], p["r_peak"]) for p in s["spectral"]["hom_curve"]],
-    ))
-    omega, intensity = report.spectrum_omega_thz, report.spectrum_intensity
-    if _frozen(omega) and _frozen(intensity):
-        write_csv("spectrum.csv", _frozen_spectrum_csv(_Same(omega), _Same(intensity)))
-    else:
-        write_csv("spectrum.csv", _spectrum_csv(omega, intensity))
-    write_csv("delay_scan.csv", _csv_bytes(
-        ["tilt_deg", "delay_fs"],
-        [(p["tilt_deg"], p["delay_fs"]) for p in s["delay_line"]["scan"]],
-    ))
+    paths = [out / "report.json"]
+    paths[0].write_text(json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    sidecars = (
+        ("histogram.csv", _histogram_csv(report.histograms)),
+        ("fringe.csv", _csv_bytes(["theta_deg", "rate"], report.fringe_curve)),
+        *report.spectral.sidecars(),
+        *report.delay_scan.sidecars(),
+    )
+    for name, data in sidecars:
+        paths.append(out / name)
+        paths[-1].write_bytes(data)
     return paths

@@ -105,7 +105,7 @@ def test_tomography_runs_only_its_stage(capsys, monkeypatch):
     def not_needed(*args, **kwargs):
         raise AssertionError("the tomography command ran another stage")
 
-    for name in ("spectral_section", "delay_scan", "run_experiment"):
+    for name in ("spectral_section", "delay_line_scan", "delay_scan", "run_experiment"):
         monkeypatch.setattr(experiment, name, not_needed)
     monkeypatch.setattr("spdcfilm.bell.simulate_chsh", not_needed)
     monkeypatch.setattr("spdcfilm.cli.spectral_section", not_needed)

@@ -174,7 +174,7 @@ def test_zero_threshold_is_best_linear_pump_rate():
         rates = a_hh ** 2 + (a_hv + a_vh) ** 2 / 2.0 + a_vv ** 2
         # the closed form bounds every scanned pump and the fine scan nearly reaches it
         assert max(rates) * 1e-12 <= _zero_threshold(chi, rot) * (1.0 + 1e-12)
-        assert _zero_threshold(chi, rot) == pytest.approx(1e-12 * max(rates), rel=1e-8)
+        assert _zero_threshold(chi, rot) == pytest.approx(1e-12 * max(rates), rel=1e-8, abs=0)
     assert _zero_threshold(chi, rotation_matrix(CrystalOrientation(0.0, 0.0))) == 0.0
 
 

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: determinism, report schema, file output, memos."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -173,10 +174,11 @@ def _clear_memos():
         tomography._protocol_constants,
         tomography._fringe_basis,
         experiment._orientation,
-        experiment._source_model,
-        experiment._spectral,
-        experiment._delay_line_scan,
-        experiment._frozen_spectrum_csv,
+        experiment.source_model,
+        experiment.spectral_section,
+        experiment.delay_line_scan,
+        experiment.SpectralSection.sidecars,
+        experiment.DelayScan.sidecars,
         experiment._histogram_row_templates,
     ):
         memo.cache_clear()
@@ -387,6 +389,32 @@ def test_memo_keys_follow_the_sections_each_stage_reads(stage_calls):
     assert stage_calls["delay_scan"] == 2
 
 
+@pytest.mark.parametrize("crystal", ["", "[crystal]\ntilt_deg = auto\n\n"], ids=["fixed", "auto"])
+def test_cli_stages_are_the_runs_stages(stage_calls, tmp_path, capsys, crystal):
+    from spdcfilm.cli import EXIT_OK, main
+
+    path = tmp_path / "run.cfg"
+    path.write_text(crystal + "[run]\nbootstrap_samples = 0\n")
+    summary = json.loads(run_experiment(load_config(path), seed=3).canonical_json())
+    stage_calls.clear()
+    printed = {}
+    for command in ("amplitudes", "tomography", "bell", "hom"):
+        assert main([command, "--config", str(path), "--seed", "3"]) == EXIT_OK
+        printed[command] = json.loads(capsys.readouterr().out)
+    assert sum(stage_calls.values()) == 0, dict(stage_calls)
+
+    amplitudes = printed["amplitudes"]
+    del summary["orientation"]["normal_axis_angles_deg"]  # the report's alone
+    assert amplitudes["orientation"] == summary["orientation"]
+    assert [amplitudes[p] for p in ("h_pump", "v_pump")] == [
+        summary["amplitudes"][p] for p in ("h_pump", "v_pump")]
+    spectral = summary["spectral"]
+    spectral["curve"] = spectral.pop("hom_curve")
+    assert printed["hom"] == spectral
+    assert printed["tomography"] == summary["tomography"]
+    assert printed["bell"]["f_exact"] == summary["bell"]["f_model"]
+
+
 def test_memo_tells_negative_zero_from_zero():
     # two equal [delay_line] sections: one scan ends at 0.0, the other at -0.0
     base = _quick()
@@ -418,16 +446,63 @@ def test_cold_and_warm_runs_write_identical_bytes(tmp_path):
     assert _written(warm, tmp_path / "warm") == cold_files
 
 
+def _arrays(value) -> list:
+    """Every ndarray reachable from ``value`` through dataclass fields, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def _scramble(value):
+    """Change every dict and list reachable from a JSON value in place."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in list(items):
+        if isinstance(item, (dict, list)):
+            _scramble(item)
+        else:
+            value[key] = "changed"
+    if isinstance(value, list):
+        value.append("added")
+    else:
+        value["added"] = None
+
+
 def test_shared_arrays_are_read_only_and_summaries_fresh():
     cfg = _quick()
     first = run_experiment(cfg, SEED)
     expected = first.canonical_json()
-    for shared in (first.spectrum_intensity, first.spectrum_omega_thz):
-        with pytest.raises(ValueError):
-            shared[0] = 0.0
-    spectral, _, _, _, _, _ = experiment.spectral_section(cfg)
-    with pytest.raises(ValueError):
-        spectral.phi[0] = 0.0
+    stages = (experiment.source_model(cfg), experiment.spectral_section(cfg),
+              experiment.delay_line_scan(cfg))
+    assert stages[1] is first.spectral and stages[2] is first.delay_scan
+
+    # arrays a caller passes in are copied: the caller's stay writable and apart
+    given = {"rho": np.eye(3, dtype=complex) / 3.0, "state": np.ones(3, dtype=complex) / 3**0.5,
+             "intensity": np.ones(4), "r_dip": np.zeros(4), "scan": np.ones((3, 2))}
+    source, spectral, delay = stages
+    replaced = (
+        replace(source, rho=given["rho"], pumped=replace(source.pumped, state=given["state"])),
+        replace(spectral, intensity=given["intensity"], r_dip=given["r_dip"]),
+        replace(delay, scan=given["scan"]),
+    )
+    assert np.array_equal(replaced[0].pumped.state, given["state"])
+    # the delay scan holds no arrays: a tuple of float pairs, whatever it is given
+    for scan in (delay.scan, replaced[2].scan):
+        assert type(scan) is tuple and {type(v) for pair in scan for v in pair} == {float}
+    for result in stages + replaced:
+        arrays = _arrays(result)
+        assert len(arrays) == {"SourceModel": 4, "SpectralSection": 5}.get(type(result).__name__, 0)
+        for a in arrays:
+            assert not any(np.shares_memory(a, g) for g in given.values())
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+    for g in given.values():
+        g.flat[0] = 7.0
+    assert replaced[1].intensity[0] == 1.0 and replaced[2].scan[0] == (1.0, 1.0)
+
     s = first.summary
     s["spectral"]["hom_curve"][0]["r_dip"] = 5.0
     s["spectral"]["hom_curve"].pop()
@@ -435,6 +510,11 @@ def test_shared_arrays_are_read_only_and_summaries_fresh():
     s["amplitudes"]["h_pump"]["weights"][0] = 9.0
     s["orientation"]["normal_axis_angles_deg"].clear()
     s["delay_line"]["scan"][0]["delay_fs"] = 1.0
+    # every dict and list a stage's to_json() returns is its own
+    for result in stages:
+        before = json.dumps(result.to_json(), sort_keys=True)
+        _scramble(result.to_json())
+        assert json.dumps(result.to_json(), sort_keys=True) == before
     assert run_experiment(cfg, SEED).canonical_json() == expected
 
 
@@ -481,7 +561,7 @@ def _rendered_sidecars(report) -> dict:
         "hom.csv": (["tau_fs", "r_dip", "r_peak"],
                     [(p["tau_fs"], p["r_dip"], p["r_peak"]) for p in s["spectral"]["hom_curve"]]),
         "spectrum.csv": (["omega_thz", "intensity"],
-                         zip(report.spectrum_omega_thz, report.spectrum_intensity)),
+                         zip(report.spectral.omega_thz, report.spectral.intensity)),
         "delay_scan.csv": (["tilt_deg", "delay_fs"],
                            [(p["tilt_deg"], p["delay_fs"]) for p in s["delay_line"]["scan"]]),
     }
@@ -519,45 +599,51 @@ def test_spectrum_csv_follows_the_arrays_a_report_carries(tmp_path):
     cfg = _quick()
     report = run_experiment(cfg, SEED)
     _written(report, tmp_path / "cached")  # the configuration's encoding is cached
-    omega, intensity = report.spectrum_omega_thz, report.spectrum_intensity
+    omega, intensity = report.spectral.omega_thz, report.spectral.intensity
 
-    # writable copies, changed before the first write and between writes
-    copies = replace(report, spectrum_omega_thz=omega.copy(), spectrum_intensity=intensity.copy())
-    copies.spectrum_intensity[0] = 0.5
-    assert _written(copies, tmp_path / "copy")["spectrum.csv"] == _spectrum_rendered(
-        copies.spectrum_omega_thz, copies.spectrum_intensity)
-    copies.spectrum_omega_thz[-1] = -0.0
-    assert _written(copies, tmp_path / "copy")["spectrum.csv"] == _spectrum_rendered(
-        copies.spectrum_omega_thz, copies.spectrum_intensity)
+    def carrying(o, i):
+        return replace(report, spectral=replace(report.spectral, omega_thz=o, intensity=i))
 
-    # a read-only view of a writable array changes with it
+    def spectrum_csv(r, name):
+        return _written(r, tmp_path / name)["spectrum.csv"]
+
+    # writable arrays, changed before the section is made and after: it keeps
+    # the values it was given, and a new section gets the new ones
+    o, i = omega.copy(), intensity.copy()
+    i[0] = 0.5
+    copies = carrying(o, i)
+    given = _spectrum_rendered(o, i)
+    assert spectrum_csv(copies, "copy") == given
+    o[-1] = -0.0
+    assert spectrum_csv(copies, "copy") == given
+    assert spectrum_csv(carrying(o, i), "copy") == _spectrum_rendered(o, i) != given
+
+    # a read-only view of a writable array: the section holds the values at construction
     owner = intensity.copy()
     view = owner.view()
     view.flags.writeable = False
-    viewed = replace(report, spectrum_intensity=view)
+    viewed = carrying(omega, view)
     _written(viewed, tmp_path / "view")
     owner[1] = 2.0
-    assert _written(viewed, tmp_path / "view")["spectrum.csv"] == _spectrum_rendered(omega, owner)
+    assert spectrum_csv(viewed, "view") == _spectrum_rendered(omega, intensity)
+    assert spectrum_csv(carrying(omega, view), "view") == _spectrum_rendered(omega, owner)
 
     # another configuration's arrays on the same number of points, whole and mixed
     other = run_experiment(replace(cfg, spectrum=replace(cfg.spectrum, span_thz=140.0)), SEED)
-    for o, i in ((other.spectrum_omega_thz, other.spectrum_intensity),
-                 (omega, other.spectrum_intensity),
-                 (other.spectrum_omega_thz, intensity)):
-        swapped = replace(report, spectrum_omega_thz=o, spectrum_intensity=i)
-        assert _written(swapped, tmp_path / "swapped")["spectrum.csv"] == _spectrum_rendered(o, i)
-    # frozen arrays of equal floats: one holds 0.0 where the other holds -0.0
+    for o, i in ((other.spectral.omega_thz, other.spectral.intensity),
+                 (omega, other.spectral.intensity),
+                 (other.spectral.omega_thz, intensity)):
+        assert spectrum_csv(carrying(o, i), "swapped") == _spectrum_rendered(o, i)
+    # arrays of equal floats: one holds 0.0 where the other holds -0.0
     zeros = []
     for zero in (0.0, -0.0):
         frozen = omega.copy()
         frozen[0] = zero
         frozen.flags.writeable = False
-        zeros.append(replace(report, spectrum_omega_thz=frozen))
-        assert _written(zeros[-1], tmp_path / "zero")["spectrum.csv"] == _spectrum_rendered(
-            frozen, intensity)
-    assert np.array_equal(zeros[0].spectrum_omega_thz, zeros[1].spectrum_omega_thz)
-    assert _written(report, tmp_path / "again")["spectrum.csv"] == _spectrum_rendered(
-        omega, intensity)
+        zeros.append(carrying(frozen, intensity))
+        assert spectrum_csv(zeros[-1], "zero") == _spectrum_rendered(frozen, intensity)
+    assert np.array_equal(zeros[0].spectral.omega_thz, zeros[1].spectral.omega_thz)
+    assert spectrum_csv(report, "again") == _spectrum_rendered(omega, intensity)
 
 
 def test_histogram_rows_follow_the_bin_grid_bytes(tmp_path):
@@ -580,16 +666,20 @@ def test_histogram_rows_follow_the_bin_grid_bytes(tmp_path):
 def test_sidecar_caches_hold_at_most_memo_configs(tmp_path):
     _clear_memos()
     base = _quick()
-    caches = (experiment._frozen_spectrum_csv, experiment._histogram_row_templates)
+    caches = (experiment.SpectralSection.sidecars, experiment.DelayScan.sidecars,
+              experiment._histogram_row_templates)
     block = experiment._CSV_BLOCK_ROWS
+    kept = []  # reports a caller keeps hold no encodings beyond the bound
     for k in range(experiment._MEMO_CONFIGS + 2):
         # grids on both sides of an encoding block's edge
         cfg = replace(base, spectrum=replace(base.spectrum, points=block - 1 + k),
-                      histogram=replace(base.histogram, n_bins=block - 1 + 2 * k))
+                      histogram=replace(base.histogram, n_bins=block - 1 + 2 * k),
+                      delay_line=replace(base.delay_line, scan_points=block - 1 + k))
         report = run_experiment(cfg, SEED)
+        kept.append(report)
         written = _written(report, tmp_path / str(k))
         assert written.items() >= _rendered_sidecars(report).items(), k
         sizes = [cache.cache_info().currsize for cache in caches]
-        assert sizes == [min(k + 1, experiment._MEMO_CONFIGS)] * 2, k
+        assert sizes == [min(k + 1, experiment._MEMO_CONFIGS)] * 3, k
     _clear_memos()
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
