@@ -53,10 +53,6 @@ def _emit(args, payload: dict):
     _write(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _seed(cfg, args) -> int:
-    return cfg.run.seed if args.seed is None else args.seed
-
-
 def _cmd_amplitudes(args, cfg):
     if args.pump is not None:
         cfg = replace(cfg, pump=replace(cfg.pump, angle_deg=args.pump))
@@ -91,14 +87,14 @@ def _cmd_tomography(args, cfg):
         _emit(args, payload)
     else:
         # the seeds run_experiment gives this stage: the first children of the master seed
-        seed_seq = np.random.SeedSequence(_seed(cfg, args))
+        seed_seq = np.random.SeedSequence(cfg.run.seed)
         _emit(args, simulate_tomography(cfg, source_model(cfg).rho, seed_seq)[0])
 
 
 def _cmd_bell(args, cfg):
     model = source_model(cfg)
     rho4 = bell_mod.split_postselect_rho(model.rho)
-    seed = _seed(cfg, args)
+    seed = cfg.run.seed
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
         rho4, cfg.bell.counts_per_setting, seed
     )
@@ -128,7 +124,7 @@ def _cmd_hom(args, cfg):
 
 
 def _cmd_histogram(args, cfg):
-    seed = _seed(cfg, args)
+    seed = cfg.run.seed
     hist = setting_histogram(cfg, seed)
     net, sigma = subtract_accidentals(hist, cfg.histogram.exclusion_bins)
     if args.format == "csv":
@@ -148,7 +144,7 @@ def _cmd_histogram(args, cfg):
 
 
 def _cmd_run(args, cfg):
-    report = run_experiment(cfg, seed=args.seed)
+    report = run_experiment(cfg)
     out_dir = args.out or "spdcfilm_run"
     paths = write_report(report, out_dir)
     for p in paths:
@@ -206,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args, load_config(args.config))
+        cfg = load_config(args.config)
+        if args.seed is not None:  # validated as the configured seed is
+            cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
+        args.func(args, cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

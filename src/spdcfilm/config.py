@@ -68,6 +68,7 @@ class PumpConfig:
 
     def __post_init__(self):
         _require(self.wavelength_nm > 0, "pump wavelength_nm must be positive")
+        _require(math.isfinite(self.angle_deg), "pump angle_deg must be a finite number")
 
 
 @dataclass(frozen=True)

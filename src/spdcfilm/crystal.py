@@ -13,6 +13,10 @@ Geometry convention, fixed here and used everywhere downstream:
   leaves every |amplitude| unchanged), so no generality is lost by naming
   [001] rather than [100].
 
+One kernel, ``_amplitude_grid``, contracts the tensor with the tilted
+crystal and the pump polarization; the amplitudes, the pair-rate curve and
+the weight residuals of the calibration fits all come from it.
+
 The in-plane azimuth is not a measured quantity; it is calibrated from
 pump-resolved weight data (``calibrate_azimuth``). The tilt can be refit
 the same way (``calibrate_orientation``) when the nominal cut angle does
@@ -79,77 +83,83 @@ class SpdcResult:
         return np.abs(self.state) ** 2
 
 
-def _raw_amplitudes(chi: np.ndarray, rot: np.ndarray, pump) -> np.ndarray:
-    """Unnormalized (c1, c2, c3) for a pump Jones vector in the lab frame."""
-    # lab H/V unit vectors and the pump, all expressed in crystal components
-    e_h = rot[:, 0].astype(complex)
-    e_v = rot[:, 1].astype(complex)
-    e_p = pump[0] * e_h + pump[1] * e_v
+def _amplitude_grid(chi, tilt_deg, azimuth_deg, pumps) -> np.ndarray:
+    """Unnormalized (c1, c2, c3) of every pump Jones vector at every point
+    of a broadcast (tilt, azimuth) grid, shape (pumps, *grid, 3): the one
+    contraction of the tensor behind every amplitude in this module.
 
-    def contract(a, b):
-        return np.einsum("ijk,i,j,k->", chi, a, b, e_p)
+    A_ab = sum_ijk chi[i,j,k] (R e_a)_i (R e_b)_j (R e_p)_k, then
+    c1 = A_HH, c2 = (A_HV + A_VH)/sqrt(2), c3 = A_VV. The H and V columns
+    of R = Rz(azimuth) Ry(tilt) are written in closed form, and one einsum
+    sums the complex128 products chi a b c over the nonzero tensor elements
+    in C order (the vanishing ones add only signed zeros), so an
+    orientation's amplitudes do not depend on the grid or the pumps they
+    are evaluated with, and a grid scan breaks exact ties as a point-by-point
+    scan does.
+    """
+    tilt, az = np.broadcast_arrays(np.radians(tilt_deg), np.radians(azimuth_deg))
+    ct, st, cz, sz = np.cos(tilt), np.sin(tilt), np.cos(az), np.sin(az)
+    # lab H and V unit vectors in crystal components; grid axes last
+    hv = np.array([[cz * ct, sz * ct, -st], [-sz, cz, np.zeros_like(az)]], dtype=complex)
+    pumps = np.asarray(pumps, dtype=complex).reshape((-1, 2) + (1,) * (hv.ndim - 1))
+    e_p = pumps[:, 0] * hv[0] + pumps[:, 1] * hv[1]
+    i, j, k = np.nonzero(chi)
+    chi_nz = np.asarray(chi, dtype=complex)[i, j, k]
+    amp = np.einsum("n,an...,bn...,pn...->pab...", chi_nz, hv[:, i], hv[:, j], e_p[:, k])
+    return np.stack([amp[:, 0, 0], (amp[:, 0, 1] + amp[:, 1, 0]) / _SQRT2, amp[:, 1, 1]], axis=-1)
 
-    a_hh = contract(e_h, e_h)
-    a_hv = contract(e_h, e_v)
-    a_vh = contract(e_v, e_h)
-    a_vv = contract(e_v, e_v)
-    return np.array([a_hh, (a_hv + a_vh) / _SQRT2, a_vv])
 
-
-def _zero_threshold(chi: np.ndarray, rot: np.ndarray) -> float:
+def _zero_threshold(c_hv: np.ndarray) -> float:
     """Epsilon below which a rate counts as zero: 1e-12 of the best rate over
-    all linear pumps at the same orientation.
+    all linear pumps at one orientation, from its H- and V-pump rows
+    ``c_hv`` of ``_amplitude_grid``.
 
     Amplitudes are linear in the pump, so the rate of the pump (cos t, sin t)
     is a real quadratic form in it; its best value is the top eigenvalue of
     the Gram matrix Re<c_i, c_j> of the H- and V-pump amplitudes.
     """
-    c = np.array([_raw_amplitudes(chi, rot, pump) for pump in np.eye(2)])
-    return 1e-12 * float(np.linalg.eigvalsh(np.real(c.conj() @ c.T))[-1])
+    return 1e-12 * float(np.linalg.eigvalsh(np.real(c_hv.conj() @ c_hv.T))[-1])
 
 
 def spdc_amplitudes(chi: np.ndarray, orientation: CrystalOrientation, pump) -> SpdcResult:
     """Qutrit amplitudes for a normalized pump Jones vector.
 
-    Contracts the tensor with crystal-frame polarization vectors:
-    A_ab = sum_ijk chi[i,j,k] (R e_a)_i (R e_b)_j (R e_p)_k, then
-    c1 = A_HH, c2 = (A_HV + A_VH)/sqrt(2), c3 = A_VV. The returned state
-    is normalized; ``relative_rate`` = |c1|^2 + |c2|^2 + |c3|^2 keeps the
-    d^2 scaling of the pair rate.
+    ``_amplitude_grid`` evaluates the pump, H and V in one call: the pump's
+    (c1, c2, c3), normalized, is the state; ``relative_rate`` =
+    |c1|^2 + |c2|^2 + |c3|^2 keeps the d^2 scaling of the pair rate; the H
+    and V rows set ``_zero_threshold``.
 
     Raises ZeroAmplitude when the rate vanishes relative to the best rate
     available at this orientation (e.g. exactly at normal incidence on a
     (001)-cut film, where every transverse contraction dies).
     """
     pump = check_normalized(pump)
-    rot = rotation_matrix(orientation)
-    c = _raw_amplitudes(chi, rot, pump)
-    rate = float(np.sum(np.abs(c) ** 2))
-    if rate <= _zero_threshold(chi, rot):
+    c = _amplitude_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, [pump, (1, 0), (0, 1)])
+    rate = float(np.sum(np.abs(c[0]) ** 2))
+    if rate <= _zero_threshold(c[1:]):
         raise ZeroAmplitude(
             f"no pair amplitude for pump {pump} at tilt {orientation.tilt_deg} deg, "
             f"azimuth {orientation.azimuth_deg} deg"
         )
-    return SpdcResult(state=c / np.sqrt(rate), relative_rate=rate)
+    return SpdcResult(state=c[0] / np.sqrt(rate), relative_rate=rate)
 
 
 def pair_rate_curve(chi, orientation: CrystalOrientation, pump_angles_deg) -> list:
     """Relative rate versus linear pump angle; list of (angle, rate).
 
-    Individual zero-rate points are returned as 0.0; ZeroAmplitude is
-    raised only when the whole scan vanishes (e.g. a null tensor).
+    One ``_amplitude_grid`` call evaluates every angle. Individual zero-rate
+    points are returned as 0.0; ZeroAmplitude is raised only when the whole
+    scan vanishes (e.g. a null tensor).
     """
     pump_angles_deg = list(pump_angles_deg)
     if not pump_angles_deg:
         raise ValueError("pump angle grid is empty")
-    rot = rotation_matrix(orientation)
-    curve = []
-    for ang in pump_angles_deg:
-        c = _raw_amplitudes(chi, rot, pump_ket(ang))
-        curve.append((float(ang), float(np.sum(np.abs(c) ** 2))))
-    if max(r for _, r in curve) <= 0.0:
+    pumps = [pump_ket(ang) for ang in pump_angles_deg]
+    c = _amplitude_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, pumps)
+    rates = np.sum(np.abs(c) ** 2, axis=-1)
+    if rates.max() <= 0.0:
         raise ZeroAmplitude("pair rate vanishes over the whole pump scan")
-    return curve
+    return [(float(ang), float(rate)) for ang, rate in zip(pump_angles_deg, rates)]
 
 
 def _pump_angle(key) -> float:
@@ -162,35 +172,18 @@ def _pump_angle(key) -> float:
 
 
 def _residual_grid(chi, tilt_deg, azimuth_deg, targets: dict) -> np.ndarray:
-    """``weight_residual`` at every point of a broadcast (tilt, azimuth) grid.
-
-    The H and V columns of R = Rz(azimuth) Ry(tilt) are written in closed
-    form, and one einsum contracts the tensor with them and with every
-    target pump at all grid points at once. Each step repeats the
-    arithmetic of ``_raw_amplitudes`` for one orientation in the same dtype
-    and order (complex128 products chi a b c, summed over i, j, k in C
-    order), so each value is bit-identical to its orientation evaluated
-    alone, and a grid scan breaks exact ties as a point-by-point scan does.
+    """``weight_residual`` at every point of a broadcast (tilt, azimuth) grid,
+    from one ``_amplitude_grid`` call over every target pump. Each value is
+    bit-identical to its orientation evaluated alone.
     """
-    tilt, az = np.broadcast_arrays(np.radians(tilt_deg), np.radians(azimuth_deg))
-    ct, st, cz, sz = np.cos(tilt), np.sin(tilt), np.cos(az), np.sin(az)
-    # lab H and V unit vectors in crystal components; grid axes last
-    hv = np.array([[cz * ct, sz * ct, -st], [-sz, cz, np.zeros_like(az)]], dtype=complex)
-    pumps = np.array([pump_ket(_pump_angle(key)) for key in targets], dtype=complex)
-    pumps = pumps.reshape((-1, 2) + (1,) * (hv.ndim - 1))
-    e_p = pumps[:, 0] * hv[0] + pumps[:, 1] * hv[1]
-    # the vanishing tensor elements add only signed zeros: sum the others, in C order
-    i, j, k = np.nonzero(chi)
-    chi_nz = np.asarray(chi, dtype=complex)[i, j, k]
-    amp = np.einsum("n,an...,bn...,pn...->pab...", chi_nz, hv[:, i], hv[:, j], e_p[:, k])
-    c = np.stack([amp[:, 0, 0], (amp[:, 0, 1] + amp[:, 1, 0]) / _SQRT2, amp[:, 1, 1]], axis=-1)
-    power = np.abs(c) ** 2
+    pumps = [pump_ket(_pump_angle(key)) for key in targets]
+    power = np.abs(_amplitude_grid(chi, tilt_deg, azimuth_deg, pumps)) ** 2
     rate = np.sum(power, axis=-1, keepdims=True)
     w = power / np.where(rate == 0.0, 1.0, rate)  # a vanishing rate gives zero weights
     tgt = np.asarray(list(targets.values()), dtype=float)
-    tgt = tgt.reshape((len(targets),) + (1,) * tilt.ndim + (3,))
+    tgt = tgt.reshape((len(targets),) + (1,) * (w.ndim - 2) + (3,))
     per_pump = np.sum((w - tgt) ** 2, axis=-1)
-    total = np.zeros(tilt.shape)
+    total = np.zeros(per_pump.shape[1:])
     for res in per_pump:  # pump by pump, in target order
         total = total + res
     return total

@@ -53,7 +53,6 @@ from .crystal import (
     weight_residual,
 )
 from .delayline import calcite_delay, default_delay_line, delay_scan
-from .errors import FitFailure
 from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
 from .polarization import pump_ket
 from .qutrit import (
@@ -484,14 +483,13 @@ def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq):
     histograms, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
     rho_hat, fit = reconstruct(records, protocol)
 
-    theta_grid = np.linspace(
-        cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
-    )
     measures = _point_measures(rho_hat, cfg.fringe.fixed_analyzer)
-    try:
+    fringe_curve = []  # no counts at any angle: a null visibility and no curve
+    if measures["visibility"] is not None:
+        theta_grid = np.linspace(
+            cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
+        )
         fringe_curve, _ = fringe_scan(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
-    except FitFailure:  # no counts at any angle: the visibility is reported as null
-        fringe_curve = []
     boot_seq = seed_seq.spawn(1)[0]
     sigmas = _bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq)
     fit_json = asdict(fit)

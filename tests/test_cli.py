@@ -155,6 +155,28 @@ def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplitudes", "--pump", "nan"],
+        ["amplitudes", "--pump=inf"],
+        ["amplitudes", "--pump=-inf"],
+        ["run", "--seed=-1"],
+        ["tomography", "--seed=-1"],
+        ["bell", "--seed=-1"],
+        ["histogram", "--seed=-1"],
+    ],
+    ids=["pump_nan", "pump_inf", "pump_minus_inf", "run_seed", "tomography_seed", "bell_seed",
+         "histogram_seed"],
+)
+def test_bad_command_line_override_exit_code(capsys, tmp_path, argv):
+    # the options go through the same checks as the [run] and [pump] keys
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("span, expected", [(154, EXIT_OK), (155, EXIT_CONFIG)])
 def test_spectrum_span_checked_against_index_data_at_load(capsys, tmp_path, span, expected):
     # with the 638 nm pump, a span past about 154.14 THz puts the grid's

@@ -127,8 +127,6 @@ def test_amplitudes_invariant_under_pump_index_symmetry():
     # roles of the two down-converted polarization slots changes nothing
     chi = chi2_zincblende()
     rng = np.random.default_rng(SEED)
-    from spdcfilm.crystal import _raw_amplitudes
-
     for _ in range(50):
         tilt, az = rng.uniform(2, 55), rng.uniform(0, 180)
         rot = rotation_matrix(CrystalOrientation(tilt, az))
@@ -156,7 +154,11 @@ def test_pair_rate_curve_preserves_zeros():
 
 
 def test_zero_threshold_is_best_linear_pump_rate():
-    from spdcfilm.crystal import _zero_threshold
+    from spdcfilm.crystal import _amplitude_grid, _zero_threshold
+
+    def threshold(orientation):  # from the H- and V-pump rows, as spdc_amplitudes passes them
+        return _zero_threshold(
+            _amplitude_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, np.eye(2)))
 
     chi = chi2_zincblende()
     rng = np.random.default_rng(SEED)
@@ -173,9 +175,9 @@ def test_zero_threshold_is_best_linear_pump_rate():
                                   for a, b in ((e_h, e_h), (e_h, e_v), (e_v, e_h), (e_v, e_v)))
         rates = a_hh ** 2 + (a_hv + a_vh) ** 2 / 2.0 + a_vv ** 2
         # the closed form bounds every scanned pump and the fine scan nearly reaches it
-        assert max(rates) * 1e-12 <= _zero_threshold(chi, rot) * (1.0 + 1e-12)
-        assert _zero_threshold(chi, rot) == pytest.approx(1e-12 * max(rates), rel=1e-8, abs=0)
-    assert _zero_threshold(chi, rotation_matrix(CrystalOrientation(0.0, 0.0))) == 0.0
+        assert max(rates) * 1e-12 <= threshold(orientation) * (1.0 + 1e-12)
+        assert threshold(orientation) == pytest.approx(1e-12 * max(rates), rel=1e-8, abs=0)
+    assert threshold(CrystalOrientation(0.0, 0.0)) == 0.0
 
 
 def test_calibration_needs_targets():
@@ -183,10 +185,102 @@ def test_calibration_needs_targets():
         calibrate_azimuth(chi2_zincblende(), 35.75, {})
 
 
+def _raw_amplitudes(chi: np.ndarray, rot: np.ndarray, pump) -> np.ndarray:
+    """Unnormalized (c1, c2, c3) for a pump Jones vector in the lab frame:
+    the full 27-element contraction with the columns of ``rot``, one
+    orientation and pump at a time. The scalar reference that
+    ``crystal._amplitude_grid`` must reproduce bit for bit."""
+    # lab H/V unit vectors and the pump, all expressed in crystal components
+    e_h = rot[:, 0].astype(complex)
+    e_v = rot[:, 1].astype(complex)
+    e_p = pump[0] * e_h + pump[1] * e_v
+
+    def contract(a, b):
+        return np.einsum("ijk,i,j,k->", chi, a, b, e_p)
+
+    a_hh = contract(e_h, e_h)
+    a_hv = contract(e_h, e_v)
+    a_vh = contract(e_v, e_h)
+    a_vv = contract(e_v, e_v)
+    return np.array([a_hh, (a_hv + a_vh) / np.sqrt(2.0), a_vv])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: equal values, signs of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_pump(rng):
+    pump = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return pump / np.linalg.norm(pump)
+
+
+def test_amplitude_grid_equals_scalar_reference_bit_for_bit():
+    from spdcfilm.crystal import _amplitude_grid
+
+    chi = chi2_zincblende()
+    rng = np.random.default_rng(SEED)
+    # one orientation and pump per call: signed-zero and integer-degree
+    # angles, where exact zeros arise, then any angle
+    zeros = (0.0, -0.0)
+    for n in range(600):
+        tilt = (zeros[n % 2], float(rng.integers(90)), rng.uniform(0.0, 90.0))[n % 3]
+        az = (zeros[n % 2], float(rng.integers(-180, 180)), rng.uniform(-180.0, 180.0))[n % 3]
+        pump = (_random_pump(rng), pump_ket(float(rng.integers(180))))[n % 2]
+        c = _raw_amplitudes(chi, rotation_matrix(CrystalOrientation(tilt, az)), pump)
+        assert _same_bits(_amplitude_grid(chi, tilt, az, [pump])[0], c)
+    # a whole integer-degree grid, several pumps at once
+    tilts, azimuths = np.arange(0.0, 56.0, 5.0), np.arange(0.0, 180.0, 7.0)
+    pumps = [pump_ket(0.0), pump_ket(90.0), pump_ket(45.0), _random_pump(rng)]
+    grid = _amplitude_grid(chi, tilts[:, None], azimuths[None, :], pumps)
+    assert grid.shape == (len(pumps), len(tilts), len(azimuths), 3)
+    for p, pump in enumerate(pumps):
+        for t, tilt in enumerate(tilts):
+            for a, az in enumerate(azimuths):
+                rot = rotation_matrix(CrystalOrientation(tilt, az))
+                assert _same_bits(grid[p, t, a], _raw_amplitudes(chi, rot, pump))
+
+
+def test_amplitudes_and_rate_curve_equal_scalar_reference_bit_for_bit(monkeypatch):
+    import spdcfilm.crystal as crystal
+
+    thresholded = []  # the amplitude rows spdc_amplitudes sets its zero threshold from
+    threshold = crystal._zero_threshold
+
+    def recording_threshold(c_hv):
+        thresholded.append(c_hv.copy())
+        return threshold(c_hv)
+
+    monkeypatch.setattr(crystal, "_zero_threshold", recording_threshold)
+    chi = chi2_zincblende()
+    rng = np.random.default_rng(SEED)
+    angles = list(np.arange(0.0, 181.0, 1.0)) + list(rng.uniform(0.0, 180.0, 20))
+    for n in range(40):
+        orientation = CrystalOrientation(
+            float(rng.integers(1, 90)) if n % 2 else rng.uniform(0.5, 90.0),
+            float(rng.integers(180)) if n % 2 else rng.uniform(0.0, 180.0),
+        )
+        rot = rotation_matrix(orientation)
+        hv_rows = [_raw_amplitudes(chi, rot, hv_pump) for hv_pump in np.eye(2)]
+        for pump in (_random_pump(rng), pump_ket(0.0), pump_ket(90.0)):
+            c = _raw_amplitudes(chi, rot, pump)
+            rate = float(np.sum(np.abs(c) ** 2))
+            res = spdc_amplitudes(chi, orientation, pump)
+            assert res.relative_rate == rate
+            assert _same_bits(res.state, c / np.sqrt(rate))
+            assert _same_bits(thresholded.pop(), hv_rows)
+        curve = pair_rate_curve(chi, orientation, angles)
+        assert curve == [
+            (float(ang), float(np.sum(np.abs(_raw_amplitudes(chi, rot, pump_ket(ang))) ** 2)))
+            for ang in angles
+        ]
+
+
 def _scalar_weight_residual(chi, orientation, targets):
     """Point-by-point residual through ``_raw_amplitudes``: the reference the
     grid kernel must reproduce bit for bit."""
-    from spdcfilm.crystal import _pump_angle, _raw_amplitudes
+    from spdcfilm.crystal import _pump_angle
 
     rot = rotation_matrix(orientation)
     total = 0.0
@@ -227,6 +321,15 @@ def test_residual_grid_equals_scalar_loop_exactly():
     reference = [_scalar_weight_residual(chi, CrystalOrientation(35.75, a), targets)
                  for a in azimuths]
     assert np.all(line == reference)
+    # random targets, one of them at any pump angle, on a random grid
+    rng = np.random.default_rng(SEED)
+    random_targets = {key: tuple(rng.dirichlet(np.ones(3)))
+                      for key in ("H", "D", float(rng.uniform(0.0, 180.0)))}
+    tilts, azimuths = rng.uniform(0.0, 90.0, 7), rng.uniform(-180.0, 180.0, 11)
+    grid = _residual_grid(chi, tilts[:, None], azimuths[None, :], random_targets)
+    reference = [[_scalar_weight_residual(chi, CrystalOrientation(t, a), random_targets)
+                  for a in azimuths] for t in tilts]
+    assert np.all(grid == reference)
     # the vanishing-rate branch: zero weights at normal incidence
     assert weight_residual(chi, CrystalOrientation(0.0, 0.0), targets) == (
         _scalar_weight_residual(chi, CrystalOrientation(0.0, 0.0), targets)
