@@ -2,8 +2,14 @@
 
 Subcommands cover the full pipeline (run) and its stages (amplitudes,
 tomography, bell, hom, histogram); the stages call the memoized
-``source_model`` and ``spectral_section`` that ``run_experiment`` calls,
-so they agree with a run's report. Exit codes: 0 success,
+``source_model`` and ``spectral_section`` that ``run_experiment`` calls.
+So ``amplitudes``, ``hom`` and ``tomography`` print what a run's report holds
+for the same config and seed. ``bell`` does not: its ``f_exact`` is the run's
+``bell.f_model``, but it simulates CHSH counts on the model state
+``source_model(cfg).rho`` with a generator seeded by ``[run] seed`` itself,
+while a run simulates them on the reconstructed state with a child spawned
+from that seed, so ``f_simulated`` is a different draw of a different
+state. Exit codes: 0 success,
 2 configuration or input-file problems, 3 numerical failures (poor fits,
 singular reconstructions, vanishing amplitudes), 4 incomplete tomography
 protocols.

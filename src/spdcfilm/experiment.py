@@ -26,8 +26,13 @@ configurations, so a seed sweep or a CLI command after a run pays for it once:
 
 A result's arrays are read-only copies, shared by every run of its
 configuration; ``to_json()`` builds fresh dicts and lists on each call.
-``sidecars()`` encodes a section's CSV files once, for the last
-``_MEMO_CONFIGS`` sections (keyed by identity), however many reports hold them.
+Each result encodes its output once, for the last ``_MEMO_CONFIGS`` results
+(keyed by identity), however many reports hold them: ``section_texts()`` is
+the indented ``report.json`` text of the sections it owns, and the spectral
+section's and delay scan's ``sidecars()`` are their CSV files.
+``write_report`` splices that text in and encodes only the seed-dependent
+sections per run, so ``report.json``'s seed-free sections come from the
+report's stage results, not from its summary.
 """
 
 from __future__ import annotations
@@ -125,6 +130,13 @@ def _set_read_only_copies(result, *names):
         object.__setattr__(result, name, _read_only_copy(getattr(result, name)))
 
 
+def _section_text(value) -> str:
+    """``value`` as ``report.json`` holds it one level in: its ``indent=2``,
+    sorted-key, strict JSON text with every line after the first indented two
+    more spaces (JSON text has raw newlines only from indentation)."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+
+
 def complex_json(a) -> list:
     """A complex array as nested lists with one [re, im] pair per element."""
     a = np.asarray(a)
@@ -187,6 +199,14 @@ class SourceModel:
             },
             "bell": {"f_model": self.f_model},
         }
+
+    @functools.lru_cache(maxsize=_MEMO_CONFIGS)
+    def section_texts(self) -> dict:
+        """``_section_text`` of the orientation, amplitudes, pump and
+        model_state sections, cached by identity. Not bell: a run merges
+        ``f_model`` with its own CHSH fields."""
+        return {key: _section_text(value) for key, value in self.to_json().items()
+                if key != "bell"}
 
 
 @_memoized(lambda crystal, calibration: (crystal, calibration))
@@ -268,6 +288,11 @@ class SpectralSection:
         }
 
     @functools.lru_cache(maxsize=_MEMO_CONFIGS)
+    def section_texts(self) -> dict:
+        """``_section_text`` of the ``spectral`` section, cached by identity."""
+        return {key: _section_text(value) for key, value in self.to_json().items()}
+
+    @functools.lru_cache(maxsize=_MEMO_CONFIGS)
     def sidecars(self) -> tuple:
         """(name, bytes) of ``hom.csv`` and ``spectrum.csv``, cached by identity."""
         spectrum_rows = zip(self.omega_thz.tolist(), self.intensity.tolist())
@@ -330,6 +355,11 @@ class DelayScan:
         }
 
     @functools.lru_cache(maxsize=_MEMO_CONFIGS)
+    def section_texts(self) -> dict:
+        """``_section_text`` of the ``delay_line`` section, cached by identity."""
+        return {key: _section_text(value) for key, value in self.to_json().items()}
+
+    @functools.lru_cache(maxsize=_MEMO_CONFIGS)
     def sidecars(self) -> tuple:
         """(name, bytes) of ``delay_scan.csv``, cached by identity."""
         return (("delay_scan.csv", _csv_bytes(["tilt_deg", "delay_fs"], self.scan)),)
@@ -358,12 +388,17 @@ class ExperimentReport:
     """Everything one simulated run produced.
 
     ``summary`` is the JSON-safe dictionary, built fresh for each run. The
-    histograms, the fringe curve and the seed-free sections (shared by every
-    run of the configuration) ride along for the CSV sidecars.
+    histograms and the fringe curve ride along for the CSV sidecars. The
+    seed-free stage results (shared by every run of the configuration) ride
+    along for their encoded ``report.json`` sections and sidecars:
+    ``write_report`` writes those from ``source``, ``spectral`` and
+    ``delay_scan``, so editing their keys in ``summary`` does not change the
+    files, while edits to ``seed``, ``tomography`` and ``bell`` do.
     """
 
     summary: dict
     histograms: list
+    source: SourceModel
     spectral: SpectralSection
     delay_scan: DelayScan
     fringe_curve: list
@@ -544,6 +579,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
     return ExperimentReport(
         summary=summary,
         histograms=histograms,
+        source=source,
         spectral=spectral,
         delay_scan=delay,
         fringe_curve=fringe_curve,
@@ -603,6 +639,13 @@ def _histogram_csv(histograms) -> bytes:
 def write_report(report: ExperimentReport, out_dir) -> list:
     """Write report.json plus CSV sidecars; returns the written paths.
 
+    ``report.json`` is assembled key by key over the summary's sorted keys: a
+    section a seed-free stage result owns is its cached ``section_texts()``,
+    and ``bell``, ``schema_version``, ``seed`` and ``tomography`` are encoded
+    per run. For a report as ``run_experiment`` returns it, that is the bytes
+    of ``json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False)
+    + "\n"``.
+
     Each sidecar holds the bytes ``csv.writer`` writes for its rows: str() of
     each number, CRLF line ends. The seed-free sections encode theirs once
     (``sidecars()``). ``histogram.csv`` fills row templates made once per bin
@@ -611,7 +654,14 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "report.json"]
-    paths[0].write_text(json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    owned = {**report.source.section_texts(), **report.spectral.section_texts(),
+             **report.delay_scan.section_texts()}
+    summary = report.summary
+    body = ",\n".join(
+        f"  {json.dumps(key)}: {owned[key] if key in owned else _section_text(summary[key])}"
+        for key in sorted(summary)
+    )
+    paths[0].write_bytes(("{\n" + body + "\n}\n").encode())
     sidecars = (
         ("histogram.csv", _histogram_csv(report.histograms)),
         ("fringe.csv", _csv_bytes(["theta_deg", "rate"], report.fringe_curve)),

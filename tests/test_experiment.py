@@ -168,8 +168,8 @@ def test_bootstrap_sigmas_positive(report):
 
 
 def _clear_memos():
-    """Forget every memoized stage and encoded sidecar: the next run computes
-    and writes all of them, as in a fresh process."""
+    """Forget every memoized stage, encoded report section and sidecar: the
+    next run computes and writes all of them, as in a fresh process."""
     for memo in (
         tomography._protocol_constants,
         tomography._fringe_basis,
@@ -177,6 +177,9 @@ def _clear_memos():
         experiment.source_model,
         experiment.spectral_section,
         experiment.delay_line_scan,
+        experiment.SourceModel.section_texts,
+        experiment.SpectralSection.section_texts,
+        experiment.DelayScan.section_texts,
         experiment.SpectralSection.sidecars,
         experiment.DelayScan.sidecars,
         experiment._histogram_row_templates,
@@ -591,6 +594,51 @@ def test_sidecars_are_what_csv_writer_renders(tmp_path):
                 assert written[file] == expected, (name, phase, seed, file)
 
 
+def _dumped_report(report) -> bytes:
+    """What ``json.dumps`` writes for ``report.summary``, indented, as ``report.json``."""
+    return (json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def test_report_json_is_what_json_dumps_renders(tmp_path):
+    # as the sidecars: cold memos and caches, then a second seed and the first again
+    for name, cfg in _sidecar_configs().items():
+        _clear_memos()
+        for phase, seed in (("cold", SEED), ("warm", SEED + 1), ("warm", SEED)):
+            report = run_experiment(cfg, seed)
+            written = _written(report, tmp_path / f"{name}-{phase}-{seed}")
+            assert written["report.json"] == _dumped_report(report), (name, phase, seed)
+    # equal orientations whose texts differ: an azimuth of 0.0, then of -0.0
+    base = _quick()
+    for azimuth in (0.0, -0.0, 0.0):
+        report = run_experiment(replace(base, crystal=replace(base.crystal, azimuth_deg=azimuth)),
+                                SEED)
+        written = _written(report, tmp_path / "azimuth")["report.json"]
+        assert written == _dumped_report(report), azimuth
+        assert (b'"azimuth_deg": -0.0,' in written) is (math.copysign(1.0, azimuth) < 0)
+
+
+def test_report_json_takes_seed_free_sections_from_the_stage_results(tmp_path, report):
+    s = report.summary
+    edited = {
+        **s,
+        "seed": 7,
+        "tomography": {**s["tomography"], "purity": 0.5},
+        "bell": {**s["bell"], "f_simulated": 1.25},
+        "spectral": {**s["spectral"], "hom_dip_fwhm_fs": 1.0, "hom_curve": []},
+        "orientation": {**s["orientation"], "tilt_deg": 0.0},
+        "delay_line": {},
+    }
+    written = _written(replace(report, summary=edited), tmp_path)["report.json"]
+    # the per-run keys as edited, the seed-free ones as the run wrote them
+    expected = {**edited, **{key: s[key] for key in ("spectral", "orientation", "delay_line")}}
+    assert json.loads(written) == expected
+    assert written == _dumped_report(replace(report, summary=expected))
+    # a per-run section is still encoded as strict JSON
+    broken = {**s, "tomography": {**s["tomography"], "purity": float("nan")}}
+    with pytest.raises(ValueError):
+        write_report(replace(report, summary=broken), tmp_path)
+
+
 def _spectrum_rendered(omega, intensity) -> bytes:
     return _csv_writer_bytes(["omega_thz", "intensity"], zip(omega, intensity))
 
@@ -667,19 +715,22 @@ def test_sidecar_caches_hold_at_most_memo_configs(tmp_path):
     _clear_memos()
     base = _quick()
     caches = (experiment.SpectralSection.sidecars, experiment.DelayScan.sidecars,
-              experiment._histogram_row_templates)
+              experiment._histogram_row_templates, experiment.SourceModel.section_texts,
+              experiment.SpectralSection.section_texts, experiment.DelayScan.section_texts)
     block = experiment._CSV_BLOCK_ROWS
     kept = []  # reports a caller keeps hold no encodings beyond the bound
     for k in range(experiment._MEMO_CONFIGS + 2):
         # grids on both sides of an encoding block's edge
         cfg = replace(base, spectrum=replace(base.spectrum, points=block - 1 + k),
                       histogram=replace(base.histogram, n_bins=block - 1 + 2 * k),
-                      delay_line=replace(base.delay_line, scan_points=block - 1 + k))
+                      delay_line=replace(base.delay_line, scan_points=block - 1 + k),
+                      pump=replace(base.pump, angle_deg=base.pump.angle_deg + k))
         report = run_experiment(cfg, SEED)
         kept.append(report)
         written = _written(report, tmp_path / str(k))
         assert written.items() >= _rendered_sidecars(report).items(), k
+        assert written["report.json"] == _dumped_report(report), k
         sizes = [cache.cache_info().currsize for cache in caches]
-        assert sizes == [min(k + 1, experiment._MEMO_CONFIGS)] * 3, k
+        assert sizes == [min(k + 1, experiment._MEMO_CONFIGS)] * len(caches), k
     _clear_memos()
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
