@@ -60,10 +60,12 @@ from .errors import (
     ZeroAmplitude,
 )
 from .experiment import (
+    BellResult,
     DelayScan,
     ExperimentReport,
     SourceModel,
     SpectralSection,
+    TomographyResult,
     delay_line_scan,
     run_experiment,
     source_model,

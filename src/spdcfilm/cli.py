@@ -4,15 +4,15 @@ Subcommands cover the full pipeline (run) and its stages (amplitudes,
 tomography, bell, hom, histogram); the stages call the memoized
 ``source_model`` and ``spectral_section`` that ``run_experiment`` calls.
 So ``amplitudes``, ``hom`` and ``tomography`` print what a run's report holds
-for the same config and seed. ``bell`` does not: its ``f_exact`` is the run's
-``bell.f_model``, but it simulates CHSH counts on the model state
-``source_model(cfg).rho`` with a generator seeded by ``[run] seed`` itself,
-while a run simulates them on the reconstructed state with a child spawned
-from that seed, so ``f_simulated`` is a different draw of a different
-state. Exit codes: 0 success,
-2 configuration or input-file problems, 3 numerical failures (poor fits,
-singular reconstructions, vanishing amplitudes), 4 incomplete tomography
-protocols.
+for the same config and seed. ``bell`` does not: it calls the run's
+``simulate_bell`` and prints the run's ``bell.f_model`` as ``f_exact``, but
+it simulates CHSH counts on the model state ``source_model(cfg).rho`` with
+a generator seeded by ``[run] seed`` itself, while a run simulates them on
+the reconstructed state with a child spawned from that seed, so
+``f_simulated`` is a different draw of a different state. Exit codes: 0
+success, 2 configuration or input-file problems, 3 numerical failures
+(poor fits, singular reconstructions, vanishing amplitudes), 4 incomplete
+tomography protocols.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bell as bell_mod
 from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
@@ -32,6 +31,7 @@ from .experiment import (
     complex_json,
     run_experiment,
     setting_histogram,
+    simulate_bell,
     simulate_tomography,
     source_model,
     spectral_section,
@@ -94,27 +94,15 @@ def _cmd_tomography(args, cfg):
     else:
         # the seeds run_experiment gives this stage: the first children of the master seed
         seed_seq = np.random.SeedSequence(cfg.run.seed)
-        _emit(args, simulate_tomography(cfg, source_model(cfg).rho, seed_seq)[0])
+        tomography = simulate_tomography(cfg, source_model(cfg).rho, seed_seq)
+        _emit(args, tomography.to_json()["tomography"])
 
 
 def _cmd_bell(args, cfg):
     model = source_model(cfg)
-    rho4 = bell_mod.split_postselect_rho(model.rho)
-    seed = cfg.run.seed
-    f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
-        rho4, cfg.bell.counts_per_setting, seed
-    )
-    _emit(
-        args,
-        {
-            "f_exact": model.f_model,
-            "f_simulated": f_sim,
-            "sigma_f": sigma_f,
-            "std_devs_above_classical": std_devs,
-            "counts_per_setting": cfg.bell.counts_per_setting,
-            "seed": seed,
-        },
-    )
+    bell = simulate_bell(cfg, model.f_model, model.rho, cfg.run.seed).to_json()["bell"]
+    del bell["f_reconstructed"]  # of the model state here: f_exact again
+    _emit(args, {"f_exact": bell.pop("f_model"), **bell, "seed": cfg.run.seed})
 
 
 def _cmd_hom(args, cfg):

@@ -10,9 +10,14 @@ calcite delay-line scan. All randomness derives from one master seed via
 numpy SeedSequence spawning, in a fixed order, so a given (config, seed)
 pair always produces byte-identical canonical output.
 
-Three stages do not depend on the seed. Each takes the ``ExperimentConfig``,
-returns a frozen result whose ``to_json()`` builds its report sections, and
-is memoized on the sections it reads for the last ``_MEMO_CONFIGS``
+The run has five stages. Each returns a frozen result whose ``to_json()``
+builds fresh dicts and lists of the ``report.json`` sections it owns, and
+whose ``encoded()`` returns their indented text and its CSV sidecars' bytes.
+An ``ExperimentReport`` holds the seed and the five results; its ``summary``
+and ``write_report`` read nothing else.
+
+Three stages do not depend on the seed. Each takes the ``ExperimentConfig``
+and is memoized on the sections it reads for the last ``_MEMO_CONFIGS``
 configurations, so a seed sweep or a CLI command after a run pays for it once:
 
 * ``source_model`` -> ``SourceModel`` (orientation, H/V and configured-pump
@@ -24,15 +29,10 @@ configurations, so a seed sweep or a CLI command after a run pays for it once:
   ``[filters]``, ``[detector_response]``, ``[hom]``.
 * ``delay_line_scan`` -> ``DelayScan`` (calcite delay scan): ``[delay_line]``.
 
-A result's arrays are read-only copies, shared by every run of its
-configuration; ``to_json()`` builds fresh dicts and lists on each call.
-Each result encodes its output once, for the last ``_MEMO_CONFIGS`` results
-(keyed by identity), however many reports hold them: ``section_texts()`` is
-the indented ``report.json`` text of the sections it owns, and the spectral
-section's and delay scan's ``sidecars()`` are their CSV files.
-``write_report`` splices that text in and encodes only the seed-dependent
-sections per run, so ``report.json``'s seed-free sections come from the
-report's stage results, not from its summary.
+Their arrays are read-only copies, shared by every run of the configuration,
+and each kind caches ``encoded()`` by identity for the last ``_MEMO_CONFIGS``
+results, however many reports hold them. ``simulate_tomography`` ->
+``TomographyResult`` and ``simulate_bell`` -> ``BellResult`` run once per run.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .spectral import (
 )
 from .tomography import (
     CoincidenceRecord,
+    FitReport,
     _fit_stack,
     _fringe_visibility,
     default_protocol,
@@ -90,7 +91,7 @@ from .tomography import (
 
 SCHEMA_VERSION = 1
 
-#: configurations each seed-free stage's memo, and each sidecar cache, holds
+#: configurations each seed-free stage's memo, and each encoding cache, holds
 _MEMO_CONFIGS = 4
 
 
@@ -137,6 +138,12 @@ def _section_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
 
 
+def _encoded(sections: dict, *sidecars) -> tuple:
+    """A result's ``encoded()``: the ``_section_text`` of each of its
+    ``report.json`` sections, and its sidecars' (name, bytes) pairs."""
+    return {key: _section_text(value) for key, value in sections.items()}, sidecars
+
+
 def complex_json(a) -> list:
     """A complex array as nested lists with one [re, im] pair per element."""
     a = np.asarray(a)
@@ -156,7 +163,8 @@ def amplitudes_json(res) -> dict:
 class SourceModel:
     """``source_model``'s result: the amplitudes under an H, a V and the
     configured pump, ``rho`` the last one's qutrit after the depolarization,
-    and ``f_model`` its CHSH value. The arrays are read-only copies."""
+    and ``f_model`` its CHSH value (reported by the run's ``BellResult``).
+    The arrays are read-only copies."""
 
     orientation: CrystalOrientation
     calibration_residual: float
@@ -175,7 +183,7 @@ class SourceModel:
         _set_read_only_copies(self, "rho")
 
     def to_json(self) -> dict:
-        """The report's orientation, amplitudes, pump and model_state sections, and bell.f_model."""
+        """The report's orientation, amplitudes, pump and model_state sections."""
         pumped = self.pumped
         return {
             "orientation": {
@@ -197,16 +205,12 @@ class SourceModel:
                 "purity": purity(self.rho),
                 "concurrence_bounds": list(concurrence_bounds(pumped.weights)),
             },
-            "bell": {"f_model": self.f_model},
         }
 
     @functools.lru_cache(maxsize=_MEMO_CONFIGS)
-    def section_texts(self) -> dict:
-        """``_section_text`` of the orientation, amplitudes, pump and
-        model_state sections, cached by identity. Not bell: a run merges
-        ``f_model`` with its own CHSH fields."""
-        return {key: _section_text(value) for key, value in self.to_json().items()
-                if key != "bell"}
+    def encoded(self) -> tuple:
+        """``_encoded`` of the four sections, cached by identity."""
+        return _encoded(self.to_json())
 
 
 @_memoized(lambda crystal, calibration: (crystal, calibration))
@@ -256,8 +260,8 @@ def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
 class SpectralSection:
     """``spectral_section``'s result: the filtered pair spectrum ``intensity``
     at the detunings ``omega_thz``, and the HOM dip and peak at ``delays_fs``.
-    The arrays are read-only copies, so the bytes ``sidecars()`` encodes once
-    stay theirs."""
+    The arrays are read-only copies, so the bytes ``encoded()`` caches stay
+    theirs."""
 
     omega_thz: np.ndarray
     intensity: np.ndarray
@@ -288,15 +292,11 @@ class SpectralSection:
         }
 
     @functools.lru_cache(maxsize=_MEMO_CONFIGS)
-    def section_texts(self) -> dict:
-        """``_section_text`` of the ``spectral`` section, cached by identity."""
-        return {key: _section_text(value) for key, value in self.to_json().items()}
-
-    @functools.lru_cache(maxsize=_MEMO_CONFIGS)
-    def sidecars(self) -> tuple:
-        """(name, bytes) of ``hom.csv`` and ``spectrum.csv``, cached by identity."""
+    def encoded(self) -> tuple:
+        """``_encoded`` of the section, ``hom.csv`` and ``spectrum.csv``, cached by identity."""
         spectrum_rows = zip(self.omega_thz.tolist(), self.intensity.tolist())
-        return (
+        return _encoded(
+            self.to_json(),
             ("hom.csv", _csv_bytes(["tau_fs", "r_dip", "r_peak"], self._curve_rows())),
             ("spectrum.csv", _csv_bytes(["omega_thz", "intensity"], spectrum_rows)),
         )
@@ -355,14 +355,10 @@ class DelayScan:
         }
 
     @functools.lru_cache(maxsize=_MEMO_CONFIGS)
-    def section_texts(self) -> dict:
-        """``_section_text`` of the ``delay_line`` section, cached by identity."""
-        return {key: _section_text(value) for key, value in self.to_json().items()}
-
-    @functools.lru_cache(maxsize=_MEMO_CONFIGS)
-    def sidecars(self) -> tuple:
-        """(name, bytes) of ``delay_scan.csv``, cached by identity."""
-        return (("delay_scan.csv", _csv_bytes(["tilt_deg", "delay_fs"], self.scan)),)
+    def encoded(self) -> tuple:
+        """``_encoded`` of the section and ``delay_scan.csv``, cached by identity."""
+        return _encoded(self.to_json(),
+                        ("delay_scan.csv", _csv_bytes(["tilt_deg", "delay_fs"], self.scan)))
 
 
 @_memoized(lambda cfg: (cfg.delay_line,))
@@ -381,31 +377,6 @@ def delay_line_scan(delay_line) -> DelayScan:
         delay_at_base_fs=calcite_delay(line),
         scan=delay_scan(line, tilt_grid, which="inner"),
     )
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Everything one simulated run produced.
-
-    ``summary`` is the JSON-safe dictionary, built fresh for each run. The
-    histograms and the fringe curve ride along for the CSV sidecars. The
-    seed-free stage results (shared by every run of the configuration) ride
-    along for their encoded ``report.json`` sections and sidecars:
-    ``write_report`` writes those from ``source``, ``spectral`` and
-    ``delay_scan``, so editing their keys in ``summary`` does not change the
-    files, while edits to ``seed``, ``tomography`` and ``bell`` do.
-    """
-
-    summary: dict
-    histograms: list
-    source: SourceModel
-    spectral: SpectralSection
-    delay_scan: DelayScan
-    fringe_curve: list
-
-    def canonical_json(self) -> str:
-        """Stable serialization used for reproducibility comparisons."""
-        return json.dumps(self.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def setting_histogram(cfg: ExperimentConfig, seed, relative_rate: float = 1.0):
@@ -506,13 +477,50 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
     return {f"{key}_sigma": _spread(samples[key]) for key in measures}
 
 
-def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq):
-    """Simulated tomography of ``rho_true``: the report's "tomography" section.
+@dataclass(frozen=True, eq=False)
+class TomographyResult:
+    """``simulate_tomography``'s result. ``measures`` and ``sigmas`` hold the
+    report's JSON values (None where undefined); ``fringe_curve`` holds
+    (theta_deg, rate) pairs, none when the fringe has no counts."""
 
-    Spawns one child of ``seed_seq`` per protocol setting, then one for the
-    bootstrap. Also returns the reconstructed state, the per-setting
-    histograms and the fringe curve of the reconstructed state.
-    """
+    records: list
+    rho: np.ndarray
+    fit: FitReport
+    measures: dict
+    sigmas: dict
+    fixed_analyzer: str
+    histograms: list
+    fringe_curve: list
+
+    def to_json(self) -> dict:
+        """The report's ``tomography`` section."""
+        fit = asdict(self.fit)
+        del fit["scale"]  # reported as scale_hz, beside the fit
+        entries = {**self.measures, **self.sigmas}
+        return {
+            "tomography": {
+                "records": [{**asdict(r), "net": r.net} for r in self.records],
+                "rho": complex_json(self.rho),
+                "scale_hz": self.fit.scale,
+                "fit": fit,
+                # a copy of each list, so editing the section leaves the result alone
+                **{key: list(v) if isinstance(v, list) else v for key, v in entries.items()},
+                "fringe_fixed_analyzer": self.fixed_analyzer,
+            }
+        }
+
+    def encoded(self) -> tuple:
+        """``_encoded`` of the section, ``histogram.csv`` and ``fringe.csv``."""
+        return _encoded(
+            self.to_json(),
+            ("histogram.csv", _histogram_csv(self.histograms)),
+            ("fringe.csv", _csv_bytes(["theta_deg", "rate"], self.fringe_curve)),
+        )
+
+
+def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq) -> TomographyResult:
+    """Simulated tomography of ``rho_true``. Spawns one child of ``seed_seq``
+    per protocol setting, then one for the bootstrap."""
     protocol = default_protocol()
     rel_rates = forward_rates(rho_true, protocol)
     histograms, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
@@ -526,19 +534,85 @@ def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq):
         )
         fringe_curve, _ = fringe_scan(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
     boot_seq = seed_seq.spawn(1)[0]
-    sigmas = _bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq)
-    fit_json = asdict(fit)
-    del fit_json["scale"]  # reported as scale_hz, beside the fit
-    section = {
-        "records": [{**asdict(r), "net": r.net} for r in records],
-        "rho": complex_json(rho_hat),
-        "scale_hz": fit.scale,
-        "fit": fit_json,
-        **measures,
-        **sigmas,
-        "fringe_fixed_analyzer": cfg.fringe.fixed_analyzer,
-    }
-    return section, rho_hat, histograms, fringe_curve
+    return TomographyResult(
+        records=records,
+        rho=rho_hat,
+        fit=fit,
+        measures=measures,
+        sigmas=_bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq),
+        fixed_analyzer=cfg.fringe.fixed_analyzer,
+        histograms=histograms,
+        fringe_curve=fringe_curve,
+    )
+
+
+@dataclass(frozen=True)
+class BellResult:
+    """``simulate_bell``'s result: the report's ``bell`` section, the model
+    state's ``f_model`` included."""
+
+    f_model: float
+    f_reconstructed: float
+    f_simulated: float
+    sigma_f: float
+    std_devs_above_classical: float | None
+    counts_per_setting: int
+
+    def to_json(self) -> dict:
+        """The report's ``bell`` section."""
+        return {"bell": asdict(self)}
+
+    def encoded(self) -> tuple:
+        """``_encoded`` of the section; it has no sidecar."""
+        return _encoded(self.to_json())
+
+
+def simulate_bell(cfg: ExperimentConfig, f_model: float, rho, seed) -> BellResult:
+    """The CHSH test of the qutrit ``rho``, beside the model's ``f_model``:
+    ``[bell] counts_per_setting`` pairs per setting, drawn from
+    ``np.random.default_rng(seed)``."""
+    rho4 = bell_mod.split_postselect_rho(rho)
+    f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(rho4, cfg.bell.counts_per_setting, seed)
+    return BellResult(
+        f_model=f_model,
+        f_reconstructed=bell_mod.chsh_value(rho4),
+        f_simulated=f_sim,
+        sigma_f=sigma_f,
+        std_devs_above_classical=std_devs,
+        counts_per_setting=cfg.bell.counts_per_setting,
+    )
+
+
+@dataclass(frozen=True)
+class ExperimentReport:
+    """Everything one simulated run produced: its master ``seed`` and its five
+    stage results (the seed-free ones shared by every run of the configuration).
+    ``summary`` is rebuilt from them on each access, so editing it changes
+    neither the report nor its files: edit the results with ``replace``."""
+
+    seed: int
+    source: SourceModel
+    tomography: TomographyResult
+    bell: BellResult
+    spectral: SpectralSection
+    delay_scan: DelayScan
+
+    @property
+    def results(self) -> tuple:
+        """The five stage results, in the order their sidecars are written."""
+        return self.source, self.tomography, self.bell, self.spectral, self.delay_scan
+
+    @property
+    def summary(self) -> dict:
+        """``report.json``'s content, as a fresh JSON-safe dictionary."""
+        summary = {"schema_version": SCHEMA_VERSION, "seed": self.seed}
+        for result in self.results:
+            summary.update(result.to_json())
+        return summary
+
+    def canonical_json(self) -> str:
+        """Stable serialization used for reproducibility comparisons."""
+        return json.dumps(self.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> ExperimentReport:
@@ -547,42 +621,15 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         cfg = load_config()
     master_seed = cfg.run.seed if seed is None else int(seed)
     seed_seq = np.random.SeedSequence(master_seed)
-
     source = source_model(cfg)
-    tomography, rho_hat, histograms, fringe_curve = simulate_tomography(cfg, source.rho, seed_seq)
-
-    rho4_hat = bell_mod.split_postselect_rho(rho_hat)
-    bell_rng = np.random.default_rng(seed_seq.spawn(1)[0])
-    f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
-        rho4_hat, cfg.bell.counts_per_setting, bell_rng
-    )
-
-    spectral = spectral_section(cfg)
-    delay = delay_line_scan(cfg)
-
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": master_seed,
-        **source.to_json(),
-        "tomography": tomography,
-        **spectral.to_json(),
-        **delay.to_json(),
-    }
-    summary["bell"].update(
-        f_reconstructed=bell_mod.chsh_value(rho4_hat),
-        f_simulated=f_sim,
-        sigma_f=sigma_f,
-        std_devs_above_classical=std_devs,
-        counts_per_setting=cfg.bell.counts_per_setting,
-    )
-
+    tomography = simulate_tomography(cfg, source.rho, seed_seq)
     return ExperimentReport(
-        summary=summary,
-        histograms=histograms,
+        seed=master_seed,
         source=source,
-        spectral=spectral,
-        delay_scan=delay,
-        fringe_curve=fringe_curve,
+        tomography=tomography,
+        bell=simulate_bell(cfg, source.f_model, tomography.rho, seed_seq.spawn(1)[0]),
+        spectral=spectral_section(cfg),
+        delay_scan=delay_line_scan(cfg),
     )
 
 
@@ -639,35 +686,26 @@ def _histogram_csv(histograms) -> bytes:
 def write_report(report: ExperimentReport, out_dir) -> list:
     """Write report.json plus CSV sidecars; returns the written paths.
 
-    ``report.json`` is assembled key by key over the summary's sorted keys: a
-    section a seed-free stage result owns is its cached ``section_texts()``,
-    and ``bell``, ``schema_version``, ``seed`` and ``tomography`` are encoded
-    per run. For a report as ``run_experiment`` returns it, that is the bytes
-    of ``json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False)
-    + "\n"``.
+    ``report.json`` is assembled key by key from ``schema_version``, ``seed``
+    and each stage result's ``encoded()`` sections: the bytes of
+    ``json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False)
+    + "\n"``. The sidecars follow in the order of ``report.results``.
 
     Each sidecar holds the bytes ``csv.writer`` writes for its rows: str() of
-    each number, CRLF line ends. The seed-free sections encode theirs once
-    (``sidecars()``). ``histogram.csv`` fills row templates made once per bin
-    grid (matched by its dtype and bytes) with the counts.
+    each number, CRLF line ends. The seed-free results encode theirs once.
+    ``histogram.csv`` fills row templates made once per bin grid (matched by
+    its dtype and bytes) with the counts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    texts, sidecars = _encoded({"schema_version": SCHEMA_VERSION, "seed": report.seed})
+    for result in report.results:
+        result_texts, result_sidecars = result.encoded()
+        texts.update(result_texts)
+        sidecars += result_sidecars
+    body = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
     paths = [out / "report.json"]
-    owned = {**report.source.section_texts(), **report.spectral.section_texts(),
-             **report.delay_scan.section_texts()}
-    summary = report.summary
-    body = ",\n".join(
-        f"  {json.dumps(key)}: {owned[key] if key in owned else _section_text(summary[key])}"
-        for key in sorted(summary)
-    )
     paths[0].write_bytes(("{\n" + body + "\n}\n").encode())
-    sidecars = (
-        ("histogram.csv", _histogram_csv(report.histograms)),
-        ("fringe.csv", _csv_bytes(["theta_deg", "rate"], report.fringe_curve)),
-        *report.spectral.sidecars(),
-        *report.delay_scan.sidecars(),
-    )
     for name, data in sidecars:
         paths.append(out / name)
         paths[-1].write_bytes(data)

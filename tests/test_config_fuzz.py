@@ -1,7 +1,9 @@
 """Property test of the validated config space: every sampled overlay either
-runs to a strict-JSON report or fails with a typed error and its exit code."""
+runs to a strict-JSON report that meets the benchmark's physical invariants,
+or fails with a typed error and its exit code."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -11,6 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcfilm.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_NUMERICAL, EXIT_OK, main
+
+# perfbench/check.py is a script, not a package module: load its invariants by path
+_CHECK = importlib.util.spec_from_file_location(
+    "perfbench_check", Path(__file__).resolve().parents[1] / "perfbench" / "check.py")
+check = importlib.util.module_from_spec(_CHECK)
+_CHECK.loader.exec_module(check)
 
 
 def _reject_constant(name):
@@ -67,6 +75,9 @@ def test_validated_configs_run_or_fail_typed(overlay, seed):
             code = main(["run", "--seed", str(seed), "--config", str(cfg), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INCOMPLETE)
         if code == EXIT_OK:
-            json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+            summary = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+            # rho Hermitian, PSD, unit trace; weights sum to 1; Tsirelson and
+            # algebraic CHSH bounds; sigmas finite exactly when bootstrapping
+            assert check.invariants(summary, seed, overlay["run"]["bootstrap_samples"]) == []
         else:
             assert not out.exists()

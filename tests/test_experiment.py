@@ -177,11 +177,9 @@ def _clear_memos():
         experiment.source_model,
         experiment.spectral_section,
         experiment.delay_line_scan,
-        experiment.SourceModel.section_texts,
-        experiment.SpectralSection.section_texts,
-        experiment.DelayScan.section_texts,
-        experiment.SpectralSection.sidecars,
-        experiment.DelayScan.sidecars,
+        experiment.SourceModel.encoded,
+        experiment.SpectralSection.encoded,
+        experiment.DelayScan.encoded,
         experiment._histogram_row_templates,
     ):
         memo.cache_clear()
@@ -278,7 +276,7 @@ def test_undefined_measures_are_null_in_strict_json():
 def test_report_serialization_is_strict_json(tmp_path, report):
     from dataclasses import replace
 
-    broken = replace(report, summary={**report.summary, "seed": float("nan")})
+    broken = replace(report, seed=float("nan"))
     with pytest.raises(ValueError):
         broken.canonical_json()
     with pytest.raises(ValueError):
@@ -557,10 +555,10 @@ def _rendered_sidecars(report) -> dict:
     s = report.summary
     tables = {
         "histogram.csv": (["setting_index", "delta_t_ns", "counts"], [
-            (m, t, c) for m, h in enumerate(report.histograms)
+            (m, t, c) for m, h in enumerate(report.tomography.histograms)
             for t, c in zip(h.centers_ns, h.counts)
         ]),
-        "fringe.csv": (["theta_deg", "rate"], report.fringe_curve),
+        "fringe.csv": (["theta_deg", "rate"], report.tomography.fringe_curve),
         "hom.csv": (["tau_fs", "r_dip", "r_peak"],
                     [(p["tau_fs"], p["r_dip"], p["r_peak"]) for p in s["spectral"]["hom_curve"]]),
         "spectrum.csv": (["omega_thz", "intensity"],
@@ -618,25 +616,40 @@ def test_report_json_is_what_json_dumps_renders(tmp_path):
 
 
 def test_report_json_takes_seed_free_sections_from_the_stage_results(tmp_path, report):
-    s = report.summary
-    edited = {
-        **s,
-        "seed": 7,
-        "tomography": {**s["tomography"], "purity": 0.5},
-        "bell": {**s["bell"], "f_simulated": 1.25},
-        "spectral": {**s["spectral"], "hom_dip_fwhm_fs": 1.0, "hom_curve": []},
-        "orientation": {**s["orientation"], "tilt_deg": 0.0},
-        "delay_line": {},
-    }
-    written = _written(replace(report, summary=edited), tmp_path)["report.json"]
-    # the per-run keys as edited, the seed-free ones as the run wrote them
-    expected = {**edited, **{key: s[key] for key in ("spectral", "orientation", "delay_line")}}
-    assert json.loads(written) == expected
-    assert written == _dumped_report(replace(report, summary=expected))
-    # a per-run section is still encoded as strict JSON
-    broken = {**s, "tomography": {**s["tomography"], "purity": float("nan")}}
+    # a summary is a fresh view: editing one reaches neither the next nor the files
+    expected = report.canonical_json()
+    files = _written(report, tmp_path / "first")
+    _scramble(report.summary)
+    assert report.canonical_json() == expected
+    assert _written(report, tmp_path / "again") == files
+
+    # edits go through the results, seed-free and per-run alike
+    tomography, source = report.tomography, report.source
+    edited = replace(
+        report,
+        seed=7,
+        tomography=replace(tomography, measures={**tomography.measures, "purity": 0.5}),
+        bell=replace(report.bell, f_simulated=1.25),
+        spectral=replace(report.spectral, hom_dip_fwhm_fs=1.0),
+        source=replace(source, orientation=replace(source.orientation, tilt_deg=0.0)),
+        delay_scan=replace(report.delay_scan, scan=()),
+    )
+    written = _written(edited, tmp_path / "edited")["report.json"]
+    assert written == _dumped_report(edited)
+    loaded, before = json.loads(written), json.loads(files["report.json"])
+    assert (loaded["seed"], loaded["tomography"]["purity"], loaded["bell"]["f_simulated"],
+            loaded["spectral"]["hom_dip_fwhm_fs"], loaded["orientation"]["tilt_deg"],
+            loaded["delay_line"]["scan"]) == (7, 0.5, 1.25, 1.0, 0.0, [])
+    for key in ("schema_version", "amplitudes", "pump", "model_state"):
+        assert loaded[key] == before[key], key
+
+    # a per-run result is still encoded as strict JSON
+    for broken in (replace(tomography, measures={**tomography.measures, "purity": float("nan")}),
+                   replace(tomography, sigmas={**tomography.sigmas, "purity_sigma": math.inf})):
+        with pytest.raises(ValueError):
+            write_report(replace(report, tomography=broken), tmp_path / "broken")
     with pytest.raises(ValueError):
-        write_report(replace(report, summary=broken), tmp_path)
+        write_report(replace(report, bell=replace(report.bell, f_simulated=math.nan)), tmp_path)
 
 
 def _spectrum_rendered(omega, intensity) -> bytes:
@@ -699,13 +712,14 @@ def test_histogram_rows_follow_the_bin_grid_bytes(tmp_path):
     report = run_experiment(_quick(), SEED)
 
     def regridded(centers):
-        return replace(report, histograms=[replace(h, centers_ns=centers(h.centers_ns))
-                                           for h in report.histograms])
+        return replace(report, tomography=replace(report.tomography, histograms=[
+            replace(h, centers_ns=centers(h.centers_ns)) for h in report.tomography.histograms]))
 
     signed = regridded(lambda c: np.where(c == 0.0, -0.0, c))
     integer = regridded(lambda c: c.astype(np.int64))
     for r in (report, signed, integer, report):
-        assert r.histograms[0].centers_ns.tolist() == report.histograms[0].centers_ns.tolist()
+        assert (r.tomography.histograms[0].centers_ns.tolist()
+                == report.tomography.histograms[0].centers_ns.tolist())
         assert _written(r, tmp_path)["histogram.csv"] == _rendered_sidecars(r)["histogram.csv"]
     assert b"\r\n0,-0.0," in _written(signed, tmp_path)["histogram.csv"]
     assert b"\r\n0,0," in _written(integer, tmp_path)["histogram.csv"]
@@ -714,9 +728,8 @@ def test_histogram_rows_follow_the_bin_grid_bytes(tmp_path):
 def test_sidecar_caches_hold_at_most_memo_configs(tmp_path):
     _clear_memos()
     base = _quick()
-    caches = (experiment.SpectralSection.sidecars, experiment.DelayScan.sidecars,
-              experiment._histogram_row_templates, experiment.SourceModel.section_texts,
-              experiment.SpectralSection.section_texts, experiment.DelayScan.section_texts)
+    caches = (experiment.SourceModel.encoded, experiment.SpectralSection.encoded,
+              experiment.DelayScan.encoded, experiment._histogram_row_templates)
     block = experiment._CSV_BLOCK_ROWS
     kept = []  # reports a caller keeps hold no encodings beyond the bound
     for k in range(experiment._MEMO_CONFIGS + 2):
