@@ -9,10 +9,18 @@ R = (1, -i)/sqrt(2),
 
 The CHSH functional is normalized so that local realism bounds F <= 1 and
 quantum mechanics bounds F <= sqrt(2) for the default settings.
+
+What F needs of a set of settings, the four correlator operators and each
+term's outcome projectors, is one ``_ChshTable``. The default settings' table
+is built once per process; custom ``ChshSettings`` build theirs per call. A
+call validates its two-qubit state once, reads the sixteen outcome
+probabilities from one stacked product and draws their counts with one
+``poisson`` call, in the stream order of one draw per outcome.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +130,49 @@ def correlator_table(state_or_rho, i: int, j: int) -> float:
     return expectation(state_or_rho, STOKES[i], STOKES[j])
 
 
-def _chsh_terms(settings: ChshSettings | None) -> list:
-    """(obs_a, obs_b, sign) of the four correlators in F, in the order
-    <ab>, <a'b>, <ab'>, <a'b'>; the default settings when None."""
-    s = default_chsh_settings() if settings is None else settings
-    return [
-        (s.a, s.b, +1),
-        (s.a_prime, s.b, +1),
-        (s.a, s.b_prime, +1),
-        (s.a_prime, s.b_prime, -1),
-    ]
+_CHSH_SIGNS = (+1, +1, +1, -1)
+
+
+@dataclass(frozen=True)
+class _ChshTable:
+    """What the CHSH functional needs of a ``ChshSettings``, in the order
+    <ab>, <a'b>, <ab'>, <a'b'> of its four terms (signs ``_CHSH_SIGNS``): the
+    correlator operators kron(obs_a, obs_b), and each term's four outcome
+    projectors kron(|a><a|, |b><b|) over the observables' eigenvectors with
+    the (sign a, sign b) key of each outcome."""
+
+    correlators: np.ndarray  # (4, 4, 4)
+    projectors: np.ndarray  # (4, 4, 4, 4): term, outcome, matrix
+    outcomes: tuple  # per term, the four (sign a, sign b) keys
+
+
+def _chsh_table(s: ChshSettings) -> _ChshTable:
+    pairs = [(s.a, s.b), (s.a_prime, s.b), (s.a, s.b_prime), (s.a_prime, s.b_prime)]
+    projectors, outcomes = [], []
+    for obs_a, obs_b in pairs:
+        va_vals, va_vecs = np.linalg.eigh(obs_a)
+        vb_vals, vb_vecs = np.linalg.eigh(obs_b)
+        projectors.append([np.kron(_dyad(va_vecs[:, ia]), _dyad(vb_vecs[:, ib]))
+                           for ia in range(2) for ib in range(2)])
+        outcomes.append(tuple((int(np.sign(va_vals[ia])), int(np.sign(vb_vals[ib])))
+                              for ia in range(2) for ib in range(2)))
+    table = _ChshTable(
+        correlators=np.array([np.kron(obs_a, obs_b) for obs_a, obs_b in pairs]),
+        projectors=np.array(projectors),
+        outcomes=tuple(outcomes),
+    )
+    table.correlators.flags.writeable = table.projectors.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=1)
+def _default_chsh_table() -> _ChshTable:
+    return _chsh_table(default_chsh_settings())
+
+
+def _table(settings: ChshSettings | None) -> _ChshTable:
+    """The default settings' table (built once) when None, else one built now."""
+    return _default_chsh_table() if settings is None else _chsh_table(settings)
 
 
 def chsh_value(state_or_rho, settings: ChshSettings | None = None) -> float:
@@ -141,7 +182,9 @@ def chsh_value(state_or_rho, settings: ChshSettings | None = None) -> float:
     on the post-selected state of the orthogonal pair.
     """
     rho = _as_rho4(state_or_rho)
-    f = sum(sign * expectation(rho, a, b) for a, b, sign in _chsh_terms(settings))
+    table = _table(settings)
+    terms = np.real(np.trace(rho @ table.correlators, axis1=-2, axis2=-1))
+    f = sum(sign * float(e) for sign, e in zip(_CHSH_SIGNS, terms))
     return abs(f) / 2.0
 
 
@@ -155,20 +198,6 @@ def werner_state(p: float, base=None) -> np.ndarray:
     return p * np.outer(base, base.conj()) + (1.0 - p) * np.eye(4) / 4.0
 
 
-def _setting_counts(rho, obs_a, obs_b, n_per_setting, rng):
-    """Poisson-draw the four +-1 x +-1 outcome counts for one setting pair."""
-    va_vals, va_vecs = np.linalg.eigh(obs_a)
-    vb_vals, vb_vecs = np.linalg.eigh(obs_b)
-    counts = {}
-    for ia in range(2):
-        for ib in range(2):
-            proj = np.kron(_dyad(va_vecs[:, ia]), _dyad(vb_vecs[:, ib]))
-            prob = max(float(np.real(np.trace(rho @ proj))), 0.0)
-            key = (int(np.sign(va_vals[ia])), int(np.sign(vb_vals[ib])))
-            counts[key] = counts.get(key, 0.0) + rng.poisson(prob * n_per_setting)
-    return counts
-
-
 def _correlator_from_counts(counts):
     num = sum(sa * sb * n for (sa, sb), n in counts.items())
     den = sum(counts.values())
@@ -180,6 +209,22 @@ def _correlator_from_counts(counts):
     return e, np.sqrt(var)
 
 
+def _outcome_counts(rho4, n_per_setting, seed, settings) -> list:
+    """Per CHSH term, the Poisson-drawn counts of its outcomes as a
+    {(sign a, sign b): count} dict; outcomes that share a key add up."""
+    table = _table(settings)
+    probs = np.maximum(np.real(np.trace(rho4 @ table.projectors, axis1=-2, axis2=-1)), 0.0)
+    # one array draw takes the stream in the order of one scalar draw per outcome
+    draws = np.random.default_rng(seed).poisson(probs * n_per_setting).tolist()
+    setting_counts = []
+    for keys, setting_draws in zip(table.outcomes, draws):
+        counts = {}
+        for key, n in zip(keys, setting_draws):
+            counts[key] = counts.get(key, 0.0) + n
+        setting_counts.append(counts)
+    return setting_counts
+
+
 def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings=None):
     """Simulated finite-statistics CHSH measurement.
 
@@ -189,12 +234,9 @@ def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings=None):
     in one outcome class). Counts are Poissonian per outcome, per setting.
     """
     rho = _as_rho4(state_or_rho)
-    rng = np.random.default_rng(seed)
     total, var = 0.0, 0.0
-    for obs_a, obs_b, sign in _chsh_terms(settings):
-        e, sig = _correlator_from_counts(
-            _setting_counts(rho, obs_a, obs_b, n_per_setting, rng)
-        )
+    for sign, counts in zip(_CHSH_SIGNS, _outcome_counts(rho, n_per_setting, seed, settings)):
+        e, sig = _correlator_from_counts(counts)
         total += sign * e
         var += sig**2
     f = abs(total) / 2.0

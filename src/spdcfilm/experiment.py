@@ -456,9 +456,10 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     accidental = np.array([r.accidental for r in records])
     sigmas = np.array([r.net_sigma for r in records])
     model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
-    draws = np.array(
-        [np.random.default_rng(child).normal(model_net, sigmas) for child in seed_seq.spawn(n_boot)]
-    )
+    # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
+    z = np.array([np.random.default_rng(child).standard_normal(len(records))
+                  for child in seed_seq.spawn(n_boot)])
+    draws = model_net + sigmas * z
     nets = np.maximum(draws + accidental, 0.0) - accidental
     return _fit_stack(nets, durations, protocol)[0]
 

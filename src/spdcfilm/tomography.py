@@ -147,9 +147,9 @@ def forward_rates(rho, protocol, scale: float = 1.0) -> np.ndarray:
     rho = check_density_matrix(rho)
     if scale < 0:
         raise InvalidDensityMatrix("scale must be nonnegative")
-    rates = np.array(
-        [scale * np.real(np.vdot(w, rho @ w)) for w in _constants(protocol)[0]]
-    )
+    w = _constants(protocol)[0][:, :, None]
+    # <w_m|rho|w_m> of every setting as one stacked product, in vdot's order
+    rates = scale * np.real(np.swapaxes(w.conj(), 1, 2) @ (rho @ w))[:, 0, 0]
     # tiny negative values are numerical dust on a PSD matrix
     return np.where(np.abs(rates) < 1e-15, 0.0, rates)
 
@@ -171,7 +171,7 @@ def _project_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(m)
-    negative_mass = -np.where(vals < 0.0, vals, 0.0).sum(axis=-1)
+    negative_mass = np.where(vals < 0.0, -vals, 0.0).sum(axis=-1)
     vals = np.clip(vals, 0.0, None)
     if np.any(vals.sum(axis=-1) <= 0.0):
         raise SingularFit("matrix has no positive spectral weight")
@@ -200,9 +200,11 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     negative-eigenvalue mass the clipping removed.
 
     The default protocol has 9 settings for the 9 real parameters of S, so
-    the fit is exactly determined: S reproduces every count, and the weights
-    only affect the conditioning check (``SingularFit`` above condition
-    number 1e8). With more settings than parameters they set the fit.
+    the fit is exactly determined: S reproduces every count, S is solved from
+    the unweighted square design, and the weights only enter the checks made
+    before it (``SingularFit`` above weighted condition number 1e8 or below
+    least-squares rank 9). With more settings than parameters they set the
+    fit, which is solved from the weighted design's SVD (``_fit_stack``).
     """
     if len(records) != len(protocol):
         raise IncompleteProtocol(
@@ -222,17 +224,27 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
 def _fit_stack(nets: np.ndarray, durations: np.ndarray, protocol):
     """``reconstruct``'s inversion of a (B, n) stack of net counts at once.
 
-    Every replicate keeps ``reconstruct``'s weights and checks; the first one
-    that fails a check raises its ``SingularFit``. Returns the (B, 3, 3)
-    states and a ``FitReport`` whose fields are (B,) arrays. The caller has
-    checked the protocol's completeness.
+    Every replicate keeps ``reconstruct``'s weights and checks, all made
+    before any solve; the first replicate that fails a check raises its
+    ``SingularFit``. The weighted design's singular values give the
+    conditioning and the least-squares rank. A square design D (n = 9
+    settings) is invertible once those checks pass, so the weighted solution
+    is D^-1 nets whatever the weights: every replicate is solved with one
+    factorization of D, and the weights enter only the checks and the
+    residual. With more settings than parameters the weights set the fit,
+    and each replicate is solved from its own weighted SVD. Returns the
+    (B, 3, 3) states and a ``FitReport`` whose fields are (B,) arrays. The
+    caller has checked the protocol's completeness.
     """
     design = durations[:, None] * _constants(protocol)[1]
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
     a = design * sqrt_w[:, :, None]
     b = nets * sqrt_w
-    # one SVD gives the conditioning, the least-squares rank and the solution
-    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    square = design.shape[0] == design.shape[1]
+    if square:
+        sv = np.linalg.svd(a, compute_uv=False)
+    else:
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
     bad = ~(cond <= 1e8)
@@ -241,7 +253,10 @@ def _fit_stack(nets: np.ndarray, durations: np.ndarray, protocol):
     ranks = np.count_nonzero(sv > np.finfo(float).eps * max(a.shape[1:]) * sv[:, :1], axis=-1)
     if np.any(ranks < 9):
         raise SingularFit(f"least-squares rank {ranks.min()} < 9")
-    x = np.einsum("bji,bj->bi", vh, np.einsum("bmj,bm->bj", u, b) / sv)
+    if square:
+        x = np.linalg.solve(design, nets.T).T
+    else:
+        x = np.einsum("bji,bj->bi", vh, np.einsum("bmj,bm->bj", u, b) / sv)
 
     s = np.einsum("bk,kij->bij", x, _BASIS)
     scales = np.real(np.trace(s, axis1=1, axis2=2))

@@ -161,3 +161,78 @@ def test_simulated_chsh_is_seeded():
     rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
     assert simulate_chsh(rho4, 500, seed=42) == simulate_chsh(rho4, 500, seed=42)
     assert simulate_chsh(rho4, 500, seed=42) != simulate_chsh(rho4, 500, seed=43)
+
+
+def _reference_terms(settings):
+    s = settings or default_chsh_settings()
+    return [(s.a, s.b, 1), (s.a_prime, s.b, 1), (s.a, s.b_prime, 1), (s.a_prime, s.b_prime, -1)]
+
+
+def _reference_setting_counts(rho, obs_a, obs_b, n_per_setting, rng):
+    """The scalar loop the outcome table replaces: one kron projector, one
+    trace and one Poisson draw per outcome of one setting pair."""
+    va_vals, va_vecs = np.linalg.eigh(obs_a)
+    vb_vals, vb_vecs = np.linalg.eigh(obs_b)
+    counts = {}
+    for ia in range(2):
+        for ib in range(2):
+            proj = np.kron(np.outer(va_vecs[:, ia], va_vecs[:, ia].conj()),
+                           np.outer(vb_vecs[:, ib], vb_vecs[:, ib].conj()))
+            prob = max(float(np.real(np.trace(rho @ proj))), 0.0)
+            key = (int(np.sign(va_vals[ia])), int(np.sign(vb_vals[ib])))
+            counts[key] = counts.get(key, 0.0) + rng.poisson(prob * n_per_setting)
+    return counts
+
+
+def _reference_simulate_chsh(rho, n_per_setting, seed, settings):
+    from spdcfilm.bell import _correlator_from_counts
+
+    rng = np.random.default_rng(seed)
+    setting_counts = [
+        _reference_setting_counts(rho, obs_a, obs_b, n_per_setting, rng)
+        for obs_a, obs_b, _ in _reference_terms(settings)
+    ]
+    total, var = 0.0, 0.0
+    for (_, _, sign), counts in zip(_reference_terms(settings), setting_counts):
+        e, sig = _correlator_from_counts(counts)
+        total += sign * e
+        var += sig**2
+    sigma_f = np.sqrt(var) / 2.0
+    return setting_counts, abs(total) / 2.0, float(sigma_f)
+
+
+def _rotated_settings(rng):
+    from spdcfilm.bell import ChshSettings
+
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    base = default_chsh_settings()
+    return ChshSettings(*(u @ m @ u.conj().T for m in (base.a, base.a_prime, base.b, base.b_prime)))
+
+
+def test_chsh_outcome_table_matches_scalar_reference():
+    from spdcfilm.bell import _outcome_counts
+
+    rng = np.random.default_rng(SEED + 4)
+    custom = _rotated_settings(rng)
+    for seed in range(200):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho4 = split_postselect_rho(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        for settings in (None, custom):
+            counts, f, sigma_f = _reference_simulate_chsh(rho4, 500, seed, settings)
+            assert _outcome_counts(rho4, 500, seed, settings) == counts
+            # bit for bit: the same draws in the same arithmetic
+            assert simulate_chsh(rho4, 500, seed, settings)[:2] == (f, sigma_f)
+            expected = sum(sign * np.real(np.trace(rho4 @ np.kron(obs_a, obs_b)))
+                           for obs_a, obs_b, sign in _reference_terms(settings))
+            assert chsh_value(rho4, settings) == pytest.approx(abs(expected) / 2.0, abs=1e-14)
+
+
+def test_default_chsh_table_is_built_once_and_read_only():
+    from spdcfilm.bell import _table
+
+    table = _table(None)
+    assert _table(None) is table
+    assert table.correlators.shape == (4, 4, 4) and table.projectors.shape == (4, 4, 4, 4)
+    for shared in (table.correlators, table.projectors):
+        with pytest.raises(ValueError):
+            shared[0, 0, 0] = 0.0

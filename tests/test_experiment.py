@@ -205,29 +205,30 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
     assert 0 < len(calls) <= 200
 
 
+def _bootstrap_inputs(report):
+    """The report's records, their point fit, and the bootstrap's seed in
+    run_experiment: the child after the nine setting seeds."""
+    from spdcfilm.tomography import CoincidenceRecord, default_protocol, reconstruct
+
+    records = [
+        CoincidenceRecord(**{k: v for k, v in r.items() if k != "net"})
+        for r in report.summary["tomography"]["records"]
+    ]
+    rho_hat, fit = reconstruct(records, default_protocol())
+    seq = np.random.SeedSequence(SEED)
+    seq.spawn(9)
+    return records, rho_hat, fit, seq.spawn(1)[0]
+
+
 def test_batched_bootstrap_equals_scalar_replicates(report):
     from dataclasses import replace
 
     from spdcfilm.experiment import _bootstrap_states, _measures
     from spdcfilm.qutrit import concurrence, dominant_eigenstate, purity
-    from spdcfilm.tomography import (
-        CoincidenceRecord,
-        default_protocol,
-        forward_rates,
-        fringe_scan,
-        reconstruct,
-    )
+    from spdcfilm.tomography import default_protocol, forward_rates, fringe_scan, reconstruct
 
-    tomo = report.summary["tomography"]
-    records = [
-        CoincidenceRecord(**{k: v for k, v in r.items() if k != "net"}) for r in tomo["records"]
-    ]
+    records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
     protocol = default_protocol()
-    rho_hat, fit = reconstruct(records, protocol)
-    # the bootstrap's seeds in run_experiment: the child after the nine setting seeds
-    seq = np.random.SeedSequence(SEED)
-    seq.spawn(9)
-    boot_seq = seq.spawn(1)[0]
     n_boot = 5
     rhos = _bootstrap_states(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
     batched = _measures(rhos, "H")
@@ -237,9 +238,7 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
         rho_hat, protocol, fit.scale
     )
     sigmas = np.array([r.net_sigma for r in records])
-    seq = np.random.SeedSequence(SEED)
-    seq.spawn(9)
-    for k, child in enumerate(seq.spawn(1)[0].spawn(n_boot)):
+    for k, child in enumerate(_bootstrap_inputs(report)[3].spawn(n_boot)):
         draw = np.random.default_rng(child).normal(model_net, sigmas)
         boot = [replace(r, raw=max(d + r.accidental, 0.0)) for r, d in zip(records, draw)]
         rho_k, _ = reconstruct(boot, protocol)
@@ -251,6 +250,21 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
         assert batched["dominant_weight"][k] == pytest.approx(weight, abs=1e-12)
         _, vis = fringe_scan(rho_k, "H", np.linspace(0.0, 360.0, 37))
         assert batched["visibility"][k] == pytest.approx(vis, abs=1e-12)
+
+
+def test_bootstrap_replicate_does_not_depend_on_the_replicate_count(report):
+    from spdcfilm.experiment import _bootstrap_states
+    from spdcfilm.tomography import default_protocol
+
+    records, rho_hat, fit, _ = _bootstrap_inputs(report)
+    # spawn() advances a SeedSequence, so each bootstrap gets a fresh one
+    few, many = (
+        _bootstrap_states(rho_hat, fit.scale, records, default_protocol(), n_boot,
+                          _bootstrap_inputs(report)[3])
+        for n_boot in (3, 100)
+    )
+    assert few.shape == (3, 3, 3) and many.shape == (100, 3, 3)
+    assert np.max(np.abs(few - many[:3])) < 1e-12
 
 
 def test_undefined_measures_are_null_in_strict_json():

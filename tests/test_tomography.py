@@ -308,3 +308,73 @@ def test_overcomplete_protocol_roundtrip():
     rho_hat, report = reconstruct(_noiseless_records(rho, protocol), protocol)
     assert np.linalg.norm(rho_hat - rho) < 1e-9
     assert report.design_rank == 9 and report.scale == pytest.approx(1000.0, rel=1e-9)
+
+
+def _svd_reference_fit(nets, durations, protocol):
+    """Per replicate, ``reconstruct``'s weighted least-squares solution from
+    that replicate's own weighted SVD: a reference for any protocol shape."""
+    from spdcfilm.tomography import _BASIS, _constants
+
+    design = durations[:, None] * _constants(protocol)[1]
+    states, scales = [], []
+    for net in nets:
+        sqrt_w = np.sqrt(1.0 / np.maximum(net, 1.0))
+        u, sv, vh = np.linalg.svd(design * sqrt_w[:, None], full_matrices=False)
+        x = vh.T @ ((u.T @ (net * sqrt_w)) / sv)
+        s = np.einsum("k,kij->ij", x, _BASIS)
+        scales.append(np.trace(s).real)
+        states.append(project_psd(s / scales[-1]))
+    return np.array(states), np.array(scales)
+
+
+@pytest.mark.parametrize("extra", [(), ("AH", "AD", "VR", "RR")], ids=["square", "overcomplete"])
+def test_stacked_fit_matches_per_replicate_svd_reference(extra):
+    from spdcfilm.tomography import _fit_stack
+
+    rng = np.random.default_rng(SEED + 7)
+    protocol = default_protocol() + [(setting(a), setting(b)) for a, b in extra]
+    rho = depolarize(np.array([0.0, 1.0, 0.0]), 0.02)
+    durations = rng.uniform(1.0, 3.0, len(protocol))
+    # dark settings: nets below 1, where the weights clip at 1, and below 0
+    nets = durations * forward_rates(rho, protocol, 40.0) + rng.normal(0.0, 1.5, (20, len(protocol)))
+    assert np.any(nets < 1.0) and np.any(nets < 0.0)
+    rhos, fits = _fit_stack(nets, durations, protocol)
+    states, scales = _svd_reference_fit(nets, durations, protocol)
+    assert np.max(np.abs(rhos - states)) < 1e-12
+    assert np.allclose(fits.scale, scales, rtol=1e-12, atol=0.0)
+    if not extra:  # exactly determined: every count is reproduced
+        assert np.all(fits.weighted_rms_residual < 1e-12)
+    else:
+        assert np.all(fits.weighted_rms_residual > 1e-3)
+
+
+def test_ill_weighted_replicate_raises_singular_fit_before_solving():
+    from spdcfilm.tomography import _fit_stack
+
+    protocol = default_protocol()
+    durations = np.full(len(protocol), 2.0)
+    good = 2.0 * forward_rates(depolarize(np.array([0.0, 1.0, 0.0]), 0.03), protocol, 300.0)
+    huge = good.copy()
+    huge[0] = 1e17  # its weight 1e-8.5 pushes the weighted condition number past 1e8
+    with pytest.raises(SingularFit, match="condition number"):
+        _fit_stack(np.array([good, huge, good]), durations, protocol)
+    _fit_stack(np.array([good, good]), durations, protocol)
+
+
+def test_nothing_clipped_reports_positive_zero():
+    rho = _random_rho(np.random.default_rng(SEED + 8))
+    _, report = reconstruct(_noiseless_records(rho, default_protocol()), default_protocol())
+    assert report.negative_mass_clipped == 0.0
+    assert np.copysign(1.0, report.negative_mass_clipped) == 1.0
+
+
+def test_forward_rates_match_vdot_loop():
+    from spdcfilm.polarization import two_photon_projector
+
+    rng = np.random.default_rng(SEED + 9)
+    protocol = default_protocol() + [(setting(a), setting(b)) for a, b in ("AH", "AD", "VR")]
+    vectors = [two_photon_projector(a.ket(), b.ket()) for a, b in protocol]
+    for _ in range(50):
+        rho = _random_rho(rng)
+        expected = np.array([2.5 * np.real(np.vdot(w, rho @ w)) for w in vectors])
+        assert np.allclose(forward_rates(rho, protocol, 2.5), expected, rtol=1e-15, atol=1e-15)
