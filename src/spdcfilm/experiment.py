@@ -417,11 +417,14 @@ def _simulate_records(cfg, rel_rates, seeds):
     return histograms, records
 
 
-def _measures(rhos, fixed_analyzer) -> dict:
+def _measures(rhos, fixed_analyzer, spectrum=None) -> dict:
     """Report measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
-    ``_state_measures`` plus the fringe visibility (NaN where the fringe has
-    no counts)."""
-    return {**_state_measures(rhos), "visibility": _fringe_visibility(rhos, fixed_analyzer)}
+    ``_state_measures`` (given the stack's ``spectrum`` when it is known)
+    plus the fringe visibility (NaN where the fringe has no counts)."""
+    return {
+        **_state_measures(rhos, spectrum),
+        "visibility": _fringe_visibility(rhos, fixed_analyzer),
+    }
 
 
 def _defined(values):
@@ -437,45 +440,70 @@ def _point_measures(rho, fixed_analyzer) -> dict:
 
 
 def _spread(samples):
-    """Bootstrap sigma: nanstd(ddof=1) over the replicates (axis 0), None
-    where fewer than two replicates are finite."""
-    enough = np.count_nonzero(np.isfinite(samples), axis=0) >= 2
-    sigma = np.nanstd(np.where(enough, samples, 0.0), axis=0, ddof=1)
-    return _defined(np.where(enough, sigma, np.nan))
+    """Bootstrap sigma: the sample standard deviation (ddof 1) of the finite
+    replicates (axis 0), None where fewer than two replicates are finite."""
+    finite = np.isfinite(samples)
+    count = np.count_nonzero(finite, axis=0)
+    values = np.where(finite, samples, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = values.sum(axis=0) / count
+        squares = np.where(finite, (values - mean) ** 2, 0.0).sum(axis=0)
+        sigma = np.sqrt(squares / (count - 1))
+    return _defined(np.where(count >= 2, sigma, np.nan))
+
+
+#: bootstrap replicates drawn and reconstructed at a time: bounds the
+#: working memory of a bootstrap whatever ``[run] bootstrap_samples`` is
+_BOOTSTRAP_BLOCK = 1024
 
 
 def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
-    """The (n_boot, 3, 3) states of a parametric bootstrap: net counts redrawn
-    from the fitted model, then reconstructed all at once.
+    """The states of a parametric bootstrap: net counts redrawn from the
+    fitted model, then reconstructed ``_BOOTSTRAP_BLOCK`` replicates at a
+    time. Yields each block's (B, 3, 3) states with their (vals, vecs)
+    spectrum, the eigendecomposition ``_fit_stack``'s projection made, so
+    the measures need no second ``eigh``.
 
     Replicate k draws from the k-th spawned child of ``seed_seq`` and keeps its
     records' accidentals, durations and sigmas, as ``reconstruct`` would see
-    ``replace(record, raw=max(draw + accidental, 0))``.
+    ``replace(record, raw=max(draw + accidental, 0))``. Each block spawns its
+    own children, and ``spawn`` continues the child count, so replicate k is
+    the same whatever the block size. The replicates share one design, whose
+    SVD bounds their conditioning: only the replicates that bound cannot
+    clear take ``reconstruct``'s exact SVD checks (``_fit_stack``).
     """
     durations = np.array([r.duration_s for r in records])
     accidental = np.array([r.accidental for r in records])
     sigmas = np.array([r.net_sigma for r in records])
     model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
-    # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
-    z = np.array([np.random.default_rng(child).standard_normal(len(records))
-                  for child in seed_seq.spawn(n_boot)])
-    draws = model_net + sigmas * z
-    nets = np.maximum(draws + accidental, 0.0) - accidental
-    return _fit_stack(nets, durations, protocol)[0]
+    for start in range(0, n_boot, _BOOTSTRAP_BLOCK):
+        children = seed_seq.spawn(min(_BOOTSTRAP_BLOCK, n_boot - start))
+        # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
+        z = np.array([np.random.default_rng(child).standard_normal(len(records))
+                      for child in children])
+        nets = np.maximum(model_net + sigmas * z + accidental, 0.0) - accidental
+        rhos, _, spectrum = _fit_stack(nets, durations, protocol)
+        yield rhos, spectrum
 
 
 def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
     """Parametric bootstrap: redraw net counts from the fitted model.
 
-    Returns the report's ``<measure>_sigma`` entries, all None without replicates.
+    Returns the report's ``<measure>_sigma`` entries, all None without
+    replicates. Only the (n_boot, measures) sample table grows with the
+    replicate count; the states are held one block at a time.
     """
     n_boot = cfg.run.bootstrap_samples
     measures = ("weights", "purity", "concurrence", "visibility")
     if n_boot == 0:
         return {f"{key}_sigma": None for key in measures}
-    rhos = _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq)
-    samples = _measures(rhos, cfg.fringe.fixed_analyzer)
-    return {f"{key}_sigma": _spread(samples[key]) for key in measures}
+    blocks = _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq)
+    samples = {key: [] for key in measures}
+    for rhos, spectrum in blocks:
+        block = _measures(rhos, cfg.fringe.fixed_analyzer, spectrum)
+        for key in measures:
+            samples[key].append(block[key])
+    return {f"{key}_sigma": _spread(np.concatenate(samples[key])) for key in measures}
 
 
 @dataclass(frozen=True, eq=False)

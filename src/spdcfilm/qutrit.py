@@ -35,16 +35,20 @@ def check_density_matrix(rho, eig_tol: float = 1e-9, dim: int = 3) -> np.ndarray
     return rho
 
 
-def _density_eigh(rhos: np.ndarray, eig_tol: float = 1e-9):
+def _density_eigh(rhos: np.ndarray, eig_tol: float = 1e-9, spectrum=None):
     """``check_density_matrix``'s checks on every matrix of a (B, d, d) stack,
-    then its stacked ``eigh``. The first failing matrix raises."""
+    then its stacked ``eigh``. The first failing matrix raises.
+
+    A ``spectrum`` already known for the stack (``_project_psd``'s (vals,
+    vecs)) stands in for the ``eigh``: its eigenvalues take the PSD check.
+    """
     if np.max(np.abs(rhos - np.swapaxes(rhos.conj(), -1, -2))) > 1e-10:
         raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")
     traces = np.real(np.trace(rhos, axis1=-2, axis2=-1))
     off = np.abs(traces - 1.0) > 1e-10
     if np.any(off):
         raise InvalidDensityMatrix(f"trace {traces[off][0]!r} is not 1 to 1e-10")
-    vals, vecs = np.linalg.eigh(rhos)
+    vals, vecs = np.linalg.eigh(rhos) if spectrum is None else spectrum
     if np.min(vals[:, 0]) < -eig_tol:
         raise InvalidDensityMatrix("matrix has an eigenvalue below -1e-9")
     return vals, vecs
@@ -127,12 +131,18 @@ def _dominant(vals: np.ndarray, vecs: np.ndarray, gap_tol: float = 1e-9):
     return vec, vals[..., -1], vals[..., -1] - vals[..., -2] < gap_tol
 
 
-def _state_measures(rhos: np.ndarray) -> dict:
+def _state_measures(rhos: np.ndarray, spectrum=None) -> dict:
     """Measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
     weights, purity, and the dominant branch's concurrence, Schmidt number
     and weight, NaN where the top eigenvalue is degenerate. Validates the
-    stack as ``check_density_matrix`` would each state."""
-    vals, vecs = _density_eigh(rhos)
+    stack as ``check_density_matrix`` would each state.
+
+    The dominant branch, the degeneracy test and the weight read the stack's
+    ``eigh``, or the (vals, vecs) ``spectrum`` the caller already holds for
+    it: the bootstrap passes ``_project_psd``'s, so each replicate is
+    factorized once. A state of unknown spectrum takes a fresh ``eigh``.
+    """
+    vals, vecs = _density_eigh(rhos, spectrum=spectrum)
     top, top_weight, degenerate = _dominant(vals, vecs)
     c = np.where(degenerate, np.nan, _concurrence(top))
     return {

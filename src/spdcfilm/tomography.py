@@ -164,10 +164,13 @@ def project_psd(m) -> np.ndarray:
     return _project_psd(np.asarray(m, dtype=complex)[None])[0][0]
 
 
-def _project_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _project_psd(m: np.ndarray):
     """``project_psd`` of each matrix of a (B, 3, 3) stack, in one ``eigh``.
 
-    Also returns the negative-eigenvalue mass the clipping removed from each.
+    Also returns the negative-eigenvalue mass the clipping removed from each,
+    and the (vals, vecs) eigendecomposition of each returned state: the
+    ``eigh`` eigenvectors with the clipped eigenvalues over the trace, in
+    ascending order, which is ``eigh`` of the returned state up to rounding.
     """
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(m)
@@ -176,7 +179,8 @@ def _project_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(vals.sum(axis=-1) <= 0.0):
         raise SingularFit("matrix has no positive spectral weight")
     rho = (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None], negative_mass
+    traces = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    return rho / traces[:, None, None], negative_mass, (vals / traces[:, None], vecs)
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,9 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     before it (``SingularFit`` above weighted condition number 1e8 or below
     least-squares rank 9). With more settings than parameters they set the
     fit, which is solved from the weighted design's SVD (``_fit_stack``).
+    The report's ``condition_number`` and ``design_rank`` always come from
+    the weighted design's own singular values: the point fit takes the
+    exact checks, never the bound the bootstrap's replicates are cleared by.
     """
     if len(records) != len(protocol):
         raise IncompleteProtocol(
@@ -216,53 +223,86 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
 
     nets = np.array([[rec.net for rec in records]])
     durations = np.array([rec.duration_s for rec in records])
-    rhos, fits = _fit_stack(nets, durations, protocol)
+    rhos, fits, _ = _fit_stack(nets, durations, protocol, exact_checks=True)
     report = FitReport(**{f.name: getattr(fits, f.name)[0].item() for f in fields(FitReport)})
     return rhos[0], report
 
 
-def _fit_stack(nets: np.ndarray, durations: np.ndarray, protocol):
+#: ``SingularFit`` above this condition number of a weighted design
+_COND_LIMIT = 1e8
+#: a square design's replicate passes the checks without its own SVD when its
+#: bound cond(D) max(sqrt w) / min(sqrt w) is at most this; far below
+#: ``_COND_LIMIT``, and rank < 9 needs a condition number above 1/(9 eps) ~ 5e14
+_BOUND_MARGIN = 1e6
+
+
+def _conditioning(sv: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Condition numbers and least-squares ranks of a stack of weighted
+    designs of largest dimension ``size``, from their (B, 9) singular values.
+    The first replicate above ``_COND_LIMIT`` raises ``SingularFit``; then,
+    if any replicate falls below rank 9, the lowest rank does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    bad = ~(cond <= _COND_LIMIT)
+    if np.any(bad):
+        raise SingularFit(f"design matrix condition number {cond[bad][0]:.3g}")
+    ranks = np.count_nonzero(sv > np.finfo(float).eps * size * sv[:, :1], axis=-1)
+    if np.any(ranks < 9):
+        raise SingularFit(f"least-squares rank {ranks.min()} < 9")
+    return cond, ranks
+
+
+def _fit_stack(nets: np.ndarray, durations: np.ndarray, protocol, exact_checks: bool = False):
     """``reconstruct``'s inversion of a (B, n) stack of net counts at once.
 
     Every replicate keeps ``reconstruct``'s weights and checks, all made
     before any solve; the first replicate that fails a check raises its
-    ``SingularFit``. The weighted design's singular values give the
-    conditioning and the least-squares rank. A square design D (n = 9
-    settings) is invertible once those checks pass, so the weighted solution
-    is D^-1 nets whatever the weights: every replicate is solved with one
-    factorization of D, and the weights enter only the checks and the
-    residual. With more settings than parameters the weights set the fit,
-    and each replicate is solved from its own weighted SVD. Returns the
-    (B, 3, 3) states and a ``FitReport`` whose fields are (B,) arrays. The
-    caller has checked the protocol's completeness.
+    ``SingularFit`` (``_conditioning``). The checks read the weighted design
+    diag(sqrt w) D: its condition number (at most 1e8) and least-squares rank.
+
+    A square design D (n = 9 settings) is invertible once those checks pass,
+    so the weighted solution is D^-1 nets whatever the weights: every
+    replicate is solved with one factorization of D, and the weights enter
+    only the checks and the residual. One SVD of D also bounds each
+    replicate's weighted condition number by cond(D) max(sqrt w) / min(sqrt w).
+    A replicate whose bound is at most 1e6 (``_BOUND_MARGIN``) passes both
+    checks without its own SVD; only the replicates the bound cannot clear,
+    or all of them with ``exact_checks`` (as ``reconstruct`` asks), take the
+    exact checks from the singular values of their weighted design. With more
+    settings than parameters the weights set the fit: each replicate is
+    solved from its own weighted SVD, whose singular values give its checks.
+
+    Returns the (B, 3, 3) states, a ``FitReport`` whose fields are (B,)
+    arrays, and the states' (vals, vecs) eigendecomposition from
+    ``_project_psd``. ``condition_number`` holds the exact value where the
+    SVD ran and the bound where the bound cleared the replicate. The caller
+    has checked the protocol's completeness.
     """
     design = durations[:, None] * _constants(protocol)[1]
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
     a = design * sqrt_w[:, :, None]
     b = nets * sqrt_w
-    square = design.shape[0] == design.shape[1]
-    if square:
-        sv = np.linalg.svd(a, compute_uv=False)
-    else:
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[:, 0] / sv[:, -1]
-    bad = ~(cond <= 1e8)
-    if np.any(bad):
-        raise SingularFit(f"design matrix condition number {cond[bad][0]:.3g}")
-    ranks = np.count_nonzero(sv > np.finfo(float).eps * max(a.shape[1:]) * sv[:, :1], axis=-1)
-    if np.any(ranks < 9):
-        raise SingularFit(f"least-squares rank {ranks.min()} < 9")
-    if square:
+    if design.shape[0] == design.shape[1]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sv = np.linalg.svd(design, compute_uv=False)
+            cond = sv[0] / sv[-1] * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
+        ranks = np.full(len(nets), 9)
+        exact = ~(cond <= _BOUND_MARGIN) | exact_checks
+        if np.any(exact):
+            cond[exact], ranks[exact] = _conditioning(
+                np.linalg.svd(a[exact], compute_uv=False), max(a.shape[1:])
+            )
         x = np.linalg.solve(design, nets.T).T
     else:
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
+        cond, ranks = _conditioning(sv, max(a.shape[1:]))
         x = np.einsum("bji,bj->bi", vh, np.einsum("bmj,bm->bj", u, b) / sv)
 
     s = np.einsum("bk,kij->bij", x, _BASIS)
     scales = np.real(np.trace(s, axis1=1, axis2=2))
     if np.any(scales <= 0.0):
         raise SingularFit(f"fitted total rate {scales[scales <= 0.0][0]:.3g} is not positive")
-    rhos, negative_mass = _project_psd(s / scales[:, None, None])
+    rhos, negative_mass, spectrum = _project_psd(s / scales[:, None, None])
 
     residual = np.sqrt(np.mean((np.einsum("bmk,bk->bm", a, x) - b) ** 2, axis=-1))
     return rhos, FitReport(
@@ -271,7 +311,7 @@ def _fit_stack(nets: np.ndarray, durations: np.ndarray, protocol):
         negative_mass_clipped=negative_mass,
         design_rank=ranks,
         condition_number=cond,
-    )
+    ), spectrum
 
 
 @functools.lru_cache(maxsize=8)

@@ -220,17 +220,24 @@ def _bootstrap_inputs(report):
     return records, rho_hat, fit, seq.spawn(1)[0]
 
 
+def _bootstrap_stack(*args):
+    """``_bootstrap_states``' blocks of states as one (n_boot, 3, 3) stack."""
+    from spdcfilm.experiment import _bootstrap_states
+
+    return np.concatenate([rhos for rhos, _ in _bootstrap_states(*args)])
+
+
 def test_batched_bootstrap_equals_scalar_replicates(report):
     from dataclasses import replace
 
-    from spdcfilm.experiment import _bootstrap_states, _measures
+    from spdcfilm.experiment import _measures
     from spdcfilm.qutrit import concurrence, dominant_eigenstate, purity
     from spdcfilm.tomography import default_protocol, forward_rates, fringe_scan, reconstruct
 
     records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
     protocol = default_protocol()
     n_boot = 5
-    rhos = _bootstrap_states(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
+    rhos = _bootstrap_stack(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
     batched = _measures(rhos, "H")
 
     # the replicate loop the batch replaces: one reconstruct per spawned child
@@ -253,18 +260,78 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
 
 
 def test_bootstrap_replicate_does_not_depend_on_the_replicate_count(report):
-    from spdcfilm.experiment import _bootstrap_states
     from spdcfilm.tomography import default_protocol
 
     records, rho_hat, fit, _ = _bootstrap_inputs(report)
     # spawn() advances a SeedSequence, so each bootstrap gets a fresh one
     few, many = (
-        _bootstrap_states(rho_hat, fit.scale, records, default_protocol(), n_boot,
-                          _bootstrap_inputs(report)[3])
+        _bootstrap_stack(rho_hat, fit.scale, records, default_protocol(), n_boot,
+                         _bootstrap_inputs(report)[3])
         for n_boot in (3, 100)
     )
     assert few.shape == (3, 3, 3) and many.shape == (100, 3, 3)
     assert np.max(np.abs(few - many[:3])) < 1e-12
+
+
+def test_bootstrap_factorizes_each_replicate_once(monkeypatch, report):
+    from spdcfilm.tomography import default_protocol
+
+    cfg = load_config()
+    records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
+    calls = []
+    for name in ("svd", "eigh"):
+        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    experiment._bootstrap_sigmas(cfg, rho_hat, fit.scale, records, default_protocol(), boot_seq)
+    n_boot = cfg.run.bootstrap_samples
+    # the replicates share one design: its one SVD clears their conditioning,
+    # and the projection's eigh gives the measures their spectrum
+    assert [shape for name, shape in calls if name == "svd" and len(shape) > 2] == []
+    assert [shape for name, shape in calls if name == "eigh" and shape[0] == n_boot] == [
+        (n_boot, 3, 3)
+    ]
+
+
+def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
+    import tracemalloc
+
+    from spdcfilm.tomography import default_protocol
+
+    cfg = load_config()
+    records, rho_hat, fit, _ = _bootstrap_inputs(report)
+    protocol = default_protocol()
+
+    def bootstrap(n_boot):
+        n_cfg = replace(cfg, run=replace(cfg.run, bootstrap_samples=n_boot))
+        fitted = (rho_hat, fit.scale, records, protocol)
+        return (_bootstrap_stack(*fitted, n_boot, _bootstrap_inputs(report)[3]),
+                experiment._bootstrap_sigmas(n_cfg, *fitted, _bootstrap_inputs(report)[3]))
+
+    one_block, one_block_sigmas = bootstrap(100)
+    monkeypatch.setattr(experiment, "_BOOTSTRAP_BLOCK", 7)  # 15 blocks, the last one short
+    blocks, blocks_sigmas = bootstrap(100)
+    assert blocks.shape == (100, 3, 3)
+    assert np.max(np.abs(blocks - one_block)) < 1e-12
+    for key, sigma in one_block_sigmas.items():
+        assert np.allclose(blocks_sigmas[key], sigma, rtol=1e-12, atol=0.0), key
+
+    # only the sample table grows with the replicate count: four blocks of
+    # states peak at most 1.5 times as high as one (unblocked, about 4 times)
+    monkeypatch.setattr(experiment, "_BOOTSTRAP_BLOCK", 256)
+    peaks = []
+    for n_boot in (256, 1024):  # the memos were filled above
+        n_cfg = replace(cfg, run=replace(cfg.run, bootstrap_samples=n_boot))
+        boot_seq = _bootstrap_inputs(report)[3]
+        tracemalloc.start()
+        try:
+            experiment._bootstrap_sigmas(n_cfg, rho_hat, fit.scale, records, protocol, boot_seq)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_undefined_measures_are_null_in_strict_json():
@@ -285,6 +352,17 @@ def test_undefined_measures_are_null_in_strict_json():
     assert _spread(np.array([np.nan, 0.4, np.nan])) is None
     assert _spread(np.array([0.1, np.nan, 0.3])) == pytest.approx(np.std([0.1, 0.3], ddof=1))
     assert _spread(np.array([[0.1, np.nan], [0.3, 0.2]])) == [pytest.approx(0.1414213562), None]
+
+
+def test_spread_is_the_sample_deviation_of_the_finite_replicates():
+    from spdcfilm.experiment import _spread
+
+    rng = np.random.default_rng(SEED)
+    samples = rng.normal(size=(100, 3))
+    samples[rng.random((100, 3)) < 0.2] = np.nan
+    for table in (samples, samples[:, 0], samples[:, 1:]):
+        expected = np.nanstd(table, axis=0, ddof=1)
+        assert np.allclose(_spread(table), expected, rtol=1e-15, atol=0.0)
 
 
 def test_report_serialization_is_strict_json(tmp_path, report):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdcfilm import (
     AnalyzerSetting,
@@ -271,7 +273,7 @@ def test_batched_fit_matches_scalar_reconstruct_per_replicate():
         for draw in draws
     ]
     nets = np.array([[rec.net for rec in records] for records in replicates])
-    rhos, fits = _fit_stack(nets, np.full(len(protocol), 2.0), protocol)
+    rhos, fits, _ = _fit_stack(nets, np.full(len(protocol), 2.0), protocol)
     for k, records in enumerate(replicates):
         rho_k, report = reconstruct(records, protocol)
         assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
@@ -338,7 +340,7 @@ def test_stacked_fit_matches_per_replicate_svd_reference(extra):
     # dark settings: nets below 1, where the weights clip at 1, and below 0
     nets = durations * forward_rates(rho, protocol, 40.0) + rng.normal(0.0, 1.5, (20, len(protocol)))
     assert np.any(nets < 1.0) and np.any(nets < 0.0)
-    rhos, fits = _fit_stack(nets, durations, protocol)
+    rhos, fits, _ = _fit_stack(nets, durations, protocol)
     states, scales = _svd_reference_fit(nets, durations, protocol)
     assert np.max(np.abs(rhos - states)) < 1e-12
     assert np.allclose(fits.scale, scales, rtol=1e-12, atol=0.0)
@@ -359,6 +361,132 @@ def test_ill_weighted_replicate_raises_singular_fit_before_solving():
     with pytest.raises(SingularFit, match="condition number"):
         _fit_stack(np.array([good, huge, good]), durations, protocol)
     _fit_stack(np.array([good, good]), durations, protocol)
+
+
+def _reference_singular_fit(nets, durations, protocol):
+    """The ``SingularFit`` message of ``reconstruct``'s checks on a stack, each
+    replicate judged by the singular values of its own weighted design (as
+    in ``_svd_reference_fit``), or None when every replicate passes."""
+    from spdcfilm.tomography import _constants
+
+    design = durations[:, None] * _constants(protocol)[1]
+    conds, ranks = [], []
+    for net in nets:
+        sv = np.linalg.svd(design * np.sqrt(1.0 / np.maximum(net, 1.0))[:, None],
+                           compute_uv=False)
+        conds.append(sv[0] / sv[-1])
+        ranks.append(np.count_nonzero(sv > np.finfo(float).eps * max(design.shape) * sv[0]))
+    bad = [c for c in conds if not c <= 1e8]
+    if bad:
+        return f"design matrix condition number {bad[0]:.3g}"
+    if min(ranks) < 9:
+        return f"least-squares rank {min(ranks)} < 9"
+    return None
+
+
+_MODEL_NETS = 2.0 * forward_rates(depolarize(np.array([0.0, 1.0, 0.0]), 0.03),
+                                  default_protocol(), 300.0)
+
+
+@st.composite
+def _replicate_nets(draw):
+    """The default protocol's nets of one replicate: the model's, with dark
+    settings (below 1, where the weights clip, and below 0) and up to two
+    bright ones (up to 1e17, where the weighted condition number passes 1e8)."""
+    nets = _MODEL_NETS.copy()
+    for m in draw(st.lists(st.integers(0, 8), max_size=3)):
+        nets[m] = draw(st.floats(-5.0, 1.0))
+    for m in draw(st.lists(st.integers(0, 8), max_size=2, unique=True)):
+        nets[m] = 10.0 ** draw(st.floats(0.0, 17.0))
+    return nets
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(replicates=st.lists(_replicate_nets(), min_size=1, max_size=4))
+def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates):
+    from spdcfilm.tomography import _fit_stack
+
+    protocol = default_protocol()
+    durations = np.full(len(protocol), 2.0)
+    nets = np.array(replicates)
+    outcomes = []
+    for exact_checks in (False, True):
+        try:
+            outcomes.append(_fit_stack(nets, durations, protocol, exact_checks=exact_checks))
+        except SingularFit as error:
+            outcomes.append(str(error))
+    (fit, exact_fit), expected = outcomes, _reference_singular_fit(nets, durations, protocol)
+    if expected is not None:
+        assert fit == exact_fit == expected
+        return
+    if isinstance(fit, str):  # the trace check, made after the conditioning checks
+        assert fit == exact_fit and fit.endswith("is not positive")
+        return
+    (rhos, fits, _), (exact_rhos, exact_fits, _) = fit, exact_fit
+    # the bound decides which replicates take the SVD, never the states
+    assert np.array_equal(rhos, exact_rhos)
+    assert np.all(fits.condition_number >= exact_fits.condition_number * (1.0 - 1e-12))
+    assert np.all(fits.design_rank == 9)
+    # one bright setting at most: with two, the reference's own solve loses
+    # digits to eps times the weighted condition number (up to 1e8), so only
+    # the checks above are compared
+    single = np.count_nonzero(nets > np.max(_MODEL_NETS), axis=-1) <= 1
+    if np.any(single):
+        states, _ = _svd_reference_fit(nets[single], durations, protocol)
+        assert np.max(np.abs(rhos[single] - states)) < 1e-12
+
+
+def test_replicate_the_bound_cannot_clear_takes_the_exact_checks():
+    from spdcfilm.tomography import _BOUND_MARGIN, _constants, _fit_stack
+
+    protocol = default_protocol()
+    durations = np.full(len(protocol), 2.0)
+    bright = _MODEL_NETS.copy()
+    bright[0] = 1e12
+    nets = np.array([_MODEL_NETS, bright])
+    design = durations[:, None] * _constants(protocol)[1]
+    sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
+    bound = np.linalg.cond(design) * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
+    exact = [np.linalg.cond(design * w[:, None]) for w in sqrt_w]
+    assert bound[0] <= _BOUND_MARGIN < bound[1] and exact[1] < 1e8
+    rhos, fits, _ = _fit_stack(nets, durations, protocol)
+    # the bright replicate reports its own condition number; the other its bound
+    assert fits.condition_number[1] == pytest.approx(exact[1], rel=1e-12)
+    assert fits.condition_number[0] == pytest.approx(bound[0], rel=1e-12)
+    assert np.max(np.abs(rhos - _svd_reference_fit(nets, durations, protocol)[0])) < 1e-12
+    # the point fit always reports the exact value
+    records = [CoincidenceRecord(index=m, raw=max(n, 0.0), accidental=max(n, 0.0) - n,
+                                 duration_s=2.0) for m, n in enumerate(_MODEL_NETS)]
+    assert reconstruct(records, protocol)[1].condition_number == pytest.approx(exact[0],
+                                                                               rel=1e-12)
+
+
+def test_measures_from_the_projection_spectrum_match_a_fresh_eigh():
+    from spdcfilm.qutrit import _state_measures
+    from spdcfilm.tomography import _project_psd
+
+    rng = np.random.default_rng(SEED + 10)
+
+    def rotated(eigenvalues):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+    stack = np.array(
+        [_random_rho(rng) for _ in range(4)]
+        + [
+            rotated([1.3, -0.1, -0.2]),  # clipped to rank 1
+            rotated([0.45, 0.45, 0.1]),  # degenerate top pair
+            rotated([0.6, 0.6, -0.2]),  # degenerate top pair after clipping
+            rotated([0.7, 0.4, -0.1]),  # clipped, top pair apart
+        ]
+    )
+    rhos, _, spectrum = _project_psd(stack)
+    measures = _state_measures(rhos, spectrum)
+    fresh = _state_measures(rhos)
+    assert np.isnan(fresh["concurrence"]).tolist() == [False] * 5 + [True, True, False]
+    for key, values in fresh.items():
+        assert np.array_equal(np.isnan(measures[key]), np.isnan(values)), key
+        assert np.allclose(measures[key], values, rtol=0.0, atol=1e-12, equal_nan=True), key
 
 
 def test_nothing_clipped_reports_positive_zero():
