@@ -78,7 +78,7 @@ def _cmd_tomography(args, cfg):
     if args.records:
         try:
             protocol, records = load_records_csv(args.records)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad records file {args.records}: {exc}") from exc
         rho, fit = reconstruct(records, protocol)
         payload = {

@@ -81,8 +81,9 @@ from .spectral import (
 from .tomography import (
     CoincidenceRecord,
     FitReport,
-    _fit_stack,
     _fringe_visibility,
+    _physical,
+    _solve_stack,
     default_protocol,
     forward_rates,
     fringe_scan,
@@ -216,7 +217,9 @@ class SourceModel:
 @_memoized(lambda crystal, calibration: (crystal, calibration))
 def _orientation(crystal, calibration):
     """(chi, orientation, calibration residual) of the crystal sections: the
-    configured angles, or a fit of the ``auto`` ones to the calibration weights."""
+    configured angles, or a fit of the ``auto`` ones to the calibration weights.
+    An ``auto`` tilt fits both angles jointly and ignores ``azimuth_deg``; an
+    ``auto`` azimuth alone is fitted at the configured tilt."""
     chi = _read_only_copy(chi2_zincblende(crystal.d_coefficient))
     targets = {"H": calibration.h_pump_weights, "V": calibration.v_pump_weights}
     tilt, az = crystal.tilt_deg, crystal.azimuth_deg
@@ -460,17 +463,15 @@ _BOOTSTRAP_BLOCK = 1024
 def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     """The states of a parametric bootstrap: net counts redrawn from the
     fitted model, then reconstructed ``_BOOTSTRAP_BLOCK`` replicates at a
-    time. Yields each block's (B, 3, 3) states with their (vals, vecs)
-    spectrum, the eigendecomposition ``_fit_stack``'s projection made, so
-    the measures need no second ``eigh``.
+    time by ``reconstruct``'s two steps, ``_solve_stack`` and ``_physical``.
+    Yields each block's (B, 3, 3) states with their (vals, vecs) spectrum,
+    the projection's eigendecomposition, so the measures need no second ``eigh``.
 
     Replicate k draws from the k-th spawned child of ``seed_seq`` and keeps its
     records' accidentals, durations and sigmas, as ``reconstruct`` would see
     ``replace(record, raw=max(draw + accidental, 0))``. Each block spawns its
     own children, and ``spawn`` continues the child count, so replicate k is
-    the same whatever the block size. The replicates share one design, whose
-    SVD bounds their conditioning: only the replicates that bound cannot
-    clear take ``reconstruct``'s exact SVD checks (``_fit_stack``).
+    the same whatever the block size.
     """
     durations = np.array([r.duration_s for r in records])
     accidental = np.array([r.accidental for r in records])
@@ -482,7 +483,7 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
         z = np.array([np.random.default_rng(child).standard_normal(len(records))
                       for child in children])
         nets = np.maximum(model_net + sigmas * z + accidental, 0.0) - accidental
-        rhos, _, spectrum = _fit_stack(nets, durations, protocol)
+        rhos, _, _, spectrum = _physical(_solve_stack(nets, durations, protocol))
         yield rhos, spectrum
 
 

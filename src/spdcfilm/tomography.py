@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,6 +185,13 @@ def _project_psd(m: np.ndarray):
 
 @dataclass(frozen=True)
 class FitReport:
+    """``reconstruct``'s fit: ``scale`` = tr S, the fitted total rate (Hz);
+    the RMS of the weighted residuals sqrt(w_m) (duration_m <w_m|S|w_m> - net_m);
+    the negative-eigenvalue mass the positivity projection clipped; the
+    protocol's rank (``completeness_check``; positive weights cannot lower
+    it, so 9 in every returned fit); and the exact condition number of the
+    weighted design diag(sqrt w) D."""
+
     scale: float
     weighted_rms_residual: float
     negative_mass_clipped: float
@@ -203,15 +210,9 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     to zero, trace renormalized); the report records how much
     negative-eigenvalue mass the clipping removed.
 
-    The default protocol has 9 settings for the 9 real parameters of S, so
-    the fit is exactly determined: S reproduces every count, S is solved from
-    the unweighted square design, and the weights only enter the checks made
-    before it (``SingularFit`` above weighted condition number 1e8 or below
-    least-squares rank 9). With more settings than parameters they set the
-    fit, which is solved from the weighted design's SVD (``_fit_stack``).
-    The report's ``condition_number`` and ``design_rank`` always come from
-    the weighted design's own singular values: the point fit takes the
-    exact checks, never the bound the bootstrap's replicates are cleared by.
+    These are the bootstrap's two steps on one replicate: the checked solve
+    (``_solve_stack``) and the positivity step (``_physical``). The report's
+    ``condition_number`` comes from one SVD of the weighted design.
     """
     if len(records) != len(protocol):
         raise IncompleteProtocol(
@@ -223,95 +224,81 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
 
     nets = np.array([[rec.net for rec in records]])
     durations = np.array([rec.duration_s for rec in records])
-    rhos, fits, _ = _fit_stack(nets, durations, protocol, exact_checks=True)
-    report = FitReport(**{f.name: getattr(fits, f.name)[0].item() for f in fields(FitReport)})
-    return rhos[0], report
+    x = _solve_stack(nets, durations, protocol)
+    rhos, scales, negative_mass, _ = _physical(x)
+    sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
+    a = durations[:, None] * _constants(protocol)[1] * sqrt_w[:, :, None]
+    sv = np.linalg.svd(a, compute_uv=False)[0]
+    residual = np.sqrt(np.mean((np.einsum("bmk,bk->bm", a, x) - nets * sqrt_w) ** 2, axis=-1))
+    return rhos[0], FitReport(
+        scale=scales[0].item(),
+        weighted_rms_residual=residual[0].item(),
+        negative_mass_clipped=negative_mass[0].item(),
+        design_rank=rank,
+        condition_number=(sv[0] / sv[-1]).item(),
+    )
 
 
 #: ``SingularFit`` above this condition number of a weighted design
 _COND_LIMIT = 1e8
-#: a square design's replicate passes the checks without its own SVD when its
-#: bound cond(D) max(sqrt w) / min(sqrt w) is at most this; far below
-#: ``_COND_LIMIT``, and rank < 9 needs a condition number above 1/(9 eps) ~ 5e14
+#: a square design's replicate passes the check without its own SVD when its
+#: bound cond(D) max(sqrt w) / min(sqrt w) is at most this
 _BOUND_MARGIN = 1e6
 
 
-def _conditioning(sv: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Condition numbers and least-squares ranks of a stack of weighted
-    designs of largest dimension ``size``, from their (B, 9) singular values.
-    The first replicate above ``_COND_LIMIT`` raises ``SingularFit``; then,
-    if any replicate falls below rank 9, the lowest rank does."""
+def _check_conditioning(sv: np.ndarray) -> None:
+    """Raise ``SingularFit`` for the first weighted design, of (B, 9)
+    singular values ``sv``, whose condition number is above ``_COND_LIMIT``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
     bad = ~(cond <= _COND_LIMIT)
     if np.any(bad):
         raise SingularFit(f"design matrix condition number {cond[bad][0]:.3g}")
-    ranks = np.count_nonzero(sv > np.finfo(float).eps * size * sv[:, :1], axis=-1)
-    if np.any(ranks < 9):
-        raise SingularFit(f"least-squares rank {ranks.min()} < 9")
-    return cond, ranks
 
 
-def _fit_stack(nets: np.ndarray, durations: np.ndarray, protocol, exact_checks: bool = False):
-    """``reconstruct``'s inversion of a (B, n) stack of net counts at once.
+def _solve_stack(nets: np.ndarray, durations: np.ndarray, protocol) -> np.ndarray:
+    """``reconstruct``'s weighted least-squares solve of a (B, n) stack of net
+    counts: the (B, 9) coefficients x of S = sum_k x_k ``_BASIS``[k].
 
-    Every replicate keeps ``reconstruct``'s weights and checks, all made
-    before any solve; the first replicate that fails a check raises its
-    ``SingularFit`` (``_conditioning``). The checks read the weighted design
-    diag(sqrt w) D: its condition number (at most 1e8) and least-squares rank.
+    Each replicate's weighted design diag(sqrt w) D, w = 1 / max(net, 1), is
+    checked before any solve (``_check_conditioning``). A condition number of
+    at most 1e8 also makes it full rank: a rank test at eps times its largest
+    dimension could fail only beyond about 4.5e7 settings.
 
-    A square design D (n = 9 settings) is invertible once those checks pass,
-    so the weighted solution is D^-1 nets whatever the weights: every
-    replicate is solved with one factorization of D, and the weights enter
-    only the checks and the residual. One SVD of D also bounds each
-    replicate's weighted condition number by cond(D) max(sqrt w) / min(sqrt w).
-    A replicate whose bound is at most 1e6 (``_BOUND_MARGIN``) passes both
-    checks without its own SVD; only the replicates the bound cannot clear,
-    or all of them with ``exact_checks`` (as ``reconstruct`` asks), take the
-    exact checks from the singular values of their weighted design. With more
-    settings than parameters the weights set the fit: each replicate is
-    solved from its own weighted SVD, whose singular values give its checks.
-
-    Returns the (B, 3, 3) states, a ``FitReport`` whose fields are (B,)
-    arrays, and the states' (vals, vecs) eigendecomposition from
-    ``_project_psd``. ``condition_number`` holds the exact value where the
-    SVD ran and the bound where the bound cleared the replicate. The caller
-    has checked the protocol's completeness.
+    A square D (9 settings) then gives D^-1 nets whatever the weights, so
+    every replicate is solved with one LU factorization of D. One SVD of D
+    bounds each replicate's weighted condition number by
+    cond(D) max(sqrt w) / min(sqrt w); only the replicates whose bound
+    exceeds ``_BOUND_MARGIN`` (1e6, far below the limit) take the exact check
+    from their own SVD. With more settings than parameters the weights set
+    the fit: each replicate is solved from its weighted SVD, which also gives
+    its check. The caller has checked the protocol's completeness.
     """
     design = durations[:, None] * _constants(protocol)[1]
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
-    a = design * sqrt_w[:, :, None]
-    b = nets * sqrt_w
     if design.shape[0] == design.shape[1]:
         with np.errstate(divide="ignore", invalid="ignore"):
             sv = np.linalg.svd(design, compute_uv=False)
-            cond = sv[0] / sv[-1] * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
-        ranks = np.full(len(nets), 9)
-        exact = ~(cond <= _BOUND_MARGIN) | exact_checks
+            bound = sv[0] / sv[-1] * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
+        exact = ~(bound <= _BOUND_MARGIN)
         if np.any(exact):
-            cond[exact], ranks[exact] = _conditioning(
-                np.linalg.svd(a[exact], compute_uv=False), max(a.shape[1:])
-            )
-        x = np.linalg.solve(design, nets.T).T
-    else:
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
-        cond, ranks = _conditioning(sv, max(a.shape[1:]))
-        x = np.einsum("bji,bj->bi", vh, np.einsum("bmj,bm->bj", u, b) / sv)
+            _check_conditioning(np.linalg.svd(design * sqrt_w[exact, :, None], compute_uv=False))
+        return np.linalg.solve(design, nets.T).T
+    u, sv, vh = np.linalg.svd(design * sqrt_w[:, :, None], full_matrices=False)
+    _check_conditioning(sv)
+    return np.einsum("bji,bj->bi", vh, np.einsum("bmj,bm->bj", u, nets * sqrt_w) / sv)
 
+
+def _physical(x: np.ndarray):
+    """The positivity step of a (B, 9) stack of solutions: the states
+    ``project_psd(S / tr S)``, the scales tr S (``SingularFit`` at the first
+    that is not positive), and ``_project_psd``'s negative mass and spectrum."""
     s = np.einsum("bk,kij->bij", x, _BASIS)
     scales = np.real(np.trace(s, axis1=1, axis2=2))
     if np.any(scales <= 0.0):
         raise SingularFit(f"fitted total rate {scales[scales <= 0.0][0]:.3g} is not positive")
     rhos, negative_mass, spectrum = _project_psd(s / scales[:, None, None])
-
-    residual = np.sqrt(np.mean((np.einsum("bmk,bk->bm", a, x) - b) ** 2, axis=-1))
-    return rhos, FitReport(
-        scale=scales,
-        weighted_rms_residual=residual,
-        negative_mass_clipped=negative_mass,
-        design_rank=ranks,
-        condition_number=cond,
-    ), spectrum
+    return rhos, scales, negative_mass, spectrum
 
 
 @functools.lru_cache(maxsize=8)
@@ -372,22 +359,24 @@ def load_records_csv(path):
     """Read (protocol, records) from CSV with columns
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
-    A non-finite angle or count raises ValueError.
+    A file without records, or a missing, non-numeric or non-finite cell,
+    raises ValueError naming the row and column.
     """
     protocol, records = [], []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for idx, row in enumerate(reader):
-            angles = [float(row[key]) for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b")]
-            if not np.all(np.isfinite(angles)):
-                raise ValueError(f"row {idx}: waveplate angles must be finite")
-            protocol.append((AnalyzerSetting(*angles[:2]), AnalyzerSetting(*angles[2:])))
-            records.append(
-                CoincidenceRecord(
-                    index=idx,
-                    raw=float(row["raw"]),
-                    accidental=float(row["accidental"]),
-                    duration_s=float(row["duration"]),
-                )
-            )
+        for idx, row in enumerate(csv.DictReader(fh)):
+            cells = []
+            for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
+                if row.get(key) is None:
+                    raise ValueError(f"row {idx}: {key} is missing")
+                try:
+                    cells.append(float(row[key]))
+                except ValueError:
+                    raise ValueError(f"row {idx}: {key} {row[key]!r} is not a number") from None
+                if not np.isfinite(cells[-1]):
+                    raise ValueError(f"row {idx}: {key} must be finite")
+            protocol.append((AnalyzerSetting(*cells[0:2]), AnalyzerSetting(*cells[2:4])))
+            records.append(CoincidenceRecord(idx, *cells[4:]))
+    if not records:
+        raise ValueError("the file has no records")
     return protocol, records

@@ -224,6 +224,19 @@ def test_non_finite_records_exit_code(capsys, tmp_path, row):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [("", "the file has no records"), ("0,0,0,0,100.0,2.0\n", "row 0: duration is missing")],
+    ids=["header_only", "short_row"],
+)
+def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n" + rows)
+    code = main(["tomography", "--records", str(csv_path)])
+    assert code == EXIT_CONFIG
+    assert f"bad records file {csv_path}: {message}" in capsys.readouterr().err
+
+
 def test_degenerate_orientation_exit_code(capsys, tmp_path):
     # normal incidence drives every pair amplitude to zero
     cfg = tmp_path / "flat.cfg"

@@ -257,7 +257,7 @@ def test_fringe_without_counts_has_no_visibility():
 
 
 def test_batched_fit_matches_scalar_reconstruct_per_replicate():
-    from spdcfilm.tomography import _fit_stack
+    from spdcfilm.tomography import _physical, _solve_stack
 
     rng = np.random.default_rng(SEED + 5)
     protocol = default_protocol()
@@ -273,26 +273,26 @@ def test_batched_fit_matches_scalar_reconstruct_per_replicate():
         for draw in draws
     ]
     nets = np.array([[rec.net for rec in records] for records in replicates])
-    rhos, fits, _ = _fit_stack(nets, np.full(len(protocol), 2.0), protocol)
+    rhos, scales, negative_mass, _ = _physical(
+        _solve_stack(nets, np.full(len(protocol), 2.0), protocol))
     for k, records in enumerate(replicates):
         rho_k, report = reconstruct(records, protocol)
         assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
-        assert fits.scale[k] == pytest.approx(report.scale, rel=1e-12)
-        assert fits.negative_mass_clipped[k] == pytest.approx(report.negative_mass_clipped,
-                                                              abs=1e-12)
-        assert fits.design_rank[k] == report.design_rank == 9
+        assert scales[k] == pytest.approx(report.scale, rel=1e-12)
+        assert negative_mass[k] == pytest.approx(report.negative_mass_clipped, abs=1e-12)
+        assert report.design_rank == 9
 
 
 def test_replicate_with_nonpositive_trace_raises():
-    from spdcfilm.tomography import _fit_stack
+    from spdcfilm.tomography import _physical, _solve_stack
 
     protocol = default_protocol()
     good = 2.0 * forward_rates(depolarize(np.array([0.0, 1.0, 0.0]), 0.03), protocol, 300.0)
     durations = np.full(len(protocol), 2.0)
     nets = np.array([good, good, -good])
     with pytest.raises(SingularFit, match="fitted total rate .* is not positive"):
-        _fit_stack(nets, durations, protocol)
-    _fit_stack(nets[:2], durations, protocol)
+        _physical(_solve_stack(nets, durations, protocol))
+    _physical(_solve_stack(nets[:2], durations, protocol))
     # the one-replicate case is reconstruct's own check
     records = [
         CoincidenceRecord(index=m, raw=0.0, accidental=n, duration_s=2.0)
@@ -331,7 +331,7 @@ def _svd_reference_fit(nets, durations, protocol):
 
 @pytest.mark.parametrize("extra", [(), ("AH", "AD", "VR", "RR")], ids=["square", "overcomplete"])
 def test_stacked_fit_matches_per_replicate_svd_reference(extra):
-    from spdcfilm.tomography import _fit_stack
+    from spdcfilm.tomography import _constants, _physical, _solve_stack
 
     rng = np.random.default_rng(SEED + 7)
     protocol = default_protocol() + [(setting(a), setting(b)) for a, b in extra]
@@ -340,18 +340,23 @@ def test_stacked_fit_matches_per_replicate_svd_reference(extra):
     # dark settings: nets below 1, where the weights clip at 1, and below 0
     nets = durations * forward_rates(rho, protocol, 40.0) + rng.normal(0.0, 1.5, (20, len(protocol)))
     assert np.any(nets < 1.0) and np.any(nets < 0.0)
-    rhos, fits, _ = _fit_stack(nets, durations, protocol)
+    x = _solve_stack(nets, durations, protocol)
+    rhos, fitted_scales, _, _ = _physical(x)
     states, scales = _svd_reference_fit(nets, durations, protocol)
     assert np.max(np.abs(rhos - states)) < 1e-12
-    assert np.allclose(fits.scale, scales, rtol=1e-12, atol=0.0)
+    assert np.allclose(fitted_scales, scales, rtol=1e-12, atol=0.0)
+    # reconstruct's weighted_rms_residual of each replicate
+    weighted = (x @ (durations[:, None] * _constants(protocol)[1]).T - nets) / np.sqrt(
+        np.maximum(nets, 1.0))
+    residual = np.sqrt(np.mean(weighted ** 2, axis=-1))
     if not extra:  # exactly determined: every count is reproduced
-        assert np.all(fits.weighted_rms_residual < 1e-12)
+        assert np.all(residual < 1e-12)
     else:
-        assert np.all(fits.weighted_rms_residual > 1e-3)
+        assert np.all(residual > 1e-3)
 
 
 def test_ill_weighted_replicate_raises_singular_fit_before_solving():
-    from spdcfilm.tomography import _fit_stack
+    from spdcfilm.tomography import _solve_stack
 
     protocol = default_protocol()
     durations = np.full(len(protocol), 2.0)
@@ -359,29 +364,25 @@ def test_ill_weighted_replicate_raises_singular_fit_before_solving():
     huge = good.copy()
     huge[0] = 1e17  # its weight 1e-8.5 pushes the weighted condition number past 1e8
     with pytest.raises(SingularFit, match="condition number"):
-        _fit_stack(np.array([good, huge, good]), durations, protocol)
-    _fit_stack(np.array([good, good]), durations, protocol)
+        _solve_stack(np.array([good, huge, good]), durations, protocol)
+    _solve_stack(np.array([good, good]), durations, protocol)
 
 
-def _reference_singular_fit(nets, durations, protocol):
-    """The ``SingularFit`` message of ``reconstruct``'s checks on a stack, each
-    replicate judged by the singular values of its own weighted design (as
-    in ``_svd_reference_fit``), or None when every replicate passes."""
+def _weighted_conditions(nets, durations, protocol):
+    """Per replicate, the exact condition number of ``reconstruct``'s weighted
+    design, from that design's own singular values (as in
+    ``_svd_reference_fit``), and the bound cond(D) max(sqrt w) / min(sqrt w)
+    that one SVD of the shared design gives."""
     from spdcfilm.tomography import _constants
 
     design = durations[:, None] * _constants(protocol)[1]
-    conds, ranks = [], []
-    for net in nets:
-        sv = np.linalg.svd(design * np.sqrt(1.0 / np.maximum(net, 1.0))[:, None],
-                           compute_uv=False)
-        conds.append(sv[0] / sv[-1])
-        ranks.append(np.count_nonzero(sv > np.finfo(float).eps * max(design.shape) * sv[0]))
-    bad = [c for c in conds if not c <= 1e8]
-    if bad:
-        return f"design matrix condition number {bad[0]:.3g}"
-    if min(ranks) < 9:
-        return f"least-squares rank {min(ranks)} < 9"
-    return None
+    sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
+    exact = []
+    for w in sqrt_w:
+        sv = np.linalg.svd(design * w[:, None], compute_uv=False)
+        exact.append(sv[0] / sv[-1])
+    sv = np.linalg.svd(design, compute_uv=False)
+    return np.array(exact), sv[0] / sv[-1] * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
 
 
 _MODEL_NETS = 2.0 * forward_rates(depolarize(np.array([0.0, 1.0, 0.0]), 0.03),
@@ -404,29 +405,27 @@ def _replicate_nets(draw):
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(replicates=st.lists(_replicate_nets(), min_size=1, max_size=4))
 def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates):
-    from spdcfilm.tomography import _fit_stack
+    from spdcfilm.tomography import _physical, _solve_stack
 
     protocol = default_protocol()
     durations = np.full(len(protocol), 2.0)
     nets = np.array(replicates)
-    outcomes = []
-    for exact_checks in (False, True):
-        try:
-            outcomes.append(_fit_stack(nets, durations, protocol, exact_checks=exact_checks))
-        except SingularFit as error:
-            outcomes.append(str(error))
-    (fit, exact_fit), expected = outcomes, _reference_singular_fit(nets, durations, protocol)
-    if expected is not None:
-        assert fit == exact_fit == expected
+    exact, bound = _weighted_conditions(nets, durations, protocol)
+    # the bound the solve clears replicates by is never below the exact value
+    assert np.all(bound >= exact * (1.0 - 1e-12))
+    # the solve raises exactly when a replicate's own SVD fails the check
+    bad = exact[~(exact <= 1e8)]
+    try:
+        x = _solve_stack(nets, durations, protocol)
+    except SingularFit as error:
+        assert bad.size and str(error) == f"design matrix condition number {bad[0]:.3g}"
         return
-    if isinstance(fit, str):  # the trace check, made after the conditioning checks
-        assert fit == exact_fit and fit.endswith("is not positive")
+    assert not bad.size
+    try:
+        rhos = _physical(x)[0]
+    except SingularFit as error:  # the trace check, made after the solve
+        assert str(error).endswith("is not positive")
         return
-    (rhos, fits, _), (exact_rhos, exact_fits, _) = fit, exact_fit
-    # the bound decides which replicates take the SVD, never the states
-    assert np.array_equal(rhos, exact_rhos)
-    assert np.all(fits.condition_number >= exact_fits.condition_number * (1.0 - 1e-12))
-    assert np.all(fits.design_rank == 9)
     # one bright setting at most: with two, the reference's own solve loses
     # digits to eps times the weighted condition number (up to 1e8), so only
     # the checks above are compared
@@ -436,29 +435,37 @@ def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates):
         assert np.max(np.abs(rhos[single] - states)) < 1e-12
 
 
-def test_replicate_the_bound_cannot_clear_takes_the_exact_checks():
-    from spdcfilm.tomography import _BOUND_MARGIN, _constants, _fit_stack
+def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
+    from spdcfilm.tomography import _BOUND_MARGIN, _constants, _physical, _solve_stack
 
     protocol = default_protocol()
     durations = np.full(len(protocol), 2.0)
     bright = _MODEL_NETS.copy()
     bright[0] = 1e12
     nets = np.array([_MODEL_NETS, bright])
-    design = durations[:, None] * _constants(protocol)[1]
-    sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
-    bound = np.linalg.cond(design) * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
-    exact = [np.linalg.cond(design * w[:, None]) for w in sqrt_w]
+    exact, bound = _weighted_conditions(nets, durations, protocol)
     assert bound[0] <= _BOUND_MARGIN < bound[1] and exact[1] < 1e8
-    rhos, fits, _ = _fit_stack(nets, durations, protocol)
-    # the bright replicate reports its own condition number; the other its bound
-    assert fits.condition_number[1] == pytest.approx(exact[1], rel=1e-12)
-    assert fits.condition_number[0] == pytest.approx(bound[0], rel=1e-12)
-    assert np.max(np.abs(rhos - _svd_reference_fit(nets, durations, protocol)[0])) < 1e-12
-    # the point fit always reports the exact value
+
+    design = durations[:, None] * _constants(protocol)[1]
+    svd, inputs = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    x = _solve_stack(nets, durations, protocol)
+    # one SVD of the shared design, then the exact SVD of the bright replicate only
+    assert len(inputs) == 2 and np.array_equal(inputs[0], design)
+    assert np.array_equal(inputs[1], design[None] * np.sqrt(1.0 / np.maximum(bright, 1.0))[:, None])
+    assert np.max(np.abs(_physical(x)[0] - _svd_reference_fit(nets, durations, protocol)[0])) < 1e-12
+    # the point fit reports the exact value, though the bound clears its solve
+    del inputs[:]
     records = [CoincidenceRecord(index=m, raw=max(n, 0.0), accidental=max(n, 0.0) - n,
                                  duration_s=2.0) for m, n in enumerate(_MODEL_NETS)]
     assert reconstruct(records, protocol)[1].condition_number == pytest.approx(exact[0],
                                                                                rel=1e-12)
+    assert [a.shape for a in inputs] == [(9, 9), (1, 9, 9)]
 
 
 def test_measures_from_the_projection_spectrum_match_a_fresh_eigh():
