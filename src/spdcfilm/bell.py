@@ -11,11 +11,11 @@ The CHSH functional is normalized so that local realism bounds F <= 1 and
 quantum mechanics bounds F <= sqrt(2) for the default settings.
 
 What F needs of a set of settings, the four correlator operators and each
-term's outcome projectors, is one ``_ChshTable``. The default settings' table
-is built once per process; custom ``ChshSettings`` build theirs per call. A
-call validates its two-qubit state once, reads the sixteen outcome
-probabilities from one stacked product and draws their counts with one
-``poisson`` call, in the stream order of one draw per outcome.
+term's outcome projectors with their sign products sign(a) sign(b), is one
+``_ChshTable``: built once per process for the default settings, per call for
+custom ``ChshSettings``. A call draws the sixteen outcome counts with one
+``poisson`` call, in the stream order of one draw per outcome. The Werner
+line (``werner_state``) mixes the post-selected (0, 1, 0) with white noise.
 """
 
 from __future__ import annotations
@@ -139,27 +139,27 @@ class _ChshTable:
     <ab>, <a'b>, <ab'>, <a'b'> of its four terms (signs ``_CHSH_SIGNS``): the
     correlator operators kron(obs_a, obs_b), and each term's four outcome
     projectors kron(|a><a|, |b><b|) over the observables' eigenvectors with
-    the (sign a, sign b) key of each outcome."""
+    the sign product sign(a) sign(b) of each outcome."""
 
     correlators: np.ndarray  # (4, 4, 4)
     projectors: np.ndarray  # (4, 4, 4, 4): term, outcome, matrix
-    outcomes: tuple  # per term, the four (sign a, sign b) keys
+    sign_products: tuple  # per term, the four outcomes' sign(a) sign(b)
 
 
 def _chsh_table(s: ChshSettings) -> _ChshTable:
     pairs = [(s.a, s.b), (s.a_prime, s.b), (s.a, s.b_prime), (s.a_prime, s.b_prime)]
-    projectors, outcomes = [], []
+    projectors, sign_products = [], []
     for obs_a, obs_b in pairs:
         va_vals, va_vecs = np.linalg.eigh(obs_a)
         vb_vals, vb_vecs = np.linalg.eigh(obs_b)
         projectors.append([np.kron(_dyad(va_vecs[:, ia]), _dyad(vb_vecs[:, ib]))
                            for ia in range(2) for ib in range(2)])
-        outcomes.append(tuple((int(np.sign(va_vals[ia])), int(np.sign(vb_vals[ib])))
-                              for ia in range(2) for ib in range(2)))
+        sign_products.append(tuple(int(np.sign(va_vals[ia]) * np.sign(vb_vals[ib]))
+                                   for ia in range(2) for ib in range(2)))
     table = _ChshTable(
         correlators=np.array([np.kron(obs_a, obs_b) for obs_a, obs_b in pairs]),
         projectors=np.array(projectors),
-        outcomes=tuple(outcomes),
+        sign_products=tuple(sign_products),
     )
     table.correlators.flags.writeable = table.projectors.flags.writeable = False
     return table
@@ -188,41 +188,30 @@ def chsh_value(state_or_rho, settings: ChshSettings | None = None) -> float:
     return abs(f) / 2.0
 
 
-def werner_state(p: float, base=None) -> np.ndarray:
-    """p |psi><psi| + (1 - p) I/4; default base is the post-selected (0,1,0)."""
+def werner_state(p: float) -> np.ndarray:
+    """p |psi+><psi+| + (1 - p) I/4, with |psi+> the post-selected (0, 1, 0)."""
     if not 0.0 <= p <= 1.0:
         raise InvalidState(f"mixing parameter {p} outside [0, 1]")
-    if base is None:
-        base = split_postselect(np.array([0.0, 1.0, 0.0])).amplitudes
-    base = np.asarray(base, dtype=complex)
+    base = split_postselect(np.array([0.0, 1.0, 0.0])).amplitudes
     return p * np.outer(base, base.conj()) + (1.0 - p) * np.eye(4) / 4.0
 
 
-def _correlator_from_counts(counts):
-    num = sum(sa * sb * n for (sa, sb), n in counts.items())
-    den = sum(counts.values())
+def _correlator_from_counts(sign_products, counts):
+    num = sum(s * n for s, n in zip(sign_products, counts))
+    den = sum(counts)
     if den <= 0:
         raise InvalidState("no counts recorded for a CHSH setting")
     e = num / den
     # Poisson propagation of E = sum(s*n)/sum(n)
-    var = sum(((sa * sb - e) / den) ** 2 * n for (sa, sb), n in counts.items())
+    var = sum(((s - e) / den) ** 2 * n for s, n in zip(sign_products, counts))
     return e, np.sqrt(var)
 
 
-def _outcome_counts(rho4, n_per_setting, seed, settings) -> list:
-    """Per CHSH term, the Poisson-drawn counts of its outcomes as a
-    {(sign a, sign b): count} dict; outcomes that share a key add up."""
-    table = _table(settings)
+def _outcome_draws(rho4, n_per_setting, seed, table: _ChshTable) -> list:
+    """Per CHSH term, the Poisson-drawn counts of its four outcomes."""
     probs = np.maximum(np.real(np.trace(rho4 @ table.projectors, axis1=-2, axis2=-1)), 0.0)
     # one array draw takes the stream in the order of one scalar draw per outcome
-    draws = np.random.default_rng(seed).poisson(probs * n_per_setting).tolist()
-    setting_counts = []
-    for keys, setting_draws in zip(table.outcomes, draws):
-        counts = {}
-        for key, n in zip(keys, setting_draws):
-            counts[key] = counts.get(key, 0.0) + n
-        setting_counts.append(counts)
-    return setting_counts
+    return np.random.default_rng(seed).poisson(probs * n_per_setting).tolist()
 
 
 def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings=None):
@@ -234,9 +223,11 @@ def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings=None):
     in one outcome class). Counts are Poissonian per outcome, per setting.
     """
     rho = _as_rho4(state_or_rho)
+    table = _table(settings)
+    draws = _outcome_draws(rho, n_per_setting, seed, table)
     total, var = 0.0, 0.0
-    for sign, counts in zip(_CHSH_SIGNS, _outcome_counts(rho, n_per_setting, seed, settings)):
-        e, sig = _correlator_from_counts(counts)
+    for sign, sign_products, counts in zip(_CHSH_SIGNS, table.sign_products, draws):
+        e, sig = _correlator_from_counts(sign_products, counts)
         total += sign * e
         var += sig**2
     f = abs(total) / 2.0

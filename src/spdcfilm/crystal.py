@@ -202,12 +202,11 @@ def calibrate_azimuth(
     chi,
     tilt_deg: float,
     targets: dict,
-    grid_step_deg: float = 0.1,
     threshold: float = 0.005,
 ) -> tuple[float, float]:
     """Fit the in-plane azimuth to measured pump-resolved weights.
 
-    Scans azimuth over [0, 180) at ``grid_step_deg`` resolution, minimizing
+    Scans azimuth over [0, 180) in 0.1 deg steps, minimizing
     the summed squared weight deviation over all pump settings at once, and
     returns (azimuth, residual). The azimuth is an output of this fit, never
     an input assumption.
@@ -218,7 +217,7 @@ def calibrate_azimuth(
     """
     if not targets:
         raise ValueError("calibration requires at least one pump-setting target")
-    azimuths = np.arange(0.0, 180.0, grid_step_deg)
+    azimuths = np.arange(0.0, 180.0, 0.1)
     residuals = _residual_grid(chi, tilt_deg, azimuths, targets)
     best = int(np.argmin(residuals))  # the first of tied minima, as a strict "<" scan
     best_az, best_res = float(azimuths[best]), float(residuals[best])
@@ -316,14 +315,13 @@ def _nelder_mead(fun, x0):
 def calibrate_orientation(
     chi,
     targets: dict,
-    tilt_range=(0.0, 55.0),
     coarse_step_deg: float = 1.0,
     threshold: float = 0.005,
 ) -> tuple[CrystalOrientation, float]:
     """Joint (tilt, azimuth) fit to measured pump-resolved weights.
 
-    Scans a ``coarse_step_deg`` grid over the tilt range and the [0, 180)
-    azimuth range and starts from its best point (the first of tied minima
+    Scans a ``coarse_step_deg`` grid over tilts in [0, 55] deg and azimuths
+    in [0, 180) deg and starts from its best point (the first of tied minima
     in scan order). A Nelder-Mead simplex search (Nelder & Mead, Comput. J.
     7, 308, 1965) then refines it: reflection 1, expansion 2, contraction
     and shrink 1/2, an initial simplex stepping each nonzero coordinate by
@@ -338,7 +336,7 @@ def calibrate_orientation(
     """
     if not targets:
         raise ValueError("calibration requires at least one pump-setting target")
-    tilts = np.arange(tilt_range[0], tilt_range[1] + 1e-9, coarse_step_deg)
+    tilts = np.arange(0.0, 55.0 + 1e-9, coarse_step_deg)
     azimuths = np.arange(0.0, 180.0, coarse_step_deg)
     residuals = _residual_grid(chi, tilts[:, None], azimuths[None, :], targets)
     # the first of tied minima in (tilt, azimuth) scan order, as a strict "<" scan

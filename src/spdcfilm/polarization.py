@@ -80,9 +80,9 @@ def pump_ket(angle_deg: float) -> np.ndarray:
     return np.array([np.cos(th), np.sin(th)], dtype=complex)
 
 
-def check_normalized(ket, tol: float = 1e-9) -> np.ndarray:
-    """Validate a Jones vector: two components, unit norm."""
-    return check_state(ket, tol, dim=2)
+def check_normalized(ket) -> np.ndarray:
+    """Validate a Jones vector: two components, unit norm (to 1e-9)."""
+    return check_state(ket, dim=2)
 
 
 def two_photon_projector(xi, eta) -> np.ndarray:
@@ -107,11 +107,10 @@ def two_photon_projector(xi, eta) -> np.ndarray:
     )
 
 
-def projector_rate(state_or_rho, xi, eta, scale: float = 1.0) -> float:
+def projector_rate(state_or_rho, xi, eta) -> float:
     """Coincidence rate for one analyzer pair; state may be a ket or a density matrix."""
     w = two_photon_projector(xi, eta)
     m = np.asarray(state_or_rho, dtype=complex)
     if m.ndim == 1:
-        amp = np.vdot(w, m)
-        return float(scale * np.abs(amp) ** 2)
-    return float(scale * np.real(np.vdot(w, m @ w)))
+        return float(np.abs(np.vdot(w, m)) ** 2)
+    return float(np.real(np.vdot(w, m @ w)))

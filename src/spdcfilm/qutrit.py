@@ -14,28 +14,32 @@ from .errors import (
     OutOfRange,
 )
 
+NORM_TOL = 1e-9  # a valid ket's norm is 1 to within this
+EIG_FLOOR = -1e-9  # no eigenvalue of a valid density matrix lies below this
+GAP_TOL = 1e-9  # top two eigenvalues closer than this: no dominant eigenstate
 
-def check_state(state, tol: float = 1e-9, dim: int = 3) -> np.ndarray:
-    """Validate shape (dim,) and unit norm (to ``tol``) of a ket."""
+
+def check_state(state, dim: int = 3) -> np.ndarray:
+    """Validate shape (dim,) and unit norm (to NORM_TOL, 1e-9) of a ket."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
         raise NotNormalized(f"expected a {dim}-component state, got shape {state.shape}")
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > tol:
-        raise NotNormalized(f"state norm {norm:.6e} differs from 1 beyond {tol:g}")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NotNormalized(f"state norm {norm:.6e} differs from 1 beyond {NORM_TOL:g}")
     return state
 
 
-def check_density_matrix(rho, eig_tol: float = 1e-9, dim: int = 3) -> np.ndarray:
+def check_density_matrix(rho, dim: int = 3) -> np.ndarray:
     """Validate shape (dim x dim), hermiticity (1e-10), unit trace (1e-10), PSD (-1e-9)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise InvalidDensityMatrix(f"expected {dim}x{dim}, got {rho.shape}")
-    _density_eigh(rho[None], eig_tol)
+    _density_eigh(rho[None])
     return rho
 
 
-def _density_eigh(rhos: np.ndarray, eig_tol: float = 1e-9, spectrum=None):
+def _density_eigh(rhos: np.ndarray, spectrum=None):
     """``check_density_matrix``'s checks on every matrix of a (B, d, d) stack,
     then its stacked ``eigh``. The first failing matrix raises.
 
@@ -49,8 +53,8 @@ def _density_eigh(rhos: np.ndarray, eig_tol: float = 1e-9, spectrum=None):
     if np.any(off):
         raise InvalidDensityMatrix(f"trace {traces[off][0]!r} is not 1 to 1e-10")
     vals, vecs = np.linalg.eigh(rhos) if spectrum is None else spectrum
-    if np.min(vals[:, 0]) < -eig_tol:
-        raise InvalidDensityMatrix("matrix has an eigenvalue below -1e-9")
+    if np.min(vals[:, 0]) < EIG_FLOOR:
+        raise InvalidDensityMatrix(f"matrix has an eigenvalue below {EIG_FLOOR:g}")
     return vals, vecs
 
 
@@ -102,16 +106,16 @@ def _purity(rhos: np.ndarray) -> np.ndarray:
     return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
 
 
-def dominant_eigenstate(rho, gap_tol: float = 1e-9) -> tuple[np.ndarray, float]:
+def dominant_eigenstate(rho) -> tuple[np.ndarray, float]:
     """Eigenvector of the largest eigenvalue, with a deterministic phase.
 
     The largest-magnitude component is rotated to be real and positive.
     Raises DegenerateTop when the top two eigenvalues are closer than
-    ``gap_tol``; the dominant direction is then undefined and pure-state
+    GAP_TOL (1e-9); the dominant direction is then undefined and pure-state
     measures must not be quoted for it.
     """
     vals, vecs = np.linalg.eigh(check_density_matrix(rho))
-    (vec,), (top,), (degenerate,) = _dominant(vals[None], vecs[None], gap_tol)
+    (vec,), (top,), (degenerate,) = _dominant(vals[None], vecs[None])
     if degenerate:
         raise DegenerateTop(
             f"top eigenvalues {vals[-1]:.6g} and {vals[-2]:.6g} are degenerate"
@@ -119,7 +123,7 @@ def dominant_eigenstate(rho, gap_tol: float = 1e-9) -> tuple[np.ndarray, float]:
     return vec, float(top)
 
 
-def _dominant(vals: np.ndarray, vecs: np.ndarray, gap_tol: float = 1e-9):
+def _dominant(vals: np.ndarray, vecs: np.ndarray):
     """(phase-fixed top eigenvectors, top eigenvalues, degenerate mask) of a
     stacked ``eigh``; ``dominant_eigenstate`` is its one-matrix case."""
     vec = vecs[..., -1]
@@ -128,7 +132,7 @@ def _dominant(vals: np.ndarray, vecs: np.ndarray, gap_tol: float = 1e-9):
     vec = vec * (lead / np.abs(lead)).conj()
     # keep exact normalization after the phase rotation
     vec = vec / np.linalg.norm(vec, axis=-1, keepdims=True)
-    return vec, vals[..., -1], vals[..., -1] - vals[..., -2] < gap_tol
+    return vec, vals[..., -1], vals[..., -1] - vals[..., -2] < GAP_TOL
 
 
 def _state_measures(rhos: np.ndarray, spectrum=None) -> dict:

@@ -211,12 +211,12 @@ def intensity_fwhm(spectrum: SpectralAmplitude) -> float:
     return float(right - left)
 
 
-def _check_symmetric(spectrum: SpectralAmplitude, tol: float = 1e-9) -> np.ndarray:
+def _check_symmetric(spectrum: SpectralAmplitude) -> np.ndarray:
     s = spectrum.intensity
     norm = float(s.sum())
     if norm <= 0.0:
         raise InvalidState("spectrum has zero total weight")
-    if np.max(np.abs(s - s[::-1])) > tol * float(s.max()):
+    if np.max(np.abs(s - s[::-1])) > 1e-9 * float(s.max()):
         raise AsymmetricSpectrum(
             "intensity is not symmetric in detuning; degenerate HOM analysis "
             "requires identical signal/idler marginals"
@@ -350,11 +350,6 @@ def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
     return g
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("dip", "peak"):
-        raise ValueError(f"mode must be 'dip' or 'peak', got {mode!r}")
-
-
 def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str = "dip"):
     """Normalized coincidence rate R(tau) = (1 -+ g(tau)) / 2.
 
@@ -362,7 +357,8 @@ def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str = "dip"):
     mode 'peak' the parallel (D-D) curve with R(0) = 1. Both approach 1/2
     at delays far beyond the coherence time, and dip + peak = 1 exactly.
     """
-    _check_mode(mode)
+    if mode not in ("dip", "peak"):
+        raise ValueError(f"mode must be 'dip' or 'peak', got {mode!r}")
     taus = np.atleast_1d(np.asarray(delays_fs, dtype=float))
     g = interference_contrast(spectrum, taus)
     r = (1.0 - g) / 2.0 if mode == "dip" else (1.0 + g) / 2.0
@@ -421,13 +417,13 @@ def _half_crossing(s: np.ndarray, omega: np.ndarray, lo: float, hi: float, tau: 
     raise InvalidState(f"half-depth crossing not resolved in {_ROOT_MAX_STEPS} steps")
 
 
-def hom_fwhm(spectrum: SpectralAmplitude, mode: str = "dip", tau_max_fs: float = 400.0) -> float:
-    """Full width of the HOM dip (peak) at half its asymptotic depth.
+def hom_fwhm(spectrum: SpectralAmplitude, tau_max_fs: float = 400.0) -> float:
+    """Full width of the HOM dip at half its asymptotic depth.
 
     The dip R(tau) runs from 0 at tau = 0 to 1/2 at large delay; the
     half-depth points are where g crosses 1/2, and the width is twice the
-    first crossing (the curve is even in tau). Since dip + peak = 1, both
-    modes have the same width; any other mode raises ValueError.
+    first crossing (the curve is even in tau). Since dip + peak = 1, this
+    is also the width of the peak.
 
     g is scanned on 4001 delays over [0, tau_max_fs] through the
     interference_contrast kernel, in chunks that double the scanned prefix
@@ -441,7 +437,6 @@ def hom_fwhm(spectrum: SpectralAmplitude, mode: str = "dip", tau_max_fs: float =
     bracket, fall back to bisection whenever a step would leave the
     shrinking bracket, and stop once a step is at most 1e-13 tau.
     """
-    _check_mode(mode)
     s = _check_symmetric(spectrum)
     omega = spectrum.omega_thz
     coarse = np.linspace(0.0, tau_max_fs, 4001)

@@ -78,9 +78,9 @@ class CoincidenceRecord:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"record {self.index}: {name} must be finite")
         if self.raw < 0:
-            raise ValueError("raw coincidences must be nonnegative")
+            raise ValueError(f"record {self.index}: raw coincidences must be nonnegative")
         if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+            raise ValueError(f"record {self.index}: duration must be positive")
 
     @property
     def net(self) -> float:
@@ -359,12 +359,15 @@ def load_records_csv(path):
     """Read (protocol, records) from CSV with columns
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
-    A file without records, or a missing, non-numeric or non-finite cell,
-    raises ValueError naming the row and column.
+    A file without records, a row with more cells than the header, or a
+    missing, non-numeric or non-finite cell, raises ValueError naming the
+    row (and the column).
     """
     protocol, records = [], []
     with open(path, newline="") as fh:
         for idx, row in enumerate(csv.DictReader(fh)):
+            if None in row:  # DictReader files the cells past the header under None
+                raise ValueError(f"row {idx}: more cells than the header has columns")
             cells = []
             for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
                 if row.get(key) is None:

@@ -168,37 +168,47 @@ def _reference_terms(settings):
     return [(s.a, s.b, 1), (s.a_prime, s.b, 1), (s.a, s.b_prime, 1), (s.a_prime, s.b_prime, -1)]
 
 
+def _reference_correlator(counts):
+    """E and its Poisson sigma from a {(sign a, sign b): count} dict; outcomes
+    that share a key were added up before."""
+    num = sum(sa * sb * n for (sa, sb), n in counts.items())
+    den = sum(counts.values())
+    if den <= 0:
+        raise InvalidState("no counts recorded for a CHSH setting")
+    e = num / den
+    var = sum(((sa * sb - e) / den) ** 2 * n for (sa, sb), n in counts.items())
+    return e, np.sqrt(var)
+
+
 def _reference_setting_counts(rho, obs_a, obs_b, n_per_setting, rng):
     """The scalar loop the outcome table replaces: one kron projector, one
-    trace and one Poisson draw per outcome of one setting pair."""
+    trace and one Poisson draw per outcome of one setting pair. Returns the
+    draws in outcome order and their counts merged by (sign a, sign b) key."""
     va_vals, va_vecs = np.linalg.eigh(obs_a)
     vb_vals, vb_vecs = np.linalg.eigh(obs_b)
-    counts = {}
+    draws, counts = [], {}
     for ia in range(2):
         for ib in range(2):
             proj = np.kron(np.outer(va_vecs[:, ia], va_vecs[:, ia].conj()),
                            np.outer(vb_vecs[:, ib], vb_vecs[:, ib].conj()))
             prob = max(float(np.real(np.trace(rho @ proj))), 0.0)
             key = (int(np.sign(va_vals[ia])), int(np.sign(vb_vals[ib])))
-            counts[key] = counts.get(key, 0.0) + rng.poisson(prob * n_per_setting)
-    return counts
+            draws.append(rng.poisson(prob * n_per_setting))
+            counts[key] = counts.get(key, 0.0) + draws[-1]
+    return draws, counts
 
 
 def _reference_simulate_chsh(rho, n_per_setting, seed, settings):
-    from spdcfilm.bell import _correlator_from_counts
-
     rng = np.random.default_rng(seed)
-    setting_counts = [
-        _reference_setting_counts(rho, obs_a, obs_b, n_per_setting, rng)
-        for obs_a, obs_b, _ in _reference_terms(settings)
-    ]
-    total, var = 0.0, 0.0
-    for (_, _, sign), counts in zip(_reference_terms(settings), setting_counts):
-        e, sig = _correlator_from_counts(counts)
+    setting_draws, total, var = [], 0.0, 0.0
+    for obs_a, obs_b, sign in _reference_terms(settings):
+        draws, counts = _reference_setting_counts(rho, obs_a, obs_b, n_per_setting, rng)
+        setting_draws.append(draws)
+        e, sig = _reference_correlator(counts)
         total += sign * e
         var += sig**2
     sigma_f = np.sqrt(var) / 2.0
-    return setting_counts, abs(total) / 2.0, float(sigma_f)
+    return setting_draws, abs(total) / 2.0, float(sigma_f)
 
 
 def _rotated_settings(rng):
@@ -210,21 +220,38 @@ def _rotated_settings(rng):
 
 
 def test_chsh_outcome_table_matches_scalar_reference():
-    from spdcfilm.bell import _outcome_counts
+    from spdcfilm.bell import ChshSettings, _outcome_draws, _table
 
     rng = np.random.default_rng(SEED + 4)
     custom = _rotated_settings(rng)
+    base = default_chsh_settings()
+    # a = identity: both its outcomes read +1, so the reference merges their counts
+    merged = ChshSettings(np.eye(2, dtype=complex), base.a_prime, base.b, base.b_prime)
     for seed in range(200):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho4 = split_postselect_rho(a @ a.conj().T / np.trace(a @ a.conj().T).real)
-        for settings in (None, custom):
-            counts, f, sigma_f = _reference_simulate_chsh(rho4, 500, seed, settings)
-            assert _outcome_counts(rho4, 500, seed, settings) == counts
-            # bit for bit: the same draws in the same arithmetic
-            assert simulate_chsh(rho4, 500, seed, settings)[:2] == (f, sigma_f)
+        for settings in (None, custom, merged):
+            draws, f, sigma_f = _reference_simulate_chsh(rho4, 500, seed, settings)
+            assert _outcome_draws(rho4, 500, seed, _table(settings)) == draws
+            if settings is merged:
+                # the merge only reorders the sums
+                f_table, sigma_table = simulate_chsh(rho4, 500, seed, settings)[:2]
+                assert f_table == pytest.approx(f, rel=1e-12, abs=0.0)
+                assert sigma_table == pytest.approx(sigma_f, rel=1e-12, abs=0.0)
+            else:
+                # bit for bit: the same draws in the same arithmetic
+                assert simulate_chsh(rho4, 500, seed, settings)[:2] == (f, sigma_f)
             expected = sum(sign * np.real(np.trace(rho4 @ np.kron(obs_a, obs_b)))
                            for obs_a, obs_b, sign in _reference_terms(settings))
             assert chsh_value(rho4, settings) == pytest.approx(abs(expected) / 2.0, abs=1e-14)
+
+
+def test_setting_without_counts_raises():
+    # one pair per setting: at these seeds some setting records no coincidence
+    rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
+    for seed in range(4):
+        with pytest.raises(InvalidState, match="no counts recorded for a CHSH setting"):
+            simulate_chsh(rho4, 1, seed)
 
 
 def test_default_chsh_table_is_built_once_and_read_only():

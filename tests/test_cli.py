@@ -226,8 +226,15 @@ def test_non_finite_records_exit_code(capsys, tmp_path, row):
 
 @pytest.mark.parametrize(
     "rows, message",
-    [("", "the file has no records"), ("0,0,0,0,100.0,2.0\n", "row 0: duration is missing")],
-    ids=["header_only", "short_row"],
+    [
+        ("", "the file has no records"),
+        ("0,0,0,0,100.0,2.0\n", "row 0: duration is missing"),
+        ("0,0,0,0,100.0,2.0,1.0\n0,0,0,45,50.0,2.0,1.0,999\n",
+         "row 1: more cells than the header has columns"),
+        ("0,0,0,0,100.0,2.0,1.0\n0,0,0,45,-50.0,2.0,1.0\n",
+         "record 1: raw coincidences must be nonnegative"),
+    ],
+    ids=["header_only", "short_row", "long_row", "negative_raw"],
 )
 def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
     csv_path = tmp_path / "bad.csv"
@@ -270,6 +277,30 @@ def test_run_without_bell_spread_writes_null(capsys, tmp_path):
                         parse_constant=_reject_constant)
     assert report["bell"]["sigma_f"] == 0.0
     assert report["bell"]["std_devs_above_classical"] is None
+
+
+@pytest.mark.parametrize("command", ["bell", "run"])
+def test_chsh_setting_without_counts_exit_code(capsys, tmp_path, command):
+    # one pair per setting: at the default seed some CHSH setting records none
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("[bell]\ncounts_per_setting = 1\n")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "no counts recorded for a CHSH setting" in capsys.readouterr().err
+
+
+def test_run_and_json_subcommands_write_strict_json(capsys, tmp_path):
+    code, _ = run_cli(capsys, "run", "--seed", "3", "--out", str(tmp_path / "run"))
+    assert code == EXIT_OK
+    text = (tmp_path / "run" / "report.json").read_text()
+    # report.json is spliced from cached section texts: it must still be
+    # exactly the stdlib's indented, sorted-key rendering of its content
+    assert text == json.dumps(json.loads(text, parse_constant=_reject_constant),
+                              indent=2, sort_keys=True) + "\n"
+    for command in ("amplitudes", "tomography", "bell", "hom", "histogram"):
+        code, out = run_cli(capsys, command, "--seed", "3")
+        assert code == EXIT_OK
+        json.loads(out, parse_constant=_reject_constant)
 
 
 def test_json_output_is_strict(capsys):

@@ -237,11 +237,9 @@ def test_fwhm_step_cap_raises(monkeypatch):
         hom_fwhm(_gaussian_spectrum(20.0), tau_max_fs=4.0e5)
 
 
-def test_fwhm_mode_validated_and_shared():
-    spec = _banded_default()
-    assert hom_fwhm(spec, mode="peak") == hom_fwhm(spec, mode="dip")
-    with pytest.raises(ValueError):
-        hom_fwhm(spec, mode="bump")
+def test_hom_curve_mode_validated():
+    with pytest.raises(ValueError, match="mode must be 'dip' or 'peak'"):
+        hom_curve(_banded_default(), [0.0], "bump")
 
 
 def _traced_peak_mb(fn):
