@@ -31,8 +31,12 @@ configurations, so a seed sweep or a CLI command after a run pays for it once:
 
 Their arrays are read-only copies, shared by every run of the configuration,
 and each kind caches ``encoded()`` by identity for the last ``_MEMO_CONFIGS``
-results, however many reports hold them. ``simulate_tomography`` ->
-``TomographyResult`` and ``simulate_bell`` -> ``BellResult`` run once per run.
+results, however many reports hold them.
+
+The two seeded stages run once per run, in this order, on one
+``SeedSequence(seed)``: ``simulate_tomography`` -> ``TomographyResult`` spawns
+its children, then ``simulate_bell`` -> ``BellResult`` the next one. A caller
+that passes one sequence to both in that order draws the run's numbers.
 """
 
 from __future__ import annotations
@@ -382,28 +386,25 @@ def delay_line_scan(delay_line) -> DelayScan:
     )
 
 
-def setting_histogram(cfg: ExperimentConfig, seed, relative_rate: float = 1.0):
-    """One configured coincidence histogram, pair rate scaled by ``relative_rate``."""
-    noise = NoiseModel(
-        pair_rate_hz=cfg.noise.pair_rate_hz * float(relative_rate),
-        efficiency=cfg.noise.efficiency,
-        singles_a_hz=cfg.noise.singles_a_hz,
-        singles_b_hz=cfg.noise.singles_b_hz,
-    )
-    return simulate_histogram(
-        noise,
-        duration_s=cfg.tomography.duration_per_setting_s,
-        n_bins=cfg.histogram.n_bins,
-        bin_width_ns=cfg.histogram.bin_width_ns,
-        seed=seed,
-    )
-
-
 def _simulate_records(cfg, rel_rates, seeds):
+    """Each setting's configured coincidence histogram, its pair rate scaled
+    by the setting's relative rate, and the record of its net counts."""
     histograms, records = [], []
     excl = cfg.histogram.exclusion_bins
     for m, (rel, seed) in enumerate(zip(rel_rates, seeds)):
-        hist = setting_histogram(cfg, seed, rel)
+        noise = NoiseModel(
+            pair_rate_hz=cfg.noise.pair_rate_hz * float(rel),
+            efficiency=cfg.noise.efficiency,
+            singles_a_hz=cfg.noise.singles_a_hz,
+            singles_b_hz=cfg.noise.singles_b_hz,
+        )
+        hist = simulate_histogram(
+            noise,
+            duration_s=cfg.tomography.duration_per_setting_s,
+            n_bins=cfg.histogram.n_bins,
+            bin_width_ns=cfg.histogram.bin_width_ns,
+            seed=seed,
+        )
         net, sigma = subtract_accidentals(hist, exclusion_bins=excl)
         in_peak = np.abs(np.arange(len(hist.counts)) - hist.peak_index) <= excl
         raw = float(hist.counts[in_peak].sum())
@@ -597,12 +598,13 @@ class BellResult:
         return _encoded(self.to_json())
 
 
-def simulate_bell(cfg: ExperimentConfig, f_model: float, rho, seed) -> BellResult:
+def simulate_bell(cfg: ExperimentConfig, f_model: float, rho, seed_seq) -> BellResult:
     """The CHSH test of the qutrit ``rho``, beside the model's ``f_model``:
-    ``[bell] counts_per_setting`` pairs per setting, drawn from
-    ``np.random.default_rng(seed)``."""
+    ``[bell] counts_per_setting`` pairs per setting, drawn from the next
+    spawned child of ``seed_seq``."""
     rho4 = bell_mod.split_postselect_rho(rho)
-    f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(rho4, cfg.bell.counts_per_setting, seed)
+    f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
+        rho4, cfg.bell.counts_per_setting, seed_seq.spawn(1)[0])
     return BellResult(
         f_model=f_model,
         f_reconstructed=bell_mod.chsh_value(rho4),
@@ -657,7 +659,7 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         seed=master_seed,
         source=source,
         tomography=tomography,
-        bell=simulate_bell(cfg, source.f_model, tomography.rho, seed_seq.spawn(1)[0]),
+        bell=simulate_bell(cfg, source.f_model, tomography.rho, seed_seq),
         spectral=spectral_section(cfg),
         delay_scan=delay_line_scan(cfg),
     )

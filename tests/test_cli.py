@@ -1,9 +1,14 @@
 """Command-line entry point tests: exit codes and output formats."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import spdcfilm.bell as bell
+import spdcfilm.cli as cli
+import spdcfilm.experiment as experiment
 from spdcfilm.cli import (
     EXIT_CONFIG,
     EXIT_INCOMPLETE,
@@ -13,6 +18,8 @@ from spdcfilm.cli import (
 )
 from spdcfilm.config import load_config
 from spdcfilm.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -25,36 +32,47 @@ def test_amplitudes_json(capsys):
     code, out = run_cli(capsys, "amplitudes")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["h_pump"]["weights"] == pytest.approx(
+    assert sorted(doc) == ["amplitudes", "model_state", "orientation", "pump"]
+    assert doc["amplitudes"]["h_pump"]["weights"] == pytest.approx(
         [0.7827, 0.0169, 0.2005], abs=5e-4
     )
-    assert doc["v_pump"]["weights"][1] == pytest.approx(0.9794, abs=5e-4)
+    assert doc["amplitudes"]["v_pump"]["weights"][1] == pytest.approx(0.9794, abs=5e-4)
 
 
 def test_bell_subcommand(capsys):
     code, out = run_cli(capsys, "bell", "--seed", "3")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["f_exact"] <= 2.0**0.5 + 1e-9
-    assert doc["std_devs_above_classical"] > 0.0
+    assert list(doc) == ["bell"]
+    assert doc["bell"]["f_model"] <= 2.0**0.5 + 1e-9
+    assert doc["bell"]["std_devs_above_classical"] > 0.0
 
 
 def test_hom_csv(capsys):
     code, out = run_cli(capsys, "hom", "--format", "csv")
     assert code == EXIT_OK
-    lines = out.strip().splitlines()
+    lines = out.split("\r\n")
     assert lines[0] == "tau_fs,r_dip,r_peak"
-    mid = lines[1 + (len(lines) - 1) // 2].split(",")
+    assert lines[-1] == ""  # every line, the last included, ends in CRLF
+    mid = lines[1 + (len(lines) - 2) // 2].split(",")
     assert float(mid[0]) == pytest.approx(0.0, abs=1e-9)
     assert float(mid[1]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_histogram_csv(capsys):
-    code, out = run_cli(capsys, "histogram", "--seed", "5", "--format", "csv")
+    code, out = run_cli(capsys, "histogram", "--seed", "5")
     assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "delta_t_ns,counts"
-    assert len(lines) == 502
+    lines = out.split("\r\n")
+    assert lines[0] == "setting_index,delta_t_ns,counts"
+    assert len(lines) == 2 + 9 * 501  # the header, 501 bins of nine settings, a final CRLF
+    assert {line.split(",")[0] for line in lines[1:-1]} == {str(m) for m in range(9)}
+
+
+def test_histogram_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["histogram", "--format", "json"])
+    assert exc.value.code == EXIT_CONFIG  # argparse's usage error
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_run_writes_files(capsys, tmp_path):
@@ -94,25 +112,102 @@ def test_tomography_from_records(capsys, tmp_path):
     code, out = run_cli(capsys, "tomography", "--records", str(csv_path))
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["weights"][1] == pytest.approx(0.96, abs=0.05)
+    assert list(doc) == ["tomography"]
+    fitted = doc["tomography"]
+    assert fitted["weights"][1] == pytest.approx(0.96, abs=0.05)
+    # the entries the run's section also holds are keyed as it keys them
+    assert sorted(fitted["fit"]) == sorted(report["tomography"]["fit"])
+    assert set(fitted) - {"source"} <= set(report["tomography"])
 
 
-def test_tomography_runs_only_its_stage(capsys, monkeypatch):
-    import spdcfilm.experiment as experiment
+AMPLITUDES_KEYS = ("amplitudes", "model_state", "orientation", "pump")
 
-    expected = experiment.run_experiment(seed=4).summary["tomography"]
+#: stage command -> (its command line, the report.json keys it prints or the
+#: sidecar whose bytes it prints)
+STAGE_COMMANDS = {
+    "amplitudes": (["amplitudes"], AMPLITUDES_KEYS),
+    "amplitudes_pump": (["amplitudes", "--pump", "22.5"], AMPLITUDES_KEYS),
+    "tomography": (["tomography"], ("tomography",)),
+    "bell": (["bell"], ("bell",)),
+    "hom": (["hom"], ("spectral",)),
+    "hom_csv": (["hom", "--format", "csv"], "hom.csv"),
+    "histogram": (["histogram"], "histogram.csv"),
+}
+
+
+def _runs_output(cfg, seed, command, out_dir) -> bytes:
+    """What ``spdcfilm run`` writes that ``command`` prints: the rendering of
+    its ``report.json`` keys alone, or its sidecar's bytes. The run's pump is
+    the command's ``--pump``, if it has one."""
+    argv, keys = STAGE_COMMANDS[command]
+    if "--pump" in argv:
+        cfg = replace(cfg, pump=replace(cfg.pump, angle_deg=float(argv[argv.index("--pump") + 1])))
+    files = {p.name: p.read_bytes()
+             for p in experiment.write_report(experiment.run_experiment(cfg, seed), out_dir)}
+    if isinstance(keys, str):
+        return files[keys]
+    report = json.loads(files["report.json"])
+    return (json.dumps({k: report[k] for k in keys}, indent=2, sort_keys=True) + "\n").encode()
+
+
+#: the stage functions, in the ``experiment``, ``cli`` and ``bell`` modules,
+#: that no stage command calls after a run of its configuration: the run's
+#: whole pipeline, and the seed-free stages' work, which the memos hold
+NOT_NEEDED = ("run_experiment", "delay_line_scan", "delay_scan", "calibrate_orientation",
+              "weight_residual", "spdc_amplitudes", "joint_spectrum")
+TOMOGRAPHY = ("simulate_tomography", "reconstruct", "simulate_histogram")
+BELL = ("simulate_bell", "simulate_chsh")
+#: subcommand -> the further stage functions its output does not need
+STAGE_NOT_NEEDED = {
+    "amplitudes": (*TOMOGRAPHY, *BELL, "spectral_section"),
+    "tomography": (*BELL, "spectral_section"),
+    "bell": ("spectral_section",),
+    "hom": ("source_model", *TOMOGRAPHY, *BELL),
+    "histogram": (*BELL, "spectral_section"),
+}
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+def test_stage_command_runs_only_its_stage(capsysbinary, monkeypatch, tmp_path, command):
+    expected = _runs_output(load_config(), 4, command, tmp_path)
+    argv = STAGE_COMMANDS[command][0]
 
     def not_needed(*args, **kwargs):
-        raise AssertionError("the tomography command ran another stage")
+        raise AssertionError(f"spdcfilm {' '.join(argv)} ran a stage it does not print")
 
-    for name in ("spectral_section", "delay_line_scan", "delay_scan", "run_experiment"):
-        monkeypatch.setattr(experiment, name, not_needed)
-    monkeypatch.setattr("spdcfilm.bell.simulate_chsh", not_needed)
-    monkeypatch.setattr("spdcfilm.cli.spectral_section", not_needed)
-    monkeypatch.setattr("spdcfilm.cli.run_experiment", not_needed)
-    code, out = run_cli(capsys, "tomography", "--seed", "4")
-    assert code == EXIT_OK
-    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    for name in (*NOT_NEEDED, *STAGE_NOT_NEEDED[argv[0]]):
+        for module in (experiment, cli, bell):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, not_needed)
+    assert main([*argv, "--seed", "4"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == expected
+
+
+OVERLAYS = {
+    "default": None,
+    "auto_calibrate": ROOT / "perfbench" / "workloads" / "auto_calibrate.cfg",
+    "fine_spectrum": ROOT / "perfbench" / "workloads" / "fine_spectrum.cfg",
+}
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+@pytest.mark.parametrize("seed", [3, 22])
+@pytest.mark.parametrize("overlay", OVERLAYS)
+def test_stage_command_prints_the_runs_output(capsysbinary, tmp_path, overlay, seed, command):
+    path = OVERLAYS[overlay]
+    expected = _runs_output(load_config(path), seed, command, tmp_path)
+    config = [] if path is None else ["--config", str(path)]
+    assert main([*STAGE_COMMANDS[command][0], *config, "--seed", str(seed)]) == EXIT_OK
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_out_holds_the_printed_bytes(capsysbinary, tmp_path):
+    # --out gets the bytes stdout would: hom.csv's CRLF line ends unchanged
+    expected = _runs_output(load_config(), 3, "hom_csv", tmp_path / "run")
+    out = tmp_path / "hom.csv"
+    assert main(["hom", "--format", "csv", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == expected
 
 
 def test_bad_config_path_exit_code(capsys, tmp_path):
@@ -261,11 +356,11 @@ def test_bell_without_spread_prints_null(capsys, tmp_path):
     # one outcome class, so sigma_f is 0 and (F - 1)/sigma_f is undefined
     cfg = tmp_path / "few.cfg"
     cfg.write_text("[bell]\ncounts_per_setting = 2\n")
-    code, out = run_cli(capsys, "bell", "--seed", "12", "--config", str(cfg))
+    code, out = run_cli(capsys, "bell", "--seed", "22", "--config", str(cfg))
     assert code == EXIT_OK
     doc = json.loads(out, parse_constant=_reject_constant)
-    assert doc["sigma_f"] == 0.0
-    assert doc["std_devs_above_classical"] is None
+    assert doc["bell"]["sigma_f"] == 0.0
+    assert doc["bell"]["std_devs_above_classical"] is None
 
 
 def test_run_without_bell_spread_writes_null(capsys, tmp_path):
@@ -297,7 +392,7 @@ def test_run_and_json_subcommands_write_strict_json(capsys, tmp_path):
     # exactly the stdlib's indented, sorted-key rendering of its content
     assert text == json.dumps(json.loads(text, parse_constant=_reject_constant),
                               indent=2, sort_keys=True) + "\n"
-    for command in ("amplitudes", "tomography", "bell", "hom", "histogram"):
+    for command in ("amplitudes", "tomography", "bell", "hom"):
         code, out = run_cli(capsys, command, "--seed", "3")
         assert code == EXIT_OK
         json.loads(out, parse_constant=_reject_constant)

@@ -499,32 +499,6 @@ def test_memo_keys_follow_the_sections_each_stage_reads(stage_calls):
     assert stage_calls["delay_scan"] == 2
 
 
-@pytest.mark.parametrize("crystal", ["", "[crystal]\ntilt_deg = auto\n\n"], ids=["fixed", "auto"])
-def test_cli_stages_are_the_runs_stages(stage_calls, tmp_path, capsys, crystal):
-    from spdcfilm.cli import EXIT_OK, main
-
-    path = tmp_path / "run.cfg"
-    path.write_text(crystal + "[run]\nbootstrap_samples = 0\n")
-    summary = json.loads(run_experiment(load_config(path), seed=3).canonical_json())
-    stage_calls.clear()
-    printed = {}
-    for command in ("amplitudes", "tomography", "bell", "hom"):
-        assert main([command, "--config", str(path), "--seed", "3"]) == EXIT_OK
-        printed[command] = json.loads(capsys.readouterr().out)
-    assert sum(stage_calls.values()) == 0, dict(stage_calls)
-
-    amplitudes = printed["amplitudes"]
-    del summary["orientation"]["normal_axis_angles_deg"]  # the report's alone
-    assert amplitudes["orientation"] == summary["orientation"]
-    assert [amplitudes[p] for p in ("h_pump", "v_pump")] == [
-        summary["amplitudes"][p] for p in ("h_pump", "v_pump")]
-    spectral = summary["spectral"]
-    spectral["curve"] = spectral.pop("hom_curve")
-    assert printed["hom"] == spectral
-    assert printed["tomography"] == summary["tomography"]
-    assert printed["bell"]["f_exact"] == summary["bell"]["f_model"]
-
-
 def test_memo_tells_negative_zero_from_zero():
     # two equal [delay_line] sections: one scan ends at 0.0, the other at -0.0
     base = _quick()
