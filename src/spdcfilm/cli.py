@@ -19,13 +19,13 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
+    _write_bytes,
     complex_json,
     run_experiment,
     simulate_bell,
@@ -45,7 +45,7 @@ EXIT_INCOMPLETE = 4
 
 def _write(args, data: bytes):
     if args.out:
-        Path(args.out).write_bytes(data)
+        _write_bytes(args.out, data)
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)

@@ -44,6 +44,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
+import stat
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -727,18 +729,40 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     each number, CRLF line ends. The seed-free results encode theirs once.
     ``histogram.csv`` fills row templates made once per bin grid (matched by
     its dtype and bytes) with the counts.
+
+    Every file is encoded before the first one is opened, so a report that
+    fails to encode (a NaN seed, say) leaves the directory as it was. Existing
+    files are overwritten in place and cut to the new length: like a
+    truncating write, this is not atomic, and a reader that looks while the
+    report is written can see a mix of the old and the new bytes.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     texts, sidecars = _encoded({"schema_version": SCHEMA_VERSION, "seed": report.seed})
     for result in report.results:
         result_texts, result_sidecars = result.encoded()
         texts.update(result_texts)
         sidecars += result_sidecars
     body = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
-    paths = [out / "report.json"]
-    paths[0].write_bytes(("{\n" + body + "\n}\n").encode())
-    for name, data in sidecars:
+    files = [("report.json", ("{\n" + body + "\n}\n").encode()), *sidecars]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, data in files:
         paths.append(out / name)
-        paths[-1].write_bytes(data)
+        _write_bytes(paths[-1], data)
     return paths
+
+
+def _write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path``, created with mode 0o666 less the umask.
+
+    An existing file is opened without ``O_TRUNC``, overwritten and then cut
+    to ``len(data)``: truncating a file that holds data on open costs ext4 a
+    flush (``auto_da_alloc``) that a same-size rewrite never pays. Only a
+    regular file is cut; ``ftruncate`` fails on ``/dev/null`` or a pipe.
+    """
+    # O_BINARY (Windows only) keeps the CRLF sidecars' bytes as they are
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()

@@ -1,6 +1,7 @@
 """Command-line entry point tests: exit codes and output formats."""
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,6 +209,19 @@ def test_out_holds_the_printed_bytes(capsysbinary, tmp_path):
     assert main(["hom", "--format", "csv", "--seed", "3", "--out", str(out)]) == EXIT_OK
     assert capsysbinary.readouterr().out == b""
     assert out.read_bytes() == expected
+    # over a longer file, which is cut to the new length
+    out.write_bytes(b"junk" * len(expected))
+    assert main(["hom", "--format", "csv", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("argv", [["hom", "--format", "csv"], ["bell"]],
+                         ids=["hom-csv", "bell"])
+def test_out_to_a_device(capsysbinary, argv):
+    # a character device takes the bytes but cannot be truncated
+    assert main([*argv, "--seed", "3", "--out", "/dev/null"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b""
 
 
 def test_bad_config_path_exit_code(capsys, tmp_path):

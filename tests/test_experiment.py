@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -528,6 +529,43 @@ def test_cold_and_warm_runs_write_identical_bytes(tmp_path):
     warm = run_experiment(cfg, SEED)
     assert warm.canonical_json() == cold.canonical_json()
     assert _written(warm, tmp_path / "warm") == cold_files
+
+
+def test_overwriting_longer_files_writes_exact_bytes(tmp_path, report):
+    # the fine-spectrum overlay's files are longer (its spectrum.csv is four
+    # times the default's), and junk longer than the new content pads each
+    fresh = _written(report, tmp_path / "fresh")
+    fine = load_config(ROOT / "perfbench" / "workloads" / "fine_spectrum.cfg")
+    over = tmp_path / "over"
+    old = _written(run_experiment(fine, SEED), over)
+    assert len(old["spectrum.csv"]) > len(fresh["spectrum.csv"])
+    for name, data in fresh.items():
+        (over / name).write_bytes(old[name] + b"junk" * len(data))
+    assert _written(report, over) == fresh
+
+
+def test_failed_encode_leaves_the_previous_report(tmp_path, report):
+    # every file is encoded before the first one is opened
+    good = _written(report, tmp_path)
+    with pytest.raises(ValueError):
+        write_report(replace(report, seed=float("nan")), tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in good} == good
+    with pytest.raises(ValueError):
+        write_report(replace(report, seed=float("nan")), tmp_path / "new")
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_new_files_get_the_default_mode(tmp_path, report, umask):
+    # as open(path, "wb") creates them: 0o666 less the umask
+    previous = os.umask(umask)
+    try:
+        paths = write_report(report, tmp_path)
+    finally:
+        os.umask(previous)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in paths} == {
+        p.name: 0o666 & ~umask for p in paths}
 
 
 def _arrays(value) -> list:
