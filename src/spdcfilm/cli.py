@@ -16,17 +16,18 @@ protocols.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
+    _json_bytes,
+    _section_text,
     _write_bytes,
-    complex_json,
+    fit_json,
     run_experiment,
     simulate_bell,
     simulate_tomography,
@@ -52,56 +53,43 @@ def _write(args, data: bytes):
         sys.stdout.buffer.flush()
 
 
-def _emit(args, payload: dict):
-    _write(args, (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())
-
-
-def _tomography(cfg, seed_seq):
-    return simulate_tomography(cfg, source_model(cfg).rho, seed_seq)
-
-
-def _bell(cfg, seed_seq):
-    tomography = _tomography(cfg, seed_seq)
-    return simulate_bell(cfg, source_model(cfg).f_model, tomography.rho, seed_seq)
-
-
 #: stage command -> (its stage result of the configuration and the run's seed
 #: sequence, the sidecar it prints as CSV)
 _STAGES = {
     "amplitudes": (lambda cfg, seed_seq: source_model(cfg), None),
-    "tomography": (_tomography, None),
-    "bell": (_bell, None),
+    "tomography": (simulate_tomography, None),
+    "bell": (lambda cfg, seed_seq: simulate_bell(cfg, simulate_tomography(cfg, seed_seq),
+                                                 seed_seq), None),
     "hom": (lambda cfg, seed_seq: spectral_section(cfg), "hom.csv"),
-    "histogram": (_tomography, "histogram.csv"),
+    "histogram": (simulate_tomography, "histogram.csv"),
 }
 
 
-def _cmd_stage(args, cfg):
-    stage, sidecar = _STAGES[args.command]
-    result = stage(cfg, np.random.SeedSequence(cfg.run.seed))
-    if args.format == "csv":
-        _write(args, dict(result.encoded()[1])[sidecar])
-    else:
-        _emit(args, result.to_json())
-
-
-def _cmd_tomography(args, cfg):
-    if not args.records:
-        return _cmd_stage(args, cfg)
-    # a fit of measured counts, each entry keyed as the run's section keys it
+def _records_fit(path) -> dict:
+    """A fit of the measured counts in ``path``, keyed as the run's ``tomography``."""
     try:
-        protocol, records = load_records_csv(args.records)
+        protocol, records = load_records_csv(path)
     except ValueError as exc:
-        raise ConfigError(f"bad records file {args.records}: {exc}") from exc
+        raise ConfigError(f"bad records file {path}: {exc}") from exc
     rho, fit = reconstruct(records, protocol)
-    _emit(args, {"tomography": {
-        "source": args.records,
-        "rho": complex_json(rho),
+    return {"tomography": {
+        "source": path,
+        **fit_json(rho, fit),
         "weights": np.real(np.diag(rho)).tolist(),
         "purity": purity(rho),
-        "scale_hz": fit.scale,
-        "fit": {key: value for key, value in asdict(fit).items() if key != "scale"},
-    }})
+    }}
+
+
+def _cmd_stage(args, cfg):
+    if getattr(args, "records", None):
+        sections = _records_fit(args.records)
+    else:
+        stage, sidecar = _STAGES[args.command]
+        result = stage(cfg, np.random.SeedSequence(cfg.run.seed))
+        if args.format == "csv":
+            return _write(args, dict(result.encoded()[1])[sidecar])
+        sections = result.to_json()
+    _write(args, _json_bytes({key: _section_text(value) for key, value in sections.items()}))
 
 
 def _cmd_run(args, cfg):
@@ -131,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("amplitudes", _cmd_stage, "orientation, pair amplitudes and model state")
     p.add_argument("--pump", type=float, help="pump angle in degrees from horizontal")
-    p = command("tomography", _cmd_tomography, "simulate or fit coincidence tomography")
+    p = command("tomography", _cmd_stage, "simulate or fit coincidence tomography")
     p.add_argument("--records", help="CSV of measured settings and counts to fit")
     command("bell", _cmd_stage, "the run's CHSH test of the reconstructed state")
     p = command("hom", _cmd_stage, "two-photon spectrum widths and interference curves")

@@ -312,16 +312,19 @@ def _nelder_mead(fun, x0):
     return sim[0], np.min(fsim)
 
 
+#: step (deg) of calibrate_orientation's coarse tilt and azimuth grid
+_COARSE_STEP_DEG = 1.0
+
+
 def calibrate_orientation(
     chi,
     targets: dict,
-    coarse_step_deg: float = 1.0,
     threshold: float = 0.005,
 ) -> tuple[CrystalOrientation, float]:
     """Joint (tilt, azimuth) fit to measured pump-resolved weights.
 
-    Scans a ``coarse_step_deg`` grid over tilts in [0, 55] deg and azimuths
-    in [0, 180) deg and starts from its best point (the first of tied minima
+    Scans a _COARSE_STEP_DEG (1 deg) grid over tilts in [0, 55] deg and
+    azimuths in [0, 180) deg and starts from its best point (the first of tied minima
     in scan order). A Nelder-Mead simplex search (Nelder & Mead, Comput. J.
     7, 308, 1965) then refines it: reflection 1, expansion 2, contraction
     and shrink 1/2, an initial simplex stepping each nonzero coordinate by
@@ -336,8 +339,8 @@ def calibrate_orientation(
     """
     if not targets:
         raise ValueError("calibration requires at least one pump-setting target")
-    tilts = np.arange(0.0, 55.0 + 1e-9, coarse_step_deg)
-    azimuths = np.arange(0.0, 180.0, coarse_step_deg)
+    tilts = np.arange(0.0, 55.0 + 1e-9, _COARSE_STEP_DEG)
+    azimuths = np.arange(0.0, 180.0, _COARSE_STEP_DEG)
     residuals = _residual_grid(chi, tilts[:, None], azimuths[None, :], targets)
     # the first of tied minima in (tilt, azimuth) scan order, as a strict "<" scan
     i, j = np.unravel_index(np.argmin(residuals), residuals.shape)

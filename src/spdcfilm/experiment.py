@@ -34,9 +34,10 @@ and each kind caches ``encoded()`` by identity for the last ``_MEMO_CONFIGS``
 results, however many reports hold them.
 
 The two seeded stages run once per run, in this order, on one
-``SeedSequence(seed)``: ``simulate_tomography`` -> ``TomographyResult`` spawns
-its children, then ``simulate_bell`` -> ``BellResult`` the next one. A caller
-that passes one sequence to both in that order draws the run's numbers.
+``SeedSequence(seed)``: ``simulate_tomography(cfg, seed_seq)`` measures the
+model state and spawns its children, then ``simulate_bell(cfg, tomography,
+seed_seq)`` tests the reconstructed state on the next one. A caller that
+passes one sequence to both in that order draws the run's numbers.
 """
 
 from __future__ import annotations
@@ -145,6 +146,13 @@ def _section_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
 
 
+def _json_bytes(texts: dict) -> bytes:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"`` of
+    a non-empty ``obj``, from the ``_section_text`` of each of its values."""
+    body = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
+    return ("{\n" + body + "\n}\n").encode()
+
+
 def _encoded(sections: dict, *sidecars) -> tuple:
     """A result's ``encoded()``: the ``_section_text`` of each of its
     ``report.json`` sections, and its sidecars' (name, bytes) pairs."""
@@ -155,6 +163,12 @@ def complex_json(a) -> list:
     """A complex array as nested lists with one [re, im] pair per element."""
     a = np.asarray(a)
     return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
+def fit_json(rho, fit: FitReport) -> dict:
+    """A fitted state's report entries: ``rho``, ``scale_hz`` and ``fit``."""
+    diagnostics = asdict(fit)
+    return {"rho": complex_json(rho), "scale_hz": diagnostics.pop("scale"), "fit": diagnostics}
 
 
 def amplitudes_json(res) -> dict:
@@ -392,7 +406,6 @@ def _simulate_records(cfg, rel_rates, seeds):
     """Each setting's configured coincidence histogram, its pair rate scaled
     by the setting's relative rate, and the record of its net counts."""
     histograms, records = [], []
-    excl = cfg.histogram.exclusion_bins
     for m, (rel, seed) in enumerate(zip(rel_rates, seeds)):
         noise = NoiseModel(
             pair_rate_hz=cfg.noise.pair_rate_hz * float(rel),
@@ -407,9 +420,7 @@ def _simulate_records(cfg, rel_rates, seeds):
             bin_width_ns=cfg.histogram.bin_width_ns,
             seed=seed,
         )
-        net, sigma = subtract_accidentals(hist, exclusion_bins=excl)
-        in_peak = np.abs(np.arange(len(hist.counts)) - hist.peak_index) <= excl
-        raw = float(hist.counts[in_peak].sum())
+        raw, net, sigma = subtract_accidentals(hist, cfg.histogram.exclusion_bins)
         records.append(
             CoincidenceRecord(
                 index=m,
@@ -527,15 +538,11 @@ class TomographyResult:
 
     def to_json(self) -> dict:
         """The report's ``tomography`` section."""
-        fit = asdict(self.fit)
-        del fit["scale"]  # reported as scale_hz, beside the fit
         entries = {**self.measures, **self.sigmas}
         return {
             "tomography": {
                 "records": [{**asdict(r), "net": r.net} for r in self.records],
-                "rho": complex_json(self.rho),
-                "scale_hz": self.fit.scale,
-                "fit": fit,
+                **fit_json(self.rho, self.fit),
                 # a copy of each list, so editing the section leaves the result alone
                 **{key: list(v) if isinstance(v, list) else v for key, v in entries.items()},
                 "fringe_fixed_analyzer": self.fixed_analyzer,
@@ -551,11 +558,11 @@ class TomographyResult:
         )
 
 
-def simulate_tomography(cfg: ExperimentConfig, rho_true, seed_seq) -> TomographyResult:
-    """Simulated tomography of ``rho_true``. Spawns one child of ``seed_seq``
-    per protocol setting, then one for the bootstrap."""
+def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
+    """Simulated tomography of ``source_model(cfg).rho``. Spawns one child of
+    ``seed_seq`` per protocol setting, then one for the bootstrap."""
     protocol = default_protocol()
-    rel_rates = forward_rates(rho_true, protocol)
+    rel_rates = forward_rates(source_model(cfg).rho, protocol)
     histograms, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
     rho_hat, fit = reconstruct(records, protocol)
 
@@ -600,15 +607,15 @@ class BellResult:
         return _encoded(self.to_json())
 
 
-def simulate_bell(cfg: ExperimentConfig, f_model: float, rho, seed_seq) -> BellResult:
-    """The CHSH test of the qutrit ``rho``, beside the model's ``f_model``:
-    ``[bell] counts_per_setting`` pairs per setting, drawn from the next
-    spawned child of ``seed_seq``."""
-    rho4 = bell_mod.split_postselect_rho(rho)
+def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed_seq) -> BellResult:
+    """The CHSH test of the reconstructed ``tomography.rho``, beside the model
+    state's ``source_model(cfg).f_model``: ``[bell] counts_per_setting`` pairs
+    per setting, drawn from the next spawned child of ``seed_seq``."""
+    rho4 = bell_mod.split_postselect_rho(tomography.rho)
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
         rho4, cfg.bell.counts_per_setting, seed_seq.spawn(1)[0])
     return BellResult(
-        f_model=f_model,
+        f_model=source_model(cfg).f_model,
         f_reconstructed=bell_mod.chsh_value(rho4),
         f_simulated=f_sim,
         sigma_f=sigma_f,
@@ -655,13 +662,12 @@ def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> Experiment
         cfg = load_config()
     master_seed = cfg.run.seed if seed is None else int(seed)
     seed_seq = np.random.SeedSequence(master_seed)
-    source = source_model(cfg)
-    tomography = simulate_tomography(cfg, source.rho, seed_seq)
+    tomography = simulate_tomography(cfg, seed_seq)
     return ExperimentReport(
         seed=master_seed,
-        source=source,
+        source=source_model(cfg),
         tomography=tomography,
-        bell=simulate_bell(cfg, source.f_model, tomography.rho, seed_seq),
+        bell=simulate_bell(cfg, tomography, seed_seq),
         spectral=spectral_section(cfg),
         delay_scan=delay_line_scan(cfg),
     )
@@ -720,10 +726,9 @@ def _histogram_csv(histograms) -> bytes:
 def write_report(report: ExperimentReport, out_dir) -> list:
     """Write report.json plus CSV sidecars; returns the written paths.
 
-    ``report.json`` is assembled key by key from ``schema_version``, ``seed``
-    and each stage result's ``encoded()`` sections: the bytes of
-    ``json.dumps(report.summary, indent=2, sort_keys=True, allow_nan=False)
-    + "\n"``. The sidecars follow in the order of ``report.results``.
+    ``report.json`` is ``_json_bytes`` of ``schema_version``, ``seed`` and each
+    stage result's ``encoded()`` sections, so it holds ``report.summary``. The
+    sidecars follow in the order of ``report.results``.
 
     Each sidecar holds the bytes ``csv.writer`` writes for its rows: str() of
     each number, CRLF line ends. The seed-free results encode theirs once.
@@ -741,8 +746,7 @@ def write_report(report: ExperimentReport, out_dir) -> list:
         result_texts, result_sidecars = result.encoded()
         texts.update(result_texts)
         sidecars += result_sidecars
-    body = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
-    files = [("report.json", ("{\n" + body + "\n}\n").encode()), *sidecars]
+    files = [("report.json", _json_bytes(texts)), *sidecars]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -73,14 +73,14 @@ def simulate_histogram(
 
     Every bin receives Poisson(singles_a * singles_b * bin_width *
     duration) accidentals; the central bin additionally receives
-    Poisson(pair_rate * efficiency * duration) true pairs. ``seed`` feeds
-    numpy's default PCG64 generator (or pass a Generator for streaming).
+    Poisson(pair_rate * efficiency * duration) true pairs. ``seed`` is
+    anything ``np.random.default_rng`` takes; a Generator is drawn from as is.
     """
     if n_bins < 3 or n_bins % 2 == 0:
         raise ValueError("n_bins must be odd and at least 3")
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     half = n_bins // 2
     centers = (np.arange(n_bins) - half) * bin_width_ns
     mean_floor = noise.accidental_rate_per_ns * bin_width_ns * duration_s
@@ -95,10 +95,11 @@ def simulate_histogram(
 
 
 def subtract_accidentals(hist: TimeTagHistogram, exclusion_bins: int = 5):
-    """Net pair count and its one-sigma error from a histogram.
+    """(raw, net, sigma): a histogram's raw peak count, its net pair count
+    and net's one-sigma error.
 
-    Bins within ``exclusion_bins`` of zero delay form the peak region; the
-    rest estimate the flat floor. net = peak sum - floor * peak width;
+    Bins within ``exclusion_bins`` of zero delay form the peak region, raw
+    their sum; the rest estimate the flat floor. net = raw - floor * peak width;
     sigma combines Poisson error of the peak with the floor-estimate
     error. Requires at least 20 off-peak bins.
     """
@@ -117,4 +118,4 @@ def subtract_accidentals(hist: TimeTagHistogram, exclusion_bins: int = 5):
     floor_per_bin = off_total / n_off
     net = peak_total - floor_per_bin * n_peak
     variance = peak_total + (n_peak / n_off) ** 2 * off_total
-    return net, float(np.sqrt(variance))
+    return peak_total, net, float(np.sqrt(variance))

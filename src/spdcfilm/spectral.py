@@ -368,6 +368,9 @@ def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str = "dip"):
 #: delays in hom_fwhm's first coarse chunk; each later chunk doubles the prefix
 _FIRST_SCAN = 128
 
+#: the longest delay (fs) hom_fwhm's coarse scan reaches
+_TAU_MAX_FS = 400.0
+
 
 def _doubling_blocks(s: np.ndarray, omega: np.ndarray, taus: np.ndarray):
     """``_contrast_blocks`` over chunks of ``taus`` that double the scanned
@@ -417,7 +420,7 @@ def _half_crossing(s: np.ndarray, omega: np.ndarray, lo: float, hi: float, tau: 
     raise InvalidState(f"half-depth crossing not resolved in {_ROOT_MAX_STEPS} steps")
 
 
-def hom_fwhm(spectrum: SpectralAmplitude, tau_max_fs: float = 400.0) -> float:
+def hom_fwhm(spectrum: SpectralAmplitude) -> float:
     """Full width of the HOM dip at half its asymptotic depth.
 
     The dip R(tau) runs from 0 at tau = 0 to 1/2 at large delay; the
@@ -425,7 +428,7 @@ def hom_fwhm(spectrum: SpectralAmplitude, tau_max_fs: float = 400.0) -> float:
     first crossing (the curve is even in tau). Since dip + peak = 1, this
     is also the width of the peak.
 
-    g is scanned on 4001 delays over [0, tau_max_fs] through the
+    g is scanned on 4001 delays over [0, _TAU_MAX_FS] (400 fs) through the
     interference_contrast kernel, in chunks that double the scanned prefix
     (the first _FIRST_SCAN delays, then up to 256, 512, ...), and the scan
     stops at the first block in which g < 1/2. The delays are uniform, so
@@ -439,7 +442,7 @@ def hom_fwhm(spectrum: SpectralAmplitude, tau_max_fs: float = 400.0) -> float:
     """
     s = _check_symmetric(spectrum)
     omega = spectrum.omega_thz
-    coarse = np.linspace(0.0, tau_max_fs, 4001)
+    coarse = np.linspace(0.0, _TAU_MAX_FS, 4001)
     g_last = np.nan  # g at the last delay of the previous block
     for start, g in _doubling_blocks(s, omega, coarse):
         below = np.flatnonzero(g < 0.5)
@@ -447,7 +450,7 @@ def hom_fwhm(spectrum: SpectralAmplitude, tau_max_fs: float = 400.0) -> float:
             break
         g_last = g[-1]
     else:
-        raise InvalidState(f"g(tau) never falls below 1/2 out to {tau_max_fs} fs")
+        raise InvalidState(f"g(tau) never falls below 1/2 out to {_TAU_MAX_FS} fs")
     j = int(below[0])
     if start + j == 0:
         raise InvalidState("g(0) < 1/2; spectrum is not normalizable as a HOM kernel")

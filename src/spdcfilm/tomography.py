@@ -331,7 +331,7 @@ def _fringe_visibility(rhos: np.ndarray, fixed_b: str) -> np.ndarray:
     return np.divide(spread, total, out=np.full_like(total, np.nan), where=total > 0.0)
 
 
-def fringe_scan(rho, fixed_b: str, theta_grid_deg, scale: float = 1.0):
+def fringe_scan(rho, fixed_b: str, theta_grid_deg):
     """Coincidence fringe: arm A scans linear polarization, arm B is fixed.
 
     Returns (curve, visibility) where curve is a list of (theta, rate) on the
@@ -347,7 +347,7 @@ def fringe_scan(rho, fixed_b: str, theta_grid_deg, scale: float = 1.0):
         raise ValueError("theta grid must span at least 180 degrees")
     rho = check_density_matrix(rho)
     xi = np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
-    rates = scale * np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
+    rates = np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
     visibility = float(_fringe_visibility(rho[None], fixed_b)[0])
     if np.isnan(visibility):
         raise FitFailure("fringe rate vanishes at every angle; visibility undefined")

@@ -139,7 +139,7 @@ def test_05_noisy_tomography_coverage():
                 bin_width_ns=cfg.histogram.bin_width_ns,
                 seed=np.random.default_rng(child),
             )
-            net, sigma = subtract_accidentals(hist, exclusion_bins=excl)
+            _, net, sigma = subtract_accidentals(hist, exclusion_bins=excl)
             in_peak = (
                 np.abs(np.arange(len(hist.counts)) - hist.peak_index) <= excl
             )
@@ -267,7 +267,7 @@ def test_11_histogram_statistics():
     pooled = np.sqrt(f_lo.mean() / f_lo.size + f_hi.mean() / f_hi.size)
     assert abs(f_lo.mean() - f_hi.mean()) <= 3.0 * pooled
 
-    net_lo, sig_lo = subtract_accidentals(h_lo)
-    net_hi, sig_hi = subtract_accidentals(h_hi)
+    _, net_lo, sig_lo = subtract_accidentals(h_lo)
+    _, net_hi, sig_hi = subtract_accidentals(h_hi)
     sigma_ratio = np.sqrt(sig_hi**2 + (10.0 * sig_lo) ** 2)
     assert abs(net_hi - 10.0 * net_lo) <= 3.0 * sigma_ratio

@@ -412,11 +412,29 @@ def test_run_and_json_subcommands_write_strict_json(capsys, tmp_path):
         json.loads(out, parse_constant=_reject_constant)
 
 
-def test_json_output_is_strict(capsys):
-    import argparse
+def test_json_output_is_strict(capsysbinary, monkeypatch, tmp_path):
+    # a section value JSON cannot hold fails in the shared renderer's texts,
+    # before a byte is printed or a file is made
+    out = tmp_path / "bell.json"
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            experiment._json_bytes({"value": experiment._section_text(value)})
+        monkeypatch.setattr(experiment.BellResult, "to_json",
+                            lambda self, value=value: {"bell": {"value": value}})
+        for argv in (["bell"], ["bell", "--out", str(out)]):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                main([*argv, "--seed", "3"])
+    assert capsysbinary.readouterr().out == b""
+    assert not out.exists()
 
-    from spdcfilm.cli import _emit
 
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        _emit(argparse.Namespace(out=None), {"value": float("inf")})
-    assert capsys.readouterr().out == ""
+def test_cold_hom_json_encodes_no_sidecar(capsysbinary, monkeypatch):
+    # hom prints the spectral section's text alone: it never encodes hom.csv
+    # or spectrum.csv, which SpectralSection.encoded() does
+    def encoded(self):
+        raise AssertionError("hom encoded the spectral section's sidecars")
+
+    monkeypatch.setattr(experiment.SpectralSection, "encoded", encoded)
+    experiment.spectral_section.cache_clear()
+    assert main(["hom", "--seed", "3"]) == EXIT_OK
+    assert list(json.loads(capsysbinary.readouterr().out)) == ["spectral"]

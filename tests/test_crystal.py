@@ -114,9 +114,13 @@ def test_nominal_wafer_tilt_cannot_fit():
     assert best == pytest.approx(0.01686, abs=2e-4)
 
 
-def test_joint_calibration_recovers_weights():
+def test_joint_calibration_recovers_weights(monkeypatch):
+    import spdcfilm.crystal as crystal
+
+    # a coarser start grid than the shipped 1 deg one still finds the fit
+    monkeypatch.setattr(crystal, "_COARSE_STEP_DEG", 2.5)
     chi = chi2_zincblende()
-    orientation, residual = calibrate_orientation(chi, TARGETS, coarse_step_deg=2.5)
+    orientation, residual = calibrate_orientation(chi, TARGETS)
     assert residual < 1e-3
     h = spdc_amplitudes(chi, orientation, pump_ket(0.0))
     assert np.allclose(h.weights, TARGETS["H"], atol=0.02)
@@ -353,7 +357,7 @@ def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
         return search(fun, x0)
 
     monkeypatch.setattr(crystal, "_nelder_mead", recording_search)
-    calibrate_orientation(chi, targets, coarse_step_deg=1.0)
+    calibrate_orientation(chi, targets)
     assert starts == [[36.0, 41.0]]
 
 

@@ -52,7 +52,9 @@ def test_floor_independent_of_pair_rate():
 def test_subtraction_recovers_true_rate():
     noise = NoiseModel(pair_rate_hz=1500.0)
     hist = simulate_histogram(noise, duration_s=30.0, seed=SEED)
-    net, sigma = subtract_accidentals(hist)
+    raw, net, sigma = subtract_accidentals(hist)
+    # the peak region is the 11 bins within 5 of zero delay
+    assert raw == hist.counts[hist.peak_index - 5:hist.peak_index + 6].sum()
     assert sigma > 0.0
     assert net == pytest.approx(1500.0 * 30.0, abs=4.0 * sigma)
 
@@ -62,7 +64,7 @@ def test_subtraction_uncertainty_shrinks_with_time():
     sigmas = []
     for duration in (5.0, 500.0):
         hist = simulate_histogram(noise, duration_s=duration, seed=SEED)
-        net, sigma = subtract_accidentals(hist)
+        _, net, sigma = subtract_accidentals(hist)
         sigmas.append(sigma / net)
     # relative error improves roughly like 1/sqrt(T): 100x time -> ~10x
     assert sigmas[1] < sigmas[0] / 5.0
@@ -71,7 +73,7 @@ def test_subtraction_uncertainty_shrinks_with_time():
 def test_zero_source_nets_to_zero():
     noise = NoiseModel(pair_rate_hz=0.0)
     hist = simulate_histogram(noise, duration_s=20.0, seed=SEED)
-    net, sigma = subtract_accidentals(hist)
+    _, net, sigma = subtract_accidentals(hist)
     assert abs(net) < 4.0 * sigma
 
 

@@ -213,12 +213,13 @@ def test_fwhm_matches_tight_dense_root(make_spec):
     assert hom_fwhm(spec) == pytest.approx(2.0 * crossing, rel=0.0, abs=1e-12)
 
 
-def test_fwhm_bisects_where_newton_leaves_the_bracket():
+def test_fwhm_bisects_where_newton_leaves_the_bracket(monkeypatch):
     # 100 fs coarse steps put the 20 THz Gaussian's crossing (~22 fs) in the
     # bracket [0, 100] fs, where g is nearly flat at the far end: a Newton
     # step from the secant point (g(0) = 1, g(100) ~ 0) overshoots the bracket
     spec = _gaussian_spectrum(20.0)
     tau_max_fs = 4.0e5
+    monkeypatch.setattr("spdcfilm.spectral._TAU_MAX_FS", tau_max_fs)
     k, crossing = _dense_crossing(spec, tau_max_fs)
     assert k == 1
     lo, hi = 0.0, 100.0
@@ -228,13 +229,14 @@ def test_fwhm_bisects_where_newton_leaves_the_bracket():
     slope = -(np.sin(w * secant) @ (w * s)) / s.sum()
     newton = secant - (_dense_contrast(spec, [secant])[0] - 0.5) / slope
     assert not lo <= newton <= hi
-    assert hom_fwhm(spec, tau_max_fs=tau_max_fs) == pytest.approx(2.0 * crossing, rel=0.0, abs=1e-12)
+    assert hom_fwhm(spec) == pytest.approx(2.0 * crossing, rel=0.0, abs=1e-12)
 
 
 def test_fwhm_step_cap_raises(monkeypatch):
     monkeypatch.setattr("spdcfilm.spectral._ROOT_MAX_STEPS", 2)
+    monkeypatch.setattr("spdcfilm.spectral._TAU_MAX_FS", 4.0e5)
     with pytest.raises(InvalidState, match="not resolved in 2 steps"):
-        hom_fwhm(_gaussian_spectrum(20.0), tau_max_fs=4.0e5)
+        hom_fwhm(_gaussian_spectrum(20.0))
 
 
 def test_hom_curve_mode_validated():

@@ -237,9 +237,9 @@ def test_fringe_curve_matches_per_angle_projector_rates(fixed):
     grid = np.linspace(-30.0, 330.0, 73)
     for _ in range(5):
         rho = _random_rho(rng)
-        curve, _ = fringe_scan(rho, fixed, grid, scale=2.5)
+        curve, _ = fringe_scan(rho, fixed, grid)
         expected = [
-            2.5 * np.real(np.vdot(w, rho @ w))
+            np.real(np.vdot(w, rho @ w))
             for w in (two_photon_projector(AnalyzerSetting(*linear_analyzer(t)).ket(), eta)
                       for t in grid)
         ]
