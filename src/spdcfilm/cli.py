@@ -24,6 +24,8 @@ import numpy as np
 from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
+    SpectralSection,
+    _histogram_csv,
     _json_bytes,
     _section_text,
     _write_bytes,
@@ -54,14 +56,15 @@ def _write(args, data: bytes):
 
 
 #: stage command -> (its stage result of the configuration and the run's seed
-#: sequence, the sidecar it prints as CSV)
+#: sequence, the result's encoder of the sidecar it prints as CSV, the one
+#: ``encoded()`` calls for it)
 _STAGES = {
     "amplitudes": (lambda cfg, seed_seq: source_model(cfg), None),
     "tomography": (simulate_tomography, None),
     "bell": (lambda cfg, seed_seq: simulate_bell(cfg, simulate_tomography(cfg, seed_seq),
                                                  seed_seq), None),
-    "hom": (lambda cfg, seed_seq: spectral_section(cfg), "hom.csv"),
-    "histogram": (simulate_tomography, "histogram.csv"),
+    "hom": (lambda cfg, seed_seq: spectral_section(cfg), SpectralSection.hom_csv),
+    "histogram": (simulate_tomography, lambda result: _histogram_csv(result.histograms)),
 }
 
 
@@ -84,10 +87,10 @@ def _cmd_stage(args, cfg):
     if getattr(args, "records", None):
         sections = _records_fit(args.records)
     else:
-        stage, sidecar = _STAGES[args.command]
+        stage, encode_csv = _STAGES[args.command]
         result = stage(cfg, np.random.SeedSequence(cfg.run.seed))
         if args.format == "csv":
-            return _write(args, dict(result.encoded()[1])[sidecar])
+            return _write(args, encode_csv(result))
         sections = result.to_json()
     _write(args, _json_bytes({key: _section_text(value) for key, value in sections.items()}))
 

@@ -79,7 +79,6 @@ class FilmConfig:
     ambient_index: object
 
     def __post_init__(self):
-        _require(self.thickness_nm > 0, "film thickness_nm must be positive")
         for key in ("film_index", "substrate_index", "ambient_index"):
             model = getattr(self, key)
             if isinstance(model, str):
@@ -160,7 +159,8 @@ class HistogramConfig:
 
     def __post_init__(self):
         empty = _built("histogram", simulate_histogram, NoiseModel(0.0, 1.0, 0.0, 0.0),
-                       n_bins=self.n_bins, bin_width_ns=self.bin_width_ns, seed=0)
+                       duration_s=1.0, n_bins=self.n_bins, bin_width_ns=self.bin_width_ns,
+                       seed=0)
         _built("histogram", subtract_accidentals, empty, self.exclusion_bins)
 
 
@@ -185,7 +185,7 @@ class DelayLineConfig:
         _require(self.scan_points >= 2, "delay_line scan needs at least 2 points")
         line = _built("delay_line", default_delay_line, self.base_tilt_deg,
                       self.plate_thickness_mm, self.wavelength_um)
-        _built("delay_line", delay_scan, line, (self.scan_start_deg, self.scan_stop_deg))
+        _built("delay_line", delay_scan, line, (self.scan_start_deg, self.scan_stop_deg), "inner")
 
 
 @dataclass(frozen=True)
@@ -249,13 +249,14 @@ class ExperimentConfig:
     run: RunConfig
 
     def __post_init__(self):
+        stack = _built("film", self.film_stack)  # FilmStack checks the thickness
         # the grid's extreme detunings put the signal and idler at v0 +- span
         # (v0 = v_p / 2): every [film] index model must hold there and at the
         # pump before any stage runs, not only when the spectrum is built
         nu0 = C_NM_THZ / self.pump.wavelength_nm / 2.0
         span = self.spectrum.span_thz
         _require(span < nu0, f"spectrum span_thz must stay below the degenerate {nu0:.6g} THz")
-        _built("spectrum", self.film_stack().indices, [2.0 * nu0, nu0 + span, nu0 - span])
+        _built("spectrum", stack.indices, [2.0 * nu0, nu0 + span, nu0 - span])
 
     def film_stack(self) -> FilmStack:
         """The film etalon of the [film] section, pumped at the [pump] wavelength."""
@@ -268,7 +269,7 @@ class ExperimentConfig:
         )
 
 
-def _read_parser(path=None) -> configparser.ConfigParser:
+def _read_parser(path) -> configparser.ConfigParser:
     # values are plain literals: a "%" in one is no interpolation syntax
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     with resources.files("spdcfilm.data").joinpath("default.cfg").open() as f:

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoorFit, ZeroAmplitude
-from .polarization import check_normalized, pump_ket
+from .polarization import pump_ket
+from .qutrit import check_state
 
 _SQRT2 = np.sqrt(2.0)
 
 
-def chi2_zincblende(d: float = 100.0) -> np.ndarray:
+def chi2_zincblende(d: float) -> np.ndarray:
     """Second-order tensor of a zinc-blende (class 43m) crystal.
 
     chi[i][j][k] = d exactly when (i, j, k) is a permutation of (x, y, z);
@@ -133,7 +134,7 @@ def spdc_amplitudes(chi: np.ndarray, orientation: CrystalOrientation, pump) -> S
     available at this orientation (e.g. exactly at normal incidence on a
     (001)-cut film, where every transverse contraction dies).
     """
-    pump = check_normalized(pump)
+    pump = check_state(pump, dim=2)
     c = _amplitude_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, [pump, (1, 0), (0, 1)])
     rate = float(np.sum(np.abs(c[0]) ** 2))
     if rate <= _zero_threshold(c[1:]):
@@ -202,7 +203,7 @@ def calibrate_azimuth(
     chi,
     tilt_deg: float,
     targets: dict,
-    threshold: float = 0.005,
+    threshold: float,
 ) -> tuple[float, float]:
     """Fit the in-plane azimuth to measured pump-resolved weights.
 
@@ -319,7 +320,7 @@ _COARSE_STEP_DEG = 1.0
 def calibrate_orientation(
     chi,
     targets: dict,
-    threshold: float = 0.005,
+    threshold: float,
 ) -> tuple[CrystalOrientation, float]:
     """Joint (tilt, azimuth) fit to measured pump-resolved weights.
 

@@ -28,18 +28,14 @@ from .materials import refractive_index
 
 C_MM_FS = 2.99792458e-4  # speed of light in mm/fs
 
-#: Wavelength (um) at which the line is index-matched: pair photons near
-#: twice the 638 nm pump.
-DEFAULT_WAVELENGTH_UM = 1.276
-
 
 @dataclass(frozen=True)
 class Plate:
     """One calcite plate: thickness (mm), optic-axis orientation, tilt."""
 
-    thickness_mm: float = 5.0
-    axis: str = "vertical"
-    tilt_deg: float = 0.0
+    thickness_mm: float
+    axis: str
+    tilt_deg: float
 
     def __post_init__(self):
         if self.thickness_mm <= 0:
@@ -106,16 +102,14 @@ def calcite_delay(line: DelayLine) -> float:
     return float(sum(plate_delay_fs(p, line.n_o, line.n_e) for p in line.plates))
 
 
-def default_delay_line(
-    base_tilt_deg: float = 10.0,
-    thickness_mm: float = 5.0,
-    wavelength_um: float = DEFAULT_WAVELENGTH_UM,
-) -> DelayLine:
+def default_delay_line(base_tilt_deg: float, thickness_mm: float,
+                       wavelength_um: float) -> DelayLine:
     """Four-plate compensator: crossed outer/inner pairs, zero net delay.
 
-    Layout [vertical, horizontal, horizontal, vertical], all at the base
-    tilt; tilting the inner (horizontal-axis) pair away from the base
-    scans the delay through zero.
+    Layout [vertical, horizontal, horizontal, vertical], all plates
+    ``thickness_mm`` thick at the base tilt, with the calcite indices at
+    ``wavelength_um`` (``[delay_line]`` sets all three); tilting the inner
+    (horizontal-axis) pair away from the base scans the delay through zero.
     """
     n_o = refractive_index("calcite_o", wavelength_um)
     n_e = refractive_index("calcite_e", wavelength_um)
@@ -126,8 +120,8 @@ def default_delay_line(
     return DelayLine(plates=plates, n_o=n_o, n_e=n_e)
 
 
-def delay_scan(line: DelayLine, tilt_grid_deg, which: str = "inner"):
-    """Delay versus tilt of the inner or outer plate pair.
+def delay_scan(line: DelayLine, tilt_grid_deg, which: str):
+    """Delay versus tilt of the ``which`` ('inner' or 'outer') plate pair.
 
     The inner pair is plates[1:-1], the outer pair the first and last
     plate; every plate of the chosen pair is set to each grid tilt in turn

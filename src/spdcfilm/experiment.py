@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bell as bell_mod
-from .config import ExperimentConfig, PumpConfig, load_config
+from .config import ExperimentConfig, PumpConfig
 from .crystal import (
     CrystalOrientation,
     SpdcResult,
@@ -301,6 +301,10 @@ class SpectralSection:
     def _curve_rows(self):
         return zip(self.delays_fs.tolist(), self.r_dip.tolist(), self.r_peak.tolist())
 
+    def hom_csv(self) -> bytes:
+        """``hom.csv``: the dip and peak rate at each delay."""
+        return _csv_bytes(["tau_fs", "r_dip", "r_peak"], self._curve_rows())
+
     def to_json(self) -> dict:
         """The report's ``spectral`` section."""
         return {
@@ -320,7 +324,7 @@ class SpectralSection:
         spectrum_rows = zip(self.omega_thz.tolist(), self.intensity.tolist())
         return _encoded(
             self.to_json(),
-            ("hom.csv", _csv_bytes(["tau_fs", "r_dip", "r_peak"], self._curve_rows())),
+            ("hom.csv", self.hom_csv()),
             ("spectrum.csv", _csv_bytes(["omega_thz", "intensity"], spectrum_rows)),
         )
 
@@ -656,10 +660,8 @@ class ExperimentReport:
         return json.dumps(self.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def run_experiment(cfg: ExperimentConfig | None = None, seed=None) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, seed=None) -> ExperimentReport:
     """Simulate one full characterization run of the film pair source."""
-    if cfg is None:
-        cfg = load_config()
     master_seed = cfg.run.seed if seed is None else int(seed)
     seed_seq = np.random.SeedSequence(master_seed)
     tomography = simulate_tomography(cfg, seed_seq)

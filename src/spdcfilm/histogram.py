@@ -25,10 +25,10 @@ class NoiseModel:
     losses); the singles rates set the accidental floor.
     """
 
-    pair_rate_hz: float = 1500.0
-    efficiency: float = 1.0
-    singles_a_hz: float = 30000.0
-    singles_b_hz: float = 30000.0
+    pair_rate_hz: float
+    efficiency: float
+    singles_a_hz: float
+    singles_b_hz: float
 
     def __post_init__(self):
         if self.pair_rate_hz < 0 or self.singles_a_hz < 0 or self.singles_b_hz < 0:
@@ -63,18 +63,14 @@ class TimeTagHistogram:
 
 
 def simulate_histogram(
-    noise: NoiseModel,
-    duration_s: float = 1.0,
-    n_bins: int = 501,
-    bin_width_ns: float = 1.0,
-    seed=None,
+    noise: NoiseModel, duration_s: float, n_bins: int, bin_width_ns: float, seed
 ) -> TimeTagHistogram:
     """Draw one histogram: flat Poisson floor plus a zero-delay excess.
 
     Every bin receives Poisson(singles_a * singles_b * bin_width *
     duration) accidentals; the central bin additionally receives
-    Poisson(pair_rate * efficiency * duration) true pairs. ``seed`` is
-    anything ``np.random.default_rng`` takes; a Generator is drawn from as is.
+    Poisson(pair_rate * efficiency * duration) true pairs. ``seed`` is an
+    integer, a SeedSequence or a Generator (drawn from as is).
     """
     if n_bins < 3 or n_bins % 2 == 0:
         raise ValueError("n_bins must be odd and at least 3")
@@ -94,7 +90,7 @@ def simulate_histogram(
     )
 
 
-def subtract_accidentals(hist: TimeTagHistogram, exclusion_bins: int = 5):
+def subtract_accidentals(hist: TimeTagHistogram, exclusion_bins: int):
     """(raw, net, sigma): a histogram's raw peak count, its net pair count
     and net's one-sigma error.
 

@@ -45,8 +45,8 @@ class Sellmeier:
 
     A: float
     terms: tuple
-    range_um: tuple = (0.0, np.inf)
-    source: str = ""
+    range_um: tuple
+    source: str
 
     def index(self, lam_um):
         lam_um = np.asarray(lam_um, dtype=float)

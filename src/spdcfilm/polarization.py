@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qutrit import check_state
-
 H = np.array([1.0, 0.0], dtype=complex)
 V = np.array([0.0, 1.0], dtype=complex)
 D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -78,11 +76,6 @@ def pump_ket(angle_deg: float) -> np.ndarray:
     """Linear pump polarization at angle from horizontal (H = 0, V = 90)."""
     th = np.radians(angle_deg)
     return np.array([np.cos(th), np.sin(th)], dtype=complex)
-
-
-def check_normalized(ket) -> np.ndarray:
-    """Validate a Jones vector: two components, unit norm (to 1e-9)."""
-    return check_state(ket, dim=2)
 
 
 def two_photon_projector(xi, eta) -> np.ndarray:

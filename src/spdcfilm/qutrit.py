@@ -135,7 +135,7 @@ def _dominant(vals: np.ndarray, vecs: np.ndarray):
     return vec, vals[..., -1], vals[..., -1] - vals[..., -2] < GAP_TOL
 
 
-def _state_measures(rhos: np.ndarray, spectrum=None) -> dict:
+def _state_measures(rhos: np.ndarray, spectrum) -> dict:
     """Measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
     weights, purity, and the dominant branch's concurrence, Schmidt number
     and weight, NaN where the top eigenvalue is degenerate. Validates the

@@ -41,11 +41,11 @@ class FilmStack:
     (constant index), or objects with an ``index(lam_um)`` method.
     """
 
-    thickness_nm: float = 400.0
-    film: object = "gap"
-    substrate: object = "fused_silica"
-    ambient: object = 1.0
-    pump_nm: float = 638.0
+    thickness_nm: float
+    film: object
+    substrate: object
+    ambient: object
+    pump_nm: float
 
     def __post_init__(self):
         if self.thickness_nm <= 0:
@@ -83,7 +83,7 @@ class SpectralAmplitude:
         return C_NM_THZ / self.pump_nm / 2.0
 
 
-def default_grid(span_thz: float = 150.0, points: int = 4096) -> np.ndarray:
+def default_grid(span_thz: float, points: int) -> np.ndarray:
     """Uniform detuning grid, symmetric about zero."""
     return np.linspace(-span_thz, span_thz, points)
 
@@ -112,13 +112,13 @@ def check_grid(grid) -> np.ndarray:
     return omega
 
 
-def joint_spectrum(stack: FilmStack, grid=None) -> SpectralAmplitude:
+def joint_spectrum(stack: FilmStack, grid) -> SpectralAmplitude:
     """Degenerate-pair spectral amplitude on the detuning grid (THz).
 
-    The grid must cover at least +-100 THz; the default +-150 THz / 4096
-    points resolves the ~10 fs interference features with margin.
+    The grid must cover at least +-100 THz; the packaged ``[spectrum]`` grid,
+    +-150 THz in 4096 points, resolves the ~10 fs interference features with margin.
     """
-    omega = check_grid(default_grid() if grid is None else grid)
+    omega = check_grid(grid)
     nu_p = C_NM_THZ / stack.pump_nm
     nu0 = nu_p / 2.0
     nu_s, nu_i = nu0 + omega, nu0 - omega
@@ -134,9 +134,7 @@ def joint_spectrum(stack: FilmStack, grid=None) -> SpectralAmplitude:
     return SpectralAmplitude(omega_thz=omega, phi=phi, pump_nm=stack.pump_nm)
 
 
-def longpass_pair_response(
-    spectrum: SpectralAmplitude, cuton_nm=(850.0, 990.0), edge_thz: float = 3.0
-) -> np.ndarray:
+def longpass_pair_response(spectrum: SpectralAmplitude, cuton_nm, edge_thz: float) -> np.ndarray:
     """Detection-band multiplier of the pump-rejection long-pass filters.
 
     Each filter transmits frequencies below its cut-on frequency
@@ -350,10 +348,10 @@ def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
     return g
 
 
-def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str = "dip"):
+def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str):
     """Normalized coincidence rate R(tau) = (1 -+ g(tau)) / 2.
 
-    mode 'dip' is the orthogonal-analyzer (D-A) curve with R(0) = 0;
+    ``mode`` 'dip' is the orthogonal-analyzer (D-A) curve with R(0) = 0;
     mode 'peak' the parallel (D-D) curve with R(0) = 1. Both approach 1/2
     at delays far beyond the coherence time, and dip + peak = 1 exactly.
     """

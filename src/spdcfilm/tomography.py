@@ -360,8 +360,8 @@ def load_records_csv(path):
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
     A file without records, a row with more cells than the header, or a
-    missing, non-numeric or non-finite cell, raises ValueError naming the
-    row (and the column).
+    missing or non-numeric cell or non-finite angle, raises ValueError naming
+    the row (and the column); ``CoincidenceRecord`` rejects non-finite counts.
     """
     protocol, records = [], []
     with open(path, newline="") as fh:
@@ -376,7 +376,7 @@ def load_records_csv(path):
                     cells.append(float(row[key]))
                 except ValueError:
                     raise ValueError(f"row {idx}: {key} {row[key]!r} is not a number") from None
-                if not np.isfinite(cells[-1]):
+                if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
                     raise ValueError(f"row {idx}: {key} must be finite")
             protocol.append((AnalyzerSetting(*cells[0:2]), AnalyzerSetting(*cells[2:4])))
             records.append(CoincidenceRecord(idx, *cells[4:]))

@@ -14,7 +14,6 @@ import pytest
 
 from spdcfilm import (
     CoincidenceRecord,
-    FilmStack,
     NoiseModel,
     apply_detector_response,
     chi2_zincblende,
@@ -187,9 +186,17 @@ def test_07_chsh_bound_and_werner():
     assert max(values) <= SQRT2 + 1e-9
 
 
+def _shipped_band():
+    """The shipped film's spectrum on the [spectrum] grid, in the [filters] band."""
+    cfg = load_config()
+    grid = default_grid(cfg.spectrum.span_thz, cfg.spectrum.points)
+    spec = joint_spectrum(cfg.film_stack(), grid)
+    band = longpass_pair_response(spec, cfg.filters.longpass_cuton_nm, cfg.filters.edge_width_thz)
+    return apply_detector_response(spec, band)
+
+
 def test_08_spectral_width():
-    spec = joint_spectrum(FilmStack())
-    spec = apply_detector_response(spec, longpass_pair_response(spec))
+    spec = _shipped_band()
     fwhm = intensity_fwhm(spec)
     assert 40.0 <= fwhm <= 60.0  # 50 THz +- 20%
 
@@ -208,8 +215,7 @@ def test_09_hom_interference():
     There the product stays at 663-678 fs THz, and ~35 THz means a
     ~20 fs dip (test_detector_narrowing_tradeoff pins 34.15 THz, 19.8 fs).
     """
-    spec = joint_spectrum(FilmStack())
-    spec = apply_detector_response(spec, longpass_pair_response(spec))
+    spec = _shipped_band()
     (_, r_dip0), = hom_curve(spec, [0.0], "dip")
     (_, r_peak0), = hom_curve(spec, [0.0], "peak")
     assert r_dip0 <= 1e-10
@@ -257,17 +263,18 @@ def test_10_delay_line_cancellation():
 
 def test_11_histogram_statistics():
     # same singles product, 10x pair rate: backgrounds agree, peaks scale
-    lo = NoiseModel(pair_rate_hz=150.0, singles_a_hz=30_000, singles_b_hz=30_000)
-    hi = NoiseModel(pair_rate_hz=1500.0, singles_a_hz=30_000, singles_b_hz=30_000)
-    h_lo = simulate_histogram(lo, duration_s=100.0, seed=SEED)
-    h_hi = simulate_histogram(hi, duration_s=100.0, seed=SEED + 1)
+    hist = load_config().histogram  # 501 bins of 1 ns, 5 excluded on each side of the peak
+    lo = NoiseModel(pair_rate_hz=150.0, efficiency=1.0, singles_a_hz=30_000, singles_b_hz=30_000)
+    hi = NoiseModel(pair_rate_hz=1500.0, efficiency=1.0, singles_a_hz=30_000, singles_b_hz=30_000)
+    h_lo = simulate_histogram(lo, 100.0, hist.n_bins, hist.bin_width_ns, SEED)
+    h_hi = simulate_histogram(hi, 100.0, hist.n_bins, hist.bin_width_ns, SEED + 1)
 
     f_lo = np.delete(h_lo.counts, h_lo.peak_index)
     f_hi = np.delete(h_hi.counts, h_hi.peak_index)
     pooled = np.sqrt(f_lo.mean() / f_lo.size + f_hi.mean() / f_hi.size)
     assert abs(f_lo.mean() - f_hi.mean()) <= 3.0 * pooled
 
-    _, net_lo, sig_lo = subtract_accidentals(h_lo)
-    _, net_hi, sig_hi = subtract_accidentals(h_hi)
+    _, net_lo, sig_lo = subtract_accidentals(h_lo, hist.exclusion_bins)
+    _, net_hi, sig_hi = subtract_accidentals(h_hi, hist.exclusion_bins)
     sigma_ratio = np.sqrt(sig_hi**2 + (10.0 * sig_lo) ** 2)
     assert abs(net_hi - 10.0 * net_lo) <= 3.0 * sigma_ratio

@@ -249,10 +249,13 @@ def test_invalid_config_value_exit_code(capsys, tmp_path):
         "[film]\nambient_index = -3.2\n",
         "[delay_line]\nwavelength_um = 10\n",  # outside the calcite data
         "[spectrum]\nspan_thz = 50\n",  # the spectrum grid must cover +-100 THz
+        "[film]\nthickness_nm = 0\n",
+        "[film]\nthickness_nm = -400\n",
     ],
     ids=[
         "no_header", "duplicate_key", "percent", "nan_angle", "nan_delay", "unknown_material",
         "negative_film_index", "negative_ambient_index", "calcite_wavelength", "narrow_span",
+        "zero_thickness", "negative_thickness",
     ],
 )
 def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body):
@@ -438,3 +441,29 @@ def test_cold_hom_json_encodes_no_sidecar(capsysbinary, monkeypatch):
     experiment.spectral_section.cache_clear()
     assert main(["hom", "--seed", "3"]) == EXIT_OK
     assert list(json.loads(capsysbinary.readouterr().out)) == ["spectral"]
+
+
+@pytest.mark.parametrize("command, other_header", [
+    ("hom_csv", ["omega_thz", "intensity"]),  # spectrum.csv
+    ("histogram", ["theta_deg", "rate"]),  # fringe.csv
+])
+def test_cold_csv_command_encodes_only_its_sidecar(capsysbinary, monkeypatch, tmp_path,
+                                                   command, other_header):
+    # a CSV command prints its sidecar alone: it never encodes the section
+    # text or the result's other sidecar, which the result's encoded() does
+    expected = _runs_output(load_config(), 3, command, tmp_path)
+    csv_bytes = experiment._csv_bytes
+
+    def only_the_printed_sidecar(header, rows):
+        if header == other_header:
+            raise AssertionError(f"{command} encoded a sidecar it does not print")
+        return csv_bytes(header, rows)
+
+    def no_text(value):
+        raise AssertionError(f"{command} encoded a report section")
+
+    monkeypatch.setattr(experiment, "_csv_bytes", only_the_printed_sidecar)
+    monkeypatch.setattr(experiment, "_section_text", no_text)
+    experiment.spectral_section.cache_clear()
+    assert main([*STAGE_COMMANDS[command][0], "--seed", "3"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == expected

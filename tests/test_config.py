@@ -71,6 +71,8 @@ def test_value_range_checks(tmp_path):
         "[histogram]\nexclusion_bins = 300\n",  # no off-peak bins left
         "[delay_line]\nscan_stop_deg = 70\n",  # past the +-60 deg plate range
         "[detector_response]\nshape = boxcar\n",
+        "[film]\nthickness_nm = 0\n",  # checked by FilmStack
+        "[film]\nthickness_nm = -400.0\n",
     ]
     for body in cases:
         path = tmp_path / "user.cfg"

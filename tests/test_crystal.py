@@ -29,6 +29,9 @@ from spdcfilm.crystal import normal_axis_angles
 
 SEED = 20260819
 TARGETS = {"H": (0.78, 0.02, 0.20), "V": (0.02, 0.98, 0.00)}
+SHIPPED = load_config()
+D = SHIPPED.crystal.d_coefficient  # the shipped tensor scale
+THRESHOLD = SHIPPED.calibration.fit_threshold  # the shipped acceptance threshold
 CALIBRATED = CrystalOrientation(tilt_deg=35.75, azimuth_deg=138.60)
 
 
@@ -50,7 +53,7 @@ def test_rotation_matrix_identity_and_columns():
 
 def test_normal_incidence_has_no_amplitude():
     # (001)-cut film at zero tilt: every transverse contraction vanishes
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     with pytest.raises(ZeroAmplitude):
         spdc_amplitudes(chi, CrystalOrientation(0.0, 0.0), pump_ket(17.0))
 
@@ -59,7 +62,7 @@ def test_small_tilt_selects_single_component():
     # tilting about the lab vertical (azimuth 0) leaves only the yz/xz
     # triple products: an H pump feeds the cross term alone, a V pump the
     # double-H term alone, at any tilt
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     for tilt in (0.05, 1.0, 5.0):
         res_h = spdc_amplitudes(chi, CrystalOrientation(tilt, 0.0), pump_ket(0.0))
         assert abs(res_h.state[1]) == pytest.approx(1.0, abs=1e-12)
@@ -80,7 +83,7 @@ def test_rate_scales_as_d_squared():
 
 
 def test_calibrated_orientation_reproduces_weights():
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     h = spdc_amplitudes(chi, CALIBRATED, pump_ket(0.0))
     v = spdc_amplitudes(chi, CALIBRATED, pump_ket(90.0))
     assert np.allclose(h.weights, [0.7827, 0.0169, 0.2005], atol=5e-4)
@@ -96,17 +99,17 @@ def test_film_normal_far_from_cube_axis():
 
 
 def test_calibrate_azimuth_at_fitted_tilt():
-    chi = chi2_zincblende()
-    az, residual = calibrate_azimuth(chi, 35.75, TARGETS)
+    chi = chi2_zincblende(D)
+    az, residual = calibrate_azimuth(chi, 35.75, TARGETS, THRESHOLD)
     assert residual < 5e-4
     assert weight_residual(chi, CrystalOrientation(35.75, az), TARGETS) == residual
 
 
 def test_nominal_wafer_tilt_cannot_fit():
     # no azimuth at the 15 deg nominal tilt reproduces the weight tables
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     with pytest.raises(PoorFit, match="residual"):
-        calibrate_azimuth(chi, 15.0, TARGETS)
+        calibrate_azimuth(chi, 15.0, TARGETS, THRESHOLD)
     best = min(
         weight_residual(chi, CrystalOrientation(15.0, az), TARGETS)
         for az in np.arange(0.0, 180.0, 0.1)
@@ -119,8 +122,8 @@ def test_joint_calibration_recovers_weights(monkeypatch):
 
     # a coarser start grid than the shipped 1 deg one still finds the fit
     monkeypatch.setattr(crystal, "_COARSE_STEP_DEG", 2.5)
-    chi = chi2_zincblende()
-    orientation, residual = calibrate_orientation(chi, TARGETS)
+    chi = chi2_zincblende(D)
+    orientation, residual = calibrate_orientation(chi, TARGETS, THRESHOLD)
     assert residual < 1e-3
     h = spdc_amplitudes(chi, orientation, pump_ket(0.0))
     assert np.allclose(h.weights, TARGETS["H"], atol=0.02)
@@ -129,7 +132,7 @@ def test_joint_calibration_recovers_weights(monkeypatch):
 def test_amplitudes_invariant_under_pump_index_symmetry():
     # the tensor is symmetric under any index permutation, so swapping the
     # roles of the two down-converted polarization slots changes nothing
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         tilt, az = rng.uniform(2, 55), rng.uniform(0, 180)
@@ -146,7 +149,7 @@ def test_amplitudes_invariant_under_pump_index_symmetry():
 
 
 def test_pair_rate_curve_preserves_zeros():
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     curve = pair_rate_curve(chi, CALIBRATED, np.linspace(0, 180, 37))
     rates = np.array([r for _, r in curve])
     assert rates.max() > 0
@@ -164,7 +167,7 @@ def test_zero_threshold_is_best_linear_pump_rate():
         return _zero_threshold(
             _amplitude_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, np.eye(2)))
 
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     rng = np.random.default_rng(SEED)
     orientations = [CALIBRATED, CrystalOrientation(10.0, 30.0)] + [
         CrystalOrientation(*rng.uniform(0.0, 90.0, 2)) for _ in range(5)
@@ -186,7 +189,7 @@ def test_zero_threshold_is_best_linear_pump_rate():
 
 def test_calibration_needs_targets():
     with pytest.raises(ValueError):
-        calibrate_azimuth(chi2_zincblende(), 35.75, {})
+        calibrate_azimuth(chi2_zincblende(D), 35.75, {}, THRESHOLD)
 
 
 def _raw_amplitudes(chi: np.ndarray, rot: np.ndarray, pump) -> np.ndarray:
@@ -223,7 +226,7 @@ def _random_pump(rng):
 def test_amplitude_grid_equals_scalar_reference_bit_for_bit():
     from spdcfilm.crystal import _amplitude_grid
 
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     rng = np.random.default_rng(SEED)
     # one orientation and pump per call: signed-zero and integer-degree
     # angles, where exact zeros arise, then any angle
@@ -257,7 +260,7 @@ def test_amplitudes_and_rate_curve_equal_scalar_reference_bit_for_bit(monkeypatc
         return threshold(c_hv)
 
     monkeypatch.setattr(crystal, "_zero_threshold", recording_threshold)
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     rng = np.random.default_rng(SEED)
     angles = list(np.arange(0.0, 181.0, 1.0)) + list(rng.uniform(0.0, 180.0, 20))
     for n in range(40):
@@ -300,14 +303,14 @@ def _scalar_weight_residual(chi, orientation, targets):
 
 
 def _shipped_targets():
-    cal = load_config().calibration
+    cal = SHIPPED.calibration
     return {"H": cal.h_pump_weights, "V": cal.v_pump_weights}
 
 
 def test_residual_grid_equals_scalar_loop_exactly():
     from spdcfilm.crystal import _residual_grid
 
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     targets = _shipped_targets()
     # calibrate_orientation's 1 deg coarse grid
     tilts = np.arange(0.0, 55.0 + 1e-9, 1.0)
@@ -343,7 +346,7 @@ def test_residual_grid_equals_scalar_loop_exactly():
 def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
     import spdcfilm.crystal as crystal
 
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     targets = _shipped_targets()
     tied = [crystal.weight_residual(chi, CrystalOrientation(36.0, az), targets)
             for az in (41.0, 49.0, 139.0)]
@@ -357,7 +360,7 @@ def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
         return search(fun, x0)
 
     monkeypatch.setattr(crystal, "_nelder_mead", recording_search)
-    calibrate_orientation(chi, targets)
+    calibrate_orientation(chi, targets, THRESHOLD)
     assert starts == [[36.0, 41.0]]
 
 
@@ -372,7 +375,7 @@ def test_calibration_call_count(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(crystal, "weight_residual", counting)
-    calibrate_orientation(chi2_zincblende(), _shipped_targets())
+    calibrate_orientation(chi2_zincblende(D), _shipped_targets(), THRESHOLD)
     # the grid is one kernel call; only the Nelder-Mead refinement remains
     assert 0 < len(calls) <= 200
 
@@ -382,7 +385,7 @@ def _assert_same_search(targets, x0):
     many evaluations, on one target set; returns SciPy's result."""
     from spdcfilm.crystal import _nelder_mead
 
-    chi = chi2_zincblende()
+    chi = chi2_zincblende(D)
     memo = {}
     calls = {"port": 0, "scipy": 0}
 
@@ -407,8 +410,8 @@ def _assert_same_search(targets, x0):
 def test_nelder_mead_is_scipys_on_shipped_targets():
     ref = _assert_same_search(_shipped_targets(), [36.0, 41.0])
     assert ref.nfev < 400
-    chi = chi2_zincblende()
-    orientation, residual = calibrate_orientation(chi, _shipped_targets())
+    chi = chi2_zincblende(D)
+    orientation, residual = calibrate_orientation(chi, _shipped_targets(), THRESHOLD)
     assert (orientation.tilt_deg, orientation.azimuth_deg) == (ref.x[0], ref.x[1] % 180.0)
     assert residual == ref.fun
 

@@ -17,12 +17,19 @@ from spdcfilm import (
     default_delay_line,
     delay_scan,
 )
+from spdcfilm.config import load_config
 from spdcfilm.delayline import optical_path_mm, plate_delay_fs, uniaxial_index
 from spdcfilm.errors import OutOfRange, TotalInternalReflection
 from spdcfilm.materials import load_material
 
 N_O = float(load_material("calcite_o").index(1.276))
 N_E = float(load_material("calcite_e").index(1.276))
+SHIPPED = load_config().delay_line
+
+
+def _line(base_tilt_deg):
+    """The shipped [delay_line] compensator (5 mm plates, 1.276 um) at a base tilt."""
+    return default_delay_line(base_tilt_deg, SHIPPED.plate_thickness_mm, SHIPPED.wavelength_um)
 
 
 def test_single_plate_zero_tilt():
@@ -39,7 +46,7 @@ def test_axis_sign_convention():
 
 
 def test_balanced_line_cancels():
-    line = default_delay_line(base_tilt_deg=10.0)
+    line = _line(10.0)
     assert [p.axis for p in line.plates] == [
         "vertical",
         "horizontal",
@@ -49,13 +56,13 @@ def test_balanced_line_cancels():
     assert calcite_delay(line) == pytest.approx(0.0, abs=1e-12)
     # cancellation holds at any common tilt, not just the default
     for tilt in (0.0, 4.0, 17.5):
-        assert calcite_delay(default_delay_line(base_tilt_deg=tilt)) == pytest.approx(
+        assert calcite_delay(_line(tilt)) == pytest.approx(
             0.0, abs=1e-12
         )
 
 
 def test_inner_pair_scan_values():
-    line = default_delay_line(base_tilt_deg=10.0)
+    line = _line(10.0)
     tilts = np.array([0.0, 8.0, 10.0, 12.0, 20.0])
     got = delay_scan(line, tilts, which="inner")
     expected = [33.5044, 12.0556, 0.0, -14.7246, -100.1303]
@@ -64,7 +71,7 @@ def test_inner_pair_scan_values():
 
 
 def test_scan_monotone_through_zero():
-    line = default_delay_line(base_tilt_deg=10.0)
+    line = _line(10.0)
     tilts = np.linspace(0.0, 20.0, 41)
     delays = np.array([d for _, d in delay_scan(line, tilts, which="inner")])
     assert np.all(np.diff(delays) < 0.0)
@@ -75,7 +82,7 @@ def test_inner_outer_antisymmetry():
     # tilting the outer pair from base to u adds exactly the negative of
     # tilting the inner pair by the same amount: the plates are identical
     # and their fast axes alternate
-    line = default_delay_line(base_tilt_deg=10.0)
+    line = _line(10.0)
     for u in (4.0, 12.0, 19.0):
         (_, inner), = delay_scan(line, [u], which="inner")
         (_, outer), = delay_scan(line, [u], which="outer")
@@ -105,13 +112,13 @@ def test_validation():
     with pytest.raises(OutOfRange):
         Plate(thickness_mm=5.0, axis="vertical", tilt_deg=60.0)
     with pytest.raises(ValueError):
-        Plate(thickness_mm=-1.0, axis="vertical")
+        Plate(thickness_mm=-1.0, axis="vertical", tilt_deg=0.0)
     with pytest.raises(ValueError):
-        Plate(thickness_mm=5.0, axis="diagonal")
+        Plate(thickness_mm=5.0, axis="diagonal", tilt_deg=0.0)
     with pytest.raises(ValueError):
         DelayLine(plates=[], n_o=N_O, n_e=N_E)
     with pytest.raises(TotalInternalReflection):
         optical_path_mm(0.5, 5.0, 45.0)
-    line = default_delay_line()
+    line = _line(SHIPPED.base_tilt_deg)
     with pytest.raises(ValueError):
         delay_scan(line, [5.0], which="middle")

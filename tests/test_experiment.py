@@ -30,11 +30,11 @@ GOLDEN_ATOL = 1e-12
 
 @pytest.fixture(scope="module")
 def report():
-    return run_experiment(seed=SEED)
+    return run_experiment(load_config(), seed=SEED)
 
 
 def test_same_seed_same_report(report):
-    again = run_experiment(seed=SEED)
+    again = run_experiment(load_config(), seed=SEED)
     assert again.canonical_json() == report.canonical_json()
 
 
@@ -77,7 +77,7 @@ def test_golden_comparison_catches_drift():
 
 
 def test_different_seed_differs(report):
-    other = run_experiment(seed=SEED + 1)
+    other = run_experiment(load_config(), seed=SEED + 1)
     assert other.canonical_json() != report.canonical_json()
     # the model state is seed-free; only sampled quantities move
     assert other.summary["model_state"] == report.summary["model_state"]
@@ -200,7 +200,7 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
 
     for module in (polarization, tomography):
         monkeypatch.setattr(module, "analyzer_ket", counting)
-    run_experiment(seed=SEED)
+    run_experiment(load_config(), seed=SEED)
     # 18 protocol kets and the fixed analyzer's: the fringe curve and the
     # visibility both come from the closed-form 2x2 matrix, with no ket per angle
     assert 0 < len(calls) <= 200

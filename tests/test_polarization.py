@@ -10,6 +10,7 @@ import pytest
 
 from spdcfilm import analyzer_ket, linear_analyzer, pump_ket, two_photon_projector
 from spdcfilm.errors import NotNormalized
+from spdcfilm.qutrit import check_state
 from spdcfilm.polarization import (
     ANALYZER_ANGLES,
     A,
@@ -18,7 +19,6 @@ from spdcfilm.polarization import (
     L,
     R,
     V,
-    check_normalized,
     hwp,
     projector_rate,
     qwp,
@@ -127,7 +127,7 @@ def test_projector_rate_on_pure_and_mixed():
 
 def test_check_normalized_rejects():
     with pytest.raises(NotNormalized):
-        check_normalized(np.array([1.0, 1.0]))
+        check_state(np.array([1.0, 1.0]), dim=2)
 
 
 def test_projector_circular_pair():

@@ -1,7 +1,7 @@
 """Two-photon spectrum and interference tests.
 
 Frozen numbers come from an independent quadrature script run on the same
-published index data: with the default stack and the long-pass detection
+published index data: with the shipped stack and the long-pass detection
 band (cut-ons 850/990 nm, 3 THz edges) the degenerate lobe is 55.81 THz
 wide and the interference dip 11.75 fs; the unfiltered spectrum keeps its
 far double-resonance lobes and dips at 3.73 fs.
@@ -9,6 +9,7 @@ far double-resonance lobes and dips at 3.73 fs.
 
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 from scipy.optimize import brentq
 
 from spdcfilm import (
-    FilmStack,
     apply_detector_response,
     gaussian_response,
     hom_curve,
@@ -37,11 +37,25 @@ from spdcfilm.spectral import (
 )
 
 SEED = 20260819
+SHIPPED = load_config()
+STACK = SHIPPED.film_stack()  # 400 nm of GaP on fused silica, pumped at 638 nm
+POINTS = SHIPPED.spectrum.points  # 4096
+
+
+def _grid(points):
+    """The shipped [spectrum] span, +-150 THz, on ``points`` points."""
+    return default_grid(SHIPPED.spectrum.span_thz, points)
+
+
+def _band(spec):
+    """The shipped [filters] long-pass band (850/990 nm cut-ons, 3 THz edges) on ``spec``."""
+    return longpass_pair_response(spec, SHIPPED.filters.longpass_cuton_nm,
+                                  SHIPPED.filters.edge_width_thz)
 
 
 def _banded_default():
-    spec = joint_spectrum(FilmStack())
-    return apply_detector_response(spec, longpass_pair_response(spec))
+    spec = joint_spectrum(STACK, _grid(POINTS))
+    return apply_detector_response(spec, _band(spec))
 
 
 def test_default_band_spectral_width():
@@ -55,23 +69,23 @@ def test_default_band_dip_width():
 def test_unfiltered_spectrum_dips_faster():
     # the raw etalon spectrum keeps far side lobes; its correlation time
     # is set by the full emission bandwidth, not the degenerate lobe
-    spec = joint_spectrum(FilmStack())
+    spec = joint_spectrum(STACK, _grid(POINTS))
     assert hom_fwhm(spec) == pytest.approx(3.73, abs=0.02)
     assert intensity_fwhm(spec) == pytest.approx(55.8, abs=0.3)
 
 
 def test_grid_requirements():
     with pytest.raises(GridTooNarrow):
-        joint_spectrum(FilmStack(), default_grid(span_thz=80.0))
-    grid = default_grid()
+        joint_spectrum(STACK, default_grid(80.0, POINTS))
+    grid = _grid(POINTS)
     assert np.allclose(grid, -grid[::-1])
     assert np.ptp(np.diff(grid)) < 1e-9
 
 
 def test_grid_doubling_stability():
     base = _banded_default()
-    spec2 = joint_spectrum(FilmStack(), default_grid(points=8192))
-    spec2 = apply_detector_response(spec2, longpass_pair_response(spec2))
+    spec2 = joint_spectrum(STACK, _grid(8192))
+    spec2 = apply_detector_response(spec2, _band(spec2))
     assert intensity_fwhm(spec2) == pytest.approx(intensity_fwhm(base), rel=5e-3)
     assert hom_fwhm(spec2) == pytest.approx(hom_fwhm(base), rel=5e-3)
 
@@ -134,7 +148,7 @@ def test_blockwise_contrast_matches_dense_formula():
     )
     # the unfiltered spectrum's steep far lobes: without the first-order term
     # for the grid's ulp-level unevenness, g here is off by 1.6e-14
-    raw = joint_spectrum(FilmStack())
+    raw = joint_spectrum(STACK, _grid(POINTS))
     taus = np.linspace(-400.0, 400.0, 601)
     np.testing.assert_allclose(
         interference_contrast(raw, taus), _dense_contrast(raw, taus), rtol=0.0, atol=1e-14
@@ -155,15 +169,15 @@ def test_contrast_memory_on_fine_grid():
 
 
 def _gaussian_spectrum(fwhm_thz):
-    grid = default_grid()
+    grid = _grid(POINTS)
     phi = np.exp(-2.0 * np.log(2.0) * (grid / fwhm_thz) ** 2).astype(complex)
     return SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0)
 
 
 def _fine_lorentzian():
     # the 16,384-point banded spectrum with the 90 THz Lorentzian detector
-    spec = joint_spectrum(FilmStack(), default_grid(points=16384))
-    spec = apply_detector_response(spec, longpass_pair_response(spec))
+    spec = joint_spectrum(STACK, _grid(16384))
+    spec = apply_detector_response(spec, _band(spec))
     return apply_detector_response(spec, lorentzian_response(spec, 90.0))
 
 
@@ -262,13 +276,13 @@ def test_fwhm_memory_at_default_grid():
 
 def test_hom_kernel_memory_bounded_on_fine_grid():
     # 16x the default grid: a dense 4001-delay kernel would need 4 GB
-    spec = joint_spectrum(FilmStack(), default_grid(points=65536))
-    spec = apply_detector_response(spec, longpass_pair_response(spec))
-    fwhm_thz = load_config().detector_response.fwhm_thz
+    spec = joint_spectrum(STACK, _grid(65536))
+    spec = apply_detector_response(spec, _band(spec))
+    fwhm_thz = SHIPPED.detector_response.fwhm_thz
     spec = apply_detector_response(spec, lorentzian_response(spec, fwhm_thz))
     start = time.perf_counter()
     (width, curve), peak_mb = _traced_peak_mb(
-        lambda: (hom_fwhm(spec), hom_curve(spec, np.linspace(-300.0, 300.0, 601)))
+        lambda: (hom_fwhm(spec), hom_curve(spec, np.linspace(-300.0, 300.0, 601), "dip"))
     )
     elapsed = time.perf_counter() - start
     assert len(curve) == 601
@@ -290,11 +304,11 @@ def test_responses_compose_multiplicatively():
 
 
 def test_asymmetric_spectrum_rejected():
-    grid = default_grid()
+    grid = _grid(POINTS)
     phi = np.exp(-(((grid - 10.0) / 40.0) ** 2)).astype(complex)
     spec = SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0)
     with pytest.raises(AsymmetricSpectrum):
-        hom_curve(spec, [0.0, 5.0])
+        hom_curve(spec, [0.0, 5.0], "dip")
 
 
 def test_detector_narrowing_tradeoff():
@@ -326,7 +340,7 @@ def test_detector_narrowing_tradeoff():
 
 
 def test_constant_index_stack_runs():
-    stack = FilmStack(film=3.1, substrate=1.45, ambient=1.0)
-    spec = joint_spectrum(stack)
+    stack = replace(STACK, film=3.1, substrate=1.45, ambient=1.0)
+    spec = joint_spectrum(stack, _grid(POINTS))
     assert np.all(np.isfinite(spec.intensity))
     assert spec.intensity.max() > 0.0

@@ -489,7 +489,7 @@ def test_measures_from_the_projection_spectrum_match_a_fresh_eigh():
     )
     rhos, _, spectrum = _project_psd(stack)
     measures = _state_measures(rhos, spectrum)
-    fresh = _state_measures(rhos)
+    fresh = _state_measures(rhos, None)
     assert np.isnan(fresh["concurrence"]).tolist() == [False] * 5 + [True, True, False]
     for key, values in fresh.items():
         assert np.array_equal(np.isnan(measures[key]), np.isnan(values)), key
