@@ -25,7 +25,7 @@ from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
     SpectralSection,
-    _histogram_csv,
+    TomographyResult,
     _json_bytes,
     _section_text,
     _write_bytes,
@@ -64,7 +64,7 @@ _STAGES = {
     "bell": (lambda cfg, seed_seq: simulate_bell(cfg, simulate_tomography(cfg, seed_seq),
                                                  seed_seq), None),
     "hom": (lambda cfg, seed_seq: spectral_section(cfg), SpectralSection.hom_csv),
-    "histogram": (simulate_tomography, lambda result: _histogram_csv(result.histograms)),
+    "histogram": (simulate_tomography, TomographyResult.histogram_csv),
 }
 
 

@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
+import numpy as np
+
 from .delayline import default_delay_line, delay_scan
 from .errors import ConfigError, SpdcFilmError
 from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
-from .materials import load_material
-from .polarization import ANALYZER_ANGLES
 from .qutrit import depolarize
 from .spectral import C_NM_THZ, DETECTOR_RESPONSES, FilmStack, check_grid, default_grid
+from .tomography import fringe_scan
 
 
 def _require(condition: bool, message: str):
@@ -77,20 +78,6 @@ class FilmConfig:
     film_index: object
     substrate_index: object
     ambient_index: object
-
-    def __post_init__(self):
-        for key in ("film_index", "substrate_index", "ambient_index"):
-            model = getattr(self, key)
-            if isinstance(model, str):
-                try:
-                    load_material(model)
-                except KeyError as exc:  # its message names the known materials
-                    raise ConfigError(f"film {key}: {exc.args[0]}") from None
-            else:
-                _require(
-                    math.isfinite(model) and model > 0,
-                    f"film {key} must be a finite positive refractive index",
-                )
 
 
 @dataclass(frozen=True)
@@ -208,14 +195,8 @@ class FringeConfig:
     def __post_init__(self):
         object.__setattr__(self, "fixed_analyzer", self.fixed_analyzer.upper())
         _require(self.theta_points >= 8, "fringe grid needs at least 8 points")
-        _require(
-            self.theta_stop_deg - self.theta_start_deg >= 180.0,
-            "fringe scan must span at least 180 degrees",
-        )
-        _require(
-            self.fixed_analyzer in ANALYZER_ANGLES,
-            f"fringe fixed_analyzer must be one of {sorted(ANALYZER_ANGLES)}",
-        )
+        theta_grid = np.linspace(self.theta_start_deg, self.theta_stop_deg, self.theta_points)
+        _built("fringe", fringe_scan, np.eye(3) / 3, self.fixed_analyzer, theta_grid)
 
 
 @dataclass(frozen=True)
@@ -249,7 +230,12 @@ class ExperimentConfig:
     run: RunConfig
 
     def __post_init__(self):
-        stack = _built("film", self.film_stack)  # FilmStack checks the thickness
+        # FilmStack checks the thickness and resolves and checks the three
+        # index models; the config keeps it, so film_stack() builds no other
+        stack = _built("film", FilmStack, self.film.thickness_nm, self.film.film_index,
+                       self.film.substrate_index, self.film.ambient_index,
+                       self.pump.wavelength_nm)
+        object.__setattr__(self, "_film_stack", stack)
         # the grid's extreme detunings put the signal and idler at v0 +- span
         # (v0 = v_p / 2): every [film] index model must hold there and at the
         # pump before any stage runs, not only when the spectrum is built
@@ -260,13 +246,7 @@ class ExperimentConfig:
 
     def film_stack(self) -> FilmStack:
         """The film etalon of the [film] section, pumped at the [pump] wavelength."""
-        return FilmStack(
-            thickness_nm=self.film.thickness_nm,
-            film=self.film.film_index,
-            substrate=self.film.substrate_index,
-            ambient=self.film.ambient_index,
-            pump_nm=self.pump.wavelength_nm,
-        )
+        return self._film_stack
 
 
 def _read_parser(path) -> configparser.ConfigParser:

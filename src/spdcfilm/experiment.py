@@ -438,9 +438,9 @@ def _simulate_records(cfg, rel_rates, seeds):
     return histograms, records
 
 
-def _measures(rhos, fixed_analyzer, spectrum=None) -> dict:
+def _measures(rhos, fixed_analyzer, spectrum) -> dict:
     """Report measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
-    ``_state_measures`` (given the stack's ``spectrum`` when it is known)
+    ``_state_measures`` (given the stack's ``spectrum``, or None if unknown)
     plus the fringe visibility (NaN where the fringe has no counts)."""
     return {
         **_state_measures(rhos, spectrum),
@@ -457,7 +457,8 @@ def _defined(values):
 
 def _point_measures(rho, fixed_analyzer) -> dict:
     """The report entries of one state: the one-state case of ``_measures``."""
-    return {key: _defined(value[0]) for key, value in _measures(rho[None], fixed_analyzer).items()}
+    measures = _measures(rho[None], fixed_analyzer, None)
+    return {key: _defined(value[0]) for key, value in measures.items()}
 
 
 def _spread(samples):
@@ -553,11 +554,22 @@ class TomographyResult:
             }
         }
 
+    def histogram_csv(self) -> bytes:
+        """``histogram.csv``: the cached row templates filled with str() of each count."""
+        encoded = bytearray(b"setting_index,delta_t_ns,counts\r\n")
+        for m, h in enumerate(self.histograms):
+            counts = h.counts.tolist()
+            centers = h.centers_ns
+            templates = _histogram_row_templates(centers.dtype.str, centers.tobytes())[m]
+            for start, template in zip(range(0, len(counts), _CSV_BLOCK_ROWS), templates):
+                encoded += (template % tuple(counts[start:start + _CSV_BLOCK_ROWS])).encode()
+        return bytes(encoded)
+
     def encoded(self) -> tuple:
         """``_encoded`` of the section, ``histogram.csv`` and ``fringe.csv``."""
         return _encoded(
             self.to_json(),
-            ("histogram.csv", _histogram_csv(self.histograms)),
+            ("histogram.csv", self.histogram_csv()),
             ("fringe.csv", _csv_bytes(["theta_deg", "rate"], self.fringe_curve)),
         )
 
@@ -712,17 +724,6 @@ def _histogram_row_templates(dtype: str, centers: bytes) -> _RowTemplates:
     """The row templates of the bin grid with these centers: keyed on their
     dtype and bytes, so -0.0 and 0.0 are different grids."""
     return _RowTemplates(np.frombuffer(centers, dtype=dtype).tolist())
-
-
-def _histogram_csv(histograms) -> bytes:
-    """``histogram.csv``: the cached row templates filled with str() of each count."""
-    encoded = bytearray(b"setting_index,delta_t_ns,counts\r\n")
-    for m, h in enumerate(histograms):
-        counts = h.counts.tolist()
-        templates = _histogram_row_templates(h.centers_ns.dtype.str, h.centers_ns.tobytes())[m]
-        for start, template in zip(range(0, len(counts), _CSV_BLOCK_ROWS), templates):
-            encoded += (template % tuple(counts[start:start + _CSV_BLOCK_ROWS])).encode()
-    return bytes(encoded)
 
 
 def write_report(report: ExperimentReport, out_dir) -> list:

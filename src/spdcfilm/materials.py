@@ -64,10 +64,16 @@ class Sellmeier:
 
 @dataclass(frozen=True)
 class ConstantIndex:
-    """Dispersionless stand-in, mostly for tests and limiting cases."""
+    """Dispersionless stand-in, mostly for tests and limiting cases; ``n``
+    must be finite and positive."""
 
     n: float
-    source: str = "constant"
+
+    def __post_init__(self):
+        if not 0.0 < self.n < np.inf:  # False for NaN
+            raise ValueError(
+                f"constant index {self.n!r} must be a finite positive refractive index"
+            )
 
     def index(self, lam_um):
         return np.full_like(np.asarray(lam_um, dtype=float), self.n)
@@ -94,15 +100,11 @@ def refractive_index(name: str, lam_um):
 
 
 def resolve_index_model(spec):
-    """Accept a material name, a plain number, or a model object."""
+    """The index model of a material name (``load_material``, KeyError if
+    unknown) or of a plain number (``ConstantIndex``, ValueError unless finite
+    and positive)."""
     if isinstance(spec, str):
         return load_material(spec)
     if isinstance(spec, (int, float, np.floating)):
         return ConstantIndex(float(spec))
-    # list/tuple/str all carry a builtin .index method; only duck-typed
-    # model objects belong here
-    if not isinstance(spec, (list, tuple, dict, set, bytes)) and callable(
-        getattr(spec, "index", None)
-    ):
-        return spec
     raise TypeError(f"cannot interpret {spec!r} as an index model")

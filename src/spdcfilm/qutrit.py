@@ -35,16 +35,17 @@ def check_density_matrix(rho, dim: int = 3) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise InvalidDensityMatrix(f"expected {dim}x{dim}, got {rho.shape}")
-    _density_eigh(rho[None])
+    _density_eigh(rho[None], None)
     return rho
 
 
-def _density_eigh(rhos: np.ndarray, spectrum=None):
+def _density_eigh(rhos: np.ndarray, spectrum):
     """``check_density_matrix``'s checks on every matrix of a (B, d, d) stack,
     then its stacked ``eigh``. The first failing matrix raises.
 
     A ``spectrum`` already known for the stack (``_project_psd``'s (vals,
-    vecs)) stands in for the ``eigh``: its eigenvalues take the PSD check.
+    vecs)), when it is not None, stands in for the ``eigh``: its eigenvalues
+    take the PSD check.
     """
     if np.max(np.abs(rhos - np.swapaxes(rhos.conj(), -1, -2))) > 1e-10:
         raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")

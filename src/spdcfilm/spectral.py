@@ -37,8 +37,11 @@ C_NM_THZ = 299792.458  # speed of light in nm*THz
 class FilmStack:
     """Film etalon: thickness, index models, pump wavelength.
 
-    Index models may be material names from the data file, plain numbers
-    (constant index), or objects with an ``index(lam_um)`` method.
+    Each index model is a material name from the data file or a plain number
+    (a constant index). The stack resolves them once, when it is made: a
+    thickness that is not positive (NaN included), an unknown material or a
+    constant that is not finite and positive raises ValueError, which names
+    the index (film, substrate or ambient).
     """
 
     thickness_nm: float
@@ -48,35 +51,38 @@ class FilmStack:
     pump_nm: float
 
     def __post_init__(self):
-        if self.thickness_nm <= 0:
+        if not self.thickness_nm > 0:  # False for NaN
             raise ValueError("film thickness must be positive")
+        models = []
+        for name in ("film", "substrate", "ambient"):
+            try:
+                models.append(resolve_index_model(getattr(self, name)))
+            except (KeyError, ValueError) as exc:  # their messages name the model
+                raise ValueError(f"{name} index: {exc.args[0]}") from None
+        object.__setattr__(self, "_models", tuple(models))
 
     def indices(self, nu_thz):
         """(n_film, n_substrate, n_ambient) at frequency nu (THz)."""
         lam_um = C_NM_THZ / np.asarray(nu_thz, dtype=float) * 1e-3
-        n_f = resolve_index_model(self.film).index(lam_um)
-        n_s = resolve_index_model(self.substrate).index(lam_um)
-        n_a = resolve_index_model(self.ambient).index(lam_um)
-        return n_f, n_s, n_a
+        return tuple(model.index(lam_um) for model in self._models)
 
 
 @dataclass(frozen=True)
 class SpectralAmplitude:
     """Complex pair amplitude on a uniform detuning grid, signal at v0 + W.
 
-    ``response`` is an optional detector/filter intensity multiplier on the
-    same grid; ``intensity`` folds it in.
+    ``response`` is the detector/filter intensity multiplier on the same
+    grid, ones for a bare spectrum; ``intensity`` folds it in.
     """
 
     omega_thz: np.ndarray
     phi: np.ndarray
     pump_nm: float
-    response: np.ndarray | None = None
+    response: np.ndarray
 
     @property
     def intensity(self) -> np.ndarray:
-        base = np.abs(self.phi) ** 2
-        return base if self.response is None else base * self.response
+        return np.abs(self.phi) ** 2 * self.response
 
     @property
     def degenerate_nu_thz(self) -> float:
@@ -88,17 +94,16 @@ def default_grid(span_thz: float, points: int) -> np.ndarray:
     return np.linspace(-span_thz, span_thz, points)
 
 
-def _airy_factor(stack: FilmStack, nu_thz):
-    n_f, n_s, n_a = stack.indices(nu_thz)
+def _airy_factor(indices, nu_thz, thickness_nm: float):
+    n_f, n_s, n_a = indices
     r1 = (n_f - n_a) / (n_f + n_a)
     r2 = (n_f - n_s) / (n_f + n_s)
     t = 2.0 * n_f / (n_f + n_s)
-    phase = 2.0 * np.pi * n_f * np.asarray(nu_thz) * stack.thickness_nm / C_NM_THZ
+    phase = 2.0 * np.pi * n_f * np.asarray(nu_thz) * thickness_nm / C_NM_THZ
     return t / (1.0 - r1 * r2 * np.exp(2j * phase))
 
 
-def _wavevector(stack: FilmStack, nu_thz):
-    n_f, _, _ = stack.indices(nu_thz)
+def _wavevector(n_f, nu_thz):
     return 2.0 * np.pi * n_f * np.asarray(nu_thz) / C_NM_THZ
 
 
@@ -122,16 +127,18 @@ def joint_spectrum(stack: FilmStack, grid) -> SpectralAmplitude:
     nu_p = C_NM_THZ / stack.pump_nm
     nu0 = nu_p / 2.0
     nu_s, nu_i = nu0 + omega, nu0 - omega
+    n_p, n_s, n_i = stack.indices(nu_p), stack.indices(nu_s), stack.indices(nu_i)
 
-    dk = _wavevector(stack, nu_p) - _wavevector(stack, nu_s) - _wavevector(stack, nu_i)
+    dk = _wavevector(n_p[0], nu_p) - _wavevector(n_s[0], nu_s) - _wavevector(n_i[0], nu_i)
     phase_mismatch = dk * stack.thickness_nm / 2.0
     phi = (
         np.sinc(phase_mismatch / np.pi)
-        * _airy_factor(stack, nu_p)
-        * _airy_factor(stack, nu_s)
-        * _airy_factor(stack, nu_i)
+        * _airy_factor(n_p, nu_p, stack.thickness_nm)
+        * _airy_factor(n_s, nu_s, stack.thickness_nm)
+        * _airy_factor(n_i, nu_i, stack.thickness_nm)
     )
-    return SpectralAmplitude(omega_thz=omega, phi=phi, pump_nm=stack.pump_nm)
+    return SpectralAmplitude(omega_thz=omega, phi=phi, pump_nm=stack.pump_nm,
+                             response=np.ones_like(omega))
 
 
 def longpass_pair_response(spectrum: SpectralAmplitude, cuton_nm, edge_thz: float) -> np.ndarray:
@@ -167,9 +174,7 @@ def lorentzian_response(spectrum: SpectralAmplitude, fwhm_thz: float) -> np.ndar
 DETECTOR_RESPONSES = {"none": None, "gaussian": gaussian_response, "lorentzian": lorentzian_response}
 
 
-def apply_detector_response(
-    spectrum: SpectralAmplitude, response
-) -> SpectralAmplitude:
+def apply_detector_response(spectrum: SpectralAmplitude, response) -> SpectralAmplitude:
     """Fold a tabulated intensity multiplier into the spectrum.
 
     Multipliers compose: applying twice multiplies the stored response.
@@ -179,8 +184,7 @@ def apply_detector_response(
         raise ValueError("response must be tabulated on the spectrum grid")
     if np.any(response < 0.0):
         raise ValueError("response must be nonnegative")
-    merged = response if spectrum.response is None else spectrum.response * response
-    return replace(spectrum, response=merged)
+    return replace(spectrum, response=spectrum.response * response)
 
 
 def intensity_fwhm(spectrum: SpectralAmplitude) -> float:
@@ -270,8 +274,8 @@ def _angle_sum_rows(s, w, heads, drift, cos_t, sin_t) -> np.ndarray:
     return sums
 
 
-def _contrast_blocks(s: np.ndarray, omega: np.ndarray, taus: np.ndarray):
-    """Yield (start, g(taus[start:stop])) for consecutive blocks of delays.
+def _contrast(s: np.ndarray, omega: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """g(taus), computed in consecutive blocks of delays.
 
     g(tau) = sum_n s_n cos(w_n tau) / sum(s), w = 2 pi 1e-3 W. Delays that
     form an arithmetic progression (``_progression_step``) are split as
@@ -289,17 +293,16 @@ def _contrast_blocks(s: np.ndarray, omega: np.ndarray, taus: np.ndarray):
     stay within 2 * _BLOCK_ELEMENTS elements. Other delays, and grids too
     fine for Q >= 2, take the direct sum in blocks of at most
     _BLOCK_ELEMENTS phases (one delay row when the grid alone is larger).
-    Blocks are yielded in order, so a caller may stop as soon as it has what
-    it needs.
     """
     norm = s.sum()
+    g = np.empty(taus.size)
     rows = max(1, _BLOCK_ELEMENTS // omega.size)
     step = _progression_step(taus)
     span = 0 if step is None else min(rows // 2, math.isqrt(taus.size - 1) + 1)
     if span < 2:
         for start in range(0, taus.size, rows):
-            yield start, _direct_rows(s, omega, taus[start:start + rows]) / norm
-        return
+            g[start:start + rows] = _direct_rows(s, omega, taus[start:start + rows]) / norm
+        return g
     w = omega * (2.0e-3 * np.pi)
     offsets = np.arange(span) * step
     phases = np.outer(offsets, w)
@@ -316,7 +319,8 @@ def _contrast_blocks(s: np.ndarray, omega: np.ndarray, taus: np.ndarray):
         stop = p + per_block
         sums = _angle_sum_rows(s, w, heads[p:stop], drift[p:stop], cos_t, sin_t).ravel()
         start = p * span
-        yield start, sums[:taus.size - start] / norm
+        g[start:start + sums.size] = sums[:taus.size - start] / norm
+    return g
 
 
 def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
@@ -338,14 +342,11 @@ def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
     - Any other delays take that direct sum.
 
     Either way memory is bounded by the grid plus 2 * _BLOCK_ELEMENTS
-    (8 MB) of trigonometric tables, however many delays or grid points.
+    (8 MB) of trigonometric tables, however many delays or grid points
+    (``_contrast``, after the symmetry check).
     """
     s = _check_symmetric(spectrum)
-    taus = np.asarray(delays_fs, dtype=float).ravel()
-    g = np.empty(taus.size)
-    for start, block in _contrast_blocks(s, spectrum.omega_thz, taus):
-        g[start:start + block.size] = block
-    return g
+    return _contrast(s, spectrum.omega_thz, np.asarray(delays_fs, dtype=float).ravel())
 
 
 def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str):
@@ -368,17 +369,6 @@ _FIRST_SCAN = 128
 
 #: the longest delay (fs) hom_fwhm's coarse scan reaches
 _TAU_MAX_FS = 400.0
-
-
-def _doubling_blocks(s: np.ndarray, omega: np.ndarray, taus: np.ndarray):
-    """``_contrast_blocks`` over chunks of ``taus`` that double the scanned
-    prefix, starting with _FIRST_SCAN delays; yields (start, g) as it does."""
-    start = 0
-    while start < taus.size:
-        stop = max(_FIRST_SCAN, 2 * start)
-        for offset, g in _contrast_blocks(s, omega, taus[start:stop]):
-            yield start + offset, g
-        start = stop
 
 
 #: cap on the root refinement's steps; bisection alone needs about 60 from
@@ -426,27 +416,30 @@ def hom_fwhm(spectrum: SpectralAmplitude) -> float:
     first crossing (the curve is even in tau). Since dip + peak = 1, this
     is also the width of the peak.
 
-    g is scanned on 4001 delays over [0, _TAU_MAX_FS] (400 fs) through the
-    interference_contrast kernel, in chunks that double the scanned prefix
-    (the first _FIRST_SCAN delays, then up to 256, 512, ...), and the scan
-    stops at the first block in which g < 1/2. The delays are uniform, so
-    each chunk takes the angle-addition split: a crossing in the first chunk
-    costs 46 rows of sines and cosines, not the 128 of a direct scan. The
-    crossing is then refined on the exact sum between the last coarse delay
-    with g >= 1/2 and the first with g < 1/2: Newton steps on the
-    closed-form slope g'(tau), started from the secant point of that
+    g is scanned on 4001 delays over [0, _TAU_MAX_FS] (400 fs) by
+    interference_contrast's kernel ``_contrast``, in chunks that double the
+    scanned prefix (the first _FIRST_SCAN delays, then up to 256, 512, ...),
+    and the scan stops at the first chunk in which g < 1/2. The delays are
+    uniform, so each chunk takes the angle-addition split: a crossing in the
+    first chunk costs 46 rows of sines and cosines, not the 128 of a direct
+    scan. The crossing is then refined on the exact sum between the last
+    coarse delay with g >= 1/2 and the first with g < 1/2: Newton steps on
+    the closed-form slope g'(tau), started from the secant point of that
     bracket, fall back to bisection whenever a step would leave the
     shrinking bracket, and stop once a step is at most 1e-13 tau.
     """
     s = _check_symmetric(spectrum)
     omega = spectrum.omega_thz
     coarse = np.linspace(0.0, _TAU_MAX_FS, 4001)
-    g_last = np.nan  # g at the last delay of the previous block
-    for start, g in _doubling_blocks(s, omega, coarse):
+    start, g_last = 0, np.nan  # g_last: g at the last delay of the previous chunk
+    while start < coarse.size:
+        stop = max(_FIRST_SCAN, 2 * start)
+        g = _contrast(s, omega, coarse[start:stop])
         below = np.flatnonzero(g < 0.5)
         if below.size:
             break
         g_last = g[-1]
+        start = stop
     else:
         raise InvalidState(f"g(tau) never falls below 1/2 out to {_TAU_MAX_FS} fs")
     j = int(below[0])

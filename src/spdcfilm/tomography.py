@@ -44,7 +44,9 @@ class AnalyzerSetting:
 
 
 def setting(name: str) -> AnalyzerSetting:
-    """Named analyzer setting (H, V, D, A, R)."""
+    """Named analyzer setting (H, V, D, A, R); ValueError for any other name."""
+    if name not in ANALYZER_ANGLES:
+        raise ValueError(f"unknown analyzer {name!r}; known: {sorted(ANALYZER_ANGLES)}")
     return AnalyzerSetting(*ANALYZER_ANGLES[name])
 
 
@@ -65,7 +67,8 @@ def default_protocol() -> list[tuple[AnalyzerSetting, AnalyzerSetting]]:
 
 @dataclass(frozen=True)
 class CoincidenceRecord:
-    """Background-subtracted coincidence count for one protocol setting."""
+    """Background-subtracted coincidence count for one protocol setting. Its
+    messages call ``duration_s`` ``duration``, the records CSV's column."""
 
     index: int
     raw: float
@@ -74,8 +77,10 @@ class CoincidenceRecord:
     net_sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("raw", "accidental", "duration_s", "net_sigma"):
-            if not np.isfinite(getattr(self, name)):
+        quantities = {"raw": self.raw, "accidental": self.accidental,
+                      "duration": self.duration_s, "net_sigma": self.net_sigma}
+        for name, value in quantities.items():
+            if not np.isfinite(value):
                 raise ValueError(f"record {self.index}: {name} must be finite")
         if self.raw < 0:
             raise ValueError(f"record {self.index}: raw coincidences must be nonnegative")
@@ -360,24 +365,26 @@ def load_records_csv(path):
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
     A file without records, a row with more cells than the header, or a
-    missing or non-numeric cell or non-finite angle, raises ValueError naming
-    the row (and the column); ``CoincidenceRecord`` rejects non-finite counts.
+    missing or non-numeric cell or non-finite angle, raises ValueError. Its
+    message names the row as ``record N``, the index its record carries
+    (data rows count from 0), and the column; ``CoincidenceRecord`` rejects
+    non-finite counts in the same words.
     """
     protocol, records = [], []
     with open(path, newline="") as fh:
         for idx, row in enumerate(csv.DictReader(fh)):
             if None in row:  # DictReader files the cells past the header under None
-                raise ValueError(f"row {idx}: more cells than the header has columns")
+                raise ValueError(f"record {idx}: more cells than the header has columns")
             cells = []
             for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
                 if row.get(key) is None:
-                    raise ValueError(f"row {idx}: {key} is missing")
+                    raise ValueError(f"record {idx}: {key} is missing")
                 try:
                     cells.append(float(row[key]))
                 except ValueError:
-                    raise ValueError(f"row {idx}: {key} {row[key]!r} is not a number") from None
+                    raise ValueError(f"record {idx}: {key} {row[key]!r} is not a number") from None
                 if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
-                    raise ValueError(f"row {idx}: {key} must be finite")
+                    raise ValueError(f"record {idx}: {key} must be finite")
             protocol.append((AnalyzerSetting(*cells[0:2]), AnalyzerSetting(*cells[2:4])))
             records.append(CoincidenceRecord(idx, *cells[4:]))
     if not records:

@@ -340,13 +340,14 @@ def test_non_finite_records_exit_code(capsys, tmp_path, row):
     "rows, message",
     [
         ("", "the file has no records"),
-        ("0,0,0,0,100.0,2.0\n", "row 0: duration is missing"),
+        ("0,0,0,0,100.0,2.0\n", "record 0: duration is missing"),
         ("0,0,0,0,100.0,2.0,1.0\n0,0,0,45,50.0,2.0,1.0,999\n",
-         "row 1: more cells than the header has columns"),
+         "record 1: more cells than the header has columns"),
         ("0,0,0,0,100.0,2.0,1.0\n0,0,0,45,-50.0,2.0,1.0\n",
          "record 1: raw coincidences must be nonnegative"),
+        ("0,0,0,0,100.0,2.0,inf\n", "record 0: duration must be finite"),
     ],
-    ids=["header_only", "short_row", "long_row", "negative_raw"],
+    ids=["header_only", "short_row", "long_row", "negative_raw", "inf_duration"],
 )
 def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
     csv_path = tmp_path / "bad.csv"

@@ -159,6 +159,18 @@ def test_unknown_material_rejected(tmp_path):
     assert cfg.film.ambient_index == 1.33
 
 
+@pytest.mark.parametrize("body, message", [
+    ("[fringe]\nfixed_analyzer = Q\n", "[fringe] unknown analyzer 'Q'; known: ['A', 'D', "),
+    ("[fringe]\ntheta_stop_deg = 90.0\n", "[fringe] theta grid must span at least 180 degrees"),
+], ids=["unknown_analyzer", "short_span"])
+def test_fringe_rules_are_fringe_scans(tmp_path, body, message):
+    # fringe_scan and setting() own the [fringe] rules; the config runs them
+    path = tmp_path / "user.cfg"
+    path.write_text(body)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+
+
 def test_case_of_named_choices_is_normalized(tmp_path):
     path = tmp_path / "user.cfg"
     path.write_text("[detector_response]\nshape = Gaussian \n[fringe]\nfixed_analyzer = v\n")
@@ -172,14 +184,9 @@ def test_case_of_named_choices_is_normalized(tmp_path):
 def test_numeric_film_indices_must_be_positive(tmp_path, key, value):
     path = tmp_path / "user.cfg"
     path.write_text(f"[film]\n{key} = {value}\n")
-    with pytest.raises(ConfigError, match=f"film {key} must be a finite positive"):
+    name = key.removesuffix("_index")
+    with pytest.raises(ConfigError, match=rf"^\[film\] {name} index: constant index "
+                                          "-?[0-9.]+ must be a finite positive"):
         load_config(path)
 
 
-def test_film_index_range_check_applies_to_direct_construction():
-    from spdcfilm.config import FilmConfig
-
-    with pytest.raises(ConfigError, match="finite positive"):
-        FilmConfig(thickness_nm=400.0, film_index="gap", substrate_index=float("nan"),
-                   ambient_index=1.0)
-    assert FilmConfig(400.0, 3.5, 1.45, 1.0).film_index == 3.5

@@ -239,7 +239,7 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
     protocol = default_protocol()
     n_boot = 5
     rhos = _bootstrap_stack(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
-    batched = _measures(rhos, "H")
+    batched = _measures(rhos, "H", None)
 
     # the replicate loop the batch replaces: one reconstruct per spawned child
     model_net = np.array([r.duration_s for r in records]) * forward_rates(

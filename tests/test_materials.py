@@ -50,7 +50,11 @@ def test_vectorized_evaluation():
 def test_resolve_index_model_dispatch():
     assert resolve_index_model("gap").index(1.276) > 3.0
     assert resolve_index_model(1.5).index(0.638) == pytest.approx(1.5)
-    model = ConstantIndex(2.0)
-    assert resolve_index_model(model) is model
     with pytest.raises(TypeError):
         resolve_index_model(["not", "a", "model"])
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), 0.0, -1.5])
+def test_constant_index_must_be_finite_and_positive(n):
+    with pytest.raises(ValueError, match="must be a finite positive refractive index"):
+        ConstantIndex(n)

@@ -14,10 +14,10 @@ from pathlib import Path
 import spdcfilm
 
 #: defaulted parameters of every function, method and lambda in the package
-MAX_DEFAULTED = 11
+MAX_DEFAULTED = 9
 
 #: fields with a default in the body of every ``@dataclass`` class in the package
-MAX_FIELD_DEFAULTS = 3
+MAX_FIELD_DEFAULTS = 1
 
 
 def _defaulted(tree):

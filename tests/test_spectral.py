@@ -30,6 +30,7 @@ from spdcfilm.config import load_config
 from spdcfilm.errors import AsymmetricSpectrum, GridTooNarrow, InvalidState
 from spdcfilm.spectral import (
     _BLOCK_ELEMENTS,
+    FilmStack,
     SpectralAmplitude,
     _progression_step,
     default_grid,
@@ -95,7 +96,8 @@ def test_gaussian_closed_form():
     grid = default_grid(span_thz=150.0, points=8192)
     for fwhm in (30.0, 50.0, 80.0):
         phi = np.exp(-2.0 * np.log(2.0) * (grid / fwhm) ** 2).astype(complex)
-        spec = SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0)
+        spec = SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0,
+                                 response=np.ones_like(grid))
         assert intensity_fwhm(spec) == pytest.approx(fwhm, rel=1e-3)
         expected = 4.0 * np.log(2.0) / (np.pi * fwhm) * 1e3
         assert hom_fwhm(spec) == pytest.approx(expected, rel=1e-2)
@@ -171,7 +173,8 @@ def test_contrast_memory_on_fine_grid():
 def _gaussian_spectrum(fwhm_thz):
     grid = _grid(POINTS)
     phi = np.exp(-2.0 * np.log(2.0) * (grid / fwhm_thz) ** 2).astype(complex)
-    return SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0)
+    return SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0,
+                             response=np.ones_like(grid))
 
 
 def _fine_lorentzian():
@@ -306,7 +309,8 @@ def test_responses_compose_multiplicatively():
 def test_asymmetric_spectrum_rejected():
     grid = _grid(POINTS)
     phi = np.exp(-(((grid - 10.0) / 40.0) ** 2)).astype(complex)
-    spec = SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0)
+    spec = SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0,
+                             response=np.ones_like(grid))
     with pytest.raises(AsymmetricSpectrum):
         hom_curve(spec, [0.0, 5.0], "dip")
 
@@ -337,6 +341,27 @@ def test_detector_narrowing_tradeoff():
     gauss = apply_detector_response(base, gaussian_response(base, 36.0))
     assert intensity_fwhm(gauss) == pytest.approx(29.3, abs=0.5)
     assert hom_fwhm(gauss) > 17.0
+
+
+def test_film_stack_rejects_nan_thickness():
+    with pytest.raises(ValueError, match="film thickness must be positive"):
+        FilmStack(float("nan"), "gap", "fused_silica", 1.0, 638.0)
+
+
+def test_film_stack_checks_its_index_models_when_made():
+    specs = {"film": "gap", "substrate": "fused_silica", "ambient": 1.0}
+
+    def make(name, spec):
+        return FilmStack(400.0, **{**specs, name: spec}, pump_nm=638.0)
+
+    for position, name in enumerate(specs):
+        with pytest.raises(ValueError, match=f"^{name} index: unknown material 'unobtainium'"):
+            make(name, "unobtainium")
+        for bad in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} index: constant index .* must be "
+                                                 "a finite positive refractive index"):
+                make(name, bad)
+        assert make(name, 3.5).indices(470.0)[position] == 3.5
 
 
 def test_constant_index_stack_runs():

@@ -183,6 +183,12 @@ def test_records_csv_roundtrip(tmp_path):
     assert np.linalg.norm(rho_hat - rho) < 1e-9
 
 
+def test_unknown_analyzer_raises_value_error():
+    known = r"\['A', 'D', 'H', 'R', 'V'\]"
+    with pytest.raises(ValueError, match=rf"unknown analyzer 'Q'; known: {known}"):
+        setting("Q")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("raw", np.nan), ("accidental", np.inf), ("duration_s", np.nan), ("net_sigma", -np.inf)],
@@ -190,7 +196,8 @@ def test_records_csv_roundtrip(tmp_path):
 def test_record_rejects_non_finite_counts(field, value):
     fields = {"index": 0, "raw": 100.0, "accidental": 2.0, "duration_s": 1.0, "net_sigma": 10.0}
     CoincidenceRecord(**fields)
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    column = "duration" if field == "duration_s" else field  # the records CSV's name
+    with pytest.raises(ValueError, match=f"^record 0: {column} must be finite"):
         CoincidenceRecord(**{**fields, field: value})
 
 
