@@ -120,16 +120,6 @@ def _as_rho4(state_or_rho) -> np.ndarray:
     return check_density_matrix(m, dim=4)
 
 
-def expectation(state_or_rho, obs_a, obs_b) -> float:
-    rho = _as_rho4(state_or_rho)
-    return float(np.real(np.trace(rho @ np.kron(obs_a, obs_b))))
-
-
-def correlator_table(state_or_rho, i: int, j: int) -> float:
-    """<S_i^A x S_j^B> for i, j in {1, 2, 3}."""
-    return expectation(state_or_rho, STOKES[i], STOKES[j])
-
-
 _CHSH_SIGNS = (+1, +1, +1, -1)
 
 

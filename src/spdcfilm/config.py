@@ -172,7 +172,7 @@ class DelayLineConfig:
         _require(self.scan_points >= 2, "delay_line scan needs at least 2 points")
         line = _built("delay_line", default_delay_line, self.base_tilt_deg,
                       self.plate_thickness_mm, self.wavelength_um)
-        _built("delay_line", delay_scan, line, (self.scan_start_deg, self.scan_stop_deg), "inner")
+        _built("delay_line", delay_scan, line, (self.scan_start_deg, self.scan_stop_deg))
 
 
 @dataclass(frozen=True)

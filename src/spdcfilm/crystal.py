@@ -14,8 +14,8 @@ Geometry convention, fixed here and used everywhere downstream:
   [001] rather than [100].
 
 One kernel, ``_amplitude_grid``, contracts the tensor with the tilted
-crystal and the pump polarization; the amplitudes, the pair-rate curve and
-the weight residuals of the calibration fits all come from it.
+crystal and the pump polarization; the amplitudes and the weight residuals
+of the calibration fits both come from it.
 
 The in-plane azimuth is not a measured quantity; it is calibrated from
 pump-resolved weight data (``calibrate_azimuth``). The tilt can be refit
@@ -143,24 +143,6 @@ def spdc_amplitudes(chi: np.ndarray, orientation: CrystalOrientation, pump) -> S
             f"azimuth {orientation.azimuth_deg} deg"
         )
     return SpdcResult(state=c[0] / np.sqrt(rate), relative_rate=rate)
-
-
-def pair_rate_curve(chi, orientation: CrystalOrientation, pump_angles_deg) -> list:
-    """Relative rate versus linear pump angle; list of (angle, rate).
-
-    One ``_amplitude_grid`` call evaluates every angle. Individual zero-rate
-    points are returned as 0.0; ZeroAmplitude is raised only when the whole
-    scan vanishes (e.g. a null tensor).
-    """
-    pump_angles_deg = list(pump_angles_deg)
-    if not pump_angles_deg:
-        raise ValueError("pump angle grid is empty")
-    pumps = [pump_ket(ang) for ang in pump_angles_deg]
-    c = _amplitude_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, pumps)
-    rates = np.sum(np.abs(c) ** 2, axis=-1)
-    if rates.max() <= 0.0:
-        raise ZeroAmplitude("pair rate vanishes over the whole pump scan")
-    return [(float(ang), float(rate)) for ang, rate in zip(pump_angles_deg, rates)]
 
 
 def _pump_angle(key) -> float:

@@ -63,16 +63,6 @@ class DelayLine:
             raise ValueError("indices must be at least 1")
 
 
-def uniaxial_index(n_o: float, n_e: float, theta_rad: float) -> float:
-    """Extraordinary index at angle theta between wavevector and optic axis.
-
-    1/n(theta)^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2. The delay-line
-    geometry keeps theta = 90 deg, where this is exactly n_e.
-    """
-    c, s = math.cos(theta_rad), math.sin(theta_rad)
-    return 1.0 / math.sqrt(c * c / n_o**2 + s * s / n_e**2)
-
-
 def optical_path_mm(n: float, thickness_mm: float, tilt_deg: float) -> float:
     """OPL through one tilted plate relative to the untilted parallel beam."""
     sin_int = math.sin(math.radians(tilt_deg)) / n
@@ -120,23 +110,13 @@ def default_delay_line(base_tilt_deg: float, thickness_mm: float,
     return DelayLine(plates=plates, n_o=n_o, n_e=n_e)
 
 
-def delay_scan(line: DelayLine, tilt_grid_deg, which: str):
-    """Delay versus tilt of the ``which`` ('inner' or 'outer') plate pair.
+def delay_scan(line: DelayLine, tilt_grid_deg):
+    """Delay versus tilt of the inner plate pair, plates[1:-1].
 
-    The inner pair is plates[1:-1], the outer pair the first and last
-    plate; every plate of the chosen pair is set to each grid tilt in turn
-    while the others stay fixed. Returns a list of (tilt_deg, delay_fs).
+    Every inner plate is set to each grid tilt in turn while the outer
+    plates stay fixed. Returns a list of (tilt_deg, delay_fs).
     """
-    if which not in ("inner", "outer"):
-        raise ValueError(f"which must be 'inner' or 'outer', got {which!r}")
-    if len(line.plates) < 2:
-        raise ValueError("delay scan needs at least two plates")
-    idx = (
-        range(1, len(line.plates) - 1)
-        if which == "inner"
-        else (0, len(line.plates) - 1)
-    )
-    idx = tuple(idx)
+    idx = range(1, len(line.plates) - 1)
     if not idx:
         raise ValueError("line has no inner plates to scan")
     out = []

@@ -402,7 +402,7 @@ def delay_line_scan(delay_line) -> DelayScan:
     return DelayScan(
         base_tilt_deg=delay_line.base_tilt_deg,
         delay_at_base_fs=calcite_delay(line),
-        scan=delay_scan(line, tilt_grid, which="inner"),
+        scan=delay_scan(line, tilt_grid),
     )
 
 

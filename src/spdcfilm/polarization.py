@@ -67,11 +67,6 @@ def analyzer_ket(qwp_deg: float, hwp_deg: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def linear_analyzer(theta_deg: float) -> tuple[float, float]:
-    """Waveplate angles passing linear polarization at theta from horizontal."""
-    return (0.0, theta_deg / 2.0)
-
-
 def pump_ket(angle_deg: float) -> np.ndarray:
     """Linear pump polarization at angle from horizontal (H = 0, V = 90)."""
     th = np.radians(angle_deg)

@@ -159,8 +159,8 @@ def _state_measures(rhos: np.ndarray, spectrum) -> dict:
     }
 
 
-def concurrence_phase_curve(weights, deltas_rad) -> np.ndarray:
-    """Concurrence of a pure state with known weights and unknown phases.
+def concurrence_bounds(weights) -> tuple[float, float]:
+    """(min, max) of concurrence over all phases compatible with the weights.
 
     Writing c = (sqrt(w1) e^{i p1}, sqrt(w2) e^{i p2}, sqrt(w3) e^{i p3}),
     the concurrence depends on the phases only through
@@ -169,19 +169,8 @@ def concurrence_phase_curve(weights, deltas_rad) -> np.ndarray:
         C(delta) = | 2 sqrt(w1 w3) - w2 e^{i delta} |
 
     A magnitude-only measurement therefore bounds C to the closed interval
-    [|2 sqrt(w1 w3) - w2|, 2 sqrt(w1 w3) + w2]; this returns the curve on a
-    grid of delta values.
+    [|2 sqrt(w1 w3) - w2|, 2 sqrt(w1 w3) + w2], reached at delta = 0 and pi.
     """
-    w1, w2, w3 = (float(w) for w in weights)
-    if min(w1, w2, w3) < -1e-12:
-        raise OutOfRange("weights must be nonnegative")
-    a = 2.0 * np.sqrt(w1 * w3)
-    deltas = np.asarray(deltas_rad, dtype=float)
-    return np.abs(a - w2 * np.exp(1j * deltas))
-
-
-def concurrence_bounds(weights) -> tuple[float, float]:
-    """(min, max) of concurrence over all phases compatible with the weights."""
     w1, w2, w3 = (float(w) for w in weights)
     a = 2.0 * float(np.sqrt(w1 * w3))
     return abs(a - w2), a + w2

@@ -364,29 +364,34 @@ def load_records_csv(path):
     """Read (protocol, records) from CSV with columns
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
-    A file without records, a row with more cells than the header, or a
-    missing or non-numeric cell or non-finite angle, raises ValueError. Its
+    A file without records, a row the csv module cannot read (a field over
+    its 131,072-character limit), a row with more cells than the header, or
+    a missing or non-numeric cell or non-finite angle, raises ValueError. Its
     message names the row as ``record N``, the index its record carries
     (data rows count from 0), and the column; ``CoincidenceRecord`` rejects
     non-finite counts in the same words.
     """
     protocol, records = [], []
     with open(path, newline="") as fh:
-        for idx, row in enumerate(csv.DictReader(fh)):
-            if None in row:  # DictReader files the cells past the header under None
-                raise ValueError(f"record {idx}: more cells than the header has columns")
-            cells = []
-            for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
-                if row.get(key) is None:
-                    raise ValueError(f"record {idx}: {key} is missing")
-                try:
-                    cells.append(float(row[key]))
-                except ValueError:
-                    raise ValueError(f"record {idx}: {key} {row[key]!r} is not a number") from None
-                if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
-                    raise ValueError(f"record {idx}: {key} must be finite")
-            protocol.append((AnalyzerSetting(*cells[0:2]), AnalyzerSetting(*cells[2:4])))
-            records.append(CoincidenceRecord(idx, *cells[4:]))
+        try:
+            for idx, row in enumerate(csv.DictReader(fh)):
+                if None in row:  # DictReader files the cells past the header under None
+                    raise ValueError(f"record {idx}: more cells than the header has columns")
+                cells = []
+                for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
+                    if row.get(key) is None:
+                        raise ValueError(f"record {idx}: {key} is missing")
+                    try:
+                        cells.append(float(row[key]))
+                    except ValueError:
+                        raise ValueError(
+                            f"record {idx}: {key} {row[key]!r} is not a number") from None
+                    if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
+                        raise ValueError(f"record {idx}: {key} must be finite")
+                protocol.append((AnalyzerSetting(*cells[0:2]), AnalyzerSetting(*cells[2:4])))
+                records.append(CoincidenceRecord(idx, *cells[4:]))
+        except csv.Error as err:  # raised while reading the row after the last record kept
+            raise ValueError(f"record {len(records)}: {err}") from None
     if not records:
         raise ValueError("the file has no records")
     return protocol, records

@@ -12,40 +12,31 @@ import time
 import numpy as np
 import pytest
 
-from spdcfilm import (
-    CoincidenceRecord,
-    NoiseModel,
+from spdcfilm import chi2_zincblende, load_config, pump_ket, spdc_amplitudes
+from spdcfilm.bell import chsh_value, split_postselect, werner_state
+from spdcfilm.crystal import CrystalOrientation
+from spdcfilm.delayline import DelayLine, Plate, calcite_delay
+from spdcfilm.histogram import NoiseModel, simulate_histogram, subtract_accidentals
+from spdcfilm.materials import load_material
+from spdcfilm.polarization import projector_rate
+from spdcfilm.qutrit import check_state, concurrence, depolarize, purity, schmidt_number
+from spdcfilm.spectral import (
     apply_detector_response,
-    chi2_zincblende,
-    chsh_value,
-    concurrence,
-    default_protocol,
-    depolarize,
-    forward_rates,
+    default_grid,
     hom_curve,
     hom_fwhm,
     intensity_fwhm,
     joint_spectrum,
-    load_config,
     longpass_pair_response,
     lorentzian_response,
-    pump_ket,
-    purity,
-    reconstruct,
-    schmidt_number,
-    simulate_histogram,
-    spdc_amplitudes,
-    split_postselect,
-    subtract_accidentals,
-    werner_state,
 )
-from spdcfilm.crystal import CrystalOrientation
-from spdcfilm.delayline import DelayLine, Plate, calcite_delay
-from spdcfilm.materials import load_material
-from spdcfilm.polarization import projector_rate
-from spdcfilm.qutrit import check_state
-from spdcfilm.spectral import default_grid
-from spdcfilm.tomography import fringe_scan
+from spdcfilm.tomography import (
+    CoincidenceRecord,
+    default_protocol,
+    forward_rates,
+    fringe_scan,
+    reconstruct,
+)
 
 SEED = 20260819
 SQRT2 = float(np.sqrt(2.0))

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from spdcfilm import (
+from spdcfilm.bell import (
+    S1,
+    S2,
+    S3,
+    STOKES,
     chsh_value,
-    correlator_table,
     default_chsh_settings,
     simulate_chsh,
     split_postselect,
     split_postselect_rho,
     werner_state,
 )
-from spdcfilm.bell import S1, S2, S3
 from spdcfilm.errors import InvalidDensityMatrix, InvalidState, NotNormalized
 from spdcfilm.qutrit import depolarize
 
@@ -59,12 +61,16 @@ def test_split_postselect_rho_matches_pure_path():
 
 
 def test_psi_plus_correlators_oracle():
-    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
-    # oracle: <psi+|si x sj|psi+> = +1, +1, -1 on the diagonal (with S3 = -Y)
-    assert correlator_table(psi, 1, 1) == pytest.approx(-1.0, abs=1e-12)
-    assert correlator_table(psi, 2, 2) == pytest.approx(1.0, abs=1e-12)
-    assert correlator_table(psi, 3, 3) == pytest.approx(1.0, abs=1e-12)
-    assert correlator_table(psi, 1, 2) == pytest.approx(0.0, abs=1e-12)
+    psi = split_postselect(np.array([0.0, 1.0, 0.0])).amplitudes
+
+    def correlator(i, j):  # <S_i^A x S_j^B>
+        return float(np.real(np.vdot(psi, np.kron(STOKES[i], STOKES[j]) @ psi)))
+
+    # oracle: <psi+|si x sj|psi+> = -1, +1, +1 on the diagonal (with S3 = -Y)
+    assert correlator(1, 1) == pytest.approx(-1.0, abs=1e-12)
+    assert correlator(2, 2) == pytest.approx(1.0, abs=1e-12)
+    assert correlator(3, 3) == pytest.approx(1.0, abs=1e-12)
+    assert correlator(1, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chsh_reaches_tsirelson_for_psi_plus():

@@ -346,8 +346,10 @@ def test_non_finite_records_exit_code(capsys, tmp_path, row):
         ("0,0,0,0,100.0,2.0,1.0\n0,0,0,45,-50.0,2.0,1.0\n",
          "record 1: raw coincidences must be nonnegative"),
         ("0,0,0,0,100.0,2.0,inf\n", "record 0: duration must be finite"),
+        ("0,0,0,0,100.0,2.0,1.0\n0,0,0,45," + "5" * 200_000 + ",2.0,1.0\n",
+         "record 1: field larger than field limit (131072)"),
     ],
-    ids=["header_only", "short_row", "long_row", "negative_raw", "inf_duration"],
+    ids=["header_only", "short_row", "long_row", "negative_raw", "inf_duration", "huge_field"],
 )
 def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
     csv_path = tmp_path / "bad.csv"

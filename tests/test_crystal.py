@@ -11,21 +11,19 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from spdcfilm import (
+from spdcfilm.config import load_config
+from spdcfilm.crystal import (
     CrystalOrientation,
-    PoorFit,
-    ZeroAmplitude,
     calibrate_azimuth,
     calibrate_orientation,
     chi2_zincblende,
-    pair_rate_curve,
-    pump_ket,
+    normal_axis_angles,
     rotation_matrix,
     spdc_amplitudes,
     weight_residual,
 )
-from spdcfilm.config import load_config
-from spdcfilm.crystal import normal_axis_angles
+from spdcfilm.errors import PoorFit, ZeroAmplitude
+from spdcfilm.polarization import pump_ket
 
 SEED = 20260819
 TARGETS = {"H": (0.78, 0.02, 0.20), "V": (0.02, 0.98, 0.00)}
@@ -148,18 +146,6 @@ def test_amplitudes_invariant_under_pump_index_symmetry():
         assert abs(c[1] - np.sqrt(2) * a_hv) < 1e-12
 
 
-def test_pair_rate_curve_preserves_zeros():
-    chi = chi2_zincblende(D)
-    curve = pair_rate_curve(chi, CALIBRATED, np.linspace(0, 180, 37))
-    rates = np.array([r for _, r in curve])
-    assert rates.max() > 0
-    assert np.all(rates >= 0)
-    with pytest.raises(ValueError):
-        pair_rate_curve(chi, CALIBRATED, [])
-    with pytest.raises(ZeroAmplitude):
-        pair_rate_curve(chi, CrystalOrientation(0.0, 0.0), [0.0, 45.0, 90.0])
-
-
 def test_zero_threshold_is_best_linear_pump_rate():
     from spdcfilm.crystal import _amplitude_grid, _zero_threshold
 
@@ -249,7 +235,7 @@ def test_amplitude_grid_equals_scalar_reference_bit_for_bit():
                 assert _same_bits(grid[p, t, a], _raw_amplitudes(chi, rot, pump))
 
 
-def test_amplitudes_and_rate_curve_equal_scalar_reference_bit_for_bit(monkeypatch):
+def test_amplitudes_equal_scalar_reference_bit_for_bit(monkeypatch):
     import spdcfilm.crystal as crystal
 
     thresholded = []  # the amplitude rows spdc_amplitudes sets its zero threshold from
@@ -262,7 +248,6 @@ def test_amplitudes_and_rate_curve_equal_scalar_reference_bit_for_bit(monkeypatc
     monkeypatch.setattr(crystal, "_zero_threshold", recording_threshold)
     chi = chi2_zincblende(D)
     rng = np.random.default_rng(SEED)
-    angles = list(np.arange(0.0, 181.0, 1.0)) + list(rng.uniform(0.0, 180.0, 20))
     for n in range(40):
         orientation = CrystalOrientation(
             float(rng.integers(1, 90)) if n % 2 else rng.uniform(0.5, 90.0),
@@ -277,11 +262,6 @@ def test_amplitudes_and_rate_curve_equal_scalar_reference_bit_for_bit(monkeypatc
             assert res.relative_rate == rate
             assert _same_bits(res.state, c / np.sqrt(rate))
             assert _same_bits(thresholded.pop(), hv_rows)
-        curve = pair_rate_curve(chi, orientation, angles)
-        assert curve == [
-            (float(ang), float(np.sum(np.abs(_raw_amplitudes(chi, rot, pump_ket(ang))) ** 2)))
-            for ang in angles
-        ]
 
 
 def _scalar_weight_residual(chi, orientation, targets):

@@ -7,18 +7,21 @@ from evaluating that expression with published calcite indices at
 1.276 um (n_o = 1.6385, n_e = 1.4786).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from spdcfilm import (
+from spdcfilm.config import load_config
+from spdcfilm.delayline import (
     DelayLine,
     Plate,
     calcite_delay,
     default_delay_line,
     delay_scan,
+    optical_path_mm,
+    plate_delay_fs,
 )
-from spdcfilm.config import load_config
-from spdcfilm.delayline import optical_path_mm, plate_delay_fs, uniaxial_index
 from spdcfilm.errors import OutOfRange, TotalInternalReflection
 from spdcfilm.materials import load_material
 
@@ -64,7 +67,7 @@ def test_balanced_line_cancels():
 def test_inner_pair_scan_values():
     line = _line(10.0)
     tilts = np.array([0.0, 8.0, 10.0, 12.0, 20.0])
-    got = delay_scan(line, tilts, which="inner")
+    got = delay_scan(line, tilts)
     expected = [33.5044, 12.0556, 0.0, -14.7246, -100.1303]
     for (tilt, delay), want in zip(got, expected):
         assert delay == pytest.approx(want, abs=2e-3)
@@ -73,7 +76,7 @@ def test_inner_pair_scan_values():
 def test_scan_monotone_through_zero():
     line = _line(10.0)
     tilts = np.linspace(0.0, 20.0, 41)
-    delays = np.array([d for _, d in delay_scan(line, tilts, which="inner")])
+    delays = np.array([d for _, d in delay_scan(line, tilts)])
     assert np.all(np.diff(delays) < 0.0)
     assert delays[20] == pytest.approx(0.0, abs=1e-12)  # tilt == base tilt
 
@@ -84,10 +87,12 @@ def test_inner_outer_antisymmetry():
     # and their fast axes alternate
     line = _line(10.0)
     for u in (4.0, 12.0, 19.0):
-        (_, inner), = delay_scan(line, [u], which="inner")
-        (_, outer), = delay_scan(line, [u], which="outer")
-        assert inner + outer == pytest.approx(0.0, abs=1e-12)
-    (_, d12), = delay_scan(line, [12.0], which="inner")
+        (_, inner), = delay_scan(line, [u])
+        first, *middle, last = line.plates
+        outer_tilted = replace(line, plates=(replace(first, tilt_deg=u), *middle,
+                                             replace(last, tilt_deg=u)))
+        assert inner + calcite_delay(outer_tilted) == pytest.approx(0.0, abs=1e-12)
+    (_, d12), = delay_scan(line, [12.0])
     assert d12 == pytest.approx(-14.724583736872773, abs=1e-9)
 
 
@@ -101,13 +106,6 @@ def test_delays_add_per_plate():
     assert calcite_delay(line) == pytest.approx(total, abs=1e-12)
 
 
-def test_uniaxial_index_limits():
-    assert uniaxial_index(N_O, N_E, 0.0) == pytest.approx(N_O, abs=1e-15)
-    assert uniaxial_index(N_O, N_E, np.pi / 2) == pytest.approx(N_E, abs=1e-12)
-    mid = uniaxial_index(N_O, N_E, np.pi / 4)
-    assert N_E < mid < N_O
-
-
 def test_validation():
     with pytest.raises(OutOfRange):
         Plate(thickness_mm=5.0, axis="vertical", tilt_deg=60.0)
@@ -119,6 +117,6 @@ def test_validation():
         DelayLine(plates=[], n_o=N_O, n_e=N_E)
     with pytest.raises(TotalInternalReflection):
         optical_path_mm(0.5, 5.0, 45.0)
-    line = _line(SHIPPED.base_tilt_deg)
-    with pytest.raises(ValueError):
-        delay_scan(line, [5.0], which="middle")
+    two_plates = DelayLine(plates=_line(SHIPPED.base_tilt_deg).plates[:2], n_o=N_O, n_e=N_E)
+    with pytest.raises(ValueError, match="no inner plates"):
+        delay_scan(two_plates, [5.0])

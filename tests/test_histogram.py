@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spdcfilm import NoiseModel, simulate_histogram, subtract_accidentals
 from spdcfilm.config import load_config
 from spdcfilm.errors import TooFewBins
+from spdcfilm.histogram import NoiseModel, simulate_histogram, subtract_accidentals
 
 SEED = 20260819
 SHIPPED = load_config()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spdcfilm import OutOfRange, refractive_index
-from spdcfilm.materials import ConstantIndex, load_material, resolve_index_model
+from spdcfilm.errors import OutOfRange
+from spdcfilm.materials import ConstantIndex, load_material, refractive_index, resolve_index_model
 
 
 def test_fused_silica_at_sodium_line():

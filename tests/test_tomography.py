@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcfilm import (
+from spdcfilm.errors import IncompleteProtocol, SingularFit
+from spdcfilm.qutrit import depolarize
+from spdcfilm.tomography import (
     AnalyzerSetting,
     CoincidenceRecord,
     completeness_check,
@@ -13,11 +15,10 @@ from spdcfilm import (
     forward_rates,
     fringe_scan,
     load_records_csv,
+    project_psd,
     reconstruct,
+    setting,
 )
-from spdcfilm.errors import IncompleteProtocol, SingularFit
-from spdcfilm.qutrit import depolarize
-from spdcfilm.tomography import project_psd, setting
 
 SEED = 20260819
 
@@ -236,9 +237,10 @@ def test_closed_form_visibility_matches_dense_fringe(fixed):
 
 @pytest.mark.parametrize("fixed", ["H", "V", "D", "A", "R"])
 def test_fringe_curve_matches_per_angle_projector_rates(fixed):
-    from spdcfilm.polarization import linear_analyzer, two_photon_projector
+    from spdcfilm.polarization import two_photon_projector
 
-    # reference: arm A's ket built through the waveplates at every angle
+    # reference: arm A's ket built through the waveplates at every angle, the
+    # half-wave plate at t / 2 passing linear t
     rng = np.random.default_rng(SEED + 6)
     eta = setting(fixed).ket()
     grid = np.linspace(-30.0, 330.0, 73)
@@ -247,7 +249,7 @@ def test_fringe_curve_matches_per_angle_projector_rates(fixed):
         curve, _ = fringe_scan(rho, fixed, grid)
         expected = [
             np.real(np.vdot(w, rho @ w))
-            for w in (two_photon_projector(AnalyzerSetting(*linear_analyzer(t)).ket(), eta)
+            for w in (two_photon_projector(AnalyzerSetting(0.0, t / 2).ket(), eta)
                       for t in grid)
         ]
         assert [t for t, _ in curve] == grid.tolist()
