@@ -364,17 +364,22 @@ def load_records_csv(path):
     """Read (protocol, records) from CSV with columns
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
-    A file without records, a row the csv module cannot read (a field over
-    its 131,072-character limit), a row with more cells than the header, or
-    a missing or non-numeric cell or non-finite angle, raises ValueError. Its
-    message names the row as ``record N``, the index its record carries
-    (data rows count from 0), and the column; ``CoincidenceRecord`` rejects
-    non-finite counts in the same words.
+    A file without records, a header or row the csv module cannot read (a
+    field over its 131,072-character limit), a row with more cells than the
+    header, or a missing or non-numeric cell or non-finite angle, raises
+    ValueError. Its message names the ``header``, or the row as ``record N``,
+    the index its record carries (data rows count from 0), and the column;
+    ``CoincidenceRecord`` rejects non-finite counts in the same words.
     """
     protocol, records = [], []
     with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
         try:
-            for idx, row in enumerate(csv.DictReader(fh)):
+            reader.fieldnames  # reads the header
+        except csv.Error as err:
+            raise ValueError(f"header: {err}") from None
+        try:
+            for idx, row in enumerate(reader):
                 if None in row:  # DictReader files the cells past the header under None
                     raise ValueError(f"record {idx}: more cells than the header has columns")
                 cells = []

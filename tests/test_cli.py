@@ -359,6 +359,17 @@ def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
     assert f"bad records file {csv_path}: {message}" in capsys.readouterr().err
 
 
+def test_unreadable_header_exit_code(capsys, tmp_path):
+    # the csv module cannot read the header, so no record was read
+    csv_path = tmp_path / "hdr.csv"
+    csv_path.write_text("qwp_a,hwp_a,qwp_b,hwp_b," + "r" * 200_000 + ",accidental,duration\n"
+                        "0,0,0,0,100.0,2.0,1.0\n")
+    code = main(["tomography", "--records", str(csv_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"bad records file {csv_path}: header: field larger than field limit (131072)" in err
+
+
 def test_degenerate_orientation_exit_code(capsys, tmp_path):
     # normal incidence drives every pair amplitude to zero
     cfg = tmp_path / "flat.cfg"

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -264,7 +265,6 @@ def test_bootstrap_replicate_does_not_depend_on_the_replicate_count(report):
     from spdcfilm.tomography import default_protocol
 
     records, rho_hat, fit, _ = _bootstrap_inputs(report)
-    # spawn() advances a SeedSequence, so each bootstrap gets a fresh one
     few, many = (
         _bootstrap_stack(rho_hat, fit.scale, records, default_protocol(), n_boot,
                          _bootstrap_inputs(report)[3])
@@ -294,6 +294,48 @@ def test_bootstrap_factorizes_each_replicate_once(monkeypatch, report):
     assert [shape for name, shape in calls if name == "eigh" and shape[0] == n_boot] == [
         (n_boot, 3, 3)
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+def test_child_normals_equal_spawned_generators(seed):
+    # 2**130 + 7 has five entropy words, one more than the pool holds
+    from spdcfilm.experiment import _child_normals
+
+    for spawn_key, first, count, size in itertools.product(
+        [(9,), (9, 3)], [0, 1, 1023, 1024], [1, 100], [9, 36]
+    ):
+        seq = np.random.SeedSequence(seed, spawn_key=spawn_key, n_children_spawned=first)
+        expected = np.array(
+            [np.random.default_rng(child).standard_normal(size) for child in seq.spawn(count)]
+        )
+        assert np.array_equal(_child_normals(seq, first, count, size), expected), (
+            spawn_key, first, count, size)
+
+    # the last child spawn makes (it counts children in a uint32), and a
+    # child index past one uint32 word
+    seq = np.random.SeedSequence(seed, spawn_key=(9,), n_children_spawned=2**32 - 2)
+    last = np.random.default_rng(seq.spawn(1)[0]).standard_normal(9)
+    assert np.array_equal(_child_normals(seq, 2**32 - 2, 1, 9), [last])
+    with pytest.raises(ValueError, match="two words"):
+        _child_normals(seq, 2**32 - 1, 2, 9)
+
+
+def test_bootstrap_makes_no_generator_per_replicate(monkeypatch, report):
+    from spdcfilm.tomography import default_protocol
+
+    cfg = load_config()
+    records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
+    calls = []
+
+    def counting(*args, _original=np.random.default_rng, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    experiment._bootstrap_sigmas(cfg, rho_hat, fit.scale, records, default_protocol(), boot_seq)
+    assert cfg.run.bootstrap_samples == 100
+    assert calls == []
+    assert boot_seq.n_children_spawned == 0
 
 
 def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
