@@ -1,11 +1,11 @@
 """Typed experiment configuration loaded from INI files.
 
 Defaults ship in ``data/default.cfg``; a user file overlays them. The
-schema is the dataclasses below: each section is a field of
-``ExperimentConfig``, each key a field of its section's dataclass, parsed
-by that field's annotation. Malformed files, unknown sections or keys,
-unparsable or non-finite values, unknown materials and out-of-range
-parameters all raise :class:`ConfigError`.
+schema is the dataclasses below and ``spectral.FilmStack``, the ``[film]``
+section: each section is a field of ``ExperimentConfig``, each key a field
+of its section's dataclass, parsed by that field's annotation. Malformed
+files, unknown sections or keys, unparsable or non-finite values, unknown
+materials and out-of-range parameters all raise :class:`ConfigError`.
 """
 
 import configparser
@@ -29,9 +29,12 @@ def _require(condition: bool, message: str):
 
 
 def _built(section: str, build, *args, **kwargs):
-    """``build(...)``; its ValueError or SpdcFilmError becomes a ConfigError naming ``section``."""
+    """``build(...)``; its ValueError or SpdcFilmError becomes a ConfigError
+    naming ``section``, and a ConfigError passes through unchanged."""
     try:
         return build(*args, **kwargs)
+    except ConfigError:
+        raise
     except (ValueError, SpdcFilmError) as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
@@ -70,14 +73,6 @@ class PumpConfig:
     def __post_init__(self):
         _require(self.wavelength_nm > 0, "pump wavelength_nm must be positive")
         _require(math.isfinite(self.angle_deg), "pump angle_deg must be a finite number")
-
-
-@dataclass(frozen=True)
-class FilmConfig:
-    thickness_nm: float
-    film_index: object
-    substrate_index: object
-    ambient_index: object
 
 
 @dataclass(frozen=True)
@@ -183,6 +178,8 @@ class HomConfig:
 
     def __post_init__(self):
         _require(self.delay_points >= 2, "hom delay grid needs at least 2 points")
+        _require(math.isfinite(self.delay_stop_fs - self.delay_start_fs),
+                 "hom delay grid must span a finite range")
 
 
 @dataclass(frozen=True)
@@ -195,6 +192,8 @@ class FringeConfig:
     def __post_init__(self):
         object.__setattr__(self, "fixed_analyzer", self.fixed_analyzer.upper())
         _require(self.theta_points >= 8, "fringe grid needs at least 8 points")
+        _require(math.isfinite(self.theta_stop_deg - self.theta_start_deg),
+                 "fringe theta grid must span a finite range")
         theta_grid = np.linspace(self.theta_start_deg, self.theta_stop_deg, self.theta_points)
         _built("fringe", fringe_scan, np.eye(3) / 3, self.fixed_analyzer, theta_grid)
 
@@ -207,6 +206,9 @@ class RunConfig:
     def __post_init__(self):
         _require(self.seed >= 0, "run seed must be nonnegative")
         _require(self.bootstrap_samples >= 0, "run bootstrap_samples must be nonnegative")
+        # replicate k draws from child k of one SeedSequence, and SeedSequence
+        # numbers its children in a uint32
+        _require(self.bootstrap_samples <= 2**32, "run bootstrap_samples must be at most 2**32")
         # one replicate has no sample spread: its sigmas would all be NaN
         _require(self.bootstrap_samples != 1, "run bootstrap_samples must be 0 or at least 2")
 
@@ -216,7 +218,7 @@ class ExperimentConfig:
     crystal: CrystalConfig
     calibration: CalibrationConfig
     pump: PumpConfig
-    film: FilmConfig
+    film: FilmStack
     spectrum: SpectrumConfig
     filters: FiltersConfig
     detector_response: DetectorResponseConfig
@@ -230,23 +232,13 @@ class ExperimentConfig:
     run: RunConfig
 
     def __post_init__(self):
-        # FilmStack checks the thickness and resolves and checks the three
-        # index models; the config keeps it, so film_stack() builds no other
-        stack = _built("film", FilmStack, self.film.thickness_nm, self.film.film_index,
-                       self.film.substrate_index, self.film.ambient_index,
-                       self.pump.wavelength_nm)
-        object.__setattr__(self, "_film_stack", stack)
         # the grid's extreme detunings put the signal and idler at v0 +- span
         # (v0 = v_p / 2): every [film] index model must hold there and at the
         # pump before any stage runs, not only when the spectrum is built
         nu0 = C_NM_THZ / self.pump.wavelength_nm / 2.0
         span = self.spectrum.span_thz
         _require(span < nu0, f"spectrum span_thz must stay below the degenerate {nu0:.6g} THz")
-        _built("spectrum", stack.indices, [2.0 * nu0, nu0 + span, nu0 - span])
-
-    def film_stack(self) -> FilmStack:
-        """The film etalon of the [film] section, pumped at the [pump] wavelength."""
-        return self._film_stack
+        _built("spectrum", self.film.indices, [2.0 * nu0, nu0 + span, nu0 - span])
 
 
 def _read_parser(path) -> configparser.ConfigParser:
@@ -321,11 +313,12 @@ def load_config(path=None) -> ExperimentConfig:
     """Load the packaged defaults, overlaid by ``path`` if given.
 
     Every section is the dataclass of the same-named ``ExperimentConfig``
-    field, and each key is parsed by the annotation of its field.
+    field, and each key is parsed by the annotation of its field. A section
+    that rejects its values raises a ConfigError naming it.
     """
     parser = _read_parser(path)
     return ExperimentConfig(**{
-        section.name: section.type(**{
+        section.name: _built(section.name, section.type, **{
             f.name: _PARSERS[f.type](parser.get(section.name, f.name), section.name, f.name)
             for f in fields(section.type)
         })

@@ -88,8 +88,12 @@ def plate_delay_fs(plate: Plate, n_o: float, n_e: float) -> float:
 
 
 def calcite_delay(line: DelayLine) -> float:
-    """Total H-minus-V delay of the line, in fs."""
-    return float(sum(plate_delay_fs(p, line.n_o, line.n_e) for p in line.plates))
+    """Total H-minus-V delay of the line, in fs; OutOfRange unless it is finite
+    (plates so thick that a path or the sum overflows)."""
+    delay = float(sum(plate_delay_fs(p, line.n_o, line.n_e) for p in line.plates))
+    if not math.isfinite(delay):
+        raise OutOfRange(f"delay line delay {delay} fs is not a finite number")
+    return delay
 
 
 def default_delay_line(base_tilt_deg: float, thickness_mm: float,
@@ -101,8 +105,9 @@ def default_delay_line(base_tilt_deg: float, thickness_mm: float,
     ``wavelength_um`` (``[delay_line]`` sets all three); tilting the inner
     (horizontal-axis) pair away from the base scans the delay through zero.
     """
-    n_o = refractive_index("calcite_o", wavelength_um)
-    n_e = refractive_index("calcite_e", wavelength_um)
+    # Python floats: a path that overflows is infinite, not a NumPy warning
+    n_o = float(refractive_index("calcite_o", wavelength_um))
+    n_e = float(refractive_index("calcite_e", wavelength_um))
     axes = ("vertical", "horizontal", "horizontal", "vertical")
     plates = tuple(
         Plate(thickness_mm=thickness_mm, axis=a, tilt_deg=base_tilt_deg) for a in axes

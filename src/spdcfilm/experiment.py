@@ -26,7 +26,7 @@ configurations, so a seed sweep or a CLI command after a run pays for it once:
   ``[calibration]``, ``[pump]``, the ``[noise]`` depolarization. The
   orientation alone is memoized on the first two.
 * ``spectral_section`` -> ``SpectralSection`` (pair spectrum, HOM curves and
-  widths): ``[spectrum]``, the film etalon at the pump wavelength,
+  widths): ``[spectrum]``, ``[film]``, the ``[pump]`` wavelength,
   ``[filters]``, ``[detector_response]``, ``[hom]``.
 * ``delay_line_scan`` -> ``DelayScan`` (calcite delay scan): ``[delay_line]``.
 
@@ -276,7 +276,8 @@ def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
         v_pump=v_pump,
         pumped=pumped,
         rho=rho,
-        f_model=bell_mod.chsh_value(bell_mod.split_postselect_rho(rho)),
+        f_model=bell_mod.chsh_value(bell_mod.split_postselect_rho(rho),
+                                    bell_mod.default_chsh_settings()),
     )
 
 
@@ -330,12 +331,12 @@ class SpectralSection:
         )
 
 
-@_memoized(lambda cfg: (cfg.spectrum, cfg.film_stack(), cfg.filters, cfg.detector_response,
-                        cfg.hom))
-def spectral_section(spectrum, film_stack, filters, detector_response, hom) -> SpectralSection:
+@_memoized(lambda cfg: (cfg.spectrum, cfg.film, cfg.pump.wavelength_nm, cfg.filters,
+                        cfg.detector_response, cfg.hom))
+def spectral_section(spectrum, film, pump_nm, filters, detector_response, hom) -> SpectralSection:
     """``spectral_section(cfg)``: the configured film's ``SpectralSection``."""
     grid = default_grid(spectrum.span_thz, spectrum.points)
-    spec = joint_spectrum(film_stack, grid)
+    spec = joint_spectrum(film, pump_nm, grid)
     spec = apply_detector_response(
         spec,
         longpass_pair_response(spec, filters.longpass_cuton_nm, filters.edge_width_thz),
@@ -717,15 +718,17 @@ class BellResult:
 
 
 def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed_seq) -> BellResult:
-    """The CHSH test of the reconstructed ``tomography.rho``, beside the model
-    state's ``source_model(cfg).f_model``: ``[bell] counts_per_setting`` pairs
-    per setting, drawn from the next spawned child of ``seed_seq``."""
+    """The CHSH test of the reconstructed ``tomography.rho`` at
+    ``default_chsh_settings()``, beside the model state's
+    ``source_model(cfg).f_model``: ``[bell] counts_per_setting`` pairs per
+    setting, drawn from the next spawned child of ``seed_seq``."""
     rho4 = bell_mod.split_postselect_rho(tomography.rho)
+    settings = bell_mod.default_chsh_settings()
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
-        rho4, cfg.bell.counts_per_setting, seed_seq.spawn(1)[0])
+        rho4, cfg.bell.counts_per_setting, seed_seq.spawn(1)[0], settings)
     return BellResult(
         f_model=source_model(cfg).f_model,
-        f_reconstructed=bell_mod.chsh_value(rho4),
+        f_reconstructed=bell_mod.chsh_value(rho4, settings),
         f_simulated=f_sim,
         sigma_f=sigma_f,
         std_devs_above_classical=std_devs,

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewBins
+from .errors import OutOfRange, TooFewBins
+
+#: the largest Poisson mean drawn: NumPy rejects means above about 9.2e18, and
+#: the sum of two draws (the zero-delay bin's) stays below 2**63 at this bound
+MAX_POISSON_MEAN = 1e18
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,12 @@ class TimeTagHistogram:
         return int(np.argmin(np.abs(self.centers_ns)))
 
 
+def check_poisson_mean(mean: float, what: str):
+    """OutOfRange naming ``what`` unless ``mean`` is at most MAX_POISSON_MEAN."""
+    if not mean <= MAX_POISSON_MEAN:  # False for NaN
+        raise OutOfRange(f"{what} Poisson mean {mean:g} exceeds {MAX_POISSON_MEAN:g} counts")
+
+
 def simulate_histogram(
     noise: NoiseModel, duration_s: float, n_bins: int, bin_width_ns: float, seed
 ) -> TimeTagHistogram:
@@ -70,7 +80,8 @@ def simulate_histogram(
     Every bin receives Poisson(singles_a * singles_b * bin_width *
     duration) accidentals; the central bin additionally receives
     Poisson(pair_rate * efficiency * duration) true pairs. ``seed`` is an
-    integer, a SeedSequence or a Generator (drawn from as is).
+    integer, a SeedSequence or a Generator (drawn from as is). A mean above
+    MAX_POISSON_MEAN raises OutOfRange before any draw.
     """
     if n_bins < 3 or n_bins % 2 == 0:
         raise ValueError("n_bins must be odd and at least 3")
@@ -80,8 +91,11 @@ def simulate_histogram(
     half = n_bins // 2
     centers = (np.arange(n_bins) - half) * bin_width_ns
     mean_floor = noise.accidental_rate_per_ns * bin_width_ns * duration_s
+    mean_pairs = noise.pair_rate_hz * noise.efficiency * duration_s
+    check_poisson_mean(mean_floor, "accidental floor per bin")
+    check_poisson_mean(mean_pairs, "zero-delay pair")
     counts = rng.poisson(mean_floor, size=n_bins)
-    counts[half] += rng.poisson(noise.pair_rate_hz * noise.efficiency * duration_s)
+    counts[half] += rng.poisson(mean_pairs)
     return TimeTagHistogram(
         centers_ns=centers,
         counts=counts,

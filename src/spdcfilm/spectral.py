@@ -20,8 +20,6 @@ Frequency unit conventions: frequencies and detunings in THz, delays in
 fs, lengths in nm; c = 299792.458 nm THz.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, replace
 
@@ -35,20 +33,20 @@ C_NM_THZ = 299792.458  # speed of light in nm*THz
 
 @dataclass(frozen=True)
 class FilmStack:
-    """Film etalon: thickness, index models, pump wavelength.
+    """The film etalon, and the ``[film]`` section: its fields are the keys.
 
     Each index model is a material name from the data file or a plain number
     (a constant index). The stack resolves them once, when it is made: a
     thickness that is not positive (NaN included), an unknown material or a
     constant that is not finite and positive raises ValueError, which names
-    the index (film, substrate or ambient).
+    the index (film, substrate or ambient). The stack does not depend on the
+    pump: ``joint_spectrum`` takes the pump wavelength beside it.
     """
 
     thickness_nm: float
-    film: object
-    substrate: object
-    ambient: object
-    pump_nm: float
+    film_index: object
+    substrate_index: object
+    ambient_index: object
 
     def __post_init__(self):
         if not self.thickness_nm > 0:  # False for NaN
@@ -56,7 +54,7 @@ class FilmStack:
         models = []
         for name in ("film", "substrate", "ambient"):
             try:
-                models.append(resolve_index_model(getattr(self, name)))
+                models.append(resolve_index_model(getattr(self, f"{name}_index")))
             except (KeyError, ValueError) as exc:  # their messages name the model
                 raise ValueError(f"{name} index: {exc.args[0]}") from None
         object.__setattr__(self, "_models", tuple(models))
@@ -117,14 +115,15 @@ def check_grid(grid) -> np.ndarray:
     return omega
 
 
-def joint_spectrum(stack: FilmStack, grid) -> SpectralAmplitude:
-    """Degenerate-pair spectral amplitude on the detuning grid (THz).
+def joint_spectrum(stack: FilmStack, pump_nm: float, grid) -> SpectralAmplitude:
+    """Degenerate-pair spectral amplitude of the film ``stack`` pumped at
+    ``pump_nm``, on the detuning grid (THz).
 
     The grid must cover at least +-100 THz; the packaged ``[spectrum]`` grid,
     +-150 THz in 4096 points, resolves the ~10 fs interference features with margin.
     """
     omega = check_grid(grid)
-    nu_p = C_NM_THZ / stack.pump_nm
+    nu_p = C_NM_THZ / pump_nm
     nu0 = nu_p / 2.0
     nu_s, nu_i = nu0 + omega, nu0 - omega
     n_p, n_s, n_i = stack.indices(nu_p), stack.indices(nu_s), stack.indices(nu_i)
@@ -137,7 +136,7 @@ def joint_spectrum(stack: FilmStack, grid) -> SpectralAmplitude:
         * _airy_factor(n_s, nu_s, stack.thickness_nm)
         * _airy_factor(n_i, nu_i, stack.thickness_nm)
     )
-    return SpectralAmplitude(omega_thz=omega, phi=phi, pump_nm=stack.pump_nm,
+    return SpectralAmplitude(omega_thz=omega, phi=phi, pump_nm=pump_nm,
                              response=np.ones_like(omega))
 
 

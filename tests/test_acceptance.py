@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spdcfilm import chi2_zincblende, load_config, pump_ket, spdc_amplitudes
-from spdcfilm.bell import chsh_value, split_postselect, werner_state
+from spdcfilm.bell import chsh_value, default_chsh_settings, split_postselect, werner_state
 from spdcfilm.crystal import CrystalOrientation
 from spdcfilm.delayline import DelayLine, Plate, calcite_delay
 from spdcfilm.histogram import NoiseModel, simulate_histogram, subtract_accidentals
@@ -169,11 +169,12 @@ def test_06_fringe_visibility_and_nulls():
 
 
 def test_07_chsh_bound_and_werner():
+    settings = default_chsh_settings()
     psi_plus = split_postselect(check_state((0.0, 1.0, 0.0)))
-    assert chsh_value(psi_plus) == pytest.approx(SQRT2, abs=1e-10)
-    assert chsh_value(werner_state(0.96)) == pytest.approx(1.357, abs=1e-3)
+    assert chsh_value(psi_plus, settings) == pytest.approx(SQRT2, abs=1e-10)
+    assert chsh_value(werner_state(0.96), settings) == pytest.approx(1.357, abs=1e-3)
     rng = np.random.default_rng(SEED)
-    values = [chsh_value(_random_rho(rng, dim=4)) for _ in range(500)]
+    values = [chsh_value(_random_rho(rng, dim=4), settings) for _ in range(500)]
     assert max(values) <= SQRT2 + 1e-9
 
 
@@ -181,7 +182,7 @@ def _shipped_band():
     """The shipped film's spectrum on the [spectrum] grid, in the [filters] band."""
     cfg = load_config()
     grid = default_grid(cfg.spectrum.span_thz, cfg.spectrum.points)
-    spec = joint_spectrum(cfg.film_stack(), grid)
+    spec = joint_spectrum(cfg.film, cfg.pump.wavelength_nm, grid)
     band = longpass_pair_response(spec, cfg.filters.longpass_cuton_nm, cfg.filters.edge_width_thz)
     return apply_detector_response(spec, band)
 

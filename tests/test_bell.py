@@ -35,9 +35,8 @@ def test_stokes_operators_match_pauli_oracle():
 
 def test_split_postselect_of_middle_state():
     two = split_postselect(np.array([0.0, 1.0, 0.0]))
-    assert two.postselection_probability == 0.5
     # |psi+> = (|HV> + |VH>)/sqrt(2)
-    assert np.allclose(two.amplitudes, [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
+    assert np.allclose(two, [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
 
 
 def test_postselection_probability_is_state_independent():
@@ -46,8 +45,7 @@ def test_postselection_probability_is_state_independent():
         state = rng.normal(size=3) + 1j * rng.normal(size=3)
         state /= np.linalg.norm(state)
         two = split_postselect(state)
-        assert two.postselection_probability == 0.5
-        assert np.linalg.norm(two.amplitudes) == pytest.approx(1.0)
+        assert np.linalg.norm(two) == pytest.approx(1.0)
 
 
 def test_split_postselect_rho_matches_pure_path():
@@ -55,13 +53,13 @@ def test_split_postselect_rho_matches_pure_path():
     state = rng.normal(size=3) + 1j * rng.normal(size=3)
     state /= np.linalg.norm(state)
     rho4 = split_postselect_rho(np.outer(state, state.conj()))
-    amp = split_postselect(state).amplitudes
+    amp = split_postselect(state)
     assert np.allclose(rho4, np.outer(amp, amp.conj()), atol=1e-12)
     assert np.trace(rho4).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_plus_correlators_oracle():
-    psi = split_postselect(np.array([0.0, 1.0, 0.0])).amplitudes
+    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
 
     def correlator(i, j):  # <S_i^A x S_j^B>
         return float(np.real(np.vdot(psi, np.kron(STOKES[i], STOKES[j]) @ psi)))
@@ -75,7 +73,7 @@ def test_psi_plus_correlators_oracle():
 
 def test_chsh_reaches_tsirelson_for_psi_plus():
     psi = split_postselect(np.array([0.0, 1.0, 0.0]))
-    assert chsh_value(psi) == pytest.approx(np.sqrt(2.0), abs=1e-10)
+    assert chsh_value(psi, default_chsh_settings()) == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
 
 def test_chsh_oracle_from_raw_kron_algebra():
@@ -87,11 +85,11 @@ def test_chsh_oracle_from_raw_kron_algebra():
         (s.a, s.b, 1), (s.a_prime, s.b, 1), (s.a, s.b_prime, 1), (s.a_prime, s.b_prime, -1),
     ]:
         f += sign * np.real(psi.conj() @ np.kron(obs_a, obs_b) @ psi)
-    assert abs(f) / 2.0 == pytest.approx(chsh_value(psi), abs=1e-12)
+    assert abs(f) / 2.0 == pytest.approx(chsh_value(psi, s), abs=1e-12)
 
 
 def test_two_qubit_inputs_validated_as_density_matrices():
-    psi = split_postselect(np.array([0.0, 1.0, 0.0])).amplitudes
+    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
     bad = [
         2.0 * psi,  # unnormalized ket: its dyad has trace 4
         np.diag([1.0, 0.5, 0.0, -0.5]),  # unit trace, not PSD
@@ -100,19 +98,20 @@ def test_two_qubit_inputs_validated_as_density_matrices():
     ]
     for m in bad:
         with pytest.raises(InvalidDensityMatrix):
-            chsh_value(m)
+            chsh_value(m, default_chsh_settings())
         with pytest.raises(InvalidDensityMatrix):
-            simulate_chsh(m, 100, seed=SEED)
+            simulate_chsh(m, 100, SEED, default_chsh_settings())
     with pytest.raises(NotNormalized):
         split_postselect(np.array([0.0, 2.0, 0.0]))
 
 
 def test_werner_line():
-    assert chsh_value(werner_state(1.0)) == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert chsh_value(werner_state(0.0)) == pytest.approx(0.0, abs=1e-12)
+    s = default_chsh_settings()
+    assert chsh_value(werner_state(1.0), s) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert chsh_value(werner_state(0.0), s) == pytest.approx(0.0, abs=1e-12)
     # linear in the mixing parameter
-    assert chsh_value(werner_state(0.96)) == pytest.approx(0.96 * np.sqrt(2.0), abs=1e-12)
-    assert chsh_value(werner_state(0.96)) == pytest.approx(1.3576, abs=1e-3)
+    assert chsh_value(werner_state(0.96), s) == pytest.approx(0.96 * np.sqrt(2.0), abs=1e-12)
+    assert chsh_value(werner_state(0.96), s) == pytest.approx(1.3576, abs=1e-3)
     with pytest.raises(InvalidState):
         werner_state(1.2)
 
@@ -123,7 +122,7 @@ def test_random_states_respect_quantum_bound():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        assert chsh_value(rho) <= np.sqrt(2.0) + 1e-9
+        assert chsh_value(rho, default_chsh_settings()) <= np.sqrt(2.0) + 1e-9
 
 
 def test_chsh_covariant_under_shared_rotation():
@@ -133,7 +132,7 @@ def test_chsh_covariant_under_shared_rotation():
     from spdcfilm.bell import ChshSettings
 
     rng = np.random.default_rng(SEED + 3)
-    psi = split_postselect(np.array([0.0, 1.0, 0.0])).amplitudes
+    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
     base = default_chsh_settings()
     for theta in rng.uniform(0.05, np.pi / 2, 20):
         u = np.array(
@@ -149,15 +148,15 @@ def test_chsh_covariant_under_shared_rotation():
         )
         assert chsh_value(rotated, co) == pytest.approx(np.sqrt(2.0), abs=1e-10)
         # fixed settings degrade as sqrt(2) |cos 4 theta|
-        assert chsh_value(rotated) == pytest.approx(
+        assert chsh_value(rotated, base) == pytest.approx(
             np.sqrt(2.0) * abs(np.cos(4 * theta)), abs=1e-10
         )
 
 
 def test_simulated_chsh_converges():
     rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
-    exact = chsh_value(rho4)
-    f, sigma, nsig = simulate_chsh(rho4, 200000, seed=SEED)
+    exact = chsh_value(rho4, default_chsh_settings())
+    f, sigma, nsig = simulate_chsh(rho4, 200000, SEED, default_chsh_settings())
     assert sigma < 0.01
     assert f == pytest.approx(exact, abs=4 * sigma)
     assert nsig > 30
@@ -165,12 +164,12 @@ def test_simulated_chsh_converges():
 
 def test_simulated_chsh_is_seeded():
     rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
-    assert simulate_chsh(rho4, 500, seed=42) == simulate_chsh(rho4, 500, seed=42)
-    assert simulate_chsh(rho4, 500, seed=42) != simulate_chsh(rho4, 500, seed=43)
+    s = default_chsh_settings()
+    assert simulate_chsh(rho4, 500, 42, s) == simulate_chsh(rho4, 500, 42, s)
+    assert simulate_chsh(rho4, 500, 42, s) != simulate_chsh(rho4, 500, 43, s)
 
 
-def _reference_terms(settings):
-    s = settings or default_chsh_settings()
+def _reference_terms(s):
     return [(s.a, s.b, 1), (s.a_prime, s.b, 1), (s.a, s.b_prime, 1), (s.a_prime, s.b_prime, -1)]
 
 
@@ -226,7 +225,7 @@ def _rotated_settings(rng):
 
 
 def test_chsh_outcome_table_matches_scalar_reference():
-    from spdcfilm.bell import ChshSettings, _outcome_draws, _table
+    from spdcfilm.bell import ChshSettings, _outcome_draws
 
     rng = np.random.default_rng(SEED + 4)
     custom = _rotated_settings(rng)
@@ -236,9 +235,9 @@ def test_chsh_outcome_table_matches_scalar_reference():
     for seed in range(200):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho4 = split_postselect_rho(a @ a.conj().T / np.trace(a @ a.conj().T).real)
-        for settings in (None, custom, merged):
+        for settings in (base, custom, merged):
             draws, f, sigma_f = _reference_simulate_chsh(rho4, 500, seed, settings)
-            assert _outcome_draws(rho4, 500, seed, _table(settings)) == draws
+            assert _outcome_draws(rho4, 500, seed, settings) == draws
             if settings is merged:
                 # the merge only reorders the sums
                 f_table, sigma_table = simulate_chsh(rho4, 500, seed, settings)[:2]
@@ -257,14 +256,12 @@ def test_setting_without_counts_raises():
     rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
     for seed in range(4):
         with pytest.raises(InvalidState, match="no counts recorded for a CHSH setting"):
-            simulate_chsh(rho4, 1, seed)
+            simulate_chsh(rho4, 1, seed, default_chsh_settings())
 
 
 def test_default_chsh_table_is_built_once_and_read_only():
-    from spdcfilm.bell import _table
-
-    table = _table(None)
-    assert _table(None) is table
+    table = default_chsh_settings()
+    assert default_chsh_settings() is table
     assert table.correlators.shape == (4, 4, 4) and table.projectors.shape == (4, 4, 4, 4)
     for shared in (table.correlators, table.projectors):
         with pytest.raises(ValueError):

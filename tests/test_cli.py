@@ -303,6 +303,55 @@ def test_spectrum_span_checked_against_index_data_at_load(capsys, tmp_path, span
     assert (tmp_path / "out" / "report.json").exists() == (expected == EXIT_OK)
 
 
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("tomography", "[tomography]\nduration_per_setting_s = 1e16\n",
+         "zero-delay pair Poisson mean 1.44004e+19 exceeds 1e+18 counts"),
+        ("run", "[noise]\nsingles_a_hz = 1e200\n",
+         "accidental floor per bin Poisson mean 3e+196 exceeds 1e+18 counts"),
+        ("run", "[histogram]\nbin_width_ns = 1e300\n",
+         "accidental floor per bin Poisson mean 9e+300 exceeds 1e+18 counts"),
+        ("bell", f"[bell]\ncounts_per_setting = {10**21}\n",
+         "CHSH outcome Poisson mean 5.41601e+20 exceeds 1e+18 counts"),
+    ],
+    ids=["tomography_duration", "singles_rate", "bin_width", "bell_counts"],
+)
+def test_poisson_mean_past_numpys_range_exit_code(capsys, tmp_path, command, body, message):
+    # NumPy's Poisson draw rejects means above about 9.2e18 with a ValueError
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(body)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("hom", "[hom]\ndelay_start_fs = -1e308\ndelay_stop_fs = 1e308\n",
+         "hom delay grid must span a finite range"),
+        ("run", "[fringe]\ntheta_start_deg = -1e308\ntheta_stop_deg = 1e308\n",
+         "fringe theta grid must span a finite range"),
+        ("run", "[delay_line]\nplate_thickness_mm = 1e306\n",
+         "[delay_line] delay line delay nan fs is not a finite number"),
+        ("run", f"[run]\nbootstrap_samples = {2**32 + 1}\n",
+         "run bootstrap_samples must be at most 2**32"),
+    ],
+    ids=["hom_delays", "fringe_angles", "plate_thickness", "bootstrap_samples"],
+)
+def test_finite_values_that_overflow_exit_code(capsys, tmp_path, command, body, message):
+    # each grid or delay overflowed to NaN or infinity: a JSON encoding error,
+    # or NaN rows in fringe.csv
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(body)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_single_bootstrap_replicate_exit_code(capsys, tmp_path):
     cfg = tmp_path / "one.cfg"
     cfg.write_text("[run]\nbootstrap_samples = 1\n")

@@ -104,6 +104,17 @@ def test_single_bootstrap_replicate_rejected(tmp_path):
         assert load_config(path).run.bootstrap_samples == n
 
 
+def test_bootstrap_samples_bounded_by_the_child_count(tmp_path):
+    # replicate k draws from child k of a SeedSequence, which numbers its
+    # children in a uint32: 2**32 replicates load (they are not run here)
+    path = tmp_path / "user.cfg"
+    path.write_text(f"[run]\nbootstrap_samples = {2**32}\n")
+    assert load_config(path).run.bootstrap_samples == 2**32
+    path.write_text(f"[run]\nbootstrap_samples = {2**32 + 1}\n")
+    with pytest.raises(ConfigError, match=r"^run bootstrap_samples must be at most 2\*\*32$"):
+        load_config(path)
+
+
 MALFORMED = {
     "no_section_header": b"angle_deg = 5\n",
     "duplicate_key": b"[pump]\nangle_deg = 5\nangle_deg = 6\n",

@@ -540,6 +540,14 @@ def test_memo_keys_follow_the_sections_each_stage_reads(stage_calls):
     # a new delay line rescans it
     run_experiment(replace(base, delay_line=replace(base.delay_line, scan_points=11)), seed=3)
     assert stage_calls["delay_scan"] == 2
+    # a new film thickness or pump wavelength recomputes the spectrum, a new
+    # pump angle only the source model
+    run_experiment(replace(base, film=replace(base.film, thickness_nm=410.0)), seed=3)
+    assert stage_calls["joint_spectrum"] == 3
+    run_experiment(replace(base, pump=replace(base.pump, wavelength_nm=640.0)), seed=3)
+    assert stage_calls["joint_spectrum"] == 4
+    run_experiment(replace(base, pump=replace(base.pump, angle_deg=45.0)), seed=3)
+    assert (stage_calls["joint_spectrum"], stage_calls["spdc_amplitudes"]) == (4, 15)
 
 
 def test_memo_tells_negative_zero_from_zero():

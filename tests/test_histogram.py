@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from spdcfilm.config import load_config
-from spdcfilm.errors import TooFewBins
-from spdcfilm.histogram import NoiseModel, simulate_histogram, subtract_accidentals
+from spdcfilm.errors import OutOfRange, TooFewBins
+from spdcfilm.histogram import (
+    MAX_POISSON_MEAN,
+    NoiseModel,
+    simulate_histogram,
+    subtract_accidentals,
+)
 
 SEED = 20260819
 SHIPPED = load_config()
@@ -103,6 +108,17 @@ def test_validation():
     hist = simulate_histogram(noise, 1.0, 21, WIDTH, SEED)
     with pytest.raises(TooFewBins):
         subtract_accidentals(hist, exclusion_bins=5)
+
+
+def test_poisson_means_bounded_below_numpys_range():
+    # the zero-delay bin adds two draws of at most MAX_POISSON_MEAN: their sum fits an int64
+    both = NoiseModel(MAX_POISSON_MEAN, 1.0, MAX_POISSON_MEAN, 0.999e9)  # floor 0.999e18 per ns
+    hist = simulate_histogram(both, 1.0, 3, 1.0, SEED)
+    assert hist.counts[1] == pytest.approx(1.999 * MAX_POISSON_MEAN, rel=1e-6)
+    with pytest.raises(OutOfRange, match="^zero-delay pair Poisson mean 1.1e\\+18 exceeds"):
+        simulate_histogram(_noise(pair_rate_hz=1.1e18), 1.0, BINS, WIDTH, SEED)
+    with pytest.raises(OutOfRange, match="^accidental floor per bin Poisson mean 1.998e\\+18 "):
+        simulate_histogram(both, 1.0, 3, 2.0, SEED)
 
 
 def test_generator_seed_accepted():

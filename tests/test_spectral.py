@@ -37,7 +37,8 @@ from spdcfilm.spectral import (
 
 SEED = 20260819
 SHIPPED = load_config()
-STACK = SHIPPED.film_stack()  # 400 nm of GaP on fused silica, pumped at 638 nm
+STACK = SHIPPED.film  # 400 nm of GaP on fused silica
+PUMP_NM = SHIPPED.pump.wavelength_nm  # 638 nm
 POINTS = SHIPPED.spectrum.points  # 4096
 
 
@@ -53,7 +54,7 @@ def _band(spec):
 
 
 def _banded_default():
-    spec = joint_spectrum(STACK, _grid(POINTS))
+    spec = joint_spectrum(STACK, PUMP_NM, _grid(POINTS))
     return apply_detector_response(spec, _band(spec))
 
 
@@ -68,14 +69,14 @@ def test_default_band_dip_width():
 def test_unfiltered_spectrum_dips_faster():
     # the raw etalon spectrum keeps far side lobes; its correlation time
     # is set by the full emission bandwidth, not the degenerate lobe
-    spec = joint_spectrum(STACK, _grid(POINTS))
+    spec = joint_spectrum(STACK, PUMP_NM, _grid(POINTS))
     assert hom_fwhm(spec) == pytest.approx(3.73, abs=0.02)
     assert intensity_fwhm(spec) == pytest.approx(55.8, abs=0.3)
 
 
 def test_grid_requirements():
     with pytest.raises(GridTooNarrow):
-        joint_spectrum(STACK, default_grid(80.0, POINTS))
+        joint_spectrum(STACK, PUMP_NM, default_grid(80.0, POINTS))
     grid = _grid(POINTS)
     assert np.allclose(grid, -grid[::-1])
     assert np.ptp(np.diff(grid)) < 1e-9
@@ -83,7 +84,7 @@ def test_grid_requirements():
 
 def test_grid_doubling_stability():
     base = _banded_default()
-    spec2 = joint_spectrum(STACK, _grid(8192))
+    spec2 = joint_spectrum(STACK, PUMP_NM, _grid(8192))
     spec2 = apply_detector_response(spec2, _band(spec2))
     assert intensity_fwhm(spec2) == pytest.approx(intensity_fwhm(base), rel=5e-3)
     assert hom_fwhm(spec2) == pytest.approx(hom_fwhm(base), rel=5e-3)
@@ -148,7 +149,7 @@ def test_blockwise_contrast_matches_dense_formula():
     )
     # the unfiltered spectrum's steep far lobes: without the first-order term
     # for the grid's ulp-level unevenness, g here is off by 1.6e-14
-    raw = joint_spectrum(STACK, _grid(POINTS))
+    raw = joint_spectrum(STACK, PUMP_NM, _grid(POINTS))
     taus = np.linspace(-400.0, 400.0, 601)
     np.testing.assert_allclose(
         interference_contrast(raw, taus), _dense_contrast(raw, taus), rtol=0.0, atol=1e-14
@@ -177,7 +178,7 @@ def _gaussian_spectrum(fwhm_thz):
 
 def _fine_lorentzian():
     # the 16,384-point banded spectrum with the 90 THz Lorentzian detector
-    spec = joint_spectrum(STACK, _grid(16384))
+    spec = joint_spectrum(STACK, PUMP_NM, _grid(16384))
     spec = apply_detector_response(spec, _band(spec))
     return apply_detector_response(spec, lorentzian_response(spec, 90.0))
 
@@ -277,7 +278,7 @@ def test_fwhm_memory_at_default_grid():
 
 def test_hom_kernel_memory_bounded_on_fine_grid():
     # 16x the default grid: a dense 4001-delay kernel would need 4 GB
-    spec = joint_spectrum(STACK, _grid(65536))
+    spec = joint_spectrum(STACK, PUMP_NM, _grid(65536))
     spec = apply_detector_response(spec, _band(spec))
     fwhm_thz = SHIPPED.detector_response.fwhm_thz
     spec = apply_detector_response(spec, lorentzian_response(spec, fwhm_thz))
@@ -343,14 +344,15 @@ def test_detector_narrowing_tradeoff():
 
 def test_film_stack_rejects_nan_thickness():
     with pytest.raises(ValueError, match="film thickness must be positive"):
-        FilmStack(float("nan"), "gap", "fused_silica", 1.0, 638.0)
+        FilmStack(float("nan"), "gap", "fused_silica", 1.0)
 
 
 def test_film_stack_checks_its_index_models_when_made():
     specs = {"film": "gap", "substrate": "fused_silica", "ambient": 1.0}
 
     def make(name, spec):
-        return FilmStack(400.0, **{**specs, name: spec}, pump_nm=638.0)
+        return FilmStack(400.0, **{f"{key}_index": value
+                                   for key, value in {**specs, name: spec}.items()})
 
     for position, name in enumerate(specs):
         with pytest.raises(ValueError, match=f"^{name} index: unknown material 'unobtainium'"):
@@ -363,7 +365,7 @@ def test_film_stack_checks_its_index_models_when_made():
 
 
 def test_constant_index_stack_runs():
-    stack = replace(STACK, film=3.1, substrate=1.45, ambient=1.0)
-    spec = joint_spectrum(stack, _grid(POINTS))
+    stack = replace(STACK, film_index=3.1, substrate_index=1.45, ambient_index=1.0)
+    spec = joint_spectrum(stack, PUMP_NM, _grid(POINTS))
     assert np.all(np.isfinite(spec.intensity))
     assert spec.intensity.max() > 0.0
