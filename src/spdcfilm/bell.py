@@ -18,6 +18,11 @@ draws the sixteen outcome counts with one ``poisson`` call, in the stream
 order of one draw per outcome. The post-selected pair is a plain 4-vector ket
 (``split_postselect``). The Werner line (``werner_state``) mixes the
 post-selected (0, 1, 0) with white noise.
+
+A state is checked where it is made: ``split_postselect_rho``,
+``chsh_value`` and ``simulate_chsh`` are each a check plus a private kernel,
+and a run calls the kernels on a state it has already checked. The split is
+an isometry, so rho4 = L rho L^T is a valid state exactly when rho is.
 """
 
 from __future__ import annotations
@@ -82,7 +87,11 @@ def split_postselect_rho(rho) -> np.ndarray:
     L^T L = I, so the output trace equals the input trace and the mode
     post-selection probability stays 1/2 for every input.
     """
-    rho = check_density_matrix(rho)
+    return _split_postselect_rho(check_density_matrix(rho))
+
+
+def _split_postselect_rho(rho: np.ndarray) -> np.ndarray:
+    """``split_postselect_rho`` of a checked 3x3 density matrix."""
     return _SPLIT_ISOMETRY @ rho @ _SPLIT_ISOMETRY.T
 
 
@@ -147,8 +156,12 @@ def chsh_value(state_or_rho, settings: ChshSettings) -> float:
     Local realism gives F <= 1; the default settings reach F = sqrt(2)
     on the post-selected state of the orthogonal pair.
     """
-    rho = _as_rho4(state_or_rho)
-    terms = np.real(np.trace(rho @ settings.correlators, axis1=-2, axis2=-1))
+    return _chsh_value(_as_rho4(state_or_rho), settings)
+
+
+def _chsh_value(rho4: np.ndarray, settings: ChshSettings) -> float:
+    """``chsh_value`` of a checked 4x4 density matrix."""
+    terms = np.real(np.trace(rho4 @ settings.correlators, axis1=-2, axis2=-1))
     f = sum(sign * float(e) for sign, e in zip(_CHSH_SIGNS, terms))
     return abs(f) / 2.0
 
@@ -175,7 +188,15 @@ def _correlator_from_counts(sign_products, counts):
 def _outcome_draws(rho4, n_per_setting, seed, settings: ChshSettings) -> list:
     """Per CHSH term, the Poisson-drawn counts of its four outcomes."""
     probs = np.maximum(np.real(np.trace(rho4 @ settings.projectors, axis1=-2, axis2=-1)), 0.0)
-    means = probs * n_per_setting
+    try:
+        means = probs * n_per_setting
+    except OverflowError:  # an int count past the float range: its mean to six digits
+        from decimal import Context, Decimal  # here alone, so a run does not load it
+
+        six_digits = Context(prec=6)
+        top = six_digits.multiply(Decimal(probs.max().item()), n_per_setting)
+        check_poisson_mean(top.normalize(six_digits), "CHSH outcome")
+        raise
     check_poisson_mean(means.max(), "CHSH outcome")
     # one array draw takes the stream in the order of one scalar draw per outcome
     return np.random.default_rng(seed).poisson(means).tolist()
@@ -190,8 +211,12 @@ def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings: ChshSettin
     in one outcome class). Counts are Poissonian per outcome, per setting; an
     outcome mean above ``histogram.MAX_POISSON_MEAN`` raises OutOfRange.
     """
-    rho = _as_rho4(state_or_rho)
-    draws = _outcome_draws(rho, n_per_setting, seed, settings)
+    return _simulate_chsh(_as_rho4(state_or_rho), n_per_setting, seed, settings)
+
+
+def _simulate_chsh(rho4: np.ndarray, n_per_setting, seed, settings: ChshSettings):
+    """``simulate_chsh`` of a checked 4x4 density matrix."""
+    draws = _outcome_draws(rho4, n_per_setting, seed, settings)
     total, var = 0.0, 0.0
     for sign, sign_products, counts in zip(_CHSH_SIGNS, settings.sign_products, draws):
         e, sig = _correlator_from_counts(sign_products, counts)

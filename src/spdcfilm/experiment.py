@@ -39,6 +39,14 @@ The two seeded stages run once per run, in this order, on one
 model state and spawns its children, then ``simulate_bell(cfg, tomography,
 seed_seq)`` tests the reconstructed state on the next one. A caller that
 passes one sequence to both in that order draws the run's numbers.
+
+Each state is checked once, where it is made: the model state by
+``source_model``, the reconstructed one by its point measures. The steps
+after that call the private kernels of ``forward_rates``, ``fringe_scan``,
+``split_postselect_rho``, ``simulate_chsh`` and ``chsh_value``, each of
+which is its public function without the checks. The nine settings'
+histograms are one ``simulate_counts`` array, reduced to the records by one
+``_net_counts`` pass.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from .crystal import (
     weight_residual,
 )
 from .delayline import calcite_delay, default_delay_line, delay_scan
-from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
+from .histogram import NoiseModel, TimeTagHistogram, _bin_centers, _net_counts, simulate_counts
 from .polarization import pump_ket
 from .qutrit import (
     _state_measures,
@@ -89,12 +97,12 @@ from .spectral import (
 from .tomography import (
     CoincidenceRecord,
     FitReport,
+    _forward_rates,
+    _fringe_curve,
     _fringe_visibility,
     _physical,
     _solve_stack,
     default_protocol,
-    forward_rates,
-    fringe_scan,
     reconstruct,
 )
 
@@ -276,8 +284,8 @@ def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
         v_pump=v_pump,
         pumped=pumped,
         rho=rho,
-        f_model=bell_mod.chsh_value(bell_mod.split_postselect_rho(rho),
-                                    bell_mod.default_chsh_settings()),
+        f_model=bell_mod._chsh_value(bell_mod.split_postselect_rho(rho),
+                                     bell_mod.default_chsh_settings()),
     )
 
 
@@ -410,33 +418,23 @@ def delay_line_scan(delay_line) -> DelayScan:
 
 def _simulate_records(cfg, rel_rates, seeds):
     """Each setting's configured coincidence histogram, its pair rate scaled
-    by the setting's relative rate, and the record of its net counts."""
-    histograms, records = [], []
-    for m, (rel, seed) in enumerate(zip(rel_rates, seeds)):
-        noise = NoiseModel(
-            pair_rate_hz=cfg.noise.pair_rate_hz * float(rel),
-            efficiency=cfg.noise.efficiency,
-            singles_a_hz=cfg.noise.singles_a_hz,
-            singles_b_hz=cfg.noise.singles_b_hz,
-        )
-        hist = simulate_histogram(
-            noise,
-            duration_s=cfg.tomography.duration_per_setting_s,
-            n_bins=cfg.histogram.n_bins,
-            bin_width_ns=cfg.histogram.bin_width_ns,
-            seed=seed,
-        )
-        raw, net, sigma = subtract_accidentals(hist, cfg.histogram.exclusion_bins)
-        records.append(
-            CoincidenceRecord(
-                index=m,
-                raw=raw,
-                accidental=raw - net,
-                duration_s=hist.duration_s,
-                net_sigma=sigma,
-            )
-        )
-        histograms.append(hist)
+    by the setting's relative rate, and the record of its net counts: one
+    ``simulate_counts`` array, reduced by one ``_net_counts`` pass."""
+    noise = NoiseModel(
+        pair_rate_hz=cfg.noise.pair_rate_hz,
+        efficiency=cfg.noise.efficiency,
+        singles_a_hz=cfg.noise.singles_a_hz,
+        singles_b_hz=cfg.noise.singles_b_hz,
+    )
+    duration, grid = cfg.tomography.duration_per_setting_s, cfg.histogram
+    counts = simulate_counts(noise, rel_rates, duration, grid.n_bins, grid.bin_width_ns, seeds)
+    raw, net, sigma = _net_counts(counts, grid.n_bins // 2, grid.exclusion_bins)
+    centers = _bin_centers(grid.n_bins, grid.bin_width_ns)
+    histograms = [TimeTagHistogram(centers, row, grid.bin_width_ns, duration) for row in counts]
+    records = [
+        CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
+        for m, (r, n, s) in enumerate(zip(raw.tolist(), net.tolist(), sigma.tolist()))
+    ]
     return histograms, records
 
 
@@ -589,7 +587,7 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     durations = np.array([r.duration_s for r in records])
     accidental = np.array([r.accidental for r in records])
     sigmas = np.array([r.net_sigma for r in records])
-    model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
+    model_net = durations * _forward_rates(rho_hat, protocol, scale_hat)
     for start in range(0, n_boot, _BOOTSTRAP_BLOCK):
         count = min(_BOOTSTRAP_BLOCK, n_boot - start)
         first = seed_seq.n_children_spawned + start
@@ -672,7 +670,7 @@ def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
     """Simulated tomography of ``source_model(cfg).rho``. Spawns one child of
     ``seed_seq`` per protocol setting, then one for the bootstrap."""
     protocol = default_protocol()
-    rel_rates = forward_rates(source_model(cfg).rho, protocol)
+    rel_rates = _forward_rates(source_model(cfg).rho, protocol, 1.0)
     histograms, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
     rho_hat, fit = reconstruct(records, protocol)
 
@@ -682,7 +680,7 @@ def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
         theta_grid = np.linspace(
             cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
         )
-        fringe_curve, _ = fringe_scan(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
+        fringe_curve = _fringe_curve(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
     boot_seq = seed_seq.spawn(1)[0]
     return TomographyResult(
         records=records,
@@ -721,14 +719,15 @@ def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed_seq)
     """The CHSH test of the reconstructed ``tomography.rho`` at
     ``default_chsh_settings()``, beside the model state's
     ``source_model(cfg).f_model``: ``[bell] counts_per_setting`` pairs per
-    setting, drawn from the next spawned child of ``seed_seq``."""
-    rho4 = bell_mod.split_postselect_rho(tomography.rho)
+    setting, drawn from the next spawned child of ``seed_seq``. The state is
+    taken as checked, as ``simulate_tomography`` returns it."""
+    rho4 = bell_mod._split_postselect_rho(tomography.rho)
     settings = bell_mod.default_chsh_settings()
-    f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
+    f_sim, sigma_f, std_devs = bell_mod._simulate_chsh(
         rho4, cfg.bell.counts_per_setting, seed_seq.spawn(1)[0], settings)
     return BellResult(
         f_model=source_model(cfg).f_model,
-        f_reconstructed=bell_mod.chsh_value(rho4, settings),
+        f_reconstructed=bell_mod._chsh_value(rho4, settings),
         f_simulated=f_sim,
         sigma_f=sigma_f,
         std_devs_above_classical=std_devs,

@@ -6,6 +6,10 @@ reconstruction with a physicality projection (James et al., PRA 64, 052312,
 inversion, projection and visibility work on stacks of states, so a
 parametric bootstrap reconstructs all its replicates in a few array
 operations; the single-state functions are their one-replicate case.
+
+A state is checked where it is made. ``forward_rates`` and ``fringe_scan``
+are each their checks plus a private kernel (``_forward_rates``,
+``_fringe_curve``), which a run calls on states it has already checked.
 """
 
 from __future__ import annotations
@@ -152,6 +156,11 @@ def forward_rates(rho, protocol, scale: float = 1.0) -> np.ndarray:
     rho = check_density_matrix(rho)
     if scale < 0:
         raise InvalidDensityMatrix("scale must be nonnegative")
+    return _forward_rates(rho, protocol, scale)
+
+
+def _forward_rates(rho: np.ndarray, protocol, scale: float) -> np.ndarray:
+    """``forward_rates`` of a checked density matrix and a nonnegative scale."""
     w = _constants(protocol)[0][:, :, None]
     # <w_m|rho|w_m> of every setting as one stacked product, in vdot's order
     rates = scale * np.real(np.swapaxes(w.conj(), 1, 2) @ (rho @ w))[:, 0, 0]
@@ -351,13 +360,19 @@ def fringe_scan(rho, fixed_b: str, theta_grid_deg):
     if np.ptp(theta_grid_deg) < 180.0:
         raise ValueError("theta grid must span at least 180 degrees")
     rho = check_density_matrix(rho)
-    xi = np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
-    rates = np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
+    curve = _fringe_curve(rho, fixed_b, theta_grid_deg)
     visibility = float(_fringe_visibility(rho[None], fixed_b)[0])
     if np.isnan(visibility):
         raise FitFailure("fringe rate vanishes at every angle; visibility undefined")
-    curve = [(float(t), float(r)) for t, r in zip(theta_grid_deg, rates)]
     return curve, visibility
+
+
+def _fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> list:
+    """``fringe_scan``'s (theta, rate) pairs for a checked density matrix on
+    a float grid of angles."""
+    xi = np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
+    rates = np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
+    return [(float(t), float(r)) for t, r in zip(theta_grid_deg, rates)]
 
 
 def load_records_csv(path):

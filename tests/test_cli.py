@@ -156,8 +156,8 @@ def _runs_output(cfg, seed, command, out_dir) -> bytes:
 #: whole pipeline, and the seed-free stages' work, which the memos hold
 NOT_NEEDED = ("run_experiment", "delay_line_scan", "delay_scan", "calibrate_orientation",
               "weight_residual", "spdc_amplitudes", "joint_spectrum")
-TOMOGRAPHY = ("simulate_tomography", "reconstruct", "simulate_histogram")
-BELL = ("simulate_bell", "simulate_chsh")
+TOMOGRAPHY = ("simulate_tomography", "reconstruct", "simulate_counts")
+BELL = ("simulate_bell", "_simulate_chsh", "_chsh_value")
 #: subcommand -> the further stage functions its output does not need
 STAGE_NOT_NEEDED = {
     "amplitudes": (*TOMOGRAPHY, *BELL, "spectral_section"),
@@ -314,8 +314,11 @@ def test_spectrum_span_checked_against_index_data_at_load(capsys, tmp_path, span
          "accidental floor per bin Poisson mean 9e+300 exceeds 1e+18 counts"),
         ("bell", f"[bell]\ncounts_per_setting = {10**21}\n",
          "CHSH outcome Poisson mean 5.41601e+20 exceeds 1e+18 counts"),
+        # a count past the float range, whose mean is printed without a float
+        ("bell", f"[bell]\ncounts_per_setting = {10**400}\n",
+         "CHSH outcome Poisson mean 5.41601e+399 exceeds 1e+18 counts"),
     ],
-    ids=["tomography_duration", "singles_rate", "bin_width", "bell_counts"],
+    ids=["tomography_duration", "singles_rate", "bin_width", "bell_counts", "bell_counts_past_float"],
 )
 def test_poisson_mean_past_numpys_range_exit_code(capsys, tmp_path, command, body, message):
     # NumPy's Poisson draw rejects means above about 9.2e18 with a ValueError

@@ -338,6 +338,117 @@ def test_bootstrap_makes_no_generator_per_replicate(monkeypatch, report):
     assert boot_seq.n_children_spawned == 0
 
 
+def test_run_checks_each_state_once(monkeypatch):
+    # a warm run: the memos, the protocol's constants and the CHSH settings are filled
+    from spdcfilm import qutrit
+
+    cfg = load_config()
+    expected = run_experiment(cfg, seed=SEED).canonical_json()
+    calls = Counter()
+    for module, name in ((np.linalg, "eigh"), (qutrit, "_density_eigh")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    again = run_experiment(cfg, seed=SEED)
+    # eigh: the point projection, the point measures and the bootstrap's
+    # batched projection; the checks: the point measures and the bootstrap's
+    assert calls == {"eigh": 3, "_density_eigh": 2}
+    monkeypatch.undo()
+    assert again.canonical_json() == expected
+
+
+def _records_one_setting_at_a_time(cfg, rel_rates, seeds):
+    """``_simulate_records`` written out one setting at a time: a Poisson
+    floor plus a zero-delay draw from each child, reduced by boolean masks.
+    Returns the (centers, counts) of each setting and the records."""
+    from spdcfilm.histogram import check_poisson_mean
+    from spdcfilm.tomography import CoincidenceRecord
+
+    grid, noise = cfg.histogram, cfg.noise
+    duration = cfg.tomography.duration_per_setting_s
+    half = grid.n_bins // 2
+    centers = (np.arange(grid.n_bins) - half) * grid.bin_width_ns
+    off = np.abs(np.arange(grid.n_bins) - half) > grid.exclusion_bins
+    n_off = int(off.sum())
+    n_peak = grid.n_bins - n_off
+    histograms, records = [], []
+    for m, (rel, seed) in enumerate(zip(rel_rates, seeds)):
+        mean_floor = noise.singles_a_hz * noise.singles_b_hz * 1e-9 * grid.bin_width_ns * duration
+        mean_pairs = noise.pair_rate_hz * float(rel) * noise.efficiency * duration
+        check_poisson_mean(mean_floor, "accidental floor per bin")
+        check_poisson_mean(mean_pairs, "zero-delay pair")
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(mean_floor, size=grid.n_bins)
+        counts[half] += rng.poisson(mean_pairs)
+        off_total, raw = float(counts[off].sum()), float(counts[~off].sum())
+        net = raw - off_total / n_off * n_peak
+        sigma = float(np.sqrt(raw + (n_peak / n_off) ** 2 * off_total))
+        histograms.append((centers, counts))
+        records.append(CoincidenceRecord(m, raw, raw - net, duration, sigma))
+    return histograms, records
+
+
+def _setting_inputs(tmp_path, overlay, seed):
+    """(cfg, relative rates, spawned children) of a run of ``overlay``."""
+    from spdcfilm.tomography import default_protocol, forward_rates
+
+    path = tmp_path / "overlay.cfg"
+    path.write_text(overlay)
+    cfg = load_config(path)
+    rel_rates = forward_rates(experiment.source_model(cfg).rho, default_protocol())
+    return cfg, rel_rates, np.random.SeedSequence(seed).spawn(9)
+
+
+@pytest.mark.parametrize("overlay", [
+    "",
+    "[histogram]\nn_bins = 41\nexclusion_bins = 0\n",
+    "[histogram]\nn_bins = 501\nexclusion_bins = 10\n",
+    "[noise]\npair_rate_hz = 0\n",
+], ids=["default", "41_bins", "wide_peak", "no_pairs"])
+@pytest.mark.parametrize("seed", [1, 3, 22, 2**130 + 7])
+def test_count_array_is_the_per_setting_draw(tmp_path, overlay, seed):
+    from spdcfilm.histogram import NoiseModel, simulate_histogram, subtract_accidentals
+
+    cfg, rel_rates, seeds = _setting_inputs(tmp_path, overlay, seed)
+    histograms, records = experiment._simulate_records(cfg, rel_rates, seeds)
+    expected_histograms, expected_records = _records_one_setting_at_a_time(cfg, rel_rates, seeds)
+    assert records == expected_records
+    assert len(histograms) == len(expected_histograms) == 9
+    for hist, (centers, counts), record, rel, child in zip(
+            histograms, expected_histograms, records, rel_rates, seeds):
+        assert hist.centers_ns.dtype == centers.dtype and np.array_equal(hist.centers_ns, centers)
+        assert hist.counts.dtype == counts.dtype and np.array_equal(hist.counts, counts)
+        assert (hist.bin_width_ns, hist.duration_s) == (
+            cfg.histogram.bin_width_ns, cfg.tomography.duration_per_setting_s)
+        # the public one-setting functions are the array's one-row case
+        noise = NoiseModel(cfg.noise.pair_rate_hz * float(rel), cfg.noise.efficiency,
+                           cfg.noise.singles_a_hz, cfg.noise.singles_b_hz)
+        one = simulate_histogram(noise, hist.duration_s, len(counts), hist.bin_width_ns, child)
+        assert np.array_equal(one.centers_ns, centers) and np.array_equal(one.counts, counts)
+        raw, net, sigma = subtract_accidentals(one, cfg.histogram.exclusion_bins)
+        assert (raw, raw - net, sigma) == (record.raw, record.accidental, record.net_sigma)
+
+
+@pytest.mark.parametrize("overlay, message", [
+    ("[noise]\nsingles_a_hz = 1e200\n",
+     "accidental floor per bin Poisson mean 3e+196 exceeds 1e+18 counts"),
+    # the first setting's pair mean fits, the second one's does not
+    ("[tomography]\nduration_per_setting_s = 1e16\n",
+     "zero-delay pair Poisson mean 1.44004e+19 exceeds 1e+18 counts"),
+], ids=["floor", "pairs"])
+def test_count_array_checks_each_mean_as_one_setting_at_a_time_does(tmp_path, overlay, message):
+    from spdcfilm.errors import OutOfRange
+
+    cfg, rel_rates, seeds = _setting_inputs(tmp_path, overlay, 1)
+    with pytest.raises(OutOfRange) as batched:
+        experiment._simulate_records(cfg, rel_rates, seeds)
+    with pytest.raises(OutOfRange) as one_at_a_time:
+        _records_one_setting_at_a_time(cfg, rel_rates, seeds)
+    assert str(batched.value) == str(one_at_a_time.value) == message
+
+
 def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
     import tracemalloc
 

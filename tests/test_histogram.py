@@ -10,6 +10,7 @@ from spdcfilm.errors import OutOfRange, TooFewBins
 from spdcfilm.histogram import (
     MAX_POISSON_MEAN,
     NoiseModel,
+    simulate_counts,
     simulate_histogram,
     subtract_accidentals,
 )
@@ -108,6 +109,8 @@ def test_validation():
     hist = simulate_histogram(noise, 1.0, 21, WIDTH, SEED)
     with pytest.raises(TooFewBins):
         subtract_accidentals(hist, exclusion_bins=5)
+    with pytest.raises(ValueError, match="^2 pair scales for 3 seeds$"):
+        simulate_counts(noise, (1.0, 0.5), 1.0, BINS, WIDTH, (1, 2, 3))
 
 
 def test_poisson_means_bounded_below_numpys_range():
