@@ -17,9 +17,15 @@ import numpy as np
 
 from .delayline import default_delay_line, delay_scan
 from .errors import ConfigError, SpdcFilmError
-from .histogram import NoiseModel, simulate_histogram, subtract_accidentals
 from .qutrit import depolarize
-from .spectral import C_NM_THZ, DETECTOR_RESPONSES, FilmStack, check_grid, default_grid
+from .spectral import (
+    C_NM_THZ,
+    DETECTOR_RESPONSES,
+    FilmStack,
+    check_delays,
+    check_grid,
+    default_grid,
+)
 from .tomography import fringe_scan
 
 
@@ -120,8 +126,9 @@ class NoiseConfig:
     depolarization: float
 
     def __post_init__(self):
-        _built("noise", NoiseModel, self.pair_rate_hz, self.efficiency, self.singles_a_hz,
-               self.singles_b_hz)
+        rates = (self.pair_rate_hz, self.singles_a_hz, self.singles_b_hz)
+        _require(all(rate >= 0 for rate in rates), "[noise] rates must be nonnegative")
+        _require(0.0 < self.efficiency <= 1.0, "[noise] efficiency must be in (0, 1]")
         _built("noise", depolarize, [1.0, 0.0, 0.0], self.depolarization)
 
 
@@ -140,10 +147,14 @@ class HistogramConfig:
     exclusion_bins: int
 
     def __post_init__(self):
-        empty = _built("histogram", simulate_histogram, NoiseModel(0.0, 1.0, 0.0, 0.0),
-                       duration_s=1.0, n_bins=self.n_bins, bin_width_ns=self.bin_width_ns,
-                       seed=0)
-        _built("histogram", subtract_accidentals, empty, self.exclusion_bins)
+        _require(self.n_bins >= 3 and self.n_bins % 2 == 1,
+                 "[histogram] n_bins must be odd and at least 3")
+        _require(self.bin_width_ns > 0, "[histogram] bin width and duration must be positive")
+        _require(self.exclusion_bins >= 0, "[histogram] exclusion_bins must be nonnegative")
+        # the peak region is the 2 exclusion_bins + 1 bins about the centre one
+        n_off = max(self.n_bins - 2 * self.exclusion_bins - 1, 0)
+        _require(n_off >= 20, f"[histogram] only {n_off} off-peak bins to estimate the floor; "
+                              "need at least 20")
 
 
 @dataclass(frozen=True)
@@ -239,6 +250,9 @@ class ExperimentConfig:
         span = self.spectrum.span_thz
         _require(span < nu0, f"spectrum span_thz must stay below the degenerate {nu0:.6g} THz")
         _built("spectrum", self.film.indices, [2.0 * nu0, nu0 + span, nu0 - span])
+        # past half its period, the HOM curve on this grid repeats itself
+        _built("hom", check_delays, span, self.spectrum.points,
+               (self.hom.delay_start_fs, self.hom.delay_stop_fs))
 
 
 def _read_parser(path) -> configparser.ConfigParser:

@@ -69,7 +69,3 @@ class AsymmetricSpectrum(SpdcFilmError):
 
 class TotalInternalReflection(SpdcFilmError):
     """Refraction geometry has no real solution for the requested tilt."""
-
-
-class TooFewBins(SpdcFilmError):
-    """Histogram has too few off-peak bins for background estimation."""

@@ -45,8 +45,9 @@ Each state is checked once, where it is made: the model state by
 after that call the private kernels of ``forward_rates``, ``fringe_scan``,
 ``split_postselect_rho``, ``simulate_chsh`` and ``chsh_value``, each of
 which is its public function without the checks. The nine settings'
-histograms are one ``simulate_counts`` array, reduced to the records by one
-``_net_counts`` pass.
+coincidence histograms are one ``simulate_counts`` count array, which one
+``subtract_accidentals`` pass reduces to the records and which
+``TomographyResult`` holds as it was drawn, with the bin grid's delays.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .crystal import (
     weight_residual,
 )
 from .delayline import calcite_delay, default_delay_line, delay_scan
-from .histogram import NoiseModel, TimeTagHistogram, _bin_centers, _net_counts, simulate_counts
+from .histogram import bin_centers, simulate_counts, subtract_accidentals
 from .polarization import pump_ket
 from .qutrit import (
     _state_measures,
@@ -193,8 +194,9 @@ def amplitudes_json(res) -> dict:
 class SourceModel:
     """``source_model``'s result: the amplitudes under an H, a V and the
     configured pump, ``rho`` the last one's qutrit after the depolarization,
-    and ``f_model`` its CHSH value (reported by the run's ``BellResult``).
-    The arrays are read-only copies."""
+    ``concurrence`` the pumped ket's and ``purity`` rho's, and ``f_model``
+    rho's CHSH value (reported by the run's ``BellResult``). The arrays are
+    read-only copies."""
 
     orientation: CrystalOrientation
     calibration_residual: float
@@ -204,6 +206,8 @@ class SourceModel:
     v_pump: SpdcResult
     pumped: SpdcResult
     rho: np.ndarray
+    concurrence: float
+    purity: float
     f_model: float
 
     def __post_init__(self):
@@ -229,10 +233,10 @@ class SourceModel:
             "pump": asdict(self.pump),
             "model_state": {
                 "weights": pumped.weights.tolist(),
-                "concurrence": concurrence(pumped.state),
-                "schmidt_number": schmidt_number(concurrence(pumped.state)),
+                "concurrence": self.concurrence,
+                "schmidt_number": schmidt_number(self.concurrence),
                 "depolarization": self.depolarization,
-                "purity": purity(self.rho),
+                "purity": self.purity,
                 "concurrence_bounds": list(concurrence_bounds(pumped.weights)),
             },
         }
@@ -284,6 +288,8 @@ def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
         v_pump=v_pump,
         pumped=pumped,
         rho=rho,
+        concurrence=concurrence(pumped.state),
+        purity=purity(rho),
         f_model=bell_mod._chsh_value(bell_mod.split_postselect_rho(rho),
                                      bell_mod.default_chsh_settings()),
     )
@@ -417,25 +423,18 @@ def delay_line_scan(delay_line) -> DelayScan:
 
 
 def _simulate_records(cfg, rel_rates, seeds):
-    """Each setting's configured coincidence histogram, its pair rate scaled
-    by the setting's relative rate, and the record of its net counts: one
-    ``simulate_counts`` array, reduced by one ``_net_counts`` pass."""
-    noise = NoiseModel(
-        pair_rate_hz=cfg.noise.pair_rate_hz,
-        efficiency=cfg.noise.efficiency,
-        singles_a_hz=cfg.noise.singles_a_hz,
-        singles_b_hz=cfg.noise.singles_b_hz,
-    )
-    duration, grid = cfg.tomography.duration_per_setting_s, cfg.histogram
-    counts = simulate_counts(noise, rel_rates, duration, grid.n_bins, grid.bin_width_ns, seeds)
-    raw, net, sigma = _net_counts(counts, grid.n_bins // 2, grid.exclusion_bins)
-    centers = _bin_centers(grid.n_bins, grid.bin_width_ns)
-    histograms = [TimeTagHistogram(centers, row, grid.bin_width_ns, duration) for row in counts]
+    """The (settings, n_bins) count array of the configured coincidence
+    histograms, each setting's pair rate scaled by its relative rate, and the
+    record of each setting's net counts: one ``simulate_counts`` array,
+    reduced by one ``subtract_accidentals`` pass."""
+    duration = cfg.tomography.duration_per_setting_s
+    counts = simulate_counts(cfg.noise, cfg.histogram, rel_rates, duration, seeds)
+    raw, net, sigma = subtract_accidentals(counts, cfg.histogram.exclusion_bins)
     records = [
         CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
         for m, (r, n, s) in enumerate(zip(raw.tolist(), net.tolist(), sigma.tolist()))
     ]
-    return histograms, records
+    return counts, records
 
 
 def _measures(rhos, fixed_analyzer, spectrum) -> dict:
@@ -621,8 +620,10 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
     """``simulate_tomography``'s result. ``measures`` and ``sigmas`` hold the
-    report's JSON values (None where undefined); ``fringe_curve`` holds
-    (theta_deg, rate) pairs, none when the fringe has no counts."""
+    report's JSON values (None where undefined); ``counts`` is the
+    (settings, n_bins) int64 array of the coincidence histograms, their bins
+    at the delays ``centers_ns``; ``fringe_curve`` holds (theta_deg, rate)
+    pairs, none when the fringe has no counts."""
 
     records: list
     rho: np.ndarray
@@ -630,7 +631,8 @@ class TomographyResult:
     measures: dict
     sigmas: dict
     fixed_analyzer: str
-    histograms: list
+    counts: np.ndarray
+    centers_ns: np.ndarray
     fringe_curve: list
 
     def to_json(self) -> dict:
@@ -649,11 +651,10 @@ class TomographyResult:
     def histogram_csv(self) -> bytes:
         """``histogram.csv``: the cached row templates filled with str() of each count."""
         encoded = bytearray(b"setting_index,delta_t_ns,counts\r\n")
-        for m, h in enumerate(self.histograms):
-            counts = h.counts.tolist()
-            centers = h.centers_ns
-            templates = _histogram_row_templates(centers.dtype.str, centers.tobytes())[m]
-            for start, template in zip(range(0, len(counts), _CSV_BLOCK_ROWS), templates):
+        centers = self.centers_ns
+        templates = _histogram_row_templates(centers.dtype.str, centers.tobytes())
+        for m, counts in enumerate(self.counts.tolist()):
+            for start, template in zip(range(0, len(counts), _CSV_BLOCK_ROWS), templates[m]):
                 encoded += (template % tuple(counts[start:start + _CSV_BLOCK_ROWS])).encode()
         return bytes(encoded)
 
@@ -671,7 +672,7 @@ def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
     ``seed_seq`` per protocol setting, then one for the bootstrap."""
     protocol = default_protocol()
     rel_rates = _forward_rates(source_model(cfg).rho, protocol, 1.0)
-    histograms, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
+    counts, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
     rho_hat, fit = reconstruct(records, protocol)
 
     measures = _point_measures(rho_hat, cfg.fringe.fixed_analyzer)
@@ -689,7 +690,8 @@ def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
         measures=measures,
         sigmas=_bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq),
         fixed_analyzer=cfg.fringe.fixed_analyzer,
-        histograms=histograms,
+        counts=counts,
+        centers_ns=bin_centers(cfg.histogram),
         fringe_curve=fringe_curve,
     )
 

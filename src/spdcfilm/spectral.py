@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AsymmetricSpectrum, GridTooNarrow, InvalidState
+from .errors import AsymmetricSpectrum, GridTooNarrow, InvalidState, OutOfRange
 from .materials import resolve_index_model
 
 C_NM_THZ = 299792.458  # speed of light in nm*THz
@@ -90,6 +90,22 @@ class SpectralAmplitude:
 def default_grid(span_thz: float, points: int) -> np.ndarray:
     """Uniform detuning grid, symmetric about zero."""
     return np.linspace(-span_thz, span_thz, points)
+
+
+def check_delays(span_thz: float, points: int, delays_fs):
+    """OutOfRange unless every delay (fs) lies within half the period of g(tau)
+    on ``default_grid(span_thz, points)``: that grid's detunings are spaced
+    2 span_thz / (points - 1) THz apart, so g(tau + P) and g(P - tau) are
+    both +-g(tau) for P = 500 (points - 1) / span_thz fs. A delay past
+    P/2 = 250 (points - 1) / span_thz fs shows an alias of a shorter one.
+    """
+    half_period = 250.0 * (points - 1) / span_thz
+    reach = max(abs(float(d)) for d in delays_fs)
+    if not reach <= half_period:
+        raise OutOfRange(
+            f"delays reach {reach:.10g} fs, past {half_period:.10g} fs, half the period of "
+            "g(tau) on the [spectrum] grid (250 (points - 1) / span_thz fs)"
+        )
 
 
 def _airy_factor(indices, nu_thz, thickness_nm: float):

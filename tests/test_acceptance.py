@@ -8,6 +8,7 @@ through the same public entry points the CLI uses.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spdcfilm import chi2_zincblende, load_config, pump_ket, spdc_amplitudes
 from spdcfilm.bell import chsh_value, default_chsh_settings, split_postselect, werner_state
 from spdcfilm.crystal import CrystalOrientation
 from spdcfilm.delayline import DelayLine, Plate, calcite_delay
-from spdcfilm.histogram import NoiseModel, simulate_histogram, subtract_accidentals
+from spdcfilm.histogram import simulate_counts, subtract_accidentals
 from spdcfilm.materials import load_material
 from spdcfilm.polarization import projector_rate
 from spdcfilm.qutrit import check_state, concurrence, depolarize, purity, schmidt_number
@@ -116,24 +117,18 @@ def test_05_noisy_tomography_coverage():
         streams = np.random.SeedSequence(seed).spawn(len(protocol))
         records = []
         for m, child in enumerate(streams):
-            noise = NoiseModel(
-                pair_rate_hz=cfg.noise.pair_rate_hz * float(rel[m]),
-                efficiency=cfg.noise.efficiency,
-                singles_a_hz=cfg.noise.singles_a_hz,
-                singles_b_hz=cfg.noise.singles_b_hz,
-            )
-            hist = simulate_histogram(
-                noise,
+            (counts,) = simulate_counts(
+                cfg.noise,
+                cfg.histogram,
+                pair_scales=(float(rel[m]),),
                 duration_s=duration,
-                n_bins=cfg.histogram.n_bins,
-                bin_width_ns=cfg.histogram.bin_width_ns,
-                seed=np.random.default_rng(child),
+                seeds=(np.random.default_rng(child),),
             )
-            _, net, sigma = subtract_accidentals(hist, exclusion_bins=excl)
+            _, (net,), (sigma,) = subtract_accidentals(counts[None], exclusion_bins=excl)
             in_peak = (
-                np.abs(np.arange(len(hist.counts)) - hist.peak_index) <= excl
+                np.abs(np.arange(len(counts)) - len(counts) // 2) <= excl
             )
-            raw = float(hist.counts[in_peak].sum())
+            raw = float(counts[in_peak].sum())
             records.append(
                 CoincidenceRecord(
                     index=m,
@@ -255,18 +250,21 @@ def test_10_delay_line_cancellation():
 
 def test_11_histogram_statistics():
     # same singles product, 10x pair rate: backgrounds agree, peaks scale
-    hist = load_config().histogram  # 501 bins of 1 ns, 5 excluded on each side of the peak
-    lo = NoiseModel(pair_rate_hz=150.0, efficiency=1.0, singles_a_hz=30_000, singles_b_hz=30_000)
-    hi = NoiseModel(pair_rate_hz=1500.0, efficiency=1.0, singles_a_hz=30_000, singles_b_hz=30_000)
-    h_lo = simulate_histogram(lo, 100.0, hist.n_bins, hist.bin_width_ns, SEED)
-    h_hi = simulate_histogram(hi, 100.0, hist.n_bins, hist.bin_width_ns, SEED + 1)
+    cfg = load_config()
+    hist = cfg.histogram  # 501 bins of 1 ns, 5 excluded on each side of the peak
+    lo = replace(cfg.noise, pair_rate_hz=150.0, efficiency=1.0, singles_a_hz=30_000,
+                 singles_b_hz=30_000)
+    hi = replace(cfg.noise, pair_rate_hz=1500.0, efficiency=1.0, singles_a_hz=30_000,
+                 singles_b_hz=30_000)
+    h_lo = simulate_counts(lo, hist, (1.0,), 100.0, (SEED,))
+    h_hi = simulate_counts(hi, hist, (1.0,), 100.0, (SEED + 1,))
 
-    f_lo = np.delete(h_lo.counts, h_lo.peak_index)
-    f_hi = np.delete(h_hi.counts, h_hi.peak_index)
+    f_lo = np.delete(h_lo[0], hist.n_bins // 2)
+    f_hi = np.delete(h_hi[0], hist.n_bins // 2)
     pooled = np.sqrt(f_lo.mean() / f_lo.size + f_hi.mean() / f_hi.size)
     assert abs(f_lo.mean() - f_hi.mean()) <= 3.0 * pooled
 
-    _, net_lo, sig_lo = subtract_accidentals(h_lo, hist.exclusion_bins)
-    _, net_hi, sig_hi = subtract_accidentals(h_hi, hist.exclusion_bins)
+    _, (net_lo,), (sig_lo,) = subtract_accidentals(h_lo, hist.exclusion_bins)
+    _, (net_hi,), (sig_hi,) = subtract_accidentals(h_hi, hist.exclusion_bins)
     sigma_ratio = np.sqrt(sig_hi**2 + (10.0 * sig_lo) ** 2)
     assert abs(net_hi - 10.0 * net_lo) <= 3.0 * sigma_ratio

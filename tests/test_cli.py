@@ -355,6 +355,55 @@ def test_finite_values_that_overflow_exit_code(capsys, tmp_path, command, body, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("run", "[histogram]\nn_bins = 500\n", "[histogram] n_bins must be odd and at least 3"),
+        ("run", "[histogram]\nn_bins = 1\n", "[histogram] n_bins must be odd and at least 3"),
+        ("run", "[histogram]\nbin_width_ns = 0\n",
+         "[histogram] bin width and duration must be positive"),
+        ("run", "[histogram]\nexclusion_bins = -1\n",
+         "[histogram] exclusion_bins must be nonnegative"),
+        ("run", "[histogram]\nexclusion_bins = 300\n",
+         "[histogram] only 0 off-peak bins to estimate the floor; need at least 20"),
+        ("run", "[noise]\nefficiency = 1.5\n", "[noise] efficiency must be in (0, 1]"),
+        ("run", "[noise]\nsingles_a_hz = -1\n", "[noise] rates must be nonnegative"),
+        # a finite range whose delays overflowed the HOM kernel's drift correction
+        ("run", "[hom]\ndelay_start_fs = -1e307\ndelay_stop_fs = 1e307\n",
+         "[hom] delays reach 1e+307 fs, past 6825 fs, half the period of g(tau) on the "
+         "[spectrum] grid (250 (points - 1) / span_thz fs)"),
+        # a coarse grid whose HOM curve repeats within the delays
+        ("hom", "[spectrum]\npoints = 32\n\n[hom]\ndelay_start_fs = -400\n"
+         "delay_stop_fs = 400\n",
+         "[hom] delays reach 400 fs, past 51.66666667 fs, half the period of g(tau) on the "
+         "[spectrum] grid (250 (points - 1) / span_thz fs)"),
+    ],
+    ids=["even_bins", "one_bin", "zero_width", "negative_exclusion", "no_off_peak_bins",
+         "efficiency", "negative_singles", "huge_hom_delays", "coarse_hom_grid"],
+)
+def test_section_rule_exit_code(capsys, tmp_path, command, body, message):
+    # each section states its own rules, and a config that breaks one never runs
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reach, loads", [(6825.0, True), (6825.001, False)])
+def test_hom_delays_may_reach_half_the_grid_period(tmp_path, reach, loads):
+    # 250 (4096 - 1) / 150 = 6825 fs on the shipped grid, either end of the range
+    for start, stop in ((-reach, 0.0), (0.0, reach)):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(f"[hom]\ndelay_start_fs = {start}\ndelay_stop_fs = {stop}\n")
+        if loads:
+            assert load_config(cfg).hom.delay_stop_fs == stop
+        else:
+            with pytest.raises(ConfigError, match=r"^\[hom\] delays reach 6825.001 fs, past 6825 fs"):
+                load_config(cfg)
+
+
 def test_single_bootstrap_replicate_exit_code(capsys, tmp_path):
     cfg = tmp_path / "one.cfg"
     cfg.write_text("[run]\nbootstrap_samples = 1\n")

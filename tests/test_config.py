@@ -29,6 +29,18 @@ def test_overlay_keeps_unlisted_defaults(tmp_path):
     assert cfg.crystal.tilt_deg == pytest.approx(35.75)  # untouched
 
 
+def test_loading_draws_no_random_number(monkeypatch):
+    # validation checks each section's values; it never simulates a histogram
+    import numpy as np
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_config made a random number generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    cfg = load_config()
+    assert (cfg.histogram.n_bins, cfg.histogram.exclusion_bins) == (501, 5)
+
+
 def test_auto_orientation(tmp_path):
     path = tmp_path / "user.cfg"
     path.write_text("[crystal]\ntilt_deg = auto\nazimuth_deg = auto\n")

@@ -351,12 +351,14 @@ def test_run_checks_each_state_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    again = run_experiment(cfg, seed=SEED)
+    again = run_experiment(cfg, seed=SEED).canonical_json()
     # eigh: the point projection, the point measures and the bootstrap's
-    # batched projection; the checks: the point measures and the bootstrap's
+    # batched projection; the checks: the point measures and the bootstrap's.
+    # The summary reads the model state's purity and concurrence, computed
+    # once per configuration
     assert calls == {"eigh": 3, "_density_eigh": 2}
     monkeypatch.undo()
-    assert again.canonical_json() == expected
+    assert again == expected
 
 
 def _records_one_setting_at_a_time(cfg, rel_rates, seeds):
@@ -409,25 +411,25 @@ def _setting_inputs(tmp_path, overlay, seed):
 ], ids=["default", "41_bins", "wide_peak", "no_pairs"])
 @pytest.mark.parametrize("seed", [1, 3, 22, 2**130 + 7])
 def test_count_array_is_the_per_setting_draw(tmp_path, overlay, seed):
-    from spdcfilm.histogram import NoiseModel, simulate_histogram, subtract_accidentals
+    from spdcfilm.histogram import bin_centers, simulate_counts, subtract_accidentals
 
     cfg, rel_rates, seeds = _setting_inputs(tmp_path, overlay, seed)
-    histograms, records = experiment._simulate_records(cfg, rel_rates, seeds)
+    counts, records = experiment._simulate_records(cfg, rel_rates, seeds)
     expected_histograms, expected_records = _records_one_setting_at_a_time(cfg, rel_rates, seeds)
     assert records == expected_records
-    assert len(histograms) == len(expected_histograms) == 9
-    for hist, (centers, counts), record, rel, child in zip(
-            histograms, expected_histograms, records, rel_rates, seeds):
-        assert hist.centers_ns.dtype == centers.dtype and np.array_equal(hist.centers_ns, centers)
-        assert hist.counts.dtype == counts.dtype and np.array_equal(hist.counts, counts)
-        assert (hist.bin_width_ns, hist.duration_s) == (
-            cfg.histogram.bin_width_ns, cfg.tomography.duration_per_setting_s)
-        # the public one-setting functions are the array's one-row case
-        noise = NoiseModel(cfg.noise.pair_rate_hz * float(rel), cfg.noise.efficiency,
-                           cfg.noise.singles_a_hz, cfg.noise.singles_b_hz)
-        one = simulate_histogram(noise, hist.duration_s, len(counts), hist.bin_width_ns, child)
-        assert np.array_equal(one.centers_ns, centers) and np.array_equal(one.counts, counts)
-        raw, net, sigma = subtract_accidentals(one, cfg.histogram.exclusion_bins)
+    assert len(expected_histograms) == 9
+    assert counts.shape == (9, cfg.histogram.n_bins) and counts.dtype == np.int64
+    centers = bin_centers(cfg.histogram)
+    duration = cfg.tomography.duration_per_setting_s
+    for row, (expected_centers, expected_counts), record, rel, child in zip(
+            counts, expected_histograms, records, rel_rates, seeds):
+        assert centers.dtype == expected_centers.dtype
+        assert np.array_equal(centers, expected_centers)
+        assert row.dtype == expected_counts.dtype and np.array_equal(row, expected_counts)
+        # the array's one-row case is the same draw and the same subtraction
+        (one,) = simulate_counts(cfg.noise, cfg.histogram, (rel,), duration, (child,))
+        assert np.array_equal(one, expected_counts)
+        (raw,), (net,), (sigma,) = subtract_accidentals(one[None], cfg.histogram.exclusion_bins)
         assert (raw, raw - net, sigma) == (record.raw, record.accidental, record.net_sigma)
 
 
@@ -837,8 +839,8 @@ def _rendered_sidecars(report) -> dict:
     s = report.summary
     tables = {
         "histogram.csv": (["setting_index", "delta_t_ns", "counts"], [
-            (m, t, c) for m, h in enumerate(report.tomography.histograms)
-            for t, c in zip(h.centers_ns, h.counts)
+            (m, t, c) for m, counts in enumerate(report.tomography.counts)
+            for t, c in zip(report.tomography.centers_ns, counts)
         ]),
         "fringe.csv": (["theta_deg", "rate"], report.tomography.fringe_curve),
         "hom.csv": (["tau_fs", "r_dip", "r_peak"],
@@ -994,14 +996,13 @@ def test_histogram_rows_follow_the_bin_grid_bytes(tmp_path):
     report = run_experiment(_quick(), SEED)
 
     def regridded(centers):
-        return replace(report, tomography=replace(report.tomography, histograms=[
-            replace(h, centers_ns=centers(h.centers_ns)) for h in report.tomography.histograms]))
+        return replace(report, tomography=replace(
+            report.tomography, centers_ns=centers(report.tomography.centers_ns)))
 
     signed = regridded(lambda c: np.where(c == 0.0, -0.0, c))
     integer = regridded(lambda c: c.astype(np.int64))
     for r in (report, signed, integer, report):
-        assert (r.tomography.histograms[0].centers_ns.tolist()
-                == report.tomography.histograms[0].centers_ns.tolist())
+        assert r.tomography.centers_ns.tolist() == report.tomography.centers_ns.tolist()
         assert _written(r, tmp_path)["histogram.csv"] == _rendered_sidecars(r)["histogram.csv"]
     assert b"\r\n0,-0.0," in _written(signed, tmp_path)["histogram.csv"]
     assert b"\r\n0,0," in _written(integer, tmp_path)["histogram.csv"]

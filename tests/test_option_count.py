@@ -21,7 +21,7 @@ MAX_DEFAULTED = 7
 MAX_FIELD_DEFAULTS = 1
 
 #: ``@dataclass`` classes in the package
-MAX_DATACLASSES = 35
+MAX_DATACLASSES = 33
 
 
 def _defaulted(tree):
