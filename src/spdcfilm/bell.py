@@ -15,14 +15,11 @@ term's outcome projectors with their sign products sign(a) sign(b), a
 ``ChshSettings`` builds when it is made; every CHSH function takes the
 settings, and ``default_chsh_settings()`` is one object per process. A call
 draws the sixteen outcome counts with one ``poisson`` call, in the stream
-order of one draw per outcome. The post-selected pair is a plain 4-vector ket
-(``split_postselect``). The Werner line (``werner_state``) mixes the
-post-selected (0, 1, 0) with white noise.
+order of one draw per outcome.
 
-A state is checked where it is made: ``split_postselect_rho``,
-``chsh_value`` and ``simulate_chsh`` are each a check plus a private kernel,
-and a run calls the kernels on a state it has already checked. The split is
-an isometry, so rho4 = L rho L^T is a valid state exactly when rho is.
+The functions take a density matrix the caller has checked: a run checks
+each state once, where it enters (``experiment``). The split is an
+isometry, so rho4 = L rho L^T is a valid state exactly when rho is.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .polarization import H as KET_H
 from .polarization import L as KET_L
 from .polarization import R as KET_R
 from .polarization import V as KET_V
-from .qutrit import check_density_matrix, check_state
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -65,33 +61,16 @@ S3 = _dyad(KET_R) - _dyad(KET_L)
 STOKES = {1: S1, 2: S2, 3: S3}
 
 
-def split_postselect(state) -> np.ndarray:
-    """Send the qutrit through a 50/50 splitter, keep one photon per arm.
+def split_postselect_rho(rho: np.ndarray) -> np.ndarray:
+    """Splitter post-selection of a qutrit density matrix: rho4 = L rho L^T
+    over (HH, HV, VH, VV).
 
-    Expanding the two-photon state over output modes (A, B) of the
-    splitter and keeping the terms with exactly one photon in each arm
-    gives amplitudes proportional to (c1, c2/sqrt(2), c2/sqrt(2), c3),
-    returned normalized over (HH, HV, VH, VV). The total weight of those
-    terms is 1/2 for every input state: each of the two photons picks an
-    output independently, so "both split" carries probability 1/2
-    regardless of polarization.
+    Sending the pair through a 50/50 splitter and keeping the terms with
+    exactly one photon in each arm takes the amplitudes (c1, c2, c3) to ones
+    proportional to (c1, c2/sqrt2, c2/sqrt2, c3); L is that isometry. Those
+    terms weigh 1/2 for every input state (each photon picks an output
+    independently), and L^T L = I, so rho4 keeps rho's unit trace.
     """
-    amp = _SPLIT_ISOMETRY @ check_state(state)
-    return amp / np.linalg.norm(amp)
-
-
-def split_postselect_rho(rho) -> np.ndarray:
-    """Mixed-state splitter post-selection: rho4 = L rho3 L^T.
-
-    L is the isometry taking (c1, c2, c3) to (c1, c2/sqrt2, c2/sqrt2, c3);
-    L^T L = I, so the output trace equals the input trace and the mode
-    post-selection probability stays 1/2 for every input.
-    """
-    return _split_postselect_rho(check_density_matrix(rho))
-
-
-def _split_postselect_rho(rho: np.ndarray) -> np.ndarray:
-    """``split_postselect_rho`` of a checked 3x3 density matrix."""
     return _SPLIT_ISOMETRY @ rho @ _SPLIT_ISOMETRY.T
 
 
@@ -142,36 +121,16 @@ def default_chsh_settings() -> ChshSettings:
     )
 
 
-def _as_rho4(state_or_rho) -> np.ndarray:
-    """Validated 4x4 density matrix of a two-qubit ket or density matrix."""
-    m = np.asarray(state_or_rho, dtype=complex)
-    if m.ndim == 1:  # a ket
-        m = np.outer(m, m.conj())
-    return check_density_matrix(m, dim=4)
-
-
-def chsh_value(state_or_rho, settings: ChshSettings) -> float:
-    """F = |<ab> + <a'b> + <ab'> - <a'b'>| / 2 under ``settings``.
+def chsh_value(rho4: np.ndarray, settings: ChshSettings) -> float:
+    """F = |<ab> + <a'b> + <ab'> - <a'b'>| / 2 of a 4x4 density matrix under
+    ``settings``.
 
     Local realism gives F <= 1; the default settings reach F = sqrt(2)
     on the post-selected state of the orthogonal pair.
     """
-    return _chsh_value(_as_rho4(state_or_rho), settings)
-
-
-def _chsh_value(rho4: np.ndarray, settings: ChshSettings) -> float:
-    """``chsh_value`` of a checked 4x4 density matrix."""
     terms = np.real(np.trace(rho4 @ settings.correlators, axis1=-2, axis2=-1))
     f = sum(sign * float(e) for sign, e in zip(_CHSH_SIGNS, terms))
     return abs(f) / 2.0
-
-
-def werner_state(p: float) -> np.ndarray:
-    """p |psi+><psi+| + (1 - p) I/4, with |psi+> the post-selected (0, 1, 0)."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidState(f"mixing parameter {p} outside [0, 1]")
-    base = split_postselect(np.array([0.0, 1.0, 0.0]))
-    return p * np.outer(base, base.conj()) + (1.0 - p) * np.eye(4) / 4.0
 
 
 def _correlator_from_counts(sign_products, counts):
@@ -202,8 +161,9 @@ def _outcome_draws(rho4, n_per_setting, seed, settings: ChshSettings) -> list:
     return np.random.default_rng(seed).poisson(means).tolist()
 
 
-def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings: ChshSettings):
-    """Simulated finite-statistics CHSH measurement under ``settings``.
+def simulate_chsh(rho4: np.ndarray, n_per_setting, seed, settings: ChshSettings):
+    """Simulated finite-statistics CHSH measurement of a 4x4 density matrix
+    under ``settings``.
 
     Returns (F, sigma_F, std_devs) where std_devs = (F - 1)/sigma_F is the
     number of standard deviations by which the local-realism bound F <= 1
@@ -211,11 +171,6 @@ def simulate_chsh(state_or_rho, n_per_setting: float, seed, settings: ChshSettin
     in one outcome class). Counts are Poissonian per outcome, per setting; an
     outcome mean above ``histogram.MAX_POISSON_MEAN`` raises OutOfRange.
     """
-    return _simulate_chsh(_as_rho4(state_or_rho), n_per_setting, seed, settings)
-
-
-def _simulate_chsh(rho4: np.ndarray, n_per_setting, seed, settings: ChshSettings):
-    """``simulate_chsh`` of a checked 4x4 density matrix."""
     draws = _outcome_draws(rho4, n_per_setting, seed, settings)
     total, var = 0.0, 0.0
     for sign, sign_products, counts in zip(_CHSH_SIGNS, settings.sign_products, draws):

@@ -26,7 +26,7 @@ from .spectral import (
     check_grid,
     default_grid,
 )
-from .tomography import fringe_scan
+from .tomography import setting
 
 
 def _require(condition: bool, message: str):
@@ -149,7 +149,7 @@ class HistogramConfig:
     def __post_init__(self):
         _require(self.n_bins >= 3 and self.n_bins % 2 == 1,
                  "[histogram] n_bins must be odd and at least 3")
-        _require(self.bin_width_ns > 0, "[histogram] bin width and duration must be positive")
+        _require(self.bin_width_ns > 0, "[histogram] bin_width_ns must be positive")
         _require(self.exclusion_bins >= 0, "[histogram] exclusion_bins must be nonnegative")
         # the peak region is the 2 exclusion_bins + 1 bins about the centre one
         n_off = max(self.n_bins - 2 * self.exclusion_bins - 1, 0)
@@ -206,7 +206,8 @@ class FringeConfig:
         _require(math.isfinite(self.theta_stop_deg - self.theta_start_deg),
                  "fringe theta grid must span a finite range")
         theta_grid = np.linspace(self.theta_start_deg, self.theta_stop_deg, self.theta_points)
-        _built("fringe", fringe_scan, np.eye(3) / 3, self.fixed_analyzer, theta_grid)
+        _require(np.ptp(theta_grid) >= 180.0, "[fringe] theta grid must span at least 180 degrees")
+        _built("fringe", setting, self.fixed_analyzer)
 
 
 @dataclass(frozen=True)

@@ -42,21 +42,12 @@ class InvalidState(SpdcFilmError):
     """State input is malformed (zero vector, wrong dimension, ...)."""
 
 
-class DegenerateTop(SpdcFilmError):
-    """Dominant eigenstate is ill-defined: top two eigenvalues coincide."""
-
-
 class IncompleteProtocol(SpdcFilmError):
     """Measurement settings do not span the state space to be reconstructed."""
 
 
 class SingularFit(SpdcFilmError):
     """Linear inversion is numerically singular."""
-
-
-class FitFailure(SpdcFilmError):
-    """A fitted quantity is undefined, e.g. the visibility of a fringe
-    that has no counts at any angle."""
 
 
 class GridTooNarrow(SpdcFilmError):

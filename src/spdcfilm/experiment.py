@@ -40,11 +40,12 @@ model state and spawns its children, then ``simulate_bell(cfg, tomography,
 seed_seq)`` tests the reconstructed state on the next one. A caller that
 passes one sequence to both in that order draws the run's numbers.
 
-Each state is checked once, where it is made: the model state by
-``source_model``, the reconstructed one by its point measures. The steps
-after that call the private kernels of ``forward_rates``, ``fringe_scan``,
-``split_postselect_rho``, ``simulate_chsh`` and ``chsh_value``, each of
-which is its public function without the checks. The nine settings'
+A state enters a run at two places, and each checks it once:
+``source_model`` checks the model state (``purity``, through
+``check_density_matrix``), and ``reconstruct``'s point measures check the
+reconstructed one (``_density_eigh``). The functions that take a state after
+that (``forward_rates``, ``fringe_curve``, ``split_postselect_rho``,
+``chsh_value``, ``simulate_chsh``) check nothing again. The nine settings'
 coincidence histograms are one ``simulate_counts`` count array, which one
 ``subtract_accidentals`` pass reduces to the records and which
 ``TomographyResult`` holds as it was drawn, with the bin grid's delays.
@@ -98,12 +99,12 @@ from .spectral import (
 from .tomography import (
     CoincidenceRecord,
     FitReport,
-    _forward_rates,
-    _fringe_curve,
     _fringe_visibility,
     _physical,
     _solve_stack,
     default_protocol,
+    forward_rates,
+    fringe_curve,
     reconstruct,
 )
 
@@ -289,17 +290,19 @@ def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
         pumped=pumped,
         rho=rho,
         concurrence=concurrence(pumped.state),
-        purity=purity(rho),
-        f_model=bell_mod._chsh_value(bell_mod.split_postselect_rho(rho),
-                                     bell_mod.default_chsh_settings()),
+        purity=purity(rho),  # the model state's one check
+        f_model=bell_mod.chsh_value(bell_mod.split_postselect_rho(rho),
+                                    bell_mod.default_chsh_settings()),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralSection:
     """``spectral_section``'s result: the filtered pair spectrum ``intensity``
-    at the detunings ``omega_thz``, and the HOM dip and peak at ``delays_fs``.
-    The arrays are read-only copies, so the bytes ``encoded()`` caches stay
+    at the detunings ``omega_thz``, and the HOM dip and peak at ``delays_fs``:
+    the normalized coincidence rates (1 -+ g) / 2 of the orthogonal (D-A) and
+    parallel (D-D) analyzers, 0 and 1 at zero delay, so dip + peak = 1. The
+    arrays are read-only copies, so the bytes ``encoded()`` caches stay
     theirs."""
 
     omega_thz: np.ndarray
@@ -586,7 +589,7 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     durations = np.array([r.duration_s for r in records])
     accidental = np.array([r.accidental for r in records])
     sigmas = np.array([r.net_sigma for r in records])
-    model_net = durations * _forward_rates(rho_hat, protocol, scale_hat)
+    model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
     for start in range(0, n_boot, _BOOTSTRAP_BLOCK):
         count = min(_BOOTSTRAP_BLOCK, n_boot - start)
         first = seed_seq.n_children_spawned + start
@@ -671,17 +674,17 @@ def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
     """Simulated tomography of ``source_model(cfg).rho``. Spawns one child of
     ``seed_seq`` per protocol setting, then one for the bootstrap."""
     protocol = default_protocol()
-    rel_rates = _forward_rates(source_model(cfg).rho, protocol, 1.0)
+    rel_rates = forward_rates(source_model(cfg).rho, protocol, 1.0)
     counts, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
     rho_hat, fit = reconstruct(records, protocol)
 
     measures = _point_measures(rho_hat, cfg.fringe.fixed_analyzer)
-    fringe_curve = []  # no counts at any angle: a null visibility and no curve
+    curve = []  # no counts at any angle: a null visibility and no curve
     if measures["visibility"] is not None:
         theta_grid = np.linspace(
             cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
         )
-        fringe_curve = _fringe_curve(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
+        curve = fringe_curve(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
     boot_seq = seed_seq.spawn(1)[0]
     return TomographyResult(
         records=records,
@@ -692,7 +695,7 @@ def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
         fixed_analyzer=cfg.fringe.fixed_analyzer,
         counts=counts,
         centers_ns=bin_centers(cfg.histogram),
-        fringe_curve=fringe_curve,
+        fringe_curve=curve,
     )
 
 
@@ -723,13 +726,13 @@ def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed_seq)
     ``source_model(cfg).f_model``: ``[bell] counts_per_setting`` pairs per
     setting, drawn from the next spawned child of ``seed_seq``. The state is
     taken as checked, as ``simulate_tomography`` returns it."""
-    rho4 = bell_mod._split_postselect_rho(tomography.rho)
+    rho4 = bell_mod.split_postselect_rho(tomography.rho)
     settings = bell_mod.default_chsh_settings()
-    f_sim, sigma_f, std_devs = bell_mod._simulate_chsh(
+    f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
         rho4, cfg.bell.counts_per_setting, seed_seq.spawn(1)[0], settings)
     return BellResult(
         f_model=source_model(cfg).f_model,
-        f_reconstructed=bell_mod._chsh_value(rho4, settings),
+        f_reconstructed=bell_mod.chsh_value(rho4, settings),
         f_simulated=f_sim,
         sigma_f=sigma_f,
         std_devs_above_classical=std_devs,

@@ -94,11 +94,3 @@ def two_photon_projector(xi, eta) -> np.ndarray:
         ]
     )
 
-
-def projector_rate(state_or_rho, xi, eta) -> float:
-    """Coincidence rate for one analyzer pair; state may be a ket or a density matrix."""
-    w = two_photon_projector(xi, eta)
-    m = np.asarray(state_or_rho, dtype=complex)
-    if m.ndim == 1:
-        return float(np.abs(np.vdot(w, m)) ** 2)
-    return float(np.real(np.vdot(w, m @ w)))

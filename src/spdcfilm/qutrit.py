@@ -7,12 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateTop,
-    InvalidDensityMatrix,
-    NotNormalized,
-    OutOfRange,
-)
+from .errors import InvalidDensityMatrix, NotNormalized, OutOfRange
 
 NORM_TOL = 1e-9  # a valid ket's norm is 1 to within this
 EIG_FLOOR = -1e-9  # no eigenvalue of a valid density matrix lies below this
@@ -30,11 +25,11 @@ def check_state(state, dim: int = 3) -> np.ndarray:
     return state
 
 
-def check_density_matrix(rho, dim: int = 3) -> np.ndarray:
-    """Validate shape (dim x dim), hermiticity (1e-10), unit trace (1e-10), PSD (-1e-9)."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate shape (3 x 3), hermiticity (1e-10), unit trace (1e-10), PSD (-1e-9)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise InvalidDensityMatrix(f"expected {dim}x{dim}, got {rho.shape}")
+    if rho.shape != (3, 3):
+        raise InvalidDensityMatrix(f"expected 3x3, got {rho.shape}")
     _density_eigh(rho[None], None)
     return rho
 
@@ -107,26 +102,15 @@ def _purity(rhos: np.ndarray) -> np.ndarray:
     return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
 
 
-def dominant_eigenstate(rho) -> tuple[np.ndarray, float]:
-    """Eigenvector of the largest eigenvalue, with a deterministic phase.
-
-    The largest-magnitude component is rotated to be real and positive.
-    Raises DegenerateTop when the top two eigenvalues are closer than
-    GAP_TOL (1e-9); the dominant direction is then undefined and pure-state
-    measures must not be quoted for it.
-    """
-    vals, vecs = np.linalg.eigh(check_density_matrix(rho))
-    (vec,), (top,), (degenerate,) = _dominant(vals[None], vecs[None])
-    if degenerate:
-        raise DegenerateTop(
-            f"top eigenvalues {vals[-1]:.6g} and {vals[-2]:.6g} are degenerate"
-        )
-    return vec, float(top)
-
-
 def _dominant(vals: np.ndarray, vecs: np.ndarray):
     """(phase-fixed top eigenvectors, top eigenvalues, degenerate mask) of a
-    stacked ``eigh``; ``dominant_eigenstate`` is its one-matrix case."""
+    stacked ``eigh``.
+
+    The largest-magnitude component of each eigenvector is rotated to be real
+    and positive. The mask is set where the top two eigenvalues are closer
+    than GAP_TOL (1e-9): the dominant direction is then undefined and
+    pure-state measures must not be quoted for it.
+    """
     vec = vecs[..., -1]
     k = np.argmax(np.abs(vec), axis=-1)[..., None]
     lead = np.take_along_axis(vec, k, axis=-1)

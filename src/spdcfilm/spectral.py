@@ -364,21 +364,6 @@ def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
     return _contrast(s, spectrum.omega_thz, np.asarray(delays_fs, dtype=float).ravel())
 
 
-def hom_curve(spectrum: SpectralAmplitude, delays_fs, mode: str):
-    """Normalized coincidence rate R(tau) = (1 -+ g(tau)) / 2.
-
-    ``mode`` 'dip' is the orthogonal-analyzer (D-A) curve with R(0) = 0;
-    mode 'peak' the parallel (D-D) curve with R(0) = 1. Both approach 1/2
-    at delays far beyond the coherence time, and dip + peak = 1 exactly.
-    """
-    if mode not in ("dip", "peak"):
-        raise ValueError(f"mode must be 'dip' or 'peak', got {mode!r}")
-    taus = np.atleast_1d(np.asarray(delays_fs, dtype=float))
-    g = interference_contrast(spectrum, taus)
-    r = (1.0 - g) / 2.0 if mode == "dip" else (1.0 + g) / 2.0
-    return list(zip(taus.tolist(), r.tolist()))
-
-
 #: delays in hom_fwhm's first coarse chunk; each later chunk doubles the prefix
 _FIRST_SCAN = 128
 

@@ -7,9 +7,8 @@ inversion, projection and visibility work on stacks of states, so a
 parametric bootstrap reconstructs all its replicates in a few array
 operations; the single-state functions are their one-replicate case.
 
-A state is checked where it is made. ``forward_rates`` and ``fringe_scan``
-are each their checks plus a private kernel (``_forward_rates``,
-``_fringe_curve``), which a run calls on states it has already checked.
+``forward_rates`` and ``fringe_curve`` take a density matrix the caller
+has checked: a run checks each state once, where it enters (``experiment``).
 """
 
 from __future__ import annotations
@@ -20,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FitFailure,
-    IncompleteProtocol,
-    InvalidDensityMatrix,
-    SingularFit,
-)
+from .errors import IncompleteProtocol, SingularFit
 from .polarization import (
     ANALYZER_ANGLES,
     H,
@@ -33,7 +27,6 @@ from .polarization import (
     analyzer_ket,
     two_photon_projector,
 )
-from .qutrit import check_density_matrix
 
 
 @dataclass(frozen=True)
@@ -151,16 +144,9 @@ def completeness_check(protocol) -> tuple[bool, int]:
     return rank == 9, rank
 
 
-def forward_rates(rho, protocol, scale: float = 1.0) -> np.ndarray:
-    """Model coincidence rates r_m = scale * <w_m|rho|w_m>."""
-    rho = check_density_matrix(rho)
-    if scale < 0:
-        raise InvalidDensityMatrix("scale must be nonnegative")
-    return _forward_rates(rho, protocol, scale)
-
-
-def _forward_rates(rho: np.ndarray, protocol, scale: float) -> np.ndarray:
-    """``forward_rates`` of a checked density matrix and a nonnegative scale."""
+def forward_rates(rho: np.ndarray, protocol, scale: float) -> np.ndarray:
+    """Model coincidence rates r_m = scale * <w_m|rho|w_m> of a density
+    matrix and a nonnegative scale."""
     w = _constants(protocol)[0][:, :, None]
     # <w_m|rho|w_m> of every setting as one stacked product, in vdot's order
     rates = scale * np.real(np.swapaxes(w.conj(), 1, 2) @ (rho @ w))[:, 0, 0]
@@ -168,18 +154,14 @@ def _forward_rates(rho: np.ndarray, protocol, scale: float) -> np.ndarray:
     return np.where(np.abs(rates) < 1e-15, 0.0, rates)
 
 
-def project_psd(m) -> np.ndarray:
-    """Unit-trace PSD matrix from a Hermitian one: clip the negative
-    eigenvalues to zero, then renormalize the trace. Idempotent.
+def _project_psd(m: np.ndarray):
+    """Unit-trace PSD matrices from a (B, 3, 3) stack of Hermitian ones, in
+    one ``eigh``: clip the negative eigenvalues to zero, then renormalize the
+    trace. Idempotent.
 
     This is not the Frobenius-nearest state (that projects the eigenvalues
     onto the probability simplex): for diag(1.2, 0.1, -0.3) clipping lands
-    at distance 0.409, the simplex projection at 0.374."""
-    return _project_psd(np.asarray(m, dtype=complex)[None])[0][0]
-
-
-def _project_psd(m: np.ndarray):
-    """``project_psd`` of each matrix of a (B, 3, 3) stack, in one ``eigh``.
+    at distance 0.409, the simplex projection at 0.374.
 
     Also returns the negative-eigenvalue mass the clipping removed from each,
     and the (vals, vecs) eigendecomposition of each returned state: the
@@ -220,7 +202,7 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     sum_m (duration_m <w_m|S|w_m> - net_m)^2 / max(net_m, 1); the
     (unit-trace matrix, scale) pair of the rate model is recovered as
     M = S / tr(S), scale = tr(S) — equivalent to fitting both jointly.
-    M is then made physical by ``project_psd`` (negative eigenvalues clipped
+    M is then made physical by ``_project_psd`` (negative eigenvalues clipped
     to zero, trace renormalized); the report records how much
     negative-eigenvalue mass the clipping removed.
 
@@ -305,7 +287,7 @@ def _solve_stack(nets: np.ndarray, durations: np.ndarray, protocol) -> np.ndarra
 
 def _physical(x: np.ndarray):
     """The positivity step of a (B, 9) stack of solutions: the states
-    ``project_psd(S / tr S)``, the scales tr S (``SingularFit`` at the first
+    ``_project_psd(S / tr S)``, the scales tr S (``SingularFit`` at the first
     that is not positive), and ``_project_psd``'s negative mass and spectrum."""
     s = np.einsum("bk,kij->bij", x, _BASIS)
     scales = np.real(np.trace(s, axis1=1, axis2=2))
@@ -345,31 +327,16 @@ def _fringe_visibility(rhos: np.ndarray, fixed_b: str) -> np.ndarray:
     return np.divide(spread, total, out=np.full_like(total, np.nan), where=total > 0.0)
 
 
-def fringe_scan(rho, fixed_b: str, theta_grid_deg):
+def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> list:
     """Coincidence fringe: arm A scans linear polarization, arm B is fixed.
 
-    Returns (curve, visibility) where curve is a list of (theta, rate) on the
-    grid. Arm A's ket xi = (cos theta, sin theta) enters the two-photon projector
-    linearly, so the rate is the quadratic form xi^T M xi (``_fringe_form``):
-    a pure second harmonic a + b cos 2(theta - theta0). The visibility
-    (max - min)/(max + min) over all angles follows in closed form from the
-    form's 2x2 matrix (``_fringe_visibility``); it does not depend on the
-    grid. Raises FitFailure when the rate vanishes at every angle.
+    Returns (theta, rate) pairs on a float grid of angles. Arm A's ket
+    xi = (cos theta, sin theta) enters the two-photon projector linearly, so
+    the rate is the quadratic form xi^T M xi (``_fringe_form``): a pure second
+    harmonic a + b cos 2(theta - theta0). Its visibility (max - min)/(max +
+    min) over all angles follows in closed form from the form's 2x2 matrix
+    (``_fringe_visibility``); it does not depend on the grid.
     """
-    theta_grid_deg = np.asarray(list(theta_grid_deg), dtype=float)
-    if np.ptp(theta_grid_deg) < 180.0:
-        raise ValueError("theta grid must span at least 180 degrees")
-    rho = check_density_matrix(rho)
-    curve = _fringe_curve(rho, fixed_b, theta_grid_deg)
-    visibility = float(_fringe_visibility(rho[None], fixed_b)[0])
-    if np.isnan(visibility):
-        raise FitFailure("fringe rate vanishes at every angle; visibility undefined")
-    return curve, visibility
-
-
-def _fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> list:
-    """``fringe_scan``'s (theta, rate) pairs for a checked density matrix on
-    a float grid of angles."""
     xi = np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
     rates = np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
     return [(float(t), float(r)) for t, r in zip(theta_grid_deg, rates)]

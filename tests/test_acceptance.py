@@ -14,17 +14,22 @@ import numpy as np
 import pytest
 
 from spdcfilm import chi2_zincblende, load_config, pump_ket, spdc_amplitudes
-from spdcfilm.bell import chsh_value, default_chsh_settings, split_postselect, werner_state
+from spdcfilm.bell import chsh_value, default_chsh_settings, split_postselect_rho
 from spdcfilm.crystal import CrystalOrientation
 from spdcfilm.delayline import DelayLine, Plate, calcite_delay
 from spdcfilm.histogram import simulate_counts, subtract_accidentals
 from spdcfilm.materials import load_material
-from spdcfilm.polarization import projector_rate
-from spdcfilm.qutrit import check_state, concurrence, depolarize, purity, schmidt_number
+from spdcfilm.experiment import spectral_section
+from spdcfilm.qutrit import (
+    concurrence,
+    depolarize,
+    pure_density_matrix,
+    purity,
+    schmidt_number,
+)
 from spdcfilm.spectral import (
     apply_detector_response,
     default_grid,
-    hom_curve,
     hom_fwhm,
     intensity_fwhm,
     joint_spectrum,
@@ -33,10 +38,12 @@ from spdcfilm.spectral import (
 )
 from spdcfilm.tomography import (
     CoincidenceRecord,
+    _fringe_visibility,
     default_protocol,
     forward_rates,
-    fringe_scan,
+    fringe_curve,
     reconstruct,
+    setting,
 )
 
 SEED = 20260819
@@ -88,7 +95,7 @@ def test_04_tomography_roundtrip():
     worst = 0.0
     for _ in range(1000):
         rho = _random_rho(rng)
-        rates = forward_rates(rho, protocol, scale=250.0)
+        rates = forward_rates(rho, protocol, 250.0)
         records = [
             CoincidenceRecord(index=m, raw=float(r), accidental=0.0, duration_s=1.0)
             for m, r in enumerate(rates)
@@ -108,7 +115,7 @@ def test_05_noisy_tomography_coverage():
     state = spdc_amplitudes(chi, orientation, pump_ket(90.0)).state
     rho_true = depolarize(state, cfg.noise.depolarization)
     protocol = default_protocol()
-    rel = forward_rates(rho_true, protocol)
+    rel = forward_rates(rho_true, protocol, 1.0)
     duration = cfg.tomography.duration_per_setting_s
     excl = cfg.histogram.exclusion_bins
 
@@ -147,16 +154,16 @@ def test_05_noisy_tomography_coverage():
 
 def test_06_fringe_visibility_and_nulls():
     cfg = load_config()
-    mid = check_state((0.0, 1.0, 0.0))
+    mid = (0.0, 1.0, 0.0)
     # crossed-analyzer nulls of the ideal state are exact
-    d, a = (1.0, 1.0) / np.sqrt(2.0), (1.0, -1.0) / np.sqrt(2.0)
-    h = np.array([1.0, 0.0])
-    assert projector_rate(mid, d, a) == pytest.approx(0.0, abs=1e-14)
-    assert projector_rate(mid, h, h) == pytest.approx(0.0, abs=1e-14)
+    crossed = [(setting("D"), setting("A")), (setting("H"), setting("H"))]
+    nulls = forward_rates(pure_density_matrix(mid), crossed, 1.0)
+    assert np.allclose(nulls, 0.0, rtol=0.0, atol=1e-14)
     # the shipped depolarization turns those nulls into a 96% fringe
     rho = depolarize(mid, cfg.noise.depolarization)
     theta = np.linspace(0.0, 360.0, 73)
-    curve, vis = fringe_scan(rho, "H", theta)
+    curve = fringe_curve(rho, "H", theta)
+    (vis,) = _fringe_visibility(rho[None], "H")
     assert abs(vis - 0.96) <= 0.01
     rates = np.array([r for _, r in curve])
     minima = theta[rates <= rates.min() * (1.0 + 1e-9)] % 180.0
@@ -165,9 +172,10 @@ def test_06_fringe_visibility_and_nulls():
 
 def test_07_chsh_bound_and_werner():
     settings = default_chsh_settings()
-    psi_plus = split_postselect(check_state((0.0, 1.0, 0.0)))
+    psi_plus = split_postselect_rho(pure_density_matrix((0.0, 1.0, 0.0)))
+    werner = 0.96 * psi_plus + 0.04 * np.eye(4) / 4.0
     assert chsh_value(psi_plus, settings) == pytest.approx(SQRT2, abs=1e-10)
-    assert chsh_value(werner_state(0.96), settings) == pytest.approx(1.357, abs=1e-3)
+    assert chsh_value(werner, settings) == pytest.approx(1.357, abs=1e-3)
     rng = np.random.default_rng(SEED)
     values = [chsh_value(_random_rho(rng, dim=4), settings) for _ in range(500)]
     assert max(values) <= SQRT2 + 1e-9
@@ -202,15 +210,15 @@ def test_09_hom_interference():
     There the product stays at 663-678 fs THz, and ~35 THz means a
     ~20 fs dip (test_detector_narrowing_tradeoff pins 34.15 THz, 19.8 fs).
     """
+    # the shipped [detector_response] is none, so the section's curves are
+    # those of _shipped_band(), on the [hom] grid, which holds tau = 0
+    section = spectral_section(load_config())
+    assert section.detector_response == "none"
+    (zero,) = np.flatnonzero(section.delays_fs == 0.0)
+    assert section.r_dip[zero] <= 1e-10
+    assert section.r_peak[zero] >= 1.0 - 1e-10
+    assert np.allclose(section.r_dip + section.r_peak, 1.0, atol=1e-12)
     spec = _shipped_band()
-    (_, r_dip0), = hom_curve(spec, [0.0], "dip")
-    (_, r_peak0), = hom_curve(spec, [0.0], "peak")
-    assert r_dip0 <= 1e-10
-    assert r_peak0 >= 1.0 - 1e-10
-    taus = np.linspace(-50.0, 50.0, 101)
-    dip = np.array([r for _, r in hom_curve(spec, taus, "dip")])
-    peak = np.array([r for _, r in hom_curve(spec, taus, "peak")])
-    assert np.allclose(dip + peak, 1.0, atol=1e-12)
     assert abs(hom_fwhm(spec) - 10.0) <= 2.0
 
     slow = load_config().detector_response.fwhm_thz

@@ -11,11 +11,9 @@ from spdcfilm.bell import (
     chsh_value,
     default_chsh_settings,
     simulate_chsh,
-    split_postselect,
     split_postselect_rho,
-    werner_state,
 )
-from spdcfilm.errors import InvalidDensityMatrix, InvalidState, NotNormalized
+from spdcfilm.errors import InvalidState
 from spdcfilm.qutrit import depolarize
 
 SEED = 20260819
@@ -26,6 +24,26 @@ PY = np.array([[0, -1j], [1j, 0]])
 PZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _dyad(ket):
+    ket = np.asarray(ket, dtype=complex)
+    return np.outer(ket, ket.conj())
+
+
+def _random_ket(rng, dim):
+    ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return ket / np.linalg.norm(ket)
+
+
+def _psi_plus():
+    """The post-selected orthogonal pair (0, 1, 0) as a 4x4 density matrix."""
+    return split_postselect_rho(_dyad([0.0, 1.0, 0.0]))
+
+
+def _werner(p):
+    """p |psi+><psi+| + (1 - p) I/4."""
+    return p * _psi_plus() + (1.0 - p) * np.eye(4) / 4.0
+
+
 def test_stokes_operators_match_pauli_oracle():
     assert np.allclose(S1, PZ)
     assert np.allclose(S2, PX)
@@ -34,35 +52,32 @@ def test_stokes_operators_match_pauli_oracle():
 
 
 def test_split_postselect_of_middle_state():
-    two = split_postselect(np.array([0.0, 1.0, 0.0]))
     # |psi+> = (|HV> + |VH>)/sqrt(2)
-    assert np.allclose(two, [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0.0])
+    assert np.allclose(_psi_plus(), _dyad([0.0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0.0]))
 
 
 def test_postselection_probability_is_state_independent():
     rng = np.random.default_rng(SEED)
     for _ in range(50):
-        state = rng.normal(size=3) + 1j * rng.normal(size=3)
-        state /= np.linalg.norm(state)
-        two = split_postselect(state)
-        assert np.linalg.norm(two) == pytest.approx(1.0)
+        rho4 = split_postselect_rho(_dyad(_random_ket(rng, 3)))
+        assert np.trace(rho4).real == pytest.approx(1.0)
 
 
 def test_split_postselect_rho_matches_pure_path():
     rng = np.random.default_rng(SEED + 1)
-    state = rng.normal(size=3) + 1j * rng.normal(size=3)
-    state /= np.linalg.norm(state)
-    rho4 = split_postselect_rho(np.outer(state, state.conj()))
-    amp = split_postselect(state)
-    assert np.allclose(rho4, np.outer(amp, amp.conj()), atol=1e-12)
+    c1, c2, c3 = state = _random_ket(rng, 3)
+    rho4 = split_postselect_rho(_dyad(state))
+    # one photon per arm: (c1, c2, c3) -> (c1, c2/sqrt2, c2/sqrt2, c3)
+    amp = np.array([c1, c2 / np.sqrt(2.0), c2 / np.sqrt(2.0), c3])
+    assert np.allclose(rho4, _dyad(amp), atol=1e-12)
     assert np.trace(rho4).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_plus_correlators_oracle():
-    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
+    rho4 = _psi_plus()
 
     def correlator(i, j):  # <S_i^A x S_j^B>
-        return float(np.real(np.vdot(psi, np.kron(STOKES[i], STOKES[j]) @ psi)))
+        return float(np.real(np.trace(rho4 @ np.kron(STOKES[i], STOKES[j]))))
 
     # oracle: <psi+|si x sj|psi+> = -1, +1, +1 on the diagonal (with S3 = -Y)
     assert correlator(1, 1) == pytest.approx(-1.0, abs=1e-12)
@@ -72,8 +87,7 @@ def test_psi_plus_correlators_oracle():
 
 
 def test_chsh_reaches_tsirelson_for_psi_plus():
-    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
-    assert chsh_value(psi, default_chsh_settings()) == pytest.approx(np.sqrt(2.0), abs=1e-10)
+    assert chsh_value(_psi_plus(), default_chsh_settings()) == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
 
 def test_chsh_oracle_from_raw_kron_algebra():
@@ -85,35 +99,16 @@ def test_chsh_oracle_from_raw_kron_algebra():
         (s.a, s.b, 1), (s.a_prime, s.b, 1), (s.a, s.b_prime, 1), (s.a_prime, s.b_prime, -1),
     ]:
         f += sign * np.real(psi.conj() @ np.kron(obs_a, obs_b) @ psi)
-    assert abs(f) / 2.0 == pytest.approx(chsh_value(psi, s), abs=1e-12)
-
-
-def test_two_qubit_inputs_validated_as_density_matrices():
-    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
-    bad = [
-        2.0 * psi,  # unnormalized ket: its dyad has trace 4
-        np.diag([1.0, 0.5, 0.0, -0.5]),  # unit trace, not PSD
-        np.triu(np.ones((4, 4))) / 4.0,  # not Hermitian
-        np.eye(3) / 3.0,  # wrong shape
-    ]
-    for m in bad:
-        with pytest.raises(InvalidDensityMatrix):
-            chsh_value(m, default_chsh_settings())
-        with pytest.raises(InvalidDensityMatrix):
-            simulate_chsh(m, 100, SEED, default_chsh_settings())
-    with pytest.raises(NotNormalized):
-        split_postselect(np.array([0.0, 2.0, 0.0]))
+    assert abs(f) / 2.0 == pytest.approx(chsh_value(_dyad(psi), s), abs=1e-12)
 
 
 def test_werner_line():
     s = default_chsh_settings()
-    assert chsh_value(werner_state(1.0), s) == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert chsh_value(werner_state(0.0), s) == pytest.approx(0.0, abs=1e-12)
+    assert chsh_value(_werner(1.0), s) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert chsh_value(_werner(0.0), s) == pytest.approx(0.0, abs=1e-12)
     # linear in the mixing parameter
-    assert chsh_value(werner_state(0.96), s) == pytest.approx(0.96 * np.sqrt(2.0), abs=1e-12)
-    assert chsh_value(werner_state(0.96), s) == pytest.approx(1.3576, abs=1e-3)
-    with pytest.raises(InvalidState):
-        werner_state(1.2)
+    assert chsh_value(_werner(0.96), s) == pytest.approx(0.96 * np.sqrt(2.0), abs=1e-12)
+    assert chsh_value(_werner(0.96), s) == pytest.approx(1.3576, abs=1e-3)
 
 
 def test_random_states_respect_quantum_bound():
@@ -132,14 +127,14 @@ def test_chsh_covariant_under_shared_rotation():
     from spdcfilm.bell import ChshSettings
 
     rng = np.random.default_rng(SEED + 3)
-    psi = split_postselect(np.array([0.0, 1.0, 0.0]))
+    psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
     base = default_chsh_settings()
     for theta in rng.uniform(0.05, np.pi / 2, 20):
         u = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
             dtype=complex,
         )
-        rotated = np.kron(u, u) @ psi
+        rotated = _dyad(np.kron(u, u) @ psi)
         co = ChshSettings(
             a=u @ base.a @ u.conj().T,
             a_prime=u @ base.a_prime @ u.conj().T,

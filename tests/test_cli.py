@@ -157,7 +157,7 @@ def _runs_output(cfg, seed, command, out_dir) -> bytes:
 NOT_NEEDED = ("run_experiment", "delay_line_scan", "delay_scan", "calibrate_orientation",
               "weight_residual", "spdc_amplitudes", "joint_spectrum")
 TOMOGRAPHY = ("simulate_tomography", "reconstruct", "simulate_counts")
-BELL = ("simulate_bell", "_simulate_chsh", "_chsh_value")
+BELL = ("simulate_bell", "simulate_chsh", "chsh_value")
 #: subcommand -> the further stage functions its output does not need
 STAGE_NOT_NEEDED = {
     "amplitudes": (*TOMOGRAPHY, *BELL, "spectral_section"),
@@ -361,7 +361,7 @@ def test_finite_values_that_overflow_exit_code(capsys, tmp_path, command, body, 
         ("run", "[histogram]\nn_bins = 500\n", "[histogram] n_bins must be odd and at least 3"),
         ("run", "[histogram]\nn_bins = 1\n", "[histogram] n_bins must be odd and at least 3"),
         ("run", "[histogram]\nbin_width_ns = 0\n",
-         "[histogram] bin width and duration must be positive"),
+         "[histogram] bin_width_ns must be positive"),
         ("run", "[histogram]\nexclusion_bins = -1\n",
          "[histogram] exclusion_bins must be nonnegative"),
         ("run", "[histogram]\nexclusion_bins = 300\n",

@@ -187,7 +187,7 @@ def test_unknown_material_rejected(tmp_path):
     ("[fringe]\ntheta_stop_deg = 90.0\n", "[fringe] theta grid must span at least 180 degrees"),
 ], ids=["unknown_analyzer", "short_span"])
 def test_fringe_rules_are_fringe_scans(tmp_path, body, message):
-    # fringe_scan and setting() own the [fringe] rules; the config runs them
+    # [fringe] checks its grid's span, then its analyzer through setting()
     path = tmp_path / "user.cfg"
     path.write_text(body)
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -233,8 +233,13 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
     from dataclasses import replace
 
     from spdcfilm.experiment import _measures
-    from spdcfilm.qutrit import concurrence, dominant_eigenstate, purity
-    from spdcfilm.tomography import default_protocol, forward_rates, fringe_scan, reconstruct
+    from spdcfilm.qutrit import concurrence, purity
+    from spdcfilm.tomography import (
+        _fringe_visibility,
+        default_protocol,
+        forward_rates,
+        reconstruct,
+    )
 
     records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
     protocol = default_protocol()
@@ -254,10 +259,11 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
         assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
         assert np.allclose(batched["weights"][k], np.real(np.diag(rho_k)), rtol=0, atol=1e-12)
         assert batched["purity"][k] == pytest.approx(purity(rho_k), abs=1e-12)
-        top, weight = dominant_eigenstate(rho_k)
-        assert batched["concurrence"][k] == pytest.approx(concurrence(top), abs=1e-12)
-        assert batched["dominant_weight"][k] == pytest.approx(weight, abs=1e-12)
-        _, vis = fringe_scan(rho_k, "H", np.linspace(0.0, 360.0, 37))
+        vals, vecs = np.linalg.eigh(rho_k)
+        # the concurrence of a ket does not depend on its global phase
+        assert batched["concurrence"][k] == pytest.approx(concurrence(vecs[:, -1]), abs=1e-12)
+        assert batched["dominant_weight"][k] == pytest.approx(vals[-1], abs=1e-12)
+        (vis,) = _fringe_visibility(rho_k[None], "H")
         assert batched["visibility"][k] == pytest.approx(vis, abs=1e-12)
 
 
@@ -399,7 +405,7 @@ def _setting_inputs(tmp_path, overlay, seed):
     path = tmp_path / "overlay.cfg"
     path.write_text(overlay)
     cfg = load_config(path)
-    rel_rates = forward_rates(experiment.source_model(cfg).rho, default_protocol())
+    rel_rates = forward_rates(experiment.source_model(cfg).rho, default_protocol(), 1.0)
     return cfg, rel_rates, np.random.SeedSequence(seed).spawn(9)
 
 

@@ -107,7 +107,7 @@ def test_zero_source_nets_to_zero():
 RULES = [
     ("histogram", {"n_bins": 500}, "n_bins must be odd and at least 3"),
     ("histogram", {"n_bins": 1}, "n_bins must be odd and at least 3"),
-    ("histogram", {"bin_width_ns": 0.0}, "bin width and duration must be positive"),
+    ("histogram", {"bin_width_ns": 0.0}, "bin_width_ns must be positive"),
     ("histogram", {"exclusion_bins": -1}, "exclusion_bins must be nonnegative"),
     ("histogram", {"n_bins": 21}, "only 10 off-peak bins to estimate the floor; need at least 20"),
     ("histogram", {"n_bins": 41, "exclusion_bins": 11},

@@ -15,7 +15,7 @@ from pathlib import Path
 import spdcfilm
 
 #: defaulted parameters of every function, method and lambda in the package
-MAX_DEFAULTED = 7
+MAX_DEFAULTED = 5
 
 #: fields with a default in the body of every ``@dataclass`` class in the package
 MAX_FIELD_DEFAULTS = 1

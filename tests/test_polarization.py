@@ -19,12 +19,12 @@ from spdcfilm.polarization import (
     V,
     analyzer_ket,
     hwp,
-    projector_rate,
     pump_ket,
     qwp,
     two_photon_projector,
 )
-from spdcfilm.qutrit import check_state
+from spdcfilm.qutrit import check_state, pure_density_matrix
+from spdcfilm.tomography import forward_rates, setting
 
 SEED = 20260819
 
@@ -103,27 +103,20 @@ def test_projector_matches_fock_oracle():
         assert abs(amp_package - amp_oracle) < 1e-12
 
 
+def _rates(rho, pairs):
+    """Coincidence rates of ``rho`` for the named analyzer pairs."""
+    return forward_rates(rho, [(setting(a), setting(b)) for a, b in pairs], 1.0)
+
+
 def test_projector_rate_on_pure_and_mixed():
     state = np.array([0.0, 1.0, 0.0], dtype=complex)
     # orthogonal diagonal analyzers null the middle component
-    assert projector_rate(state, D, A) == pytest.approx(0.0, abs=1e-14)
+    assert _rates(pure_density_matrix(state), ["DA"]) == pytest.approx([0.0], abs=1e-14)
     rho_mixed = np.eye(3) / 3.0
     # the isotropic mixture is invariant under any shared basis rotation:
     # parallel analyzers always see the bunched rate 2/3, crossed ones 1/3
-    for a, b in (("H", "H"), ("D", "D"), ("R", "R")):
-        rate = projector_rate(
-            rho_mixed,
-            analyzer_ket(*ANALYZER_ANGLES[a]),
-            analyzer_ket(*ANALYZER_ANGLES[b]),
-        )
-        assert rate == pytest.approx(2.0 / 3.0, abs=1e-12)
-    for a, b in (("H", "V"), ("D", "A")):
-        rate = projector_rate(
-            rho_mixed,
-            analyzer_ket(*ANALYZER_ANGLES[a]),
-            analyzer_ket(*ANALYZER_ANGLES[b]),
-        )
-        assert rate == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert _rates(rho_mixed, ["HH", "DD", "RR"]) == pytest.approx([2.0 / 3.0] * 3, abs=1e-12)
+    assert _rates(rho_mixed, ["HV", "DA"]) == pytest.approx([1.0 / 3.0] * 2, abs=1e-12)
 
 
 def test_check_normalized_rejects():

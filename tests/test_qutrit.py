@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from spdcfilm.errors import (
-    DegenerateTop,
-    InvalidDensityMatrix,
-    NotNormalized,
-    OutOfRange,
-)
+from spdcfilm.errors import InvalidDensityMatrix, NotNormalized, OutOfRange
 from spdcfilm.qutrit import (
+    _dominant,
+    _state_measures,
     check_density_matrix,
     check_state,
     concurrence,
     concurrence_bounds,
     depolarize,
-    dominant_eigenstate,
     pure_density_matrix,
     purity,
     schmidt_number,
@@ -72,11 +68,21 @@ def test_dominant_eigenstate_recovers_branch():
     state = np.array([0.1, 0.97, 0.22], dtype=complex)
     state /= np.linalg.norm(state)
     rho = depolarize(state, 0.05)
-    top, weight = dominant_eigenstate(rho)
+    vals, vecs = np.linalg.eigh(rho)
+    (top,), (weight,), (degenerate,) = _dominant(vals[None], vecs[None])
     assert abs(np.vdot(top, state)) == pytest.approx(1.0, abs=1e-10)
-    assert weight > 0.9
-    with pytest.raises(DegenerateTop):
-        dominant_eigenstate(np.eye(3) / 3.0)
+    # the phase fix: the largest-magnitude component is real and positive
+    lead = top[np.argmax(np.abs(top))]
+    assert lead.real > 0.0 and abs(lead.imag) <= 1e-15
+    assert weight > 0.9 and not degenerate
+    measures = _state_measures(rho[None], None)
+    assert measures["concurrence"][0] == pytest.approx(concurrence(state), abs=1e-10)
+    assert measures["dominant_weight"][0] == pytest.approx(weight, abs=1e-15)
+    # a degenerate top has no dominant branch: its pure-state measures are NaN
+    mixed = _state_measures(np.eye(3)[None] / 3.0, None)
+    for key in ("concurrence", "schmidt_number", "dominant_weight"):
+        assert np.isnan(mixed[key][0])
+    assert mixed["purity"][0] == pytest.approx(1.0 / 3.0)
 
 
 def test_phase_curve_interpolates_bounds():

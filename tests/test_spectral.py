@@ -26,7 +26,6 @@ from spdcfilm.spectral import (
     apply_detector_response,
     default_grid,
     gaussian_response,
-    hom_curve,
     hom_fwhm,
     intensity_fwhm,
     interference_contrast,
@@ -112,10 +111,9 @@ def test_contrast_properties():
 
 
 def test_dip_peak_complementarity():
-    spec = _banded_default()
-    taus = np.linspace(-40.0, 40.0, 81)
-    dip = np.array([r for _, r in hom_curve(spec, taus, "dip")])
-    peak = np.array([r for _, r in hom_curve(spec, taus, "peak")])
+    # a run's HOM dip and peak are (1 -+ g) / 2
+    g = interference_contrast(_banded_default(), np.linspace(-40.0, 40.0, 81))
+    dip, peak = (1.0 - g) / 2.0, (1.0 + g) / 2.0
     assert np.allclose(dip + peak, 1.0, atol=1e-12)
     assert dip[40] == pytest.approx(0.0, abs=1e-12)
     assert peak[40] == pytest.approx(1.0, abs=1e-12)
@@ -255,11 +253,6 @@ def test_fwhm_step_cap_raises(monkeypatch):
         hom_fwhm(_gaussian_spectrum(20.0))
 
 
-def test_hom_curve_mode_validated():
-    with pytest.raises(ValueError, match="mode must be 'dip' or 'peak'"):
-        hom_curve(_banded_default(), [0.0], "bump")
-
-
 def _traced_peak_mb(fn):
     tracemalloc.start()
     try:
@@ -284,10 +277,10 @@ def test_hom_kernel_memory_bounded_on_fine_grid():
     spec = apply_detector_response(spec, lorentzian_response(spec, fwhm_thz))
     start = time.perf_counter()
     (width, curve), peak_mb = _traced_peak_mb(
-        lambda: (hom_fwhm(spec), hom_curve(spec, np.linspace(-300.0, 300.0, 601), "dip"))
+        lambda: (hom_fwhm(spec), interference_contrast(spec, np.linspace(-300.0, 300.0, 601)))
     )
     elapsed = time.perf_counter() - start
-    assert len(curve) == 601
+    assert curve.shape == (601,)
     assert width == pytest.approx(15.37, abs=0.02)
     assert peak_mb < 32.0
     assert elapsed <= 30.0
@@ -311,7 +304,7 @@ def test_asymmetric_spectrum_rejected():
     spec = SpectralAmplitude(omega_thz=grid, phi=phi, pump_nm=638.0,
                              response=np.ones_like(grid))
     with pytest.raises(AsymmetricSpectrum):
-        hom_curve(spec, [0.0, 5.0], "dip")
+        interference_contrast(spec, [0.0, 5.0])
 
 
 def test_detector_narrowing_tradeoff():

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcfilm.errors import IncompleteProtocol, SingularFit
-from spdcfilm.qutrit import depolarize
+from spdcfilm.config import FringeConfig
+from spdcfilm.errors import ConfigError, IncompleteProtocol, SingularFit
+from spdcfilm.qutrit import depolarize, pure_density_matrix
 from spdcfilm.tomography import (
     AnalyzerSetting,
     CoincidenceRecord,
+    _fringe_visibility,
+    _project_psd,
     completeness_check,
     default_protocol,
     forward_rates,
-    fringe_scan,
+    fringe_curve,
     load_records_csv,
-    project_psd,
     reconstruct,
     setting,
 )
@@ -27,6 +29,16 @@ def _random_rho(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def _psd(m):
+    """``_project_psd`` of one matrix."""
+    return _project_psd(np.asarray(m, dtype=complex)[None])[0][0]
+
+
+def _visibility(rho, fixed):
+    """The closed-form fringe visibility of one state."""
+    return _fringe_visibility(rho[None], fixed)[0]
 
 
 def _noiseless_records(rho, protocol, scale=1000.0, duration=2.0):
@@ -80,10 +92,10 @@ def test_psd_projection_is_idempotent():
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         m = (m + m.conj().T) / 2
         m /= np.trace(m).real if abs(np.trace(m).real) > 0.1 else 1.0
-        p = project_psd(m)
+        p = _psd(m)
         assert np.all(np.linalg.eigvalsh(p) > -1e-12)
         assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(project_psd(p) - p) < 1e-12
+        assert np.linalg.norm(_psd(p) - p) < 1e-12
 
 
 def test_incomplete_protocol_raises():
@@ -154,17 +166,17 @@ def test_negative_nets_still_reconstruct():
 
 def test_fringe_visibility_of_depolarized_state():
     state = np.array([0.0, 1.0, 0.0], dtype=complex)
-    grid = np.linspace(0.0, 360.0, 73)
-    _, vis_pure = fringe_scan(np.outer(state, state.conj()), "H", grid)
-    assert vis_pure == pytest.approx(1.0, abs=1e-9)
-    _, vis = fringe_scan(depolarize(state, 0.03), "H", grid)
-    assert vis == pytest.approx(0.96, abs=1e-6)
+    assert _visibility(pure_density_matrix(state), "H") == pytest.approx(1.0, abs=1e-9)
+    assert _visibility(depolarize(state, 0.03), "H") == pytest.approx(0.96, abs=1e-6)
 
 
 def test_fringe_grid_span_validation():
-    state = np.array([0.0, 1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError):
-        fringe_scan(np.outer(state, state.conj()), "H", np.linspace(0, 90, 19))
+    # [fringe] checks its grid: half a turn shows both extremes of the fringe
+    FringeConfig(0.0, 180.0, 19, "H")
+    with pytest.raises(ConfigError, match="span at least 180 degrees"):
+        FringeConfig(0.0, 90.0, 19, "H")
+    with pytest.raises(ConfigError, match="span at least 180 degrees"):
+        FringeConfig(0.0, np.nextafter(180.0, 0.0), 19, "H")
 
 
 def test_records_csv_roundtrip(tmp_path):
@@ -222,7 +234,7 @@ def test_closed_form_visibility_matches_dense_fringe(fixed):
     for _ in range(15):
         rho = _random_rho(rng)
         m = np.real([[np.vdot(wi, rho @ wj) for wj in basis] for wi in basis])
-        curve, vis = fringe_scan(rho, fixed, coarse)
+        curve, vis = fringe_curve(rho, fixed, coarse), _visibility(rho, fixed)
         # the quadratic form is the fringe: it reproduces the projector rates
         th = np.radians(coarse)
         form = m[0, 0] * np.cos(th) ** 2 + (m[0, 1] + m[1, 0]) * np.cos(th) * np.sin(th) \
@@ -246,7 +258,7 @@ def test_fringe_curve_matches_per_angle_projector_rates(fixed):
     grid = np.linspace(-30.0, 330.0, 73)
     for _ in range(5):
         rho = _random_rho(rng)
-        curve, _ = fringe_scan(rho, fixed, grid)
+        curve = fringe_curve(rho, fixed, grid)
         expected = [
             np.real(np.vdot(w, rho @ w))
             for w in (two_photon_projector(AnalyzerSetting(0.0, t / 2).ket(), eta)
@@ -257,12 +269,10 @@ def test_fringe_curve_matches_per_angle_projector_rates(fixed):
 
 
 def test_fringe_without_counts_has_no_visibility():
-    from spdcfilm.errors import FitFailure
-
     # |2V> never fires an H analyzer in arm B, whatever arm A passes
     two_v = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    with pytest.raises(FitFailure):
-        fringe_scan(two_v, "H", np.linspace(0.0, 360.0, 37))
+    assert [r for _, r in fringe_curve(two_v, "H", np.linspace(0.0, 360.0, 37))] == [0.0] * 37
+    assert np.isnan(_visibility(two_v, "H"))
 
 
 def test_batched_fit_matches_scalar_reconstruct_per_replicate():
@@ -334,7 +344,7 @@ def _svd_reference_fit(nets, durations, protocol):
         x = vh.T @ ((u.T @ (net * sqrt_w)) / sv)
         s = np.einsum("k,kij->ij", x, _BASIS)
         scales.append(np.trace(s).real)
-        states.append(project_psd(s / scales[-1]))
+        states.append(_psd(s / scales[-1]))
     return np.array(states), np.array(scales)
 
 
