@@ -6,11 +6,12 @@ runs only the pipeline stages its output needs, the same public stages
 that run: ``amplitudes``, ``tomography``, ``bell`` and ``hom`` print the
 report's keys of their stage result (``result.to_json()``) as ``report.json``
 renders them, ``hom --format csv`` prints ``hom.csv`` and ``histogram``
-prints ``histogram.csv``. Only ``tomography --records`` fits measured counts
-instead, and prints them under ``tomography``. Exit codes: 0 success, 2
-configuration or input-file problems, 3 numerical failures (poor fits,
-singular reconstructions, vanishing amplitudes), 4 incomplete tomography
-protocols.
+prints ``histogram.csv``. ``tomography --records`` runs the same analysis,
+``analyze_tomography``, on the measured records of a CSV file instead of
+simulated ones, and prints the run's ``tomography`` keys plus ``source``.
+Exit codes: 0 success, 2 configuration or input-file problems, 3 numerical
+failures (poor fits, singular reconstructions, vanishing amplitudes), 4
+incomplete tomography protocols.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .experiment import (
     _json_bytes,
     _section_text,
     _write_bytes,
-    fit_json,
+    analyze_tomography,
     run_experiment,
     simulate_bell,
     simulate_tomography,
@@ -37,8 +38,7 @@ from .experiment import (
     spectral_section,
     write_report,
 )
-from .qutrit import purity
-from .tomography import load_records_csv, reconstruct
+from .tomography import load_records_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,27 +68,18 @@ _STAGES = {
 }
 
 
-def _records_fit(path) -> dict:
-    """A fit of the measured counts in ``path``, keyed as the run's ``tomography``."""
-    try:
-        protocol, records = load_records_csv(path)
-    except ValueError as exc:
-        raise ConfigError(f"bad records file {path}: {exc}") from exc
-    rho, fit = reconstruct(records, protocol)
-    return {"tomography": {
-        "source": path,
-        **fit_json(rho, fit),
-        "weights": np.real(np.diag(rho)).tolist(),
-        "purity": purity(rho),
-    }}
-
-
 def _cmd_stage(args, cfg):
+    seed_seq = np.random.SeedSequence(cfg.run.seed)
     if getattr(args, "records", None):
-        sections = _records_fit(args.records)
+        try:
+            protocol, records = load_records_csv(args.records)
+        except ValueError as exc:
+            raise ConfigError(f"bad records file {args.records}: {exc}") from exc
+        sections = analyze_tomography(cfg, protocol, records, seed_seq).to_json()
+        sections["tomography"]["source"] = args.records
     else:
         stage, encode_csv = _STAGES[args.command]
-        result = stage(cfg, np.random.SeedSequence(cfg.run.seed))
+        result = stage(cfg, seed_seq)
         if args.format == "csv":
             return _write(args, encode_csv(result))
         sections = result.to_json()
@@ -112,12 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, output_format="json"):
+    def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="INI file overriding the packaged defaults")
         p.add_argument("--seed", type=int, help="override the configured seed")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.set_defaults(func=func, format=output_format)
+        p.set_defaults(func=func, format="json")
         return p
 
     p = command("amplitudes", _cmd_stage, "orientation, pair amplitudes and model state")
@@ -128,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("hom", _cmd_stage, "two-photon spectrum widths and interference curves")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default json; csv prints hom.csv)")
-    command("histogram", _cmd_stage, "the nine tomography histograms (histogram.csv)",
-            output_format="csv")
+    p = command("histogram", _cmd_stage, "the nine tomography histograms (histogram.csv)")
+    p.set_defaults(format="csv")
     command("run", _cmd_run, "full pipeline; writes report.json and CSVs")
 
     return parser

@@ -39,6 +39,8 @@ The two seeded stages run once per run, in this order, on one
 model state and spawns its children, then ``simulate_bell(cfg, tomography,
 seed_seq)`` tests the reconstructed state on the next one. A caller that
 passes one sequence to both in that order draws the run's numbers.
+``simulate_tomography`` draws the records and hands them to
+``analyze_tomography``, which analyzes measured records too.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
@@ -76,6 +78,7 @@ from .crystal import (
     weight_residual,
 )
 from .delayline import calcite_delay, default_delay_line, delay_scan
+from .errors import SingularFit
 from .histogram import bin_centers, simulate_counts, subtract_accidentals
 from .polarization import pump_ket
 from .qutrit import (
@@ -174,12 +177,6 @@ def complex_json(a) -> list:
     """A complex array as nested lists with one [re, im] pair per element."""
     a = np.asarray(a)
     return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
-
-
-def fit_json(rho, fit: FitReport) -> dict:
-    """A fitted state's report entries: ``rho``, ``scale_hz`` and ``fit``."""
-    diagnostics = asdict(fit)
-    return {"rho": complex_json(rho), "scale_hz": diagnostics.pop("scale"), "fit": diagnostics}
 
 
 def amplitudes_json(res) -> dict:
@@ -604,29 +601,30 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
     """Parametric bootstrap: redraw net counts from the fitted model.
 
     Returns the report's ``<measure>_sigma`` entries, all None without
-    replicates. Only the (n_boot, measures) sample table grows with the
-    replicate count; the states are held one block at a time.
+    replicates or when any replicate cannot be fitted (``SingularFit``: a
+    redraw of a few counts can leave a fitted total rate that is not
+    positive). Only the replicates' measures grow with the replicate count;
+    the states are held one block at a time.
     """
-    n_boot = cfg.run.bootstrap_samples
+    states = _bootstrap_states(rho_hat, scale_hat, records, protocol,
+                               cfg.run.bootstrap_samples, seed_seq)
+    try:
+        blocks = [_measures(rhos, cfg.fringe.fixed_analyzer, spectrum) for rhos, spectrum in states]
+    except SingularFit:
+        blocks = []
     measures = ("weights", "purity", "concurrence", "visibility")
-    if n_boot == 0:
+    if not blocks:
         return {f"{key}_sigma": None for key in measures}
-    blocks = _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq)
-    samples = {key: [] for key in measures}
-    for rhos, spectrum in blocks:
-        block = _measures(rhos, cfg.fringe.fixed_analyzer, spectrum)
-        for key in measures:
-            samples[key].append(block[key])
-    return {f"{key}_sigma": _spread(np.concatenate(samples[key])) for key in measures}
+    return {f"{key}_sigma": _spread(np.concatenate([b[key] for b in blocks])) for key in measures}
 
 
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
-    """``simulate_tomography``'s result. ``measures`` and ``sigmas`` hold the
+    """``analyze_tomography``'s result. ``measures`` and ``sigmas`` hold the
     report's JSON values (None where undefined); ``counts`` is the
     (settings, n_bins) int64 array of the coincidence histograms, their bins
-    at the delays ``centers_ns``; ``fringe_curve`` holds (theta_deg, rate)
-    pairs, none when the fringe has no counts."""
+    at the delays ``centers_ns`` (n_bins 0 for measured records);
+    ``fringe_curve`` holds (theta_deg, rate) pairs, none when the fringe has no counts."""
 
     records: list
     rho: np.ndarray
@@ -641,10 +639,13 @@ class TomographyResult:
     def to_json(self) -> dict:
         """The report's ``tomography`` section."""
         entries = {**self.measures, **self.sigmas}
+        diagnostics = asdict(self.fit)
         return {
             "tomography": {
                 "records": [{**asdict(r), "net": r.net} for r in self.records],
-                **fit_json(self.rho, self.fit),
+                "rho": complex_json(self.rho),
+                "scale_hz": diagnostics.pop("scale"),
+                "fit": diagnostics,
                 # a copy of each list, so editing the section leaves the result alone
                 **{key: list(v) if isinstance(v, list) else v for key, v in entries.items()},
                 "fringe_fixed_analyzer": self.fixed_analyzer,
@@ -670,33 +671,36 @@ class TomographyResult:
         )
 
 
+def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> TomographyResult:
+    """Tomography of ``records``, the net counts of ``protocol``'s settings in
+    order: the point fit and its measures, the ``[fringe]`` curve, and the
+    ``[run] bootstrap_samples`` sigmas drawn from the next spawned child of
+    ``seed_seq``. The result holds no histograms (n_bins 0)."""
+    rho_hat, fit = reconstruct(records, protocol)
+    fringe = cfg.fringe
+    measures = _point_measures(rho_hat, fringe.fixed_analyzer)
+    curve = []  # no counts at any angle: a null visibility and no curve
+    if measures["visibility"] is not None:
+        theta_grid = np.linspace(fringe.theta_start_deg, fringe.theta_stop_deg, fringe.theta_points)
+        curve = fringe_curve(rho_hat, fringe.fixed_analyzer, theta_grid)
+    boot_seq = seed_seq.spawn(1)[0]
+    return TomographyResult(
+        records=records, rho=rho_hat, fit=fit, measures=measures,
+        sigmas=_bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq),
+        fixed_analyzer=fringe.fixed_analyzer, fringe_curve=curve,
+        counts=np.zeros((len(records), 0), dtype=np.int64), centers_ns=np.zeros(0),
+    )
+
+
 def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
-    """Simulated tomography of ``source_model(cfg).rho``. Spawns one child of
-    ``seed_seq`` per protocol setting, then one for the bootstrap."""
+    """Simulated tomography of ``source_model(cfg).rho``: the
+    ``default_protocol`` histograms drawn from one spawned child of
+    ``seed_seq`` per setting, then ``analyze_tomography`` of their records."""
     protocol = default_protocol()
     rel_rates = forward_rates(source_model(cfg).rho, protocol, 1.0)
     counts, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
-    rho_hat, fit = reconstruct(records, protocol)
-
-    measures = _point_measures(rho_hat, cfg.fringe.fixed_analyzer)
-    curve = []  # no counts at any angle: a null visibility and no curve
-    if measures["visibility"] is not None:
-        theta_grid = np.linspace(
-            cfg.fringe.theta_start_deg, cfg.fringe.theta_stop_deg, cfg.fringe.theta_points
-        )
-        curve = fringe_curve(rho_hat, cfg.fringe.fixed_analyzer, theta_grid)
-    boot_seq = seed_seq.spawn(1)[0]
-    return TomographyResult(
-        records=records,
-        rho=rho_hat,
-        fit=fit,
-        measures=measures,
-        sigmas=_bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq),
-        fixed_analyzer=cfg.fringe.fixed_analyzer,
-        counts=counts,
-        centers_ns=bin_centers(cfg.histogram),
-        fringe_curve=curve,
-    )
+    result = analyze_tomography(cfg, protocol, records, seed_seq)
+    return replace(result, counts=counts, centers_ns=bin_centers(cfg.histogram))
 
 
 @dataclass(frozen=True)

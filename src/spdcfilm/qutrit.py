@@ -14,7 +14,7 @@ EIG_FLOOR = -1e-9  # no eigenvalue of a valid density matrix lies below this
 GAP_TOL = 1e-9  # top two eigenvalues closer than this: no dominant eigenstate
 
 
-def check_state(state, dim: int = 3) -> np.ndarray:
+def check_state(state, dim: int) -> np.ndarray:
     """Validate shape (dim,) and unit norm (to NORM_TOL, 1e-9) of a ket."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
@@ -55,7 +55,7 @@ def _density_eigh(rhos: np.ndarray, spectrum):
 
 
 def pure_density_matrix(state) -> np.ndarray:
-    state = check_state(state)
+    state = check_state(state, 3)
     return np.outer(state, state.conj())
 
 
@@ -71,7 +71,7 @@ def concurrence(state) -> float:
 
     0 for co-polarized pairs (1,0,0); 1 for the orthogonal pair (0,1,0).
     """
-    return float(_concurrence(check_state(state)))
+    return float(_concurrence(check_state(state, 3)))
 
 
 def _concurrence(c: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +65,15 @@ def default_protocol() -> list[tuple[AnalyzerSetting, AnalyzerSetting]]:
 
 @dataclass(frozen=True)
 class CoincidenceRecord:
-    """Background-subtracted coincidence count for one protocol setting. Its
-    messages call ``duration_s`` ``duration``, the records CSV's column."""
+    """Background-subtracted coincidence count for one protocol setting, with
+    its net count's standard deviation ``net_sigma``. Its messages call
+    ``duration_s`` ``duration``, the records CSV's column."""
 
     index: int
     raw: float
     accidental: float
     duration_s: float
-    net_sigma: float = 0.0
+    net_sigma: float
 
     def __post_init__(self):
         quantities = {"raw": self.raw, "accidental": self.accidental,
@@ -346,6 +348,9 @@ def load_records_csv(path):
     """Read (protocol, records) from CSV with columns
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
+    A file has no sigma column: ``net_sigma`` is sqrt(max(raw, 1)), the
+    Poisson term of ``subtract_accidentals``' sigma without its floor term.
+
     A file without records, a header or row the csv module cannot read (a
     field over its 131,072-character limit), a row with more cells than the
     header, or a missing or non-numeric cell or non-finite angle, raises
@@ -376,7 +381,7 @@ def load_records_csv(path):
                     if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
                         raise ValueError(f"record {idx}: {key} must be finite")
                 protocol.append((AnalyzerSetting(*cells[0:2]), AnalyzerSetting(*cells[2:4])))
-                records.append(CoincidenceRecord(idx, *cells[4:]))
+                records.append(CoincidenceRecord(idx, *cells[4:], math.sqrt(max(cells[4], 1.0))))
         except csv.Error as err:  # raised while reading the row after the last record kept
             raise ValueError(f"record {len(records)}: {err}") from None
     if not records:

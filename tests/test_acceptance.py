@@ -97,7 +97,7 @@ def test_04_tomography_roundtrip():
         rho = _random_rho(rng)
         rates = forward_rates(rho, protocol, 250.0)
         records = [
-            CoincidenceRecord(index=m, raw=float(r), accidental=0.0, duration_s=1.0)
+            CoincidenceRecord(index=m, raw=float(r), accidental=0.0, duration_s=1.0, net_sigma=0.0)
             for m, r in enumerate(rates)
         ]
         rho_hat, _ = reconstruct(records, protocol)

@@ -5,6 +5,7 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdcfilm.bell as bell
@@ -86,39 +87,80 @@ def test_run_writes_files(capsys, tmp_path):
     assert report["seed"] == 11
 
 
-def test_tomography_from_records(capsys, tmp_path):
-    # generate a run, reuse its own records through the CSV entry point
-    out_dir = tmp_path / "src"
-    assert main(["run", "--seed", "2", "--out", str(out_dir)]) == EXIT_OK
-    capsys.readouterr()
-    report = json.loads((out_dir / "report.json").read_text())
-    settings = [
-        ("H", "H"), ("H", "V"), ("V", "V"),
-        ("D", "H"), ("D", "V"), ("D", "D"),
-        ("R", "H"), ("R", "V"), ("R", "D"),
-    ]
-    angles = {
-        "H": (0.0, 0.0), "V": (0.0, 45.0), "D": (0.0, 22.5), "R": (45.0, 0.0)
-    }
-    csv_path = tmp_path / "records.csv"
-    lines = ["qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n"]
-    for (name_a, name_b), rec in zip(settings, report["tomography"]["records"]):
-        qa, ha = angles[name_a]
-        qb, hb = angles[name_b]
-        lines.append(
-            f"{qa},{ha},{qb},{hb},{rec['raw']},{rec['accidental']},"
-            f"{rec['duration_s']}\n"
-        )
-    csv_path.write_text("".join(lines))
-    code, out = run_cli(capsys, "tomography", "--records", str(csv_path))
+DATA = Path(__file__).parent / "data"
+#: the defaults' run at seed 3: its nine records, in the records CSV's columns
+RECORDS_SEED3 = str(DATA / "records_seed3.csv")
+#: about four pairs a setting over flat accidentals: some bootstrap replicate
+#: at the configured seed has a fitted total rate that is not positive
+RECORDS_LOW_COUNTS = str(DATA / "records_low_counts.csv")
+SIGMAS = ("concurrence_sigma", "purity_sigma", "visibility_sigma", "weights_sigma")
+
+
+def _tomography(capsys, *argv) -> dict:
+    code, out = run_cli(capsys, "tomography", *argv)
     assert code == EXIT_OK
-    doc = json.loads(out)
-    assert list(doc) == ["tomography"]
-    fitted = doc["tomography"]
-    assert fitted["weights"][1] == pytest.approx(0.96, abs=0.05)
-    # the entries the run's section also holds are keyed as it keys them
-    assert sorted(fitted["fit"]) == sorted(report["tomography"]["fit"])
-    assert set(fitted) - {"source"} <= set(report["tomography"])
+    return json.loads(out)["tomography"]
+
+
+def test_tomography_from_records(capsys):
+    # the run's own records, fitted as measured counts, give the run's estimates
+    simulated = _tomography(capsys, "--seed", "3")
+    fitted = _tomography(capsys, "--records", RECORDS_SEED3)
+    assert set(fitted) == {*simulated, "source"} and fitted["source"] == RECORDS_SEED3
+    for key in ("rho", "scale_hz", "fit", "weights", "purity", "concurrence", "schmidt_number",
+                "dominant_weight", "visibility", "fringe_fixed_analyzer"):
+        assert json.dumps(fitted[key]) == json.dumps(simulated[key]), key
+    for record, run_record in zip(fitted["records"], simulated["records"], strict=True):
+        assert record == {**run_record, "net_sigma": record["net_sigma"]}
+        assert record["net_sigma"] == pytest.approx(run_record["net_sigma"], rel=0.003)
+    for key in SIGMAS:
+        assert np.isfinite(np.array(fitted[key], dtype=float)).all(), key  # None is NaN
+
+
+def test_unfittable_bootstrap_replicate_leaves_null_sigmas(capsys, tmp_path):
+    no_bootstrap = tmp_path / "no-bootstrap.cfg"
+    no_bootstrap.write_text("[run]\nbootstrap_samples = 0\n")
+    code, out = run_cli(capsys, "tomography", "--records", RECORDS_LOW_COUNTS)
+    assert code == EXIT_OK
+    assert [json.loads(out)["tomography"][key] for key in SIGMAS] == [None] * 4
+    assert load_config().run.bootstrap_samples > 0
+    # the point values are those of an analysis that draws no replicate
+    assert run_cli(capsys, "tomography", "--records", RECORDS_LOW_COUNTS,
+                   "--config", str(no_bootstrap)) == (EXIT_OK, out)
+
+
+def test_overcomplete_records_take_the_svd_solve(capsys, monkeypatch, tmp_path):
+    from spdcfilm.polarization import ANALYZER_ANGLES
+    from spdcfilm.tomography import AnalyzerSetting, forward_rates
+
+    names = [(a, b) for a in "HVDAR" for b in "HVDAR"]
+    protocol = [(AnalyzerSetting(*ANALYZER_ANGLES[a]), AnalyzerSetting(*ANALYZER_ANGLES[b]))
+                for a, b in names]
+    rates = forward_rates(experiment.source_model(load_config()).rho, protocol, 1000.0)
+    csv_path = tmp_path / "overcomplete.csv"
+    csv_path.write_text("qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n" + "".join(
+        f"{a.qwp_deg},{a.hwp_deg},{b.qwp_deg},{b.hwp_deg},{round(2.0 * rate) + 5},5.0,2.0\n"
+        for (a, b), rate in zip(protocol, rates)))
+    shapes = []
+
+    def recording(a, *args, _original=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    fitted = _tomography(capsys, "--records", str(csv_path))
+    assert len(fitted["records"]) == 25
+    assert (load_config().run.bootstrap_samples, 25, 9) in shapes  # one weighted SVD a replicate
+    for key in SIGMAS:
+        assert np.isfinite(np.array(fitted[key], dtype=float)).all(), key  # None is NaN
+
+
+def test_records_seed_sets_only_the_bootstrap(capsys):
+    first, again, other = (run_cli(capsys, "tomography", "--records", RECORDS_SEED3,
+                                   "--seed", seed) for seed in ("5", "5", "6"))
+    assert first == again and first[0] == EXIT_OK
+    first, other = json.loads(first[1])["tomography"], json.loads(other[1])["tomography"]
+    assert sorted(key for key in first if first[key] != other[key]) == list(SIGMAS)
 
 
 AMPLITUDES_KEYS = ("amplitudes", "model_state", "orientation", "pump")

@@ -169,6 +169,18 @@ def test_bootstrap_sigmas_positive(report):
     assert t["visibility_sigma"] > 0.0
 
 
+def test_analyzing_the_runs_records_gives_the_runs_section(report):
+    from spdcfilm.tomography import default_protocol
+
+    seq = np.random.SeedSequence(SEED)
+    seq.spawn(9)  # the run's nine setting seeds: the bootstrap's child is next
+    result = experiment.analyze_tomography(load_config(), default_protocol(),
+                                           report.tomography.records, seq)
+    assert json.dumps(result.to_json()) == json.dumps(report.tomography.to_json())
+    assert result.counts.shape == (9, 0) and result.centers_ns.shape == (0,)
+    assert result.fringe_curve == report.tomography.fringe_curve
+
+
 def _clear_memos():
     """Forget every memoized stage, encoded report section and sidecar: the
     next run computes and writes all of them, as in a fresh process."""

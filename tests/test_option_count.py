@@ -15,10 +15,10 @@ from pathlib import Path
 import spdcfilm
 
 #: defaulted parameters of every function, method and lambda in the package
-MAX_DEFAULTED = 5
+MAX_DEFAULTED = 3
 
 #: fields with a default in the body of every ``@dataclass`` class in the package
-MAX_FIELD_DEFAULTS = 1
+MAX_FIELD_DEFAULTS = 0
 
 #: ``@dataclass`` classes in the package
 MAX_DATACLASSES = 33

@@ -101,7 +101,7 @@ def test_phase_curve_interpolates_bounds():
 
 def test_validation_errors():
     with pytest.raises(NotNormalized):
-        check_state(np.array([1.0, 1.0, 0.0]))
+        check_state(np.array([1.0, 1.0, 0.0]), 3)
     with pytest.raises(InvalidDensityMatrix):
         check_density_matrix(np.diag([0.7, 0.4, -0.1]))
     with pytest.raises(InvalidDensityMatrix):

@@ -44,7 +44,8 @@ def _visibility(rho, fixed):
 def _noiseless_records(rho, protocol, scale=1000.0, duration=2.0):
     rates = forward_rates(rho, protocol, scale)
     return [
-        CoincidenceRecord(index=m, raw=duration * r, accidental=0.0, duration_s=duration)
+        CoincidenceRecord(index=m, raw=duration * r, accidental=0.0, duration_s=duration,
+                          net_sigma=0.0)
         for m, r in enumerate(rates)
     ]
 
@@ -157,7 +158,8 @@ def test_negative_nets_still_reconstruct():
     for m, r in enumerate(rates):
         net = r * 2.0 + rng.normal(0.0, 3.0)
         records.append(
-            CoincidenceRecord(index=m, raw=max(net, 0.0) + 40.0, accidental=max(net, 0.0) + 40.0 - net, duration_s=2.0)
+            CoincidenceRecord(index=m, raw=max(net, 0.0) + 40.0,
+                              accidental=max(net, 0.0) + 40.0 - net, duration_s=2.0, net_sigma=0.0)
         )
     rho_hat, report = reconstruct(records, protocol)
     assert np.all(np.linalg.eigvalsh(rho_hat) > -1e-12)
@@ -194,6 +196,14 @@ def test_records_csv_roundtrip(tmp_path):
     loaded_protocol, loaded_records = load_records_csv(path)
     rho_hat, _ = reconstruct(loaded_records, loaded_protocol)
     assert np.linalg.norm(rho_hat - rho) < 1e-9
+
+
+def test_records_csv_sigma_is_the_raw_counts_poisson_error(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n"
+                    "0,0,0,0,0,-3.5,1.0\n0,0,0,45,400,2.0,1.0\n0,45,0,45,0.25,0.0,1.0\n")
+    _, records = load_records_csv(path)
+    assert [r.net_sigma for r in records] == [1.0, 20.0, 1.0]
 
 
 def test_unknown_analyzer_raises_value_error():
@@ -286,7 +296,7 @@ def test_batched_fit_matches_scalar_reconstruct_per_replicate():
     replicates = [
         [
             CoincidenceRecord(index=m, raw=max(n, 0.0) + 10.0, accidental=max(n, 0.0) + 10.0 - n,
-                              duration_s=2.0)
+                              duration_s=2.0, net_sigma=0.0)
             for m, n in enumerate(draw)
         ]
         for draw in draws
@@ -314,7 +324,7 @@ def test_replicate_with_nonpositive_trace_raises():
     _physical(_solve_stack(nets[:2], durations, protocol))
     # the one-replicate case is reconstruct's own check
     records = [
-        CoincidenceRecord(index=m, raw=0.0, accidental=n, duration_s=2.0)
+        CoincidenceRecord(index=m, raw=0.0, accidental=n, duration_s=2.0, net_sigma=0.0)
         for m, n in enumerate(good)
     ]
     with pytest.raises(SingularFit, match="not positive"):
@@ -481,7 +491,7 @@ def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
     # the point fit reports the exact value, though the bound clears its solve
     del inputs[:]
     records = [CoincidenceRecord(index=m, raw=max(n, 0.0), accidental=max(n, 0.0) - n,
-                                 duration_s=2.0) for m, n in enumerate(_MODEL_NETS)]
+                                 duration_s=2.0, net_sigma=0.0) for m, n in enumerate(_MODEL_NETS)]
     assert reconstruct(records, protocol)[1].condition_number == pytest.approx(exact[0],
                                                                                rel=1e-12)
     assert [a.shape for a in inputs] == [(9, 9), (1, 9, 9)]
