@@ -1,9 +1,10 @@
 """Typed experiment configuration loaded from INI files.
 
 Defaults ship in ``data/default.cfg``; a user file overlays them. The
-schema is the dataclasses below and ``spectral.FilmStack``, the ``[film]``
-section: each section is a field of ``ExperimentConfig``, each key a field
-of its section's dataclass, parsed by that field's annotation. Malformed
+schema is the dataclasses below, ``spectral.FilmStack``, the ``[film]``
+section, and ``delayline.DelayLine``, the ``[delay_line]`` section: each
+section is a field of ``ExperimentConfig``, each key a field of its
+section's dataclass, parsed by that field's annotation. Malformed
 files, unknown sections or keys, unparsable or non-finite values, unknown
 materials and out-of-range parameters all raise :class:`ConfigError`.
 """
@@ -15,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .delayline import default_delay_line, delay_scan
+from .delayline import DelayLine
 from .errors import ConfigError, SpdcFilmError
 from .qutrit import depolarize
 from .spectral import (
@@ -166,22 +167,6 @@ class BellConfig:
 
 
 @dataclass(frozen=True)
-class DelayLineConfig:
-    plate_thickness_mm: float
-    base_tilt_deg: float
-    wavelength_um: float
-    scan_start_deg: float
-    scan_stop_deg: float
-    scan_points: int
-
-    def __post_init__(self):
-        _require(self.scan_points >= 2, "delay_line scan needs at least 2 points")
-        line = _built("delay_line", default_delay_line, self.base_tilt_deg,
-                      self.plate_thickness_mm, self.wavelength_um)
-        _built("delay_line", delay_scan, line, (self.scan_start_deg, self.scan_stop_deg))
-
-
-@dataclass(frozen=True)
 class HomConfig:
     delay_start_fs: float
     delay_stop_fs: float
@@ -238,7 +223,7 @@ class ExperimentConfig:
     tomography: TomographyConfig
     histogram: HistogramConfig
     bell: BellConfig
-    delay_line: DelayLineConfig
+    delay_line: DelayLine
     hom: HomConfig
     fringe: FringeConfig
     run: RunConfig

@@ -20,7 +20,9 @@ of the calibration fits both come from it.
 The in-plane azimuth is not a measured quantity; it is calibrated from
 pump-resolved weight data (``calibrate_azimuth``). The tilt can be refit
 the same way (``calibrate_orientation``) when the nominal cut angle does
-not reproduce the measured weights.
+not reproduce the measured weights. Both fits, and ``weight_residual``,
+take the ``[calibration]`` section (``config.CalibrationConfig``) as it is:
+its H- and V-pump weight triples and its ``fit_threshold``.
 """
 
 from __future__ import annotations
@@ -145,70 +147,54 @@ def spdc_amplitudes(chi: np.ndarray, orientation: CrystalOrientation, pump) -> S
     return SpdcResult(state=c[0] / np.sqrt(rate), relative_rate=rate)
 
 
-def _pump_angle(key) -> float:
-    if isinstance(key, str):
-        named = {"H": 0.0, "V": 90.0, "D": 45.0, "A": 135.0}
-        if key.upper() not in named:
-            raise ValueError(f"unknown pump label {key!r}")
-        return named[key.upper()]
-    return float(key)
-
-
-def _residual_grid(chi, tilt_deg, azimuth_deg, targets: dict) -> np.ndarray:
+def _residual_grid(chi, tilt_deg, azimuth_deg, calibration) -> np.ndarray:
     """``weight_residual`` at every point of a broadcast (tilt, azimuth) grid,
-    from one ``_amplitude_grid`` call over every target pump. Each value is
+    from one ``_amplitude_grid`` call over the H and V pumps. Each value is
     bit-identical to its orientation evaluated alone.
     """
-    pumps = [pump_ket(_pump_angle(key)) for key in targets]
+    pumps = [pump_ket(0.0), pump_ket(90.0)]
     power = np.abs(_amplitude_grid(chi, tilt_deg, azimuth_deg, pumps)) ** 2
     rate = np.sum(power, axis=-1, keepdims=True)
     w = power / np.where(rate == 0.0, 1.0, rate)  # a vanishing rate gives zero weights
-    tgt = np.asarray(list(targets.values()), dtype=float)
-    tgt = tgt.reshape((len(targets),) + (1,) * (w.ndim - 2) + (3,))
+    tgt = np.asarray([calibration.h_pump_weights, calibration.v_pump_weights], dtype=float)
+    tgt = tgt.reshape((2,) + (1,) * (w.ndim - 2) + (3,))
     per_pump = np.sum((w - tgt) ** 2, axis=-1)
     total = np.zeros(per_pump.shape[1:])
-    for res in per_pump:  # pump by pump, in target order
+    for res in per_pump:  # the H pump, then the V pump
         total = total + res
     return total
 
 
-def weight_residual(chi, orientation: CrystalOrientation, targets: dict) -> float:
-    """Summed squared deviation of predicted weights from target weights.
-
-    ``targets`` maps a pump setting ('H', 'V', or an angle in degrees) to
-    its (|C1|^2, |C2|^2, |C3|^2) triple.
+def weight_residual(chi, orientation: CrystalOrientation, calibration) -> float:
+    """Summed squared deviation of the predicted weights from the
+    ``[calibration]`` section's: the H pump's from ``h_pump_weights``, the V
+    pump's from ``v_pump_weights``, each a (|C1|^2, |C2|^2, |C3|^2) triple.
     """
-    return float(_residual_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, targets))
+    return float(_residual_grid(chi, orientation.tilt_deg, orientation.azimuth_deg, calibration))
 
 
-def calibrate_azimuth(
-    chi,
-    tilt_deg: float,
-    targets: dict,
-    threshold: float,
-) -> tuple[float, float]:
-    """Fit the in-plane azimuth to measured pump-resolved weights.
+def calibrate_azimuth(chi, tilt_deg: float, calibration) -> tuple[float, float]:
+    """Fit the in-plane azimuth to the ``[calibration]`` section's measured
+    pump-resolved weights.
 
     Scans azimuth over [0, 180) in 0.1 deg steps, minimizing
-    the summed squared weight deviation over all pump settings at once, and
+    the summed squared weight deviation over both pump settings at once, and
     returns (azimuth, residual). The azimuth is an output of this fit, never
     an input assumption.
 
     Raises PoorFit when even the best azimuth leaves a residual above
-    ``threshold``: that signals a modeling mismatch (wrong tilt, wrong
+    ``fit_threshold``: that signals a modeling mismatch (wrong tilt, wrong
     tensor) and must be reported rather than silently ignored.
     """
-    if not targets:
-        raise ValueError("calibration requires at least one pump-setting target")
     azimuths = np.arange(0.0, 180.0, 0.1)
-    residuals = _residual_grid(chi, tilt_deg, azimuths, targets)
+    residuals = _residual_grid(chi, tilt_deg, azimuths, calibration)
     best = int(np.argmin(residuals))  # the first of tied minima, as a strict "<" scan
     best_az, best_res = float(azimuths[best]), float(residuals[best])
-    if best_res > threshold:
+    if best_res > calibration.fit_threshold:
         raise PoorFit(
             f"azimuth scan at tilt {tilt_deg} deg bottoms out at residual "
-            f"{best_res:.4g} (threshold {threshold:g}); the assumed tilt does "
-            f"not reproduce the target weights"
+            f"{best_res:.4g} (threshold {calibration.fit_threshold:g}); the assumed "
+            f"tilt does not reproduce the target weights"
         )
     return best_az, best_res
 
@@ -299,12 +285,9 @@ def _nelder_mead(fun, x0):
 _COARSE_STEP_DEG = 1.0
 
 
-def calibrate_orientation(
-    chi,
-    targets: dict,
-    threshold: float,
-) -> tuple[CrystalOrientation, float]:
-    """Joint (tilt, azimuth) fit to measured pump-resolved weights.
+def calibrate_orientation(chi, calibration) -> tuple[CrystalOrientation, float]:
+    """Joint (tilt, azimuth) fit to the ``[calibration]`` section's measured
+    pump-resolved weights.
 
     Scans a _COARSE_STEP_DEG (1 deg) grid over tilts in [0, 55] deg and
     azimuths in [0, 180) deg and starts from its best point (the first of tied minima
@@ -317,27 +300,25 @@ def calibrate_orientation(
     (``_nelder_mead``), so the fit equals ``scipy.optimize.minimize`` with
     those tolerances without importing scipy. A search stopped by the cap
     keeps its best vertex, which is judged like any other only by
-    ``threshold``. Use this when ``calibrate_azimuth`` at the nominal tilt
+    ``fit_threshold``. Use this when ``calibrate_azimuth`` at the nominal tilt
     raises PoorFit.
     """
-    if not targets:
-        raise ValueError("calibration requires at least one pump-setting target")
     tilts = np.arange(0.0, 55.0 + 1e-9, _COARSE_STEP_DEG)
     azimuths = np.arange(0.0, 180.0, _COARSE_STEP_DEG)
-    residuals = _residual_grid(chi, tilts[:, None], azimuths[None, :], targets)
+    residuals = _residual_grid(chi, tilts[:, None], azimuths[None, :], calibration)
     # the first of tied minima in (tilt, azimuth) scan order, as a strict "<" scan
     i, j = np.unravel_index(np.argmin(residuals), residuals.shape)
 
     def objective(x):
-        return weight_residual(chi, CrystalOrientation(x[0], x[1]), targets)
+        return weight_residual(chi, CrystalOrientation(x[0], x[1]), calibration)
 
     x, fun = _nelder_mead(objective, [float(tilts[i]), float(azimuths[j])])
     tilt, az = float(x[0]), float(x[1]) % 180.0
     residual = float(fun)
-    if residual > threshold:
+    if residual > calibration.fit_threshold:
         raise PoorFit(
             f"joint orientation fit bottoms out at residual {residual:.4g} "
-            f"(threshold {threshold:g})"
+            f"(threshold {calibration.fit_threshold:g})"
         )
     return CrystalOrientation(tilt, az), residual
 

@@ -1,4 +1,4 @@
-"""Birefringent delay line: tiltable calcite plates in series.
+"""Birefringent delay line: the four-plate calcite compensator of ``[delay_line]``.
 
 Each plate is cut with its optic axis in the plate face, oriented either
 horizontal or vertical in the lab. The plates tilt about the optic axis,
@@ -12,123 +12,96 @@ sin(theta)/n and accumulates, relative to the untilted parallel beam,
                   = n d cos(theta_int),
 
 the second term crediting the lateral walk-off against the common
-external path. A vertical-axis plate delays H (ordinary) against V
+external path. Calcite's index stays above 1.47 over its data windows, so
+within the +-60 deg working range sin(theta_int) < 0.59 and every tilt
+refracts. A vertical-axis plate delays H (ordinary) against V
 (extraordinary); a horizontal-axis plate does the opposite, so plates in
 crossed pairs cancel at equal tilts and tilting one pair scans the
 relative delay through zero.
+
+``DelayLine`` is the ``[delay_line]`` section: four equal plates, axes
+vertical, horizontal, horizontal, vertical, the outer pair at the base
+tilt and the inner pair scanned. The module has no ``from __future__
+import annotations``: ``load_config`` parses each key by its field's
+annotation object.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import OutOfRange, TotalInternalReflection
+import numpy as np
+
+from .errors import ConfigError, OutOfRange
 from .materials import refractive_index
 
 C_MM_FS = 2.99792458e-4  # speed of light in mm/fs
 
 
-@dataclass(frozen=True)
-class Plate:
-    """One calcite plate: thickness (mm), optic-axis orientation, tilt."""
+def plate_delay_fs(n_o: float, n_e: float, thickness_mm: float, axis: str,
+                   tilt_deg: float) -> float:
+    """H-minus-V group delay of one plate, in fs: the OPL difference of its
+    ordinary (index ``n_o``) and extraordinary (``n_e``) rays over c.
 
-    thickness_mm: float
-    axis: str
-    tilt_deg: float
-
-    def __post_init__(self):
-        if self.thickness_mm <= 0:
-            raise ValueError("plate thickness must be positive")
-        if self.axis not in ("horizontal", "vertical"):
-            raise ValueError(f"axis must be 'horizontal' or 'vertical', got {self.axis!r}")
-        if not abs(self.tilt_deg) < 60.0:
-            raise OutOfRange(
-                f"plate tilt {self.tilt_deg} deg outside the +-60 deg working range"
-            )
-
-
-@dataclass(frozen=True)
-class DelayLine:
-    """Plate sequence with the ordinary/extraordinary indices to use."""
-
-    plates: tuple
-    n_o: float
-    n_e: float
-
-    def __post_init__(self):
-        if len(self.plates) == 0:
-            raise ValueError("delay line needs at least one plate")
-        if self.n_o < 1.0 or self.n_e < 1.0:
-            raise ValueError("indices must be at least 1")
-
-
-def optical_path_mm(n: float, thickness_mm: float, tilt_deg: float) -> float:
-    """OPL through one tilted plate relative to the untilted parallel beam."""
-    sin_int = math.sin(math.radians(tilt_deg)) / n
-    if abs(sin_int) >= 1.0:
-        raise TotalInternalReflection(
-            f"internal angle undefined for index {n} at tilt {tilt_deg} deg"
-        )
-    theta_int = math.asin(sin_int)
-    return n * thickness_mm * math.cos(theta_int)
-
-
-def plate_delay_fs(plate: Plate, n_o: float, n_e: float) -> float:
-    """H-minus-V group delay of one plate, in fs.
-
-    With the optic axis vertical, V is the extraordinary ray; axis
-    horizontal swaps the roles.
+    With the optic ``axis`` "vertical", V is the extraordinary ray;
+    "horizontal" swaps the roles.
     """
-    opl_o = optical_path_mm(n_o, plate.thickness_mm, plate.tilt_deg)
-    opl_e = optical_path_mm(n_e, plate.thickness_mm, plate.tilt_deg)
-    if plate.axis == "vertical":
+    sin_tilt = math.sin(math.radians(tilt_deg))
+    opl_o = n_o * thickness_mm * math.cos(math.asin(sin_tilt / n_o))
+    opl_e = n_e * thickness_mm * math.cos(math.asin(sin_tilt / n_e))
+    if axis == "vertical":
         return (opl_o - opl_e) / C_MM_FS
     return (opl_e - opl_o) / C_MM_FS
 
 
-def calcite_delay(line: DelayLine) -> float:
-    """Total H-minus-V delay of the line, in fs; OutOfRange unless it is finite
-    (plates so thick that a path or the sum overflows)."""
-    delay = float(sum(plate_delay_fs(p, line.n_o, line.n_e) for p in line.plates))
-    if not math.isfinite(delay):
-        raise OutOfRange(f"delay line delay {delay} fs is not a finite number")
-    return delay
+def _check_tilt(tilt_deg: float):
+    if not abs(tilt_deg) < 60.0:
+        raise OutOfRange(f"plate tilt {tilt_deg} deg outside the +-60 deg working range")
 
 
-def default_delay_line(base_tilt_deg: float, thickness_mm: float,
-                       wavelength_um: float) -> DelayLine:
-    """Four-plate compensator: crossed outer/inner pairs, zero net delay.
+@dataclass(frozen=True)
+class DelayLine:
+    """The ``[delay_line]`` section: plate thickness (mm), the outer pair's
+    base tilt (deg), the wavelength (um) of the calcite indices ``n_o`` and
+    ``n_e``, and the inner pair's scan grid. Every tilt lies within the
+    +-60 deg working range and the line's delay is finite at both ends of
+    the scan."""
 
-    Layout [vertical, horizontal, horizontal, vertical], all plates
-    ``thickness_mm`` thick at the base tilt, with the calcite indices at
-    ``wavelength_um`` (``[delay_line]`` sets all three); tilting the inner
-    (horizontal-axis) pair away from the base scans the delay through zero.
-    """
-    # Python floats: a path that overflows is infinite, not a NumPy warning
-    n_o = float(refractive_index("calcite_o", wavelength_um))
-    n_e = float(refractive_index("calcite_e", wavelength_um))
-    axes = ("vertical", "horizontal", "horizontal", "vertical")
-    plates = tuple(
-        Plate(thickness_mm=thickness_mm, axis=a, tilt_deg=base_tilt_deg) for a in axes
-    )
-    return DelayLine(plates=plates, n_o=n_o, n_e=n_e)
+    plate_thickness_mm: float
+    base_tilt_deg: float
+    wavelength_um: float
+    scan_start_deg: float
+    scan_stop_deg: float
+    scan_points: int
+
+    def __post_init__(self):
+        if self.scan_points < 2:
+            raise ConfigError("delay_line scan needs at least 2 points")
+        # Python floats: a path that overflows is infinite, not a NumPy warning
+        object.__setattr__(self, "n_o", float(refractive_index("calcite_o", self.wavelength_um)))
+        object.__setattr__(self, "n_e", float(refractive_index("calcite_e", self.wavelength_um)))
+        if self.plate_thickness_mm <= 0:
+            raise ValueError("plate thickness must be positive")
+        _check_tilt(self.base_tilt_deg)
+        for tilt in (float(self.scan_start_deg), float(self.scan_stop_deg)):
+            _check_tilt(tilt)
+            self.delay_fs(tilt)
+
+    def delay_fs(self, inner_tilt_deg: float) -> float:
+        """Total H-minus-V delay in fs with the inner pair at ``inner_tilt_deg``,
+        summed plate by plate; OutOfRange unless it is finite (plates so thick
+        that a path or the sum overflows)."""
+        outer = plate_delay_fs(self.n_o, self.n_e, self.plate_thickness_mm, "vertical",
+                               self.base_tilt_deg)
+        inner = plate_delay_fs(self.n_o, self.n_e, self.plate_thickness_mm, "horizontal",
+                               inner_tilt_deg)
+        delay = float(sum((outer, inner, inner, outer)))
+        if not math.isfinite(delay):
+            raise OutOfRange(f"delay line delay {delay} fs is not a finite number")
+        return delay
 
 
-def delay_scan(line: DelayLine, tilt_grid_deg):
-    """Delay versus tilt of the inner plate pair, plates[1:-1].
-
-    Every inner plate is set to each grid tilt in turn while the outer
-    plates stay fixed. Returns a list of (tilt_deg, delay_fs).
-    """
-    idx = range(1, len(line.plates) - 1)
-    if not idx:
-        raise ValueError("line has no inner plates to scan")
-    out = []
-    for tilt in tilt_grid_deg:
-        plates = tuple(
-            replace(p, tilt_deg=float(tilt)) if i in idx else p
-            for i, p in enumerate(line.plates)
-        )
-        out.append((float(tilt), calcite_delay(DelayLine(plates, line.n_o, line.n_e))))
-    return out
+def delay_scan(line: DelayLine) -> list:
+    """(tilt_deg, delay_fs) at each of the ``scan_points`` inner-pair tilts
+    from ``scan_start_deg`` to ``scan_stop_deg``, the outer pair at base."""
+    grid = np.linspace(line.scan_start_deg, line.scan_stop_deg, line.scan_points)
+    return [(float(tilt), line.delay_fs(float(tilt))) for tilt in grid]

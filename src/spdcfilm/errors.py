@@ -56,7 +56,3 @@ class GridTooNarrow(SpdcFilmError):
 
 class AsymmetricSpectrum(SpdcFilmError):
     """Spectrum violates the degenerate (symmetric) assumption."""
-
-
-class TotalInternalReflection(SpdcFilmError):
-    """Refraction geometry has no real solution for the requested tilt."""

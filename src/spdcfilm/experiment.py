@@ -24,11 +24,13 @@ configurations, so a seed sweep or a CLI command after a run pays for it once:
 * ``source_model`` -> ``SourceModel`` (orientation, H/V and configured-pump
   amplitudes, depolarized qutrit, its CHSH value): ``[crystal]``,
   ``[calibration]``, ``[pump]``, the ``[noise]`` depolarization. The
-  orientation alone is memoized on the first two.
+  orientation alone is memoized on the first two; its fit takes the
+  ``[calibration]`` section as it is.
 * ``spectral_section`` -> ``SpectralSection`` (pair spectrum, HOM curves and
   widths): ``[spectrum]``, ``[film]``, the ``[pump]`` wavelength,
   ``[filters]``, ``[detector_response]``, ``[hom]``.
-* ``delay_line_scan`` -> ``DelayScan`` (calcite delay scan): ``[delay_line]``.
+* ``delay_line_scan`` -> ``DelayScan`` (calcite delay scan): ``[delay_line]``,
+  which is the line itself (``delayline.DelayLine``); ``delay_scan`` scans it.
 
 Their arrays are read-only copies, shared by every run of the configuration,
 and each kind caches ``encoded()`` by identity for the last ``_MEMO_CONFIGS``
@@ -77,7 +79,7 @@ from .crystal import (
     spdc_amplitudes,
     weight_residual,
 )
-from .delayline import calcite_delay, default_delay_line, delay_scan
+from .delayline import delay_scan
 from .errors import SingularFit
 from .histogram import bin_centers, simulate_counts, subtract_accidentals
 from .polarization import pump_ket
@@ -252,20 +254,15 @@ def _orientation(crystal, calibration):
     An ``auto`` tilt fits both angles jointly and ignores ``azimuth_deg``; an
     ``auto`` azimuth alone is fitted at the configured tilt."""
     chi = _read_only_copy(chi2_zincblende(crystal.d_coefficient))
-    targets = {"H": calibration.h_pump_weights, "V": calibration.v_pump_weights}
     tilt, az = crystal.tilt_deg, crystal.azimuth_deg
     if tilt is None:
-        orientation, residual = calibrate_orientation(
-            chi, targets, threshold=calibration.fit_threshold
-        )
+        orientation, residual = calibrate_orientation(chi, calibration)
     elif az is None:
-        fitted_az, residual = calibrate_azimuth(
-            chi, tilt, targets, threshold=calibration.fit_threshold
-        )
+        fitted_az, residual = calibrate_azimuth(chi, tilt, calibration)
         orientation = CrystalOrientation(tilt, fitted_az)
     else:
         orientation = CrystalOrientation(tilt, az)
-        residual = weight_residual(chi, orientation, targets)
+        residual = weight_residual(chi, orientation, calibration)
     return chi, orientation, residual
 
 
@@ -407,18 +404,10 @@ class DelayScan:
 @_memoized(lambda cfg: (cfg.delay_line,))
 def delay_line_scan(delay_line) -> DelayScan:
     """``delay_line_scan(cfg)``: the inner plate pair's ``DelayScan``."""
-    line = default_delay_line(
-        base_tilt_deg=delay_line.base_tilt_deg,
-        thickness_mm=delay_line.plate_thickness_mm,
-        wavelength_um=delay_line.wavelength_um,
-    )
-    tilt_grid = np.linspace(
-        delay_line.scan_start_deg, delay_line.scan_stop_deg, delay_line.scan_points
-    )
     return DelayScan(
         base_tilt_deg=delay_line.base_tilt_deg,
-        delay_at_base_fs=calcite_delay(line),
-        scan=delay_scan(line, tilt_grid),
+        delay_at_base_fs=delay_line.delay_fs(delay_line.base_tilt_deg),
+        scan=delay_scan(delay_line),
     )
 
 

@@ -16,7 +16,7 @@ import pytest
 from spdcfilm import chi2_zincblende, load_config, pump_ket, spdc_amplitudes
 from spdcfilm.bell import chsh_value, default_chsh_settings, split_postselect_rho
 from spdcfilm.crystal import CrystalOrientation
-from spdcfilm.delayline import DelayLine, Plate, calcite_delay
+from spdcfilm.delayline import plate_delay_fs
 from spdcfilm.histogram import simulate_counts, subtract_accidentals
 from spdcfilm.materials import load_material
 from spdcfilm.experiment import spectral_section
@@ -232,26 +232,15 @@ def test_09_hom_interference():
 def test_10_delay_line_cancellation():
     n_o = float(load_material("calcite_o").index(1.276))
     n_e = float(load_material("calcite_e").index(1.276))
+
+    def pair(v_tilt, h_tilt):  # a vertical-axis then a horizontal-axis 5 mm plate
+        return (plate_delay_fs(n_o, n_e, 5.0, "vertical", v_tilt)
+                + plate_delay_fs(n_o, n_e, 5.0, "horizontal", h_tilt))
+
     for tilt in (0.0, 10.0, 17.0):
-        pair = DelayLine(
-            plates=[
-                Plate(thickness_mm=5.0, axis="vertical", tilt_deg=tilt),
-                Plate(thickness_mm=5.0, axis="horizontal", tilt_deg=tilt),
-            ],
-            n_o=n_o,
-            n_e=n_e,
-        )
-        assert abs(calcite_delay(pair)) < 0.01
-    skew = [
-        Plate(thickness_mm=5.0, axis="vertical", tilt_deg=12.0),
-        Plate(thickness_mm=5.0, axis="horizontal", tilt_deg=5.0),
-    ]
-    swapped = [
-        Plate(thickness_mm=5.0, axis="horizontal", tilt_deg=12.0),
-        Plate(thickness_mm=5.0, axis="vertical", tilt_deg=5.0),
-    ]
-    fwd = calcite_delay(DelayLine(plates=skew, n_o=n_o, n_e=n_e))
-    rev = calcite_delay(DelayLine(plates=swapped, n_o=n_o, n_e=n_e))
+        assert abs(pair(tilt, tilt)) < 0.01
+    fwd = pair(12.0, 5.0)
+    rev = pair(5.0, 12.0)  # the axes swapped
     assert abs(fwd) > 1.0  # the pair is genuinely unbalanced
     assert abs(fwd + rev) <= 1e-12
 

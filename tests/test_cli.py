@@ -419,9 +419,17 @@ def test_finite_values_that_overflow_exit_code(capsys, tmp_path, command, body, 
          "delay_stop_fs = 400\n",
          "[hom] delays reach 400 fs, past 51.66666667 fs, half the period of g(tau) on the "
          "[spectrum] grid (250 (points - 1) / span_thz fs)"),
+        ("run", "[delay_line]\nscan_points = 1\n", "delay_line scan needs at least 2 points"),
+        ("run", "[delay_line]\nplate_thickness_mm = 0\n",
+         "[delay_line] plate thickness must be positive"),
+        ("run", "[delay_line]\nbase_tilt_deg = 60\n",
+         "[delay_line] plate tilt 60.0 deg outside the +-60 deg working range"),
+        ("run", "[delay_line]\nscan_start_deg = -61\n",
+         "[delay_line] plate tilt -61.0 deg outside the +-60 deg working range"),
     ],
     ids=["even_bins", "one_bin", "zero_width", "negative_exclusion", "no_off_peak_bins",
-         "efficiency", "negative_singles", "huge_hom_delays", "coarse_hom_grid"],
+         "efficiency", "negative_singles", "huge_hom_delays", "coarse_hom_grid",
+         "one_scan_point", "zero_plate_thickness", "base_tilt_at_limit", "scan_past_limit"],
 )
 def test_section_rule_exit_code(capsys, tmp_path, command, body, message):
     # each section states its own rules, and a config that breaks one never runs

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from spdcfilm.config import load_config
+from spdcfilm.config import CalibrationConfig, load_config
 from spdcfilm.crystal import (
     CrystalOrientation,
     calibrate_azimuth,
@@ -26,10 +26,17 @@ from spdcfilm.errors import PoorFit, ZeroAmplitude
 from spdcfilm.polarization import pump_ket
 
 SEED = 20260819
-TARGETS = {"H": (0.78, 0.02, 0.20), "V": (0.02, 0.98, 0.00)}
 SHIPPED = load_config()
 D = SHIPPED.crystal.d_coefficient  # the shipped tensor scale
 THRESHOLD = SHIPPED.calibration.fit_threshold  # the shipped acceptance threshold
+
+
+def _calibration(h_pump_weights, v_pump_weights):
+    """A [calibration] section of two weight triples at the shipped threshold."""
+    return CalibrationConfig(tuple(h_pump_weights), tuple(v_pump_weights), THRESHOLD)
+
+
+TARGETS = _calibration((0.78, 0.02, 0.20), (0.02, 0.98, 0.00))
 CALIBRATED = CrystalOrientation(tilt_deg=35.75, azimuth_deg=138.60)
 
 
@@ -98,7 +105,7 @@ def test_film_normal_far_from_cube_axis():
 
 def test_calibrate_azimuth_at_fitted_tilt():
     chi = chi2_zincblende(D)
-    az, residual = calibrate_azimuth(chi, 35.75, TARGETS, THRESHOLD)
+    az, residual = calibrate_azimuth(chi, 35.75, TARGETS)
     assert residual < 5e-4
     assert weight_residual(chi, CrystalOrientation(35.75, az), TARGETS) == residual
 
@@ -107,7 +114,7 @@ def test_nominal_wafer_tilt_cannot_fit():
     # no azimuth at the 15 deg nominal tilt reproduces the weight tables
     chi = chi2_zincblende(D)
     with pytest.raises(PoorFit, match="residual"):
-        calibrate_azimuth(chi, 15.0, TARGETS, THRESHOLD)
+        calibrate_azimuth(chi, 15.0, TARGETS)
     best = min(
         weight_residual(chi, CrystalOrientation(15.0, az), TARGETS)
         for az in np.arange(0.0, 180.0, 0.1)
@@ -121,10 +128,10 @@ def test_joint_calibration_recovers_weights(monkeypatch):
     # a coarser start grid than the shipped 1 deg one still finds the fit
     monkeypatch.setattr(crystal, "_COARSE_STEP_DEG", 2.5)
     chi = chi2_zincblende(D)
-    orientation, residual = calibrate_orientation(chi, TARGETS, THRESHOLD)
+    orientation, residual = calibrate_orientation(chi, TARGETS)
     assert residual < 1e-3
     h = spdc_amplitudes(chi, orientation, pump_ket(0.0))
-    assert np.allclose(h.weights, TARGETS["H"], atol=0.02)
+    assert np.allclose(h.weights, TARGETS.h_pump_weights, atol=0.02)
 
 
 def test_amplitudes_invariant_under_pump_index_symmetry():
@@ -171,11 +178,6 @@ def test_zero_threshold_is_best_linear_pump_rate():
         assert max(rates) * 1e-12 <= threshold(orientation) * (1.0 + 1e-12)
         assert threshold(orientation) == pytest.approx(1e-12 * max(rates), rel=1e-8, abs=0)
     assert threshold(CrystalOrientation(0.0, 0.0)) == 0.0
-
-
-def test_calibration_needs_targets():
-    with pytest.raises(ValueError):
-        calibrate_azimuth(chi2_zincblende(D), 35.75, {}, THRESHOLD)
 
 
 def _raw_amplitudes(chi: np.ndarray, rot: np.ndarray, pump) -> np.ndarray:
@@ -264,15 +266,13 @@ def test_amplitudes_equal_scalar_reference_bit_for_bit(monkeypatch):
             assert _same_bits(thresholded.pop(), hv_rows)
 
 
-def _scalar_weight_residual(chi, orientation, targets):
+def _scalar_weight_residual(chi, orientation, calibration):
     """Point-by-point residual through ``_raw_amplitudes``: the reference the
     grid kernel must reproduce bit for bit."""
-    from spdcfilm.crystal import _pump_angle
-
     rot = rotation_matrix(orientation)
     total = 0.0
-    for key, tgt in targets.items():
-        c = _raw_amplitudes(chi, rot, pump_ket(_pump_angle(key)))
+    for angle, tgt in ((0.0, calibration.h_pump_weights), (90.0, calibration.v_pump_weights)):
+        c = _raw_amplitudes(chi, rot, pump_ket(angle))
         rate = float(np.sum(np.abs(c) ** 2))
         if rate == 0.0:
             w = np.zeros(3)
@@ -282,44 +282,38 @@ def _scalar_weight_residual(chi, orientation, targets):
     return total
 
 
-def _shipped_targets():
-    cal = SHIPPED.calibration
-    return {"H": cal.h_pump_weights, "V": cal.v_pump_weights}
-
-
 def test_residual_grid_equals_scalar_loop_exactly():
     from spdcfilm.crystal import _residual_grid
 
     chi = chi2_zincblende(D)
-    targets = _shipped_targets()
+    calibration = SHIPPED.calibration
     # calibrate_orientation's 1 deg coarse grid
     tilts = np.arange(0.0, 55.0 + 1e-9, 1.0)
     azimuths = np.arange(0.0, 180.0, 1.0)
-    grid = _residual_grid(chi, tilts[:, None], azimuths[None, :], targets)
+    grid = _residual_grid(chi, tilts[:, None], azimuths[None, :], calibration)
     reference = np.array(
-        [[_scalar_weight_residual(chi, CrystalOrientation(t, a), targets) for a in azimuths]
-         for t in tilts]
+        [[_scalar_weight_residual(chi, CrystalOrientation(t, a), calibration)
+          for a in azimuths] for t in tilts]
     )
     assert grid.shape == reference.shape
     assert np.all(grid == reference)
     # calibrate_azimuth's 0.1 deg grid at the fitted tilt
     azimuths = np.arange(0.0, 180.0, 0.1)
-    line = _residual_grid(chi, 35.75, azimuths, targets)
-    reference = [_scalar_weight_residual(chi, CrystalOrientation(35.75, a), targets)
+    line = _residual_grid(chi, 35.75, azimuths, calibration)
+    reference = [_scalar_weight_residual(chi, CrystalOrientation(35.75, a), calibration)
                  for a in azimuths]
     assert np.all(line == reference)
-    # random targets, one of them at any pump angle, on a random grid
+    # random target weights on a random grid
     rng = np.random.default_rng(SEED)
-    random_targets = {key: tuple(rng.dirichlet(np.ones(3)))
-                      for key in ("H", "D", float(rng.uniform(0.0, 180.0)))}
+    random_calibration = _calibration(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
     tilts, azimuths = rng.uniform(0.0, 90.0, 7), rng.uniform(-180.0, 180.0, 11)
-    grid = _residual_grid(chi, tilts[:, None], azimuths[None, :], random_targets)
-    reference = [[_scalar_weight_residual(chi, CrystalOrientation(t, a), random_targets)
+    grid = _residual_grid(chi, tilts[:, None], azimuths[None, :], random_calibration)
+    reference = [[_scalar_weight_residual(chi, CrystalOrientation(t, a), random_calibration)
                   for a in azimuths] for t in tilts]
     assert np.all(grid == reference)
     # the vanishing-rate branch: zero weights at normal incidence
-    assert weight_residual(chi, CrystalOrientation(0.0, 0.0), targets) == (
-        _scalar_weight_residual(chi, CrystalOrientation(0.0, 0.0), targets)
+    assert weight_residual(chi, CrystalOrientation(0.0, 0.0), calibration) == (
+        _scalar_weight_residual(chi, CrystalOrientation(0.0, 0.0), calibration)
     )
 
 
@@ -327,8 +321,8 @@ def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
     import spdcfilm.crystal as crystal
 
     chi = chi2_zincblende(D)
-    targets = _shipped_targets()
-    tied = [crystal.weight_residual(chi, CrystalOrientation(36.0, az), targets)
+    calibration = SHIPPED.calibration
+    tied = [crystal.weight_residual(chi, CrystalOrientation(36.0, az), calibration)
             for az in (41.0, 49.0, 139.0)]
     assert tied[0] == tied[1] == tied[2]
 
@@ -340,7 +334,7 @@ def test_coarse_scan_starts_from_first_tied_minimum(monkeypatch):
         return search(fun, x0)
 
     monkeypatch.setattr(crystal, "_nelder_mead", recording_search)
-    calibrate_orientation(chi, targets, THRESHOLD)
+    calibrate_orientation(chi, calibration)
     assert starts == [[36.0, 41.0]]
 
 
@@ -355,12 +349,12 @@ def test_calibration_call_count(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(crystal, "weight_residual", counting)
-    calibrate_orientation(chi2_zincblende(D), _shipped_targets(), THRESHOLD)
+    calibrate_orientation(chi2_zincblende(D), SHIPPED.calibration)
     # the grid is one kernel call; only the Nelder-Mead refinement remains
     assert 0 < len(calls) <= 200
 
 
-def _assert_same_search(targets, x0):
+def _assert_same_search(calibration, x0):
     """The in-package Nelder-Mead ends where SciPy's does from x0, after as
     many evaluations, on one target set; returns SciPy's result."""
     from spdcfilm.crystal import _nelder_mead
@@ -374,7 +368,7 @@ def _assert_same_search(targets, x0):
             calls[who] += 1
             key = np.asarray(x).tobytes()
             if key not in memo:  # the same point costs one evaluation for both
-                memo[key] = weight_residual(chi, CrystalOrientation(x[0], x[1]), targets)
+                memo[key] = weight_residual(chi, CrystalOrientation(x[0], x[1]), calibration)
             return memo[key]
         return residual
 
@@ -388,10 +382,10 @@ def _assert_same_search(targets, x0):
 
 
 def test_nelder_mead_is_scipys_on_shipped_targets():
-    ref = _assert_same_search(_shipped_targets(), [36.0, 41.0])
+    ref = _assert_same_search(SHIPPED.calibration, [36.0, 41.0])
     assert ref.nfev < 400
     chi = chi2_zincblende(D)
-    orientation, residual = calibrate_orientation(chi, _shipped_targets(), THRESHOLD)
+    orientation, residual = calibrate_orientation(chi, SHIPPED.calibration)
     assert (orientation.tilt_deg, orientation.azimuth_deg) == (ref.x[0], ref.x[1] % 180.0)
     assert residual == ref.fun
 
@@ -399,28 +393,23 @@ def test_nelder_mead_is_scipys_on_shipped_targets():
 def test_nelder_mead_is_scipys_on_random_targets():
     rng = np.random.default_rng(SEED)
     for _ in range(100):
-        targets = {key: tuple(rng.dirichlet(np.ones(3))) for key in ("H", "V")}
-        third = rng.integers(3)  # none, the diagonal pump, or a pump at any angle
-        if third == 1:
-            targets["D"] = tuple(rng.dirichlet(np.ones(3)))
-        elif third == 2:
-            targets[float(rng.uniform(0.0, 180.0))] = tuple(rng.dirichlet(np.ones(3)))
-        _assert_same_search(targets, [float(rng.integers(56)), float(rng.integers(180))])
+        calibration = _calibration(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
+        _assert_same_search(calibration, [float(rng.integers(56)), float(rng.integers(180))])
 
 
 # searches that the 400-evaluation cap stops part-way through an iteration
 CAPPED = [
     # stuck on the tilt-0 plane, where every rate vanishes and the residual is
     # flat in azimuth: tied values, and the cap cuts a shrink after one vertex
-    ({"H": (0.02918207377552893, 0.8890613542648487, 0.08175657195962252),
-      "V": (0.10222933412540339, 0.5219221586557791, 0.37584850721881763)}, [0.0, 43.0]),
+    (_calibration((0.02918207377552893, 0.8890613542648487, 0.08175657195962252),
+                  (0.10222933412540339, 0.5219221586557791, 0.37584850721881763)), [0.0, 43.0]),
     # the cap falls between a reflection and the expansion or contraction after it
-    ({"H": (0.017016331058531824, 0.0980732124392775, 0.8849104565021907),
-      "V": (0.05278348737135649, 0.3033993820468104, 0.6438171305818332)}, [23.0, 117.0]),
+    (_calibration((0.017016331058531824, 0.0980732124392775, 0.8849104565021907),
+                  (0.05278348737135649, 0.3033993820468104, 0.6438171305818332)), [23.0, 117.0]),
 ]
 
 
-@pytest.mark.parametrize("targets, x0", CAPPED, ids=["flat_shrink", "after_reflection"])
-def test_nelder_mead_stops_at_scipys_evaluation_cap(targets, x0):
-    ref = _assert_same_search(targets, x0)
+@pytest.mark.parametrize("calibration, x0", CAPPED, ids=["flat_shrink", "after_reflection"])
+def test_nelder_mead_stops_at_scipys_evaluation_cap(calibration, x0):
+    ref = _assert_same_search(calibration, x0)
     assert ref.nfev == 400 and ref.status == 1
