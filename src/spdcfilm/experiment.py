@@ -28,7 +28,10 @@ configurations, so a seed sweep or a CLI command after a run pays for it once:
   ``[calibration]`` section as it is.
 * ``spectral_section`` -> ``SpectralSection`` (pair spectrum, HOM curves and
   widths): ``[spectrum]``, ``[film]``, the ``[pump]`` wavelength,
-  ``[filters]``, ``[detector_response]``, ``[hom]``.
+  ``[filters]``, ``[detector_response]``, ``[hom]``. The spectrum is the grid
+  and the pair intensity |Phi|**2 times the filter band and the detector
+  response, formed once and checked once (``check_spectrum``); the width
+  and HOM kernels take the two arrays and check nothing again.
 * ``delay_line_scan`` -> ``DelayScan`` (calcite delay scan): ``[delay_line]``,
   which is the line itself (``delayline.DelayLine``); ``delay_scan`` scans it.
 
@@ -93,7 +96,7 @@ from .qutrit import (
 )
 from .spectral import (
     DETECTOR_RESPONSES,
-    apply_detector_response,
+    check_spectrum,
     default_grid,
     hom_fwhm,
     intensity_fwhm,
@@ -346,26 +349,24 @@ class SpectralSection:
                         cfg.detector_response, cfg.hom))
 def spectral_section(spectrum, film, pump_nm, filters, detector_response, hom) -> SpectralSection:
     """``spectral_section(cfg)``: the configured film's ``SpectralSection``."""
-    grid = default_grid(spectrum.span_thz, spectrum.points)
-    spec = joint_spectrum(film, pump_nm, grid)
-    spec = apply_detector_response(
-        spec,
-        longpass_pair_response(spec, filters.longpass_cuton_nm, filters.edge_width_thz),
-    )
-    response = DETECTOR_RESPONSES[detector_response.shape]
-    if response is not None:
-        spec = apply_detector_response(spec, response(spec, detector_response.fwhm_thz))
+    omega = default_grid(spectrum.span_thz, spectrum.points)
+    phi = joint_spectrum(film, pump_nm, omega)
+    band = longpass_pair_response(omega, pump_nm, filters.longpass_cuton_nm,
+                                  filters.edge_width_thz)
+    detector = DETECTOR_RESPONSES[detector_response.shape](omega, detector_response.fwhm_thz)
+    intensity = np.abs(phi) ** 2 * (band * detector)
+    check_spectrum(intensity)
 
     delays = np.linspace(hom.delay_start_fs, hom.delay_stop_fs, hom.delay_points)
-    g = interference_contrast(spec, delays)  # the dip and peak curves share one kernel
+    g = interference_contrast(omega, intensity, delays)  # the dip and peak curves share one kernel
     return SpectralSection(
-        omega_thz=spec.omega_thz,
-        intensity=spec.intensity,
+        omega_thz=omega,
+        intensity=intensity,
         delays_fs=delays,
         r_dip=(1.0 - g) / 2.0,
         r_peak=(1.0 + g) / 2.0,
-        intensity_fwhm_thz=intensity_fwhm(spec),
-        hom_dip_fwhm_fs=hom_fwhm(spec),
+        intensity_fwhm_thz=intensity_fwhm(omega, intensity),
+        hom_dip_fwhm_fs=hom_fwhm(omega, intensity),
         detector_response=detector_response.shape,
     )
 

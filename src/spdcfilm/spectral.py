@@ -16,12 +16,20 @@ coefficients and t the film/substrate transmission. This reproduces the
 Fabry-Perot-limited ~50 THz intensity width; a full multilayer transfer-
 matrix emission model is deliberately out of scope.
 
+The spectrum is two arrays: the detuning grid ``omega`` (THz) and the
+pair intensity on it. ``joint_spectrum`` gives Phi on the grid; the caller
+forms ``intensity = |Phi|**2 * response`` once, with ``response`` the
+product of the intensity multipliers (``longpass_pair_response`` and a
+``DETECTOR_RESPONSES`` shape), and checks it once with ``check_spectrum``.
+The kernels ``intensity_fwhm``, ``interference_contrast`` and ``hom_fwhm``
+take the checked arrays and check nothing again.
+
 Frequency unit conventions: frequencies and detunings in THz, delays in
 fs, lengths in nm; c = 299792.458 nm THz.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,28 +71,6 @@ class FilmStack:
         """(n_film, n_substrate, n_ambient) at frequency nu (THz)."""
         lam_um = C_NM_THZ / np.asarray(nu_thz, dtype=float) * 1e-3
         return tuple(model.index(lam_um) for model in self._models)
-
-
-@dataclass(frozen=True)
-class SpectralAmplitude:
-    """Complex pair amplitude on a uniform detuning grid, signal at v0 + W.
-
-    ``response`` is the detector/filter intensity multiplier on the same
-    grid, ones for a bare spectrum; ``intensity`` folds it in.
-    """
-
-    omega_thz: np.ndarray
-    phi: np.ndarray
-    pump_nm: float
-    response: np.ndarray
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.phi) ** 2 * self.response
-
-    @property
-    def degenerate_nu_thz(self) -> float:
-        return C_NM_THZ / self.pump_nm / 2.0
 
 
 def default_grid(span_thz: float, points: int) -> np.ndarray:
@@ -131,9 +117,9 @@ def check_grid(grid) -> np.ndarray:
     return omega
 
 
-def joint_spectrum(stack: FilmStack, pump_nm: float, grid) -> SpectralAmplitude:
-    """Degenerate-pair spectral amplitude of the film ``stack`` pumped at
-    ``pump_nm``, on the detuning grid (THz).
+def joint_spectrum(stack: FilmStack, pump_nm: float, grid) -> np.ndarray:
+    """Degenerate-pair spectral amplitude Phi (complex) of the film ``stack``
+    pumped at ``pump_nm``, on the detuning grid (THz), signal at v0 + W.
 
     The grid must cover at least +-100 THz; the packaged ``[spectrum]`` grid,
     +-150 THz in 4096 points, resolves the ~10 fs interference features with margin.
@@ -146,71 +132,77 @@ def joint_spectrum(stack: FilmStack, pump_nm: float, grid) -> SpectralAmplitude:
 
     dk = _wavevector(n_p[0], nu_p) - _wavevector(n_s[0], nu_s) - _wavevector(n_i[0], nu_i)
     phase_mismatch = dk * stack.thickness_nm / 2.0
-    phi = (
+    return (
         np.sinc(phase_mismatch / np.pi)
         * _airy_factor(n_p, nu_p, stack.thickness_nm)
         * _airy_factor(n_s, nu_s, stack.thickness_nm)
         * _airy_factor(n_i, nu_i, stack.thickness_nm)
     )
-    return SpectralAmplitude(omega_thz=omega, phi=phi, pump_nm=pump_nm,
-                             response=np.ones_like(omega))
 
 
-def longpass_pair_response(spectrum: SpectralAmplitude, cuton_nm, edge_thz: float) -> np.ndarray:
-    """Detection-band multiplier of the pump-rejection long-pass filters.
+def longpass_pair_response(omega, pump_nm: float, cuton_nm, edge_thz: float) -> np.ndarray:
+    """Detection-band multiplier of the pump-rejection long-pass filters on
+    the detuning grid ``omega`` (THz) of a pair pumped at ``pump_nm``.
 
     Each filter transmits frequencies below its cut-on frequency
     c/cuton_nm with a logistic edge of width ``edge_thz``; both photons of
     a pair traverse every filter, so the pair response is the product of
-    single-photon transmissions at v0 + W and v0 - W.
+    single-photon transmissions at v0 + W and v0 - W. Far past a sharp
+    edge the logistic overflows to its limit, a transmission of 0, and
+    warns of nothing.
     """
-    nu0 = spectrum.degenerate_nu_thz
-    nu_s = nu0 + spectrum.omega_thz
-    nu_i = nu0 - spectrum.omega_thz
-    resp = np.ones_like(spectrum.omega_thz)
-    for cuton in np.atleast_1d(cuton_nm):
-        nu_max = C_NM_THZ / float(cuton)
-        for nu in (nu_s, nu_i):
-            resp = resp / (1.0 + np.exp((nu - nu_max) / edge_thz))
+    nu0 = C_NM_THZ / pump_nm / 2.0
+    nu_s, nu_i = nu0 + omega, nu0 - omega
+    resp = np.ones_like(omega)
+    with np.errstate(over="ignore"):
+        for cuton in np.atleast_1d(cuton_nm):
+            nu_max = C_NM_THZ / float(cuton)
+            for nu in (nu_s, nu_i):
+                resp = resp / (1.0 + np.exp((nu - nu_max) / edge_thz))
     return resp
 
 
-def gaussian_response(spectrum: SpectralAmplitude, fwhm_thz: float) -> np.ndarray:
-    """Gaussian pair-response multiplier centered on degeneracy."""
-    return np.exp(-4.0 * np.log(2.0) * (spectrum.omega_thz / fwhm_thz) ** 2)
+def gaussian_response(omega, fwhm_thz: float) -> np.ndarray:
+    """Gaussian pair-response multiplier centered on degeneracy; 0 where the
+    square overflows (a vanishing ``fwhm_thz``)."""
+    with np.errstate(over="ignore"):
+        return np.exp(-4.0 * np.log(2.0) * (omega / fwhm_thz) ** 2)
 
 
-def lorentzian_response(spectrum: SpectralAmplitude, fwhm_thz: float) -> np.ndarray:
-    """Lorentzian pair-response multiplier centered on degeneracy."""
-    return 1.0 / (1.0 + (2.0 * spectrum.omega_thz / fwhm_thz) ** 2)
+def lorentzian_response(omega, fwhm_thz: float) -> np.ndarray:
+    """Lorentzian pair-response multiplier centered on degeneracy; 0 where the
+    square overflows (a vanishing ``fwhm_thz``)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + (2.0 * omega / fwhm_thz) ** 2)
 
 
-#: [detector_response] shape -> pair-response multiplier; "none" adds none
-DETECTOR_RESPONSES = {"none": None, "gaussian": gaussian_response, "lorentzian": lorentzian_response}
+#: [detector_response] shape -> pair-response multiplier on the grid; "none" is ones
+DETECTOR_RESPONSES = {"none": lambda omega, fwhm_thz: np.ones_like(omega),
+                      "gaussian": gaussian_response, "lorentzian": lorentzian_response}
 
 
-def apply_detector_response(spectrum: SpectralAmplitude, response) -> SpectralAmplitude:
-    """Fold a tabulated intensity multiplier into the spectrum.
+def check_spectrum(intensity: np.ndarray) -> None:
+    """InvalidState unless the pair ``intensity`` has positive total weight,
+    then AsymmetricSpectrum unless it is even in detuning to 1e-9 of its
+    maximum: the HOM kernels need identical signal and idler marginals."""
+    if float(intensity.sum()) <= 0.0:
+        raise InvalidState("spectrum has zero total weight")
+    if np.max(np.abs(intensity - intensity[::-1])) > 1e-9 * float(intensity.max()):
+        raise AsymmetricSpectrum(
+            "intensity is not symmetric in detuning; degenerate HOM analysis "
+            "requires identical signal/idler marginals"
+        )
 
-    Multipliers compose: applying twice multiplies the stored response.
-    """
-    response = np.asarray(response, dtype=float)
-    if response.shape != spectrum.omega_thz.shape:
-        raise ValueError("response must be tabulated on the spectrum grid")
-    if np.any(response < 0.0):
-        raise ValueError("response must be nonnegative")
-    return replace(spectrum, response=spectrum.response * response)
 
-
-def intensity_fwhm(spectrum: SpectralAmplitude) -> float:
-    """Full width at half maximum of the intensity lobe containing W = 0.
+def intensity_fwhm(omega: np.ndarray, intensity: np.ndarray) -> float:
+    """Full width at half maximum of the intensity lobe containing W = 0, on
+    the grid ``omega`` (THz); ``intensity`` is checked (``check_spectrum``).
 
     The etalon produces side resonances far from degeneracy; the quoted
     spectral width is that of the degenerate lobe, found by hill-climbing
     from the grid center and interpolating the half-maximum crossings.
     """
-    s = spectrum.intensity
-    omega = spectrum.omega_thz
+    s = intensity
     i = len(s) // 2
     while 0 < i < len(s) - 1 and (s[i + 1] > s[i] or s[i - 1] > s[i]):
         i = i + 1 if s[i + 1] > s[i] else i - 1
@@ -226,19 +218,6 @@ def intensity_fwhm(spectrum: SpectralAmplitude) -> float:
     left = np.interp(half, [s[lo], s[lo + 1]], [omega[lo], omega[lo + 1]])
     right = np.interp(half, [s[hi], s[hi - 1]], [omega[hi], omega[hi - 1]])
     return float(right - left)
-
-
-def _check_symmetric(spectrum: SpectralAmplitude) -> np.ndarray:
-    s = spectrum.intensity
-    norm = float(s.sum())
-    if norm <= 0.0:
-        raise InvalidState("spectrum has zero total weight")
-    if np.max(np.abs(s - s[::-1])) > 1e-9 * float(s.max()):
-        raise AsymmetricSpectrum(
-            "intensity is not symmetric in detuning; degenerate HOM analysis "
-            "requires identical signal/idler marginals"
-        )
-    return s
 
 
 #: matrix elements in one block of the HOM kernel: 2**19 float64 is 4 MB. A
@@ -338,8 +317,9 @@ def _contrast(s: np.ndarray, omega: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return g
 
 
-def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
-    """g(tau): normalized cosine transform of the spectral intensity.
+def interference_contrast(omega: np.ndarray, intensity: np.ndarray, delays_fs) -> np.ndarray:
+    """g(tau): normalized cosine transform of the checked (``check_spectrum``)
+    pair ``intensity`` on the grid ``omega`` (THz).
 
     g(tau) = sum I(W) cos(2 pi W tau * 1e-3) / sum I(W); the 1e-3 converts
     THz * fs into cycles. Real and even for symmetric spectra, g(0) = 1.
@@ -358,10 +338,9 @@ def interference_contrast(spectrum: SpectralAmplitude, delays_fs) -> np.ndarray:
 
     Either way memory is bounded by the grid plus 2 * _BLOCK_ELEMENTS
     (8 MB) of trigonometric tables, however many delays or grid points
-    (``_contrast``, after the symmetry check).
+    (``_contrast``).
     """
-    s = _check_symmetric(spectrum)
-    return _contrast(s, spectrum.omega_thz, np.asarray(delays_fs, dtype=float).ravel())
+    return _contrast(intensity, omega, np.asarray(delays_fs, dtype=float).ravel())
 
 
 #: delays in hom_fwhm's first coarse chunk; each later chunk doubles the prefix
@@ -408,8 +387,9 @@ def _half_crossing(s: np.ndarray, omega: np.ndarray, lo: float, hi: float, tau: 
     raise InvalidState(f"half-depth crossing not resolved in {_ROOT_MAX_STEPS} steps")
 
 
-def hom_fwhm(spectrum: SpectralAmplitude) -> float:
-    """Full width of the HOM dip at half its asymptotic depth.
+def hom_fwhm(omega: np.ndarray, intensity: np.ndarray) -> float:
+    """Full width of the HOM dip at half its asymptotic depth, for the checked
+    (``check_spectrum``) pair ``intensity`` on the grid ``omega`` (THz).
 
     The dip R(tau) runs from 0 at tau = 0 to 1/2 at large delay; the
     half-depth points are where g crosses 1/2, and the width is twice the
@@ -428,13 +408,11 @@ def hom_fwhm(spectrum: SpectralAmplitude) -> float:
     bracket, fall back to bisection whenever a step would leave the
     shrinking bracket, and stop once a step is at most 1e-13 tau.
     """
-    s = _check_symmetric(spectrum)
-    omega = spectrum.omega_thz
     coarse = np.linspace(0.0, _TAU_MAX_FS, 4001)
     start, g_last = 0, np.nan  # g_last: g at the last delay of the previous chunk
     while start < coarse.size:
         stop = max(_FIRST_SCAN, 2 * start)
-        g = _contrast(s, omega, coarse[start:stop])
+        g = _contrast(intensity, omega, coarse[start:stop])
         below = np.flatnonzero(g < 0.5)
         if below.size:
             break
@@ -448,4 +426,4 @@ def hom_fwhm(spectrum: SpectralAmplitude) -> float:
     lo, hi = float(coarse[start + j - 1]), float(coarse[start + j])
     g_lo, g_hi = (g[j - 1] if j else g_last), g[j]
     tau = lo + (hi - lo) * float((g_lo - 0.5) / (g_lo - g_hi))
-    return 2.0 * _half_crossing(s, omega, lo, hi, tau)
+    return 2.0 * _half_crossing(intensity, omega, lo, hi, tau)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from spdcfilm.cli import (
     main,
 )
 from spdcfilm.config import load_config
-from spdcfilm.errors import ConfigError
+from spdcfilm.errors import ConfigError, InvalidState
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -359,17 +360,49 @@ def test_spectrum_span_checked_against_index_data_at_load(capsys, tmp_path, span
         # a count past the float range, whose mean is printed without a float
         ("bell", f"[bell]\ncounts_per_setting = {10**400}\n",
          "CHSH outcome Poisson mean 5.41601e+399 exceeds 1e+18 counts"),
+        # a film this thick passes validation, but its etalon leaves no pair intensity
+        ("run", "[film]\nthickness_nm = 1e300\n", "spectrum has zero total weight"),
     ],
-    ids=["tomography_duration", "singles_rate", "bin_width", "bell_counts", "bell_counts_past_float"],
+    ids=["tomography_duration", "singles_rate", "bin_width", "bell_counts", "bell_counts_past_float",
+         "film_zero_weight"],
 )
 def test_poisson_mean_past_numpys_range_exit_code(capsys, tmp_path, command, body, message):
-    # NumPy's Poisson draw rejects means above about 9.2e18 with a ValueError
+    # NumPy's Poisson draw rejects means above about 9.2e18 with a ValueError;
+    # these, and a spectrum with no weight, exit as numerical failures
     cfg = tmp_path / "big.cfg"
     cfg.write_text(body)
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "body, zero_weight",
+    [
+        ("[filters]\nedge_width_thz = 0.01\n", False),
+        ("[detector_response]\nshape = gaussian\nfwhm_thz = 1e-200\n", True),
+        ("[detector_response]\nshape = lorentzian\nfwhm_thz = 1e-200\n", True),
+    ],
+    ids=["sharp_filter_edge", "gaussian_vanishing_width", "lorentzian_vanishing_width"],
+)
+def test_overflowing_response_takes_its_limit_silently(capsys, tmp_path, body, zero_weight):
+    # a response that overflows is a transmission of 0, with no RuntimeWarning:
+    # a sharp filter edge runs, and a vanishing detector width leaves no weight
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if zero_weight:
+            with pytest.raises(InvalidState, match="^spectrum has zero total weight$"):
+                experiment.spectral_section(load_config(cfg))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    if zero_weight:
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: spectrum has zero total weight\n"
+    else:
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize(

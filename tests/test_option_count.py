@@ -21,7 +21,7 @@ MAX_DEFAULTED = 3
 MAX_FIELD_DEFAULTS = 0
 
 #: ``@dataclass`` classes in the package
-MAX_DATACLASSES = 31
+MAX_DATACLASSES = 30
 
 
 def _defaulted(tree):
