@@ -203,8 +203,9 @@ class RunConfig:
     def __post_init__(self):
         _require(self.seed >= 0, "run seed must be nonnegative")
         _require(self.bootstrap_samples >= 0, "run bootstrap_samples must be nonnegative")
-        # replicate k draws from child k of one SeedSequence, and SeedSequence
-        # numbers its children in a uint32
+        # not a limit of the bootstrap's one generator: a bound kept so that
+        # the same configurations load, far past any count whose table of
+        # sampled measures a run could hold
         _require(self.bootstrap_samples <= 2**32, "run bootstrap_samples must be at most 2**32")
         # one replicate has no sample spread: its sigmas would all be NaN
         _require(self.bootstrap_samples != 1, "run bootstrap_samples must be 0 or at least 2")

@@ -7,9 +7,9 @@ accidentals, reconstruct the state, derive entanglement measures with
 parametric-bootstrap errors, run the finite-statistics CHSH test on the
 reconstructed state, and evaluate the pair spectrum, HOM curves, and the
 calcite delay-line scan. All randomness derives from one master seed via
-numpy SeedSequence spawning, in a fixed order (the bootstrap computes its
-replicates' generators as spawning would, without spawning), so a given
-(config, seed) pair always produces byte-identical canonical output.
+numpy SeedSequence spawning, in a fixed order (the bootstrap's replicates
+share one generator of its child), so a given (config, seed) pair always
+produces byte-identical canonical output.
 
 The run has five stages. Each returns a frozen result whose ``to_json()``
 builds fresh dicts and lists of the ``report.json`` sections it owns, and
@@ -467,97 +467,6 @@ def _spread(samples):
 #: working memory of a bootstrap whatever ``[run] bootstrap_samples`` is
 _BOOTSTRAP_BLOCK = 1024
 
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
-# (pcg64.h), which _child_normals reproduces
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(value) -> list:
-    """The uint32 words SeedSequence makes of an entropy or a spawn key: a
-    non-negative int's, least significant first (one word for 0), or those
-    of each item of a sequence in turn."""
-    if not isinstance(value, (int, np.integer)):
-        return [word for item in value for word in _uint32_words(item)]
-    value = int(value)
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_constants(const, mult):
-    """A SeedSequence hash's constants, as (xor, multiplier) pairs whose
-    multiplier is the next pair's xor: the same whatever the data hashed."""
-    while True:
-        following = const * mult & _MASK32
-        yield const, following
-        const = following
-
-
-def _hashmix(value, constants):
-    """SeedSequence's ``hashmix`` of a uint32 word with the next of
-    ``constants``. ``value`` is an int or a uint32 array, hashed elementwise."""
-    xor, mult = next(constants)
-    value = (value ^ xor) * mult & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two uint32 words (ints or uint32 arrays)."""
-    result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
-    return result ^ result >> 16
-
-
-def _child_normals(seq, first, count, size) -> np.ndarray:
-    """The (count, size) standard normals that
-    ``np.random.default_rng(child).standard_normal(size)`` draws for the
-    children ``first`` ... ``first + count - 1`` of the SeedSequence ``seq``
-    (child k is the one ``spawn`` makes with spawn key ``seq.spawn_key +
-    (k,)``), bit for bit, without a SeedSequence or a Generator per child.
-
-    Child k's entropy is ``seq``'s words zero-padded to the pool, its spawn
-    key, then k. The pool of every word before k is mixed once, with ints;
-    k is mixed in, and ``generate_state(4, np.uint64)`` derived, for all
-    children at once in uint32 arrays. Those wrap mod 2**32 as the hash
-    does, and stay uint32 beside an int below 2**32 under NumPy 1's and
-    NumPy 2's promotion rules alike. Each child's PCG64 state is then set on
-    one scratch generator in turn.
-    """
-    if first + count > 2**32:
-        raise ValueError("a child index of 2**32 or more hashes as two words")
-    words = _uint32_words(seq.entropy)
-    words += [0] * (seq.pool_size - len(words)) + _uint32_words(seq.spawn_key)
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, constants) for word in words[:seq.pool_size]]
-    for i_src in range(seq.pool_size):
-        for i_dst in range(seq.pool_size):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], constants))
-    for word in [*words[seq.pool_size:], np.arange(first, first + count, dtype=np.uint32)]:
-        pool = [_mix(p, _hashmix(word, constants)) for p in pool]
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    state = np.array([_hashmix(pool[i % seq.pool_size], constants) for i in range(8)])
-
-    bit_generator = np.random.PCG64(0)  # a fixed seed: PCG64() reads OS entropy
-    generator = np.random.Generator(bit_generator)
-    normals = np.empty((count, size))
-    # the state's uint64 word j is its uint32 words 2j (low) and 2j + 1
-    for row, (s0, s1, s2, s3, s4, s5, s6, s7) in zip(normals, state.T.tolist()):
-        seed = (s1 << 32 | s0) << 64 | s3 << 32 | s2
-        inc = ((s5 << 32 | s4) << 64 | s7 << 32 | s6) << 1 & _MASK128 | 1
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + seed) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.standard_normal(out=row)
-    return normals
-
 
 def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     """The states of a parametric bootstrap: net counts redrawn from the
@@ -566,22 +475,25 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     Yields each block's (B, 3, 3) states with their (vals, vecs) spectrum,
     the projection's eigendecomposition, so the measures need no second ``eigh``.
 
-    Replicate k draws from the generator ``np.random.default_rng`` makes of
-    the k-th child ``seed_seq.spawn`` would make next, computed by
-    ``_child_normals`` without spawning, so ``seed_seq`` is not advanced and
-    replicate k is the same whatever the block size. It keeps its records'
+    Replicate k draws row k of the (n_boot, len(records)) standard normals
+    of one generator, ``np.random.default_rng(seed_seq)``, made only when
+    there is a replicate. Each block takes the next rows of its stream, so
+    replicate k is the same whatever the replicate count and the block size,
+    and ``seed_seq`` spawns no child. A replicate keeps its records'
     accidentals, durations and sigmas, as ``reconstruct`` would see
     ``replace(record, raw=max(draw + accidental, 0))``.
     """
+    if not n_boot:
+        return
     durations = np.array([r.duration_s for r in records])
     accidental = np.array([r.accidental for r in records])
     sigmas = np.array([r.net_sigma for r in records])
     model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
+    rng = np.random.default_rng(seed_seq)
     for start in range(0, n_boot, _BOOTSTRAP_BLOCK):
         count = min(_BOOTSTRAP_BLOCK, n_boot - start)
-        first = seed_seq.n_children_spawned + start
         # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
-        z = _child_normals(seed_seq, first, count, len(records))
+        z = rng.standard_normal((count, len(records)))
         nets = np.maximum(model_net + sigmas * z + accidental, 0.0) - accidental
         rhos, _, _, spectrum = _physical(_solve_stack(nets, durations, protocol))
         yield rhos, spectrum

@@ -117,8 +117,9 @@ def test_single_bootstrap_replicate_rejected(tmp_path):
 
 
 def test_bootstrap_samples_bounded_by_the_child_count(tmp_path):
-    # replicate k draws from child k of a SeedSequence, which numbers its
-    # children in a uint32: 2**32 replicates load (they are not run here)
+    # the bound predates the bootstrap's one generator, whose stream limits
+    # no replicate count; it stays so that the same configurations load.
+    # 2**32 replicates load (they are not run here)
     path = tmp_path / "user.cfg"
     path.write_text(f"[run]\nbootstrap_samples = {2**32}\n")
     assert load_config(path).run.bootstrap_samples == 2**32

@@ -3,7 +3,6 @@
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import os
@@ -259,13 +258,15 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
     rhos = _bootstrap_stack(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
     batched = _measures(rhos, "H", None)
 
-    # the replicate loop the batch replaces: one reconstruct per spawned child
+    # the replicate loop the batch replaces: one reconstruct per row of the
+    # bootstrap seed's one generator
     model_net = np.array([r.duration_s for r in records]) * forward_rates(
         rho_hat, protocol, fit.scale
     )
     sigmas = np.array([r.net_sigma for r in records])
-    for k, child in enumerate(_bootstrap_inputs(report)[3].spawn(n_boot)):
-        draw = np.random.default_rng(child).normal(model_net, sigmas)
+    rng = np.random.default_rng(_bootstrap_inputs(report)[3])
+    for k in range(n_boot):
+        draw = rng.normal(model_net, sigmas)
         boot = [replace(r, raw=max(d + r.accidental, 0.0)) for r, d in zip(records, draw)]
         rho_k, _ = reconstruct(boot, protocol)
         assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
@@ -314,30 +315,6 @@ def test_bootstrap_factorizes_each_replicate_once(monkeypatch, report):
     ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
-def test_child_normals_equal_spawned_generators(seed):
-    # 2**130 + 7 has five entropy words, one more than the pool holds
-    from spdcfilm.experiment import _child_normals
-
-    for spawn_key, first, count, size in itertools.product(
-        [(9,), (9, 3)], [0, 1, 1023, 1024], [1, 100], [9, 36]
-    ):
-        seq = np.random.SeedSequence(seed, spawn_key=spawn_key, n_children_spawned=first)
-        expected = np.array(
-            [np.random.default_rng(child).standard_normal(size) for child in seq.spawn(count)]
-        )
-        assert np.array_equal(_child_normals(seq, first, count, size), expected), (
-            spawn_key, first, count, size)
-
-    # the last child spawn makes (it counts children in a uint32), and a
-    # child index past one uint32 word
-    seq = np.random.SeedSequence(seed, spawn_key=(9,), n_children_spawned=2**32 - 2)
-    last = np.random.default_rng(seq.spawn(1)[0]).standard_normal(9)
-    assert np.array_equal(_child_normals(seq, 2**32 - 2, 1, 9), [last])
-    with pytest.raises(ValueError, match="two words"):
-        _child_normals(seq, 2**32 - 1, 2, 9)
-
-
 def test_bootstrap_makes_no_generator_per_replicate(monkeypatch, report):
     from spdcfilm.tomography import default_protocol
 
@@ -352,8 +329,40 @@ def test_bootstrap_makes_no_generator_per_replicate(monkeypatch, report):
     monkeypatch.setattr(np.random, "default_rng", counting)
     experiment._bootstrap_sigmas(cfg, rho_hat, fit.scale, records, default_protocol(), boot_seq)
     assert cfg.run.bootstrap_samples == 100
-    assert calls == []
+    assert calls == [(boot_seq,)]
     assert boot_seq.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("bootstrap_samples", [0, 100])
+def test_run_without_replicates_makes_no_bootstrap_generator(monkeypatch, bootstrap_samples):
+    cfg = load_config()
+    cfg = replace(cfg, run=replace(cfg.run, bootstrap_samples=bootstrap_samples))
+    spawn_keys, draws = [], []
+
+    class Recorded:
+        """A generator that records the name of each method drawn from it."""
+
+        def __init__(self, generator):
+            self._generator = generator
+
+        def __getattr__(self, name):
+            draws.append(name)
+            return getattr(self._generator, name)
+
+    def counting(seed, _original=np.random.default_rng):
+        spawn_keys.append(seed.spawn_key)
+        return Recorded(_original(seed))
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    summary = run_experiment(cfg, seed=SEED).summary
+    # the nine settings' histograms (children 0-8) and the CHSH test (child
+    # 10) draw Poisson counts alone; the bootstrap's child 9 makes a
+    # generator only when there is a replicate to draw
+    boot = [(9,)] if bootstrap_samples else []
+    assert sorted(spawn_keys) == [(m,) for m in range(9)] + boot + [(10,)]
+    assert ("standard_normal" in draws) == bool(bootstrap_samples)
+    assert set(draws) <= {"poisson", "standard_normal"}
+    assert (summary["tomography"]["purity_sigma"] is None) == (not bootstrap_samples)
 
 
 def test_run_checks_each_state_once(monkeypatch):
