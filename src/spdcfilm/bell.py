@@ -14,8 +14,8 @@ What F needs of a set of settings, the four correlator operators and each
 term's outcome projectors with their sign products sign(a) sign(b), a
 ``ChshSettings`` builds when it is made; every CHSH function takes the
 settings, and ``default_chsh_settings()`` is one object per process. A call
-draws the sixteen outcome counts with one ``poisson`` call, in the stream
-order of one draw per outcome.
+draws the sixteen outcome counts from the ``numpy.random.Generator`` it is
+given with one ``poisson`` call, in the stream order of one draw per outcome.
 
 The functions take a density matrix the caller has checked: a run checks
 each state once, where it enters (``experiment``). The split is an
@@ -144,8 +144,8 @@ def _correlator_from_counts(sign_products, counts):
     return e, np.sqrt(var)
 
 
-def _outcome_draws(rho4, n_per_setting, seed, settings: ChshSettings) -> list:
-    """Per CHSH term, the Poisson-drawn counts of its four outcomes."""
+def _outcome_draws(rho4, n_per_setting, rng, settings: ChshSettings) -> list:
+    """Per CHSH term, the counts of its four outcomes drawn from ``rng``."""
     probs = np.maximum(np.real(np.trace(rho4 @ settings.projectors, axis1=-2, axis2=-1)), 0.0)
     try:
         means = probs * n_per_setting
@@ -158,12 +158,12 @@ def _outcome_draws(rho4, n_per_setting, seed, settings: ChshSettings) -> list:
         raise
     check_poisson_mean(means.max(), "CHSH outcome")
     # one array draw takes the stream in the order of one scalar draw per outcome
-    return np.random.default_rng(seed).poisson(means).tolist()
+    return rng.poisson(means).tolist()
 
 
-def simulate_chsh(rho4: np.ndarray, n_per_setting, seed, settings: ChshSettings):
+def simulate_chsh(rho4: np.ndarray, n_per_setting, rng, settings: ChshSettings):
     """Simulated finite-statistics CHSH measurement of a 4x4 density matrix
-    under ``settings``.
+    under ``settings``, drawn from the ``numpy.random.Generator`` ``rng``.
 
     Returns (F, sigma_F, std_devs) where std_devs = (F - 1)/sigma_F is the
     number of standard deviations by which the local-realism bound F <= 1
@@ -171,7 +171,7 @@ def simulate_chsh(rho4: np.ndarray, n_per_setting, seed, settings: ChshSettings)
     in one outcome class). Counts are Poissonian per outcome, per setting; an
     outcome mean above ``histogram.MAX_POISSON_MEAN`` raises OutOfRange.
     """
-    draws = _outcome_draws(rho4, n_per_setting, seed, settings)
+    draws = _outcome_draws(rho4, n_per_setting, rng, settings)
     total, var = 0.0, 0.0
     for sign, sign_products, counts in zip(_CHSH_SIGNS, settings.sign_products, draws):
         e, sig = _correlator_from_counts(sign_products, counts)

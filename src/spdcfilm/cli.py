@@ -6,12 +6,13 @@ runs only the pipeline stages its output needs, the same public stages
 that run: ``amplitudes``, ``tomography``, ``bell`` and ``hom`` print the
 report's keys of their stage result (``result.to_json()``) as ``report.json``
 renders them, ``hom --format csv`` prints ``hom.csv`` and ``histogram``
-prints ``histogram.csv``. ``tomography --records`` runs the same analysis,
-``analyze_tomography``, on the measured records of a CSV file instead of
-simulated ones, and prints the run's ``tomography`` keys plus ``source``.
-Exit codes: 0 success, 2 configuration or input-file problems, 3 numerical
-failures (poor fits, singular reconstructions, vanishing amplitudes), 4
-incomplete tomography protocols.
+prints ``histogram.csv`` of the draw step alone (``simulate_histograms``).
+``tomography --records`` runs the same analysis, ``analyze_tomography``, on
+the measured records of a CSV file instead of simulated ones, and prints
+the run's ``tomography`` keys plus ``source``. Exit codes: 0 success, 2
+configuration or input-file problems, 3 numerical failures (poor fits,
+singular reconstructions, vanishing amplitudes), 4 incomplete tomography
+protocols.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
     SpectralSection,
-    TomographyResult,
     _json_bytes,
     _section_text,
     _write_bytes,
     analyze_tomography,
+    histogram_csv,
     run_experiment,
     simulate_bell,
+    simulate_histograms,
     simulate_tomography,
     source_model,
     spectral_section,
@@ -64,7 +66,7 @@ _STAGES = {
     "bell": (lambda cfg, seed_seq: simulate_bell(cfg, simulate_tomography(cfg, seed_seq),
                                                  seed_seq), None),
     "hom": (lambda cfg, seed_seq: spectral_section(cfg), SpectralSection.hom_csv),
-    "histogram": (simulate_tomography, TomographyResult.histogram_csv),
+    "histogram": (simulate_histograms, lambda histograms: histogram_csv(*histograms)),
 }
 
 

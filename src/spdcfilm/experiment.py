@@ -6,9 +6,9 @@ documented noise, simulate per-setting coincidence histograms, subtract
 accidentals, reconstruct the state, derive entanglement measures with
 parametric-bootstrap errors, run the finite-statistics CHSH test on the
 reconstructed state, and evaluate the pair spectrum, HOM curves, and the
-calcite delay-line scan. All randomness derives from one master seed via
-numpy SeedSequence spawning, in a fixed order (the bootstrap's replicates
-share one generator of its child), so a given (config, seed) pair always
+calcite delay-line scan. All randomness derives from one master seed: its
+SeedSequence spawns three children in a fixed order, and each seeded step
+draws from one generator of its child, so a given (config, seed) pair always
 produces byte-identical canonical output.
 
 The run has five stages. Each returns a frozen result whose ``to_json()``
@@ -40,12 +40,13 @@ and each kind caches ``encoded()`` by identity for the last ``_MEMO_CONFIGS``
 results, however many reports hold them.
 
 The two seeded stages run once per run, in this order, on one
-``SeedSequence(seed)``: ``simulate_tomography(cfg, seed_seq)`` measures the
-model state and spawns its children, then ``simulate_bell(cfg, tomography,
-seed_seq)`` tests the reconstructed state on the next one. A caller that
-passes one sequence to both in that order draws the run's numbers.
-``simulate_tomography`` draws the records and hands them to
-``analyze_tomography``, which analyzes measured records too.
+``SeedSequence(seed)``: ``simulate_tomography(cfg, seed_seq)`` draws the
+histograms (``simulate_histograms``, child 0) and hands their records to
+``analyze_tomography``, which analyzes measured records too and draws the
+bootstrap (child 1), then ``simulate_bell(cfg, tomography, seed_seq)`` tests
+the reconstructed state (child 2). Each child makes one generator, the
+bootstrap's only when there is a replicate. A caller that passes one
+sequence to both in that order draws the run's numbers.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
@@ -412,21 +413,6 @@ def delay_line_scan(delay_line) -> DelayScan:
     )
 
 
-def _simulate_records(cfg, rel_rates, seeds):
-    """The (settings, n_bins) count array of the configured coincidence
-    histograms, each setting's pair rate scaled by its relative rate, and the
-    record of each setting's net counts: one ``simulate_counts`` array,
-    reduced by one ``subtract_accidentals`` pass."""
-    duration = cfg.tomography.duration_per_setting_s
-    counts = simulate_counts(cfg.noise, cfg.histogram, rel_rates, duration, seeds)
-    raw, net, sigma = subtract_accidentals(counts, cfg.histogram.exclusion_bins)
-    records = [
-        CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
-        for m, (r, n, s) in enumerate(zip(raw.tolist(), net.tolist(), sigma.tolist()))
-    ]
-    return counts, records
-
-
 def _measures(rhos, fixed_analyzer, spectrum) -> dict:
     """Report measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
     ``_state_measures`` (given the stack's ``spectrum``, or None if unknown)
@@ -554,21 +540,11 @@ class TomographyResult:
             }
         }
 
-    def histogram_csv(self) -> bytes:
-        """``histogram.csv``: the cached row templates filled with str() of each count."""
-        encoded = bytearray(b"setting_index,delta_t_ns,counts\r\n")
-        centers = self.centers_ns
-        templates = _histogram_row_templates(centers.dtype.str, centers.tobytes())
-        for m, counts in enumerate(self.counts.tolist()):
-            for start, template in zip(range(0, len(counts), _CSV_BLOCK_ROWS), templates[m]):
-                encoded += (template % tuple(counts[start:start + _CSV_BLOCK_ROWS])).encode()
-        return bytes(encoded)
-
     def encoded(self) -> tuple:
         """``_encoded`` of the section, ``histogram.csv`` and ``fringe.csv``."""
         return _encoded(
             self.to_json(),
-            ("histogram.csv", self.histogram_csv()),
+            ("histogram.csv", histogram_csv(self.counts, self.centers_ns)),
             ("fringe.csv", _csv_bytes(["theta_deg", "rate"], self.fringe_curve)),
         )
 
@@ -594,15 +570,30 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> To
     )
 
 
+def simulate_histograms(cfg: ExperimentConfig, seed_seq) -> tuple:
+    """``simulate_tomography``'s draw step: the ``simulate_counts`` array of
+    the ``default_protocol`` histograms of ``source_model(cfg).rho``, from one
+    generator of the next spawned child of ``seed_seq``, and its bin delays."""
+    rel_rates = forward_rates(source_model(cfg).rho, default_protocol(), 1.0)
+    counts = simulate_counts(cfg.noise, cfg.histogram, rel_rates,
+                             cfg.tomography.duration_per_setting_s,
+                             np.random.default_rng(seed_seq.spawn(1)[0]))
+    return counts, bin_centers(cfg.histogram)
+
+
 def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
-    """Simulated tomography of ``source_model(cfg).rho``: the
-    ``default_protocol`` histograms drawn from one spawned child of
-    ``seed_seq`` per setting, then ``analyze_tomography`` of their records."""
-    protocol = default_protocol()
-    rel_rates = forward_rates(source_model(cfg).rho, protocol, 1.0)
-    counts, records = _simulate_records(cfg, rel_rates, seed_seq.spawn(len(protocol)))
-    result = analyze_tomography(cfg, protocol, records, seed_seq)
-    return replace(result, counts=counts, centers_ns=bin_centers(cfg.histogram))
+    """Simulated tomography of ``source_model(cfg).rho``: ``analyze_tomography``
+    of the records one ``subtract_accidentals`` pass makes of the
+    ``simulate_histograms`` counts."""
+    counts, centers = simulate_histograms(cfg, seed_seq)
+    duration = cfg.tomography.duration_per_setting_s
+    raw, net, sigma = subtract_accidentals(counts, cfg.histogram.exclusion_bins)
+    records = [
+        CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
+        for m, (r, n, s) in enumerate(zip(raw.tolist(), net.tolist(), sigma.tolist()))
+    ]
+    result = analyze_tomography(cfg, default_protocol(), records, seed_seq)
+    return replace(result, counts=counts, centers_ns=centers)
 
 
 @dataclass(frozen=True)
@@ -630,12 +621,12 @@ def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed_seq)
     """The CHSH test of the reconstructed ``tomography.rho`` at
     ``default_chsh_settings()``, beside the model state's
     ``source_model(cfg).f_model``: ``[bell] counts_per_setting`` pairs per
-    setting, drawn from the next spawned child of ``seed_seq``. The state is
-    taken as checked, as ``simulate_tomography`` returns it."""
+    setting, drawn from one generator of the next spawned child of
+    ``seed_seq``. The state is taken as checked, as ``simulate_tomography`` returns it."""
     rho4 = bell_mod.split_postselect_rho(tomography.rho)
     settings = bell_mod.default_chsh_settings()
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
-        rho4, cfg.bell.counts_per_setting, seed_seq.spawn(1)[0], settings)
+        rho4, cfg.bell.counts_per_setting, np.random.default_rng(seed_seq.spawn(1)[0]), settings)
     return BellResult(
         f_model=source_model(cfg).f_model,
         f_reconstructed=bell_mod.chsh_value(rho4, settings),
@@ -730,6 +721,17 @@ def _histogram_row_templates(dtype: str, centers: bytes) -> _RowTemplates:
     """The row templates of the bin grid with these centers: keyed on their
     dtype and bytes, so -0.0 and 0.0 are different grids."""
     return _RowTemplates(np.frombuffer(centers, dtype=dtype).tolist())
+
+
+def histogram_csv(counts, centers_ns) -> bytes:
+    """``histogram.csv`` of a count array with bins at the delays ``centers_ns``:
+    the cached row templates filled with str() of each count."""
+    encoded = bytearray(b"setting_index,delta_t_ns,counts\r\n")
+    templates = _histogram_row_templates(centers_ns.dtype.str, centers_ns.tobytes())
+    for m, row in enumerate(counts.tolist()):
+        for start, template in zip(range(0, len(row), _CSV_BLOCK_ROWS), templates[m]):
+            encoded += (template % tuple(row[start:start + _CSV_BLOCK_ROWS])).encode()
+    return bytes(encoded)
 
 
 def write_report(report: ExperimentReport, out_dir) -> list:

@@ -8,8 +8,8 @@ pair rate — raising the pair rate raises the peak but not the background.
 
 The histograms of several settings are one (settings, n_bins) int64 count
 array (``simulate_counts``) on the bin grid of a ``[histogram]`` section,
-whose centre bin is zero delay (``bin_centers``); each row is drawn from
-its own generator, and one vectorized pass (``subtract_accidentals``)
+whose centre bin is zero delay (``bin_centers``), drawn from one generator
+in two ``poisson`` calls, and one vectorized pass (``subtract_accidentals``)
 subtracts the accidentals of every row. The ``[noise]`` and
 ``[histogram]`` sections check their own values when they are made, so
 these functions take them as valid.
@@ -32,32 +32,24 @@ def check_poisson_mean(mean: float, what: str):
         raise OutOfRange(f"{what} Poisson mean {mean:g} exceeds {MAX_POISSON_MEAN:g} counts")
 
 
-def simulate_counts(noise, grid, pair_scales, duration_s: float, seeds) -> np.ndarray:
+def simulate_counts(noise, grid, pair_scales, duration_s: float, rng) -> np.ndarray:
     """Draw a (settings, n_bins) int64 count array, one histogram per row,
     for the ``[noise]`` section ``noise`` and the ``[histogram]`` section
-    ``grid`` (a ``NoiseConfig`` and a ``HistogramConfig``).
-
-    Row m draws from ``np.random.default_rng(seeds[m])`` (an integer, a
-    SeedSequence or a Generator, drawn from as is): every bin receives
-    Poisson(singles_a * singles_b * bin_width * duration) accidentals, then
-    the central bin Poisson(pair_rate * pair_scales[m] * efficiency *
-    duration) true pairs. The floor's mean is checked once, each row's pair
-    mean before its draw: a mean above MAX_POISSON_MEAN raises OutOfRange.
+    ``grid`` (a ``NoiseConfig`` and a ``HistogramConfig``) from the
+    Generator ``rng``: one ``poisson`` call draws Poisson(singles_a *
+    singles_b * bin_width * duration) accidentals in every bin, a second one
+    Poisson(pair_rate * pair_scales[m] * efficiency * duration) true pairs in
+    row m's central bin. The floor's mean and then each row's pair mean are
+    checked before anything is drawn: the first above MAX_POISSON_MEAN
+    raises OutOfRange.
     """
-    accidental_rate_per_ns = noise.singles_a_hz * noise.singles_b_hz * 1e-9
-    mean_floor = accidental_rate_per_ns * grid.bin_width_ns * duration_s
+    mean_floor = noise.singles_a_hz * noise.singles_b_hz * 1e-9 * grid.bin_width_ns * duration_s
     check_poisson_mean(mean_floor, "accidental floor per bin")
-    pair_means = noise.pair_rate_hz * np.asarray(pair_scales, dtype=float)
-    pair_means = pair_means * noise.efficiency * duration_s
-    if len(pair_means) != len(seeds):
-        raise ValueError(f"{len(pair_means)} pair scales for {len(seeds)} seeds")
-    n_bins = grid.n_bins
-    counts = np.empty((len(seeds), n_bins), dtype=np.int64)
-    for row, mean_pairs, seed in zip(counts, pair_means.tolist(), seeds):
+    pair_means = noise.pair_rate_hz * np.asarray(pair_scales, float) * noise.efficiency * duration_s
+    for mean_pairs in pair_means.tolist():
         check_poisson_mean(mean_pairs, "zero-delay pair")
-        rng = np.random.default_rng(seed)
-        row[:] = rng.poisson(mean_floor, size=n_bins)
-        row[n_bins // 2] += rng.poisson(mean_pairs)
+    counts = rng.poisson(mean_floor, size=(len(pair_means), grid.n_bins))
+    counts[:, grid.n_bins // 2] += rng.poisson(pair_means)
     return counts
 
 

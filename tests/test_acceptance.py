@@ -120,30 +120,14 @@ def test_05_noisy_tomography_coverage():
 
     hits = 0
     for seed in range(100):
-        streams = np.random.SeedSequence(seed).spawn(len(protocol))
-        records = []
-        for m, child in enumerate(streams):
-            (counts,) = simulate_counts(
-                cfg.noise,
-                cfg.histogram,
-                pair_scales=(float(rel[m]),),
-                duration_s=duration,
-                seeds=(np.random.default_rng(child),),
-            )
-            _, (net,), (sigma,) = subtract_accidentals(counts[None], exclusion_bins=excl)
-            in_peak = (
-                np.abs(np.arange(len(counts)) - len(counts) // 2) <= excl
-            )
-            raw = float(counts[in_peak].sum())
-            records.append(
-                CoincidenceRecord(
-                    index=m,
-                    raw=raw,
-                    accidental=raw - net,
-                    duration_s=duration,
-                    net_sigma=sigma,
-                )
-            )
+        # the nine histograms of a run at this seed: one generator of its first child
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        counts = simulate_counts(cfg.noise, cfg.histogram, rel, duration, rng)
+        raw, net, sigma = subtract_accidentals(counts, exclusion_bins=excl)
+        records = [
+            CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
+            for m, (r, n, s) in enumerate(zip(raw, net, sigma))
+        ]
         rho_hat, _ = reconstruct(records, protocol)
         w2 = float(np.real(rho_hat[1, 1]))
         if abs(w2 - 0.97) <= 0.06 and abs(purity(rho_hat) - 1.0) <= 0.1:
@@ -254,8 +238,8 @@ def test_11_histogram_statistics():
                  singles_b_hz=30_000)
     hi = replace(cfg.noise, pair_rate_hz=1500.0, efficiency=1.0, singles_a_hz=30_000,
                  singles_b_hz=30_000)
-    h_lo = simulate_counts(lo, hist, (1.0,), 100.0, (SEED,))
-    h_hi = simulate_counts(hi, hist, (1.0,), 100.0, (SEED + 1,))
+    h_lo = simulate_counts(lo, hist, (1.0,), 100.0, np.random.default_rng(SEED))
+    h_hi = simulate_counts(hi, hist, (1.0,), 100.0, np.random.default_rng(SEED + 1))
 
     f_lo = np.delete(h_lo[0], hist.n_bins // 2)
     f_hi = np.delete(h_hi[0], hist.n_bins // 2)

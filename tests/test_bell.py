@@ -151,7 +151,8 @@ def test_chsh_covariant_under_shared_rotation():
 def test_simulated_chsh_converges():
     rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
     exact = chsh_value(rho4, default_chsh_settings())
-    f, sigma, nsig = simulate_chsh(rho4, 200000, SEED, default_chsh_settings())
+    f, sigma, nsig = simulate_chsh(rho4, 200000, np.random.default_rng(SEED),
+                                default_chsh_settings())
     assert sigma < 0.01
     assert f == pytest.approx(exact, abs=4 * sigma)
     assert nsig > 30
@@ -160,8 +161,12 @@ def test_simulated_chsh_converges():
 def test_simulated_chsh_is_seeded():
     rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
     s = default_chsh_settings()
-    assert simulate_chsh(rho4, 500, 42, s) == simulate_chsh(rho4, 500, 42, s)
-    assert simulate_chsh(rho4, 500, 42, s) != simulate_chsh(rho4, 500, 43, s)
+
+    def simulated(seed):
+        return simulate_chsh(rho4, 500, np.random.default_rng(seed), s)
+
+    assert simulated(42) == simulated(42)
+    assert simulated(42) != simulated(43)
 
 
 def _reference_terms(s):
@@ -232,15 +237,17 @@ def test_chsh_outcome_table_matches_scalar_reference():
         rho4 = split_postselect_rho(a @ a.conj().T / np.trace(a @ a.conj().T).real)
         for settings in (base, custom, merged):
             draws, f, sigma_f = _reference_simulate_chsh(rho4, 500, seed, settings)
-            assert _outcome_draws(rho4, 500, seed, settings) == draws
+            assert _outcome_draws(rho4, 500, np.random.default_rng(seed), settings) == draws
             if settings is merged:
                 # the merge only reorders the sums
-                f_table, sigma_table = simulate_chsh(rho4, 500, seed, settings)[:2]
+                f_table, sigma_table = simulate_chsh(rho4, 500, np.random.default_rng(seed),
+                                                     settings)[:2]
                 assert f_table == pytest.approx(f, rel=1e-12, abs=0.0)
                 assert sigma_table == pytest.approx(sigma_f, rel=1e-12, abs=0.0)
             else:
                 # bit for bit: the same draws in the same arithmetic
-                assert simulate_chsh(rho4, 500, seed, settings)[:2] == (f, sigma_f)
+                simulated = simulate_chsh(rho4, 500, np.random.default_rng(seed), settings)
+                assert simulated[:2] == (f, sigma_f)
             expected = sum(sign * np.real(np.trace(rho4 @ np.kron(obs_a, obs_b)))
                            for obs_a, obs_b, sign in _reference_terms(settings))
             assert chsh_value(rho4, settings) == pytest.approx(abs(expected) / 2.0, abs=1e-14)
@@ -251,7 +258,7 @@ def test_setting_without_counts_raises():
     rho4 = split_postselect_rho(depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.04))
     for seed in range(4):
         with pytest.raises(InvalidState, match="no counts recorded for a CHSH setting"):
-            simulate_chsh(rho4, 1, seed, default_chsh_settings())
+            simulate_chsh(rho4, 1, np.random.default_rng(seed), default_chsh_settings())
 
 
 def test_default_chsh_table_is_built_once_and_read_only():

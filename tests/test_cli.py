@@ -71,6 +71,19 @@ def test_histogram_csv(capsys):
     assert {line.split(",")[0] for line in lines[1:-1]} == {str(m) for m in range(9)}
 
 
+def test_histogram_prints_counts_whose_fit_fails(capsys, tmp_path):
+    # no pairs: at this seed the records of the histograms fit a total rate
+    # that is not positive, so the run fails while the draw succeeds
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("[noise]\npair_rate_hz = 0\n")
+    code, out = run_cli(capsys, "histogram", "--seed", "1", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert len(out.split("\r\n")) == 2 + 9 * 501
+    code = main(["run", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "is not positive" in capsys.readouterr().err
+
+
 def test_histogram_has_no_format_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["histogram", "--format", "json"])
@@ -207,7 +220,8 @@ STAGE_NOT_NEEDED = {
     "tomography": (*BELL, "spectral_section"),
     "bell": ("spectral_section",),
     "hom": ("source_model", *TOMOGRAPHY, *BELL),
-    "histogram": (*BELL, "spectral_section"),
+    "histogram": (*BELL, "spectral_section", "simulate_tomography", "analyze_tomography",
+                  "reconstruct"),
 }
 
 
@@ -356,10 +370,10 @@ def test_spectrum_span_checked_against_index_data_at_load(capsys, tmp_path, span
         ("run", "[histogram]\nbin_width_ns = 1e300\n",
          "accidental floor per bin Poisson mean 9e+300 exceeds 1e+18 counts"),
         ("bell", f"[bell]\ncounts_per_setting = {10**21}\n",
-         "CHSH outcome Poisson mean 5.41601e+20 exceeds 1e+18 counts"),
+         "CHSH outcome Poisson mean 5.41199e+20 exceeds 1e+18 counts"),
         # a count past the float range, whose mean is printed without a float
         ("bell", f"[bell]\ncounts_per_setting = {10**400}\n",
-         "CHSH outcome Poisson mean 5.41601e+399 exceeds 1e+18 counts"),
+         "CHSH outcome Poisson mean 5.41199e+399 exceeds 1e+18 counts"),
         # a film this thick passes validation, but its etalon leaves no pair intensity
         ("run", "[film]\nthickness_nm = 1e300\n", "spectrum has zero total weight"),
     ],
@@ -571,7 +585,7 @@ def test_bell_without_spread_prints_null(capsys, tmp_path):
     # one outcome class, so sigma_f is 0 and (F - 1)/sigma_f is undefined
     cfg = tmp_path / "few.cfg"
     cfg.write_text("[bell]\ncounts_per_setting = 2\n")
-    code, out = run_cli(capsys, "bell", "--seed", "22", "--config", str(cfg))
+    code, out = run_cli(capsys, "bell", "--seed", "2", "--config", str(cfg))
     assert code == EXIT_OK
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["bell"]["sigma_f"] == 0.0
@@ -581,7 +595,7 @@ def test_bell_without_spread_prints_null(capsys, tmp_path):
 def test_run_without_bell_spread_writes_null(capsys, tmp_path):
     cfg = tmp_path / "few.cfg"
     cfg.write_text("[bell]\ncounts_per_setting = 2\n")
-    code = main(["run", "--seed", "22", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    code = main(["run", "--seed", "2", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text(),
                         parse_constant=_reject_constant)

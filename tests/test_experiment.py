@@ -172,7 +172,7 @@ def test_analyzing_the_runs_records_gives_the_runs_section(report):
     from spdcfilm.tomography import default_protocol
 
     seq = np.random.SeedSequence(SEED)
-    seq.spawn(9)  # the run's nine setting seeds: the bootstrap's child is next
+    seq.spawn(1)  # the run's histograms' child: the bootstrap's child is next
     result = experiment.analyze_tomography(load_config(), default_protocol(),
                                            report.tomography.records, seq)
     assert json.dumps(result.to_json()) == json.dumps(report.tomography.to_json())
@@ -220,7 +220,7 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
 
 def _bootstrap_inputs(report):
     """The report's records, their point fit, and the bootstrap's seed in
-    run_experiment: the child after the nine setting seeds."""
+    run_experiment: the child after the histograms' one."""
     from spdcfilm.tomography import CoincidenceRecord, default_protocol, reconstruct
 
     records = [
@@ -229,7 +229,7 @@ def _bootstrap_inputs(report):
     ]
     rho_hat, fit = reconstruct(records, default_protocol())
     seq = np.random.SeedSequence(SEED)
-    seq.spawn(9)
+    seq.spawn(1)
     return records, rho_hat, fit, seq.spawn(1)[0]
 
 
@@ -355,11 +355,11 @@ def test_run_without_replicates_makes_no_bootstrap_generator(monkeypatch, bootst
 
     monkeypatch.setattr(np.random, "default_rng", counting)
     summary = run_experiment(cfg, seed=SEED).summary
-    # the nine settings' histograms (children 0-8) and the CHSH test (child
-    # 10) draw Poisson counts alone; the bootstrap's child 9 makes a
-    # generator only when there is a replicate to draw
-    boot = [(9,)] if bootstrap_samples else []
-    assert sorted(spawn_keys) == [(m,) for m in range(9)] + boot + [(10,)]
+    # the nine settings' histograms (child 0) and the CHSH test (child 2)
+    # draw Poisson counts alone; the bootstrap's child 1 makes a generator
+    # only when there is a replicate to draw
+    boot = [(1,)] if bootstrap_samples else []
+    assert spawn_keys == [(0,), *boot, (2,)]
     assert ("standard_normal" in draws) == bool(bootstrap_samples)
     assert set(draws) <= {"poisson", "standard_normal"}
     assert (summary["tomography"]["purity_sigma"] is None) == (not bootstrap_samples)
@@ -388,46 +388,41 @@ def test_run_checks_each_state_once(monkeypatch):
     assert again == expected
 
 
-def _records_one_setting_at_a_time(cfg, rel_rates, seeds):
-    """``_simulate_records`` written out one setting at a time: a Poisson
-    floor plus a zero-delay draw from each child, reduced by boolean masks.
-    Returns the (centers, counts) of each setting and the records."""
-    from spdcfilm.histogram import check_poisson_mean
+def _histograms_by_hand(cfg, rel_rates, child):
+    """``simulate_histograms``' counts written out from one generator of
+    ``child``: the Poisson floor of every bin, one setting after another, then
+    each setting's zero-delay pairs, one draw at a time. Returns them with
+    the records that boolean masks reduce them to."""
     from spdcfilm.tomography import CoincidenceRecord
 
     grid, noise = cfg.histogram, cfg.noise
     duration = cfg.tomography.duration_per_setting_s
     half = grid.n_bins // 2
-    centers = (np.arange(grid.n_bins) - half) * grid.bin_width_ns
+    rng = np.random.default_rng(child)
+    mean_floor = noise.singles_a_hz * noise.singles_b_hz * 1e-9 * grid.bin_width_ns * duration
+    counts = np.array([rng.poisson(mean_floor, size=grid.n_bins) for _ in rel_rates])
+    for row, rel in zip(counts, rel_rates):
+        row[half] += rng.poisson(noise.pair_rate_hz * float(rel) * noise.efficiency * duration)
     off = np.abs(np.arange(grid.n_bins) - half) > grid.exclusion_bins
     n_off = int(off.sum())
     n_peak = grid.n_bins - n_off
-    histograms, records = [], []
-    for m, (rel, seed) in enumerate(zip(rel_rates, seeds)):
-        mean_floor = noise.singles_a_hz * noise.singles_b_hz * 1e-9 * grid.bin_width_ns * duration
-        mean_pairs = noise.pair_rate_hz * float(rel) * noise.efficiency * duration
-        check_poisson_mean(mean_floor, "accidental floor per bin")
-        check_poisson_mean(mean_pairs, "zero-delay pair")
-        rng = np.random.default_rng(seed)
-        counts = rng.poisson(mean_floor, size=grid.n_bins)
-        counts[half] += rng.poisson(mean_pairs)
-        off_total, raw = float(counts[off].sum()), float(counts[~off].sum())
+    records = []
+    for m, row in enumerate(counts):
+        off_total, raw = float(row[off].sum()), float(row[~off].sum())
         net = raw - off_total / n_off * n_peak
         sigma = float(np.sqrt(raw + (n_peak / n_off) ** 2 * off_total))
-        histograms.append((centers, counts))
         records.append(CoincidenceRecord(m, raw, raw - net, duration, sigma))
-    return histograms, records
+    return counts, records
 
 
-def _setting_inputs(tmp_path, overlay, seed):
-    """(cfg, relative rates, spawned children) of a run of ``overlay``."""
+def _setting_inputs(tmp_path, overlay):
+    """(cfg, relative rates of the nine settings) of a run of ``overlay``."""
     from spdcfilm.tomography import default_protocol, forward_rates
 
     path = tmp_path / "overlay.cfg"
     path.write_text(overlay)
     cfg = load_config(path)
-    rel_rates = forward_rates(experiment.source_model(cfg).rho, default_protocol(), 1.0)
-    return cfg, rel_rates, np.random.SeedSequence(seed).spawn(9)
+    return cfg, forward_rates(experiment.source_model(cfg).rho, default_protocol(), 1.0)
 
 
 @pytest.mark.parametrize("overlay", [
@@ -437,45 +432,60 @@ def _setting_inputs(tmp_path, overlay, seed):
     "[noise]\npair_rate_hz = 0\n",
 ], ids=["default", "41_bins", "wide_peak", "no_pairs"])
 @pytest.mark.parametrize("seed", [1, 3, 22, 2**130 + 7])
-def test_count_array_is_the_per_setting_draw(tmp_path, overlay, seed):
-    from spdcfilm.histogram import bin_centers, simulate_counts, subtract_accidentals
-
-    cfg, rel_rates, seeds = _setting_inputs(tmp_path, overlay, seed)
-    counts, records = experiment._simulate_records(cfg, rel_rates, seeds)
-    expected_histograms, expected_records = _records_one_setting_at_a_time(cfg, rel_rates, seeds)
-    assert records == expected_records
-    assert len(expected_histograms) == 9
+def test_count_array_is_the_per_setting_draw(monkeypatch, tmp_path, overlay, seed):
+    # one generator's floor block, then its peaks: each setting's rows and
+    # peak draws follow the previous setting's in its stream
+    cfg, rel_rates = _setting_inputs(tmp_path, overlay)
+    child = np.random.SeedSequence(seed).spawn(1)[0]  # the run's first child
+    expected_counts, expected_records = _histograms_by_hand(cfg, rel_rates, child)
+    counts, centers = experiment.simulate_histograms(cfg, np.random.SeedSequence(seed))
     assert counts.shape == (9, cfg.histogram.n_bins) and counts.dtype == np.int64
-    centers = bin_centers(cfg.histogram)
-    duration = cfg.tomography.duration_per_setting_s
-    for row, (expected_centers, expected_counts), record, rel, child in zip(
-            counts, expected_histograms, records, rel_rates, seeds):
-        assert centers.dtype == expected_centers.dtype
-        assert np.array_equal(centers, expected_centers)
-        assert row.dtype == expected_counts.dtype and np.array_equal(row, expected_counts)
-        # the array's one-row case is the same draw and the same subtraction
-        (one,) = simulate_counts(cfg.noise, cfg.histogram, (rel,), duration, (child,))
-        assert np.array_equal(one, expected_counts)
-        (raw,), (net,), (sigma,) = subtract_accidentals(one[None], cfg.histogram.exclusion_bins)
-        assert (raw, raw - net, sigma) == (record.raw, record.accidental, record.net_sigma)
+    assert np.array_equal(counts, expected_counts)
+    n_bins = cfg.histogram.n_bins
+    expected_centers = (np.arange(n_bins) - n_bins // 2) * cfg.histogram.bin_width_ns
+    assert centers.dtype == expected_centers.dtype and np.array_equal(centers, expected_centers)
+
+    # simulate_tomography fits the records of those counts
+    class Fitted(Exception):
+        pass
+
+    def fitted(records, protocol):
+        raise Fitted(records)
+
+    monkeypatch.setattr(experiment, "reconstruct", fitted)
+    with pytest.raises(Fitted) as records:
+        experiment.simulate_tomography(cfg, np.random.SeedSequence(seed))
+    assert records.value.args[0] == expected_records
 
 
 @pytest.mark.parametrize("overlay, message", [
     ("[noise]\nsingles_a_hz = 1e200\n",
      "accidental floor per bin Poisson mean 3e+196 exceeds 1e+18 counts"),
-    # the first setting's pair mean fits, the second one's does not
+    # the first setting's pair mean fits, the second one's does not, and the
+    # sixth one's is the largest
     ("[tomography]\nduration_per_setting_s = 1e16\n",
      "zero-delay pair Poisson mean 1.44004e+19 exceeds 1e+18 counts"),
 ], ids=["floor", "pairs"])
 def test_count_array_checks_each_mean_as_one_setting_at_a_time_does(tmp_path, overlay, message):
     from spdcfilm.errors import OutOfRange
+    from spdcfilm.histogram import simulate_counts
 
-    cfg, rel_rates, seeds = _setting_inputs(tmp_path, overlay, 1)
-    with pytest.raises(OutOfRange) as batched:
-        experiment._simulate_records(cfg, rel_rates, seeds)
+    cfg, rel_rates = _setting_inputs(tmp_path, overlay)
+    duration = cfg.tomography.duration_per_setting_s
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(OutOfRange) as exc:
+        simulate_counts(cfg.noise, cfg.histogram, rel_rates, duration, rng)
+    assert str(exc.value) == message
+    assert rng.bit_generator.state == state  # nothing was drawn
+    # the first setting whose one-row array fails names the same mean
     with pytest.raises(OutOfRange) as one_at_a_time:
-        _records_one_setting_at_a_time(cfg, rel_rates, seeds)
-    assert str(batched.value) == str(one_at_a_time.value) == message
+        for rel in rel_rates:
+            simulate_counts(cfg.noise, cfg.histogram, (rel,), duration, np.random.default_rng(1))
+    assert str(one_at_a_time.value) == message
+    with pytest.raises(OutOfRange) as run:
+        run_experiment(cfg, 1)
+    assert str(run.value) == message
 
 
 def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
