@@ -50,9 +50,10 @@ sequence to both in that order draws the run's numbers.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
-``check_density_matrix``), and ``reconstruct``'s point measures check the
-reconstructed one (``_density_eigh``). The functions that take a state after
-that (``forward_rates``, ``fringe_curve``, ``split_postselect_rho``,
+``check_density_matrix``), and ``_measures`` checks the spectrum
+``reconstruct`` returns, as it checks each bootstrap replicate's: a warm run
+makes two ``eigh`` calls. The functions that take a state after that
+(``forward_rates``, ``fringe_curve``, ``split_postselect_rho``,
 ``chsh_value``, ``simulate_chsh``) check nothing again. The nine settings'
 coincidence histograms are one ``simulate_counts`` count array, which one
 ``subtract_accidentals`` pass reduces to the records and which
@@ -88,7 +89,7 @@ from .errors import SingularFit
 from .histogram import bin_centers, simulate_counts, subtract_accidentals
 from .polarization import pump_ket
 from .qutrit import (
-    _state_measures,
+    _density_eigh,
     concurrence,
     concurrence_bounds,
     depolarize,
@@ -108,7 +109,7 @@ from .spectral import (
 from .tomography import (
     CoincidenceRecord,
     FitReport,
-    _fringe_visibility,
+    _measures,
     _physical,
     _solve_stack,
     default_protocol,
@@ -413,16 +414,6 @@ def delay_line_scan(delay_line) -> DelayScan:
     )
 
 
-def _measures(rhos, fixed_analyzer, spectrum) -> dict:
-    """Report measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
-    ``_state_measures`` (given the stack's ``spectrum``, or None if unknown)
-    plus the fringe visibility (NaN where the fringe has no counts)."""
-    return {
-        **_state_measures(rhos, spectrum),
-        "visibility": _fringe_visibility(rhos, fixed_analyzer),
-    }
-
-
 def _defined(values):
     """JSON form of a measure: floats, with None where it is undefined (NaN)."""
     if np.ndim(values):
@@ -431,8 +422,9 @@ def _defined(values):
 
 
 def _point_measures(rho, fixed_analyzer) -> dict:
-    """The report entries of one state: the one-state case of ``_measures``."""
-    measures = _measures(rho[None], fixed_analyzer, None)
+    """The report entries of a state from outside a fit (a model state):
+    ``check_density_matrix``'s checks and ``eigh``, then ``_measures``."""
+    measures = _measures(*_density_eigh(rho[None]), fixed_analyzer)
     return {key: _defined(value[0]) for key, value in measures.items()}
 
 
@@ -458,8 +450,9 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     """The states of a parametric bootstrap: net counts redrawn from the
     fitted model, then reconstructed ``_BOOTSTRAP_BLOCK`` replicates at a
     time by ``reconstruct``'s two steps, ``_solve_stack`` and ``_physical``.
-    Yields each block's (B, 3, 3) states with their (vals, vecs) spectrum,
-    the projection's eigendecomposition, so the measures need no second ``eigh``.
+    Yields each block's states as the projection's (vals, vecs) spectrum,
+    (B, 3) unit-sum eigenvalues and (B, 3, 3) eigenvectors: no replicate is
+    formed as a matrix, and the measures need no second ``eigh``.
 
     Replicate k draws row k of the (n_boot, len(records)) standard normals
     of one generator, ``np.random.default_rng(seed_seq)``, made only when
@@ -481,8 +474,7 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
         # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
         z = rng.standard_normal((count, len(records)))
         nets = np.maximum(model_net + sigmas * z + accidental, 0.0) - accidental
-        rhos, _, _, spectrum = _physical(_solve_stack(nets, durations, protocol))
-        yield rhos, spectrum
+        yield _physical(_solve_stack(nets, durations, protocol))[:2]
 
 
 def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
@@ -491,19 +483,22 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
     Returns the report's ``<measure>_sigma`` entries, all None without
     replicates or when any replicate cannot be fitted (``SingularFit``: a
     redraw of a few counts can leave a fitted total rate that is not
-    positive). Only the replicates' measures grow with the replicate count;
-    the states are held one block at a time.
+    positive). ``_measures`` of the spectra fills one (n_boot, 6) table for
+    one ``_spread``: only it grows with the replicate count, as the spectra
+    are held one block at a time.
     """
     states = _bootstrap_states(rho_hat, scale_hat, records, protocol,
                                cfg.run.bootstrap_samples, seed_seq)
+    measures = ("weights", "purity", "concurrence", "visibility")
     try:
-        blocks = [_measures(rhos, cfg.fringe.fixed_analyzer, spectrum) for rhos, spectrum in states]
+        blocks = [_measures(vals, vecs, cfg.fringe.fixed_analyzer) for vals, vecs in states]
     except SingularFit:
         blocks = []
-    measures = ("weights", "purity", "concurrence", "visibility")
     if not blocks:
         return {f"{key}_sigma": None for key in measures}
-    return {f"{key}_sigma": _spread(np.concatenate([b[key] for b in blocks])) for key in measures}
+    table = np.concatenate([np.column_stack([b[key] for key in measures]) for b in blocks])
+    sigmas = _spread(table)
+    return {f"{key}_sigma": s for key, s in zip(measures, (sigmas[:3], *sigmas[3:]))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,10 +522,10 @@ class TomographyResult:
     def to_json(self) -> dict:
         """The report's ``tomography`` section."""
         entries = {**self.measures, **self.sigmas}
-        diagnostics = asdict(self.fit)
+        diagnostics = dict(vars(self.fit))
         return {
             "tomography": {
-                "records": [{**asdict(r), "net": r.net} for r in self.records],
+                "records": [{**vars(r), "net": r.net} for r in self.records],
                 "rho": complex_json(self.rho),
                 "scale_hz": diagnostics.pop("scale"),
                 "fit": diagnostics,
@@ -554,9 +549,10 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> To
     order: the point fit and its measures, the ``[fringe]`` curve, and the
     ``[run] bootstrap_samples`` sigmas drawn from the next spawned child of
     ``seed_seq``. The result holds no histograms (n_bins 0)."""
-    rho_hat, fit = reconstruct(records, protocol)
+    rho_hat, fit, (vals, vecs) = reconstruct(records, protocol)
     fringe = cfg.fringe
-    measures = _point_measures(rho_hat, fringe.fixed_analyzer)
+    measures = _measures(vals[None], vecs[None], fringe.fixed_analyzer)
+    measures = {key: _defined(value[0]) for key, value in measures.items()}
     curve = []  # no counts at any angle: a null visibility and no curve
     if measures["visibility"] is not None:
         theta_grid = np.linspace(fringe.theta_start_deg, fringe.theta_stop_deg, fringe.theta_points)

@@ -1,6 +1,9 @@
 """Entanglement and purity measures for the two-photon polarization qutrit.
 
 Basis order everywhere: (|2>_H |0>_V, |1>_H |1>_V, |0>_H |2>_V).
+
+A stack of states may be given by its (vals, vecs) spectrum, which
+``_check_spectrum`` checks as ``check_density_matrix`` checks a matrix.
 """
 
 from __future__ import annotations
@@ -30,28 +33,30 @@ def check_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise InvalidDensityMatrix(f"expected 3x3, got {rho.shape}")
-    _density_eigh(rho[None], None)
+    _density_eigh(rho[None])
     return rho
 
 
-def _density_eigh(rhos: np.ndarray, spectrum):
+def _density_eigh(rhos: np.ndarray):
     """``check_density_matrix``'s checks on every matrix of a (B, d, d) stack,
-    then its stacked ``eigh``. The first failing matrix raises.
-
-    A ``spectrum`` already known for the stack (``_project_psd``'s (vals,
-    vecs)), when it is not None, stands in for the ``eigh``: its eigenvalues
-    take the PSD check.
-    """
+    then its stacked ``eigh``. The first failing matrix raises."""
     if np.max(np.abs(rhos - np.swapaxes(rhos.conj(), -1, -2))) > 1e-10:
         raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")
     traces = np.real(np.trace(rhos, axis1=-2, axis2=-1))
+    vals, vecs = np.linalg.eigh(rhos)
+    _check_spectrum(traces, vals)
+    return vals, vecs
+
+
+def _check_spectrum(traces: np.ndarray, vals: np.ndarray) -> None:
+    """``check_density_matrix``'s trace (1e-10) and PSD (EIG_FLOOR) checks of
+    states of these traces (a spectrum's sum) and (B, d) ascending
+    eigenvalues. The first failing state raises."""
     off = np.abs(traces - 1.0) > 1e-10
     if np.any(off):
         raise InvalidDensityMatrix(f"trace {traces[off][0]!r} is not 1 to 1e-10")
-    vals, vecs = np.linalg.eigh(rhos) if spectrum is None else spectrum
     if np.min(vals[:, 0]) < EIG_FLOOR:
         raise InvalidDensityMatrix(f"matrix has an eigenvalue below {EIG_FLOOR:g}")
-    return vals, vecs
 
 
 def pure_density_matrix(state) -> np.ndarray:
@@ -94,12 +99,8 @@ def _schmidt_number(c):
 
 def purity(rho) -> float:
     """Tr(rho^2); 1 for pure states, 1/3 for the maximally mixed qutrit."""
-    return float(_purity(check_density_matrix(rho)))
-
-
-def _purity(rhos: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of each matrix of a stack (or of one matrix)."""
-    return np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1))
+    rho = check_density_matrix(rho)
+    return float(np.real(np.trace(rho @ rho)))
 
 
 def _dominant(vals: np.ndarray, vecs: np.ndarray):
@@ -118,29 +119,6 @@ def _dominant(vals: np.ndarray, vecs: np.ndarray):
     # keep exact normalization after the phase rotation
     vec = vec / np.linalg.norm(vec, axis=-1, keepdims=True)
     return vec, vals[..., -1], vals[..., -1] - vals[..., -2] < GAP_TOL
-
-
-def _state_measures(rhos: np.ndarray, spectrum) -> dict:
-    """Measures of each state of a (B, 3, 3) stack, as (B, ...) arrays:
-    weights, purity, and the dominant branch's concurrence, Schmidt number
-    and weight, NaN where the top eigenvalue is degenerate. Validates the
-    stack as ``check_density_matrix`` would each state.
-
-    The dominant branch, the degeneracy test and the weight read the stack's
-    ``eigh``, or the (vals, vecs) ``spectrum`` the caller already holds for
-    it: the bootstrap passes ``_project_psd``'s, so each replicate is
-    factorized once. A state of unknown spectrum takes a fresh ``eigh``.
-    """
-    vals, vecs = _density_eigh(rhos, spectrum=spectrum)
-    top, top_weight, degenerate = _dominant(vals, vecs)
-    c = np.where(degenerate, np.nan, _concurrence(top))
-    return {
-        "weights": np.real(np.diagonal(rhos, axis1=-2, axis2=-1)),
-        "purity": _purity(rhos),
-        "concurrence": c,
-        "schmidt_number": _schmidt_number(c),
-        "dominant_weight": np.where(degenerate, np.nan, top_weight),
-    }
 
 
 def concurrence_bounds(weights) -> tuple[float, float]:

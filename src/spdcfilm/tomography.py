@@ -9,6 +9,8 @@ operations; the single-state functions are their one-replicate case.
 
 ``forward_rates`` and ``fringe_curve`` take a density matrix the caller
 has checked: a run checks each state once, where it enters (``experiment``).
+The positivity projection returns each state as its spectrum, which
+``_measures`` reads: no bootstrap replicate is formed as a matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .polarization import (
     analyzer_ket,
     two_photon_projector,
 )
+from .qutrit import _check_spectrum, _concurrence, _dominant, _schmidt_number
 
 
 @dataclass(frozen=True)
@@ -157,28 +160,26 @@ def forward_rates(rho: np.ndarray, protocol, scale: float) -> np.ndarray:
 
 
 def _project_psd(m: np.ndarray):
-    """Unit-trace PSD matrices from a (B, 3, 3) stack of Hermitian ones, in
-    one ``eigh``: clip the negative eigenvalues to zero, then renormalize the
-    trace. Idempotent.
+    """The positivity projection of a (B, 3, 3) stack of Hermitian matrices,
+    in one ``eigh``: clip the negative eigenvalues to zero, then renormalize
+    the trace. Idempotent.
 
     This is not the Frobenius-nearest state (that projects the eigenvalues
     onto the probability simplex): for diag(1.2, 0.1, -0.3) clipping lands
     at distance 0.409, the simplex projection at 0.374.
 
-    Also returns the negative-eigenvalue mass the clipping removed from each,
-    and the (vals, vecs) eigendecomposition of each returned state: the
-    ``eigh`` eigenvectors with the clipped eigenvalues over the trace, in
-    ascending order, which is ``eigh`` of the returned state up to rounding.
+    Returns each state as its spectrum, the clipped eigenvalues over their
+    sum (ascending) and the ``eigh`` eigenvectors, then the negative-eigenvalue
+    mass the clipping removed and the clipped eigenvalues themselves. No state
+    is formed: ``reconstruct`` forms its one from the clipped eigenvalues.
     """
     m = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(m)
     negative_mass = np.where(vals < 0.0, -vals, 0.0).sum(axis=-1)
-    vals = np.clip(vals, 0.0, None)
-    if np.any(vals.sum(axis=-1) <= 0.0):
+    clipped = np.clip(vals, 0.0, None)
+    if np.any(clipped.sum(axis=-1) <= 0.0):
         raise SingularFit("matrix has no positive spectral weight")
-    rho = (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    traces = np.real(np.trace(rho, axis1=-2, axis2=-1))
-    return rho / traces[:, None, None], negative_mass, (vals / traces[:, None], vecs)
+    return clipped / clipped.sum(axis=-1, keepdims=True), vecs, negative_mass, clipped
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class FitReport:
     condition_number: float
 
 
-def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
+def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport, tuple]:
     """Weighted linear inversion of coincidence counts to a density matrix.
 
     Fits the unconstrained Hermitian matrix S minimizing
@@ -211,6 +212,9 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     These are the bootstrap's two steps on one replicate: the checked solve
     (``_solve_stack``) and the positivity step (``_physical``). The report's
     ``condition_number`` comes from one SVD of the weighted design.
+
+    Returns the state, the report and the state's (vals, vecs) spectrum, the
+    projection's unit-sum eigenvalues (ascending) and eigenvector columns.
     """
     if len(records) != len(protocol):
         raise IncompleteProtocol(
@@ -223,18 +227,19 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport]:
     nets = np.array([[rec.net for rec in records]])
     durations = np.array([rec.duration_s for rec in records])
     x = _solve_stack(nets, durations, protocol)
-    rhos, scales, negative_mass, _ = _physical(x)
+    vals, vecs, scales, negative_mass, clipped = _physical(x)
+    rho = (vecs * clipped[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
     a = durations[:, None] * _constants(protocol)[1] * sqrt_w[:, :, None]
     sv = np.linalg.svd(a, compute_uv=False)[0]
     residual = np.sqrt(np.mean((np.einsum("bmk,bk->bm", a, x) - nets * sqrt_w) ** 2, axis=-1))
-    return rhos[0], FitReport(
+    return rho[0] / np.real(np.trace(rho[0])), FitReport(
         scale=scales[0].item(),
         weighted_rms_residual=residual[0].item(),
         negative_mass_clipped=negative_mass[0].item(),
         design_rank=rank,
         condition_number=(sv[0] / sv[-1]).item(),
-    )
+    ), (vals[0], vecs[0])
 
 
 #: ``SingularFit`` above this condition number of a weighted design
@@ -288,15 +293,15 @@ def _solve_stack(nets: np.ndarray, durations: np.ndarray, protocol) -> np.ndarra
 
 
 def _physical(x: np.ndarray):
-    """The positivity step of a (B, 9) stack of solutions: the states
-    ``_project_psd(S / tr S)``, the scales tr S (``SingularFit`` at the first
-    that is not positive), and ``_project_psd``'s negative mass and spectrum."""
-    s = np.einsum("bk,kij->bij", x, _BASIS)
+    """The positivity step of a (B, 9) stack of solutions: ``_project_psd(S /
+    tr S)`` as (vals, vecs, scales tr S, negative mass, clipped eigenvalues),
+    ``SingularFit`` at the first scale that is not positive."""
+    s = (x @ _BASIS.reshape(9, 9)).reshape(-1, 3, 3)
     scales = np.real(np.trace(s, axis1=1, axis2=2))
     if np.any(scales <= 0.0):
         raise SingularFit(f"fitted total rate {scales[scales <= 0.0][0]:.3g} is not positive")
-    rhos, negative_mass, spectrum = _project_psd(s / scales[:, None, None])
-    return rhos, scales, negative_mass, spectrum
+    vals, vecs, negative_mass, clipped = _project_psd(s / scales[:, None, None])
+    return vals, vecs, scales, negative_mass, clipped
 
 
 @functools.lru_cache(maxsize=8)
@@ -315,18 +320,38 @@ def _fringe_form(rhos: np.ndarray, fixed_b: str) -> np.ndarray:
     return np.real(w.conj().T @ rhos @ w)
 
 
-def _fringe_visibility(rhos: np.ndarray, fixed_b: str) -> np.ndarray:
-    """Closed-form fringe visibility of each state of a (B, 3, 3) stack.
+def _fringe_visibility(m: np.ndarray) -> np.ndarray:
+    """Closed-form fringe visibility of each (B, 2, 2) fringe form M.
 
     The fringe rate is xi^T M xi with M = Re(W^dag rho W), so its extremes
     over theta are the eigenvalues l+ >= l- of M's symmetric part, and
     (l+ - l-)/(l+ + l-) = sqrt((m00 - m11)^2 + (m01 + m10)^2) / tr M.
     NaN where tr M <= 0: no counts at any angle, so no visibility.
     """
-    m = _fringe_form(rhos, fixed_b)
     total = m[:, 0, 0] + m[:, 1, 1]
     spread = np.hypot(m[:, 0, 0] - m[:, 1, 1], m[:, 0, 1] + m[:, 1, 0])
     return np.divide(spread, total, out=np.full_like(total, np.nan), where=total > 0.0)
+
+
+def _measures(vals: np.ndarray, vecs: np.ndarray, fixed_b: str) -> dict:
+    """Report measures, as (B, ...) arrays, of the states of (B, 3) unit-sum
+    ascending eigenvalues and (B, 3, 3) eigenvectors V, each checked first
+    (``_check_spectrum``) and none formed: the weights sum_k |V_ik|^2 vals_k,
+    the purity sum vals^2, the dominant branch (NaN where degenerate), and
+    the visibility of M = Re(U diag(vals) U^dag), U = W^dag V."""
+    _check_spectrum(vals.sum(axis=-1), vals)
+    top, top_weight, degenerate = _dominant(vals, vecs)
+    c = np.where(degenerate, np.nan, _concurrence(top))
+    u = _fringe_basis(fixed_b).conj().T @ vecs.transpose(1, 0, 2).reshape(3, -1)
+    u = u.reshape(2, len(vals), 3)
+    return {
+        "weights": (np.abs(vecs) ** 2 @ vals[:, :, None])[:, :, 0],
+        "purity": (vals ** 2).sum(axis=-1),
+        "concurrence": c,
+        "schmidt_number": _schmidt_number(c),
+        "dominant_weight": np.where(degenerate, np.nan, top_weight),
+        "visibility": _fringe_visibility(np.real(np.einsum("ibk,jbk->bij", u * vals, u.conj()))),
+    }
 
 
 def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> list:

@@ -37,6 +37,7 @@ from spdcfilm.spectral import (
 )
 from spdcfilm.tomography import (
     CoincidenceRecord,
+    _fringe_form,
     _fringe_visibility,
     default_protocol,
     forward_rates,
@@ -99,7 +100,7 @@ def test_04_tomography_roundtrip():
             CoincidenceRecord(index=m, raw=float(r), accidental=0.0, duration_s=1.0, net_sigma=0.0)
             for m, r in enumerate(rates)
         ]
-        rho_hat, _ = reconstruct(records, protocol)
+        rho_hat, _, _ = reconstruct(records, protocol)
         worst = max(worst, float(np.linalg.norm(rho_hat - rho)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6
@@ -128,7 +129,7 @@ def test_05_noisy_tomography_coverage():
             CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
             for m, (r, n, s) in enumerate(zip(raw, net, sigma))
         ]
-        rho_hat, _ = reconstruct(records, protocol)
+        rho_hat, _, _ = reconstruct(records, protocol)
         w2 = float(np.real(rho_hat[1, 1]))
         if abs(w2 - 0.97) <= 0.06 and abs(purity(rho_hat) - 1.0) <= 0.1:
             hits += 1
@@ -146,7 +147,7 @@ def test_06_fringe_visibility_and_nulls():
     rho = depolarize(mid, cfg.noise.depolarization)
     theta = np.linspace(0.0, 360.0, 73)
     curve = fringe_curve(rho, "H", theta)
-    (vis,) = _fringe_visibility(rho[None], "H")
+    (vis,) = _fringe_visibility(_fringe_form(rho[None], "H"))
     assert abs(vis - 0.96) <= 0.01
     rates = np.array([r for _, r in curve])
     minima = theta[rates <= rates.min() * (1.0 + 1e-9)] % 180.0

@@ -227,26 +227,35 @@ def _bootstrap_inputs(report):
         CoincidenceRecord(**{k: v for k, v in r.items() if k != "net"})
         for r in report.summary["tomography"]["records"]
     ]
-    rho_hat, fit = reconstruct(records, default_protocol())
+    rho_hat, fit, _ = reconstruct(records, default_protocol())
     seq = np.random.SeedSequence(SEED)
     seq.spawn(1)
     return records, rho_hat, fit, seq.spawn(1)[0]
 
 
 def _bootstrap_stack(*args):
-    """``_bootstrap_states``' blocks of states as one (n_boot, 3, 3) stack."""
+    """``_bootstrap_states``' blocks of spectra as one (n_boot, 3) stack of
+    eigenvalues and one (n_boot, 3, 3) stack of eigenvectors."""
     from spdcfilm.experiment import _bootstrap_states
 
-    return np.concatenate([rhos for rhos, _ in _bootstrap_states(*args)])
+    blocks = list(_bootstrap_states(*args))
+    return (np.concatenate([vals for vals, _ in blocks]),
+            np.concatenate([vecs for _, vecs in blocks]))
+
+
+def _formed(vals, vecs):
+    """The (B, 3, 3) states V diag(vals) V^dag of a stack of spectra."""
+    return (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def test_batched_bootstrap_equals_scalar_replicates(report):
     from dataclasses import replace
 
-    from spdcfilm.experiment import _measures
     from spdcfilm.qutrit import concurrence, purity
     from spdcfilm.tomography import (
+        _fringe_form,
         _fringe_visibility,
+        _measures,
         default_protocol,
         forward_rates,
         reconstruct,
@@ -255,8 +264,9 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
     records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
     protocol = default_protocol()
     n_boot = 5
-    rhos = _bootstrap_stack(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
-    batched = _measures(rhos, "H", None)
+    spectra = _bootstrap_stack(rho_hat, fit.scale, records, protocol, n_boot, boot_seq)
+    batched = _measures(*spectra, "H")
+    rhos = _formed(*spectra)
 
     # the replicate loop the batch replaces: one reconstruct per row of the
     # bootstrap seed's one generator
@@ -268,7 +278,7 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
     for k in range(n_boot):
         draw = rng.normal(model_net, sigmas)
         boot = [replace(r, raw=max(d + r.accidental, 0.0)) for r, d in zip(records, draw)]
-        rho_k, _ = reconstruct(boot, protocol)
+        rho_k, _, _ = reconstruct(boot, protocol)
         assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
         assert np.allclose(batched["weights"][k], np.real(np.diag(rho_k)), rtol=0, atol=1e-12)
         assert batched["purity"][k] == pytest.approx(purity(rho_k), abs=1e-12)
@@ -276,7 +286,7 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
         # the concurrence of a ket does not depend on its global phase
         assert batched["concurrence"][k] == pytest.approx(concurrence(vecs[:, -1]), abs=1e-12)
         assert batched["dominant_weight"][k] == pytest.approx(vals[-1], abs=1e-12)
-        (vis,) = _fringe_visibility(rho_k[None], "H")
+        (vis,) = _fringe_visibility(_fringe_form(rho_k[None], "H"))
         assert batched["visibility"][k] == pytest.approx(vis, abs=1e-12)
 
 
@@ -285,8 +295,8 @@ def test_bootstrap_replicate_does_not_depend_on_the_replicate_count(report):
 
     records, rho_hat, fit, _ = _bootstrap_inputs(report)
     few, many = (
-        _bootstrap_stack(rho_hat, fit.scale, records, default_protocol(), n_boot,
-                         _bootstrap_inputs(report)[3])
+        _formed(*_bootstrap_stack(rho_hat, fit.scale, records, default_protocol(), n_boot,
+                                  _bootstrap_inputs(report)[3]))
         for n_boot in (3, 100)
     )
     assert few.shape == (3, 3, 3) and many.shape == (100, 3, 3)
@@ -372,18 +382,20 @@ def test_run_checks_each_state_once(monkeypatch):
     cfg = load_config()
     expected = run_experiment(cfg, seed=SEED).canonical_json()
     calls = Counter()
-    for module, name in ((np.linalg, "eigh"), (qutrit, "_density_eigh")):
+    for module, name in ((np.linalg, "eigh"), (qutrit, "_density_eigh"),
+                         (tomography, "_check_spectrum")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
     again = run_experiment(cfg, seed=SEED).canonical_json()
-    # eigh: the point projection, the point measures and the bootstrap's
-    # batched projection; the checks: the point measures and the bootstrap's.
-    # The summary reads the model state's purity and concurrence, computed
-    # once per configuration
-    assert calls == {"eigh": 3, "_density_eigh": 2}
+    # eigh: the point projection and the bootstrap's batched projection,
+    # whose spectra the measures read; the checks: the point spectrum's and
+    # the bootstrap block's, each state's once. No state is checked as a
+    # matrix: the summary reads the model state's purity and concurrence,
+    # computed and checked once per configuration
+    assert calls == {"eigh": 2, "_check_spectrum": 2}
     monkeypatch.undo()
     assert again == expected
 
@@ -500,7 +512,7 @@ def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
     def bootstrap(n_boot):
         n_cfg = replace(cfg, run=replace(cfg.run, bootstrap_samples=n_boot))
         fitted = (rho_hat, fit.scale, records, protocol)
-        return (_bootstrap_stack(*fitted, n_boot, _bootstrap_inputs(report)[3]),
+        return (_formed(*_bootstrap_stack(*fitted, n_boot, _bootstrap_inputs(report)[3])),
                 experiment._bootstrap_sigmas(n_cfg, *fitted, _bootstrap_inputs(report)[3]))
 
     one_block, one_block_sigmas = bootstrap(100)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spdcfilm.errors import InvalidDensityMatrix, NotNormalized, OutOfRange
+from spdcfilm.experiment import _point_measures
 from spdcfilm.qutrit import (
     _dominant,
-    _state_measures,
     check_density_matrix,
     check_state,
     concurrence,
@@ -75,14 +75,14 @@ def test_dominant_eigenstate_recovers_branch():
     lead = top[np.argmax(np.abs(top))]
     assert lead.real > 0.0 and abs(lead.imag) <= 1e-15
     assert weight > 0.9 and not degenerate
-    measures = _state_measures(rho[None], None)
-    assert measures["concurrence"][0] == pytest.approx(concurrence(state), abs=1e-10)
-    assert measures["dominant_weight"][0] == pytest.approx(weight, abs=1e-15)
-    # a degenerate top has no dominant branch: its pure-state measures are NaN
-    mixed = _state_measures(np.eye(3)[None] / 3.0, None)
+    measures = _point_measures(rho, "H")
+    assert measures["concurrence"] == pytest.approx(concurrence(state), abs=1e-10)
+    assert measures["dominant_weight"] == pytest.approx(weight, abs=1e-15)
+    # a degenerate top has no dominant branch: its pure-state measures are undefined
+    mixed = _point_measures(np.eye(3) / 3.0, "H")
     for key in ("concurrence", "schmidt_number", "dominant_weight"):
-        assert np.isnan(mixed[key][0])
-    assert mixed["purity"][0] == pytest.approx(1.0 / 3.0)
+        assert mixed[key] is None
+    assert mixed["purity"] == pytest.approx(1.0 / 3.0)
 
 
 def test_phase_curve_interpolates_bounds():

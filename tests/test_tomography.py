@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcfilm.config import FringeConfig
-from spdcfilm.errors import ConfigError, IncompleteProtocol, SingularFit
-from spdcfilm.qutrit import depolarize, pure_density_matrix
+from spdcfilm.errors import ConfigError, IncompleteProtocol, InvalidDensityMatrix, SingularFit
+from spdcfilm.qutrit import (
+    _concurrence,
+    _dominant,
+    _schmidt_number,
+    depolarize,
+    pure_density_matrix,
+)
 from spdcfilm.tomography import (
     AnalyzerSetting,
     CoincidenceRecord,
+    _fringe_form,
     _fringe_visibility,
+    _measures,
     _project_psd,
     completeness_check,
     default_protocol,
@@ -31,14 +39,20 @@ def _random_rho(rng):
     return rho / np.trace(rho).real
 
 
+def _formed(vals, vecs):
+    """The (B, 3, 3) states V diag(vals) V^dag of a stack of spectra."""
+    return (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
 def _psd(m):
-    """``_project_psd`` of one matrix."""
-    return _project_psd(np.asarray(m, dtype=complex)[None])[0][0]
+    """``_project_psd`` of one matrix, formed from its spectrum."""
+    vals, vecs, _, _ = _project_psd(np.asarray(m, dtype=complex)[None])
+    return _formed(vals, vecs)[0]
 
 
 def _visibility(rho, fixed):
     """The closed-form fringe visibility of one state."""
-    return _fringe_visibility(rho[None], fixed)[0]
+    return _fringe_visibility(_fringe_form(rho[None], fixed))[0]
 
 
 def _noiseless_records(rho, protocol, scale=1000.0, duration=2.0):
@@ -69,7 +83,8 @@ def test_linear_only_settings_are_incomplete():
 def test_roundtrip_single_state():
     rng = np.random.default_rng(SEED)
     rho = _random_rho(rng)
-    rho_hat, report = reconstruct(_noiseless_records(rho, default_protocol()), default_protocol())
+    rho_hat, report, _ = reconstruct(_noiseless_records(rho, default_protocol()),
+                                     default_protocol())
     assert np.linalg.norm(rho_hat - rho) < 1e-9
     assert report.scale == pytest.approx(1000.0, rel=1e-9)
     assert report.negative_mass_clipped < 1e-10
@@ -161,7 +176,7 @@ def test_negative_nets_still_reconstruct():
             CoincidenceRecord(index=m, raw=max(net, 0.0) + 40.0,
                               accidental=max(net, 0.0) + 40.0 - net, duration_s=2.0, net_sigma=0.0)
         )
-    rho_hat, report = reconstruct(records, protocol)
+    rho_hat, report, _ = reconstruct(records, protocol)
     assert np.all(np.linalg.eigvalsh(rho_hat) > -1e-12)
     assert rho_hat[1, 1].real > 0.9
 
@@ -194,7 +209,7 @@ def test_records_csv_roundtrip(tmp_path):
         )
     path.write_text("\n".join(rows) + "\n")
     loaded_protocol, loaded_records = load_records_csv(path)
-    rho_hat, _ = reconstruct(loaded_records, loaded_protocol)
+    rho_hat, _, _ = reconstruct(loaded_records, loaded_protocol)
     assert np.linalg.norm(rho_hat - rho) < 1e-9
 
 
@@ -302,10 +317,11 @@ def test_batched_fit_matches_scalar_reconstruct_per_replicate():
         for draw in draws
     ]
     nets = np.array([[rec.net for rec in records] for records in replicates])
-    rhos, scales, negative_mass, _ = _physical(
+    vals, vecs, scales, negative_mass, _ = _physical(
         _solve_stack(nets, np.full(len(protocol), 2.0), protocol))
+    rhos = _formed(vals, vecs)
     for k, records in enumerate(replicates):
-        rho_k, report = reconstruct(records, protocol)
+        rho_k, report, _ = reconstruct(records, protocol)
         assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
         assert scales[k] == pytest.approx(report.scale, rel=1e-12)
         assert negative_mass[k] == pytest.approx(report.negative_mass_clipped, abs=1e-12)
@@ -336,7 +352,7 @@ def test_overcomplete_protocol_roundtrip():
     # overdetermined and must still recover a noiseless state exactly
     protocol = default_protocol() + [(setting(a), setting(b)) for a, b in ("AH", "AD", "VR")]
     rho = _random_rho(np.random.default_rng(SEED + 6))
-    rho_hat, report = reconstruct(_noiseless_records(rho, protocol), protocol)
+    rho_hat, report, _ = reconstruct(_noiseless_records(rho, protocol), protocol)
     assert np.linalg.norm(rho_hat - rho) < 1e-9
     assert report.design_rank == 9 and report.scale == pytest.approx(1000.0, rel=1e-9)
 
@@ -370,7 +386,8 @@ def test_stacked_fit_matches_per_replicate_svd_reference(extra):
     nets = durations * forward_rates(rho, protocol, 40.0) + rng.normal(0.0, 1.5, (20, len(protocol)))
     assert np.any(nets < 1.0) and np.any(nets < 0.0)
     x = _solve_stack(nets, durations, protocol)
-    rhos, fitted_scales, _, _ = _physical(x)
+    vals, vecs, fitted_scales, _, _ = _physical(x)
+    rhos = _formed(vals, vecs)
     states, scales = _svd_reference_fit(nets, durations, protocol)
     assert np.max(np.abs(rhos - states)) < 1e-12
     assert np.allclose(fitted_scales, scales, rtol=1e-12, atol=0.0)
@@ -451,7 +468,7 @@ def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates):
         return
     assert not bad.size
     try:
-        rhos = _physical(x)[0]
+        rhos = _formed(*_physical(x)[:2])
     except SingularFit as error:  # the trace check, made after the solve
         assert str(error).endswith("is not positive")
         return
@@ -487,7 +504,8 @@ def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
     # one SVD of the shared design, then the exact SVD of the bright replicate only
     assert len(inputs) == 2 and np.array_equal(inputs[0], design)
     assert np.array_equal(inputs[1], design[None] * np.sqrt(1.0 / np.maximum(bright, 1.0))[:, None])
-    assert np.max(np.abs(_physical(x)[0] - _svd_reference_fit(nets, durations, protocol)[0])) < 1e-12
+    rhos = _formed(*_physical(x)[:2])
+    assert np.max(np.abs(rhos - _svd_reference_fit(nets, durations, protocol)[0])) < 1e-12
     # the point fit reports the exact value, though the bound clears its solve
     del inputs[:]
     records = [CoincidenceRecord(index=m, raw=max(n, 0.0), accidental=max(n, 0.0) - n,
@@ -497,15 +515,24 @@ def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
     assert [a.shape for a in inputs] == [(9, 9), (1, 9, 9)]
 
 
-def test_measures_from_the_projection_spectrum_match_a_fresh_eigh():
-    from spdcfilm.qutrit import _state_measures
-    from spdcfilm.tomography import _project_psd
-
+def test_spectrum_measures_match_the_formed_state_formulas():
     rng = np.random.default_rng(SEED + 10)
 
+    def unitary(n):
+        return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
     def rotated(eigenvalues):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        q = unitary(3)
         return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+    def clipped_to_2v(negative):
+        # negative eigenvalues in the |2H>, |1H 1V> plane: the clipped state is
+        # |2V>, which an H-fixed fringe never counts
+        m = np.zeros((3, 3), dtype=complex)
+        q = unitary(2)
+        m[:2, :2] = (q * np.asarray(negative)) @ q.conj().T
+        m[2, 2] = 1.0 - sum(negative)
+        return m
 
     stack = np.array(
         [_random_rho(rng) for _ in range(4)]
@@ -514,20 +541,47 @@ def test_measures_from_the_projection_spectrum_match_a_fresh_eigh():
             rotated([0.45, 0.45, 0.1]),  # degenerate top pair
             rotated([0.6, 0.6, -0.2]),  # degenerate top pair after clipping
             rotated([0.7, 0.4, -0.1]),  # clipped, top pair apart
+            np.diag([0.0, 0.0, 1.0]),  # |2V>: a dark fringe
+            clipped_to_2v([-0.1, -0.2]),  # a dark fringe after clipping
         ]
     )
-    rhos, _, spectrum = _project_psd(stack)
-    measures = _state_measures(rhos, spectrum)
-    fresh = _state_measures(rhos, None)
-    assert np.isnan(fresh["concurrence"]).tolist() == [False] * 5 + [True, True, False]
-    for key, values in fresh.items():
+    vals, vecs, _, _ = _project_psd(stack)
+    measures = _measures(vals, vecs, "H")
+    # the formed states' own formulas, and a fresh eigh for the dominant branch
+    rhos = _formed(vals, vecs)
+    top, top_weight, degenerate = _dominant(*np.linalg.eigh(rhos))
+    concurrence = np.where(degenerate, np.nan, _concurrence(top))
+    expected = {
+        "weights": np.real(np.diagonal(rhos, axis1=-2, axis2=-1)),
+        "purity": np.real(np.trace(rhos @ rhos, axis1=-2, axis2=-1)),
+        "concurrence": concurrence,
+        "schmidt_number": _schmidt_number(concurrence),
+        "dominant_weight": np.where(degenerate, np.nan, top_weight),
+        "visibility": _fringe_visibility(_fringe_form(rhos, "H")),
+    }
+    assert degenerate.tolist() == [False] * 5 + [True, True] + [False] * 3
+    assert np.isnan(expected["visibility"]).tolist() == [False] * 8 + [True, True]
+    assert measures.keys() == expected.keys()
+    for key, values in expected.items():
         assert np.array_equal(np.isnan(measures[key]), np.isnan(values)), key
         assert np.allclose(measures[key], values, rtol=0.0, atol=1e-12, equal_nan=True), key
 
 
+def test_spectrum_measures_check_each_spectrum():
+    # as check_density_matrix checks a matrix: the eigenvalues' sum is its
+    # trace, 1 to 1e-10, and none may lie below EIG_FLOOR (-1e-9)
+    vecs = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3))
+    good = [0.2, 0.3, 0.5]
+    _measures(np.array([good, [-0.9e-9, 0.3, 0.7000000009]]), vecs, "H")
+    with pytest.raises(InvalidDensityMatrix, match="is not 1 to 1e-10"):
+        _measures(np.array([good, [0.2, 0.3, 0.5000000002]]), vecs, "H")
+    with pytest.raises(InvalidDensityMatrix, match="eigenvalue below -1e-09"):
+        _measures(np.array([good, [-2e-9, 0.3, 0.700000002]]), vecs, "H")
+
+
 def test_nothing_clipped_reports_positive_zero():
     rho = _random_rho(np.random.default_rng(SEED + 8))
-    _, report = reconstruct(_noiseless_records(rho, default_protocol()), default_protocol())
+    _, report, _ = reconstruct(_noiseless_records(rho, default_protocol()), default_protocol())
     assert report.negative_mass_clipped == 0.0
     assert np.copysign(1.0, report.negative_mass_clipped) == 1.0
 
