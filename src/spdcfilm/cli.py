@@ -57,31 +57,37 @@ def _write(args, data: bytes):
         sys.stdout.buffer.flush()
 
 
-#: stage command -> (its stage result of the configuration and the run's seed
-#: sequence, the result's encoder of the sidecar it prints as CSV, the one
-#: ``encoded()`` calls for it)
+def _seeded(stage):
+    """``stage`` of the configuration and the run's seed sequence, as a stage of
+    the configuration alone: the sequence, and with it ``numpy.random``, is
+    made only when a stage that draws runs."""
+    return lambda cfg: stage(cfg, np.random.SeedSequence(cfg.run.seed))
+
+
+#: stage command -> (its stage result of the configuration, the result's
+#: encoder of the sidecar it prints as CSV, the one ``encoded()`` calls for it)
 _STAGES = {
-    "amplitudes": (lambda cfg, seed_seq: source_model(cfg), None),
-    "tomography": (simulate_tomography, None),
-    "bell": (lambda cfg, seed_seq: simulate_bell(cfg, simulate_tomography(cfg, seed_seq),
-                                                 seed_seq), None),
-    "hom": (lambda cfg, seed_seq: spectral_section(cfg), SpectralSection.hom_csv),
-    "histogram": (simulate_histograms, lambda histograms: histogram_csv(*histograms)),
+    "amplitudes": (source_model, None),
+    "tomography": (_seeded(simulate_tomography), None),
+    "bell": (_seeded(lambda cfg, seed_seq: simulate_bell(
+        cfg, simulate_tomography(cfg, seed_seq), seed_seq)), None),
+    "hom": (spectral_section, SpectralSection.hom_csv),
+    "histogram": (_seeded(simulate_histograms), lambda histograms: histogram_csv(*histograms)),
 }
 
 
 def _cmd_stage(args, cfg):
-    seed_seq = np.random.SeedSequence(cfg.run.seed)
     if getattr(args, "records", None):
         try:
             protocol, records = load_records_csv(args.records)
         except ValueError as exc:
             raise ConfigError(f"bad records file {args.records}: {exc}") from exc
+        seed_seq = np.random.SeedSequence(cfg.run.seed)  # the bootstrap draws
         sections = analyze_tomography(cfg, protocol, records, seed_seq).to_json()
         sections["tomography"]["source"] = args.records
     else:
         stage, encode_csv = _STAGES[args.command]
-        result = stage(cfg, seed_seq)
+        result = stage(cfg)
         if args.format == "csv":
             return _write(args, encode_csv(result))
         sections = result.to_json()

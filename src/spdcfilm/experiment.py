@@ -31,7 +31,8 @@ configurations, so a seed sweep or a CLI command after a run pays for it once:
   ``[filters]``, ``[detector_response]``, ``[hom]``. The spectrum is the grid
   and the pair intensity |Phi|**2 times the filter band and the detector
   response, formed once and checked once (``check_spectrum``); the width
-  and HOM kernels take the two arrays and check nothing again.
+  kernel takes the two arrays, the HOM kernels their fold onto W >= 0, and
+  none checks again.
 * ``delay_line_scan`` -> ``DelayScan`` (calcite delay scan): ``[delay_line]``,
   which is the line itself (``delayline.DelayLine``); ``delay_scan`` scans it.
 
@@ -350,7 +351,16 @@ class SpectralSection:
 @_memoized(lambda cfg: (cfg.spectrum, cfg.film, cfg.pump.wavelength_nm, cfg.filters,
                         cfg.detector_response, cfg.hom))
 def spectral_section(spectrum, film, pump_nm, filters, detector_response, hom) -> SpectralSection:
-    """``spectral_section(cfg)``: the configured film's ``SpectralSection``."""
+    """``spectral_section(cfg)``: the configured film's ``SpectralSection``.
+
+    The intensity is checked (``check_spectrum``) on the full grid, which
+    ``default_grid`` makes symmetric. ``interference_contrast`` and
+    ``hom_fwhm`` then take its fold onto W >= 0, I(W) + I(-W) with W = 0
+    counted once: the same cosine sums with half the terms, on the same
+    spacing. The fold is not a checked spectrum (``check_spectrum`` would
+    reject it as asymmetric), so the curves and the dip width equal the
+    kernels on the full arrays to rounding (2e-15 absolute, 1e-14 relative),
+    not bit for bit; ``intensity`` and ``spectrum.csv`` stay the full arrays."""
     omega = default_grid(spectrum.span_thz, spectrum.points)
     phi = joint_spectrum(film, pump_nm, omega)
     band = longpass_pair_response(omega, pump_nm, filters.longpass_cuton_nm,
@@ -358,9 +368,12 @@ def spectral_section(spectrum, film, pump_nm, filters, detector_response, hom) -
     detector = DETECTOR_RESPONSES[detector_response.shape](omega, detector_response.fwhm_thz)
     intensity = np.abs(phi) ** 2 * (band * detector)
     check_spectrum(intensity)
+    half = omega.size // 2  # omega[half] is W = 0 on an odd grid
+    folded = intensity[half:].copy()
+    folded[omega.size % 2:] += intensity[:half][::-1]
 
     delays = np.linspace(hom.delay_start_fs, hom.delay_stop_fs, hom.delay_points)
-    g = interference_contrast(omega, intensity, delays)  # the dip and peak curves share one kernel
+    g = interference_contrast(omega[half:], folded, delays)  # the dip and peak share one kernel
     return SpectralSection(
         omega_thz=omega,
         intensity=intensity,
@@ -368,7 +381,7 @@ def spectral_section(spectrum, film, pump_nm, filters, detector_response, hom) -
         r_dip=(1.0 - g) / 2.0,
         r_peak=(1.0 + g) / 2.0,
         intensity_fwhm_thz=intensity_fwhm(omega, intensity),
-        hom_dip_fwhm_fs=hom_fwhm(omega, intensity),
+        hom_dip_fwhm_fs=hom_fwhm(omega[half:], folded),
         detector_response=detector_response.shape,
     )
 
@@ -685,13 +698,16 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def _csv_bytes(header, rows) -> bytes:
-    """The bytes ``csv.writer`` writes for a header and rows of numbers: str()
-    of each cell, CRLF line ends. Encoded ``_CSV_BLOCK_ROWS`` rows at a time
-    into one bytes object, so no list of every row's text is held."""
+    """The bytes ``csv.writer`` writes for a header and rows of numbers, each
+    row a tuple with one number per header field: str() of each cell, CRLF
+    line ends. Encoded ``_CSV_BLOCK_ROWS`` rows at a time, each row through
+    one ``%s`` template, into one bytes object, so no list of every row's
+    text is held."""
     rows = iter(rows)
     encoded = bytearray((",".join(header) + "\r\n").encode())
+    row_text = ",".join(["%s"] * len(header)) + "\r\n"  # %s is str(), as csv.writer's
     while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
-        encoded += "".join([",".join(map(str, row)) + "\r\n" for row in block]).encode()
+        encoded += "".join(map(row_text.__mod__, block)).encode()
     return bytes(encoded)
 
 

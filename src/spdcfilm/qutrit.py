@@ -18,18 +18,20 @@ GAP_TOL = 1e-9  # top two eigenvalues closer than this: no dominant eigenstate
 
 
 def check_state(state, dim: int) -> np.ndarray:
-    """Validate shape (dim,) and unit norm (to NORM_TOL, 1e-9) of a ket."""
+    """Validate shape (dim,) and unit norm (to NORM_TOL, 1e-9) of a ket; a
+    NaN or infinite component fails the norm check."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
         raise NotNormalized(f"expected a {dim}-component state, got shape {state.shape}")
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # True for NaN
         raise NotNormalized(f"state norm {norm:.6e} differs from 1 beyond {NORM_TOL:g}")
     return state
 
 
 def check_density_matrix(rho) -> np.ndarray:
-    """Validate shape (3 x 3), hermiticity (1e-10), unit trace (1e-10), PSD (-1e-9)."""
+    """Validate shape (3 x 3), hermiticity (1e-10), unit trace (1e-10), PSD
+    (-1e-9). A NaN or infinite entry fails the hermiticity check."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise InvalidDensityMatrix(f"expected 3x3, got {rho.shape}")
@@ -40,7 +42,9 @@ def check_density_matrix(rho) -> np.ndarray:
 def _density_eigh(rhos: np.ndarray):
     """``check_density_matrix``'s checks on every matrix of a (B, d, d) stack,
     then its stacked ``eigh``. The first failing matrix raises."""
-    if np.max(np.abs(rhos - np.swapaxes(rhos.conj(), -1, -2))) > 1e-10:
+    with np.errstate(invalid="ignore"):  # an infinite entry leaves inf - inf = NaN
+        asymmetry = np.max(np.abs(rhos - np.swapaxes(rhos.conj(), -1, -2)))
+    if not asymmetry <= 1e-10:  # True for NaN
         raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")
     traces = np.real(np.trace(rhos, axis1=-2, axis2=-1))
     vals, vecs = np.linalg.eigh(rhos)
@@ -51,11 +55,11 @@ def _density_eigh(rhos: np.ndarray):
 def _check_spectrum(traces: np.ndarray, vals: np.ndarray) -> None:
     """``check_density_matrix``'s trace (1e-10) and PSD (EIG_FLOOR) checks of
     states of these traces (a spectrum's sum) and (B, d) ascending
-    eigenvalues. The first failing state raises."""
-    off = np.abs(traces - 1.0) > 1e-10
+    eigenvalues. The first failing state raises; a NaN trace or eigenvalue fails."""
+    off = ~(np.abs(traces - 1.0) <= 1e-10)
     if np.any(off):
-        raise InvalidDensityMatrix(f"trace {traces[off][0]!r} is not 1 to 1e-10")
-    if np.min(vals[:, 0]) < EIG_FLOOR:
+        raise InvalidDensityMatrix(f"trace {float(traces[off][0])!r} is not 1 to 1e-10")
+    if not np.min(vals[:, 0]) >= EIG_FLOOR:
         raise InvalidDensityMatrix(f"matrix has an eigenvalue below {EIG_FLOOR:g}")
 
 

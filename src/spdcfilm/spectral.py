@@ -22,7 +22,12 @@ forms ``intensity = |Phi|**2 * response`` once, with ``response`` the
 product of the intensity multipliers (``longpass_pair_response`` and a
 ``DETECTOR_RESPONSES`` shape), and checks it once with ``check_spectrum``.
 The kernels ``intensity_fwhm``, ``interference_contrast`` and ``hom_fwhm``
-take the checked arrays and check nothing again.
+take the checked arrays and check nothing again. The two HOM kernels are
+cosine sums, and cos is even, so they may also take the checked spectrum
+folded onto W >= 0: the weights I(W) + I(-W) on the grid's non-negative
+half, W = 0 counted once. That is the same sum with half the terms on the
+same spacing; ``spectral_section`` passes it. A fold is not a checked
+spectrum: ``check_spectrum`` would reject it as asymmetric.
 
 Frequency unit conventions: frequencies and detunings in THz, delays in
 fs, lengths in nm; c = 299792.458 nm THz.
@@ -319,7 +324,8 @@ def _contrast(s: np.ndarray, omega: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 def interference_contrast(omega: np.ndarray, intensity: np.ndarray, delays_fs) -> np.ndarray:
     """g(tau): normalized cosine transform of the checked (``check_spectrum``)
-    pair ``intensity`` on the grid ``omega`` (THz).
+    pair ``intensity`` on the grid ``omega`` (THz), or of its fold onto
+    W >= 0 (the module docstring), which gives the same g to rounding.
 
     g(tau) = sum I(W) cos(2 pi W tau * 1e-3) / sum I(W); the 1e-3 converts
     THz * fs into cycles. Real and even for symmetric spectra, g(0) = 1.
@@ -331,9 +337,10 @@ def interference_contrast(omega: np.ndarray, intensity: np.ndarray, delays_fs) -
       against shared cos/sin tables of the offsets t, plus two for the
       first-order correction of the grid's ulp-level unevenness. On the
       16,384-point grid 601 delays take 108 rows of sines and cosines
-      instead of 601. It agrees with the one-cosine-per-element sum to
-      2.2e-15 on the 4,096- to 16,384-point film spectra, band-filtered or
-      not, for linspace grids of up to 4,001 delays within +-400 fs.
+      instead of 601, and 100 rows of half the length on its fold. It
+      agrees with the one-cosine-per-element sum to 2.2e-15 on the 4,096-
+      to 16,384-point film spectra, band-filtered or not, for linspace
+      grids of up to 4,001 delays within +-400 fs.
     - Any other delays take that direct sum.
 
     Either way memory is bounded by the grid plus 2 * _BLOCK_ELEMENTS
@@ -389,7 +396,9 @@ def _half_crossing(s: np.ndarray, omega: np.ndarray, lo: float, hi: float, tau: 
 
 def hom_fwhm(omega: np.ndarray, intensity: np.ndarray) -> float:
     """Full width of the HOM dip at half its asymptotic depth, for the checked
-    (``check_spectrum``) pair ``intensity`` on the grid ``omega`` (THz).
+    (``check_spectrum``) pair ``intensity`` on the grid ``omega`` (THz), or
+    for its fold onto W >= 0 (the module docstring), which gives the same
+    width to rounding.
 
     The dip R(tau) runs from 0 at tau = 0 to 1/2 at large delay; the
     half-depth points are where g crosses 1/2, and the width is twice the

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -257,6 +259,34 @@ def test_stage_command_prints_the_runs_output(capsysbinary, tmp_path, overlay, s
     config = [] if path is None else ["--config", str(path)]
     assert main([*STAGE_COMMANDS[command][0], *config, "--seed", str(seed)]) == EXIT_OK
     assert capsysbinary.readouterr().out == expected
+
+
+# runs the seed-free stage commands in one fresh process, then one that
+# draws, and prints whether numpy.random was loaded after each
+NUMPY_RANDOM_PROBE = """
+import json, sys
+from spdcfilm.cli import main
+
+out = sys.argv[1]
+loaded = {}
+for argv in (["amplitudes"], ["amplitudes", "--pump", "22.5"], ["hom"],
+             ["hom", "--format", "csv"], ["histogram"]):
+    if main([*argv, "--seed", "3", "--out", f"{out}/{len(loaded)}"]) != 0:
+        raise SystemExit(f"spdcfilm {' '.join(argv)} failed")
+    loaded[" ".join(argv)] = "numpy.random" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_seed_free_commands_never_import_numpy_random(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    # amplitudes and hom draw nothing; histogram draws, so the probe sees the import
+    assert loaded == {"amplitudes": False, "amplitudes --pump 22.5": False, "hom": False,
+                      "hom --format csv": False, "histogram": True}
 
 
 def test_out_holds_the_printed_bytes(capsysbinary, tmp_path):

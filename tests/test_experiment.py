@@ -883,6 +883,20 @@ def _csv_writer_bytes(header, rows) -> bytes:
     return rendered.getvalue().encode()
 
 
+def test_csv_bytes_are_what_csv_writer_renders():
+    # each cell is str() of its number, as csv.writer writes it: ints, signed
+    # zeros, extreme magnitudes and numpy scalars (whose repr is np.float64(...))
+    cells = [0, -3, 2**70, 0.0, -0.0, 1e-300, -1e300, 5e-324, 0.1, 1 / 3,
+             np.float64(0.1), np.float64(-0.0), np.float64(1e300), np.int64(-7)]
+    rows = [(cells[k % len(cells)], cells[(3 * k + 1) % len(cells)], k)
+            for k in range(2 * experiment._CSV_BLOCK_ROWS + 5)]  # past two blocks
+    for count in (0, 1, experiment._CSV_BLOCK_ROWS, len(rows)):
+        expected = _csv_writer_bytes(["a", "b", "c"], rows[:count])
+        assert experiment._csv_bytes(["a", "b", "c"], iter(rows[:count])) == expected, count
+    assert experiment._csv_bytes(["a", "b"], [(-0.0, 1e-300)]) == b"a,b\r\n-0.0,1e-300\r\n"
+    assert experiment._csv_bytes(["a"], [(np.float64(0.5),)]) == b"a\r\n0.5\r\n"
+
+
 def _rendered_sidecars(report) -> dict:
     """What csv.writer writes for each CSV sidecar of ``report``."""
     s = report.summary

@@ -6,6 +6,7 @@ import pytest
 from spdcfilm.errors import InvalidDensityMatrix, NotNormalized, OutOfRange
 from spdcfilm.experiment import _point_measures
 from spdcfilm.qutrit import (
+    _check_spectrum,
     _dominant,
     check_density_matrix,
     check_state,
@@ -106,3 +107,31 @@ def test_validation_errors():
         check_density_matrix(np.diag([0.7, 0.4, -0.1]))
     with pytest.raises(InvalidDensityMatrix):
         check_density_matrix(np.ones((3, 3)))  # hermitian but trace 3
+
+
+def test_check_state_rejects_nan_and_infinite_components():
+    for bad in ([np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0, np.nan * 1j]):
+        with pytest.raises(NotNormalized):
+            check_state(np.array(bad), 3)
+        with pytest.raises(NotNormalized):
+            concurrence(np.array(bad))
+
+
+def test_purity_rejects_nan_and_infinite_entries():
+    for index, value in (((0, 1), np.nan), ((0, 0), np.nan), ((1, 2), np.inf)):
+        rho = np.eye(3, dtype=complex) / 3.0
+        rho[index] = rho[index[::-1]] = value
+        with pytest.raises(InvalidDensityMatrix):
+            check_density_matrix(rho)
+        with pytest.raises(InvalidDensityMatrix):
+            purity(rho)
+
+
+def test_spectrum_check_rejects_nan_traces_and_eigenvalues():
+    vals = np.tile([0.0, 0.25, 0.75], (3, 1))
+    _check_spectrum(np.ones(3), vals)
+    with pytest.raises(InvalidDensityMatrix, match="trace nan"):
+        _check_spectrum(np.array([1.0, np.nan, 1.0]), vals)
+    vals[2, 0] = np.nan  # the lowest eigenvalue of the last replicate
+    with pytest.raises(InvalidDensityMatrix, match="eigenvalue below"):
+        _check_spectrum(np.ones(3), vals)

@@ -312,6 +312,39 @@ def test_section_intensity_is_phi_squared_times_band_times_detector(shape):
     assert np.array_equal(section.intensity, expected)
 
 
+def _section(points, shape="none"):
+    """The shipped configuration's spectral section on ``points`` points with
+    the ``shape`` detector response."""
+    return spectral_section(replace(
+        SHIPPED, spectrum=replace(SHIPPED.spectrum, points=points),
+        detector_response=replace(SHIPPED.detector_response, shape=shape)))
+
+
+@pytest.mark.parametrize("points", [4096, 4097])
+@pytest.mark.parametrize("shape", sorted(DETECTOR_RESPONSES))
+def test_section_hom_kernels_on_the_fold_equal_the_full_spectrum(shape, points):
+    # the section sums each cosine once, on the spectrum folded onto W >= 0;
+    # the kernels on the full arrays give the same curves and width to rounding
+    section = _section(points, shape)
+    omega, intensity = section.omega_thz, section.intensity
+    g = interference_contrast(omega, intensity, section.delays_fs)
+    assert np.max(np.abs(section.r_dip - (1.0 - g) / 2.0)) <= 2e-15
+    assert np.max(np.abs(section.r_peak - (1.0 + g) / 2.0)) <= 2e-15
+    assert section.hom_dip_fwhm_fs == pytest.approx(hom_fwhm(omega, intensity), rel=1e-14, abs=0)
+
+
+def test_odd_grid_fold_counts_zero_detuning_once():
+    section = _section(4097)
+    omega, intensity = section.omega_thz, section.intensity
+    half = omega.size // 2
+    assert abs(omega[half]) <= 1e-12
+    width = hom_fwhm(omega, intensity)
+    # a fold that counted W = 0 twice would move the width by 1e-3 relative
+    doubled = intensity[half:] + intensity[:half + 1][::-1]
+    assert abs(hom_fwhm(omega[half:], doubled) - width) > 1e-4 * width
+    assert section.hom_dip_fwhm_fs == pytest.approx(width, rel=1e-14, abs=0)
+
+
 def test_asymmetric_spectrum_rejected():
     grid = _grid(POINTS)
     phi = np.exp(-(((grid - 10.0) / 40.0) ** 2)).astype(complex)
