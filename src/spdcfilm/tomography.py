@@ -1,11 +1,15 @@
 """Coincidence tomography of the polarization qutrit.
 
-Forward model, informational-completeness check, weighted linear-inversion
-reconstruction with a physicality projection (James et al., PRA 64, 052312,
-2001), and polarization fringes with a closed-form visibility. The
-inversion, projection and visibility work on stacks of states, so a
-parametric bootstrap reconstructs all its replicates in a few array
-operations; the single-state functions are their one-replicate case.
+A protocol is a ``Protocol``: a table of analyzer wave-plate angles, one
+row per setting, that builds its projectors, design matrix and rank once,
+when it is made. ``default_protocol()`` is one object per process.
+
+Forward model, weighted linear-inversion reconstruction with a physicality
+projection (James et al., PRA 64, 052312, 2001), and polarization fringes
+with a closed-form visibility. The inversion, projection and visibility
+work on stacks of states, so a parametric bootstrap reconstructs all its
+replicates in a few array operations; the single-state functions are their
+one-replicate case.
 
 ``forward_rates`` and ``fringe_curve`` take a density matrix the caller
 has checked: a run checks each state once, where it enters (``experiment``).
@@ -33,37 +37,12 @@ from .polarization import (
 from .qutrit import _check_spectrum, _concurrence, _dominant, _schmidt_number
 
 
-@dataclass(frozen=True)
-class AnalyzerSetting:
-    """One arm's wave-plate pair; the polarizer pass axis is fixed to H."""
-
-    qwp_deg: float
-    hwp_deg: float
-
-    def ket(self) -> np.ndarray:
-        return analyzer_ket(self.qwp_deg, self.hwp_deg)
-
-
-def setting(name: str) -> AnalyzerSetting:
-    """Named analyzer setting (H, V, D, A, R); ValueError for any other name."""
+def setting(name: str) -> tuple:
+    """(qwp_deg, hwp_deg) of a named analyzer (H, V, D, A, R); ValueError for
+    any other name. The polarizer pass axis is fixed to H."""
     if name not in ANALYZER_ANGLES:
         raise ValueError(f"unknown analyzer {name!r}; known: {sorted(ANALYZER_ANGLES)}")
-    return AnalyzerSetting(*ANALYZER_ANGLES[name])
-
-
-def default_protocol() -> list[tuple[AnalyzerSetting, AnalyzerSetting]]:
-    """Nine informationally complete analyzer pairs.
-
-    Three linear basis pairs fix the diagonal, D-settings fix the real
-    off-diagonal parts, R-settings the imaginary parts. Completeness is
-    asserted by ``completeness_check`` (rank 9).
-    """
-    pairs = [
-        ("H", "H"), ("H", "V"), ("V", "V"),
-        ("D", "H"), ("D", "V"), ("D", "D"),
-        ("R", "H"), ("R", "V"), ("R", "D"),
-    ]
-    return [(setting(a), setting(b)) for a, b in pairs]
+    return ANALYZER_ANGLES[name]
 
 
 @dataclass(frozen=True)
@@ -122,37 +101,52 @@ def _design_row(w: np.ndarray) -> np.ndarray:
     return np.array([np.real(np.vdot(w, t @ w)) for t in _BASIS])
 
 
-@functools.lru_cache(maxsize=64)
-def _protocol_constants(pairs: tuple) -> tuple[np.ndarray, np.ndarray, int]:
-    """Projector vectors w_m (rate = <w_m|rho|w_m>), the design matrix
-    (row m holds <w_m|T|w_m> for each T of ``_BASIS``) and its rank.
+@dataclass(frozen=True, eq=False)
+class Protocol:
+    """An (m, 4) table of analyzer ``angles``, a row (qwp_a, hwp_a, qwp_b,
+    hwp_b) in degrees per setting, and what the fit needs of it, built
+    read-only when it is made: the projector ``vectors`` w_m (rate =
+    <w_m|rho|w_m>), the ``design`` matrix (row m holds <w_m|T|w_m> for each
+    T of ``_BASIS``) and its ``rank`` in the 9-dimensional Hermitian space."""
 
-    Memoized on the protocol's (frozen, hashable) analyzer pairs; the arrays
-    are shared between calls and therefore read-only.
+    angles: np.ndarray
+
+    def __post_init__(self):
+        angles = np.array(self.angles, dtype=float)
+        if not angles.size:
+            raise ValueError("protocol is empty")
+        vectors = np.array([two_photon_projector(analyzer_ket(qa, ha), analyzer_ket(qb, hb))
+                            for qa, ha, qb, hb in angles])
+        design = np.array([_design_row(w) for w in vectors])
+        angles.flags.writeable = vectors.flags.writeable = design.flags.writeable = False
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "rank", int(np.linalg.matrix_rank(design, tol=1e-10)))
+
+    def __len__(self) -> int:
+        return len(self.angles)
+
+
+def named_protocol(pairs) -> Protocol:
+    """The protocol of (arm A, arm B) analyzer name pairs such as ("D", "H")."""
+    return Protocol([setting(a) + setting(b) for a, b in pairs])
+
+
+@functools.lru_cache(maxsize=1)
+def default_protocol() -> Protocol:
+    """Nine informationally complete analyzer pairs, one object per process.
+
+    Three linear basis pairs fix the diagonal, D-settings fix the real
+    off-diagonal parts, R-settings the imaginary parts: rank 9.
     """
-    vectors = np.array([two_photon_projector(a.ket(), b.ket()) for a, b in pairs])
-    design = np.array([_design_row(w) for w in vectors])
-    rank = int(np.linalg.matrix_rank(design, tol=1e-10))
-    vectors.flags.writeable = design.flags.writeable = False
-    return vectors, design, rank
-
-
-def _constants(protocol) -> tuple[np.ndarray, np.ndarray, int]:
-    return _protocol_constants(tuple(tuple(pair) for pair in protocol))
-
-
-def completeness_check(protocol) -> tuple[bool, int]:
-    """Rank of the projector set in the 9-dimensional Hermitian space."""
-    if not protocol:
-        raise ValueError("protocol is empty")
-    rank = _constants(protocol)[2]
-    return rank == 9, rank
+    return named_protocol(["HH", "HV", "VV", "DH", "DV", "DD", "RH", "RV", "RD"])
 
 
 def forward_rates(rho: np.ndarray, protocol, scale: float) -> np.ndarray:
     """Model coincidence rates r_m = scale * <w_m|rho|w_m> of a density
     matrix and a nonnegative scale."""
-    w = _constants(protocol)[0][:, :, None]
+    w = protocol.vectors[:, :, None]
     # <w_m|rho|w_m> of every setting as one stacked product, in vdot's order
     rates = scale * np.real(np.swapaxes(w.conj(), 1, 2) @ (rho @ w))[:, 0, 0]
     # tiny negative values are numerical dust on a PSD matrix
@@ -187,9 +181,8 @@ class FitReport:
     """``reconstruct``'s fit: ``scale`` = tr S, the fitted total rate (Hz);
     the RMS of the weighted residuals sqrt(w_m) (duration_m <w_m|S|w_m> - net_m);
     the negative-eigenvalue mass the positivity projection clipped; the
-    protocol's rank (``completeness_check``; positive weights cannot lower
-    it, so 9 in every returned fit); and the exact condition number of the
-    weighted design diag(sqrt w) D."""
+    protocol's rank (positive weights cannot lower it, so 9 in every returned
+    fit); and the exact condition number of the weighted design diag(sqrt w) D."""
 
     scale: float
     weighted_rms_residual: float
@@ -220,9 +213,8 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport, tuple]:
         raise IncompleteProtocol(
             f"{len(records)} records for {len(protocol)} settings"
         )
-    complete, rank = completeness_check(protocol)
-    if not complete:
-        raise IncompleteProtocol(f"protocol spans only rank {rank} of 9")
+    if protocol.rank < 9:
+        raise IncompleteProtocol(f"protocol spans only rank {protocol.rank} of 9")
 
     nets = np.array([[rec.net for rec in records]])
     durations = np.array([rec.duration_s for rec in records])
@@ -230,14 +222,14 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport, tuple]:
     vals, vecs, scales, negative_mass, clipped = _physical(x)
     rho = (vecs * clipped[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
-    a = durations[:, None] * _constants(protocol)[1] * sqrt_w[:, :, None]
+    a = durations[:, None] * protocol.design * sqrt_w[:, :, None]
     sv = np.linalg.svd(a, compute_uv=False)[0]
     residual = np.sqrt(np.mean((np.einsum("bmk,bk->bm", a, x) - nets * sqrt_w) ** 2, axis=-1))
     return rho[0] / np.real(np.trace(rho[0])), FitReport(
         scale=scales[0].item(),
         weighted_rms_residual=residual[0].item(),
         negative_mass_clipped=negative_mass[0].item(),
-        design_rank=rank,
+        design_rank=protocol.rank,
         condition_number=(sv[0] / sv[-1]).item(),
     ), (vals[0], vecs[0])
 
@@ -275,9 +267,9 @@ def _solve_stack(nets: np.ndarray, durations: np.ndarray, protocol) -> np.ndarra
     exceeds ``_BOUND_MARGIN`` (1e6, far below the limit) take the exact check
     from their own SVD. With more settings than parameters the weights set
     the fit: each replicate is solved from its weighted SVD, which also gives
-    its check. The caller has checked the protocol's completeness.
+    its check. The caller has checked the protocol's rank.
     """
-    design = durations[:, None] * _constants(protocol)[1]
+    design = durations[:, None] * protocol.design
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
     if design.shape[0] == design.shape[1]:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -308,7 +300,7 @@ def _physical(x: np.ndarray):
 def _fringe_basis(fixed_b: str) -> np.ndarray:
     """Read-only W = [w(H, eta), w(V, eta)], shape (3, 2): arm A's linear
     analyzer (cos t, sin t) selects the projector W @ (cos t, sin t)."""
-    eta = setting(fixed_b).ket()
+    eta = analyzer_ket(*setting(fixed_b))
     w = np.column_stack([two_photon_projector(H, eta), two_photon_projector(V, eta)])
     w.flags.writeable = False
     return w
@@ -370,7 +362,7 @@ def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> l
 
 
 def load_records_csv(path):
-    """Read (protocol, records) from CSV with columns
+    """Read (``Protocol``, records) from CSV with columns
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
     A file has no sigma column: ``net_sigma`` is sqrt(max(raw, 1)), the
@@ -383,7 +375,7 @@ def load_records_csv(path):
     the index its record carries (data rows count from 0), and the column;
     ``CoincidenceRecord`` rejects non-finite counts in the same words.
     """
-    protocol, records = [], []
+    angles, records = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -405,10 +397,10 @@ def load_records_csv(path):
                             f"record {idx}: {key} {row[key]!r} is not a number") from None
                     if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
                         raise ValueError(f"record {idx}: {key} must be finite")
-                protocol.append((AnalyzerSetting(*cells[0:2]), AnalyzerSetting(*cells[2:4])))
+                angles.append(cells[:4])
                 records.append(CoincidenceRecord(idx, *cells[4:], math.sqrt(max(cells[4], 1.0))))
         except csv.Error as err:  # raised while reading the row after the last record kept
             raise ValueError(f"record {len(records)}: {err}") from None
     if not records:
         raise ValueError("the file has no records")
-    return protocol, records
+    return Protocol(angles), records

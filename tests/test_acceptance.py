@@ -42,8 +42,8 @@ from spdcfilm.tomography import (
     default_protocol,
     forward_rates,
     fringe_curve,
+    named_protocol,
     reconstruct,
-    setting,
 )
 
 SEED = 20260819
@@ -140,7 +140,7 @@ def test_06_fringe_visibility_and_nulls():
     cfg = load_config()
     mid = (0.0, 1.0, 0.0)
     # crossed-analyzer nulls of the ideal state are exact
-    crossed = [(setting("D"), setting("A")), (setting("H"), setting("H"))]
+    crossed = named_protocol(["DA", "HH"])
     nulls = forward_rates(pure_density_matrix(mid), crossed, 1.0)
     assert np.allclose(nulls, 0.0, rtol=0.0, atol=1e-14)
     # the shipped depolarization turns those nulls into a 96% fringe

@@ -106,6 +106,9 @@ def test_run_writes_files(capsys, tmp_path):
 DATA = Path(__file__).parent / "data"
 #: the defaults' run at seed 3: its nine records, in the records CSV's columns
 RECORDS_SEED3 = str(DATA / "records_seed3.csv")
+#: the 25 settings {H, V, D, A, R}^2 of the defaults' model state at 1 kHz for
+#: 2 s over 5 accidentals: more settings than parameters
+RECORDS_OVERCOMPLETE = DATA / "records_overcomplete.csv"
 #: about four pairs a setting over flat accidentals: some bootstrap replicate
 #: at the configured seed has a fitted total rate that is not positive
 RECORDS_LOW_COUNTS = str(DATA / "records_low_counts.csv")
@@ -145,18 +148,15 @@ def test_unfittable_bootstrap_replicate_leaves_null_sigmas(capsys, tmp_path):
                    "--config", str(no_bootstrap)) == (EXIT_OK, out)
 
 
-def test_overcomplete_records_take_the_svd_solve(capsys, monkeypatch, tmp_path):
-    from spdcfilm.polarization import ANALYZER_ANGLES
-    from spdcfilm.tomography import AnalyzerSetting, forward_rates
+def test_overcomplete_records_take_the_svd_solve(capsys, monkeypatch):
+    from spdcfilm.tomography import forward_rates, named_protocol
 
-    names = [(a, b) for a in "HVDAR" for b in "HVDAR"]
-    protocol = [(AnalyzerSetting(*ANALYZER_ANGLES[a]), AnalyzerSetting(*ANALYZER_ANGLES[b]))
-                for a, b in names]
+    protocol = named_protocol([a + b for a in "HVDAR" for b in "HVDAR"])
     rates = forward_rates(experiment.source_model(load_config()).rho, protocol, 1000.0)
-    csv_path = tmp_path / "overcomplete.csv"
-    csv_path.write_text("qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n" + "".join(
-        f"{a.qwp_deg},{a.hwp_deg},{b.qwp_deg},{b.hwp_deg},{round(2.0 * rate) + 5},5.0,2.0\n"
-        for (a, b), rate in zip(protocol, rates)))
+    # the committed file holds exactly these records
+    assert RECORDS_OVERCOMPLETE.read_text() == "qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n" \
+        + "".join(f"{qa},{ha},{qb},{hb},{round(2.0 * rate) + 5},5.0,2.0\n"
+                  for (qa, ha, qb, hb), rate in zip(protocol.angles.tolist(), rates))
     shapes = []
 
     def recording(a, *args, _original=np.linalg.svd, **kwargs):
@@ -164,7 +164,7 @@ def test_overcomplete_records_take_the_svd_solve(capsys, monkeypatch, tmp_path):
         return _original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    fitted = _tomography(capsys, "--records", str(csv_path))
+    fitted = _tomography(capsys, "--records", str(RECORDS_OVERCOMPLETE))
     assert len(fitted["records"]) == 25
     assert (load_config().run.bootstrap_samples, 25, 9) in shapes  # one weighted SVD a replicate
     for key in SIGMAS:
@@ -324,33 +324,37 @@ def test_invalid_config_value_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, message",
     [
-        "angle_deg = 5\n",  # no section header
-        "[pump]\nangle_deg = 5\nangle_deg = 6\n",  # duplicated key
-        "[pump]\nangle_deg = 5%\n",
-        "[pump]\nangle_deg = nan\n",
-        "[hom]\ndelay_start_fs = nan\n",
-        "[film]\nfilm_index = unobtainium\n",
-        "[film]\nfilm_index = -1.0\n",
-        "[film]\nambient_index = -3.2\n",
-        "[delay_line]\nwavelength_um = 10\n",  # outside the calcite data
-        "[spectrum]\nspan_thz = 50\n",  # the spectrum grid must cover +-100 THz
-        "[film]\nthickness_nm = 0\n",
-        "[film]\nthickness_nm = -400\n",
+        ("angle_deg = 5\n", "File contains no section headers"),
+        ("[pump]\nangle_deg = 5\nangle_deg = 6\n", "option 'angle_deg' in section 'pump' already exists"),
+        ("[pump]\nangle_deg = 5%\n", "[pump] angle_deg must be a number"),
+        ("[pump]\nangle_deg = nan\n", "[pump] angle_deg must be a finite number"),
+        ("[hom]\ndelay_start_fs = nan\n", "[hom] delay_start_fs must be a finite number"),
+        ("[film]\nfilm_index = unobtainium\n", "unknown material 'unobtainium'"),
+        ("[film]\nfilm_index = -1.0\n", "[film] film index: constant index -1.0 must be"),
+        ("[film]\nambient_index = -3.2\n", "[film] ambient index: constant index -3.2 must be"),
+        ("[delay_line]\nwavelength_um = 10\n", "[delay_line] wavelength outside validity window"),
+        ("[spectrum]\nspan_thz = 50\n", "[spectrum] grid [-50, 50] THz must cover +-100 THz"),
+        ("[film]\nthickness_nm = 0\n", "[film] film thickness must be positive"),
+        ("[film]\nthickness_nm = -400\n", "[film] film thickness must be positive"),
+        ("[spectrum]\npoints = 40.5\n", "[spectrum] points must be an integer"),
+        ("[calibration]\nh_pump_weights = a, b, c\n",
+         "[calibration] h_pump_weights must be a list of numbers, got 'a, b, c'"),
     ],
     ids=[
         "no_header", "duplicate_key", "percent", "nan_angle", "nan_delay", "unknown_material",
         "negative_film_index", "negative_ambient_index", "calcite_wavelength", "narrow_span",
-        "zero_thickness", "negative_thickness",
+        "zero_thickness", "negative_thickness", "fractional_points", "non_numeric_weights",
     ],
 )
-def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body):
+def test_malformed_or_unrunnable_config_exit_code(capsys, tmp_path, body, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(body)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -576,8 +580,11 @@ def test_non_finite_records_exit_code(capsys, tmp_path, row):
         ("0,0,0,0,100.0,2.0,inf\n", "record 0: duration must be finite"),
         ("0,0,0,0,100.0,2.0,1.0\n0,0,0,45," + "5" * 200_000 + ",2.0,1.0\n",
          "record 1: field larger than field limit (131072)"),
+        ("0,0,0,0,100.0,2.0,0\n", "record 0: duration must be positive"),
+        ("0,0,0,0,abc,2.0,1.0\n", "record 0: raw 'abc' is not a number"),
     ],
-    ids=["header_only", "short_row", "long_row", "negative_raw", "inf_duration", "huge_field"],
+    ids=["header_only", "short_row", "long_row", "negative_raw", "inf_duration", "huge_field",
+         "zero_duration", "non_numeric_raw"],
 )
 def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
     csv_path = tmp_path / "bad.csv"
@@ -585,6 +592,34 @@ def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
     code = main(["tomography", "--records", str(csv_path)])
     assert code == EXIT_CONFIG
     assert f"bad records file {csv_path}: {message}" in capsys.readouterr().err
+
+
+def test_detector_response_without_half_width_exit_code(capsys, tmp_path):
+    # a 1 THz Gaussian response leaves g(tau) above 1/2 over the whole delay search
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("[detector_response]\nshape = gaussian\nfwhm_thz = 1\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == \
+        "numerical failure: g(tau) never falls below 1/2 out to 400.0 fs\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unfittable_calibration_exit_code(capsys, tmp_path):
+    # both pumps' tables ask for |2V> alone, which no orientation emits
+    cfg = tmp_path / "unfittable.cfg"
+    cfg.write_text("[crystal]\ntilt_deg = auto\n\n[calibration]\nh_pump_weights = 0, 0, 1\n"
+                   "v_pump_weights = 0, 0, 1\nfit_threshold = 1e-9\n")
+    code = main(["amplitudes", "--config", str(cfg)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: joint orientation fit bottoms out")
+
+
+def test_out_naming_a_directory_exit_code(capsys, tmp_path):
+    code = main(["amplitudes", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 def test_unreadable_header_exit_code(capsys, tmp_path):

@@ -184,7 +184,7 @@ def _clear_memos():
     """Forget every memoized stage, encoded report section and sidecar: the
     next run computes and writes all of them, as in a fresh process."""
     for memo in (
-        tomography._protocol_constants,
+        tomography.default_protocol,
         tomography._fringe_basis,
         experiment._orientation,
         experiment.source_model,
@@ -215,7 +215,11 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
     run_experiment(load_config(), seed=SEED)
     # 18 protocol kets and the fixed analyzer's: the fringe curve and the
     # visibility both come from the closed-form 2x2 matrix, with no ket per angle
-    assert 0 < len(calls) <= 200
+    assert len(calls) == 19
+    # a warm run reads the protocol and the fringe basis it made: no ket at all
+    del calls[:]
+    run_experiment(load_config(), seed=SEED)
+    assert calls == []
 
 
 def _bootstrap_inputs(report):

@@ -24,7 +24,7 @@ from spdcfilm.polarization import (
     two_photon_projector,
 )
 from spdcfilm.qutrit import check_state, pure_density_matrix
-from spdcfilm.tomography import forward_rates, setting
+from spdcfilm.tomography import forward_rates, named_protocol
 
 SEED = 20260819
 
@@ -105,7 +105,7 @@ def test_projector_matches_fock_oracle():
 
 def _rates(rho, pairs):
     """Coincidence rates of ``rho`` for the named analyzer pairs."""
-    return forward_rates(rho, [(setting(a), setting(b)) for a, b in pairs], 1.0)
+    return forward_rates(rho, named_protocol(pairs), 1.0)
 
 
 def test_projector_rate_on_pure_and_mixed():

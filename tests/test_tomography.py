@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spdcfilm.config import FringeConfig
 from spdcfilm.errors import ConfigError, IncompleteProtocol, InvalidDensityMatrix, SingularFit
+from spdcfilm.polarization import analyzer_ket
 from spdcfilm.qutrit import (
     _concurrence,
     _dominant,
@@ -15,17 +16,17 @@ from spdcfilm.qutrit import (
     pure_density_matrix,
 )
 from spdcfilm.tomography import (
-    AnalyzerSetting,
     CoincidenceRecord,
+    Protocol,
     _fringe_form,
     _fringe_visibility,
     _measures,
     _project_psd,
-    completeness_check,
     default_protocol,
     forward_rates,
     fringe_curve,
     load_records_csv,
+    named_protocol,
     reconstruct,
     setting,
 )
@@ -55,6 +56,11 @@ def _visibility(rho, fixed):
     return _fringe_visibility(_fringe_form(rho[None], fixed))[0]
 
 
+def _extended(extra):
+    """The default protocol followed by the named analyzer pairs ``extra``."""
+    return Protocol([*default_protocol().angles, *(setting(a) + setting(b) for a, b in extra)])
+
+
 def _noiseless_records(rho, protocol, scale=1000.0, duration=2.0):
     rates = forward_rates(rho, protocol, scale)
     return [
@@ -65,19 +71,22 @@ def _noiseless_records(rho, protocol, scale=1000.0, duration=2.0):
 
 
 def test_protocol_is_informationally_complete():
-    complete, rank = completeness_check(default_protocol())
-    assert complete and rank == 9
+    assert default_protocol().rank == 9
+    assert default_protocol() is default_protocol()
 
 
 def test_linear_only_settings_are_incomplete():
     # without circular analyzers the imaginary parts are invisible
-    linear = [
-        (setting(a), setting(b))
-        for a in ("H", "V", "D", "A")
-        for b in ("H", "V", "D")
-    ]
-    complete, rank = completeness_check(linear)
-    assert not complete and rank < 9
+    linear = named_protocol([a + b for a in "HVDA" for b in "HVD"])
+    assert len(linear) == 12 and linear.rank < 9
+
+
+def test_empty_protocol_raises():
+    for empty in ([], np.zeros((0, 4))):
+        with pytest.raises(ValueError, match="^protocol is empty$"):
+            Protocol(empty)
+    with pytest.raises(ValueError, match="^protocol is empty$"):
+        named_protocol([])
 
 
 def test_roundtrip_single_state():
@@ -115,33 +124,32 @@ def test_psd_projection_is_idempotent():
 
 
 def test_incomplete_protocol_raises():
-    protocol = default_protocol()[:5]
+    protocol = Protocol(default_protocol().angles[:5])
     rho = np.eye(3) / 3
     with pytest.raises(IncompleteProtocol):
         reconstruct(_noiseless_records(rho, protocol), protocol)
 
 
-def test_rank_deficient_protocol_raises_with_warm_memo():
-    from spdcfilm.tomography import _protocol_constants
-
-    linear = [(setting(a), setting(b)) for a in ("H", "V", "D", "A") for b in ("H", "V", "D")]
+def test_rank_deficient_protocol_raises():
+    linear = named_protocol([a + b for a in "HVDA" for b in "HVD"])
     records = _noiseless_records(np.eye(3) / 3, linear)
-    with pytest.raises(IncompleteProtocol):
-        reconstruct(records, linear)
-    hits = _protocol_constants.cache_info().hits
-    with pytest.raises(IncompleteProtocol, match="rank"):
-        reconstruct(records, linear)
-    assert _protocol_constants.cache_info().hits > hits
+    for _ in range(2):  # the rank is the protocol's own: each call reads it
+        with pytest.raises(IncompleteProtocol, match=f"^protocol spans only rank {linear.rank} of 9$"):
+            reconstruct(records, linear)
 
 
-def test_memoized_projectors_are_read_only():
-    from spdcfilm.tomography import _constants, _fringe_basis
+def test_protocol_arrays_are_read_only():
+    from spdcfilm.tomography import _fringe_basis
 
-    vectors, design, rank = _constants(default_protocol())
-    assert vectors.shape == (9, 3) and design.shape == (9, 9) and rank == 9
+    angles = np.array([setting(a) + setting(b) for a, b in ("HH", "HV", "VV")])
+    protocol = Protocol(angles)
+    assert protocol.angles.shape == (3, 4) and protocol.vectors.shape == (3, 3)
+    assert protocol.design.shape == (3, 9) and protocol.rank == 3
+    angles[0, 0] = 45.0  # the protocol holds its own copy of the table
+    assert protocol.angles[0, 0] == 0.0
     fringe = _fringe_basis("H")
     assert fringe.shape == (3, 2)
-    for shared in (vectors, design, fringe):
+    for shared in (protocol.angles, protocol.vectors, protocol.design, fringe):
         with pytest.raises(ValueError):
             shared[0, 0] = 0.0
 
@@ -154,8 +162,7 @@ def test_record_count_mismatch_raises():
 
 
 def test_duplicate_settings_singular():
-    one = default_protocol()[0]
-    protocol = [one] * 9
+    protocol = Protocol(np.repeat(default_protocol().angles[:1], 9, axis=0))
     records = _noiseless_records(np.eye(3) / 3, protocol)
     with pytest.raises((SingularFit, IncompleteProtocol)):
         reconstruct(records, protocol)
@@ -202,13 +209,11 @@ def test_records_csv_roundtrip(tmp_path):
     rho = depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.05)
     records = _noiseless_records(rho, protocol, scale=200.0)
     rows = ["qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration"]
-    for (a, b), rec in zip(protocol, records):
-        rows.append(
-            f"{a.qwp_deg},{a.hwp_deg},{b.qwp_deg},{b.hwp_deg},"
-            f"{rec.raw},{rec.accidental},{rec.duration_s}"
-        )
+    for (qa, ha, qb, hb), rec in zip(protocol.angles.tolist(), records):
+        rows.append(f"{qa},{ha},{qb},{hb},{rec.raw},{rec.accidental},{rec.duration_s}")
     path.write_text("\n".join(rows) + "\n")
     loaded_protocol, loaded_records = load_records_csv(path)
+    assert np.array_equal(loaded_protocol.angles, protocol.angles)
     rho_hat, _, _ = reconstruct(loaded_records, loaded_protocol)
     assert np.linalg.norm(rho_hat - rho) < 1e-9
 
@@ -251,7 +256,7 @@ def test_closed_form_visibility_matches_dense_fringe(fixed):
     from spdcfilm.polarization import two_photon_projector
 
     rng = np.random.default_rng(SEED + 4)
-    eta = setting(fixed).ket()
+    eta = analyzer_ket(*setting(fixed))
     basis = [two_photon_projector(e, eta) for e in np.eye(2)]
     theta = np.radians(np.linspace(0.0, 360.0, DENSE_POINTS, endpoint=False))
     cos, sin = np.cos(theta), np.sin(theta)
@@ -279,15 +284,14 @@ def test_fringe_curve_matches_per_angle_projector_rates(fixed):
     # reference: arm A's ket built through the waveplates at every angle, the
     # half-wave plate at t / 2 passing linear t
     rng = np.random.default_rng(SEED + 6)
-    eta = setting(fixed).ket()
+    eta = analyzer_ket(*setting(fixed))
     grid = np.linspace(-30.0, 330.0, 73)
     for _ in range(5):
         rho = _random_rho(rng)
         curve = fringe_curve(rho, fixed, grid)
         expected = [
             np.real(np.vdot(w, rho @ w))
-            for w in (two_photon_projector(AnalyzerSetting(0.0, t / 2).ket(), eta)
-                      for t in grid)
+            for w in (two_photon_projector(analyzer_ket(0.0, t / 2), eta) for t in grid)
         ]
         assert [t for t, _ in curve] == grid.tolist()
         assert np.allclose([r for _, r in curve], expected, rtol=0.0, atol=1e-12)
@@ -350,7 +354,7 @@ def test_replicate_with_nonpositive_trace_raises():
 def test_overcomplete_protocol_roundtrip():
     # more settings than parameters: the weighted least-squares fit is
     # overdetermined and must still recover a noiseless state exactly
-    protocol = default_protocol() + [(setting(a), setting(b)) for a, b in ("AH", "AD", "VR")]
+    protocol = _extended(("AH", "AD", "VR"))
     rho = _random_rho(np.random.default_rng(SEED + 6))
     rho_hat, report, _ = reconstruct(_noiseless_records(rho, protocol), protocol)
     assert np.linalg.norm(rho_hat - rho) < 1e-9
@@ -360,9 +364,9 @@ def test_overcomplete_protocol_roundtrip():
 def _svd_reference_fit(nets, durations, protocol):
     """Per replicate, ``reconstruct``'s weighted least-squares solution from
     that replicate's own weighted SVD: a reference for any protocol shape."""
-    from spdcfilm.tomography import _BASIS, _constants
+    from spdcfilm.tomography import _BASIS
 
-    design = durations[:, None] * _constants(protocol)[1]
+    design = durations[:, None] * protocol.design
     states, scales = [], []
     for net in nets:
         sqrt_w = np.sqrt(1.0 / np.maximum(net, 1.0))
@@ -376,10 +380,10 @@ def _svd_reference_fit(nets, durations, protocol):
 
 @pytest.mark.parametrize("extra", [(), ("AH", "AD", "VR", "RR")], ids=["square", "overcomplete"])
 def test_stacked_fit_matches_per_replicate_svd_reference(extra):
-    from spdcfilm.tomography import _constants, _physical, _solve_stack
+    from spdcfilm.tomography import _physical, _solve_stack
 
     rng = np.random.default_rng(SEED + 7)
-    protocol = default_protocol() + [(setting(a), setting(b)) for a, b in extra]
+    protocol = _extended(extra)
     rho = depolarize(np.array([0.0, 1.0, 0.0]), 0.02)
     durations = rng.uniform(1.0, 3.0, len(protocol))
     # dark settings: nets below 1, where the weights clip at 1, and below 0
@@ -392,13 +396,37 @@ def test_stacked_fit_matches_per_replicate_svd_reference(extra):
     assert np.max(np.abs(rhos - states)) < 1e-12
     assert np.allclose(fitted_scales, scales, rtol=1e-12, atol=0.0)
     # reconstruct's weighted_rms_residual of each replicate
-    weighted = (x @ (durations[:, None] * _constants(protocol)[1]).T - nets) / np.sqrt(
+    weighted = (x @ (durations[:, None] * protocol.design).T - nets) / np.sqrt(
         np.maximum(nets, 1.0))
     residual = np.sqrt(np.mean(weighted ** 2, axis=-1))
     if not extra:  # exactly determined: every count is reproduced
         assert np.all(residual < 1e-12)
     else:
         assert np.all(residual > 1e-3)
+
+
+def test_named_overcomplete_protocol_takes_the_svd_solve(monkeypatch):
+    from spdcfilm.tomography import _physical, _solve_stack
+
+    protocol = named_protocol([a + b for a in "HVDAR" for b in "HVDAR"])
+    assert len(protocol) == 25 and protocol.rank == 9
+    rng = np.random.default_rng(SEED + 11)
+    durations = np.full(25, 2.0)
+    nets = durations * forward_rates(_random_rho(rng), protocol, 300.0) \
+        + rng.normal(0.0, 2.0, (3, 25))
+    calls = []
+    for name in ("svd", "solve"):
+        def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    x = _solve_stack(nets, durations, protocol)
+    # one weighted SVD of every replicate, and no LU solve of a square design
+    assert calls == [("svd", (3, 25, 9))]
+    monkeypatch.undo()
+    states, _ = _svd_reference_fit(nets, durations, protocol)
+    assert np.max(np.abs(_formed(*_physical(x)[:2]) - states)) < 1e-12
 
 
 def test_ill_weighted_replicate_raises_singular_fit_before_solving():
@@ -419,9 +447,7 @@ def _weighted_conditions(nets, durations, protocol):
     design, from that design's own singular values (as in
     ``_svd_reference_fit``), and the bound cond(D) max(sqrt w) / min(sqrt w)
     that one SVD of the shared design gives."""
-    from spdcfilm.tomography import _constants
-
-    design = durations[:, None] * _constants(protocol)[1]
+    design = durations[:, None] * protocol.design
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
     exact = []
     for w in sqrt_w:
@@ -482,7 +508,7 @@ def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates):
 
 
 def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
-    from spdcfilm.tomography import _BOUND_MARGIN, _constants, _physical, _solve_stack
+    from spdcfilm.tomography import _BOUND_MARGIN, _physical, _solve_stack
 
     protocol = default_protocol()
     durations = np.full(len(protocol), 2.0)
@@ -492,7 +518,7 @@ def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
     exact, bound = _weighted_conditions(nets, durations, protocol)
     assert bound[0] <= _BOUND_MARGIN < bound[1] and exact[1] < 1e8
 
-    design = durations[:, None] * _constants(protocol)[1]
+    design = durations[:, None] * protocol.design
     svd, inputs = np.linalg.svd, []
 
     def counting_svd(a, *args, **kwargs):
@@ -590,8 +616,9 @@ def test_forward_rates_match_vdot_loop():
     from spdcfilm.polarization import two_photon_projector
 
     rng = np.random.default_rng(SEED + 9)
-    protocol = default_protocol() + [(setting(a), setting(b)) for a, b in ("AH", "AD", "VR")]
-    vectors = [two_photon_projector(a.ket(), b.ket()) for a, b in protocol]
+    protocol = _extended(("AH", "AD", "VR"))
+    vectors = [two_photon_projector(analyzer_ket(qa, ha), analyzer_ket(qb, hb))
+               for qa, ha, qb, hb in protocol.angles]
     for _ in range(50):
         rho = _random_rho(rng)
         expected = np.array([2.5 * np.real(np.vdot(w, rho @ w)) for w in vectors])
