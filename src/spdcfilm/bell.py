@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState
+from .frozen import Record
 from .histogram import check_poisson_mean
 from .polarization import A as KET_A
 from .polarization import D as KET_D
@@ -77,8 +78,8 @@ def split_postselect_rho(rho: np.ndarray) -> np.ndarray:
 _CHSH_SIGNS = (+1, +1, +1, -1)
 
 
-@dataclass(frozen=True, eq=False)
-class ChshSettings:
+@dataclass(eq=False, repr=False)
+class ChshSettings(Record):
     """Four dichotomic +-1 observables as 2x2 Hermitian matrices, and what the
     CHSH functional needs of them, built read-only when they are made: in the
     order <ab>, <a'b>, <ab'>, <a'b'> of its four terms (signs ``_CHSH_SIGNS``),

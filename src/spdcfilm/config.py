@@ -18,6 +18,7 @@ import numpy as np
 
 from .delayline import DelayLine
 from .errors import ConfigError, SpdcFilmError
+from .frozen import Value
 from .qutrit import depolarize
 from .spectral import (
     C_NM_THZ,
@@ -46,8 +47,10 @@ def _built(section: str, build, *args, **kwargs):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-@dataclass(frozen=True)
-class CrystalConfig:
+@dataclass(eq=False, repr=False)
+class CrystalConfig(Value):
+    """The ``[crystal]`` section: the film orientation (``auto`` fits it) and d coefficient."""
+
     tilt_deg: float | None  # None = fit from the calibration tables
     azimuth_deg: float | None
     d_coefficient: float
@@ -58,8 +61,10 @@ class CrystalConfig:
         _require(self.d_coefficient > 0, "crystal d_coefficient must be positive")
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
+@dataclass(eq=False, repr=False)
+class CalibrationConfig(Value):
+    """The ``[calibration]`` section: the weights an ``auto`` orientation fits."""
+
     h_pump_weights: tuple
     v_pump_weights: tuple
     fit_threshold: float
@@ -72,8 +77,10 @@ class CalibrationConfig:
         _require(self.fit_threshold > 0, "calibration fit_threshold must be positive")
 
 
-@dataclass(frozen=True)
-class PumpConfig:
+@dataclass(eq=False, repr=False)
+class PumpConfig(Value):
+    """The ``[pump]`` section: the pump wavelength and linear polarization angle."""
+
     wavelength_nm: float
     angle_deg: float
 
@@ -82,8 +89,10 @@ class PumpConfig:
         _require(math.isfinite(self.angle_deg), "pump angle_deg must be a finite number")
 
 
-@dataclass(frozen=True)
-class SpectrumConfig:
+@dataclass(eq=False, repr=False)
+class SpectrumConfig(Value):
+    """The ``[spectrum]`` section: the detuning grid's half span and points."""
+
     span_thz: float
     points: int
 
@@ -93,8 +102,10 @@ class SpectrumConfig:
         _built("spectrum", check_grid, default_grid(self.span_thz, self.points))
 
 
-@dataclass(frozen=True)
-class FiltersConfig:
+@dataclass(eq=False, repr=False)
+class FiltersConfig(Value):
+    """The ``[filters]`` section: the long-pass cut-ons and their edge width."""
+
     longpass_cuton_nm: tuple
     edge_width_thz: float
 
@@ -104,8 +115,10 @@ class FiltersConfig:
         _require(self.edge_width_thz > 0, "filter edge_width_thz must be positive")
 
 
-@dataclass(frozen=True)
-class DetectorResponseConfig:
+@dataclass(eq=False, repr=False)
+class DetectorResponseConfig(Value):
+    """The ``[detector_response]`` section: the detectors' spectral response."""
+
     shape: str
     fwhm_thz: float
 
@@ -118,8 +131,10 @@ class DetectorResponseConfig:
         _require(self.fwhm_thz > 0, "detector_response fwhm_thz must be positive")
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+@dataclass(eq=False, repr=False)
+class NoiseConfig(Value):
+    """The ``[noise]`` section: pair and singles rates, efficiency, depolarization."""
+
     pair_rate_hz: float
     efficiency: float
     singles_a_hz: float
@@ -133,16 +148,20 @@ class NoiseConfig:
         _built("noise", depolarize, [1.0, 0.0, 0.0], self.depolarization)
 
 
-@dataclass(frozen=True)
-class TomographyConfig:
+@dataclass(eq=False, repr=False)
+class TomographyConfig(Value):
+    """The ``[tomography]`` section: the counting time of each setting."""
+
     duration_per_setting_s: float
 
     def __post_init__(self):
         _require(self.duration_per_setting_s > 0, "tomography duration must be positive")
 
 
-@dataclass(frozen=True)
-class HistogramConfig:
+@dataclass(eq=False, repr=False)
+class HistogramConfig(Value):
+    """The ``[histogram]`` section: the coincidence histogram's bins."""
+
     n_bins: int
     bin_width_ns: float
     exclusion_bins: int
@@ -158,16 +177,20 @@ class HistogramConfig:
                               "need at least 20")
 
 
-@dataclass(frozen=True)
-class BellConfig:
+@dataclass(eq=False, repr=False)
+class BellConfig(Value):
+    """The ``[bell]`` section: the pairs counted at each CHSH setting."""
+
     counts_per_setting: int
 
     def __post_init__(self):
         _require(self.counts_per_setting >= 1, "bell counts_per_setting must be >= 1")
 
 
-@dataclass(frozen=True)
-class HomConfig:
+@dataclass(eq=False, repr=False)
+class HomConfig(Value):
+    """The ``[hom]`` section: the HOM curve's delay grid."""
+
     delay_start_fs: float
     delay_stop_fs: float
     delay_points: int
@@ -178,8 +201,10 @@ class HomConfig:
                  "hom delay grid must span a finite range")
 
 
-@dataclass(frozen=True)
-class FringeConfig:
+@dataclass(eq=False, repr=False)
+class FringeConfig(Value):
+    """The ``[fringe]`` section: the fringe's angle grid and fixed analyzer."""
+
     theta_start_deg: float
     theta_stop_deg: float
     theta_points: int
@@ -195,8 +220,10 @@ class FringeConfig:
         _built("fringe", setting, self.fixed_analyzer)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(eq=False, repr=False)
+class RunConfig(Value):
+    """The ``[run]`` section: the master seed and the bootstrap replicate count."""
+
     seed: int
     bootstrap_samples: int
 
@@ -211,8 +238,10 @@ class RunConfig:
         _require(self.bootstrap_samples != 1, "run bootstrap_samples must be 0 or at least 2")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(eq=False, repr=False)
+class ExperimentConfig(Value):
+    """The whole configuration: one field per INI section."""
+
     crystal: CrystalConfig
     calibration: CalibrationConfig
     pump: PumpConfig

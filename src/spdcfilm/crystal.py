@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoorFit, ZeroAmplitude
+from .frozen import Value
 from .polarization import pump_ket
 from .qutrit import check_state
 
@@ -51,8 +52,8 @@ def chi2_zincblende(d: float) -> np.ndarray:
     return chi
 
 
-@dataclass(frozen=True)
-class CrystalOrientation:
+@dataclass(eq=False, repr=False)
+class CrystalOrientation(Value):
     """Film orientation: tilt of the normal from [001], in-plane azimuth."""
 
     tilt_deg: float
@@ -74,8 +75,8 @@ def rotation_matrix(orientation: CrystalOrientation) -> np.ndarray:
     return _rz(np.radians(orientation.azimuth_deg)) @ _ry(np.radians(orientation.tilt_deg))
 
 
-@dataclass(frozen=True)
-class SpdcResult:
+@dataclass(eq=False, repr=False)
+class SpdcResult(Value):
     """Normalized qutrit state (|2H>, |1H 1V>, |2V>) plus the relative rate."""
 
     state: np.ndarray

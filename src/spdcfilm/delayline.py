@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OutOfRange
+from .frozen import Value
 from .materials import refractive_index
 
 C_MM_FS = 2.99792458e-4  # speed of light in mm/fs
@@ -58,8 +59,8 @@ def _check_tilt(tilt_deg: float):
         raise OutOfRange(f"plate tilt {tilt_deg} deg outside the +-60 deg working range")
 
 
-@dataclass(frozen=True)
-class DelayLine:
+@dataclass(eq=False, repr=False)
+class DelayLine(Value):
     """The ``[delay_line]`` section: plate thickness (mm), the outer pair's
     base tilt (deg), the wavelength (um) of the calcite indices ``n_o`` and
     ``n_e``, and the inner pair's scan grid. Every tilt lies within the

@@ -87,6 +87,7 @@ from .crystal import (
 )
 from .delayline import delay_scan
 from .errors import SingularFit
+from .frozen import Record, Value
 from .histogram import bin_centers, simulate_counts, subtract_accidentals
 from .polarization import pump_ket
 from .qutrit import (
@@ -196,8 +197,8 @@ def amplitudes_json(res) -> dict:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class SourceModel:
+@dataclass(eq=False, repr=False)
+class SourceModel(Record):
     """``source_model``'s result: the amplitudes under an H, a V and the
     configured pump, ``rho`` the last one's qutrit after the depolarization,
     ``concurrence`` the pumped ket's and ``purity`` rho's, and ``f_model``
@@ -296,8 +297,8 @@ def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSection:
+@dataclass(eq=False, repr=False)
+class SpectralSection(Record):
     """``spectral_section``'s result: the filtered pair spectrum ``intensity``
     at the detunings ``omega_thz``, and the HOM dip and peak at ``delays_fs``:
     the normalized coincidence rates (1 -+ g) / 2 of the orthogonal (D-A) and
@@ -386,8 +387,8 @@ def spectral_section(spectrum, film, pump_nm, filters, detector_response, hom) -
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DelayScan:
+@dataclass(eq=False, repr=False)
+class DelayScan(Record):
     """``delay_line_scan``'s result: ``scan`` holds a (tilt_deg, delay_fs)
     float pair per tilt of the inner plate pair, as a tuple whatever sequence
     it is given; ``delay_at_base_fs`` is the delay with every plate at
@@ -514,8 +515,8 @@ def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
     return {f"{key}_sigma": s for key, s in zip(measures, (sigmas[:3], *sigmas[3:]))}
 
 
-@dataclass(frozen=True, eq=False)
-class TomographyResult:
+@dataclass(eq=False, repr=False)
+class TomographyResult(Record):
     """``analyze_tomography``'s result. ``measures`` and ``sigmas`` hold the
     report's JSON values (None where undefined); ``counts`` is the
     (settings, n_bins) int64 array of the coincidence histograms, their bins
@@ -605,8 +606,8 @@ def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
     return replace(result, counts=counts, centers_ns=centers)
 
 
-@dataclass(frozen=True)
-class BellResult:
+@dataclass(eq=False, repr=False)
+class BellResult(Value):
     """``simulate_bell``'s result: the report's ``bell`` section, the model
     state's ``f_model`` included."""
 
@@ -646,8 +647,8 @@ def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed_seq)
     )
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+@dataclass(eq=False, repr=False)
+class ExperimentReport(Value):
     """Everything one simulated run produced: its master ``seed`` and its five
     stage results (the seed-free ones shared by every run of the configuration).
     ``summary`` is rebuilt from them on each access, so editing it changes
@@ -714,17 +715,18 @@ def _csv_bytes(header, rows) -> bytes:
 class _RowTemplates(dict):
     """setting index -> the ``histogram.csv`` rows of one bin grid, with a
     ``%s`` for each count: ``setting_index,delta_t_ns,%s`` lines joined
-    ``_CSV_BLOCK_ROWS`` to a template. Made on first use."""
+    ``_CSV_BLOCK_ROWS`` to a template. Made on first use, from each delay's
+    ``delta_t_ns,%s`` line, formatted once and shared by every setting."""
 
     def __init__(self, delta_t):
         super().__init__()
-        self.delta_t = delta_t
+        lines = [f"{t},%s\r\n" for t in delta_t]
+        self.blocks = [lines[start:start + _CSV_BLOCK_ROWS]
+                       for start in range(0, len(lines), _CSV_BLOCK_ROWS)]
 
     def __missing__(self, m):
-        self[m] = templates = [
-            "".join([f"{m},{t},%s\r\n" for t in self.delta_t[start:start + _CSV_BLOCK_ROWS]])
-            for start in range(0, len(self.delta_t), _CSV_BLOCK_ROWS)
-        ]
+        index = f"{m},"
+        self[m] = templates = [index + index.join(block) for block in self.blocks]
         return templates
 
 

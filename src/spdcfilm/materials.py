@@ -14,6 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import OutOfRange
+from .frozen import Value
 
 _DB = None
 
@@ -26,8 +27,8 @@ def _database() -> dict:
     return _DB
 
 
-@dataclass(frozen=True)
-class Sellmeier:
+@dataclass(eq=False, repr=False)
+class Sellmeier(Value):
     """One-material dispersion model.
 
     Parameters
@@ -62,8 +63,8 @@ class Sellmeier:
         return np.sqrt(n2)
 
 
-@dataclass(frozen=True)
-class ConstantIndex:
+@dataclass(eq=False, repr=False)
+class ConstantIndex(Value):
     """Dispersionless stand-in, mostly for tests and limiting cases; ``n``
     must be finite and positive."""
 

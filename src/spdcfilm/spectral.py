@@ -39,13 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricSpectrum, GridTooNarrow, InvalidState, OutOfRange
+from .frozen import Value
 from .materials import resolve_index_model
 
 C_NM_THZ = 299792.458  # speed of light in nm*THz
 
 
-@dataclass(frozen=True)
-class FilmStack:
+@dataclass(eq=False, repr=False)
+class FilmStack(Value):
     """The film etalon, and the ``[film]`` section: its fields are the keys.
 
     Each index model is a material name from the data file or a plain number

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompleteProtocol, SingularFit
+from .frozen import Record, Value
 from .polarization import (
     ANALYZER_ANGLES,
     H,
@@ -45,8 +46,8 @@ def setting(name: str) -> tuple:
     return ANALYZER_ANGLES[name]
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
+@dataclass(eq=False, repr=False)
+class CoincidenceRecord(Value):
     """Background-subtracted coincidence count for one protocol setting, with
     its net count's standard deviation ``net_sigma``. Its messages call
     ``duration_s`` ``duration``, the records CSV's column."""
@@ -101,8 +102,8 @@ def _design_row(w: np.ndarray) -> np.ndarray:
     return np.array([np.real(np.vdot(w, t @ w)) for t in _BASIS])
 
 
-@dataclass(frozen=True, eq=False)
-class Protocol:
+@dataclass(eq=False, repr=False)
+class Protocol(Record):
     """An (m, 4) table of analyzer ``angles``, a row (qwp_a, hwp_a, qwp_b,
     hwp_b) in degrees per setting, and what the fit needs of it, built
     read-only when it is made: the projector ``vectors`` w_m (rate =
@@ -176,8 +177,8 @@ def _project_psd(m: np.ndarray):
     return clipped / clipped.sum(axis=-1, keepdims=True), vecs, negative_mass, clipped
 
 
-@dataclass(frozen=True)
-class FitReport:
+@dataclass(eq=False, repr=False)
+class FitReport(Value):
     """``reconstruct``'s fit: ``scale`` = tr S, the fitted total rate (Hz);
     the RMS of the weighted residuals sqrt(w_m) (duration_m <w_m|S|w_m> - net_m);
     the negative-eigenvalue mass the positivity projection clipped; the
