@@ -27,17 +27,16 @@ from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
 from .experiment import (
     SpectralSection,
-    _json_bytes,
-    _section_text,
-    _write_bytes,
     analyze_tomography,
     histogram_csv,
+    report_json_bytes,
     run_experiment,
     simulate_bell,
     simulate_histograms,
     simulate_tomography,
     source_model,
     spectral_section,
+    write_bytes,
     write_report,
 )
 from .tomography import load_records_csv
@@ -50,7 +49,7 @@ EXIT_INCOMPLETE = 4
 
 def _write(args, data: bytes):
     if args.out:
-        _write_bytes(args.out, data)
+        write_bytes(args.out, data)
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
@@ -91,7 +90,7 @@ def _cmd_stage(args, cfg):
         if args.format == "csv":
             return _write(args, encode_csv(result))
         sections = result.to_json()
-    _write(args, _json_bytes({key: _section_text(value) for key, value in sections.items()}))
+    _write(args, report_json_bytes(sections))
 
 
 def _cmd_run(args, cfg):

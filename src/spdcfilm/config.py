@@ -274,11 +274,11 @@ class ExperimentConfig(Value):
 def _read_parser(path) -> configparser.ConfigParser:
     # values are plain literals: a "%" in one is no interpolation syntax
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    with resources.files("spdcfilm.data").joinpath("default.cfg").open() as f:
+    with resources.files("spdcfilm.data").joinpath("default.cfg").open(encoding="utf-8") as f:
         parser.read_file(f)
     if path is not None:
         try:
-            loaded = parser.read(str(path))
+            loaded = parser.read(str(path), encoding="utf-8-sig")  # a BOM is skipped
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from None
         _require(bool(loaded), f"config file not found or unreadable: {path}")
@@ -344,7 +344,9 @@ def load_config(path=None) -> ExperimentConfig:
 
     Every section is the dataclass of the same-named ``ExperimentConfig``
     field, and each key is parsed by the annotation of its field. A section
-    that rejects its values raises a ConfigError naming it.
+    that rejects its values raises a ConfigError naming it. The file is read
+    as UTF-8, a leading byte-order mark skipped; a file that is not UTF-8
+    raises a ConfigError.
     """
     parser = _read_parser(path)
     return ExperimentConfig(**{

@@ -3,9 +3,11 @@
 Geometry convention, fixed here and used everywhere downstream:
 
 * The film normal and the (paraxial, collinear) propagation axis are lab z.
-* ``rotation_matrix`` maps lab-frame components to crystal-frame components,
+* R maps lab-frame components to crystal-frame components,
   v_crystal = R v_lab, composed as tilt about lab y followed by azimuth
-  about lab z: R = Rz(azimuth) Ry(tilt).
+  about lab z: R = Rz(azimuth) Ry(tilt). ``_frame`` writes its columns, the
+  lab H, V and normal axes in crystal components, in closed form; the
+  amplitudes read the first two, ``normal_axis_angles`` the third.
 * At (tilt=0, azimuth=0) the crystal cube axes coincide with the lab axes,
   so the zero-tilt film normal is the [001] cube axis and ``tilt`` is the
   angle between the film normal and [001]. The three <100> cube axes are
@@ -60,19 +62,15 @@ class CrystalOrientation(Value):
     azimuth_deg: float
 
 
-def _ry(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rz(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_matrix(orientation: CrystalOrientation) -> np.ndarray:
-    """Lab-to-crystal component map; orthogonal with det +1, identity at zero."""
-    return _rz(np.radians(orientation.azimuth_deg)) @ _ry(np.radians(orientation.tilt_deg))
+def _frame(tilt_deg, azimuth_deg) -> np.ndarray:
+    """The columns R e_x, R e_y, R e_z of R = Rz(azimuth) Ry(tilt), in closed
+    form, at every point of a broadcast (tilt, azimuth) grid: the lab H and V
+    unit vectors and the film normal in crystal components, shape
+    (3, 3, *grid) with the grid axes last."""
+    tilt, az = np.broadcast_arrays(np.radians(tilt_deg), np.radians(azimuth_deg))
+    ct, st, cz, sz = np.cos(tilt), np.sin(tilt), np.cos(az), np.sin(az)
+    return np.array([[cz * ct, sz * ct, -st], [-sz, cz, np.zeros_like(az)],
+                     [cz * st, sz * st, ct]])
 
 
 @dataclass(eq=False, repr=False)
@@ -94,17 +92,14 @@ def _amplitude_grid(chi, tilt_deg, azimuth_deg, pumps) -> np.ndarray:
 
     A_ab = sum_ijk chi[i,j,k] (R e_a)_i (R e_b)_j (R e_p)_k, then
     c1 = A_HH, c2 = (A_HV + A_VH)/sqrt(2), c3 = A_VV. The H and V columns
-    of R = Rz(azimuth) Ry(tilt) are written in closed form, and one einsum
+    of R = Rz(azimuth) Ry(tilt) are ``_frame``'s closed form, and one einsum
     sums the complex128 products chi a b c over the nonzero tensor elements
     in C order (the vanishing ones add only signed zeros), so an
     orientation's amplitudes do not depend on the grid or the pumps they
     are evaluated with, and a grid scan breaks exact ties as a point-by-point
     scan does.
     """
-    tilt, az = np.broadcast_arrays(np.radians(tilt_deg), np.radians(azimuth_deg))
-    ct, st, cz, sz = np.cos(tilt), np.sin(tilt), np.cos(az), np.sin(az)
-    # lab H and V unit vectors in crystal components; grid axes last
-    hv = np.array([[cz * ct, sz * ct, -st], [-sz, cz, np.zeros_like(az)]], dtype=complex)
+    hv = np.array(_frame(tilt_deg, azimuth_deg)[:2], dtype=complex)
     pumps = np.asarray(pumps, dtype=complex).reshape((-1, 2) + (1,) * (hv.ndim - 1))
     e_p = pumps[:, 0] * hv[0] + pumps[:, 1] * hv[1]
     i, j, k = np.nonzero(chi)
@@ -326,7 +321,6 @@ def calibrate_orientation(chi, calibration) -> tuple[CrystalOrientation, float]:
 
 def normal_axis_angles(orientation: CrystalOrientation) -> np.ndarray:
     """Angles (degrees) between the film normal and the three cube axes."""
-    rot = rotation_matrix(orientation)
-    normal_crystal = rot @ np.array([0.0, 0.0, 1.0])
+    normal_crystal = _frame(orientation.tilt_deg, orientation.azimuth_deg)[2]
     cosines = np.clip(np.abs(normal_crystal), -1.0, 1.0)
     return np.degrees(np.arccos(cosines))

@@ -51,14 +51,15 @@ sequence to both in that order draws the run's numbers.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
-``check_density_matrix``), and ``_measures`` checks the spectrum
-``reconstruct`` returns, as it checks each bootstrap replicate's: a warm run
-makes two ``eigh`` calls. The functions that take a state after that
-(``forward_rates``, ``fringe_curve``, ``split_postselect_rho``,
-``chsh_value``, ``simulate_chsh``) check nothing again. The nine settings'
-coincidence histograms are one ``simulate_counts`` count array, which one
-``subtract_accidentals`` pass reduces to the records and which
-``TomographyResult`` holds as it was drawn, with the bin grid's delays.
+``check_density_matrix``), and ``tomography.point_measures`` checks the
+spectrum ``reconstruct`` returns, as ``bootstrap_sigmas`` checks each
+replicate's: a warm run makes two ``eigh`` calls. The functions that take a
+state after that (``forward_rates``, ``fringe_curve``,
+``split_postselect_rho``, ``chsh_value``, ``simulate_chsh``) check nothing
+again. The nine settings' coincidence histograms are one ``simulate_counts``
+count array, which one ``subtract_accidentals`` pass reduces to the records
+and which ``TomographyResult`` holds as it was drawn, with the bin grid's
+delays.
 """
 
 from __future__ import annotations
@@ -86,18 +87,10 @@ from .crystal import (
     weight_residual,
 )
 from .delayline import delay_scan
-from .errors import SingularFit
 from .frozen import Record, Value
 from .histogram import bin_centers, simulate_counts, subtract_accidentals
 from .polarization import pump_ket
-from .qutrit import (
-    _density_eigh,
-    concurrence,
-    concurrence_bounds,
-    depolarize,
-    purity,
-    schmidt_number,
-)
+from .qutrit import concurrence, concurrence_bounds, depolarize, purity, schmidt_number
 from .spectral import (
     DETECTOR_RESPONSES,
     check_spectrum,
@@ -111,12 +104,11 @@ from .spectral import (
 from .tomography import (
     CoincidenceRecord,
     FitReport,
-    _measures,
-    _physical,
-    _solve_stack,
+    bootstrap_sigmas,
     default_protocol,
     forward_rates,
     fringe_curve,
+    point_measures,
     reconstruct,
 )
 
@@ -174,6 +166,12 @@ def _json_bytes(texts: dict) -> bytes:
     a non-empty ``obj``, from the ``_section_text`` of each of its values."""
     body = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
     return ("{\n" + body + "\n}\n").encode()
+
+
+def report_json_bytes(sections: dict) -> bytes:
+    """The bytes ``report.json`` renders for a non-empty dict of sections:
+    ``json.dumps(sections, indent=2, sort_keys=True, allow_nan=False) + "\n"``."""
+    return _json_bytes({key: _section_text(value) for key, value in sections.items()})
 
 
 def _encoded(sections: dict, *sidecars) -> tuple:
@@ -428,93 +426,6 @@ def delay_line_scan(delay_line) -> DelayScan:
     )
 
 
-def _defined(values):
-    """JSON form of a measure: floats, with None where it is undefined (NaN)."""
-    if np.ndim(values):
-        return [_defined(v) for v in values]
-    return None if np.isnan(values) else float(values)
-
-
-def _point_measures(rho, fixed_analyzer) -> dict:
-    """The report entries of a state from outside a fit (a model state):
-    ``check_density_matrix``'s checks and ``eigh``, then ``_measures``."""
-    measures = _measures(*_density_eigh(rho[None]), fixed_analyzer)
-    return {key: _defined(value[0]) for key, value in measures.items()}
-
-
-def _spread(samples):
-    """Bootstrap sigma: the sample standard deviation (ddof 1) of the finite
-    replicates (axis 0), None where fewer than two replicates are finite."""
-    finite = np.isfinite(samples)
-    count = np.count_nonzero(finite, axis=0)
-    values = np.where(finite, samples, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = values.sum(axis=0) / count
-        squares = np.where(finite, (values - mean) ** 2, 0.0).sum(axis=0)
-        sigma = np.sqrt(squares / (count - 1))
-    return _defined(np.where(count >= 2, sigma, np.nan))
-
-
-#: bootstrap replicates drawn and reconstructed at a time: bounds the
-#: working memory of a bootstrap whatever ``[run] bootstrap_samples`` is
-_BOOTSTRAP_BLOCK = 1024
-
-
-def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
-    """The states of a parametric bootstrap: net counts redrawn from the
-    fitted model, then reconstructed ``_BOOTSTRAP_BLOCK`` replicates at a
-    time by ``reconstruct``'s two steps, ``_solve_stack`` and ``_physical``.
-    Yields each block's states as the projection's (vals, vecs) spectrum,
-    (B, 3) unit-sum eigenvalues and (B, 3, 3) eigenvectors: no replicate is
-    formed as a matrix, and the measures need no second ``eigh``.
-
-    Replicate k draws row k of the (n_boot, len(records)) standard normals
-    of one generator, ``np.random.default_rng(seed_seq)``, made only when
-    there is a replicate. Each block takes the next rows of its stream, so
-    replicate k is the same whatever the replicate count and the block size,
-    and ``seed_seq`` spawns no child. A replicate keeps its records'
-    accidentals, durations and sigmas, as ``reconstruct`` would see
-    ``replace(record, raw=max(draw + accidental, 0))``.
-    """
-    if not n_boot:
-        return
-    durations = np.array([r.duration_s for r in records])
-    accidental = np.array([r.accidental for r in records])
-    sigmas = np.array([r.net_sigma for r in records])
-    model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
-    rng = np.random.default_rng(seed_seq)
-    for start in range(0, n_boot, _BOOTSTRAP_BLOCK):
-        count = min(_BOOTSTRAP_BLOCK, n_boot - start)
-        # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
-        z = rng.standard_normal((count, len(records)))
-        nets = np.maximum(model_net + sigmas * z + accidental, 0.0) - accidental
-        yield _physical(_solve_stack(nets, durations, protocol))[:2]
-
-
-def _bootstrap_sigmas(cfg, rho_hat, scale_hat, records, protocol, seed_seq):
-    """Parametric bootstrap: redraw net counts from the fitted model.
-
-    Returns the report's ``<measure>_sigma`` entries, all None without
-    replicates or when any replicate cannot be fitted (``SingularFit``: a
-    redraw of a few counts can leave a fitted total rate that is not
-    positive). ``_measures`` of the spectra fills one (n_boot, 6) table for
-    one ``_spread``: only it grows with the replicate count, as the spectra
-    are held one block at a time.
-    """
-    states = _bootstrap_states(rho_hat, scale_hat, records, protocol,
-                               cfg.run.bootstrap_samples, seed_seq)
-    measures = ("weights", "purity", "concurrence", "visibility")
-    try:
-        blocks = [_measures(vals, vecs, cfg.fringe.fixed_analyzer) for vals, vecs in states]
-    except SingularFit:
-        blocks = []
-    if not blocks:
-        return {f"{key}_sigma": None for key in measures}
-    table = np.concatenate([np.column_stack([b[key] for key in measures]) for b in blocks])
-    sigmas = _spread(table)
-    return {f"{key}_sigma": s for key, s in zip(measures, (sigmas[:3], *sigmas[3:]))}
-
-
 @dataclass(eq=False, repr=False)
 class TomographyResult(Record):
     """``analyze_tomography``'s result. ``measures`` and ``sigmas`` hold the
@@ -565,8 +476,7 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> To
     ``seed_seq``. The result holds no histograms (n_bins 0)."""
     rho_hat, fit, (vals, vecs) = reconstruct(records, protocol)
     fringe = cfg.fringe
-    measures = _measures(vals[None], vecs[None], fringe.fixed_analyzer)
-    measures = {key: _defined(value[0]) for key, value in measures.items()}
+    measures = point_measures(vals, vecs, fringe.fixed_analyzer)
     curve = []  # no counts at any angle: a null visibility and no curve
     if measures["visibility"] is not None:
         theta_grid = np.linspace(fringe.theta_start_deg, fringe.theta_stop_deg, fringe.theta_points)
@@ -574,7 +484,8 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> To
     boot_seq = seed_seq.spawn(1)[0]
     return TomographyResult(
         records=records, rho=rho_hat, fit=fit, measures=measures,
-        sigmas=_bootstrap_sigmas(cfg, rho_hat, fit.scale, records, protocol, boot_seq),
+        sigmas=bootstrap_sigmas(rho_hat, fit.scale, records, protocol,
+                                cfg.run.bootstrap_samples, fringe.fixed_analyzer, boot_seq),
         fixed_analyzer=fringe.fixed_analyzer, fringe_curve=curve,
         counts=np.zeros((len(records), 0), dtype=np.int64), centers_ns=np.zeros(0),
     )
@@ -673,10 +584,6 @@ class ExperimentReport(Value):
         for result in self.results:
             summary.update(result.to_json())
         return summary
-
-    def canonical_json(self) -> str:
-        """Stable serialization used for reproducibility comparisons."""
-        return json.dumps(self.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def run_experiment(cfg: ExperimentConfig, seed=None) -> ExperimentReport:
@@ -777,11 +684,11 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     paths = []
     for name, data in files:
         paths.append(out / name)
-        _write_bytes(paths[-1], data)
+        write_bytes(paths[-1], data)
     return paths
 
 
-def _write_bytes(path, data: bytes) -> None:
+def write_bytes(path, data: bytes) -> None:
     """Write ``data`` to ``path``, created with mode 0o666 less the umask.
 
     An existing file is opened without ``O_TRUNC``, overwritten and then cut

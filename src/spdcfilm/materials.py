@@ -22,8 +22,8 @@ _DB = None
 def _database() -> dict:
     global _DB
     if _DB is None:
-        text = resources.files("spdcfilm.data").joinpath("materials.json").read_text()
-        _DB = json.loads(text)
+        data = resources.files("spdcfilm.data").joinpath("materials.json")
+        _DB = json.loads(data.read_text(encoding="utf-8"))
     return _DB
 
 

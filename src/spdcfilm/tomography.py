@@ -14,7 +14,9 @@ one-replicate case.
 ``forward_rates`` and ``fringe_curve`` take a density matrix the caller
 has checked: a run checks each state once, where it enters (``experiment``).
 The positivity projection returns each state as its spectrum, which
-``_measures`` reads: no bootstrap replicate is formed as a matrix.
+``_measures`` reads: no bootstrap replicate is formed as a matrix. The
+estimator is this module's: the fit (``reconstruct``), its report entries
+(``point_measures``) and their parametric bootstrap (``bootstrap_sigmas``).
 """
 
 from __future__ import annotations
@@ -347,6 +349,95 @@ def _measures(vals: np.ndarray, vecs: np.ndarray, fixed_b: str) -> dict:
     }
 
 
+def _defined(values):
+    """JSON form of a measure: floats, with None where it is undefined (NaN)."""
+    if np.ndim(values):
+        return [_defined(v) for v in values]
+    return None if np.isnan(values) else float(values)
+
+
+def point_measures(vals: np.ndarray, vecs: np.ndarray, fixed_analyzer: str) -> dict:
+    """The report entries of one state, given as its (3,) unit-sum ascending
+    eigenvalues and (3, 3) eigenvectors (``reconstruct``'s spectrum):
+    ``_measures`` of the one-state stack, None where a measure is undefined."""
+    measures = _measures(vals[None], vecs[None], fixed_analyzer)
+    return {key: _defined(value[0]) for key, value in measures.items()}
+
+
+def _spread(samples):
+    """Bootstrap sigma: the sample standard deviation (ddof 1) of the finite
+    replicates (axis 0), None where fewer than two replicates are finite."""
+    finite = np.isfinite(samples)
+    count = np.count_nonzero(finite, axis=0)
+    values = np.where(finite, samples, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = values.sum(axis=0) / count
+        squares = np.where(finite, (values - mean) ** 2, 0.0).sum(axis=0)
+        sigma = np.sqrt(squares / (count - 1))
+    return _defined(np.where(count >= 2, sigma, np.nan))
+
+
+#: bootstrap replicates drawn and reconstructed at a time: bounds the
+#: working memory of a bootstrap whatever ``[run] bootstrap_samples`` is
+_BOOTSTRAP_BLOCK = 1024
+
+
+def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
+    """The states of a parametric bootstrap: net counts redrawn from the
+    fitted model, then reconstructed ``_BOOTSTRAP_BLOCK`` replicates at a
+    time by ``reconstruct``'s two steps, ``_solve_stack`` and ``_physical``.
+    Yields each block's states as the projection's (vals, vecs) spectrum,
+    (B, 3) unit-sum eigenvalues and (B, 3, 3) eigenvectors: no replicate is
+    formed as a matrix, and the measures need no second ``eigh``.
+
+    Replicate k draws row k of the (n_boot, len(records)) standard normals
+    of one generator, ``np.random.default_rng(seed_seq)``, made only when
+    there is a replicate. Each block takes the next rows of its stream, so
+    replicate k is the same whatever the replicate count and the block size,
+    and ``seed_seq`` spawns no child. A replicate keeps its records'
+    accidentals, durations and sigmas, as ``reconstruct`` would see
+    ``replace(record, raw=max(draw + accidental, 0))``.
+    """
+    if not n_boot:
+        return
+    durations = np.array([r.duration_s for r in records])
+    accidental = np.array([r.accidental for r in records])
+    sigmas = np.array([r.net_sigma for r in records])
+    model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
+    rng = np.random.default_rng(seed_seq)
+    for start in range(0, n_boot, _BOOTSTRAP_BLOCK):
+        count = min(_BOOTSTRAP_BLOCK, n_boot - start)
+        # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
+        z = rng.standard_normal((count, len(records)))
+        nets = np.maximum(model_net + sigmas * z + accidental, 0.0) - accidental
+        yield _physical(_solve_stack(nets, durations, protocol))[:2]
+
+
+def bootstrap_sigmas(rho_hat, scale, records, protocol, n_boot, fixed_analyzer,
+                     seed_seq) -> dict:
+    """Parametric bootstrap of the fit (rho_hat, scale) of ``records``: net
+    counts of ``n_boot`` replicates redrawn from it (``_bootstrap_states``).
+
+    Returns the report's ``<measure>_sigma`` entries, all None without
+    replicates or when any replicate cannot be fitted (``SingularFit``: a
+    redraw of a few counts can leave a fitted total rate that is not
+    positive). ``_measures`` of the spectra fills one (n_boot, 6) table for
+    one ``_spread``: only it grows with the replicate count, as the spectra
+    are held one block at a time.
+    """
+    states = _bootstrap_states(rho_hat, scale, records, protocol, n_boot, seed_seq)
+    measures = ("weights", "purity", "concurrence", "visibility")
+    try:
+        blocks = [_measures(vals, vecs, fixed_analyzer) for vals, vecs in states]
+    except SingularFit:
+        blocks = []
+    if not blocks:
+        return {f"{key}_sigma": None for key in measures}
+    table = np.concatenate([np.column_stack([b[key] for key in measures]) for b in blocks])
+    sigmas = _spread(table)
+    return {f"{key}_sigma": s for key, s in zip(measures, (sigmas[:3], *sigmas[3:]))}
+
+
 def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> list:
     """Coincidence fringe: arm A scans linear polarization, arm B is fixed.
 
@@ -374,10 +465,12 @@ def load_records_csv(path):
     header, or a missing or non-numeric cell or non-finite angle, raises
     ValueError. Its message names the ``header``, or the row as ``record N``,
     the index its record carries (data rows count from 0), and the column;
-    ``CoincidenceRecord`` rejects non-finite counts in the same words.
+    ``CoincidenceRecord`` rejects non-finite counts in the same words. The
+    file is read as UTF-8, a leading byte-order mark skipped; bytes that are
+    not UTF-8 raise ValueError (``UnicodeDecodeError``).
     """
     angles, records = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is skipped
         reader = csv.DictReader(fh)
         try:
             reader.fieldnames  # reads the header

@@ -15,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 
 from spdcfilm.config import load_config
-from spdcfilm.experiment import _point_measures, run_experiment, source_model
+from spdcfilm.experiment import run_experiment, source_model
+from spdcfilm.tomography import point_measures
 
 
 def _z_scores(cfg, seeds: int, z) -> np.ndarray:
@@ -43,7 +44,8 @@ def test_chsh_sigma_is_the_spread_of_the_simulated_f():
 def test_concurrence_sigma_is_the_spread_of_the_reconstructed_concurrence():
     # the defaults' bootstrap sigma, against the model state's concurrence
     cfg = load_config()
-    truth = _point_measures(source_model(cfg).rho, cfg.fringe.fixed_analyzer)["concurrence"]
+    truth = point_measures(*np.linalg.eigh(source_model(cfg).rho),
+                           cfg.fringe.fixed_analyzer)["concurrence"]
 
     def z(report):
         tomography = report.tomography

@@ -1,5 +1,6 @@
 """Command-line entry point tests: exit codes and output formats."""
 
+import codecs
 import json
 import os
 import subprocess
@@ -594,6 +595,38 @@ def test_malformed_records_exit_code(capsys, tmp_path, rows, message):
     assert f"bad records file {csv_path}: {message}" in capsys.readouterr().err
 
 
+def test_bom_config_and_records_print_the_bytes_of_the_plain_files(capsysbinary, monkeypatch,
+                                                                   tmp_path):
+    # Excel's "CSV UTF-8" and Windows Notepad start a file with a UTF-8 byte-order mark
+    records = (ROOT / "tests" / "data" / "records_seed3.csv").read_bytes()
+    config = b"[pump]\nangle_deg = 22.5\n\n[run]\nbootstrap_samples = 20\n"
+    assert not records.startswith(codecs.BOM_UTF8)
+    commands = (["amplitudes", "--config", "user.cfg"],
+                ["tomography", "--config", "user.cfg", "--records", "records.csv"])
+    printed = {}
+    for name, prefix in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "records.csv").write_bytes(prefix + records)
+        (tmp_path / name / "user.cfg").write_bytes(prefix + config)
+        monkeypatch.chdir(tmp_path / name)  # the same relative path, the records' source
+        for argv in commands:
+            assert main([*argv, "--seed", "3"]) == EXIT_OK
+            printed[name, argv[0]] = capsysbinary.readouterr().out
+    assert printed["bom", "amplitudes"] == printed["plain", "amplitudes"]
+    assert printed["bom", "tomography"] == printed["plain", "tomography"]
+    assert json.loads(printed["bom", "amplitudes"])["pump"]["angle_deg"] == 22.5
+
+
+def test_records_file_that_is_not_utf8_exit_code(capsys, tmp_path):
+    # a UTF-16 file (Excel's "Unicode text") opens with the bytes FF FE
+    text = "qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n0,0,0,0,100.0,2.0,1.0\n"
+    csv_path = tmp_path / "utf16.csv"
+    csv_path.write_bytes(text.encode("utf-16"))
+    assert main(["tomography", "--records", str(csv_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: bad records file {csv_path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_detector_response_without_half_width_exit_code(capsys, tmp_path):
     # a 1 THz Gaussian response leaves g(tau) above 1/2 over the whole delay search
     cfg = tmp_path / "narrow.cfg"
@@ -698,7 +731,7 @@ def test_json_output_is_strict(capsysbinary, monkeypatch, tmp_path):
     out = tmp_path / "bell.json"
     for value in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            experiment._json_bytes({"value": experiment._section_text(value)})
+            experiment.report_json_bytes({"value": value})
         monkeypatch.setattr(experiment.BellResult, "to_json",
                             lambda self, value=value: {"bell": {"value": value}})
         for argv in (["bell"], ["bell", "--out", str(out)]):

@@ -18,7 +18,6 @@ from spdcfilm.crystal import (
     calibrate_orientation,
     chi2_zincblende,
     normal_axis_angles,
-    rotation_matrix,
     spdc_amplitudes,
     weight_residual,
 )
@@ -49,11 +48,38 @@ def test_zincblende_tensor_structure():
     assert np.all(chi[chi != 0] == 2.5)
 
 
-def test_rotation_matrix_identity_and_columns():
-    assert np.allclose(rotation_matrix(CrystalOrientation(0.0, 0.0)), np.eye(3))
-    rot = rotation_matrix(CrystalOrientation(30.0, 40.0))
-    assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
-    assert np.linalg.det(rot) == pytest.approx(1.0)
+def _rotation(orientation: CrystalOrientation) -> np.ndarray:
+    """R = Rz(azimuth) Ry(tilt) as the product of the two matrices: the
+    lab-to-crystal map whose columns ``crystal._frame`` writes in closed form."""
+    t, a = np.radians(orientation.tilt_deg), np.radians(orientation.azimuth_deg)
+    ry = np.array([[np.cos(t), 0.0, np.sin(t)], [0.0, 1.0, 0.0], [-np.sin(t), 0.0, np.cos(t)]])
+    rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+    return rz @ ry
+
+
+def test_frame_columns_are_an_orthonormal_right_handed_basis():
+    from spdcfilm.crystal import _frame
+
+    assert np.array_equal(_frame(0.0, 0.0), np.eye(3))  # the identity at zero
+    rng = np.random.default_rng(SEED)
+    for tilt, az in [(30.0, 40.0), *rng.uniform(-200.0, 200.0, (200, 2))]:
+        h, v, normal = frame = _frame(tilt, az)
+        assert np.allclose(frame @ frame.T, np.eye(3), rtol=0.0, atol=1e-15)
+        assert np.allclose(np.cross(h, v), normal, rtol=0.0, atol=1e-15)  # H x V = normal
+        # the columns of the matrix product, equal values (zeros of either sign)
+        rot = _rotation(CrystalOrientation(tilt, az))
+        assert np.array_equal(frame.T, rot)
+        # the normal's cube-axis angles are the product's, bit for bit
+        normal_crystal = rot @ np.array([0.0, 0.0, 1.0])
+        assert _same_bits(normal_axis_angles(CrystalOrientation(tilt, az)),
+                          np.degrees(np.arccos(np.clip(np.abs(normal_crystal), -1.0, 1.0))))
+    # a broadcast grid: each point's frame, grid axes last
+    tilts, azimuths = np.array([0.0, 12.5, 35.75]), np.array([0.0, 90.0, 138.6, 179.0])
+    grid = _frame(tilts[:, None], azimuths[None, :])
+    assert grid.shape == (3, 3, 3, 4)
+    for t, tilt in enumerate(tilts):
+        for a, az in enumerate(azimuths):
+            assert np.array_equal(grid[:, :, t, a], _frame(tilt, az))
 
 
 def test_normal_incidence_has_no_amplitude():
@@ -141,7 +167,7 @@ def test_amplitudes_invariant_under_pump_index_symmetry():
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         tilt, az = rng.uniform(2, 55), rng.uniform(0, 180)
-        rot = rotation_matrix(CrystalOrientation(tilt, az))
+        rot = _rotation(CrystalOrientation(tilt, az))
         pump = rng.normal(size=2) + 1j * rng.normal(size=2)
         pump /= np.linalg.norm(pump)
         e_h, e_v = rot[:, 0], rot[:, 1]
@@ -167,7 +193,7 @@ def test_zero_threshold_is_best_linear_pump_rate():
     ]
     angles = np.radians(np.arange(0.0, 180.0, 0.01))
     for orientation in orientations:
-        rot = rotation_matrix(orientation)
+        rot = _rotation(orientation)
         e_h, e_v = rot[:, 0], rot[:, 1]
         # every scanned linear pump in crystal components, one row per angle
         e_p = np.cos(angles)[:, None] * e_h + np.sin(angles)[:, None] * e_v
@@ -223,7 +249,7 @@ def test_amplitude_grid_equals_scalar_reference_bit_for_bit():
         tilt = (zeros[n % 2], float(rng.integers(90)), rng.uniform(0.0, 90.0))[n % 3]
         az = (zeros[n % 2], float(rng.integers(-180, 180)), rng.uniform(-180.0, 180.0))[n % 3]
         pump = (_random_pump(rng), pump_ket(float(rng.integers(180))))[n % 2]
-        c = _raw_amplitudes(chi, rotation_matrix(CrystalOrientation(tilt, az)), pump)
+        c = _raw_amplitudes(chi, _rotation(CrystalOrientation(tilt, az)), pump)
         assert _same_bits(_amplitude_grid(chi, tilt, az, [pump])[0], c)
     # a whole integer-degree grid, several pumps at once
     tilts, azimuths = np.arange(0.0, 56.0, 5.0), np.arange(0.0, 180.0, 7.0)
@@ -233,7 +259,7 @@ def test_amplitude_grid_equals_scalar_reference_bit_for_bit():
     for p, pump in enumerate(pumps):
         for t, tilt in enumerate(tilts):
             for a, az in enumerate(azimuths):
-                rot = rotation_matrix(CrystalOrientation(tilt, az))
+                rot = _rotation(CrystalOrientation(tilt, az))
                 assert _same_bits(grid[p, t, a], _raw_amplitudes(chi, rot, pump))
 
 
@@ -255,7 +281,7 @@ def test_amplitudes_equal_scalar_reference_bit_for_bit(monkeypatch):
             float(rng.integers(1, 90)) if n % 2 else rng.uniform(0.5, 90.0),
             float(rng.integers(180)) if n % 2 else rng.uniform(0.0, 180.0),
         )
-        rot = rotation_matrix(orientation)
+        rot = _rotation(orientation)
         hv_rows = [_raw_amplitudes(chi, rot, hv_pump) for hv_pump in np.eye(2)]
         for pump in (_random_pump(rng), pump_ket(0.0), pump_ket(90.0)):
             c = _raw_amplitudes(chi, rot, pump)
@@ -269,7 +295,7 @@ def test_amplitudes_equal_scalar_reference_bit_for_bit(monkeypatch):
 def _scalar_weight_residual(chi, orientation, calibration):
     """Point-by-point residual through ``_raw_amplitudes``: the reference the
     grid kernel must reproduce bit for bit."""
-    rot = rotation_matrix(orientation)
+    rot = _rotation(orientation)
     total = 0.0
     for angle, tgt in ((0.0, calibration.h_pump_weights), (90.0, calibration.v_pump_weights)):
         c = _raw_amplitudes(chi, rot, pump_ket(angle))

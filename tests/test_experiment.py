@@ -28,6 +28,11 @@ GOLDEN_RTOL = 1e-9
 GOLDEN_ATOL = 1e-12
 
 
+def _canonical(report) -> str:
+    """The report's content as one compact, sorted-key, strict JSON string."""
+    return json.dumps(report.summary, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_experiment(load_config(), seed=SEED)
@@ -35,7 +40,7 @@ def report():
 
 def test_same_seed_same_report(report):
     again = run_experiment(load_config(), seed=SEED)
-    assert again.canonical_json() == report.canonical_json()
+    assert _canonical(again) == _canonical(report)
 
 
 def _golden_differences(expected, actual, path=""):
@@ -78,7 +83,7 @@ def test_golden_comparison_catches_drift():
 
 def test_different_seed_differs(report):
     other = run_experiment(load_config(), seed=SEED + 1)
-    assert other.canonical_json() != report.canonical_json()
+    assert _canonical(other) != _canonical(report)
     # the model state is seed-free; only sampled quantities move
     assert other.summary["model_state"] == report.summary["model_state"]
 
@@ -240,7 +245,7 @@ def _bootstrap_inputs(report):
 def _bootstrap_stack(*args):
     """``_bootstrap_states``' blocks of spectra as one (n_boot, 3) stack of
     eigenvalues and one (n_boot, 3, 3) stack of eigenvectors."""
-    from spdcfilm.experiment import _bootstrap_states
+    from spdcfilm.tomography import _bootstrap_states
 
     blocks = list(_bootstrap_states(*args))
     return (np.concatenate([vals for vals, _ in blocks]),
@@ -319,8 +324,9 @@ def test_bootstrap_factorizes_each_replicate_once(monkeypatch, report):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    experiment._bootstrap_sigmas(cfg, rho_hat, fit.scale, records, default_protocol(), boot_seq)
     n_boot = cfg.run.bootstrap_samples
+    tomography.bootstrap_sigmas(rho_hat, fit.scale, records, default_protocol(), n_boot,
+                                cfg.fringe.fixed_analyzer, boot_seq)
     # the replicates share one design: its one SVD clears their conditioning,
     # and the projection's eigh gives the measures their spectrum
     assert [shape for name, shape in calls if name == "svd" and len(shape) > 2] == []
@@ -341,7 +347,8 @@ def test_bootstrap_makes_no_generator_per_replicate(monkeypatch, report):
         return _original(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    experiment._bootstrap_sigmas(cfg, rho_hat, fit.scale, records, default_protocol(), boot_seq)
+    tomography.bootstrap_sigmas(rho_hat, fit.scale, records, default_protocol(),
+                                cfg.run.bootstrap_samples, cfg.fringe.fixed_analyzer, boot_seq)
     assert cfg.run.bootstrap_samples == 100
     assert calls == [(boot_seq,)]
     assert boot_seq.n_children_spawned == 0
@@ -384,7 +391,7 @@ def test_run_checks_each_state_once(monkeypatch):
     from spdcfilm import qutrit
 
     cfg = load_config()
-    expected = run_experiment(cfg, seed=SEED).canonical_json()
+    expected = _canonical(run_experiment(cfg, seed=SEED))
     calls = Counter()
     for module, name in ((np.linalg, "eigh"), (qutrit, "_density_eigh"),
                          (tomography, "_check_spectrum")):
@@ -393,7 +400,7 @@ def test_run_checks_each_state_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    again = run_experiment(cfg, seed=SEED).canonical_json()
+    again = _canonical(run_experiment(cfg, seed=SEED))
     # eigh: the point projection and the bootstrap's batched projection,
     # whose spectra the measures read; the checks: the point spectrum's and
     # the bootstrap block's, each state's once. No state is checked as a
@@ -514,13 +521,13 @@ def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
     protocol = default_protocol()
 
     def bootstrap(n_boot):
-        n_cfg = replace(cfg, run=replace(cfg.run, bootstrap_samples=n_boot))
-        fitted = (rho_hat, fit.scale, records, protocol)
-        return (_formed(*_bootstrap_stack(*fitted, n_boot, _bootstrap_inputs(report)[3])),
-                experiment._bootstrap_sigmas(n_cfg, *fitted, _bootstrap_inputs(report)[3]))
+        fitted = (rho_hat, fit.scale, records, protocol, n_boot)
+        return (_formed(*_bootstrap_stack(*fitted, _bootstrap_inputs(report)[3])),
+                tomography.bootstrap_sigmas(*fitted, cfg.fringe.fixed_analyzer,
+                                            _bootstrap_inputs(report)[3]))
 
     one_block, one_block_sigmas = bootstrap(100)
-    monkeypatch.setattr(experiment, "_BOOTSTRAP_BLOCK", 7)  # 15 blocks, the last one short
+    monkeypatch.setattr(tomography, "_BOOTSTRAP_BLOCK", 7)  # 15 blocks, the last one short
     blocks, blocks_sigmas = bootstrap(100)
     assert blocks.shape == (100, 3, 3)
     assert np.max(np.abs(blocks - one_block)) < 1e-12
@@ -530,14 +537,14 @@ def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
     # only the sample table grows with the replicate count: 768 more
     # replicates in three more blocks of 256 add about 270 B each to the
     # traced peak, under 400 kB for one block (unblocked, about 1.5 kB each)
-    monkeypatch.setattr(experiment, "_BOOTSTRAP_BLOCK", 256)
+    monkeypatch.setattr(tomography, "_BOOTSTRAP_BLOCK", 256)
     peaks = []
     for n_boot in (256, 1024):  # the memos were filled above
-        n_cfg = replace(cfg, run=replace(cfg.run, bootstrap_samples=n_boot))
         boot_seq = _bootstrap_inputs(report)[3]
         tracemalloc.start()
         try:
-            experiment._bootstrap_sigmas(n_cfg, rho_hat, fit.scale, records, protocol, boot_seq)
+            tomography.bootstrap_sigmas(rho_hat, fit.scale, records, protocol, n_boot,
+                                        cfg.fringe.fixed_analyzer, boot_seq)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -545,10 +552,10 @@ def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
 
 
 def test_undefined_measures_are_null_in_strict_json():
-    from spdcfilm.experiment import _point_measures, _spread
+    from spdcfilm.tomography import _spread, point_measures
 
     # the maximally mixed state has no dominant branch; its fringe is defined
-    mixed = _point_measures(np.eye(3, dtype=complex) / 3.0, "H")
+    mixed = point_measures(*np.linalg.eigh(np.eye(3, dtype=complex) / 3.0), "H")
     assert mixed["concurrence"] is None
     assert mixed["schmidt_number"] is None
     assert mixed["dominant_weight"] is None
@@ -556,7 +563,7 @@ def test_undefined_measures_are_null_in_strict_json():
     assert mixed["purity"] == pytest.approx(1.0 / 3.0, abs=1e-15)
     json.dumps(mixed, allow_nan=False)
     # |2V> gives an H-fixed fringe no counts at all
-    dark = _point_measures(np.diag([0.0, 0.0, 1.0]).astype(complex), "H")
+    dark = point_measures(*np.linalg.eigh(np.diag([0.0, 0.0, 1.0]).astype(complex)), "H")
     assert dark["visibility"] is None and dark["concurrence"] == pytest.approx(0.0)
     # a sigma needs two finite replicates
     assert _spread(np.array([np.nan, 0.4, np.nan])) is None
@@ -565,7 +572,7 @@ def test_undefined_measures_are_null_in_strict_json():
 
 
 def test_spread_is_the_sample_deviation_of_the_finite_replicates():
-    from spdcfilm.experiment import _spread
+    from spdcfilm.tomography import _spread
 
     rng = np.random.default_rng(SEED)
     samples = rng.normal(size=(100, 3))
@@ -580,7 +587,7 @@ def test_report_serialization_is_strict_json(tmp_path, report):
 
     broken = replace(report, seed=float("nan"))
     with pytest.raises(ValueError):
-        broken.canonical_json()
+        _canonical(broken)
     with pytest.raises(ValueError):
         write_report(broken, tmp_path)
 
@@ -672,7 +679,7 @@ def test_seed_sweep_computes_seed_free_stages_once(stage_calls):
     base = _quick()
     fitted = replace(base, crystal=replace(base.crystal, tilt_deg=None, azimuth_deg=None))
     first, second = (run_experiment(fitted, seed) for seed in (1, 2))
-    assert first.canonical_json() != second.canonical_json()
+    assert _canonical(first) != _canonical(second)
     assert stage_calls["calibrate_orientation"] == 1
     assert stage_calls["joint_spectrum"] == 1
     assert stage_calls["delay_scan"] == 1
@@ -726,9 +733,9 @@ def test_memo_tells_negative_zero_from_zero():
     cold = []
     for cfg in configs:
         _clear_memos()
-        cold.append(run_experiment(cfg, seed=3).canonical_json())
+        cold.append(_canonical(run_experiment(cfg, seed=3)))
     assert cold[0] != cold[1]
-    warm = [run_experiment(cfg, seed=3).canonical_json() for cfg in configs]
+    warm = [_canonical(run_experiment(cfg, seed=3)) for cfg in configs]
     assert warm == cold
 
 
@@ -743,7 +750,7 @@ def test_cold_and_warm_runs_write_identical_bytes(tmp_path):
     cold_files = _written(cold, tmp_path / "cold")
     run_experiment(cfg, SEED + 1)
     warm = run_experiment(cfg, SEED)
-    assert warm.canonical_json() == cold.canonical_json()
+    assert _canonical(warm) == _canonical(cold)
     assert _written(warm, tmp_path / "warm") == cold_files
 
 
@@ -812,7 +819,7 @@ def _scramble(value):
 def test_shared_arrays_are_read_only_and_summaries_fresh():
     cfg = _quick()
     first = run_experiment(cfg, SEED)
-    expected = first.canonical_json()
+    expected = _canonical(first)
     stages = (experiment.source_model(cfg), experiment.spectral_section(cfg),
               experiment.delay_line_scan(cfg))
     assert stages[1] is first.spectral and stages[2] is first.delay_scan
@@ -853,7 +860,7 @@ def test_shared_arrays_are_read_only_and_summaries_fresh():
         before = json.dumps(result.to_json(), sort_keys=True)
         _scramble(result.to_json())
         assert json.dumps(result.to_json(), sort_keys=True) == before
-    assert run_experiment(cfg, SEED).canonical_json() == expected
+    assert _canonical(run_experiment(cfg, SEED)) == expected
 
 
 def _builtin_type_errors(value, path="") -> list:
@@ -968,10 +975,10 @@ def test_report_json_is_what_json_dumps_renders(tmp_path):
 
 def test_report_json_takes_seed_free_sections_from_the_stage_results(tmp_path, report):
     # a summary is a fresh view: editing one reaches neither the next nor the files
-    expected = report.canonical_json()
+    expected = _canonical(report)
     files = _written(report, tmp_path / "first")
     _scramble(report.summary)
-    assert report.canonical_json() == expected
+    assert _canonical(report) == expected
     assert _written(report, tmp_path / "again") == files
 
     # edits go through the results, seed-free and per-run alike

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spdcfilm.errors import InvalidDensityMatrix, NotNormalized, OutOfRange
-from spdcfilm.experiment import _point_measures
 from spdcfilm.qutrit import (
     _check_spectrum,
     _dominant,
@@ -17,6 +16,7 @@ from spdcfilm.qutrit import (
     purity,
     schmidt_number,
 )
+from spdcfilm.tomography import point_measures
 
 SEED = 20260819
 
@@ -76,11 +76,11 @@ def test_dominant_eigenstate_recovers_branch():
     lead = top[np.argmax(np.abs(top))]
     assert lead.real > 0.0 and abs(lead.imag) <= 1e-15
     assert weight > 0.9 and not degenerate
-    measures = _point_measures(rho, "H")
+    measures = point_measures(vals, vecs, "H")
     assert measures["concurrence"] == pytest.approx(concurrence(state), abs=1e-10)
     assert measures["dominant_weight"] == pytest.approx(weight, abs=1e-15)
     # a degenerate top has no dominant branch: its pure-state measures are undefined
-    mixed = _point_measures(np.eye(3) / 3.0, "H")
+    mixed = point_measures(*np.linalg.eigh(np.eye(3) / 3.0), "H")
     for key in ("concurrence", "schmidt_number", "dominant_weight"):
         assert mixed[key] is None
     assert mixed["purity"] == pytest.approx(1.0 / 3.0)
