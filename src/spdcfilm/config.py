@@ -10,6 +10,7 @@ materials and out-of-range parameters all raise :class:`ConfigError`.
 """
 
 import configparser
+import io
 import math
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -28,7 +29,7 @@ from .spectral import (
     check_grid,
     default_grid,
 )
-from .tomography import setting
+from .tomography import setting, utf8_text
 
 
 def _require(condition: bool, message: str):
@@ -277,11 +278,12 @@ def _read_parser(path) -> configparser.ConfigParser:
     with resources.files("spdcfilm.data").joinpath("default.cfg").open(encoding="utf-8") as f:
         parser.read_file(f)
     if path is not None:
-        try:
-            loaded = parser.read(str(path), encoding="utf-8-sig")  # a BOM is skipped
-        except (configparser.Error, UnicodeDecodeError) as exc:
+        try:  # universal newlines, as configparser's own read of a file takes them
+            parser.read_file(io.StringIO(utf8_text(path), newline=None), source=str(path))
+        except OSError:
+            raise ConfigError(f"config file not found or unreadable: {path}") from None
+        except (configparser.Error, ValueError) as exc:  # ValueError: not UTF-8
             raise ConfigError(f"malformed config file {path}: {exc}") from None
-        _require(bool(loaded), f"config file not found or unreadable: {path}")
     sections = {f.name: f.type for f in fields(ExperimentConfig)}
     for section in parser.sections():
         _require(section in sections, f"unknown config section [{section}]")
@@ -346,7 +348,8 @@ def load_config(path=None) -> ExperimentConfig:
     field, and each key is parsed by the annotation of its field. A section
     that rejects its values raises a ConfigError naming it. The file is read
     as UTF-8, a leading byte-order mark skipped; a file that is not UTF-8
-    raises a ConfigError.
+    raises a ConfigError naming its first such byte and the byte's position
+    (``tomography.utf8_text``).
     """
     parser = _read_parser(path)
     return ExperimentConfig(**{

@@ -51,9 +51,9 @@ sequence to both in that order draws the run's numbers.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
-``check_density_matrix``), and ``tomography.point_measures`` checks the
-spectrum ``reconstruct`` returns, as ``bootstrap_sigmas`` checks each
-replicate's: a warm run makes two ``eigh`` calls. The functions that take a
+``check_density_matrix``), and ``tomography.estimate`` checks the spectrum
+``reconstruct`` returns with the bootstrap replicates' in one pass: a warm
+run makes two ``eigh`` calls and one spectrum check. The functions that take a
 state after that (``forward_rates``, ``fringe_curve``,
 ``split_postselect_rho``, ``chsh_value``, ``simulate_chsh``) check nothing
 again. The nine settings' coincidence histograms are one ``simulate_counts``
@@ -104,12 +104,10 @@ from .spectral import (
 from .tomography import (
     CoincidenceRecord,
     FitReport,
-    bootstrap_sigmas,
     default_protocol,
+    estimate,
     forward_rates,
     fringe_curve,
-    point_measures,
-    reconstruct,
 )
 
 SCHEMA_VERSION = 1
@@ -474,18 +472,15 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> To
     order: the point fit and its measures, the ``[fringe]`` curve, and the
     ``[run] bootstrap_samples`` sigmas drawn from the next spawned child of
     ``seed_seq``. The result holds no histograms (n_bins 0)."""
-    rho_hat, fit, (vals, vecs) = reconstruct(records, protocol)
     fringe = cfg.fringe
-    measures = point_measures(vals, vecs, fringe.fixed_analyzer)
+    rho_hat, fit, measures, sigmas = estimate(records, protocol, cfg.run.bootstrap_samples,
+                                              fringe.fixed_analyzer, seed_seq.spawn(1)[0])
     curve = []  # no counts at any angle: a null visibility and no curve
     if measures["visibility"] is not None:
         theta_grid = np.linspace(fringe.theta_start_deg, fringe.theta_stop_deg, fringe.theta_points)
         curve = fringe_curve(rho_hat, fringe.fixed_analyzer, theta_grid)
-    boot_seq = seed_seq.spawn(1)[0]
     return TomographyResult(
-        records=records, rho=rho_hat, fit=fit, measures=measures,
-        sigmas=bootstrap_sigmas(rho_hat, fit.scale, records, protocol,
-                                cfg.run.bootstrap_samples, fringe.fixed_analyzer, boot_seq),
+        records=records, rho=rho_hat, fit=fit, measures=measures, sigmas=sigmas,
         fixed_analyzer=fringe.fixed_analyzer, fringe_curve=curve,
         counts=np.zeros((len(records), 0), dtype=np.int64), centers_ns=np.zeros(0),
     )

@@ -15,14 +15,16 @@ one-replicate case.
 has checked: a run checks each state once, where it enters (``experiment``).
 The positivity projection returns each state as its spectrum, which
 ``_measures`` reads: no bootstrap replicate is formed as a matrix. The
-estimator is this module's: the fit (``reconstruct``), its report entries
-(``point_measures``) and their parametric bootstrap (``bootstrap_sigmas``).
+estimator is this module's, in one call (``estimate``): the fit
+(``reconstruct``), its report entries and their parametric bootstrap.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
+import io
 import math
 from dataclasses import dataclass
 
@@ -64,7 +66,7 @@ class CoincidenceRecord(Value):
         quantities = {"raw": self.raw, "accidental": self.accidental,
                       "duration": self.duration_s, "net_sigma": self.net_sigma}
         for name, value in quantities.items():
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"record {self.index}: {name} must be finite")
         if self.raw < 0:
             raise ValueError(f"record {self.index}: raw coincidences must be nonnegative")
@@ -110,7 +112,11 @@ class Protocol(Record):
     hwp_b) in degrees per setting, and what the fit needs of it, built
     read-only when it is made: the projector ``vectors`` w_m (rate =
     <w_m|rho|w_m>), the ``design`` matrix (row m holds <w_m|T|w_m> for each
-    T of ``_BASIS``) and its ``rank`` in the 9-dimensional Hermitian space."""
+    T of ``_BASIS``), its ``rank`` in the 9-dimensional Hermitian space and
+    its condition number ``cond``, the ratio of its extreme singular values
+    (inf where the smallest is 0). Both come from one SVD of the design:
+    the rank counts the singular values above 1e-10, as
+    ``np.linalg.matrix_rank(design, tol=1e-10)`` does."""
 
     angles: np.ndarray
 
@@ -125,7 +131,10 @@ class Protocol(Record):
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "design", design)
-        object.__setattr__(self, "rank", int(np.linalg.matrix_rank(design, tol=1e-10)))
+        sv = np.linalg.svd(design, compute_uv=False)
+        object.__setattr__(self, "rank", int(np.count_nonzero(sv > 1e-10)))
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "cond", float(sv[0] / sv[-1]))
 
     def __len__(self) -> int:
         return len(self.angles)
@@ -159,7 +168,10 @@ def forward_rates(rho: np.ndarray, protocol, scale: float) -> np.ndarray:
 def _project_psd(m: np.ndarray):
     """The positivity projection of a (B, 3, 3) stack of Hermitian matrices,
     in one ``eigh``: clip the negative eigenvalues to zero, then renormalize
-    the trace. Idempotent.
+    the trace. Idempotent. ``eigh`` reads each matrix's lower triangle and
+    the real part of its diagonal alone, so ``m`` must be exactly Hermitian,
+    as ``_physical``'s S / tr S is: each entry of S is one coefficient (or
+    its negative) plus exact zeros.
 
     This is not the Frobenius-nearest state (that projects the eigenvalues
     onto the probability simplex): for diag(1.2, 0.1, -0.3) clipping lands
@@ -170,7 +182,6 @@ def _project_psd(m: np.ndarray):
     mass the clipping removed and the clipped eigenvalues themselves. No state
     is formed: ``reconstruct`` forms its one from the clipped eigenvalues.
     """
-    m = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(m)
     negative_mass = np.where(vals < 0.0, -vals, 0.0).sum(axis=-1)
     clipped = np.clip(vals, 0.0, None)
@@ -240,7 +251,7 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport, tuple]:
 #: ``SingularFit`` above this condition number of a weighted design
 _COND_LIMIT = 1e8
 #: a square design's replicate passes the check without its own SVD when its
-#: bound cond(D) max(sqrt w) / min(sqrt w) is at most this
+#: bound cond(D) max(d) / min(d) max(sqrt w) / min(sqrt w) is at most this
 _BOUND_MARGIN = 1e6
 
 
@@ -263,21 +274,24 @@ def _solve_stack(nets: np.ndarray, durations: np.ndarray, protocol) -> np.ndarra
     at most 1e8 also makes it full rank: a rank test at eps times its largest
     dimension could fail only beyond about 4.5e7 settings.
 
-    A square D (9 settings) then gives D^-1 nets whatever the weights, so
-    every replicate is solved with one LU factorization of D. One SVD of D
-    bounds each replicate's weighted condition number by
-    cond(D) max(sqrt w) / min(sqrt w); only the replicates whose bound
-    exceeds ``_BOUND_MARGIN`` (1e6, far below the limit) take the exact check
-    from their own SVD. With more settings than parameters the weights set
-    the fit: each replicate is solved from its weighted SVD, which also gives
-    its check. The caller has checked the protocol's rank.
+    A square D (9 settings) then gives (diag(d) D)^-1 nets whatever the
+    weights, d the durations, so every replicate is solved with one LU
+    factorization. The protocol's ``cond``, made with it, bounds each
+    replicate's weighted condition number by
+    cond(D) max(d) / min(d) max(sqrt w) / min(sqrt w), as
+    cond(AB) <= cond(A) cond(B): no SVD clears a replicate. Only those whose
+    bound exceeds ``_BOUND_MARGIN`` (1e6, far below the limit) take the
+    exact check from their own SVD, so every verdict is the exact one. With
+    more settings than parameters the weights set the fit: each replicate
+    is solved from its weighted SVD, which also gives its check. The caller
+    has checked the protocol's rank.
     """
     design = durations[:, None] * protocol.design
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
     if design.shape[0] == design.shape[1]:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sv = np.linalg.svd(design, compute_uv=False)
-            bound = sv[0] / sv[-1] * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
+        with np.errstate(over="ignore"):  # a bound past the float range takes the exact check
+            bound = (protocol.cond * (durations.max() / durations.min())
+                     * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1))
         exact = ~(bound <= _BOUND_MARGIN)
         if np.any(exact):
             _check_conditioning(np.linalg.svd(design * sqrt_w[exact, :, None], compute_uv=False))
@@ -290,9 +304,14 @@ def _solve_stack(nets: np.ndarray, durations: np.ndarray, protocol) -> np.ndarra
 def _physical(x: np.ndarray):
     """The positivity step of a (B, 9) stack of solutions: ``_project_psd(S /
     tr S)`` as (vals, vecs, scales tr S, negative mass, clipped eigenvalues),
-    ``SingularFit`` at the first scale that is not positive."""
+    ``SingularFit`` at the first scale that is not positive.
+
+    tr S is read from the coefficients: the three diagonal elements lead
+    ``_BASIS``, so S's diagonal is x_0, x_1, x_2, and they are added as
+    ``np.trace`` adds the diagonal of the formed S, from +0.0 and in order.
+    Bit for bit the same, a zero trace included: it reads +0.0."""
     s = (x @ _BASIS.reshape(9, 9)).reshape(-1, 3, 3)
-    scales = np.real(np.trace(s, axis1=1, axis2=2))
+    scales = 0.0 + x[:, 0] + x[:, 1] + x[:, 2]
     if np.any(scales <= 0.0):
         raise SingularFit(f"fitted total rate {scales[scales <= 0.0][0]:.3g} is not positive")
     vals, vecs, negative_mass, clipped = _project_psd(s / scales[:, None, None])
@@ -356,14 +375,6 @@ def _defined(values):
     return None if np.isnan(values) else float(values)
 
 
-def point_measures(vals: np.ndarray, vecs: np.ndarray, fixed_analyzer: str) -> dict:
-    """The report entries of one state, given as its (3,) unit-sum ascending
-    eigenvalues and (3, 3) eigenvectors (``reconstruct``'s spectrum):
-    ``_measures`` of the one-state stack, None where a measure is undefined."""
-    measures = _measures(vals[None], vecs[None], fixed_analyzer)
-    return {key: _defined(value[0]) for key, value in measures.items()}
-
-
 def _spread(samples):
     """Bootstrap sigma: the sample standard deviation (ddof 1) of the finite
     replicates (axis 0), None where fewer than two replicates are finite."""
@@ -413,29 +424,43 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
         yield _physical(_solve_stack(nets, durations, protocol))[:2]
 
 
-def bootstrap_sigmas(rho_hat, scale, records, protocol, n_boot, fixed_analyzer,
-                     seed_seq) -> dict:
-    """Parametric bootstrap of the fit (rho_hat, scale) of ``records``: net
-    counts of ``n_boot`` replicates redrawn from it (``_bootstrap_states``).
+def estimate(records, protocol, n_boot, fixed_analyzer, seed_seq) -> tuple:
+    """The estimator of ``records``, the net counts of ``protocol``'s
+    settings in order: the fit (``reconstruct``) and the report entries of
+    its state, None where a measure is undefined, with their parametric
+    bootstrap of ``n_boot`` replicates (``_bootstrap_states``) drawn from
+    ``seed_seq``. Returns (rho_hat, fit, measures, sigmas).
 
-    Returns the report's ``<measure>_sigma`` entries, all None without
-    replicates or when any replicate cannot be fitted (``SingularFit``: a
-    redraw of a few counts can leave a fitted total rate that is not
-    positive). ``_measures`` of the spectra fills one (n_boot, 6) table for
-    one ``_spread``: only it grows with the replicate count, as the spectra
-    are held one block at a time.
+    The point spectrum is row 0 of the first block's ``_measures`` pass, the
+    replicates the rows after it, so a run checks every state in one pass.
+    Without replicates, or when any replicate cannot be fitted
+    (``SingularFit``: a redraw of a few counts can leave a fitted total rate
+    that is not positive), the point is measured alone and the
+    ``<measure>_sigma`` entries are all None. The measures fill one
+    (1 + n_boot, 6) table, whose replicate rows take one ``_spread``: only it
+    grows with the replicate count, as the spectra are held one block at a
+    time.
     """
-    states = _bootstrap_states(rho_hat, scale, records, protocol, n_boot, seed_seq)
-    measures = ("weights", "purity", "concurrence", "visibility")
+    rho_hat, fit, (vals, vecs) = reconstruct(records, protocol)
+    keys = ("weights", "purity", "concurrence", "visibility")
+    blocks = []
     try:
-        blocks = [_measures(vals, vecs, fixed_analyzer) for vals, vecs in states]
+        for block_vals, block_vecs in _bootstrap_states(rho_hat, fit.scale, records, protocol,
+                                                        n_boot, seed_seq):
+            if not blocks:
+                block_vals = np.concatenate([vals[None], block_vals])
+                block_vecs = np.concatenate([vecs[None], block_vecs])
+            blocks.append(_measures(block_vals, block_vecs, fixed_analyzer))
     except SingularFit:
         blocks = []
+    point = blocks[0] if blocks else _measures(vals[None], vecs[None], fixed_analyzer)
+    measures = {key: _defined(value[0]) for key, value in point.items()}
     if not blocks:
-        return {f"{key}_sigma": None for key in measures}
-    table = np.concatenate([np.column_stack([b[key] for key in measures]) for b in blocks])
-    sigmas = _spread(table)
-    return {f"{key}_sigma": s for key, s in zip(measures, (sigmas[:3], *sigmas[3:]))}
+        return rho_hat, fit, measures, {f"{key}_sigma": None for key in keys}
+    table = np.concatenate([np.column_stack([b[key] for key in keys]) for b in blocks])
+    spread = _spread(table[1:])
+    return rho_hat, fit, measures, {
+        f"{key}_sigma": value for key, value in zip(keys, (spread[:3], *spread[3:]))}
 
 
 def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> list:
@@ -453,6 +478,23 @@ def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> l
     return [(float(t), float(r)) for t, r in zip(theta_grid_deg, rates)]
 
 
+def utf8_text(path) -> str:
+    """The text of the file at ``path``, read as UTF-8 with a leading
+    byte-order mark skipped and no newline translated. A file that is not
+    UTF-8 raises ValueError naming the first byte that cannot be decoded
+    and its position in the file, counted from 0, a byte-order mark
+    included. A user's records and config files are read by it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return data[start:].decode("utf-8")
+    except UnicodeDecodeError as err:
+        position = start + err.start
+        raise ValueError(f"the file is not UTF-8 text: byte 0x{data[position]:02x} "
+                         f"at position {position}") from None
+
+
 def load_records_csv(path):
     """Read (``Protocol``, records) from CSV with columns
     qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
@@ -466,35 +508,33 @@ def load_records_csv(path):
     ValueError. Its message names the ``header``, or the row as ``record N``,
     the index its record carries (data rows count from 0), and the column;
     ``CoincidenceRecord`` rejects non-finite counts in the same words. The
-    file is read as UTF-8, a leading byte-order mark skipped; bytes that are
-    not UTF-8 raise ValueError (``UnicodeDecodeError``).
+    file is read by ``utf8_text``.
     """
     angles, records = [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is skipped
-        reader = csv.DictReader(fh)
-        try:
-            reader.fieldnames  # reads the header
-        except csv.Error as err:
-            raise ValueError(f"header: {err}") from None
-        try:
-            for idx, row in enumerate(reader):
-                if None in row:  # DictReader files the cells past the header under None
-                    raise ValueError(f"record {idx}: more cells than the header has columns")
-                cells = []
-                for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
-                    if row.get(key) is None:
-                        raise ValueError(f"record {idx}: {key} is missing")
-                    try:
-                        cells.append(float(row[key]))
-                    except ValueError:
-                        raise ValueError(
-                            f"record {idx}: {key} {row[key]!r} is not a number") from None
-                    if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
-                        raise ValueError(f"record {idx}: {key} must be finite")
-                angles.append(cells[:4])
-                records.append(CoincidenceRecord(idx, *cells[4:], math.sqrt(max(cells[4], 1.0))))
-        except csv.Error as err:  # raised while reading the row after the last record kept
-            raise ValueError(f"record {len(records)}: {err}") from None
+    reader = csv.DictReader(io.StringIO(utf8_text(path), newline=""))
+    try:
+        reader.fieldnames  # reads the header
+    except csv.Error as err:
+        raise ValueError(f"header: {err}") from None
+    try:
+        for idx, row in enumerate(reader):
+            if None in row:  # DictReader files the cells past the header under None
+                raise ValueError(f"record {idx}: more cells than the header has columns")
+            cells = []
+            for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
+                if row.get(key) is None:
+                    raise ValueError(f"record {idx}: {key} is missing")
+                try:
+                    cells.append(float(row[key]))
+                except ValueError:
+                    raise ValueError(
+                        f"record {idx}: {key} {row[key]!r} is not a number") from None
+                if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
+                    raise ValueError(f"record {idx}: {key} must be finite")
+            angles.append(cells[:4])
+            records.append(CoincidenceRecord(idx, *cells[4:], math.sqrt(max(cells[4], 1.0))))
+    except csv.Error as err:  # raised while reading the row after the last record kept
+        raise ValueError(f"record {len(records)}: {err}") from None
     if not records:
         raise ValueError("the file has no records")
     return Protocol(angles), records

@@ -16,7 +16,7 @@ import numpy as np
 
 from spdcfilm.config import load_config
 from spdcfilm.experiment import run_experiment, source_model
-from spdcfilm.tomography import point_measures
+from spdcfilm.tomography import _measures
 
 
 def _z_scores(cfg, seeds: int, z) -> np.ndarray:
@@ -44,8 +44,8 @@ def test_chsh_sigma_is_the_spread_of_the_simulated_f():
 def test_concurrence_sigma_is_the_spread_of_the_reconstructed_concurrence():
     # the defaults' bootstrap sigma, against the model state's concurrence
     cfg = load_config()
-    truth = point_measures(*np.linalg.eigh(source_model(cfg).rho),
-                           cfg.fringe.fixed_analyzer)["concurrence"]
+    vals, vecs = np.linalg.eigh(source_model(cfg).rho)
+    truth = float(_measures(vals[None], vecs[None], cfg.fringe.fixed_analyzer)["concurrence"][0])
 
     def z(report):
         tomography = report.tomography

@@ -113,6 +113,10 @@ RECORDS_OVERCOMPLETE = DATA / "records_overcomplete.csv"
 #: about four pairs a setting over flat accidentals: some bootstrap replicate
 #: at the configured seed has a fitted total rate that is not positive
 RECORDS_LOW_COUNTS = str(DATA / "records_low_counts.csv")
+#: the defaults' model state at seed 3, each setting counted for its own 2 to
+#: 20 s: the one shipped input whose replicates' conditioning bound takes a
+#: duration ratio other than 1
+RECORDS_MIXED_DURATIONS = str(DATA / "records_mixed_durations.csv")
 SIGMAS = ("concurrence_sigma", "purity_sigma", "visibility_sigma", "weights_sigma")
 
 
@@ -168,6 +172,22 @@ def test_overcomplete_records_take_the_svd_solve(capsys, monkeypatch):
     fitted = _tomography(capsys, "--records", str(RECORDS_OVERCOMPLETE))
     assert len(fitted["records"]) == 25
     assert (load_config().run.bootstrap_samples, 25, 9) in shapes  # one weighted SVD a replicate
+    for key in SIGMAS:
+        assert np.isfinite(np.array(fitted[key], dtype=float)).all(), key  # None is NaN
+
+
+def test_records_with_mixed_durations_fit_rates_not_counts(capsys):
+    from spdcfilm.tomography import load_records_csv
+
+    _, records = load_records_csv(RECORDS_MIXED_DURATIONS)
+    durations = [record.duration_s for record in records]
+    assert len(set(durations)) == 9 and (min(durations), max(durations)) == (2.0, 20.0)
+    fitted = _tomography(capsys, "--records", RECORDS_MIXED_DURATIONS)
+    # nine settings, nine parameters: each net count is reproduced at its own duration
+    assert fitted["fit"]["weighted_rms_residual"] < 1e-12
+    seed3 = _tomography(capsys, "--records", RECORDS_SEED3)  # 10 s a setting
+    assert fitted["concurrence"] == pytest.approx(seed3["concurrence"], abs=0.02)
+    assert fitted["scale_hz"] == pytest.approx(seed3["scale_hz"], rel=0.02)
     for key in SIGMAS:
         assert np.isfinite(np.array(fitted[key], dtype=float)).all(), key  # None is NaN
 
@@ -623,8 +643,31 @@ def test_records_file_that_is_not_utf8_exit_code(capsys, tmp_path):
     csv_path = tmp_path / "utf16.csv"
     csv_path.write_bytes(text.encode("utf-16"))
     assert main(["tomography", "--records", str(csv_path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(
-        f"configuration error: bad records file {csv_path}: 'utf-8' codec can't decode byte 0xff")
+    assert capsys.readouterr().err == (f"configuration error: bad records file {csv_path}: "
+                                       "the file is not UTF-8 text: byte 0xff at position 0\n")
+    # the position is the file's, past a byte-order mark and a chunk of lines
+    rows = "".join(f"0,0,0,0,{m}.0,2.0,1.0\n" for m in range(2000))
+    head = codecs.BOM_UTF8 + (text + rows).encode()
+    csv_path.write_bytes(head + "0,0,0,0,9\u00e9.0,2.0,1.0\n".encode("latin-1"))
+    assert main(["tomography", "--records", str(csv_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: bad records file {csv_path}: "
+                                       f"the file is not UTF-8 text: byte 0xe9 at position "
+                                       f"{len(head) + 9}\n")
+
+
+def test_config_file_that_is_not_utf8_exit_code(capsys, tmp_path):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes("[run]\nbootstrap_samples = 20\n".encode("utf-16"))
+    assert main(["amplitudes", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: malformed config file {cfg}: "
+                                       "the file is not UTF-8 text: byte 0xff at position 0\n")
+    # a Latin-1 comment after a byte-order mark and more lines than one read chunk holds
+    head = codecs.BOM_UTF8 + "[run]\n".encode() + b"# padding\n" * 1000
+    cfg.write_bytes(head + "# d\u00e9j\u00e0 vu\n".encode("latin-1"))
+    assert main(["amplitudes", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: malformed config file {cfg}: "
+                                       f"the file is not UTF-8 text: byte 0xe9 at position "
+                                       f"{len(head) + 3}\n")
 
 
 def test_detector_response_without_half_width_exit_code(capsys, tmp_path):

@@ -257,6 +257,41 @@ def _formed(vals, vecs):
     return (vecs * vals[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
+def _point_measures(vals, vecs, fixed_analyzer):
+    """The report entries of one state, given as its (3,) unit-sum ascending
+    eigenvalues and (3, 3) eigenvectors: ``_measures`` of the one-state
+    stack, None where a measure is undefined."""
+    from spdcfilm.tomography import _defined, _measures
+
+    measures = _measures(vals[None], vecs[None], fixed_analyzer)
+    return {key: _defined(value[0]) for key, value in measures.items()}
+
+
+def _two_pass_estimate(records, protocol, n_boot, fixed_analyzer, seed_seq):
+    """``tomography.estimate`` as two passes, the reference its one pass
+    equals: the point fit's spectrum measured alone, then the bootstrap
+    replicates' measured and spread, all None when any replicate cannot be
+    fitted."""
+    from spdcfilm.errors import SingularFit
+    from spdcfilm.tomography import _bootstrap_states, _measures, _spread, reconstruct
+
+    rho_hat, fit, (vals, vecs) = reconstruct(records, protocol)
+    measures = _point_measures(vals, vecs, fixed_analyzer)
+    keys = ("weights", "purity", "concurrence", "visibility")
+    states = _bootstrap_states(rho_hat, fit.scale, records, protocol, n_boot, seed_seq)
+    try:
+        blocks = [_measures(block_vals, block_vecs, fixed_analyzer)
+                  for block_vals, block_vecs in states]
+    except SingularFit:
+        blocks = []
+    if not blocks:
+        return rho_hat, fit, measures, {f"{key}_sigma": None for key in keys}
+    table = np.concatenate([np.column_stack([b[key] for key in keys]) for b in blocks])
+    spread = _spread(table)
+    return rho_hat, fit, measures, {
+        f"{key}_sigma": value for key, value in zip(keys, (spread[:3], *spread[3:]))}
+
+
 def test_batched_bootstrap_equals_scalar_replicates(report):
     from dataclasses import replace
 
@@ -316,7 +351,7 @@ def test_bootstrap_factorizes_each_replicate_once(monkeypatch, report):
     from spdcfilm.tomography import default_protocol
 
     cfg = load_config()
-    records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
+    records, _, _, boot_seq = _bootstrap_inputs(report)
     calls = []
     for name in ("svd", "eigh"):
         def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
@@ -325,21 +360,19 @@ def test_bootstrap_factorizes_each_replicate_once(monkeypatch, report):
 
         monkeypatch.setattr(np.linalg, name, counting)
     n_boot = cfg.run.bootstrap_samples
-    tomography.bootstrap_sigmas(rho_hat, fit.scale, records, default_protocol(), n_boot,
-                                cfg.fringe.fixed_analyzer, boot_seq)
-    # the replicates share one design: its one SVD clears their conditioning,
-    # and the projection's eigh gives the measures their spectrum
-    assert [shape for name, shape in calls if name == "svd" and len(shape) > 2] == []
-    assert [shape for name, shape in calls if name == "eigh" and shape[0] == n_boot] == [
-        (n_boot, 3, 3)
-    ]
+    tomography.estimate(records, default_protocol(), n_boot, cfg.fringe.fixed_analyzer, boot_seq)
+    # the replicates share one design, whose condition number the protocol
+    # holds: it clears their conditioning, so the only SVD is the point fit's
+    # weighted design; the projection's eigh gives the measures their spectrum
+    assert [shape for name, shape in calls if name == "svd"] == [(1, 9, 9)]
+    assert [shape for name, shape in calls if name == "eigh"] == [(1, 3, 3), (n_boot, 3, 3)]
 
 
 def test_bootstrap_makes_no_generator_per_replicate(monkeypatch, report):
     from spdcfilm.tomography import default_protocol
 
     cfg = load_config()
-    records, rho_hat, fit, boot_seq = _bootstrap_inputs(report)
+    records, _, _, boot_seq = _bootstrap_inputs(report)
     calls = []
 
     def counting(*args, _original=np.random.default_rng, **kwargs):
@@ -347,8 +380,8 @@ def test_bootstrap_makes_no_generator_per_replicate(monkeypatch, report):
         return _original(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    tomography.bootstrap_sigmas(rho_hat, fit.scale, records, default_protocol(),
-                                cfg.run.bootstrap_samples, cfg.fringe.fixed_analyzer, boot_seq)
+    tomography.estimate(records, default_protocol(), cfg.run.bootstrap_samples,
+                        cfg.fringe.fixed_analyzer, boot_seq)
     assert cfg.run.bootstrap_samples == 100
     assert calls == [(boot_seq,)]
     assert boot_seq.n_children_spawned == 0
@@ -393,8 +426,8 @@ def test_run_checks_each_state_once(monkeypatch):
     cfg = load_config()
     expected = _canonical(run_experiment(cfg, seed=SEED))
     calls = Counter()
-    for module, name in ((np.linalg, "eigh"), (qutrit, "_density_eigh"),
-                         (tomography, "_check_spectrum")):
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "svd"), (qutrit, "_density_eigh"),
+                         (tomography, "_measures"), (tomography, "_check_spectrum")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -402,11 +435,13 @@ def test_run_checks_each_state_once(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     again = _canonical(run_experiment(cfg, seed=SEED))
     # eigh: the point projection and the bootstrap's batched projection,
-    # whose spectra the measures read; the checks: the point spectrum's and
-    # the bootstrap block's, each state's once. No state is checked as a
-    # matrix: the summary reads the model state's purity and concurrence,
-    # computed and checked once per configuration
-    assert calls == {"eigh": 2, "_check_spectrum": 2}
+    # whose spectra the measures read in one pass, the point spectrum first,
+    # and one check of every state. The one SVD is the point fit's weighted
+    # design (its condition number); the protocol's own condition number
+    # clears the replicates'. No state is checked as a matrix: the summary
+    # reads the model state's purity and concurrence, computed and checked
+    # once per configuration
+    assert calls == {"eigh": 2, "svd": 1, "_measures": 1, "_check_spectrum": 1}
     monkeypatch.undo()
     assert again == expected
 
@@ -475,7 +510,7 @@ def test_count_array_is_the_per_setting_draw(monkeypatch, tmp_path, overlay, see
     def fitted(records, protocol):
         raise Fitted(records)
 
-    monkeypatch.setattr(experiment, "reconstruct", fitted)
+    monkeypatch.setattr(tomography, "reconstruct", fitted)
     with pytest.raises(Fitted) as records:
         experiment.simulate_tomography(cfg, np.random.SeedSequence(seed))
     assert records.value.args[0] == expected_records
@@ -523,8 +558,8 @@ def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
     def bootstrap(n_boot):
         fitted = (rho_hat, fit.scale, records, protocol, n_boot)
         return (_formed(*_bootstrap_stack(*fitted, _bootstrap_inputs(report)[3])),
-                tomography.bootstrap_sigmas(*fitted, cfg.fringe.fixed_analyzer,
-                                            _bootstrap_inputs(report)[3]))
+                tomography.estimate(records, protocol, n_boot, cfg.fringe.fixed_analyzer,
+                                    _bootstrap_inputs(report)[3])[3])
 
     one_block, one_block_sigmas = bootstrap(100)
     monkeypatch.setattr(tomography, "_BOOTSTRAP_BLOCK", 7)  # 15 blocks, the last one short
@@ -543,19 +578,58 @@ def test_bootstrap_blocks_change_nothing_and_bound_memory(monkeypatch, report):
         boot_seq = _bootstrap_inputs(report)[3]
         tracemalloc.start()
         try:
-            tomography.bootstrap_sigmas(rho_hat, fit.scale, records, protocol, n_boot,
-                                        cfg.fringe.fixed_analyzer, boot_seq)
+            tomography.estimate(records, protocol, n_boot, cfg.fringe.fixed_analyzer, boot_seq)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / 768 <= 384, peaks
 
 
+def _estimates_agree(one_pass, two_pass):
+    rho, fit, measures, sigmas = one_pass
+    assert rho.tobytes() == two_pass[0].tobytes() and fit == two_pass[1]
+    # JSON's float text is the shortest that reads back the same double
+    assert json.dumps([measures, sigmas]) == json.dumps(list(two_pass[2:]))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 2**130 + 7])
+def test_one_pass_estimate_equals_the_two_pass_reference(monkeypatch, seed):
+    from spdcfilm.tomography import default_protocol
+
+    cfg = load_config()
+    records = experiment.simulate_tomography(cfg, np.random.SeedSequence(seed)).records
+    for block in (tomography._BOOTSTRAP_BLOCK, 7):  # the point joins the first block
+        monkeypatch.setattr(tomography, "_BOOTSTRAP_BLOCK", block)
+        for n_boot in (0, 1, 2, 100, 1025, 2500):
+            inputs = (records, default_protocol(), n_boot, cfg.fringe.fixed_analyzer)
+            one_pass = tomography.estimate(*inputs, np.random.SeedSequence(seed).spawn(2)[1])
+            _estimates_agree(one_pass, _two_pass_estimate(
+                *inputs, np.random.SeedSequence(seed).spawn(2)[1]))
+            assert (one_pass[3]["purity_sigma"] is None) == (n_boot < 2)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 2**130 + 7])
+def test_one_pass_estimate_with_an_unfittable_replicate(monkeypatch, seed):
+    # a redraw of these few counts leaves a replicate whose fitted total rate
+    # is not positive: the 10th or the 18th, in the second or third block of 7
+    protocol, records = tomography.load_records_csv(ROOT / "tests" / "data" /
+                                                    "records_low_counts.csv")
+    for block in (tomography._BOOTSTRAP_BLOCK, 7):
+        monkeypatch.setattr(tomography, "_BOOTSTRAP_BLOCK", block)
+        for n_boot in (100, 2500):
+            inputs = (records, protocol, n_boot, "H")
+            one_pass = tomography.estimate(*inputs, np.random.SeedSequence(seed).spawn(2)[1])
+            _estimates_agree(one_pass, _two_pass_estimate(
+                *inputs, np.random.SeedSequence(seed).spawn(2)[1]))
+            assert set(one_pass[3].values()) == {None}
+            assert one_pass[2]["purity"] is not None
+
+
 def test_undefined_measures_are_null_in_strict_json():
-    from spdcfilm.tomography import _spread, point_measures
+    from spdcfilm.tomography import _spread
 
     # the maximally mixed state has no dominant branch; its fringe is defined
-    mixed = point_measures(*np.linalg.eigh(np.eye(3, dtype=complex) / 3.0), "H")
+    mixed = _point_measures(*np.linalg.eigh(np.eye(3, dtype=complex) / 3.0), "H")
     assert mixed["concurrence"] is None
     assert mixed["schmidt_number"] is None
     assert mixed["dominant_weight"] is None
@@ -563,7 +637,7 @@ def test_undefined_measures_are_null_in_strict_json():
     assert mixed["purity"] == pytest.approx(1.0 / 3.0, abs=1e-15)
     json.dumps(mixed, allow_nan=False)
     # |2V> gives an H-fixed fringe no counts at all
-    dark = point_measures(*np.linalg.eigh(np.diag([0.0, 0.0, 1.0]).astype(complex)), "H")
+    dark = _point_measures(*np.linalg.eigh(np.diag([0.0, 0.0, 1.0]).astype(complex)), "H")
     assert dark["visibility"] is None and dark["concurrence"] == pytest.approx(0.0)
     # a sigma needs two finite replicates
     assert _spread(np.array([np.nan, 0.4, np.nan])) is None

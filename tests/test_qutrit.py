@@ -16,9 +16,16 @@ from spdcfilm.qutrit import (
     purity,
     schmidt_number,
 )
-from spdcfilm.tomography import point_measures
+from spdcfilm.tomography import _defined, _measures
 
 SEED = 20260819
+
+
+def _point_measures(vals, vecs, fixed_analyzer):
+    """The report entries of one state's spectrum: ``_measures`` of the
+    one-state stack, None where a measure is undefined."""
+    measures = _measures(vals[None], vecs[None], fixed_analyzer)
+    return {key: _defined(value[0]) for key, value in measures.items()}
 
 
 def test_concurrence_anchor_states():
@@ -76,11 +83,11 @@ def test_dominant_eigenstate_recovers_branch():
     lead = top[np.argmax(np.abs(top))]
     assert lead.real > 0.0 and abs(lead.imag) <= 1e-15
     assert weight > 0.9 and not degenerate
-    measures = point_measures(vals, vecs, "H")
+    measures = _point_measures(vals, vecs, "H")
     assert measures["concurrence"] == pytest.approx(concurrence(state), abs=1e-10)
     assert measures["dominant_weight"] == pytest.approx(weight, abs=1e-15)
     # a degenerate top has no dominant branch: its pure-state measures are undefined
-    mixed = point_measures(*np.linalg.eigh(np.eye(3) / 3.0), "H")
+    mixed = _point_measures(*np.linalg.eigh(np.eye(3) / 3.0), "H")
     for key in ("concurrence", "schmidt_number", "dominant_weight"):
         assert mixed[key] is None
     assert mixed["purity"] == pytest.approx(1.0 / 3.0)

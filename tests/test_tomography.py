@@ -81,6 +81,20 @@ def test_linear_only_settings_are_incomplete():
     assert len(linear) == 12 and linear.rank < 9
 
 
+@pytest.mark.parametrize("protocol, rank", [
+    (default_protocol(), 9),
+    (named_protocol([a + b for a in "HVDA" for b in "HVD"]), 6),
+    (named_protocol([a + b for a in "HVDAR" for b in "HVDAR"]), 9),
+], ids=["default", "linear_12", "all_25"])
+def test_protocol_rank_and_condition_number_come_from_one_svd(protocol, rank):
+    # the rank is matrix_rank's at 1e-10, and cond the ratio of the design's
+    # extreme singular values: inf-free, though past 1e17 where the rank is short
+    sv = np.linalg.svd(protocol.design, compute_uv=False)
+    assert protocol.rank == rank == np.linalg.matrix_rank(protocol.design, tol=1e-10)
+    assert type(protocol.cond) is float and protocol.cond == sv[0] / sv[-1]
+    assert (protocol.cond < 1e8) == (rank == 9)
+
+
 def test_empty_protocol_raises():
     for empty in ([], np.zeros((0, 4))):
         with pytest.raises(ValueError, match="^protocol is empty$"):
@@ -351,6 +365,76 @@ def test_replicate_with_nonpositive_trace_raises():
         reconstruct(records, protocol)
 
 
+def _coefficients(rng, count, exponents):
+    """A (count, 9) stack of coefficients x of S = sum_k x_k ``_BASIS``[k]:
+    random signs and magnitudes 10 ** ``exponents``, a third of them +0.0
+    or -0.0, in C order and, as ``_solve_stack``'s square solve returns
+    them, in Fortran order."""
+    x = rng.choice([-1.0, 1.0], (count, 9)) * 10.0 ** rng.uniform(*exponents, (count, 9))
+    zero = rng.random((count, 9)) < 1.0 / 3.0
+    x[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+    return x, np.asfortranarray(x)
+
+
+def test_physical_reads_the_trace_from_the_coefficients_bit_for_bit(monkeypatch):
+    from spdcfilm import tomography
+    from spdcfilm.tomography import _BASIS, _physical
+
+    # the scales alone: the projection of these extreme stacks is not looked at
+    monkeypatch.setattr(tomography, "_project_psd", lambda m: (m, m, m, m))
+    rng = np.random.default_rng(SEED + 12)
+    for x in _coefficients(rng, 4000, (-300.0, 300.0)):
+        traces = np.real(np.trace((x @ _BASIS.reshape(9, 9)).reshape(-1, 3, 3), axis1=1, axis2=2))
+        positive = traces > 0.0
+        assert 1000 < np.count_nonzero(positive) < 3000
+        assert np.any((traces == 0.0) & ~positive)
+        with np.errstate(over="ignore", invalid="ignore"):  # S / tr S of extreme magnitudes
+            scales = _physical(x[positive])[2]
+        assert scales.tobytes() == traces[positive].tobytes()
+        # the first trace that is not positive is the error's, a zero one read as +0.0
+        for k in [*np.flatnonzero(traces == 0.0), *np.flatnonzero(traces < 0.0)[:100]]:
+            with pytest.raises(SingularFit) as error:
+                _physical(x[k:k + 1])
+            assert str(error.value) == f"fitted total rate {traces[k]:.3g} is not positive"
+            assert str(error.value) != "fitted total rate -0 is not positive"
+
+
+def test_projection_of_the_formed_s_needs_no_symmetrizing():
+    # S is Hermitian bit for bit: the projection's eigh, which reads one
+    # triangle, sees what it saw of (S + S^dag) / 2
+    from spdcfilm import tomography
+    from spdcfilm.tomography import _physical, _project_psd, _solve_stack
+
+    def symmetrized(m):
+        return _project_psd((m + np.swapaxes(m.conj(), -1, -2)) / 2.0)
+
+    rng = np.random.default_rng(SEED + 13)
+    stacks = list(_coefficients(rng, 2000, (-6.0, 6.0)))
+    for stack in stacks:
+        stack[:, :3] = np.abs(stack[:, :3]) + 1e-3  # a positive trace
+    for extra in ((), ("AH", "AD", "VR", "RR")):
+        protocol = _extended(extra)
+        durations = rng.uniform(1.0, 20.0, len(protocol))
+        rho = depolarize(np.array([0.1, 0.99, 0.1]) / np.linalg.norm([0.1, 0.99, 0.1]), 0.05)
+        nets = durations * forward_rates(rho, protocol, 40.0) \
+            + rng.normal(0.0, 3.0, (2000, len(protocol)))
+        stacks.append(_solve_stack(nets, durations, protocol))
+    for x in stacks:
+        seen = []
+
+        def recording(m, _original=_project_psd):
+            seen.append(m)
+            return _original(m)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tomography, "_project_psd", recording)
+            vals, vecs, _, negative_mass, clipped = _physical(x)
+        (m,) = seen
+        expected = symmetrized(m)
+        for got, want in zip((vals, vecs, negative_mass, clipped), expected):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_overcomplete_protocol_roundtrip():
     # more settings than parameters: the weighted least-squares fit is
     # overdetermined and must still recover a noiseless state exactly
@@ -445,16 +529,17 @@ def test_ill_weighted_replicate_raises_singular_fit_before_solving():
 def _weighted_conditions(nets, durations, protocol):
     """Per replicate, the exact condition number of ``reconstruct``'s weighted
     design, from that design's own singular values (as in
-    ``_svd_reference_fit``), and the bound cond(D) max(sqrt w) / min(sqrt w)
-    that one SVD of the shared design gives."""
+    ``_svd_reference_fit``), and the bound the solve clears it by:
+    cond(D) max(d) / min(d) max(sqrt w) / min(sqrt w), with the protocol's
+    own cond(D) and the durations d."""
     design = durations[:, None] * protocol.design
     sqrt_w = np.sqrt(1.0 / np.maximum(nets, 1.0))
     exact = []
     for w in sqrt_w:
         sv = np.linalg.svd(design * w[:, None], compute_uv=False)
         exact.append(sv[0] / sv[-1])
-    sv = np.linalg.svd(design, compute_uv=False)
-    return np.array(exact), sv[0] / sv[-1] * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1)
+    return np.array(exact), (protocol.cond * (durations.max() / durations.min())
+                             * sqrt_w.max(axis=-1) / sqrt_w.min(axis=-1))
 
 
 _MODEL_NETS = 2.0 * forward_rates(depolarize(np.array([0.0, 1.0, 0.0]), 0.03),
@@ -475,12 +560,14 @@ def _replicate_nets(draw):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(replicates=st.lists(_replicate_nets(), min_size=1, max_size=4))
-def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates):
+@given(replicates=st.lists(_replicate_nets(), min_size=1, max_size=4),
+       durations=st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), min_size=9,
+                          max_size=9))
+def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates, durations):
     from spdcfilm.tomography import _physical, _solve_stack
 
     protocol = default_protocol()
-    durations = np.full(len(protocol), 2.0)
+    durations = np.array(durations)  # one per setting, in [1e-3, 1e3] s
     nets = np.array(replicates)
     exact, bound = _weighted_conditions(nets, durations, protocol)
     # the bound the solve clears replicates by is never below the exact value
@@ -500,11 +587,13 @@ def test_conditioning_bound_never_clears_what_the_svd_rejects(replicates):
         return
     # one bright setting at most: with two, the reference's own solve loses
     # digits to eps times the weighted condition number (up to 1e8), so only
-    # the checks above are compared
+    # the checks above are compared. The durations' spread scales that
+    # condition number too: equal durations are compared to 1e-12
     single = np.count_nonzero(nets > np.max(_MODEL_NETS), axis=-1) <= 1
     if np.any(single):
         states, _ = _svd_reference_fit(nets[single], durations, protocol)
-        assert np.max(np.abs(rhos[single] - states)) < 1e-12
+        spread = durations.max() / durations.min()
+        assert np.max(np.abs(rhos[single] - states)) < 1e-12 * spread
 
 
 def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
@@ -527,9 +616,10 @@ def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     x = _solve_stack(nets, durations, protocol)
-    # one SVD of the shared design, then the exact SVD of the bright replicate only
-    assert len(inputs) == 2 and np.array_equal(inputs[0], design)
-    assert np.array_equal(inputs[1], design[None] * np.sqrt(1.0 / np.maximum(bright, 1.0))[:, None])
+    # the exact SVD of the bright replicate only: the protocol's condition
+    # number, made with it, bounds the other, and the shared design takes none
+    assert len(inputs) == 1
+    assert np.array_equal(inputs[0], design[None] * np.sqrt(1.0 / np.maximum(bright, 1.0))[:, None])
     rhos = _formed(*_physical(x)[:2])
     assert np.max(np.abs(rhos - _svd_reference_fit(nets, durations, protocol)[0])) < 1e-12
     # the point fit reports the exact value, though the bound clears its solve
@@ -538,7 +628,7 @@ def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
                                  duration_s=2.0, net_sigma=0.0) for m, n in enumerate(_MODEL_NETS)]
     assert reconstruct(records, protocol)[1].condition_number == pytest.approx(exact[0],
                                                                                rel=1e-12)
-    assert [a.shape for a in inputs] == [(9, 9), (1, 9, 9)]
+    assert [a.shape for a in inputs] == [(1, 9, 9)]
 
 
 def test_spectrum_measures_match_the_formed_state_formulas():
