@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRange
+from .errors import OutOfRange
 from .frozen import Value
 from .materials import refractive_index
 
@@ -76,7 +76,7 @@ class DelayLine(Value):
 
     def __post_init__(self):
         if self.scan_points < 2:
-            raise ConfigError("delay_line scan needs at least 2 points")
+            raise ValueError("scan needs at least 2 points")
         # Python floats: a path that overflows is infinite, not a NumPy warning
         object.__setattr__(self, "n_o", float(refractive_index("calcite_o", self.wavelength_um)))
         object.__setattr__(self, "n_e", float(refractive_index("calcite_e", self.wavelength_um)))

@@ -58,8 +58,8 @@ state after that (``forward_rates``, ``fringe_curve``,
 ``split_postselect_rho``, ``chsh_value``, ``simulate_chsh``) check nothing
 again. The nine settings' coincidence histograms are one ``simulate_counts``
 count array, which one ``subtract_accidentals`` pass reduces to the records
-and which ``TomographyResult`` holds as it was drawn, with the bin grid's
-delays.
+table and which ``TomographyResult`` holds as it was drawn, with the bin
+grid's delays.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ from .spectral import (
     longpass_pair_response,
 )
 from .tomography import (
-    CoincidenceRecord,
+    CoincidenceRecords,
     FitReport,
     default_protocol,
     estimate,
@@ -137,19 +137,6 @@ def _memoized(sections):
         return memo
 
     return decorate
-
-
-def _read_only_copy(a) -> np.ndarray:
-    """A read-only copy of ``a``, whose memory no other array shares."""
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
-def _set_read_only_copies(result, *names):
-    """Make each named field of a frozen result a read-only copy of its array."""
-    for name in names:
-        object.__setattr__(result, name, _read_only_copy(getattr(result, name)))
 
 
 def _section_text(value) -> str:
@@ -213,12 +200,6 @@ class SourceModel(Record):
     purity: float
     f_model: float
 
-    def __post_init__(self):
-        for name in ("h_pump", "v_pump", "pumped"):
-            res = getattr(self, name)
-            object.__setattr__(self, name, replace(res, state=_read_only_copy(res.state)))
-        _set_read_only_copies(self, "rho")
-
     def to_json(self) -> dict:
         """The report's orientation, amplitudes, pump and model_state sections."""
         pumped = self.pumped
@@ -256,7 +237,8 @@ def _orientation(crystal, calibration):
     configured angles, or a fit of the ``auto`` ones to the calibration weights.
     An ``auto`` tilt fits both angles jointly and ignores ``azimuth_deg``; an
     ``auto`` azimuth alone is fitted at the configured tilt."""
-    chi = _read_only_copy(chi2_zincblende(crystal.d_coefficient))
+    chi = chi2_zincblende(crystal.d_coefficient)
+    chi.flags.writeable = False  # shared by every run of the configuration
     tilt, az = crystal.tilt_deg, crystal.azimuth_deg
     if tilt is None:
         orientation, residual = calibrate_orientation(chi, calibration)
@@ -310,9 +292,6 @@ class SpectralSection(Record):
     intensity_fwhm_thz: float
     hom_dip_fwhm_fs: float
     detector_response: str
-
-    def __post_init__(self):
-        _set_read_only_copies(self, "omega_thz", "intensity", "delays_fs", "r_dip", "r_peak")
 
     def _curve_rows(self):
         return zip(self.delays_fs.tolist(), self.r_dip.tolist(), self.r_peak.tolist())
@@ -426,13 +405,14 @@ def delay_line_scan(delay_line) -> DelayScan:
 
 @dataclass(eq=False, repr=False)
 class TomographyResult(Record):
-    """``analyze_tomography``'s result. ``measures`` and ``sigmas`` hold the
-    report's JSON values (None where undefined); ``counts`` is the
-    (settings, n_bins) int64 array of the coincidence histograms, their bins
-    at the delays ``centers_ns`` (n_bins 0 for measured records);
-    ``fringe_curve`` holds (theta_deg, rate) pairs, none when the fringe has no counts."""
+    """``analyze_tomography``'s result: the fitted ``records`` table,
+    ``measures`` and ``sigmas`` (the report's JSON values, None where
+    undefined), ``counts``, the (settings, n_bins) int64 array of the
+    coincidence histograms, their bins at the delays ``centers_ns`` (n_bins 0
+    for measured records), and ``fringe_curve``, (theta_deg, rate) pairs,
+    none when the fringe has no counts."""
 
-    records: list
+    records: CoincidenceRecords
     rho: np.ndarray
     fit: FitReport
     measures: dict
@@ -446,9 +426,13 @@ class TomographyResult(Record):
         """The report's ``tomography`` section."""
         entries = {**self.measures, **self.sigmas}
         diagnostics = dict(vars(self.fit))
+        t = self.records
+        rows = zip(t.raw.tolist(), t.accidental.tolist(), t.duration_s.tolist(),
+                   t.net_sigma.tolist(), t.net.tolist())
         return {
             "tomography": {
-                "records": [{**vars(r), "net": r.net} for r in self.records],
+                "records": [{"index": m, "raw": r, "accidental": a, "duration_s": d,
+                             "net_sigma": s, "net": n} for m, (r, a, d, s, n) in enumerate(rows)],
                 "rho": complex_json(self.rho),
                 "scale_hz": diagnostics.pop("scale"),
                 "fit": diagnostics,
@@ -468,8 +452,8 @@ class TomographyResult(Record):
 
 
 def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> TomographyResult:
-    """Tomography of ``records``, the net counts of ``protocol``'s settings in
-    order: the point fit and its measures, the ``[fringe]`` curve, and the
+    """Tomography of ``records``, the ``CoincidenceRecords`` of ``protocol``'s
+    settings: the point fit and its measures, the ``[fringe]`` curve, and the
     ``[run] bootstrap_samples`` sigmas drawn from the next spawned child of
     ``seed_seq``. The result holds no histograms (n_bins 0)."""
     fringe = cfg.fringe
@@ -499,15 +483,12 @@ def simulate_histograms(cfg: ExperimentConfig, seed_seq) -> tuple:
 
 def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
     """Simulated tomography of ``source_model(cfg).rho``: ``analyze_tomography``
-    of the records one ``subtract_accidentals`` pass makes of the
-    ``simulate_histograms`` counts."""
+    of the records table one ``subtract_accidentals`` pass makes of the
+    ``simulate_histograms`` counts, accidental = raw - net."""
     counts, centers = simulate_histograms(cfg, seed_seq)
-    duration = cfg.tomography.duration_per_setting_s
     raw, net, sigma = subtract_accidentals(counts, cfg.histogram.exclusion_bins)
-    records = [
-        CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
-        for m, (r, n, s) in enumerate(zip(raw.tolist(), net.tolist(), sigma.tolist()))
-    ]
+    records = CoincidenceRecords(raw, raw - net,
+                                 np.full(len(raw), cfg.tomography.duration_per_setting_s), sigma)
     result = analyze_tomography(cfg, default_protocol(), records, seed_seq)
     return replace(result, counts=counts, centers_ns=centers)
 

@@ -10,7 +10,8 @@ those methods did:
 
 * a :class:`Record` is frozen: the generated ``__init__`` sets each field
   once, and any later assignment or deletion raises ``FrozenInstanceError``
-  (``__post_init__`` sets through ``object.__setattr__``). Its repr is
+  (``__post_init__`` sets through ``object.__setattr__``), an ndarray as a
+  read-only array whose memory no other array shares (``read_only``). Its repr is
   ``dataclasses``' ``Name(field=value, ...)``, and it compares and hashes by
   identity, as with ``eq=False``;
 * a :class:`Value` is a record that equals an instance of its own class with
@@ -22,6 +23,8 @@ those methods did:
 import functools
 import operator
 from dataclasses import FrozenInstanceError, fields
+
+import numpy as np
 
 
 @functools.cache
@@ -36,6 +39,14 @@ def _layout(cls) -> tuple:
     return template, values
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is read-only and owns its memory, else a read-only copy of it."""
+    if not a.flags.owndata or a.flags.writeable:
+        a = np.array(a)
+        a.flags.writeable = False
+    return a
+
+
 class Record:
     """A frozen record, compared and hashed by identity."""
 
@@ -44,7 +55,7 @@ class Record:
         attributes = self.__dict__
         if name in attributes or name not in self.__dataclass_fields__:
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        attributes[name] = value
+        attributes[name] = read_only(value) if isinstance(value, np.ndarray) else value
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")

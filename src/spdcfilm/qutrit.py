@@ -35,21 +35,12 @@ def check_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise InvalidDensityMatrix(f"expected 3x3, got {rho.shape}")
-    _density_eigh(rho[None])
-    return rho
-
-
-def _density_eigh(rhos: np.ndarray):
-    """``check_density_matrix``'s checks on every matrix of a (B, d, d) stack,
-    then its stacked ``eigh``. The first failing matrix raises."""
     with np.errstate(invalid="ignore"):  # an infinite entry leaves inf - inf = NaN
-        asymmetry = np.max(np.abs(rhos - np.swapaxes(rhos.conj(), -1, -2)))
+        asymmetry = np.max(np.abs(rho - rho.conj().T))
     if not asymmetry <= 1e-10:  # True for NaN
         raise InvalidDensityMatrix("matrix is not Hermitian to 1e-10")
-    traces = np.real(np.trace(rhos, axis1=-2, axis2=-1))
-    vals, vecs = np.linalg.eigh(rhos)
-    _check_spectrum(traces, vals)
-    return vals, vecs
+    _check_spectrum(np.real(np.trace(rho))[None], np.linalg.eigvalsh(rho)[None])
+    return rho
 
 
 def _check_spectrum(traces: np.ndarray, vals: np.ndarray) -> None:

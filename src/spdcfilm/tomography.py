@@ -1,8 +1,10 @@
 """Coincidence tomography of the polarization qutrit.
 
-A protocol is a ``Protocol``: a table of analyzer wave-plate angles, one
-row per setting, that builds its projectors, design matrix and rank once,
-when it is made. ``default_protocol()`` is one object per process.
+A measurement is two tables, one row per setting: a ``Protocol`` of
+analyzer wave-plate angles, which builds its projectors, design matrix and
+rank once, when it is made, and the ``CoincidenceRecords`` counted at those
+settings, whose columns the estimator reads. Each checks its entries in one
+pass when it is made. ``default_protocol()`` is one object per process.
 
 Forward model, weighted linear-inversion reconstruction with a physicality
 projection (James et al., PRA 64, 052312, 2001), and polarization fringes
@@ -25,13 +27,12 @@ import codecs
 import csv
 import functools
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IncompleteProtocol, SingularFit
-from .frozen import Record, Value
+from .frozen import Record, Value, read_only
 from .polarization import (
     ANALYZER_ANGLES,
     H,
@@ -50,33 +51,44 @@ def setting(name: str) -> tuple:
     return ANALYZER_ANGLES[name]
 
 
-@dataclass(eq=False, repr=False)
-class CoincidenceRecord(Value):
-    """Background-subtracted coincidence count for one protocol setting, with
-    its net count's standard deviation ``net_sigma``. Its messages call
-    ``duration_s`` ``duration``, the records CSV's column."""
+#: the columns of a records CSV: a setting's analyzer angles, then its counts
+_CSV_COLUMNS = ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration")
+#: a records table's rules, in the order its check applies them to a record
+_RECORD_RULES = ("raw must be finite", "accidental must be finite", "duration must be finite",
+                 "net_sigma must be finite", "raw coincidences must be nonnegative",
+                 "duration must be positive")
 
-    index: int
-    raw: float
-    accidental: float
-    duration_s: float
-    net_sigma: float
+
+@dataclass(eq=False, repr=False)
+class CoincidenceRecords(Record):
+    """The coincidence counts of a protocol's settings, record m its row m:
+    read-only float columns of the ``raw`` peak count, its ``accidental``
+    part, the counting time ``duration_s`` and the standard deviation
+    ``net_sigma`` of ``net`` = raw - accidental, formed when the table is
+    made (a net may be slightly negative; it is not clipped). Every entry is
+    checked then, in one pass: a ValueError names the first failing record's
+    first failing rule of ``_RECORD_RULES``, ``duration_s`` called
+    ``duration``, the records CSV's column."""
+
+    raw: np.ndarray
+    accidental: np.ndarray
+    duration_s: np.ndarray
+    net_sigma: np.ndarray
 
     def __post_init__(self):
-        quantities = {"raw": self.raw, "accidental": self.accidental,
-                      "duration": self.duration_s, "net_sigma": self.net_sigma}
-        for name, value in quantities.items():
-            if not math.isfinite(value):
-                raise ValueError(f"record {self.index}: {name} must be finite")
-        if self.raw < 0:
-            raise ValueError(f"record {self.index}: raw coincidences must be nonnegative")
-        if self.duration_s <= 0:
-            raise ValueError(f"record {self.index}: duration must be positive")
+        names = ("raw", "accidental", "duration_s", "net_sigma")
+        columns = [read_only(np.asarray(getattr(self, name), dtype=float)) for name in names]
+        raw, accidental, duration, _ = columns
+        failing = np.vstack([~np.isfinite(columns), raw < 0, duration <= 0])
+        if failing.any():
+            m, rule = np.argwhere(failing.T)[0]
+            raise ValueError(f"record {m}: {_RECORD_RULES[rule]}")
+        for name, column in zip(names, columns):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "net", read_only(raw - accidental))
 
-    @property
-    def net(self) -> float:
-        # may be slightly negative after subtraction; preserved, not clipped
-        return self.raw - self.accidental
+    def __len__(self) -> int:
+        return len(self.raw)
 
 
 def _hermitian_basis() -> list[np.ndarray]:
@@ -116,7 +128,8 @@ class Protocol(Record):
     its condition number ``cond``, the ratio of its extreme singular values
     (inf where the smallest is 0). Both come from one SVD of the design:
     the rank counts the singular values above 1e-10, as
-    ``np.linalg.matrix_rank(design, tol=1e-10)`` does."""
+    ``np.linalg.matrix_rank(design, tol=1e-10)`` does. The first angle that
+    is not finite raises a ValueError naming its row m and CSV column."""
 
     angles: np.ndarray
 
@@ -124,6 +137,10 @@ class Protocol(Record):
         angles = np.array(self.angles, dtype=float)
         if not angles.size:
             raise ValueError("protocol is empty")
+        failing = np.argwhere(~np.isfinite(angles))
+        if failing.size:
+            m, k = failing[0]
+            raise ValueError(f"record {m}: {_CSV_COLUMNS[k]} must be finite")
         vectors = np.array([two_photon_projector(analyzer_ket(qa, ha), analyzer_ket(qb, hb))
                             for qa, ha, qb, hb in angles])
         design = np.array([_design_row(w) for w in vectors])
@@ -206,7 +223,8 @@ class FitReport(Value):
 
 
 def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport, tuple]:
-    """Weighted linear inversion of coincidence counts to a density matrix.
+    """Weighted linear inversion of coincidence counts, the
+    ``CoincidenceRecords`` of ``protocol``'s settings, to a density matrix.
 
     Fits the unconstrained Hermitian matrix S minimizing
     sum_m (duration_m <w_m|S|w_m> - net_m)^2 / max(net_m, 1); the
@@ -230,8 +248,8 @@ def reconstruct(records, protocol) -> tuple[np.ndarray, FitReport, tuple]:
     if protocol.rank < 9:
         raise IncompleteProtocol(f"protocol spans only rank {protocol.rank} of 9")
 
-    nets = np.array([[rec.net for rec in records]])
-    durations = np.array([rec.duration_s for rec in records])
+    nets = records.net[None]
+    durations = records.duration_s
     x = _solve_stack(nets, durations, protocol)
     vals, vecs, scales, negative_mass, clipped = _physical(x)
     rho = (vecs * clipped[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
@@ -405,28 +423,26 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
     of one generator, ``np.random.default_rng(seed_seq)``, made only when
     there is a replicate. Each block takes the next rows of its stream, so
     replicate k is the same whatever the replicate count and the block size,
-    and ``seed_seq`` spawns no child. A replicate keeps its records'
+    and ``seed_seq`` spawns no child. A replicate keeps the records'
     accidentals, durations and sigmas, as ``reconstruct`` would see
-    ``replace(record, raw=max(draw + accidental, 0))``.
+    ``replace(records, raw=np.maximum(draw + accidental, 0))``.
     """
     if not n_boot:
         return
-    durations = np.array([r.duration_s for r in records])
-    accidental = np.array([r.accidental for r in records])
-    sigmas = np.array([r.net_sigma for r in records])
+    durations, accidental = records.duration_s, records.accidental
     model_net = durations * forward_rates(rho_hat, protocol, scale_hat)
     rng = np.random.default_rng(seed_seq)
     for start in range(0, n_boot, _BOOTSTRAP_BLOCK):
         count = min(_BOOTSTRAP_BLOCK, n_boot - start)
         # model_net + sigmas * z is bit for bit Generator.normal(model_net, sigmas)
         z = rng.standard_normal((count, len(records)))
-        nets = np.maximum(model_net + sigmas * z + accidental, 0.0) - accidental
+        nets = np.maximum(model_net + records.net_sigma * z + accidental, 0.0) - accidental
         yield _physical(_solve_stack(nets, durations, protocol))[:2]
 
 
 def estimate(records, protocol, n_boot, fixed_analyzer, seed_seq) -> tuple:
-    """The estimator of ``records``, the net counts of ``protocol``'s
-    settings in order: the fit (``reconstruct``) and the report entries of
+    """The estimator of ``records``, the ``CoincidenceRecords`` of
+    ``protocol``'s settings: the fit (``reconstruct``) and the report entries of
     its state, None where a measure is undefined, with their parametric
     bootstrap of ``n_boot`` replicates (``_bootstrap_states``) drawn from
     ``seed_seq``. Returns (rho_hat, fit, measures, sigmas).
@@ -496,21 +512,21 @@ def utf8_text(path) -> str:
 
 
 def load_records_csv(path):
-    """Read (``Protocol``, records) from CSV with columns
-    qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
+    """Read (``Protocol``, ``CoincidenceRecords``) from CSV with the columns
+    ``_CSV_COLUMNS``: qwp_a, hwp_a, qwp_b, hwp_b, raw, accidental, duration.
 
     A file has no sigma column: ``net_sigma`` is sqrt(max(raw, 1)), the
     Poisson term of ``subtract_accidentals``' sigma without its floor term.
 
     A file without records, a header or row the csv module cannot read (a
     field over its 131,072-character limit), a row with more cells than the
-    header, or a missing or non-numeric cell or non-finite angle, raises
-    ValueError. Its message names the ``header``, or the row as ``record N``,
-    the index its record carries (data rows count from 0), and the column;
-    ``CoincidenceRecord`` rejects non-finite counts in the same words. The
-    file is read by ``utf8_text``.
+    header, or a missing or non-numeric cell, raises ValueError. Its message
+    names the ``header``, or the row as ``record N``, its position (data rows
+    count from 0), and the column. The file is only parsed here: the
+    ``Protocol`` then rejects an angle that is not finite, and the table a
+    count, in the same words. The file is read by ``utf8_text``.
     """
-    angles, records = [], []
+    rows = []
     reader = csv.DictReader(io.StringIO(utf8_text(path), newline=""))
     try:
         reader.fieldnames  # reads the header
@@ -521,7 +537,7 @@ def load_records_csv(path):
             if None in row:  # DictReader files the cells past the header under None
                 raise ValueError(f"record {idx}: more cells than the header has columns")
             cells = []
-            for key in ("qwp_a", "hwp_a", "qwp_b", "hwp_b", "raw", "accidental", "duration"):
+            for key in _CSV_COLUMNS:
                 if row.get(key) is None:
                     raise ValueError(f"record {idx}: {key} is missing")
                 try:
@@ -529,12 +545,12 @@ def load_records_csv(path):
                 except ValueError:
                     raise ValueError(
                         f"record {idx}: {key} {row[key]!r} is not a number") from None
-                if len(cells) <= 4 and not np.isfinite(cells[-1]):  # the four angles
-                    raise ValueError(f"record {idx}: {key} must be finite")
-            angles.append(cells[:4])
-            records.append(CoincidenceRecord(idx, *cells[4:], math.sqrt(max(cells[4], 1.0))))
+            rows.append(cells)
     except csv.Error as err:  # raised while reading the row after the last record kept
-        raise ValueError(f"record {len(records)}: {err}") from None
-    if not records:
+        raise ValueError(f"record {len(rows)}: {err}") from None
+    if not rows:
         raise ValueError("the file has no records")
-    return Protocol(angles), records
+    table = np.array(rows)
+    raw, accidental, duration = table[:, 4:].T
+    return Protocol(table[:, :4]), CoincidenceRecords(
+        raw, accidental, duration, np.sqrt(np.maximum(raw, 1.0)))

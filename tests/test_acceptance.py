@@ -36,7 +36,7 @@ from spdcfilm.spectral import (
     lorentzian_response,
 )
 from spdcfilm.tomography import (
-    CoincidenceRecord,
+    CoincidenceRecords,
     _fringe_form,
     _fringe_visibility,
     default_protocol,
@@ -96,10 +96,8 @@ def test_04_tomography_roundtrip():
     for _ in range(1000):
         rho = _random_rho(rng)
         rates = forward_rates(rho, protocol, 250.0)
-        records = [
-            CoincidenceRecord(index=m, raw=float(r), accidental=0.0, duration_s=1.0, net_sigma=0.0)
-            for m, r in enumerate(rates)
-        ]
+        zeros = np.zeros(len(rates))
+        records = CoincidenceRecords(rates, zeros, np.ones(len(rates)), zeros)
         rho_hat, _, _ = reconstruct(records, protocol)
         worst = max(worst, float(np.linalg.norm(rho_hat - rho)))
     elapsed = time.perf_counter() - start
@@ -125,10 +123,7 @@ def test_05_noisy_tomography_coverage():
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         counts = simulate_counts(cfg.noise, cfg.histogram, rel, duration, rng)
         raw, net, sigma = subtract_accidentals(counts, exclusion_bins=excl)
-        records = [
-            CoincidenceRecord(index=m, raw=r, accidental=r - n, duration_s=duration, net_sigma=s)
-            for m, (r, n, s) in enumerate(zip(raw, net, sigma))
-        ]
+        records = CoincidenceRecords(raw, raw - net, np.full(len(raw), duration), sigma)
         rho_hat, _, _ = reconstruct(records, protocol)
         w2 = float(np.real(rho_hat[1, 1]))
         if abs(w2 - 0.97) <= 0.06 and abs(purity(rho_hat) - 1.0) <= 0.1:

@@ -180,7 +180,7 @@ def test_records_with_mixed_durations_fit_rates_not_counts(capsys):
     from spdcfilm.tomography import load_records_csv
 
     _, records = load_records_csv(RECORDS_MIXED_DURATIONS)
-    durations = [record.duration_s for record in records]
+    durations = records.duration_s.tolist()
     assert len(set(durations)) == 9 and (min(durations), max(durations)) == (2.0, 20.0)
     fitted = _tomography(capsys, "--records", RECORDS_MIXED_DURATIONS)
     # nine settings, nine parameters: each net count is reproduced at its own duration
@@ -521,7 +521,7 @@ def test_finite_values_that_overflow_exit_code(capsys, tmp_path, command, body, 
          "delay_stop_fs = 400\n",
          "[hom] delays reach 400 fs, past 51.66666667 fs, half the period of g(tau) on the "
          "[spectrum] grid (250 (points - 1) / span_thz fs)"),
-        ("run", "[delay_line]\nscan_points = 1\n", "delay_line scan needs at least 2 points"),
+        ("run", "[delay_line]\nscan_points = 1\n", "[delay_line] scan needs at least 2 points"),
         ("run", "[delay_line]\nplate_thickness_mm = 0\n",
          "[delay_line] plate thickness must be positive"),
         ("run", "[delay_line]\nbase_tilt_deg = 60\n",

@@ -14,7 +14,7 @@ import pytest
 
 from spdcfilm.config import load_config
 from spdcfilm.delayline import DelayLine, delay_scan, plate_delay_fs
-from spdcfilm.errors import ConfigError, OutOfRange
+from spdcfilm.errors import OutOfRange
 from spdcfilm.materials import load_material
 
 N_O = float(load_material("calcite_o").index(1.276))
@@ -91,5 +91,5 @@ def test_validation():
         _line(60.0)
     with pytest.raises(ValueError, match="plate thickness must be positive"):
         replace(SHIPPED, plate_thickness_mm=-1.0)
-    with pytest.raises(ConfigError, match="at least 2 points"):
+    with pytest.raises(ValueError, match="^scan needs at least 2 points$"):
         replace(SHIPPED, scan_points=1)

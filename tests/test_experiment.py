@@ -230,12 +230,12 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
 def _bootstrap_inputs(report):
     """The report's records, their point fit, and the bootstrap's seed in
     run_experiment: the child after the histograms' one."""
-    from spdcfilm.tomography import CoincidenceRecord, default_protocol, reconstruct
+    from spdcfilm.tomography import CoincidenceRecords, default_protocol, reconstruct
 
-    records = [
-        CoincidenceRecord(**{k: v for k, v in r.items() if k != "net"})
-        for r in report.summary["tomography"]["records"]
-    ]
+    rows = report.summary["tomography"]["records"]
+    assert [row["index"] for row in rows] == list(range(len(rows)))
+    records = CoincidenceRecords(*(np.array([row[name] for row in rows])
+                                   for name in ("raw", "accidental", "duration_s", "net_sigma")))
     rho_hat, fit, _ = reconstruct(records, default_protocol())
     seq = np.random.SeedSequence(SEED)
     seq.spawn(1)
@@ -314,14 +314,11 @@ def test_batched_bootstrap_equals_scalar_replicates(report):
 
     # the replicate loop the batch replaces: one reconstruct per row of the
     # bootstrap seed's one generator
-    model_net = np.array([r.duration_s for r in records]) * forward_rates(
-        rho_hat, protocol, fit.scale
-    )
-    sigmas = np.array([r.net_sigma for r in records])
+    model_net = records.duration_s * forward_rates(rho_hat, protocol, fit.scale)
     rng = np.random.default_rng(_bootstrap_inputs(report)[3])
     for k in range(n_boot):
-        draw = rng.normal(model_net, sigmas)
-        boot = [replace(r, raw=max(d + r.accidental, 0.0)) for r, d in zip(records, draw)]
+        draw = rng.normal(model_net, records.net_sigma)
+        boot = replace(records, raw=np.maximum(draw + records.accidental, 0.0))
         rho_k, _, _ = reconstruct(boot, protocol)
         assert np.max(np.abs(rhos[k] - rho_k)) < 1e-12
         assert np.allclose(batched["weights"][k], np.real(np.diag(rho_k)), rtol=0, atol=1e-12)
@@ -426,8 +423,9 @@ def test_run_checks_each_state_once(monkeypatch):
     cfg = load_config()
     expected = _canonical(run_experiment(cfg, seed=SEED))
     calls = Counter()
-    for module, name in ((np.linalg, "eigh"), (np.linalg, "svd"), (qutrit, "_density_eigh"),
-                         (tomography, "_measures"), (tomography, "_check_spectrum")):
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "svd"), (np.linalg, "eigvalsh"),
+                         (qutrit, "check_density_matrix"), (tomography, "_measures"),
+                         (tomography, "_check_spectrum")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -450,8 +448,8 @@ def _histograms_by_hand(cfg, rel_rates, child):
     """``simulate_histograms``' counts written out from one generator of
     ``child``: the Poisson floor of every bin, one setting after another, then
     each setting's zero-delay pairs, one draw at a time. Returns them with
-    the records that boolean masks reduce them to."""
-    from spdcfilm.tomography import CoincidenceRecord
+    the records table that boolean masks reduce them to."""
+    from spdcfilm.tomography import CoincidenceRecords
 
     grid, noise = cfg.histogram, cfg.noise
     duration = cfg.tomography.duration_per_setting_s
@@ -464,13 +462,13 @@ def _histograms_by_hand(cfg, rel_rates, child):
     off = np.abs(np.arange(grid.n_bins) - half) > grid.exclusion_bins
     n_off = int(off.sum())
     n_peak = grid.n_bins - n_off
-    records = []
-    for m, row in enumerate(counts):
+    columns = []
+    for row in counts:
         off_total, raw = float(row[off].sum()), float(row[~off].sum())
         net = raw - off_total / n_off * n_peak
         sigma = float(np.sqrt(raw + (n_peak / n_off) ** 2 * off_total))
-        records.append(CoincidenceRecord(m, raw, raw - net, duration, sigma))
-    return counts, records
+        columns.append((raw, raw - net, duration, sigma))
+    return counts, CoincidenceRecords(*np.array(columns).T)
 
 
 def _setting_inputs(tmp_path, overlay):
@@ -513,7 +511,9 @@ def test_count_array_is_the_per_setting_draw(monkeypatch, tmp_path, overlay, see
     monkeypatch.setattr(tomography, "reconstruct", fitted)
     with pytest.raises(Fitted) as records:
         experiment.simulate_tomography(cfg, np.random.SeedSequence(seed))
-    assert records.value.args[0] == expected_records
+    for name in ("raw", "accidental", "duration_s", "net_sigma", "net"):
+        assert np.array_equal(getattr(records.value.args[0], name),
+                              getattr(expected_records, name)), name
 
 
 @pytest.mark.parametrize("overlay, message", [

@@ -1,7 +1,8 @@
 """Contract of the package's records, the ``@dataclass`` classes: they are
 frozen, their repr is the one ``dataclasses`` writes (the memo keys of the
 seed-free stages hold it), and they compare and hash by their fields, except
-the six results and tables that compare by identity.
+the seven results and tables that compare by identity. An array field holds a
+read-only array whose memory no other array shares.
 
 The instances come from the packaged defaults and one run of them, so every
 record is checked with the values the pipeline gives it."""
@@ -11,19 +12,21 @@ import importlib
 import pkgutil
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
+import numpy as np
 import pytest
 
 import spdcfilm
-from spdcfilm import load_config, run_experiment
+from spdcfilm import bell, load_config, run_experiment
 from spdcfilm.bell import default_chsh_settings
 from spdcfilm.config import PumpConfig
+from spdcfilm.crystal import SpdcResult
 from spdcfilm.materials import ConstantIndex, load_material
 from spdcfilm.tomography import default_protocol
 
 #: the records that compare and hash by identity: results whose ``encoded()``
 #: caches by identity, and the tables made with their arrays
 IDENTITY = {"ChshSettings", "Protocol", "SourceModel", "SpectralSection", "DelayScan",
-            "TomographyResult"}
+            "TomographyResult", "CoincidenceRecords"}
 
 #: the methods a class inherits from the record base, which the decorator
 #: would otherwise generate and ``exec`` for each class at import
@@ -159,3 +162,40 @@ def test_record_inherits_its_methods(name):
     # ``repr`` left on) has the decorator generate it again at import
     cls = _package_dataclasses()[name]
     assert [method for method in INHERITED if method in vars(cls)] == []
+
+
+@pytest.mark.parametrize("name", sorted(_package_dataclasses()))
+def test_record_arrays_are_read_only_and_their_own(instances, name):
+    obj = instances[name]
+    arrays = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    for a in arrays:
+        assert not a.flags.writeable and a.flags.owndata
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+def test_record_copies_an_array_unless_it_is_read_only_and_its_own():
+    given = np.array([0.6, 0.8, 0.0], dtype=complex)
+    view = given.view()
+    view.flags.writeable = False
+    own = given.copy()
+    own.flags.writeable = False
+    held = {name: SpdcResult(state=a, relative_rate=1.0).state
+            for name, a in (("given", given), ("view", view), ("own", own))}
+    assert held["own"] is own and held["given"] is not given and held["view"] is not view
+    for a in held.values():
+        assert not a.flags.writeable and a.flags.owndata
+    given[0] = 0.0  # an edit the view shows, and neither copy
+    assert view[0] == 0.0 and held["given"][0] == held["view"][0] == 0.6
+
+
+def test_chsh_observables_and_run_arrays_are_not_writable(instances):
+    # the CHSH table holds a copy of the module's S1: an edit of either can
+    # neither reach the other nor leave the table's correlators stale
+    a = default_chsh_settings().a
+    assert a is not bell.S1 and not np.shares_memory(a, bell.S1)
+    tomography = instances["TomographyResult"]
+    for held in (a, tomography.rho, tomography.counts, tomography.records.raw):
+        with pytest.raises(ValueError):
+            held.flat[0] = 0

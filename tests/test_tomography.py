@@ -1,5 +1,8 @@
 """Tomography protocol, reconstruction, and fringe-fit tests."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from spdcfilm.qutrit import (
     pure_density_matrix,
 )
 from spdcfilm.tomography import (
-    CoincidenceRecord,
+    CoincidenceRecords,
     Protocol,
     _fringe_form,
     _fringe_visibility,
@@ -61,13 +64,13 @@ def _extended(extra):
     return Protocol([*default_protocol().angles, *(setting(a) + setting(b) for a, b in extra)])
 
 
+def _table(raw, accidental, duration=2.0, net_sigma=0.0):
+    """The records table of these columns, a scalar standing for a column of it."""
+    return CoincidenceRecords(*np.broadcast_arrays(raw, accidental, duration, net_sigma))
+
+
 def _noiseless_records(rho, protocol, scale=1000.0, duration=2.0):
-    rates = forward_rates(rho, protocol, scale)
-    return [
-        CoincidenceRecord(index=m, raw=duration * r, accidental=0.0, duration_s=duration,
-                          net_sigma=0.0)
-        for m, r in enumerate(rates)
-    ]
+    return _table(duration * forward_rates(rho, protocol, scale), 0.0, duration)
 
 
 def test_protocol_is_informationally_complete():
@@ -170,8 +173,8 @@ def test_protocol_arrays_are_read_only():
 
 def test_record_count_mismatch_raises():
     protocol = default_protocol()
-    records = _noiseless_records(np.eye(3) / 3, protocol)[:-1]
-    with pytest.raises(IncompleteProtocol):
+    records = _noiseless_records(np.eye(3) / 3, Protocol(protocol.angles[:-1]))
+    with pytest.raises(IncompleteProtocol, match="^8 records for 9 settings$"):
         reconstruct(records, protocol)
 
 
@@ -190,14 +193,9 @@ def test_negative_nets_still_reconstruct():
     rho = depolarize(state, 0.02)
     protocol = default_protocol()
     rates = forward_rates(rho, protocol, scale=500.0)
-    records = []
-    for m, r in enumerate(rates):
-        net = r * 2.0 + rng.normal(0.0, 3.0)
-        records.append(
-            CoincidenceRecord(index=m, raw=max(net, 0.0) + 40.0,
-                              accidental=max(net, 0.0) + 40.0 - net, duration_s=2.0, net_sigma=0.0)
-        )
-    rho_hat, report, _ = reconstruct(records, protocol)
+    nets = np.array([r * 2.0 + rng.normal(0.0, 3.0) for r in rates])
+    raw = np.maximum(nets, 0.0) + 40.0
+    rho_hat, report, _ = reconstruct(_table(raw, raw - nets), protocol)
     assert np.all(np.linalg.eigvalsh(rho_hat) > -1e-12)
     assert rho_hat[1, 1].real > 0.9
 
@@ -223,8 +221,9 @@ def test_records_csv_roundtrip(tmp_path):
     rho = depolarize(np.array([0.0, 1.0, 0.0], dtype=complex), 0.05)
     records = _noiseless_records(rho, protocol, scale=200.0)
     rows = ["qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration"]
-    for (qa, ha, qb, hb), rec in zip(protocol.angles.tolist(), records):
-        rows.append(f"{qa},{ha},{qb},{hb},{rec.raw},{rec.accidental},{rec.duration_s}")
+    counts = zip(records.raw.tolist(), records.accidental.tolist(), records.duration_s.tolist())
+    for (qa, ha, qb, hb), (raw, accidental, duration) in zip(protocol.angles.tolist(), counts):
+        rows.append(f"{qa},{ha},{qb},{hb},{raw},{accidental},{duration}")
     path.write_text("\n".join(rows) + "\n")
     loaded_protocol, loaded_records = load_records_csv(path)
     assert np.array_equal(loaded_protocol.angles, protocol.angles)
@@ -237,7 +236,67 @@ def test_records_csv_sigma_is_the_raw_counts_poisson_error(tmp_path):
     path.write_text("qwp_a,hwp_a,qwp_b,hwp_b,raw,accidental,duration\n"
                     "0,0,0,0,0,-3.5,1.0\n0,0,0,45,400,2.0,1.0\n0,45,0,45,0.25,0.0,1.0\n")
     _, records = load_records_csv(path)
-    assert [r.net_sigma for r in records] == [1.0, 20.0, 1.0]
+    assert records.net_sigma.tolist() == [1.0, 20.0, 1.0]
+
+
+def _first_record_error(raw, accidental, duration_s, net_sigma):
+    """The message of the first record that fails, checked one record at a
+    time in the order and words of the per-record checks the table replaced;
+    None when every record passes."""
+    for index, values in enumerate(zip(raw, accidental, duration_s, net_sigma)):
+        raw_m, _, duration_m, _ = values
+        for name, value in zip(("raw", "accidental", "duration", "net_sigma"), values):
+            if not math.isfinite(value):
+                return f"record {index}: {name} must be finite"
+        if raw_m < 0:
+            return f"record {index}: raw coincidences must be nonnegative"
+        if duration_m <= 0:
+            return f"record {index}: duration must be positive"
+    return None
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 2.5e3, -1.0, -1e-300, 1e300, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES), min_size=1, max_size=12))
+def test_records_table_names_the_error_the_per_record_checks_name(rows):
+    columns = [list(column) for column in zip(*rows)]
+    expected = _first_record_error(*columns)
+    if expected is None:
+        records = CoincidenceRecords(*map(np.array, columns))
+        assert len(records) == len(rows)
+        assert records.net.tolist() == [r - a for r, a in zip(columns[0], columns[1])]
+        return
+    with pytest.raises(ValueError) as error:
+        CoincidenceRecords(*map(np.array, columns))
+    assert str(error.value) == expected
+
+
+def test_records_table_holds_read_only_float_columns():
+    raw = np.array([3, 0, 5])  # integers: the columns are floats
+    records = CoincidenceRecords(raw, [1.0, 0.5, 0.0], np.full(3, 2.0), [1.0, 1.0, 2.0])
+    raw[0] = 9
+    assert records.raw.tolist() == [3.0, 0.0, 5.0] and records.raw.dtype == float
+    assert records.net.tolist() == [2.0, -0.5, 5.0]
+    for column in (records.raw, records.accidental, records.duration_s, records.net_sigma,
+                   records.net):
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+
+
+def test_protocol_rejects_an_angle_that_is_not_finite():
+    # named by its row and the records CSV's column, before any projector is built
+    angles = default_protocol().angles.copy()
+    for (m, k), value, column in (((0, 0), np.nan, "qwp_a"), ((4, 3), np.inf, "hwp_b"),
+                                  ((8, 1), -np.inf, "hwp_a")):
+        bad = angles.copy()
+        bad[m, k] = value
+        bad[m + 1:, 2] = np.nan  # a later row's failure is not the one named
+        with warnings.catch_warnings(), pytest.raises(
+                ValueError, match=f"^record {m}: {column} must be finite$"):
+            warnings.simplefilter("error")  # no projector or SVD of the bad row is tried
+            Protocol(bad)
 
 
 def test_unknown_analyzer_raises_value_error():
@@ -251,11 +310,13 @@ def test_unknown_analyzer_raises_value_error():
     [("raw", np.nan), ("accidental", np.inf), ("duration_s", np.nan), ("net_sigma", -np.inf)],
 )
 def test_record_rejects_non_finite_counts(field, value):
-    fields = {"index": 0, "raw": 100.0, "accidental": 2.0, "duration_s": 1.0, "net_sigma": 10.0}
-    CoincidenceRecord(**fields)
+    columns = {"raw": 100.0, "accidental": 2.0, "duration_s": 1.0, "net_sigma": 10.0}
+    columns = {name: np.full(3, v) for name, v in columns.items()}
+    CoincidenceRecords(**columns)
+    columns[field][1] = value
     column = "duration" if field == "duration_s" else field  # the records CSV's name
-    with pytest.raises(ValueError, match=f"^record 0: {column} must be finite"):
-        CoincidenceRecord(**{**fields, field: value})
+    with pytest.raises(ValueError, match=f"^record 1: {column} must be finite$"):
+        CoincidenceRecords(**columns)
 
 
 # spacing of the dense reference grid; the rate is a second harmonic in
@@ -326,15 +387,9 @@ def test_batched_fit_matches_scalar_reconstruct_per_replicate():
     rho = depolarize(np.array([0.1, 0.99, 0.1]) / np.linalg.norm([0.1, 0.99, 0.1]), 0.05)
     rates = forward_rates(rho, protocol, scale=300.0)
     draws = 2.0 * rates + rng.normal(0.0, 4.0, size=(6, len(protocol)))
-    replicates = [
-        [
-            CoincidenceRecord(index=m, raw=max(n, 0.0) + 10.0, accidental=max(n, 0.0) + 10.0 - n,
-                              duration_s=2.0, net_sigma=0.0)
-            for m, n in enumerate(draw)
-        ]
-        for draw in draws
-    ]
-    nets = np.array([[rec.net for rec in records] for records in replicates])
+    replicates = [_table(np.maximum(draw, 0.0) + 10.0, np.maximum(draw, 0.0) + 10.0 - draw)
+                  for draw in draws]
+    nets = np.array([records.net for records in replicates])
     vals, vecs, scales, negative_mass, _ = _physical(
         _solve_stack(nets, np.full(len(protocol), 2.0), protocol))
     rhos = _formed(vals, vecs)
@@ -357,12 +412,8 @@ def test_replicate_with_nonpositive_trace_raises():
         _physical(_solve_stack(nets, durations, protocol))
     _physical(_solve_stack(nets[:2], durations, protocol))
     # the one-replicate case is reconstruct's own check
-    records = [
-        CoincidenceRecord(index=m, raw=0.0, accidental=n, duration_s=2.0, net_sigma=0.0)
-        for m, n in enumerate(good)
-    ]
     with pytest.raises(SingularFit, match="not positive"):
-        reconstruct(records, protocol)
+        reconstruct(_table(0.0, good), protocol)
 
 
 def _coefficients(rng, count, exponents):
@@ -624,8 +675,7 @@ def test_replicate_the_bound_cannot_clear_takes_the_exact_checks(monkeypatch):
     assert np.max(np.abs(rhos - _svd_reference_fit(nets, durations, protocol)[0])) < 1e-12
     # the point fit reports the exact value, though the bound clears its solve
     del inputs[:]
-    records = [CoincidenceRecord(index=m, raw=max(n, 0.0), accidental=max(n, 0.0) - n,
-                                 duration_s=2.0, net_sigma=0.0) for m, n in enumerate(_MODEL_NETS)]
+    records = _table(np.maximum(_MODEL_NETS, 0.0), np.maximum(_MODEL_NETS, 0.0) - _MODEL_NETS)
     assert reconstruct(records, protocol)[1].condition_number == pytest.approx(exact[0],
                                                                                rel=1e-12)
     assert [a.shape for a in inputs] == [(1, 9, 9)]
