@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoorFit, ZeroAmplitude
-from .frozen import Value
+from .frozen import Record, Value
 from .polarization import pump_ket
 from .qutrit import check_state
 
@@ -74,8 +74,9 @@ def _frame(tilt_deg, azimuth_deg) -> np.ndarray:
 
 
 @dataclass(eq=False, repr=False)
-class SpdcResult(Value):
-    """Normalized qutrit state (|2H>, |1H 1V>, |2V>) plus the relative rate."""
+class SpdcResult(Record):
+    """Normalized qutrit state (|2H>, |1H 1V>, |2V>) plus the relative rate.
+    It compares and hashes by identity: its state is an array."""
 
     state: np.ndarray
     relative_rate: float

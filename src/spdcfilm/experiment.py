@@ -69,7 +69,8 @@ import itertools
 import json
 import os
 import stat
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -122,34 +123,94 @@ def _memoized(sections):
     ones. The body takes the sections alone, so it cannot read one its key
     misses. The key holds their repr beside them: sections compare equal when
     they differ only in the sign of a zero, which a stage may print.
+
+    A call first looks the stage up by the identity of its arguments, among
+    the last ``_MEMO_CONFIGS`` argument tuples seen, so the repr is formed
+    once per configuration object. Each entry keeps its arguments, so their
+    ids cannot be reused while it stands.
     """
 
     def decorate(stage):
         cached = functools.lru_cache(maxsize=_MEMO_CONFIGS)(lambda _repr, *key: stage(*key))
+        by_identity = {}  # argument ids -> (arguments, result), oldest first
 
         def memo(*args):
-            key = sections(*args)
-            return cached(repr(key), *key)
+            ids = tuple(map(id, args))
+            entry = by_identity.get(ids)
+            if entry is None:
+                key = sections(*args)
+                entry = by_identity[ids] = (args, cached(repr(key), *key))
+                if len(by_identity) > _MEMO_CONFIGS:
+                    del by_identity[next(iter(by_identity))]
+            return entry[1]
+
+        def cache_clear():
+            by_identity.clear()
+            cached.cache_clear()
 
         memo.__name__, memo.__qualname__, memo.__doc__ = (
             stage.__name__, stage.__qualname__, stage.__doc__)
-        memo.cache_clear = cached.cache_clear
+        memo.cache_clear = cache_clear
         return memo
 
     return decorate
 
 
+#: JSON text of a string (``ensure_ascii``) and of a finite float, as ``json.dumps`` writes them
+_STRING_TEXT, _FLOAT_TEXT = json.encoder.encode_basestring_ascii, float.__repr__
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` renders it, with ``newline`` (a newline and the
+    current indent) in place of each of its newlines. It renders as the
+    stdlib's own encoder does, which for ``indent`` is pure Python: a
+    subclass of str, int, float, list or dict (``np.float64``, say) as its
+    base, a tuple as a list, a dict by its keys (strings) sorted; a NaN or
+    an infinity raises the stdlib's ValueError, any other type its TypeError."""
+    kind = type(value)
+    if kind is float or isinstance(value, float):
+        if isfinite(value):
+            return _FLOAT_TEXT(value)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+    # a finite float item is rendered in place: most items are, and a call costs more
+    if kind is dict or isinstance(value, dict):
+        inner = newline + "  "
+        items = [f"{_STRING_TEXT(key)}: "
+                 + (_FLOAT_TEXT(item) if type(item) is float and isfinite(item)
+                    else _json_text(item, inner)) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if kind is list or isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        items = [_FLOAT_TEXT(item) if type(item) is float and isfinite(item)
+                 else _json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, str):
+        return _STRING_TEXT(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _section_text(value) -> str:
-    """``value`` as ``report.json`` holds it one level in: its ``indent=2``,
-    sorted-key, strict JSON text with every line after the first indented two
-    more spaces (JSON text has raw newlines only from indentation)."""
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+    """``value`` as ``report.json`` holds it one level in: the text of
+    ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` with
+    every line after the first indented two more spaces. ``_json_text``
+    renders it, not the ``json`` module, whose indented dump runs in pure
+    Python; tests pin its bytes to the stdlib's."""
+    return _json_text(value, "\n  ")
 
 
 def _json_bytes(texts: dict) -> bytes:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"`` of
     a non-empty ``obj``, from the ``_section_text`` of each of its values."""
-    body = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
+    body = ",\n".join(f"  {_STRING_TEXT(key)}: {texts[key]}" for key in sorted(texts))
     return ("{\n" + body + "\n}\n").encode()
 
 
@@ -456,6 +517,13 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> To
     settings: the point fit and its measures, the ``[fringe]`` curve, and the
     ``[run] bootstrap_samples`` sigmas drawn from the next spawned child of
     ``seed_seq``. The result holds no histograms (n_bins 0)."""
+    return _analyzed(cfg, protocol, records, seed_seq,
+                     np.zeros((len(records), 0), dtype=np.int64), np.zeros(0))
+
+
+def _analyzed(cfg, protocol, records, seed_seq, counts, centers_ns) -> TomographyResult:
+    """``analyze_tomography`` of ``records``, with the histograms they were
+    reduced from: ``counts`` and their bin delays ``centers_ns``."""
     fringe = cfg.fringe
     rho_hat, fit, measures, sigmas = estimate(records, protocol, cfg.run.bootstrap_samples,
                                               fringe.fixed_analyzer, seed_seq.spawn(1)[0])
@@ -466,7 +534,7 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> To
     return TomographyResult(
         records=records, rho=rho_hat, fit=fit, measures=measures, sigmas=sigmas,
         fixed_analyzer=fringe.fixed_analyzer, fringe_curve=curve,
-        counts=np.zeros((len(records), 0), dtype=np.int64), centers_ns=np.zeros(0),
+        counts=counts, centers_ns=centers_ns,
     )
 
 
@@ -484,13 +552,13 @@ def simulate_histograms(cfg: ExperimentConfig, seed_seq) -> tuple:
 def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
     """Simulated tomography of ``source_model(cfg).rho``: ``analyze_tomography``
     of the records table one ``subtract_accidentals`` pass makes of the
-    ``simulate_histograms`` counts, accidental = raw - net."""
+    ``simulate_histograms`` counts, accidental = raw - net, in a result that
+    holds the counts."""
     counts, centers = simulate_histograms(cfg, seed_seq)
     raw, net, sigma = subtract_accidentals(counts, cfg.histogram.exclusion_bins)
     records = CoincidenceRecords(raw, raw - net,
                                  np.full(len(raw), cfg.tomography.duration_per_setting_s), sigma)
-    result = analyze_tomography(cfg, default_protocol(), records, seed_seq)
-    return replace(result, counts=counts, centers_ns=centers)
+    return _analyzed(cfg, default_protocol(), records, seed_seq, counts, centers)
 
 
 @dataclass(eq=False, repr=False)
@@ -597,18 +665,18 @@ def _csv_bytes(header, rows) -> bytes:
 
 class _RowTemplates(dict):
     """setting index -> the ``histogram.csv`` rows of one bin grid, with a
-    ``%s`` for each count: ``setting_index,delta_t_ns,%s`` lines joined
+    ``%d`` for each count: ``setting_index,delta_t_ns,%d`` byte lines joined
     ``_CSV_BLOCK_ROWS`` to a template. Made on first use, from each delay's
-    ``delta_t_ns,%s`` line, formatted once and shared by every setting."""
+    ``delta_t_ns,%d`` line, formatted once and shared by every setting."""
 
     def __init__(self, delta_t):
         super().__init__()
-        lines = [f"{t},%s\r\n" for t in delta_t]
+        lines = [f"{t},%d\r\n".encode() for t in delta_t]
         self.blocks = [lines[start:start + _CSV_BLOCK_ROWS]
                        for start in range(0, len(lines), _CSV_BLOCK_ROWS)]
 
     def __missing__(self, m):
-        index = f"{m},"
+        index = b"%d," % m
         self[m] = templates = [index + index.join(block) for block in self.blocks]
         return templates
 
@@ -621,13 +689,17 @@ def _histogram_row_templates(dtype: str, centers: bytes) -> _RowTemplates:
 
 
 def histogram_csv(counts, centers_ns) -> bytes:
-    """``histogram.csv`` of a count array with bins at the delays ``centers_ns``:
-    the cached row templates filled with str() of each count."""
+    """``histogram.csv`` of an integer count array with bins at the delays
+    ``centers_ns``: the cached row templates filled with each count, whose
+    ``%d`` text is its str(). Counts of another dtype raise TypeError: ``%d``
+    would print a float count truncated."""
+    if counts.dtype.kind not in "iu":
+        raise TypeError(f"histogram counts must be integers, not {counts.dtype}")
     encoded = bytearray(b"setting_index,delta_t_ns,counts\r\n")
     templates = _histogram_row_templates(centers_ns.dtype.str, centers_ns.tobytes())
     for m, row in enumerate(counts.tolist()):
         for start, template in zip(range(0, len(row), _CSV_BLOCK_ROWS), templates[m]):
-            encoded += (template % tuple(row[start:start + _CSV_BLOCK_ROWS])).encode()
+            encoded += template % tuple(row[start:start + _CSV_BLOCK_ROWS])
     return bytes(encoded)
 
 
@@ -636,7 +708,9 @@ def write_report(report: ExperimentReport, out_dir) -> list:
 
     ``report.json`` is ``_json_bytes`` of ``schema_version``, ``seed`` and each
     stage result's ``encoded()`` sections, so it holds ``report.summary``. The
-    sidecars follow in the order of ``report.results``.
+    package's ``_json_text`` renders every section, to the bytes that
+    ``json.dumps(summary, indent=2, sort_keys=True)`` writes (tests pin them to
+    the stdlib's). The sidecars follow in the order of ``report.results``.
 
     Each sidecar holds the bytes ``csv.writer`` writes for its rows: str() of
     each number, CRLF line ends. The seed-free results encode theirs once.
@@ -670,11 +744,16 @@ def write_bytes(path, data: bytes) -> None:
     An existing file is opened without ``O_TRUNC``, overwritten and then cut
     to ``len(data)``: truncating a file that holds data on open costs ext4 a
     flush (``auto_da_alloc``) that a same-size rewrite never pays. Only a
-    regular file is cut; ``ftruncate`` fails on ``/dev/null`` or a pipe.
+    regular file is cut; ``ftruncate`` fails on ``/dev/null`` or a pipe. The
+    bytes go to the descriptor with ``os.write``, through no Python buffer.
     """
     # O_BINARY (Windows only) keeps the CRLF sidecars' bytes as they are
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(data)
+    try:
+        left = memoryview(data)
+        while left:  # a pipe may take fewer bytes than it is given
+            left = left[os.write(fd, left):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

@@ -491,7 +491,7 @@ def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> l
     """
     xi = np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
     rates = np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
-    return [(float(t), float(r)) for t, r in zip(theta_grid_deg, rates)]
+    return list(zip(np.asarray(theta_grid_deg, dtype=float).tolist(), rates.tolist()))
 
 
 def utf8_text(path) -> str:

@@ -113,6 +113,15 @@ def test_rate_scales_as_d_squared():
     assert np.allclose(np.abs(res1.state), np.abs(res3.state), atol=1e-12)
 
 
+def test_amplitudes_compare_and_hash_by_identity():
+    # two results of one call hold equal, distinct state arrays
+    chi = chi2_zincblende(D)
+    first, second = (spdc_amplitudes(chi, CALIBRATED, pump_ket(0.0)) for _ in range(2))
+    assert np.array_equal(first.state, second.state)
+    assert first == first and first != second
+    assert hash(first) == object.__hash__(first)
+
+
 def test_calibrated_orientation_reproduces_weights():
     chi = chi2_zincblende(D)
     h = spdc_amplitudes(chi, CALIBRATED, pump_ket(0.0))

@@ -15,8 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spdcfilm.experiment as experiment
+import spdcfilm.frozen as frozen
 import spdcfilm.tomography as tomography
 from spdcfilm import load_config, run_experiment, write_report
 
@@ -813,6 +816,51 @@ def test_memo_tells_negative_zero_from_zero():
     assert warm == cold
 
 
+def test_memo_forms_each_configurations_key_once(stage_calls, monkeypatch):
+    # a memo finds a configuration object it has seen by its identity; it
+    # forms the sections' repr, its key, only for an object it has not seen
+    formed = []
+    record_repr = frozen.Record.__repr__
+
+    def counting_repr(record):
+        formed.append(type(record).__name__)
+        return record_repr(record)
+
+    monkeypatch.setattr(frozen.Record, "__repr__", counting_repr)
+    cfg = _quick()
+    run_experiment(cfg, 1)
+    assert formed
+    formed.clear()
+    run_experiment(cfg, 2)
+    assert formed == []
+    # an equal object forms the key again, and finds the stages computed
+    run_experiment(replace(cfg), 3)
+    assert formed
+    assert dict(stage_calls) == {
+        "weight_residual": 1, "spdc_amplitudes": 3, "joint_spectrum": 1, "delay_scan": 1,
+    }
+    # the identity table holds the last _MEMO_CONFIGS objects
+    others = [replace(cfg) for _ in range(experiment._MEMO_CONFIGS)]
+    for other in others:
+        run_experiment(other, 3)
+    formed.clear()
+    run_experiment(cfg, 4)
+    assert formed
+    # cache_clear forgets the object with the sections
+    experiment.source_model.cache_clear()
+    run_experiment(cfg, 5)
+    assert (stage_calls["spdc_amplitudes"], stage_calls["weight_residual"]) == (6, 1)
+
+
+def test_memo_holds_the_arguments_it_knows_by_identity():
+    # configurations made and dropped one after another: the id of a dropped
+    # one may be given to the next, which must not find the dropped one's model
+    cfg = _quick()
+    for angle in range(2 * experiment._MEMO_CONFIGS + 1):
+        pumped = replace(cfg, pump=replace(cfg.pump, angle_deg=float(angle)))
+        assert experiment.source_model(pumped).pump.angle_deg == angle
+
+
 def _written(report, out_dir) -> dict:
     return {p.name: p.read_bytes() for p in write_report(report, out_dir)}
 
@@ -1047,6 +1095,58 @@ def test_report_json_is_what_json_dumps_renders(tmp_path):
         assert (b'"azimuth_deg": -0.0,' in written) is (math.copysign(1.0, azimuth) < 0)
 
 
+def _stdlib_section_text(value) -> str:
+    """What ``_section_text`` must return: the stdlib's text, one level in."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+
+
+#: leaves JSON holds: signed zeros, float and int extremes (ints past 2**64),
+#: numpy float scalars, and strings with escapes and non-ASCII characters
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                     2**64, -(2**64) - 1, 3**90, np.float64(-0.0)]),
+    st.text(),
+    st.sampled_from(["", "\"\\/\b\f\n\r\t\x00\x1f\x7f", "d\u00e9j\u00e0 \u2014 \U0001f600"]),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TREES)
+@example([])
+@example({})
+@example({"b": [(), {}, [[]]], "a": (1.5, None, True, False)})
+def test_section_text_is_the_stdlib_rendering(value):
+    assert experiment._section_text(value) == _stdlib_section_text(value)
+    assert experiment.report_json_bytes({"k": value}) == (
+        json.dumps({"k": value}, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+#: leaves JSON cannot hold: the stdlib's ValueError for a non-finite float,
+#: its TypeError for a value of another type
+_BAD_LEAVES = [math.nan, math.inf, -math.inf, np.float64(math.nan), set(), frozenset({1}),
+               b"bytes", np.int64(1), np.bool_(True), 1j, object()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES, st.sampled_from(_BAD_LEAVES), st.booleans())
+def test_section_text_raises_as_the_stdlib(tree, bad, in_dict):
+    value = {"a": tree, "b": bad} if in_dict else [tree, (bad,)]
+    with pytest.raises((ValueError, TypeError)) as stdlib:
+        _stdlib_section_text(value)
+    with pytest.raises(stdlib.type) as rendered:
+        experiment._section_text(value)
+    assert str(rendered.value) == str(stdlib.value)
+
+
 def test_report_json_takes_seed_free_sections_from_the_stage_results(tmp_path, report):
     # a summary is a fresh view: editing one reaches neither the next nor the files
     expected = _canonical(report)
@@ -1154,6 +1254,35 @@ def test_histogram_rows_follow_the_bin_grid_bytes(tmp_path):
         assert _written(r, tmp_path)["histogram.csv"] == _rendered_sidecars(r)["histogram.csv"]
     assert b"\r\n0,-0.0," in _written(signed, tmp_path)["histogram.csv"]
     assert b"\r\n0,0," in _written(integer, tmp_path)["histogram.csv"]
+
+
+def test_histogram_csv_takes_integer_counts_only():
+    # %d prints an integer count as str() does, and would truncate a float one
+    centers = np.array([-0.5, 0.0, 0.5])
+    for dtype in (np.int64, np.uint32):
+        assert experiment.histogram_csv(np.array([[1, 20, 300]], dtype=dtype), centers) == (
+            b"setting_index,delta_t_ns,counts\r\n0,-0.5,1\r\n0,0.0,20\r\n0,0.5,300\r\n")
+    for dtype in (np.float64, np.bool_, object):
+        with pytest.raises(TypeError, match="integers"):
+            experiment.histogram_csv(np.array([[1, 0, 1]], dtype=dtype), centers)
+
+
+@pytest.mark.parametrize("before", [None, b"junk" * 4096, b"j"], ids=["new", "longer", "shorter"])
+def test_write_bytes_leaves_exactly_the_bytes(tmp_path, before):
+    data = bytes(range(256)) * 8 + b"\r\n"  # every byte value, CR and LF among them
+    path = tmp_path / "file"
+    if before is not None:
+        path.write_bytes(before)
+    experiment.write_bytes(path, data)
+    assert path.read_bytes() == data
+    experiment.write_bytes(path, b"")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_write_bytes_to_a_device():
+    # a character device takes the bytes and is not truncated
+    experiment.write_bytes("/dev/null", b"x" * 100_000)
 
 
 def test_sidecar_caches_hold_at_most_memo_configs(tmp_path):

@@ -1,7 +1,7 @@
 """Contract of the package's records, the ``@dataclass`` classes: they are
 frozen, their repr is the one ``dataclasses`` writes (the memo keys of the
 seed-free stages hold it), and they compare and hash by their fields, except
-the seven results and tables that compare by identity. An array field holds a
+the eight results and tables that compare by identity. An array field holds a
 read-only array whose memory no other array shares.
 
 The instances come from the packaged defaults and one run of them, so every
@@ -24,9 +24,9 @@ from spdcfilm.materials import ConstantIndex, load_material
 from spdcfilm.tomography import default_protocol
 
 #: the records that compare and hash by identity: results whose ``encoded()``
-#: caches by identity, and the tables made with their arrays
+#: caches by identity, and the tables and results made with their arrays
 IDENTITY = {"ChshSettings", "Protocol", "SourceModel", "SpectralSection", "DelayScan",
-            "TomographyResult", "CoincidenceRecords"}
+            "TomographyResult", "CoincidenceRecords", "SpdcResult"}
 
 #: the methods a class inherits from the record base, which the decorator
 #: would otherwise generate and ``exec`` for each class at import
@@ -122,13 +122,7 @@ def test_record_equality_and_hash(instances, name):
         return
     assert obj == copy and not obj != copy
     values = tuple(getattr(obj, f.name) for f in fields(obj))
-    try:
-        expected = hash(values)
-    except TypeError:  # an array field (SpdcResult.state)
-        with pytest.raises(TypeError):
-            hash(obj)
-    else:
-        assert hash(obj) == hash(copy) == expected
+    assert hash(obj) == hash(copy) == hash(values)
 
 
 def test_signed_zero_shows_in_repr_but_not_in_equality():
