@@ -2,17 +2,17 @@
 
 ``run`` runs the full pipeline and writes its report. Each stage command
 runs only the pipeline stages its output needs, the same public stages
-``run_experiment`` calls on the same seed sequence, and prints its part of
-that run: ``amplitudes``, ``tomography``, ``bell`` and ``hom`` print the
+``run_experiment`` calls with the same seed, and prints its part of that
+run: ``amplitudes``, ``tomography``, ``bell`` and ``hom`` print the
 report's keys of their stage result (``result.to_json()``) as ``report.json``
 renders them, ``hom --format csv`` prints ``hom.csv`` and ``histogram``
 prints ``histogram.csv`` of the draw step alone (``simulate_histograms``).
 ``tomography --records`` runs the same analysis, ``analyze_tomography``, on
-the measured records of a CSV file instead of simulated ones, and prints
-the run's ``tomography`` keys plus ``source``. Exit codes: 0 success, 2
-configuration or input-file problems, 3 numerical failures (poor fits,
-singular reconstructions, vanishing amplitudes), 4 incomplete tomography
-protocols.
+the measured records of a CSV file instead of simulated ones, its bootstrap
+drawn from a run's stream, and prints the run's ``tomography`` keys plus
+``source``. Exit codes: 0 success, 2 configuration or input-file problems, 3
+numerical failures (poor fits, singular reconstructions, vanishing
+amplitudes), 4 incomplete tomography protocols.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, IncompleteProtocol, SpdcFilmError
@@ -56,22 +54,14 @@ def _write(args, data: bytes):
         sys.stdout.buffer.flush()
 
 
-def _seeded(stage):
-    """``stage`` of the configuration and the run's seed sequence, as a stage of
-    the configuration alone: the sequence, and with it ``numpy.random``, is
-    made only when a stage that draws runs."""
-    return lambda cfg: stage(cfg, np.random.SeedSequence(cfg.run.seed))
-
-
-#: stage command -> (its stage result of the configuration, the result's
-#: encoder of the sidecar it prints as CSV, the one ``encoded()`` calls for it)
+#: stage command -> (its stage result of the configuration and the seed, the
+#: result's encoder of the sidecar it prints as CSV, the one ``encoded()`` calls for it)
 _STAGES = {
-    "amplitudes": (source_model, None),
-    "tomography": (_seeded(simulate_tomography), None),
-    "bell": (_seeded(lambda cfg, seed_seq: simulate_bell(
-        cfg, simulate_tomography(cfg, seed_seq), seed_seq)), None),
-    "hom": (spectral_section, SpectralSection.hom_csv),
-    "histogram": (_seeded(simulate_histograms), lambda histograms: histogram_csv(*histograms)),
+    "amplitudes": (lambda cfg, seed: source_model(cfg), None),
+    "tomography": (simulate_tomography, None),
+    "bell": (lambda cfg, seed: simulate_bell(cfg, simulate_tomography(cfg, seed), seed), None),
+    "hom": (lambda cfg, seed: spectral_section(cfg), SpectralSection.hom_csv),
+    "histogram": (simulate_histograms, lambda histograms: histogram_csv(*histograms)),
 }
 
 
@@ -81,12 +71,11 @@ def _cmd_stage(args, cfg):
             protocol, records = load_records_csv(args.records)
         except ValueError as exc:
             raise ConfigError(f"bad records file {args.records}: {exc}") from exc
-        seed_seq = np.random.SeedSequence(cfg.run.seed)  # the bootstrap draws
-        sections = analyze_tomography(cfg, protocol, records, seed_seq).to_json()
+        sections = analyze_tomography(cfg, protocol, records, cfg.run.seed).to_json()
         sections["tomography"]["source"] = args.records
     else:
         stage, encode_csv = _STAGES[args.command]
-        result = stage(cfg)
+        result = stage(cfg, cfg.run.seed)
         if args.format == "csv":
             return _write(args, encode_csv(result))
         sections = result.to_json()
@@ -94,11 +83,8 @@ def _cmd_stage(args, cfg):
 
 
 def _cmd_run(args, cfg):
-    report = run_experiment(cfg)
-    out_dir = args.out or "spdcfilm_run"
-    paths = write_report(report, out_dir)
-    for p in paths:
-        print(p)
+    for path in write_report(run_experiment(cfg, cfg.run.seed), args.out or "spdcfilm_run"):
+        print(path)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,8 @@ documented noise, simulate per-setting coincidence histograms, subtract
 accidentals, reconstruct the state, derive entanglement measures with
 parametric-bootstrap errors, run the finite-statistics CHSH test on the
 reconstructed state, and evaluate the pair spectrum, HOM curves, and the
-calcite delay-line scan. All randomness derives from one master seed: its
-SeedSequence spawns three children in a fixed order, and each seeded step
-draws from one generator of its child, so a given (config, seed) pair always
-produces byte-identical canonical output.
+calcite delay-line scan. All randomness derives from one master seed, so a
+given (config, seed) pair always produces byte-identical canonical output.
 
 The run has five stages. Each returns a frozen result whose ``to_json()``
 builds fresh dicts and lists of the ``report.json`` sections it owns, and
@@ -40,14 +38,13 @@ Their arrays are read-only copies, shared by every run of the configuration,
 and each kind caches ``encoded()`` by identity for the last ``_MEMO_CONFIGS``
 results, however many reports hold them.
 
-The two seeded stages run once per run, in this order, on one
-``SeedSequence(seed)``: ``simulate_tomography(cfg, seed_seq)`` draws the
-histograms (``simulate_histograms``, child 0) and hands their records to
-``analyze_tomography``, which analyzes measured records too and draws the
-bootstrap (child 1), then ``simulate_bell(cfg, tomography, seed_seq)`` tests
-the reconstructed state (child 2). Each child makes one generator, the
-bootstrap's only when there is a replicate. A caller that passes one
-sequence to both in that order draws the run's numbers.
+The two seeded stages run once per run on its integer seed:
+``simulate_tomography(cfg, seed)`` draws the histograms (``simulate_histograms``)
+and hands their records to ``analyze_tomography``, which analyzes measured
+records too and draws the bootstrap; ``simulate_bell(cfg, tomography, seed)``
+tests the reconstructed state. Each seeded step makes one generator of its
+own ``_stream`` of the seed (the bootstrap only when there is a replicate),
+so a stage draws the run's numbers whichever stages ran before it.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
@@ -67,6 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 import stat
 from dataclasses import asdict, dataclass
@@ -88,6 +86,7 @@ from .crystal import (
     weight_residual,
 )
 from .delayline import delay_scan
+from .errors import ConfigError
 from .frozen import Record, Value
 from .histogram import bin_centers, simulate_counts, subtract_accidentals
 from .polarization import pump_ket
@@ -115,6 +114,19 @@ SCHEMA_VERSION = 1
 
 #: configurations each seed-free stage's memo, and each encoding cache, holds
 _MEMO_CONFIGS = 4
+
+#: the spawn key of each seeded step's ``_stream``; a new step takes the next unused one
+HISTOGRAMS_KEY, BOOTSTRAP_KEY, CHSH_KEY = 0, 1, 2
+
+
+def _stream(seed, key: int) -> np.random.SeedSequence:
+    """A seeded step's stream, ``SeedSequence(seed).spawn``'s child at ``key``:
+    a non-integer seed (``operator.index``) raises TypeError, a negative one
+    ConfigError, as a configured one does."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigError("run seed must be nonnegative")
+    return np.random.SeedSequence(seed, spawn_key=(key,))
 
 
 def _memoized(sections):
@@ -512,21 +524,21 @@ class TomographyResult(Record):
         )
 
 
-def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed_seq) -> TomographyResult:
+def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed) -> TomographyResult:
     """Tomography of ``records``, the ``CoincidenceRecords`` of ``protocol``'s
     settings: the point fit and its measures, the ``[fringe]`` curve, and the
-    ``[run] bootstrap_samples`` sigmas drawn from the next spawned child of
-    ``seed_seq``. The result holds no histograms (n_bins 0)."""
-    return _analyzed(cfg, protocol, records, seed_seq,
+    ``[run] bootstrap_samples`` sigmas drawn from the bootstrap's stream of
+    ``seed``, a run's. The result holds no histograms (n_bins 0)."""
+    return _analyzed(cfg, protocol, records, seed,
                      np.zeros((len(records), 0), dtype=np.int64), np.zeros(0))
 
 
-def _analyzed(cfg, protocol, records, seed_seq, counts, centers_ns) -> TomographyResult:
+def _analyzed(cfg, protocol, records, seed, counts, centers_ns) -> TomographyResult:
     """``analyze_tomography`` of ``records``, with the histograms they were
     reduced from: ``counts`` and their bin delays ``centers_ns``."""
     fringe = cfg.fringe
     rho_hat, fit, measures, sigmas = estimate(records, protocol, cfg.run.bootstrap_samples,
-                                              fringe.fixed_analyzer, seed_seq.spawn(1)[0])
+                                              fringe.fixed_analyzer, _stream(seed, BOOTSTRAP_KEY))
     curve = []  # no counts at any angle: a null visibility and no curve
     if measures["visibility"] is not None:
         theta_grid = np.linspace(fringe.theta_start_deg, fringe.theta_stop_deg, fringe.theta_points)
@@ -538,27 +550,27 @@ def _analyzed(cfg, protocol, records, seed_seq, counts, centers_ns) -> Tomograph
     )
 
 
-def simulate_histograms(cfg: ExperimentConfig, seed_seq) -> tuple:
+def simulate_histograms(cfg: ExperimentConfig, seed) -> tuple:
     """``simulate_tomography``'s draw step: the ``simulate_counts`` array of
     the ``default_protocol`` histograms of ``source_model(cfg).rho``, from one
-    generator of the next spawned child of ``seed_seq``, and its bin delays."""
+    generator of the histograms' stream of ``seed``, and its bin delays."""
+    rng = np.random.default_rng(_stream(seed, HISTOGRAMS_KEY))
     rel_rates = forward_rates(source_model(cfg).rho, default_protocol(), 1.0)
     counts = simulate_counts(cfg.noise, cfg.histogram, rel_rates,
-                             cfg.tomography.duration_per_setting_s,
-                             np.random.default_rng(seed_seq.spawn(1)[0]))
+                             cfg.tomography.duration_per_setting_s, rng)
     return counts, bin_centers(cfg.histogram)
 
 
-def simulate_tomography(cfg: ExperimentConfig, seed_seq) -> TomographyResult:
+def simulate_tomography(cfg: ExperimentConfig, seed) -> TomographyResult:
     """Simulated tomography of ``source_model(cfg).rho``: ``analyze_tomography``
     of the records table one ``subtract_accidentals`` pass makes of the
     ``simulate_histograms`` counts, accidental = raw - net, in a result that
     holds the counts."""
-    counts, centers = simulate_histograms(cfg, seed_seq)
+    counts, centers = simulate_histograms(cfg, seed)
     raw, net, sigma = subtract_accidentals(counts, cfg.histogram.exclusion_bins)
     records = CoincidenceRecords(raw, raw - net,
                                  np.full(len(raw), cfg.tomography.duration_per_setting_s), sigma)
-    return _analyzed(cfg, default_protocol(), records, seed_seq, counts, centers)
+    return _analyzed(cfg, default_protocol(), records, seed, counts, centers)
 
 
 @dataclass(eq=False, repr=False)
@@ -582,16 +594,16 @@ class BellResult(Value):
         return _encoded(self.to_json())
 
 
-def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed_seq) -> BellResult:
+def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed) -> BellResult:
     """The CHSH test of the reconstructed ``tomography.rho`` at
     ``default_chsh_settings()``, beside the model state's
     ``source_model(cfg).f_model``: ``[bell] counts_per_setting`` pairs per
-    setting, drawn from one generator of the next spawned child of
-    ``seed_seq``. The state is taken as checked, as ``simulate_tomography`` returns it."""
+    setting, drawn from one generator of the CHSH test's stream of ``seed``.
+    The state is taken as checked, as ``simulate_tomography`` returns it."""
     rho4 = bell_mod.split_postselect_rho(tomography.rho)
     settings = bell_mod.default_chsh_settings()
     f_sim, sigma_f, std_devs = bell_mod.simulate_chsh(
-        rho4, cfg.bell.counts_per_setting, np.random.default_rng(seed_seq.spawn(1)[0]), settings)
+        rho4, cfg.bell.counts_per_setting, np.random.default_rng(_stream(seed, CHSH_KEY)), settings)
     return BellResult(
         f_model=source_model(cfg).f_model,
         f_reconstructed=bell_mod.chsh_value(rho4, settings),
@@ -631,15 +643,14 @@ class ExperimentReport(Value):
 
 
 def run_experiment(cfg: ExperimentConfig, seed=None) -> ExperimentReport:
-    """Simulate one full characterization run of the film pair source."""
-    master_seed = cfg.run.seed if seed is None else int(seed)
-    seed_seq = np.random.SeedSequence(master_seed)
-    tomography = simulate_tomography(cfg, seed_seq)
+    """Simulate one full characterization run of the film pair source at ``seed``."""
+    seed = operator.index(cfg.run.seed if seed is None else seed)
+    tomography = simulate_tomography(cfg, seed)
     return ExperimentReport(
-        seed=master_seed,
+        seed=seed,
         source=source_model(cfg),
         tomography=tomography,
-        bell=simulate_bell(cfg, tomography, seed_seq),
+        bell=simulate_bell(cfg, tomography, seed),
         spectral=spectral_section(cfg),
         delay_scan=delay_line_scan(cfg),
     )

@@ -119,8 +119,8 @@ def test_05_noisy_tomography_coverage():
 
     hits = 0
     for seed in range(100):
-        # the nine histograms of a run at this seed: one generator of its first child
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        # the nine histograms of a run at this seed: one generator of their stream
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         counts = simulate_counts(cfg.noise, cfg.histogram, rel, duration, rng)
         raw, net, sigma = subtract_accidentals(counts, exclusion_bins=excl)
         records = CoincidenceRecords(raw, raw - net, np.full(len(raw), duration), sigma)

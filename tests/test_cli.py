@@ -200,6 +200,20 @@ def test_records_seed_sets_only_the_bootstrap(capsys):
     assert sorted(key for key in first if first[key] != other[key]) == list(SIGMAS)
 
 
+@pytest.mark.parametrize("seed", [3, 5])
+def test_records_bootstrap_draws_from_the_runs_stream(capsys, seed):
+    from spdcfilm.tomography import estimate, load_records_csv
+
+    cfg = load_config()
+    protocol, records = load_records_csv(RECORDS_SEED3)
+    # spawn key 1, the stream a run's bootstrap draws from
+    _, _, _, sigmas = estimate(records, protocol, cfg.run.bootstrap_samples,
+                               cfg.fringe.fixed_analyzer,
+                               np.random.SeedSequence(seed, spawn_key=(1,)))
+    fitted = _tomography(capsys, "--records", RECORDS_SEED3, "--seed", str(seed))
+    assert json.dumps({key: fitted[key] for key in SIGMAS}) == json.dumps(sigmas, sort_keys=True)
+
+
 AMPLITUDES_KEYS = ("amplitudes", "model_state", "orientation", "pump")
 
 #: stage command -> (its command line, the report.json keys it prints or the

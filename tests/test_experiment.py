@@ -179,10 +179,8 @@ def test_bootstrap_sigmas_positive(report):
 def test_analyzing_the_runs_records_gives_the_runs_section(report):
     from spdcfilm.tomography import default_protocol
 
-    seq = np.random.SeedSequence(SEED)
-    seq.spawn(1)  # the run's histograms' child: the bootstrap's child is next
     result = experiment.analyze_tomography(load_config(), default_protocol(),
-                                           report.tomography.records, seq)
+                                           report.tomography.records, SEED)
     assert json.dumps(result.to_json()) == json.dumps(report.tomography.to_json())
     assert result.counts.shape == (9, 0) and result.centers_ns.shape == (0,)
     assert result.fringe_curve == report.tomography.fringe_curve
@@ -231,8 +229,8 @@ def test_run_builds_analyzer_kets_once_per_protocol(monkeypatch):
 
 
 def _bootstrap_inputs(report):
-    """The report's records, their point fit, and the bootstrap's seed in
-    run_experiment: the child after the histograms' one."""
+    """The report's records, their point fit, and the bootstrap's stream in
+    run_experiment: spawn key 1 of the run's seed."""
     from spdcfilm.tomography import CoincidenceRecords, default_protocol, reconstruct
 
     rows = report.summary["tomography"]["records"]
@@ -240,9 +238,7 @@ def _bootstrap_inputs(report):
     records = CoincidenceRecords(*(np.array([row[name] for row in rows])
                                    for name in ("raw", "accidental", "duration_s", "net_sigma")))
     rho_hat, fit, _ = reconstruct(records, default_protocol())
-    seq = np.random.SeedSequence(SEED)
-    seq.spawn(1)
-    return records, rho_hat, fit, seq.spawn(1)[0]
+    return records, rho_hat, fit, np.random.SeedSequence(SEED, spawn_key=(1,))
 
 
 def _bootstrap_stack(*args):
@@ -419,6 +415,71 @@ def test_run_without_replicates_makes_no_bootstrap_generator(monkeypatch, bootst
     assert (summary["tomography"]["purity_sigma"] is None) == (not bootstrap_samples)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**130 + 7])
+def test_named_stream_is_the_spawned_child(seed):
+    # a named key's stream is SeedSequence(seed)'s successive child at that
+    # index, the stream the golden report and records_seed3.csv were drawn from
+    root = np.random.SeedSequence(seed)
+    keys = (experiment.HISTOGRAMS_KEY, experiment.BOOTSTRAP_KEY, experiment.CHSH_KEY)
+    assert keys == (0, 1, 2)
+    for key in keys:
+        child = root.spawn(1)[0]
+        named = experiment._stream(seed, key)
+        assert named.spawn_key == child.spawn_key == (key,)
+        assert np.array_equal(named.generate_state(8), child.generate_state(8))
+
+
+def test_seeded_stage_does_not_depend_on_the_stages_before_it():
+    cfg = load_config()
+    seed = 3
+    tomography_first = experiment.simulate_tomography(cfg, seed)
+    bell = experiment.simulate_bell(cfg, tomography_first, seed).to_json()
+    assert experiment.simulate_bell(cfg, tomography_first, seed).to_json() == bell
+    experiment.simulate_histograms(cfg, seed)
+    assert experiment.simulate_bell(cfg, tomography_first, seed).to_json() == bell
+    assert json.dumps(experiment.simulate_tomography(cfg, seed).to_json()) == json.dumps(
+        tomography_first.to_json())
+    report = run_experiment(cfg, seed)
+    assert report.bell.to_json() == bell
+    assert json.dumps(report.tomography.to_json()) == json.dumps(tomography_first.to_json())
+
+
+def test_numpy_integer_seed_runs_as_its_int(tmp_path):
+    cfg = load_config()
+    # passed, or held by a configuration built with replace (a file's is an int)
+    reports = [run_experiment(cfg, 3), run_experiment(cfg, np.int64(3)),
+               run_experiment(replace(cfg, run=replace(cfg.run, seed=np.int64(3))))]
+    files = [{p.name: p.read_bytes() for p in write_report(report, tmp_path / str(i))}
+             for i, report in enumerate(reports)]
+    assert files[0] == files[1] == files[2]
+    assert [type(report.seed) for report in reports] == [int] * 3
+    assert run_experiment(cfg, True).summary["seed"] == 1
+
+
+@pytest.mark.parametrize("seed", [2.9, 3.0, "3"])
+def test_seed_that_is_not_an_integer_raises(seed):
+    cfg = load_config()
+    with pytest.raises(TypeError):
+        run_experiment(cfg, seed)
+    with pytest.raises(TypeError):
+        experiment.simulate_histograms(cfg, seed)
+
+
+def test_negative_seed_is_a_config_error():
+    from spdcfilm.errors import ConfigError
+    from spdcfilm.tomography import default_protocol
+
+    cfg = load_config()
+    report = run_experiment(cfg, 3)
+    for stage in (lambda seed: run_experiment(cfg, seed),
+                  lambda seed: experiment.simulate_histograms(cfg, seed),
+                  lambda seed: experiment.analyze_tomography(
+                      cfg, default_protocol(), report.tomography.records, seed),
+                  lambda seed: experiment.simulate_bell(cfg, report.tomography, seed)):
+        with pytest.raises(ConfigError, match="^run seed must be nonnegative$"):
+            stage(-1)
+
+
 def test_run_checks_each_state_once(monkeypatch):
     # a warm run: the memos, the protocol's constants and the CHSH settings are filled
     from spdcfilm import qutrit
@@ -495,9 +556,9 @@ def test_count_array_is_the_per_setting_draw(monkeypatch, tmp_path, overlay, see
     # one generator's floor block, then its peaks: each setting's rows and
     # peak draws follow the previous setting's in its stream
     cfg, rel_rates = _setting_inputs(tmp_path, overlay)
-    child = np.random.SeedSequence(seed).spawn(1)[0]  # the run's first child
-    expected_counts, expected_records = _histograms_by_hand(cfg, rel_rates, child)
-    counts, centers = experiment.simulate_histograms(cfg, np.random.SeedSequence(seed))
+    stream = np.random.SeedSequence(seed, spawn_key=(0,))  # the run's histograms' stream
+    expected_counts, expected_records = _histograms_by_hand(cfg, rel_rates, stream)
+    counts, centers = experiment.simulate_histograms(cfg, seed)
     assert counts.shape == (9, cfg.histogram.n_bins) and counts.dtype == np.int64
     assert np.array_equal(counts, expected_counts)
     n_bins = cfg.histogram.n_bins
@@ -513,7 +574,7 @@ def test_count_array_is_the_per_setting_draw(monkeypatch, tmp_path, overlay, see
 
     monkeypatch.setattr(tomography, "reconstruct", fitted)
     with pytest.raises(Fitted) as records:
-        experiment.simulate_tomography(cfg, np.random.SeedSequence(seed))
+        experiment.simulate_tomography(cfg, seed)
     for name in ("raw", "accidental", "duration_s", "net_sigma", "net"):
         assert np.array_equal(getattr(records.value.args[0], name),
                               getattr(expected_records, name)), name
@@ -600,14 +661,14 @@ def test_one_pass_estimate_equals_the_two_pass_reference(monkeypatch, seed):
     from spdcfilm.tomography import default_protocol
 
     cfg = load_config()
-    records = experiment.simulate_tomography(cfg, np.random.SeedSequence(seed)).records
+    records = experiment.simulate_tomography(cfg, seed).records
     for block in (tomography._BOOTSTRAP_BLOCK, 7):  # the point joins the first block
         monkeypatch.setattr(tomography, "_BOOTSTRAP_BLOCK", block)
         for n_boot in (0, 1, 2, 100, 1025, 2500):
             inputs = (records, default_protocol(), n_boot, cfg.fringe.fixed_analyzer)
-            one_pass = tomography.estimate(*inputs, np.random.SeedSequence(seed).spawn(2)[1])
+            one_pass = tomography.estimate(*inputs, np.random.SeedSequence(seed, spawn_key=(1,)))
             _estimates_agree(one_pass, _two_pass_estimate(
-                *inputs, np.random.SeedSequence(seed).spawn(2)[1]))
+                *inputs, np.random.SeedSequence(seed, spawn_key=(1,))))
             assert (one_pass[3]["purity_sigma"] is None) == (n_boot < 2)
 
 
@@ -621,9 +682,9 @@ def test_one_pass_estimate_with_an_unfittable_replicate(monkeypatch, seed):
         monkeypatch.setattr(tomography, "_BOOTSTRAP_BLOCK", block)
         for n_boot in (100, 2500):
             inputs = (records, protocol, n_boot, "H")
-            one_pass = tomography.estimate(*inputs, np.random.SeedSequence(seed).spawn(2)[1])
+            one_pass = tomography.estimate(*inputs, np.random.SeedSequence(seed, spawn_key=(1,)))
             _estimates_agree(one_pass, _two_pass_estimate(
-                *inputs, np.random.SeedSequence(seed).spawn(2)[1]))
+                *inputs, np.random.SeedSequence(seed, spawn_key=(1,))))
             assert set(one_pass[3].values()) == {None}
             assert one_pass[2]["purity"] is not None
 
