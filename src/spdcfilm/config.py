@@ -12,6 +12,7 @@ materials and out-of-range parameters all raise :class:`ConfigError`.
 import configparser
 import io
 import math
+import operator
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -223,12 +224,19 @@ class FringeConfig(Value):
 
 @dataclass(eq=False, repr=False)
 class RunConfig(Value):
-    """The ``[run]`` section: the master seed and the bootstrap replicate count."""
+    """The ``[run]`` section: the master seed and the bootstrap replicate count,
+    each held as the int ``operator.index`` gives of it (a NumPy integer or a
+    bool is one; a float or a string is not)."""
 
     seed: int
     bootstrap_samples: int
 
     def __post_init__(self):
+        for name in ("seed", "bootstrap_samples"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"run {name} must be an integer") from None
         _require(self.seed >= 0, "run seed must be nonnegative")
         _require(self.bootstrap_samples >= 0, "run bootstrap_samples must be nonnegative")
         # not a limit of the bootstrap's one generator: a bound kept so that

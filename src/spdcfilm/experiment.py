@@ -43,15 +43,24 @@ The two seeded stages run once per run on its integer seed:
 and hands their records to ``analyze_tomography``, which analyzes measured
 records too and draws the bootstrap; ``simulate_bell(cfg, tomography, seed)``
 tests the reconstructed state. Each seeded step makes one generator of its
-own ``_stream`` of the seed (the bootstrap only when there is a replicate),
-so a stage draws the run's numbers whichever stages ran before it.
+own ``_stream`` of the seed (the bootstrap's stream is made only when there
+is a replicate), so a stage draws the run's numbers whichever stages ran
+before it.
+
+What the seeded stages read of the configuration alone is made once per
+configuration too, so a warm run only draws, fits and fills in its numbers:
+the model state's rates at the ``default_protocol()`` settings
+(``SourceModel.protocol_rates``), the ``[histogram]`` grid's read-only bin
+delays (``_bin_delays``), the ``[fringe]`` angles and arm A's kets at them
+(``_fringe_grid``), and ``fringe.csv``'s text with its angle column written
+(``_fringe_rows``), whose slots the curve's rates fill.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
 ``check_density_matrix``), and ``tomography.estimate`` checks the spectrum
 ``reconstruct`` returns with the bootstrap replicates' in one pass: a warm
 run makes two ``eigh`` calls and one spectrum check. The functions that take a
-state after that (``forward_rates``, ``fringe_curve``,
+state after that (``forward_rates``, ``fringe_rates``,
 ``split_postselect_rho``, ``chsh_value``, ``simulate_chsh``) check nothing
 again. The nine settings' coincidence histograms are one ``simulate_counts``
 count array, which one ``subtract_accidentals`` pass reduces to the records
@@ -107,7 +116,8 @@ from .tomography import (
     default_protocol,
     estimate,
     forward_rates,
-    fringe_curve,
+    fringe_kets,
+    fringe_rates,
 )
 
 SCHEMA_VERSION = 1
@@ -119,20 +129,25 @@ _MEMO_CONFIGS = 4
 HISTOGRAMS_KEY, BOOTSTRAP_KEY, CHSH_KEY = 0, 1, 2
 
 
-def _stream(seed, key: int) -> np.random.SeedSequence:
-    """A seeded step's stream, ``SeedSequence(seed).spawn``'s child at ``key``:
-    a non-integer seed (``operator.index``) raises TypeError, a negative one
-    ConfigError, as a configured one does."""
+def _checked_seed(seed) -> int:
+    """``seed`` as an int: a non-integer (``operator.index``) raises TypeError,
+    a negative one ConfigError, as a configured one does."""
     seed = operator.index(seed)
     if seed < 0:
         raise ConfigError("run seed must be nonnegative")
-    return np.random.SeedSequence(seed, spawn_key=(key,))
+    return seed
+
+
+def _stream(seed, key: int) -> np.random.SeedSequence:
+    """A seeded step's stream of a ``_checked_seed``, ``SeedSequence(seed).spawn``'s
+    child at ``key``."""
+    return np.random.SeedSequence(_checked_seed(seed), spawn_key=(key,))
 
 
 def _memoized(sections):
     """Decorator: the stage computed from, and memoized on, ``sections(*args)``
-    (frozen, hashable config sections) for the last ``_MEMO_CONFIGS`` distinct
-    ones. The body takes the sections alone, so it cannot read one its key
+    (frozen, hashable config sections, or a curve's angles) for the last
+    ``_MEMO_CONFIGS`` distinct ones. The body takes the sections alone, so it cannot read one its key
     misses. The key holds their repr beside them: sections compare equal when
     they differ only in the sign of a zero, which a stage may print.
 
@@ -257,9 +272,11 @@ def amplitudes_json(res) -> dict:
 class SourceModel(Record):
     """``source_model``'s result: the amplitudes under an H, a V and the
     configured pump, ``rho`` the last one's qutrit after the depolarization,
-    ``concurrence`` the pumped ket's and ``purity`` rho's, and ``f_model``
-    rho's CHSH value (reported by the run's ``BellResult``). The arrays are
-    read-only copies."""
+    ``concurrence`` the pumped ket's and ``purity`` rho's, ``f_model`` rho's
+    CHSH value (reported by the run's ``BellResult``), and ``protocol_rates``
+    its relative coincidence rates at the ``default_protocol()`` settings
+    (``forward_rates`` at scale 1), which a run's histograms are drawn at. The
+    arrays are read-only copies."""
 
     orientation: CrystalOrientation
     calibration_residual: float
@@ -272,6 +289,7 @@ class SourceModel(Record):
     concurrence: float
     purity: float
     f_model: float
+    protocol_rates: np.ndarray
 
     def to_json(self) -> dict:
         """The report's orientation, amplitudes, pump and model_state sections."""
@@ -345,6 +363,7 @@ def source_model(crystal, calibration, pump, depolarization) -> SourceModel:
         purity=purity(rho),  # the model state's one check
         f_model=bell_mod.chsh_value(bell_mod.split_postselect_rho(rho),
                                     bell_mod.default_chsh_settings()),
+        protocol_rates=forward_rates(rho, default_protocol(), 1.0),
     )
 
 
@@ -520,7 +539,7 @@ class TomographyResult(Record):
         return _encoded(
             self.to_json(),
             ("histogram.csv", histogram_csv(self.counts, self.centers_ns)),
-            ("fringe.csv", _csv_bytes(["theta_deg", "rate"], self.fringe_curve)),
+            ("fringe.csv", _fringe_csv(self.fringe_curve)),
         )
 
 
@@ -533,16 +552,30 @@ def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed) -> Tomogr
                      np.zeros((len(records), 0), dtype=np.int64), np.zeros(0))
 
 
+@_memoized(lambda cfg: (cfg.fringe,))
+def _fringe_grid(fringe) -> tuple:
+    """(angles, kets) of the ``[fringe]`` grid: its angles (degrees) as a
+    tuple of floats, which every curve of the configuration shares, and the
+    read-only ``fringe_kets`` table of arm A's kets at them."""
+    theta_grid = np.linspace(fringe.theta_start_deg, fringe.theta_stop_deg, fringe.theta_points)
+    kets = fringe_kets(theta_grid)
+    kets.flags.writeable = False
+    return tuple(theta_grid.tolist()), kets
+
+
 def _analyzed(cfg, protocol, records, seed, counts, centers_ns) -> TomographyResult:
     """``analyze_tomography`` of ``records``, with the histograms they were
-    reduced from: ``counts`` and their bin delays ``centers_ns``."""
-    fringe = cfg.fringe
-    rho_hat, fit, measures, sigmas = estimate(records, protocol, cfg.run.bootstrap_samples,
-                                              fringe.fixed_analyzer, _stream(seed, BOOTSTRAP_KEY))
+    reduced from: ``counts`` and their bin delays ``centers_ns``. The
+    bootstrap's stream is made only when there is a replicate to draw."""
+    fringe, n_boot = cfg.fringe, cfg.run.bootstrap_samples
+    seed = _checked_seed(seed)
+    stream = _stream(seed, BOOTSTRAP_KEY) if n_boot else None
+    rho_hat, fit, measures, sigmas = estimate(records, protocol, n_boot,
+                                              fringe.fixed_analyzer, stream)
     curve = []  # no counts at any angle: a null visibility and no curve
     if measures["visibility"] is not None:
-        theta_grid = np.linspace(fringe.theta_start_deg, fringe.theta_stop_deg, fringe.theta_points)
-        curve = fringe_curve(rho_hat, fringe.fixed_analyzer, theta_grid)
+        angles, kets = _fringe_grid(cfg)
+        curve = list(zip(angles, fringe_rates(rho_hat, fringe.fixed_analyzer, kets).tolist()))
     return TomographyResult(
         records=records, rho=rho_hat, fit=fit, measures=measures, sigmas=sigmas,
         fixed_analyzer=fringe.fixed_analyzer, fringe_curve=curve,
@@ -550,23 +583,32 @@ def _analyzed(cfg, protocol, records, seed, counts, centers_ns) -> TomographyRes
     )
 
 
+@_memoized(lambda cfg: (cfg.histogram,))
+def _bin_delays(histogram) -> np.ndarray:
+    """The read-only ``bin_centers`` of the ``[histogram]`` grid."""
+    centers = bin_centers(histogram)
+    centers.flags.writeable = False
+    return centers
+
+
 def simulate_histograms(cfg: ExperimentConfig, seed) -> tuple:
     """``simulate_tomography``'s draw step: the ``simulate_counts`` array of
-    the ``default_protocol`` histograms of ``source_model(cfg).rho``, from one
-    generator of the histograms' stream of ``seed``, and its bin delays."""
+    the ``default_protocol`` histograms of ``source_model(cfg).rho`` (at its
+    ``protocol_rates``), from one generator of the histograms' stream of
+    ``seed``, and the grid's read-only bin delays."""
     rng = np.random.default_rng(_stream(seed, HISTOGRAMS_KEY))
-    rel_rates = forward_rates(source_model(cfg).rho, default_protocol(), 1.0)
-    counts = simulate_counts(cfg.noise, cfg.histogram, rel_rates,
+    counts = simulate_counts(cfg.noise, cfg.histogram, source_model(cfg).protocol_rates,
                              cfg.tomography.duration_per_setting_s, rng)
-    return counts, bin_centers(cfg.histogram)
+    return counts, _bin_delays(cfg)
 
 
 def simulate_tomography(cfg: ExperimentConfig, seed) -> TomographyResult:
     """Simulated tomography of ``source_model(cfg).rho``: ``analyze_tomography``
     of the records table one ``subtract_accidentals`` pass makes of the
     ``simulate_histograms`` counts, accidental = raw - net, in a result that
-    holds the counts."""
+    holds the counts, made read-only as they were drawn (no copy)."""
     counts, centers = simulate_histograms(cfg, seed)
+    counts.flags.writeable = False
     raw, net, sigma = subtract_accidentals(counts, cfg.histogram.exclusion_bins)
     records = CoincidenceRecords(raw, raw - net,
                                  np.full(len(raw), cfg.tomography.duration_per_setting_s), sigma)
@@ -674,6 +716,25 @@ def _csv_bytes(header, rows) -> bytes:
     return bytes(encoded)
 
 
+@_memoized(lambda *angles: angles)
+def _fringe_rows(*angles) -> str:
+    """``fringe.csv``'s text at these angles with a ``%s`` slot for each rate:
+    the header, then ``str(angle),%s`` lines. Looked up first by the identity
+    of the angles, which every curve of a configuration shares
+    (``_fringe_grid``), then by their repr, so -0.0 is not 0.0."""
+    lines = (str(angle).replace("%", "%%") + ",%s\r\n" for angle in angles)
+    return "theta_deg,rate\r\n" + "".join(lines)
+
+
+def _fringe_csv(curve) -> bytes:
+    """``fringe.csv`` of (theta, rate) pairs, as ``_csv_bytes`` writes it: the
+    rates fill ``_fringe_rows`` of the angles, ``%s`` being str()."""
+    if not curve:
+        return _csv_bytes(["theta_deg", "rate"], ())
+    angles, rates = zip(*curve)
+    return (_fringe_rows(*angles) % rates).encode()
+
+
 class _RowTemplates(dict):
     """setting index -> the ``histogram.csv`` rows of one bin grid, with a
     ``%d`` for each count: ``setting_index,delta_t_ns,%d`` byte lines joined
@@ -741,7 +802,8 @@ def write_report(report: ExperimentReport, out_dir) -> list:
         sidecars += result_sidecars
     files = [("report.json", _json_bytes(texts)), *sidecars]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():  # a rewrite of a report's directory makes none
+        out.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, data in files:
         paths.append(out / name)
@@ -753,18 +815,20 @@ def write_bytes(path, data: bytes) -> None:
     """Write ``data`` to ``path``, created with mode 0o666 less the umask.
 
     An existing file is opened without ``O_TRUNC``, overwritten and then cut
-    to ``len(data)``: truncating a file that holds data on open costs ext4 a
-    flush (``auto_da_alloc``) that a same-size rewrite never pays. Only a
-    regular file is cut; ``ftruncate`` fails on ``/dev/null`` or a pipe. The
-    bytes go to the descriptor with ``os.write``, through no Python buffer.
+    to ``len(data)`` if it was longer: truncating a file that holds data on
+    open costs ext4 a flush (``auto_da_alloc``) that a same-size rewrite
+    never pays. Only a regular file is cut; ``ftruncate`` fails on
+    ``/dev/null`` or a pipe. The bytes go to the descriptor with
+    ``os.write``, through no Python buffer.
     """
     # O_BINARY (Windows only) keeps the CRLF sidecars' bytes as they are
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
+        old = os.fstat(fd)
         left = memoryview(data)
         while left:  # a pipe may take fewer bytes than it is given
             left = left[os.write(fd, left):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)

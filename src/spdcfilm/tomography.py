@@ -13,12 +13,13 @@ work on stacks of states, so a parametric bootstrap reconstructs all its
 replicates in a few array operations; the single-state functions are their
 one-replicate case.
 
-``forward_rates`` and ``fringe_curve`` take a density matrix the caller
-has checked: a run checks each state once, where it enters (``experiment``).
-The positivity projection returns each state as its spectrum, which
-``_measures`` reads: no bootstrap replicate is formed as a matrix. The
-estimator is this module's, in one call (``estimate``): the fit
-(``reconstruct``), its report entries and their parametric bootstrap.
+``forward_rates`` and the fringe functions (``fringe_rates``,
+``fringe_curve``) take a density matrix the caller has checked: a run
+checks each state once, where it enters (``experiment``). The positivity
+projection returns each state as its spectrum, which ``_measures`` reads:
+no bootstrap replicate is formed as a matrix. The estimator is this
+module's, in one call (``estimate``): the fit (``reconstruct``), its report
+entries and their parametric bootstrap.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass
+from math import isnan
 
 import numpy as np
 
@@ -387,10 +389,12 @@ def _measures(vals: np.ndarray, vecs: np.ndarray, fixed_b: str) -> dict:
 
 
 def _defined(values):
-    """JSON form of a measure: floats, with None where it is undefined (NaN)."""
-    if np.ndim(values):
-        return [_defined(v) for v in values]
-    return None if np.isnan(values) else float(values)
+    """JSON form of a measure, a NumPy scalar or row: floats, with None where
+    it is undefined (NaN), from one ``tolist()``."""
+    values = values.tolist()
+    if isinstance(values, list):
+        return [None if isnan(v) else v for v in values]
+    return None if isnan(values) else values
 
 
 def _spread(samples):
@@ -421,9 +425,9 @@ def _bootstrap_states(rho_hat, scale_hat, records, protocol, n_boot, seed_seq):
 
     Replicate k draws row k of the (n_boot, len(records)) standard normals
     of one generator, ``np.random.default_rng(seed_seq)``, made only when
-    there is a replicate. Each block takes the next rows of its stream, so
-    replicate k is the same whatever the replicate count and the block size,
-    and ``seed_seq`` spawns no child. A replicate keeps the records'
+    there is a replicate (without one, ``seed_seq`` may be None). Each block
+    takes the next rows of its stream, so replicate k is the same whatever
+    the replicate count and the block size, and ``seed_seq`` spawns no child. A replicate keeps the records'
     accidentals, durations and sigmas, as ``reconstruct`` would see
     ``replace(records, raw=np.maximum(draw + accidental, 0))``.
     """
@@ -479,6 +483,18 @@ def estimate(records, protocol, n_boot, fixed_analyzer, seed_seq) -> tuple:
         f"{key}_sigma": value for key, value in zip(keys, (spread[:3], *spread[3:]))}
 
 
+def fringe_kets(theta_grid_deg) -> np.ndarray:
+    """The (2, T) table of arm A's linear analyzer kets xi = (cos theta,
+    sin theta) at a grid of angles in degrees, one column per angle."""
+    return np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
+
+
+def fringe_rates(rho: np.ndarray, fixed_b: str, kets: np.ndarray) -> np.ndarray:
+    """The fringe rate xi^T M xi (``_fringe_form``) at each column xi of a
+    ``fringe_kets`` table, arm B fixed at ``fixed_b``."""
+    return np.einsum("it,ij,jt->t", kets, _fringe_form(rho[None], fixed_b)[0], kets)
+
+
 def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> list:
     """Coincidence fringe: arm A scans linear polarization, arm B is fixed.
 
@@ -487,10 +503,10 @@ def fringe_curve(rho: np.ndarray, fixed_b: str, theta_grid_deg: np.ndarray) -> l
     the rate is the quadratic form xi^T M xi (``_fringe_form``): a pure second
     harmonic a + b cos 2(theta - theta0). Its visibility (max - min)/(max +
     min) over all angles follows in closed form from the form's 2x2 matrix
-    (``_fringe_visibility``); it does not depend on the grid.
+    (``_fringe_visibility``); it does not depend on the grid. A run makes
+    the kets of its grid once (``fringe_kets``) and takes ``fringe_rates``.
     """
-    xi = np.stack([np.cos(np.radians(theta_grid_deg)), np.sin(np.radians(theta_grid_deg))])
-    rates = np.einsum("it,ij,jt->t", xi, _fringe_form(rho[None], fixed_b)[0], xi)
+    rates = fringe_rates(rho, fixed_b, fringe_kets(theta_grid_deg))
     return list(zip(np.asarray(theta_grid_deg, dtype=float).tolist(), rates.tolist()))
 
 

@@ -1,8 +1,9 @@
 """Configuration loading and validation tests."""
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from spdcfilm.config import ExperimentConfig, load_config
@@ -164,6 +165,22 @@ def test_non_finite_numbers_rejected(tmp_path, value):
         message = re.escape(f"[{section}] {key} must be a finite number")
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+
+@pytest.mark.parametrize("name", ["seed", "bootstrap_samples"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+def test_run_counts_must_be_integers(name, value):
+    # a file's values are parsed as ints; one set through replace is checked too
+    run = load_config().run
+    with pytest.raises(ConfigError, match=f"^run {name} must be an integer$"):
+        replace(run, **{name: value})
+
+
+def test_run_counts_are_held_as_ints():
+    run = replace(load_config().run, seed=np.int64(3), bootstrap_samples=np.uint8(4))
+    assert (run.seed, run.bootstrap_samples) == (3, 4)
+    assert (type(run.seed), type(run.bootstrap_samples)) == (int, int)
+    assert type(replace(run, seed=True).seed) is int
 
 
 def test_unknown_material_rejected(tmp_path):

@@ -200,6 +200,9 @@ def _clear_memos():
         experiment.SpectralSection.encoded,
         experiment.DelayScan.encoded,
         experiment._histogram_row_templates,
+        experiment._bin_delays,
+        experiment._fringe_grid,
+        experiment._fringe_rows,
     ):
         memo.cache_clear()
 
@@ -478,6 +481,44 @@ def test_negative_seed_is_a_config_error():
                   lambda seed: experiment.simulate_bell(cfg, report.tomography, seed)):
         with pytest.raises(ConfigError, match="^run seed must be nonnegative$"):
             stage(-1)
+
+
+@pytest.mark.parametrize("bootstrap_samples", [0, 100])
+def test_warm_run_does_only_seeded_work(monkeypatch, bootstrap_samples):
+    import spdcfilm.histogram as histogram
+
+    cfg = load_config()
+    cfg = replace(cfg, run=replace(cfg.run, bootstrap_samples=bootstrap_samples))
+    expected = _canonical(run_experiment(cfg, SEED))  # fills this configuration's memos
+    calls = Counter()
+    for module, name in ((histogram, "bin_centers"), (experiment, "bin_centers"),
+                         (tomography, "forward_rates"), (experiment, "forward_rates"),
+                         (np.random, "SeedSequence")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert _canonical(run_experiment(cfg, SEED)) == expected
+    # the bin delays and the model state's rates are the configuration's; the
+    # bootstrap's model rates are the fit's, and its stream is made only for
+    # replicates, beside the histograms' and the CHSH test's
+    assert calls["bin_centers"] == 0
+    assert calls["forward_rates"] == (1 if bootstrap_samples else 0)
+    assert calls["SeedSequence"] == (3 if bootstrap_samples else 2)
+
+
+def test_fringe_csv_is_csv_writers_of_any_curve():
+    report = run_experiment(load_config(), SEED)
+    curve = report.tomography.fringe_curve
+    # the run's angles, the same values as new floats, signed zeros and other numbers
+    curves = [curve, [(float(repr(t)), r) for t, r in curve],
+              [(-0.0, 1.0), (0.0, -0.0)], [(0.0, 1.0), (-0.0, -0.0)],
+              [(np.float64(0.5), np.float64(0.25)), (7, "x%s")], []]
+    for edited in curves:
+        result = replace(report.tomography, fringe_curve=edited)
+        assert dict(result.encoded()[1])["fringe.csv"] == _csv_writer_bytes(
+            ["theta_deg", "rate"], edited), edited
 
 
 def test_run_checks_each_state_once(monkeypatch):
@@ -1022,7 +1063,8 @@ def test_shared_arrays_are_read_only_and_summaries_fresh():
         assert type(scan) is tuple and {type(v) for pair in scan for v in pair} == {float}
     for result in stages + replaced:
         arrays = _arrays(result)
-        assert len(arrays) == {"SourceModel": 4, "SpectralSection": 5}.get(type(result).__name__, 0)
+        # SourceModel: the three amplitude states, rho and the protocol rates
+        assert len(arrays) == {"SourceModel": 5, "SpectralSection": 5}.get(type(result).__name__, 0)
         for a in arrays:
             assert not any(np.shares_memory(a, g) for g in given.values())
             with pytest.raises(ValueError):
