@@ -53,14 +53,19 @@ the model state's rates at the ``default_protocol()`` settings
 (``SourceModel.protocol_rates``), the ``[histogram]`` grid's read-only bin
 delays (``_bin_delays``), the ``[fringe]`` angles and arm A's kets at them
 (``_fringe_grid``), and ``fringe.csv``'s text with its angle column written
-(``_fringe_rows``), whose slots the curve's rates fill.
+(``_fringe_rows``), whose slots the curve's rates fill. The seeded stages'
+``report.json`` sections are filled the same way: a template per section
+shape (``_SectionTemplates``) takes the run's floats.
 
 A state enters a run at two places, and each checks it once:
 ``source_model`` checks the model state (``purity``, through
 ``check_density_matrix``), and ``tomography.estimate`` checks the spectrum
-``reconstruct`` returns with the bootstrap replicates' in one pass: a warm
-run makes two ``eigh`` calls and one spectrum check. The functions that take a
-state after that (``forward_rates``, ``fringe_rates``,
+``reconstruct`` returns with the bootstrap replicates' in one pass. A warm
+run makes one ``eigh`` call for the fit, one more per block of up to 1,024
+replicates, and one spectrum check per block: two calls and one check with
+the packaged 100 replicates, and one of each without replicates (``[run]
+bootstrap_samples = 0``), when the fit is checked alone. The functions that
+take a state after that (``forward_rates``, ``fringe_rates``,
 ``split_postselect_rho``, ``chsh_value``, ``simulate_chsh``) check nothing
 again. The nine settings' coincidence histograms are one ``simulate_counts``
 count array, which one ``subtract_accidentals`` pass reduces to the records
@@ -236,9 +241,13 @@ def _section_text(value) -> str:
 
 def _json_bytes(texts: dict) -> bytes:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"`` of
-    a non-empty ``obj``, from the ``_section_text`` of each of its values."""
-    body = ",\n".join(f"  {_STRING_TEXT(key)}: {texts[key]}" for key in sorted(texts))
-    return ("{\n" + body + "\n}\n").encode()
+    a non-empty ``obj``, from the ``_section_text`` of each of its values: one
+    join of the key and section texts, encoded once."""
+    parts = ["{\n  "]
+    for key in sorted(texts):
+        parts += _STRING_TEXT(key), ": ", texts[key], ",\n  "
+    parts[-1] = "\n}\n"
+    return "".join(parts).encode()
 
 
 def report_json_bytes(sections: dict) -> bytes:
@@ -251,6 +260,71 @@ def _encoded(sections: dict, *sidecars) -> tuple:
     """A result's ``encoded()``: the ``_section_text`` of each of its
     ``report.json`` sections, and its sidecars' (name, bytes) pairs."""
     return {key: _section_text(value) for key, value in sections.items()}, sidecars
+
+
+#: what a template's rendering holds at each float, before it becomes a ``%s`` slot
+_SLOT = "\0"
+_SLOT_TEXT = _STRING_TEXT(_SLOT)
+
+
+def _slotted(value):
+    """``value`` with ``_SLOT`` in place of each float in it (a subclass too)."""
+    if isinstance(value, float):
+        return _SLOT
+    if isinstance(value, dict):
+        return {key: _slotted(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_slotted(item) for item in value]
+    return value
+
+
+def _filled(template: str, leaves) -> str | None:
+    """``template`` with its ``%s`` slots filled with the JSON text of the
+    floats ``leaves``, a subclass as its base; None when a leaf is not a
+    finite float or the slots are not one per leaf."""
+    try:
+        if all(map(isfinite, leaves)):
+            return template % tuple(map(_FLOAT_TEXT, leaves))
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
+class _SectionTemplates(dict):
+    """shape -> the text of one ``report.json`` section of that shape with a
+    ``%s`` slot at each float, for the last ``_MEMO_CONFIGS`` shapes. A shape
+    is what sets the section's layout besides its floats: the result kind
+    says what, and gathers the floats (its leaves) in the order
+    ``_json_text`` renders them, with no tree built."""
+
+    def __init__(self, key: str):
+        super().__init__()
+        self.key = key
+
+    cache_clear = dict.clear
+
+    def text(self, result, shape, leaves) -> str:
+        """``_section_text`` of ``result.to_json()[key]``: the template of
+        ``shape`` filled with ``leaves``. A new shape's template is made from
+        one rendering of the section with ``_SLOT`` at each float, and is kept
+        only if filling it with ``leaves`` gives the section's text. A leaf
+        that is not a finite float takes the section's own rendering, which
+        renders it or raises ``_json_text``'s ValueError or TypeError."""
+        template = self.get(shape)
+        if template is not None:
+            text = _filled(template, leaves)
+            if text is not None:
+                return text
+        section = result.to_json()[self.key]
+        text = _section_text(section)
+        if template is None:
+            template = _section_text(_slotted(section)).replace("%", "%%")
+            template = template.replace(_SLOT_TEXT, "%s")
+            if _filled(template, leaves) == text:
+                self[shape] = template
+                if len(self) > _MEMO_CONFIGS:
+                    del self[next(iter(self))]
+        return text
 
 
 def complex_json(a) -> list:
@@ -534,13 +608,48 @@ class TomographyResult(Record):
             }
         }
 
+    def _shape_and_leaves(self) -> tuple:
+        """The section's shape and floats for ``_TOMOGRAPHY_TEMPLATES``. The
+        shape: the record count (which sets each record's ``index``), rho's
+        shape, the fixed analyzer, the fit's rank, and each measure and sigma
+        entry's null items, or its type. The floats come from the record
+        columns, ``rho``, the fit and the entries, in the section's sorted-key
+        order."""
+        t, fit, rho = self.records, self.fit, np.asarray(self.rho)
+        shape = [len(t), rho.shape, self.fixed_analyzer, type(fit.design_rank), fit.design_rank]
+        flat = itertools.chain.from_iterable
+        groups = {
+            # a record's keys: accidental, duration_s, index (an int), net, net_sigma, raw
+            "records": flat(zip(t.accidental.tolist(), t.duration_s.tolist(), t.net.tolist(),
+                                t.net_sigma.tolist(), t.raw.tolist())),
+            # complex_json's [re, im] of each element
+            "rho": flat(zip(np.real(rho).ravel().tolist(), np.imag(rho).ravel().tolist())),
+            "scale_hz": (fit.scale,),
+            # the fit's keys: condition_number, design_rank (an int), negative_mass_clipped,
+            # weighted_rms_residual
+            "fit": (fit.condition_number, fit.negative_mass_clipped, fit.weighted_rms_residual),
+        }
+        for key, value in {**self.measures, **self.sigmas}.items():
+            if type(value) is list:
+                shape.append((key, tuple([item is None for item in value])))
+                groups[key] = [item for item in value if item is not None]
+            else:
+                shape.append((key, type(value)))
+                groups[key] = () if value is None else (value,)
+        groups["fringe_fixed_analyzer"] = ()
+        return tuple(shape), list(flat(map(groups.get, sorted(groups))))
+
     def encoded(self) -> tuple:
-        """``_encoded`` of the section, ``histogram.csv`` and ``fringe.csv``."""
-        return _encoded(
-            self.to_json(),
+        """The section's text, ``histogram.csv`` and ``fringe.csv``: the
+        section fills its shape's template (``_TOMOGRAPHY_TEMPLATES``) with
+        the run's floats, as ``_section_text`` of ``to_json()`` renders it."""
+        return {"tomography": _TOMOGRAPHY_TEMPLATES.text(self, *self._shape_and_leaves())}, (
             ("histogram.csv", histogram_csv(self.counts, self.centers_ns)),
             ("fringe.csv", _fringe_csv(self.fringe_curve)),
         )
+
+
+_TOMOGRAPHY_TEMPLATES = _SectionTemplates("tomography")
 
 
 def analyze_tomography(cfg: ExperimentConfig, protocol, records, seed) -> TomographyResult:
@@ -632,8 +741,19 @@ class BellResult(Value):
         return {"bell": asdict(self)}
 
     def encoded(self) -> tuple:
-        """``_encoded`` of the section; it has no sidecar."""
-        return _encoded(self.to_json())
+        """The section's text, which fills its shape's template
+        (``_BELL_TEMPLATES``), keyed by ``counts_per_setting`` and whether
+        ``std_devs_above_classical`` is null, with the CHSH floats; it has no
+        sidecar."""
+        counts, std_devs = self.counts_per_setting, self.std_devs_above_classical
+        leaves = [self.f_model, self.f_reconstructed, self.f_simulated, self.sigma_f]
+        if std_devs is not None:
+            leaves.append(std_devs)
+        shape = (type(counts), counts, type(std_devs))
+        return {"bell": _BELL_TEMPLATES.text(self, shape, leaves)}, ()
+
+
+_BELL_TEMPLATES = _SectionTemplates("bell")
 
 
 def simulate_bell(cfg: ExperimentConfig, tomography: TomographyResult, seed) -> BellResult:
@@ -782,7 +902,11 @@ def write_report(report: ExperimentReport, out_dir) -> list:
     stage result's ``encoded()`` sections, so it holds ``report.summary``. The
     package's ``_json_text`` renders every section, to the bytes that
     ``json.dumps(summary, indent=2, sort_keys=True)`` writes (tests pin them to
-    the stdlib's). The sidecars follow in the order of ``report.results``.
+    the stdlib's): the seed-free ones once per configuration, the seeded
+    ``tomography`` and ``bell`` once per shape, as a template that each run
+    fills with its floats (``_SectionTemplates``), so a warm write builds no
+    ``to_json()`` tree of them. The sidecars follow in the order of
+    ``report.results``.
 
     Each sidecar holds the bytes ``csv.writer`` writes for its rows: str() of
     each number, CRLF line ends. The seed-free results encode theirs once.

@@ -817,7 +817,9 @@ def test_cold_hom_json_encodes_no_sidecar(capsysbinary, monkeypatch):
 def test_cold_csv_command_encodes_only_its_sidecar(capsysbinary, monkeypatch, tmp_path,
                                                    command, other_header):
     # a CSV command prints its sidecar alone: it never encodes the section
-    # text or the result's other sidecar, which the result's encoded() does
+    # text or the result's other sidecar, which the result's encoded() does.
+    # The run fills the seeded sections' templates, so a section would be
+    # encoded through them, not through _section_text
     expected = _runs_output(load_config(), 3, command, tmp_path)
     csv_bytes = experiment._csv_bytes
 
@@ -826,11 +828,12 @@ def test_cold_csv_command_encodes_only_its_sidecar(capsysbinary, monkeypatch, tm
             raise AssertionError(f"{command} encoded a sidecar it does not print")
         return csv_bytes(header, rows)
 
-    def no_text(value):
+    def no_text(*args):
         raise AssertionError(f"{command} encoded a report section")
 
     monkeypatch.setattr(experiment, "_csv_bytes", only_the_printed_sidecar)
     monkeypatch.setattr(experiment, "_section_text", no_text)
+    monkeypatch.setattr(experiment._SectionTemplates, "text", no_text)
     experiment.spectral_section.cache_clear()
     assert main([*STAGE_COMMANDS[command][0], "--seed", "3"]) == EXIT_OK
     assert capsysbinary.readouterr().out == expected

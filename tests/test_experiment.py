@@ -203,6 +203,8 @@ def _clear_memos():
         experiment._bin_delays,
         experiment._fringe_grid,
         experiment._fringe_rows,
+        experiment._TOMOGRAPHY_TEMPLATES,
+        experiment._BELL_TEMPLATES,
     ):
         memo.cache_clear()
 
@@ -1248,6 +1250,152 @@ def test_section_text_raises_as_the_stdlib(tree, bad, in_dict):
     with pytest.raises(stdlib.type) as rendered:
         experiment._section_text(value)
     assert str(rendered.value) == str(stdlib.value)
+
+
+def _tree_texts(result) -> dict:
+    """What a seeded result's ``encoded()`` must return: ``_section_text`` of
+    each section ``to_json()`` builds."""
+    return {key: experiment._section_text(value) for key, value in result.to_json().items()}
+
+
+def _with_bootstrap(samples):
+    cfg = load_config()
+    return replace(cfg, run=replace(cfg.run, bootstrap_samples=samples))
+
+
+def _runs(cfg, *seeds) -> list:
+    """The tomography and Bell results of a run of ``cfg`` at each seed."""
+    reports = [run_experiment(cfg, seed) for seed in seeds]
+    return [result for report in reports for result in (report.tomography, report.bell)]
+
+
+def _analyses(records_file, *seeds) -> list:
+    """``analyze_tomography`` of a records file (or of a (protocol, records)
+    pair) at each seed, with the packaged defaults' 100 replicates."""
+    protocol, records = (tomography.load_records_csv(ROOT / "tests" / "data" / records_file)
+                         if isinstance(records_file, str) else records_file)
+    return [experiment.analyze_tomography(load_config(), protocol, records, seed)
+            for seed in seeds]
+
+
+def _state_records(rho) -> tuple:
+    """The default protocol and noiseless records of ``rho`` counted at 10 kHz."""
+    protocol = tomography.default_protocol()
+    raw = 10.0 * tomography.forward_rates(rho, protocol, 1000.0)
+    return protocol, tomography.CoincidenceRecords(raw, np.zeros(9), np.full(9, 10.0),
+                                                   np.sqrt(np.maximum(raw, 1.0)))
+
+
+def _null_visibility(seed):
+    # a zero-trace fringe: no counts at any angle, so no visibility and no curve
+    t = run_experiment(load_config(), seed).tomography
+    return replace(t, measures={**t.measures, "visibility": None}, fringe_curve=[])
+
+
+def _null_weight_sigma(seed):
+    t = run_experiment(load_config(), seed).tomography
+    first, _, last = t.sigmas["weights_sigma"]
+    return replace(t, sigmas={**t.sigmas, "weights_sigma": [first, None, last]})
+
+
+def _bell_without_spread():
+    # two pairs per setting: at seed 2 every correlator's counts fall in one
+    # outcome class, so sigma_f is 0 and std_devs_above_classical is null
+    cfg = load_config()
+    cfg = replace(cfg, bell=replace(cfg.bell, counts_per_setting=2))
+    bell = experiment.simulate_bell(cfg, experiment.simulate_tomography(cfg, 2), 2)
+    assert bell.sigma_f == 0.0 and bell.std_devs_above_classical is None
+    return [bell, replace(bell, f_simulated=0.75, f_reconstructed=-0.0)]
+
+
+#: each section shape, as results of it: the first result makes the shape's
+#: template, the others fill it
+_SECTION_SHAPES = {
+    "bootstrap_samples 0": lambda: _runs(_with_bootstrap(0), SEED, SEED + 1),
+    "bootstrap_samples 2": lambda: _runs(_with_bootstrap(2), SEED, SEED + 1),
+    "bootstrap_samples 100": lambda: _runs(load_config(), SEED, SEED + 1),
+    "unfittable replicate": lambda: _analyses("records_low_counts.csv", 1, 2),
+    "null visibility": lambda: [_null_visibility(SEED), _null_visibility(SEED + 1)],
+    "degenerate dominant eigenstate": lambda: _analyses(
+        _state_records(np.eye(3, dtype=complex) / 3.0), 1, 2),
+    "null sigma in a list": lambda: [_null_weight_sigma(SEED), _null_weight_sigma(SEED + 1)],
+    "null std_devs_above_classical": _bell_without_spread,
+    "25 records": lambda: _analyses("records_overcomplete.csv", 1, 2),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SECTION_SHAPES))
+def test_section_templates_render_what_the_tree_renders(shape):
+    _clear_memos()
+    results = _SECTION_SHAPES[shape]()
+    if shape == "unfittable replicate":
+        assert {None} == set(results[0].sigmas.values())
+    if shape == "degenerate dominant eigenstate":
+        assert [results[0].measures[key] for key in
+                ("concurrence", "schmidt_number", "dominant_weight")] == [None] * 3
+    for result in results:
+        assert result.encoded()[0] == _tree_texts(result), shape
+    # each kind made one template, which the later results filled
+    kinds = {type(result) for result in results}
+    for kind, templates in ((experiment.TomographyResult, experiment._TOMOGRAPHY_TEMPLATES),
+                            (experiment.BellResult, experiment._BELL_TEMPLATES)):
+        assert len(templates) == (kind in kinds), (shape, kind)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_filled_section_raises_and_renders_as_the_stdlib(warm):
+    report = run_experiment(load_config(), SEED)
+    t, bell = report.tomography, report.bell
+    _clear_memos()
+    if warm:  # the templates of these shapes are made
+        t.encoded(), bell.encoded()
+    rho = t.rho.copy()
+    rho[1, 2] = complex(0.1, math.nan)
+    broken = [
+        replace(t, measures={**t.measures, "purity": math.nan}),
+        replace(t, sigmas={**t.sigmas, "weights_sigma": [0.1, math.inf, 0.2]}),
+        replace(t, fit=replace(t.fit, condition_number=-math.inf)),
+        replace(t, rho=rho),
+        replace(bell, f_simulated=math.nan),
+        replace(bell, std_devs_above_classical=np.float64(math.inf)),
+    ]
+    for result in broken:
+        with pytest.raises(ValueError) as stdlib:
+            json.dumps(result.to_json(), indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError) as rendered:
+            result.encoded()
+        assert str(rendered.value) == str(stdlib.value)
+    # a float subclass is rendered as its base, as json.dumps renders it
+    for result in (replace(t, measures={**t.measures, "purity": np.float64(0.5)},
+                           fit=replace(t.fit, scale=np.float64(-0.0))),
+                   replace(bell, sigma_f=np.float64(1e-300))):
+        (key, text), = result.encoded()[0].items()
+        assert text == _stdlib_section_text(result.to_json()[key])
+
+
+def test_a_warm_write_renders_no_seeded_tree(tmp_path, monkeypatch):
+    cfg = load_config()
+    write_report(run_experiment(cfg, SEED), tmp_path)
+    report = run_experiment(cfg, SEED + 1)
+    rendered = []
+    json_text = experiment._json_text
+
+    def recording(value, newline):
+        rendered.append(value)
+        return json_text(value, newline)
+
+    def no_tree(self):
+        raise AssertionError(f"a warm write built {type(self).__name__}.to_json()")
+
+    monkeypatch.setattr(experiment, "_json_text", recording)
+    for kind in (experiment.TomographyResult, experiment.BellResult):
+        monkeypatch.setattr(kind, "to_json", no_tree)
+    write_report(report, tmp_path)
+    monkeypatch.undo()
+    sections = {**report.tomography.to_json(), **report.bell.to_json()}
+    assert sections["tomography"] and sections["bell"]
+    assert not [key for key, section in sections.items()
+                if any(value == section for value in rendered)]
 
 
 def test_report_json_takes_seed_free_sections_from_the_stage_results(tmp_path, report):
